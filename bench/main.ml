@@ -94,7 +94,9 @@ let micro_tests () =
     Test.make ~name:"preprocess/index-20mb-sharded"
       (Staged.stage (fun () ->
            Parallel.Pool.with_pool ~jobs:(Parallel.Pool.default_jobs ())
-             (fun pool -> Bytesearch.Engine.create ~pool medium.G.dex)));
+             (fun pool ->
+                Bytesearch.Engine.export_packed
+                  (Bytesearch.Engine.create ~pool medium.G.dex))));
     (* ablation: indexed search vs grep-style full scan *)
     Test.make ~name:"search/indexed-lookup"
       (Staged.stage (fun () ->
@@ -106,7 +108,9 @@ let micro_tests () =
     Test.make ~name:"preprocess/disassemble-20mb"
       (Staged.stage (fun () -> Dex.Dexfile.of_program medium.G.program));
     Test.make ~name:"preprocess/index-20mb"
-      (Staged.stage (fun () -> Bytesearch.Engine.create medium.G.dex));
+      (Staged.stage (fun () ->
+           Bytesearch.Engine.export_packed
+             (Bytesearch.Engine.create medium.G.dex)));
     (* ablation: the Sec. VI-C FN fix (hierarchy-aware initial search) *)
     Test.make ~name:"ablation/subclass-aware-search"
       (Staged.stage (fun () ->
@@ -238,9 +242,9 @@ let run_trace_profile ~app =
     (List.sort compare (Bytesearch.Engine.category_stats engine))
 
 (* ------------------------------------------------------------------ *)
-(* search-core: GC-aware comparison of the three engine modes (grep-style
-   scan, lazy postings, eager postings) over one query per category.  The
-   run asserts that all modes return identical hits, prints a table with
+(* search-core: GC-aware comparison of the engine modes (grep-style scan,
+   lazy postings, a mapped snapshot) over one query per category.  The run
+   asserts that all modes return identical hits, prints a table with
    Gc.quick_stat deltas and per-category index-build latency, and writes
    the same data as machine-readable BENCH_search.json for the CI
    bench-smoke artifact. *)
@@ -528,16 +532,15 @@ let flight_json r =
 
 (* ------------------------------------------------------------------ *)
 (* snapshot: cold-vs-warm preprocessing.  Cold = disassemble the program
-   and build every postings category; warm = map the saved snapshot back.
+   and build every postings category (create, then export_packed); warm =
+   map the saved snapshot back.
    Both sides then run the search-core query set uncached, asserting
    identical hits, with Gc minor-word deltas alongside the latencies. *)
 
 type snapshot_bench = {
-  sb_file_bytes : int;        (** v2 (packed postings) file size *)
-  sb_v1_file_bytes : int;     (** same engine saved at the v1 flat layout *)
-  sb_postings_cold_bytes : int;  (** flat postings footprint (cold engine) *)
+  sb_file_bytes : int;        (** snapshot file size *)
   sb_postings_warm_bytes : int;  (** coded postings footprint (warm engine) *)
-  sb_cold_us : float;         (** disassembly + eager index build *)
+  sb_cold_us : float;         (** disassembly + all seven postings builds *)
   sb_warm_us : float;         (** snapshot load (mmap + validation) *)
   sb_prefault_us : float;     (** snapshot load with --prefault *)
   sb_speedup : float;
@@ -578,22 +581,14 @@ let run_snapshot_bench ~app =
     let mw0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     let dex = Dex.Dexfile.of_program program in
-    let e = Bytesearch.Engine.create ~eager:true dex in
+    let e = Bytesearch.Engine.create dex in
+    ignore (Bytesearch.Engine.export_packed e);
     cold_us := Float.min !cold_us ((Unix.gettimeofday () -. t0) *. 1e6);
     cold_mw := Float.min !cold_mw (Gc.minor_words () -. mw0);
     cold_engine := Some e
   done;
   let cold_engine = Option.get !cold_engine in
   let file_bytes = Store.Snapshot.save ~path cold_engine in
-  (* the same engine at the legacy flat-postings layout, for the on-disk
-     shrink ratio *)
-  let v1_path = Filename.temp_file "backdroid_snapshot_v1" ".bdix" in
-  let v1_bytes =
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove v1_path with Sys_error _ -> ())
-      (fun () ->
-         Store.Snapshot.save ~format_version:1 ~path:v1_path cold_engine)
-  in
   (* warm: map the snapshot back, with and without prefault *)
   let load_best ~prefault =
     let us = ref Float.infinity and mw = ref Float.infinity in
@@ -620,8 +615,6 @@ let run_snapshot_bench ~app =
   let pf_q, pf_hits, pf_fp = run_queries pf_engine queries in
   let r =
     { sb_file_bytes = file_bytes;
-      sb_v1_file_bytes = v1_bytes;
-      sb_postings_cold_bytes = Bytesearch.Engine.postings_footprint cold_engine;
       sb_postings_warm_bytes = Bytesearch.Engine.postings_footprint warm_engine;
       sb_cold_us = !cold_us;
       sb_warm_us = warm_us;
@@ -636,17 +629,9 @@ let run_snapshot_bench ~app =
         cold_hits = warm_hits && cold_fp = warm_fp && cold_hits = pf_hits
         && cold_fp = pf_fp }
   in
-  Printf.printf "  %-42s %10d bytes\n" "snapshot file (v2, packed postings)"
-    r.sb_file_bytes;
-  Printf.printf "  %-42s %10d bytes\n" "snapshot file (v1 flat layout)"
-    r.sb_v1_file_bytes;
-  Printf.printf "  %-42s %9.2fx  (v1 bytes / v2 bytes)" "on-disk shrink"
-    (float_of_int r.sb_v1_file_bytes /. float_of_int r.sb_file_bytes);
-  Printf.printf "\n  %-42s %10d -> %d bytes (%.2fx)\n"
-    "postings footprint, flat -> coded" r.sb_postings_cold_bytes
-    r.sb_postings_warm_bytes
-    (float_of_int r.sb_postings_cold_bytes
-     /. float_of_int (max 1 r.sb_postings_warm_bytes));
+  Printf.printf "  %-42s %10d bytes\n" "snapshot file" r.sb_file_bytes;
+  Printf.printf "  %-42s %10d bytes\n" "postings footprint (warm engine)"
+    r.sb_postings_warm_bytes;
   Printf.printf "  %-42s %10.1f us\n" "cold preprocess (disassemble + index)"
     r.sb_cold_us;
   Printf.printf "  %-42s %10.1f us\n" "warm preprocess (snapshot load)"
@@ -679,11 +664,9 @@ let run_snapshot_bench ~app =
 
 let snapshot_json r =
   Printf.sprintf
-    "{%s, %s, %s, %s, %s, %s, %s, %s, %s, %s, %s, %s, %s, \
+    "{%s, %s, %s, %s, %s, %s, %s, %s, %s, %s, %s, \
      \"identical_hits\": %b}"
     (Obs.Jsonf.int_field "file_bytes" r.sb_file_bytes)
-    (Obs.Jsonf.int_field "v1_file_bytes" r.sb_v1_file_bytes)
-    (Obs.Jsonf.int_field "postings_cold_bytes" r.sb_postings_cold_bytes)
     (Obs.Jsonf.int_field "postings_warm_bytes" r.sb_postings_warm_bytes)
     (Obs.Jsonf.num_field "cold_preprocess_us" r.sb_cold_us)
     (Obs.Jsonf.num_field "warm_preprocess_us" r.sb_warm_us)
@@ -701,7 +684,8 @@ let snapshot_json r =
    is analysed cold, its snapshot saved with the per-sink results and
    loaded back into a resident engine; then 1% of its classes are edited
    (the "version update") and the v2 analysis runs twice — once completely
-   cold (disassemble + eager index + slice everything, the old-world cost)
+   cold (disassemble + all seven postings builds + slice everything, the
+   old-world cost)
    and once incrementally (patch the resident v1 index in memory with
    [Snapshot.delta_of_engine], replay unaffected sink results).  This is
    the maintained-index scenario of an app store re-analysing updates: the
@@ -717,8 +701,8 @@ type delta_bench = {
   db_classes_changed : int;
   db_lines_reused : int;
   db_lines_rendered : int;
-  db_patched_postings_bytes : int;
-  db_rebuilt_postings_bytes : int;
+  db_carried_postings : int;
+  db_rebuilt_postings : int;
   db_replayed_sinks : int;
   db_sink_calls : int;
   db_identical : bool;         (** delta reports == cold reports *)
@@ -749,7 +733,7 @@ let run_delta_bench ~app =
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
   (* v1: analyse cold, persist snapshot + per-sink results *)
-  let e1 = Bytesearch.Engine.create ~eager:true app.G.dex in
+  let e1 = Bytesearch.Engine.create app.G.dex in
   let r1 =
     Backdroid.Driver.analyze ~engine:e1 ~dex:app.G.dex ~manifest:app.G.manifest
       ()
@@ -786,7 +770,8 @@ let run_delta_bench ~app =
     Gc.compact ();
     let t0 = Unix.gettimeofday () in
     let dex = Dex.Dexfile.of_program v2.G.program in
-    let e = Bytesearch.Engine.create ~eager:true dex in
+    let e = Bytesearch.Engine.create dex in
+    ignore (Bytesearch.Engine.export_packed e);
     let r =
       Backdroid.Driver.analyze ~engine:e ~dex ~manifest:v2.G.manifest ()
     in
@@ -830,8 +815,8 @@ let run_delta_bench ~app =
         dr.Store.Snapshot.d_changed + dr.Store.Snapshot.d_added;
       db_lines_reused = dr.Store.Snapshot.d_lines_reused;
       db_lines_rendered = dr.Store.Snapshot.d_lines_rendered;
-      db_patched_postings_bytes = dr.Store.Snapshot.d_patched_postings_bytes;
-      db_rebuilt_postings_bytes = dr.Store.Snapshot.d_rebuilt_postings_bytes;
+      db_carried_postings = dr.Store.Snapshot.d_carried_postings;
+      db_rebuilt_postings = dr.Store.Snapshot.d_rebuilt_postings;
       db_replayed_sinks = stats.Backdroid.Driver.replayed_sinks;
       db_sink_calls = stats.Backdroid.Driver.sink_calls;
       db_identical = identical }
@@ -840,9 +825,8 @@ let run_delta_bench ~app =
     (Printf.sprintf "%d/%d" r.db_classes_changed r.db_classes_total);
   Printf.printf "  %-42s %10s\n" "lines reused / rendered"
     (Printf.sprintf "%d / %d" r.db_lines_reused r.db_lines_rendered);
-  Printf.printf "  %-42s %10s\n" "postings bytes patched / rebuilt"
-    (Printf.sprintf "%d / %d" r.db_patched_postings_bytes
-       r.db_rebuilt_postings_bytes);
+  Printf.printf "  %-42s %10s\n" "postings carried / rebuilt"
+    (Printf.sprintf "%d / %d" r.db_carried_postings r.db_rebuilt_postings);
   Printf.printf "  %-42s %10s\n" "sink results replayed"
     (Printf.sprintf "%d/%d" r.db_replayed_sinks r.db_sink_calls);
   Printf.printf "  %-42s %10.1f us\n" "cold re-analysis (v2 from scratch)"
@@ -874,8 +858,8 @@ let delta_json r =
     (Obs.Jsonf.int_field "classes_changed" r.db_classes_changed)
     (Obs.Jsonf.int_field "lines_reused" r.db_lines_reused)
     (Obs.Jsonf.int_field "lines_rendered" r.db_lines_rendered)
-    (Obs.Jsonf.int_field "patched_postings_bytes" r.db_patched_postings_bytes)
-    (Obs.Jsonf.int_field "rebuilt_postings_bytes" r.db_rebuilt_postings_bytes)
+    (Obs.Jsonf.int_field "carried_postings" r.db_carried_postings)
+    (Obs.Jsonf.int_field "rebuilt_postings" r.db_rebuilt_postings)
     (Obs.Jsonf.int_field "replayed_sinks" r.db_replayed_sinks)
     (Obs.Jsonf.int_field "sink_calls" r.db_sink_calls)
     r.db_identical
@@ -929,7 +913,7 @@ let search_json_of_results ?obs ?snapshot ?delta ~lines ~queries ~identical
 let run_search_core ?obs ?snapshot ?delta ?(quantiles = false) ~app ~json_path
     () =
   print_endline
-    "\n== search-core: scan vs lazy vs eager vs snapshot (GC-aware) ==";
+    "\n== search-core: scan vs lazy vs snapshot (GC-aware) ==";
   let queries = search_core_queries app.G.program in
   let dex = app.G.dex in
   (* the snapshot mode maps a pre-saved file; its "build" cost is the load *)
@@ -943,8 +927,6 @@ let run_search_core ?obs ?snapshot ?delta ?(quantiles = false) ~app ~json_path
           Bytesearch.Engine.create ~indexed:false dex);
       measure_search_mode ~quantiles ~name:"lazy" ~queries (fun () ->
           Bytesearch.Engine.create dex);
-      measure_search_mode ~quantiles ~name:"eager" ~queries (fun () ->
-          Bytesearch.Engine.create ~eager:true dex);
       measure_search_mode ~quantiles ~name:"snapshot" ~queries (fun () ->
           match
             Store.Snapshot.load ~prefault:true ~path:snap_path app.G.program
@@ -985,9 +967,9 @@ let run_search_core ?obs ?snapshot ?delta ?(quantiles = false) ~app ~json_path
          | None -> ())
       results
   end;
-  (match List.find_opt (fun r -> r.sm_mode = "eager") results with
+  (match List.find_opt (fun r -> r.sm_mode = "lazy") results with
    | Some r when r.sm_index_build <> [] ->
-     print_endline "  -- per-category postings build (eager) --";
+     print_endline "  -- per-category postings build (lazy) --";
      List.iter
        (fun (cat, us) -> Printf.printf "  %-16s %9.1fus\n" cat us)
        r.sm_index_build

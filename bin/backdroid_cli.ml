@@ -280,14 +280,6 @@ let analyze_cmd =
       & info [ "subclass-aware" ]
           ~doc:"Hierarchy-aware initial sink search (fixes the Sec. VI-C FNs).")
   in
-  let eager_index_t =
-    Arg.(
-      value & flag
-      & info [ "eager-index" ]
-          ~doc:
-            "Build all search postings categories at engine construction \
-             instead of lazily on first query of each category.")
-  in
   let save_index_t =
     Arg.(
       value & opt ~vopt:(Some "auto") (some string) None
@@ -348,10 +340,9 @@ let analyze_cmd =
             "Load the detection-rule set from $(docv) (s-expression rule \
              syntax; see the README) instead of the built-in paper rules.")
   in
-  let run seed size_mb plants insecure dump_ssg subclass_aware eager_index jobs
-      verbose trace_file time_limit_ms save_index load_index prefault
-      delta_index mutate_pct rules_file profile metrics metrics_format flight
-      explain =
+  let run seed size_mb plants insecure dump_ssg subclass_aware jobs verbose
+      trace_file time_limit_ms save_index load_index prefault delta_index
+      mutate_pct rules_file profile metrics metrics_format flight explain =
     setup_logs verbose;
     (* flight recorder: always recording; anomalies (and crashes, via the
        handler) auto-dump to the armed path.  Anomaly-free runs without
@@ -453,7 +444,6 @@ let analyze_cmd =
       { Backdroid.Driver.default_config with
         Backdroid.Driver.rules;
         subclass_aware_initial_search = subclass_aware;
-        eager_index;
         jobs;
         budget =
           { Backdroid.Context.default_budget with
@@ -516,7 +506,7 @@ let analyze_cmd =
   Cmd.v (Cmd.info "analyze" ~doc:"Run BackDroid on a generated app")
     Term.(
       const run $ seed_t $ size_t $ shapes_t $ insecure_t $ dump_ssg
-      $ subclass_aware $ eager_index_t $ jobs_t $ verbose_t $ trace_t
+      $ subclass_aware $ jobs_t $ verbose_t $ trace_t
       $ time_limit_t $ save_index_t $ load_index_t $ prefault_t
       $ delta_index_t $ mutate_pct_t $ rules_t $ profile_t $ metrics_t
       $ metrics_format_t $ flight_t $ explain_t)

@@ -1068,7 +1068,10 @@ let plant_reflective ctx ~sink ~insecure =
     StringBuilder ("AES" + "/ECB" + "/PKCS5Padding") — only the API models of
     the forward analysis can recover the full constant. *)
 let plant_builder_spec ctx ~sink ~insecure =
-  (* only meaningful for string-parameter sinks; callers pass the cipher *)
+  (* the assembled string is a cipher transformation, so only on the cipher
+     sink does the insecure spec realise a misuse; on any other sink the
+     program misuses nothing and the plant is labelled secure.  The spec
+     string itself still follows [insecure], whatever the sink. *)
   let chain_cls = ctx.ns ^ ".util.BChain" in
   let chain_klass, chain_head =
     static_chain ~cls:chain_cls ~ty:Types.string_ ~n:2
@@ -1102,7 +1105,9 @@ let plant_builder_spec ctx ~sink ~insecure =
   { classes = [ act; chain_klass ];
     components = comps;
     planted =
-      mk_planted ctx Shape.Builder_spec sink ~insecure
+      mk_planted ctx Shape.Builder_spec sink
+        ~insecure:
+          (insecure && Jsig.meth_equal sink.msig Api.cipher_get_instance)
         ~spec:(String.concat "" spec_parts) ~sink_class:chain_cls }
 
 (** WebView configuration: the insecure variant enables JavaScript

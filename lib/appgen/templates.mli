@@ -155,7 +155,9 @@ val plant_reflective : ctx -> sink:Sinks.t -> insecure:bool -> result
 
 (** The cipher transformation string assembled at runtime with a
     StringBuilder ("AES" + "/ECB" + "/PKCS5Padding") — only the API models of
-    the forward analysis can recover the full constant. *)
+    the forward analysis can recover the full constant.  Only the cipher
+    sink turns that string into a misuse: on another sink the insecure
+    variant emits the same string but is planted (labelled) secure. *)
 val plant_builder_spec : ctx -> sink:Sinks.t -> insecure:bool -> result
 
 (** Plant one sink flow of the given shape. *)

@@ -36,10 +36,6 @@ type config = {
   indexed_search : bool;
       (** search via per-category postings (default); off = grep-style full
           scans per query, like the paper's prototype *)
-  eager_index : bool;
-      (** build all postings categories at engine construction (sharded over
-          the pool) instead of lazily on first query of each category; kept
-          for the ablation benchmark *)
   jobs : int;
       (** per-sink parallelism: sink call sites are grouped by containing
           method and the groups analysed on a domain pool of this size
@@ -60,7 +56,6 @@ let default_config =
     subclass_aware_initial_search = false;
     resolve_reflection = false;
     indexed_search = true;
-    eager_index = false;
     jobs = 1;
     budget = Context.default_budget;
     trace = Trace.log_sink;
@@ -434,8 +429,7 @@ let open_session ?(cfg = default_config) ?pool ?engine ?results
       | Some e -> e
       | None ->
         Obs.Span.with_span ~cat:"app" ~name:"engine-create" (fun () ->
-            Bytesearch.Engine.create ~indexed:cfg.indexed_search
-              ~eager:cfg.eager_index ~pool dex)
+            Bytesearch.Engine.create ~indexed:cfg.indexed_search ~pool dex)
     in
     (* diff the persisted result cache (if any) against this build's
        classmap once; every run of the session consults the precomputed

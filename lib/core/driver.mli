@@ -24,9 +24,6 @@ type config = {
   subclass_aware_initial_search : bool;
   resolve_reflection : bool;
   indexed_search : bool;
-  eager_index : bool;
-      (** build all postings categories at engine construction instead of
-          lazily on first query of each category (default false) *)
   jobs : int;
       (** per-sink parallelism: sink call sites are grouped by containing
           method and the groups analysed on a domain pool of this size

@@ -3,32 +3,31 @@
     query-level caching.
 
     Indexed mode answers queries from per-category postings: for each of the
-    seven searchable categories, a packed CSR triple — ascending operand
-    symbol ids, offsets, and slot runs into the dexfile's hit {!Dex.Arena},
-    all off-heap {!Ivec.t}s.  Postings are built from the interned operand
-    keys the disassembler attached to each line — no text re-parsing — and
-    hit records are materialised only for slots a query actually returns.
-    The packed layout is deterministic (keys sorted by symbol id, slots in
-    arena order), so a sharded build, a sequential build and a snapshot load
-    produce byte-identical tables; {!export_packed}/{!create_packed} are the
-    snapshot subsystem's serialization boundary.
+    seven searchable categories, a packed triple — ascending operand symbol
+    ids, byte offsets, and {!Postcodec}-coded slot runs into the dexfile's
+    hit {!Dex.Arena}, all off-heap.  Postings are built from the interned
+    operand keys the disassembler attached to each line — no text
+    re-parsing — and hit records are materialised only for slots a query
+    actually returns.  The packed layout is deterministic (keys sorted by
+    symbol id, slots in arena order, each run's bytes a pure function of
+    its slots), so a sequential build, a sharded build, a delta patch and a
+    snapshot load produce byte-identical tables, and those tables are the
+    snapshot file's postings sections as they are.
 
-    By default each category's postings build lazily on the first query of
-    that category (double-checked under a build mutex), so an analysis that
+    Each category's postings build lazily on the first query of that
+    category (double-checked under a build mutex), so an analysis that
     never issues, say, a [Const_class] query never pays for that table.
-    Eager mode ([eager:true], kept for ablation and for front-loading the
-    cost) builds all seven at construction time, sharded over a
-    {!Parallel.Pool.t} when one is given.
+    {!export_packed} — the snapshot save and delta paths — builds whatever
+    is still missing, sharded over the engine's {!Parallel.Pool.t} when it
+    has one.
 
     Lazy builds are deliberately sequential even when the engine holds a
     pool: a lazy build can trigger inside a pool task (the per-sink fan-out)
     while the cache and build mutexes are held, and sharding the build over
     the same pool would let the builder's help-drain pop a foreign task that
-    re-enters those mutexes on the builder's own thread.  Eager create-time
-    builds shard safely — no task that could touch this engine's locks
-    exists before [create] returns.  The arena makes the sequential build a
-    single pass over unboxed int vectors, so laziness, not sharding, is
-    where the time goes. *)
+    re-enters those mutexes on the builder's own thread.  The arena makes
+    the sequential build a single pass over unboxed int vectors, so
+    laziness, not sharding, is where the time goes. *)
 
 type hit = {
   line_no : int;
@@ -61,84 +60,48 @@ let category_name = function
   | _ -> invalid_arg "Engine.category_name"
 
 module Packed = struct
-  (** One category's postings in CSR form: [keys] is the strictly ascending
-      operand symbol ids; key [k]'s slots are strictly ascending arena
-      slots.  Two bodies share the shape:
-
-      - [Flat slots]: [offsets] are slot indices and key [k]'s run is
-        [slots.(offsets.(k) .. offsets.(k+1)-1)] — what in-process builds
-        produce and what v1 snapshots map.
-      - [Coded data]: [offsets] are byte offsets into [data], each run
-        compressed by {!Postcodec} (varint deltas for sparse keys, bitmap
-        words for dense ones) and decoded on demand by {!iter_key} — what
-        v2 snapshots map, several times smaller on disk and walked
-        sequentially instead of 8 bytes per slot.
-
-      All vectors live off the OCaml heap; a snapshot load aliases them to
-      mmapped file sections. *)
-  type body = Flat of Ivec.t | Coded of Bvec.t
-
-  type t = { keys : Ivec.t; offsets : Ivec.t; body : body }
+  (** One category's postings: [keys] is the strictly ascending operand
+      symbol ids, and key [k]'s slots — strictly ascending arena slots —
+      are the {!Postcodec} run at bytes [offsets.(k) .. offsets.(k+1)-1]
+      of [runs] (varint deltas for sparse keys, bitmap words for dense
+      ones), decoded on demand by {!iter_key}.  Each run is self-contained,
+      so a key's postings move as one byte range.  All vectors live off the
+      OCaml heap; a snapshot load aliases them to mmapped file sections. *)
+  type t = { keys : Ivec.t; offsets : Ivec.t; runs : Bvec.t }
 
   let n_keys t = Ivec.length t.keys
 
-  (** Slot count of key index [k] — O(1) for both bodies (the coded run
-      leads with its count), which is what lets the query planner order
-      lookups rarest-first without decoding anything. *)
-  let count t k =
-    match t.body with
-    | Flat _ -> Ivec.get t.offsets (k + 1) - Ivec.get t.offsets k
-    | Coded b -> Postcodec.count b ~pos:(Ivec.get t.offsets k)
+  (** Slot count of key index [k] — O(1): the coded run leads with its
+      count, which is what lets the query planner order lookups
+      rarest-first without decoding anything. *)
+  let count t k = Postcodec.count t.runs ~pos:(Ivec.get t.offsets k)
 
   (** Apply [f] to each slot of key index [k], ascending. *)
-  let iter_key t k f =
-    match t.body with
-    | Flat slots ->
-      let hi = Ivec.get t.offsets (k + 1) in
-      for i = Ivec.get t.offsets k to hi - 1 do
-        f (Ivec.unsafe_get slots i)
-      done
-    | Coded b -> Postcodec.iter b ~pos:(Ivec.get t.offsets k) f
+  let iter_key t k f = Postcodec.iter t.runs ~pos:(Ivec.get t.offsets k) f
 
   let n_slots t =
-    match t.body with
-    | Flat slots -> Ivec.length slots
-    | Coded _ ->
-      let total = ref 0 in
-      for k = 0 to n_keys t - 1 do
-        total := !total + count t k
-      done;
-      !total
+    let total = ref 0 in
+    for k = 0 to n_keys t - 1 do
+      total := !total + count t k
+    done;
+    !total
 
   (** In-memory footprint in bytes (mapped or heap-side). *)
   let bytes t =
-    ((Ivec.length t.keys + Ivec.length t.offsets) * 8)
-    + (match t.body with
-       | Flat slots -> Ivec.length slots * 8
-       | Coded b -> Bvec.length b)
+    ((Ivec.length t.keys + Ivec.length t.offsets) * 8) + Bvec.length t.runs
 
-  (** Decode to a [Flat] body (identity when already flat) — the symbol-id
-      remap path and v1 saves need random-access slot vectors. *)
-  let to_flat t =
-    match t.body with
-    | Flat _ -> t
-    | Coded _ ->
-      let nk = n_keys t in
-      let offsets = Ivec.create (nk + 1) in
-      Ivec.set offsets 0 0;
-      let total = ref 0 in
-      for k = 0 to nk - 1 do
-        total := !total + count t k;
-        Ivec.set offsets (k + 1) !total
-      done;
-      let slots = Ivec.create !total in
-      let pos = ref 0 in
-      for k = 0 to nk - 1 do
-        iter_key t k (fun slot ->
-            Ivec.set slots !pos slot;
-            incr pos)
-      done;
-      { keys = t.keys; offsets; body = Flat slots }
+  (* Encode a sorted CSR — key [k]'s run is [slots.(flat.(k)) ..
+     slots.(flat.(k+1)-1)] — into the coded layout. *)
+  let encode ~keys ~flat ~slots =
+    let nk = Ivec.length keys in
+    let offsets = Ivec.create (nk + 1) in
+    let buf = Buffer.create (max 64 (Ivec.length slots)) in
+    for k = 0 to nk - 1 do
+      Ivec.set offsets k (Buffer.length buf);
+      Postcodec.encode buf slots ~lo:flat.(k) ~hi:flat.(k + 1)
+    done;
+    Ivec.set offsets nk (Buffer.length buf);
+    { keys; offsets; runs = Bvec.of_string (Buffer.contents buf) }
 end
 
 type postings = Packed.t
@@ -146,9 +109,8 @@ type postings = Packed.t
 type t = {
   dex : Dex.Dexfile.t;
   cache : hit Cache.t;
-  pool : Parallel.Pool.t option;  (** used only by eager create-time builds *)
+  pool : Parallel.Pool.t option;  (** shards {!export_packed} builds only *)
   indexed : bool;
-  eager : bool;
   load_mode : string option;
       (** postings installed wholesale (a snapshot load or delta patch):
           the label {!index_mode} reports; [None] = built in-process *)
@@ -162,16 +124,17 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Postings construction                                               *)
 
-(* A deterministic two-pass counting sort over arena slots.  Round 1 counts
-   postings per operand sym id (per shard when pooled); the sequential merge
-   lays out the CSR keys/offsets and per-shard write cursors; round 2
-   writes each shard's slots into its disjoint region.  Slots ascend within
-   a shard and shard regions follow slice order, so every key's run is
-   strictly ascending, and the packed bytes — keys ascending by sym id,
-   slots in arena order — are identical for sequential, sharded and
-   snapshot-loaded builds.  No per-posting allocation: the old bucket lists
-   (a cons per posting plus a hashtable probe per slot) made invocations,
-   the densest category, several times slower than the sparse ones. *)
+(* A deterministic two-pass counting sort over arena slots, then one
+   encoding pass.  Round 1 counts postings per operand sym id (per shard
+   when pooled); the sequential merge lays out the keys, each key's slot
+   range and per-shard write cursors; round 2 writes each shard's slots
+   into its disjoint region.  Slots ascend within a shard and shard regions
+   follow slice order, so every key's run is strictly ascending, and the
+   coded bytes — keys ascending by sym id, each run encoded from its slots
+   alone — are identical for sequential, sharded and snapshot-loaded
+   builds.  No per-posting allocation: the old bucket lists (a cons per
+   posting plus a hashtable probe per slot) made invocations, the densest
+   category, several times slower than the sparse ones. *)
 
 (* Growable dense counter indexed by sym id; [maxk] bounds the occupied
    prefix the merge walks.  Growth matters only for class tokens, which can
@@ -211,47 +174,36 @@ let slot_tokens (dex : Dex.Dexfile.t) slot fallback =
        Hashtbl.add fallback slot toks;
        toks)
 
-let shard_count (dex : Dex.Dexfile.t) c ~lo ~hi =
+(* Apply [f key slot] to each posting of category [c] in slots
+   [lo .. hi-1], in slot order — the one definition of what a category
+   indexes, shared by the counting, filling and delta passes. *)
+let iter_postings (dex : Dex.Dexfile.t) c ~lo ~hi fallback f =
   let a : Dex.Arena.t = dex.arena in
-  let cnt = counts_create () in
-  let fallback : (int, Sym.t array) Hashtbl.t = Hashtbl.create 8 in
   if c = cat_class_tokens then
     for slot = lo to hi - 1 do
-      Array.iter
-        (fun tok -> counts_bump cnt (Sym.id tok))
-        (slot_tokens dex slot fallback)
+      Array.iter (fun tok -> f (Sym.id tok) slot) (slot_tokens dex slot fallback)
     done
   else begin
     let member = cat_member c in
     for slot = lo to hi - 1 do
       if member (Ivec.unsafe_get a.cat slot) then
-        counts_bump cnt (Ivec.unsafe_get a.sym slot)
+        f (Ivec.unsafe_get a.sym slot) slot
     done
-  end;
+  end
+
+let shard_count dex c ~lo ~hi =
+  let cnt = counts_create () in
+  let fallback : (int, Sym.t array) Hashtbl.t = Hashtbl.create 8 in
+  iter_postings dex c ~lo ~hi fallback (fun k _ -> counts_bump cnt k);
   (cnt, fallback)
 
 (* [cursor.(k)] is this shard's next write position for key [k] (absolute
    into [slots]); fills advance it monotonically. *)
-let shard_fill (dex : Dex.Dexfile.t) c ~lo ~hi ~cursor ~slots fallback =
-  let a : Dex.Arena.t = dex.arena in
-  let put k slot =
-    let p = Array.unsafe_get cursor k in
-    Ivec.set slots p slot;
-    Array.unsafe_set cursor k (p + 1)
-  in
-  if c = cat_class_tokens then
-    for slot = lo to hi - 1 do
-      Array.iter
-        (fun tok -> put (Sym.id tok) slot)
-        (slot_tokens dex slot fallback)
-    done
-  else begin
-    let member = cat_member c in
-    for slot = lo to hi - 1 do
-      if member (Ivec.unsafe_get a.cat slot) then
-        put (Ivec.unsafe_get a.sym slot) slot
-    done
-  end
+let shard_fill dex c ~lo ~hi ~cursor ~slots fallback =
+  iter_postings dex c ~lo ~hi fallback (fun k slot ->
+      let p = Array.unsafe_get cursor k in
+      Ivec.set slots p slot;
+      Array.unsafe_set cursor k (p + 1))
 
 (* Shards below this size are not worth the merge traffic. *)
 let min_shard_slots = 2048
@@ -288,24 +240,23 @@ let build_postings ?pool dex c =
          total.(k) <- total.(k) + Array.unsafe_get cnt.c k
        done)
     counted;
-  (* CSR layout: keys ascending by sym id, offsets from the running total *)
+  (* layout: keys ascending by sym id, slot ranges from the running total *)
   let nk = ref 0 in
   for k = 0 to maxk do
     if total.(k) > 0 then incr nk
   done;
-  let keys_v = Ivec.create !nk in
-  let offsets = Ivec.create (!nk + 1) in
-  Ivec.set offsets 0 0;
+  let keys = Ivec.create !nk in
+  let flat = Array.make (!nk + 1) 0 in
   (* [running.(k)]: absolute write position of key [k]'s next unwritten
-     slot; starts at the key's offset, advanced per shard below *)
+     slot; starts at the key's range start, advanced per shard below *)
   let running = Array.make (maxk + 1) 0 in
   let ki = ref 0 and pos = ref 0 in
   for k = 0 to maxk do
     if total.(k) > 0 then begin
-      Ivec.set keys_v !ki k;
+      Ivec.set keys !ki k;
       running.(k) <- !pos;
       pos := !pos + total.(k);
-      Ivec.set offsets (!ki + 1) !pos;
+      flat.(!ki + 1) <- !pos;
       incr ki
     end
   done;
@@ -327,14 +278,14 @@ let build_postings ?pool dex c =
        (fun (lo, hi, cursor, fallback) ->
           shard_fill dex c ~lo ~hi ~cursor ~slots fallback)
        fills);
-  { Packed.keys = keys_v; offsets; body = Packed.Flat slots }
+  Packed.encode ~keys ~flat ~slots
 
 let m_builds = Obs.Metrics.counter "search.postings.builds"
 let m_slots = Obs.Metrics.counter "search.postings.slots"
 let m_bytes = Obs.Metrics.counter "search.postings.bytes"
 
-(* Double-checked lazy build.  [pool] is passed only from eager create-time
-   builds; lazy builds run sequentially (see the module comment). *)
+(* Double-checked lazy build.  [pool] is passed only from {!export_packed};
+   query-time builds run sequentially (see the module comment). *)
 let ensure_category ?pool t c =
   match Atomic.get t.tables.(c) with
   | Some p -> p
@@ -348,49 +299,41 @@ let ensure_category ?pool t c =
           let t0 = Unix.gettimeofday () in
           let p = build_postings ?pool t.dex c in
           t.build_us.(c) <- (Unix.gettimeofday () -. t0) *. 1e6;
+          let n_slots = Packed.n_slots p in
           Obs.Metrics.incr m_builds;
-          Obs.Metrics.add m_slots (Packed.n_slots p);
+          Obs.Metrics.add m_slots n_slots;
           Obs.Metrics.add m_bytes (Packed.bytes p);
           Obs.Span.emit ~cat:"search" ~name:("build:" ^ category_name c)
             ~attrs:[ ("keys", Obs.Span.Int (Packed.n_keys p));
-                     ("slots", Obs.Span.Int (Packed.n_slots p)) ]
+                     ("slots", Obs.Span.Int n_slots) ]
             span0;
           Atomic.set t.tables.(c) (Some p);
           p)
 
-let create ?(indexed = true) ?(eager = false) ?pool dex =
-  let t =
-    { dex; cache = Cache.create (); pool; indexed; eager = indexed && eager;
-      load_mode = None;
-      tables = Array.init n_categories (fun _ -> Atomic.make None);
-      build_us = Array.make n_categories 0.0;
-      build_lock = Mutex.create ();
-      ruleset = Atomic.make None }
-  in
-  if t.eager then
-    for c = 0 to n_categories - 1 do
-      ignore (ensure_category ?pool t c)
-    done;
-  t
+let make ?pool ~indexed ~load_mode dex tables =
+  { dex; cache = Cache.create (); pool; indexed; load_mode;
+    tables = Array.map Atomic.make tables;
+    build_us = Array.make n_categories 0.0;
+    build_lock = Mutex.create ();
+    ruleset = Atomic.make None }
+
+let create ?(indexed = true) ?pool dex =
+  make ?pool ~indexed ~load_mode:None dex (Array.make n_categories None)
 
 (** All seven categories in packed form, building any not yet built — the
     snapshot subsystem's save-side view of the index. *)
 let export_packed t =
   Array.init n_categories (fun c -> ensure_category ?pool:t.pool t c)
 
-(** An engine whose postings were installed wholesale (a snapshot load or a
-    delta patch) rather than built from the arena.  Queries behave exactly
-    as in indexed mode; {!index_mode} reports [mode] (default
-    ["snapshot"]; the delta path passes ["delta"]). *)
-let create_packed ?(mode = "snapshot") dex tables =
+(* An engine whose postings were installed wholesale (a snapshot load or a
+   delta patch) rather than built from the arena.  Queries behave exactly
+   as in indexed mode; {!index_mode} reports [mode]. *)
+let install ~mode dex tables =
   if Array.length tables <> n_categories then
     invalid_arg "Engine.create_packed: expected one table per category";
-  { dex; cache = Cache.create (); pool = None; indexed = true; eager = false;
-    load_mode = Some mode;
-    tables = Array.map (fun p -> Atomic.make (Some p)) tables;
-    build_us = Array.make n_categories 0.0;
-    build_lock = Mutex.create ();
-    ruleset = Atomic.make None }
+  make ~indexed:true ~load_mode:(Some mode) dex (Array.map Option.some tables)
+
+let create_packed dex tables = install ~mode:"snapshot" dex tables
 
 let program t = t.dex.Dex.Dexfile.program
 let dexfile t = t.dex
@@ -418,6 +361,102 @@ let note_ruleset t hash =
   loop ()
 
 let ruleset_stamp t = Atomic.get t.ruleset
+
+(* ------------------------------------------------------------------ *)
+(* Delta patch                                                         *)
+
+(* Merge two ascending slot runs (carried-over old slots and freshly built
+   ones).  The old run is ascending because the old->new slot map is
+   monotone whenever both builds lay classes out in the same relative
+   order; a final sortedness check covers the exotic layouts (multidex
+   partition order) by falling back to a sort. *)
+let merge_runs a b =
+  let rec go acc a b =
+    match (a, b) with
+    | [], rest | rest, [] -> List.rev_append acc rest
+    | x :: a', y :: b' ->
+      if x <= y then go (x :: acc) a' b else go (y :: acc) b' a
+  in
+  let merged = go [] a b in
+  let rec sorted = function
+    | [] | [ _ ] -> true
+    | x :: (y :: _ as tl) -> x < y && sorted tl
+  in
+  if sorted merged then merged else List.sort_uniq compare merged
+
+(* One category of a delta engine: [old]'s postings carried through
+   [slot_map], merged with the postings of the [fresh] slot ranges of
+   [dex] exactly as a build would index them.  Also returns the carried
+   and rebuilt posting counts. *)
+let patch_category ~slot_map ~fresh dex c (old : Packed.t) =
+  let tbl : (int, int list ref * int list ref) Hashtbl.t =
+    Hashtbl.create 1024
+  in
+  let bucket k =
+    match Hashtbl.find_opt tbl k with
+    | Some b -> b
+    | None ->
+      let b = (ref [], ref []) in
+      Hashtbl.add tbl k b;
+      b
+  in
+  let carried = ref 0 and rebuilt = ref 0 in
+  for ki = 0 to Packed.n_keys old - 1 do
+    let run, _ = bucket (Ivec.get old.Packed.keys ki) in
+    Packed.iter_key old ki (fun os ->
+        let ns = slot_map.(os) in
+        if ns >= 0 then begin
+          run := ns :: !run;
+          incr carried
+        end)
+  done;
+  let fallback = Hashtbl.create 8 in
+  List.iter
+    (fun (lo, hi) ->
+       iter_postings dex c ~lo ~hi fallback (fun k ns ->
+           let _, run = bucket k in
+           run := ns :: !run;
+           incr rebuilt))
+    fresh;
+  (* ascending keys, each key's run ascending, empty runs dropped *)
+  let runs =
+    Hashtbl.fold
+      (fun k (old_run, new_run) acc ->
+         match merge_runs (List.rev !old_run) (List.rev !new_run) with
+         | [] -> acc
+         | run -> (k, run) :: acc)
+      tbl []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  let nk = List.length runs in
+  let keys = Ivec.create nk and flat = Array.make (nk + 1) 0 in
+  let slots =
+    Ivec.create (List.fold_left (fun n (_, r) -> n + List.length r) 0 runs)
+  in
+  List.iteri
+    (fun i (k, run) ->
+       Ivec.set keys i k;
+       List.iteri (fun j s -> Ivec.set slots (flat.(i) + j) s) run;
+       flat.(i + 1) <- flat.(i) + List.length run)
+    runs;
+  (Packed.encode ~keys ~flat ~slots, !carried, !rebuilt)
+
+let patch old dex ~slot_map ~fresh =
+  let carried = ref 0 and rebuilt = ref 0 in
+  let tables =
+    Array.mapi
+      (fun c p ->
+         let p, nc, nr = patch_category ~slot_map ~fresh dex c p in
+         carried := !carried + nc;
+         rebuilt := !rebuilt + nr;
+         p)
+      (export_packed old)
+  in
+  let t = install ~mode:"delta" dex tables in
+  (match ruleset_stamp old with
+   | Some h -> ignore (note_ruleset t h)
+   | None -> ());
+  (t, !carried, !rebuilt)
 
 (* ------------------------------------------------------------------ *)
 (* Scan mode                                                           *)
@@ -699,19 +738,14 @@ let run_conj t = function
 (* Introspection                                                       *)
 
 let index_mode t =
-  if not t.indexed then "scan"
-  else
-    match t.load_mode with
-    | Some m -> m
-    | None -> if t.eager then "eager" else "lazy"
+  if not t.indexed then "scan" else Option.value t.load_mode ~default:"lazy"
 
 let built_categories t =
   Array.fold_left
     (fun n slot -> if Atomic.get slot <> None then n + 1 else n)
     0 t.tables
 
-(* Bytes held by the postings built so far (mapped or heap-side) — what the
-   bench reports to compare v1 flat-slot and v2 packed footprints. *)
+(* Bytes held by the postings built so far (mapped or heap-side). *)
 let postings_footprint t =
   Array.fold_left
     (fun n slot ->

@@ -2,20 +2,20 @@
     plaintext, returning hits mapped back to their enclosing methods, with
     query-level caching (Sec. IV-F).
 
-    Three execution modes:
-    - {b lazy indexed} (default): per-category postings — operand symbol id
-      to sorted int-array of slots in the dexfile's hit {!Dex.Arena} — each
-      built on the first query of that category, double-checked under a
-      build mutex.  Categories never queried are never built.
-    - {b eager indexed} ([eager:true]): all seven categories built at
-      construction, sharded over a {!Parallel.Pool.t} when one is given.
-      Kept for ablation and for front-loading the cost.
+    Two execution modes:
+    - {b indexed} (default): per-category postings — operand symbol id to
+      the {!Postcodec}-coded run of its slots in the dexfile's hit
+      {!Dex.Arena} — each built on the first query of that category,
+      double-checked under a build mutex.  Categories never queried are
+      never built.  A snapshot load or a delta patch installs all seven at
+      once, in the same layout.
     - {b scan} ([indexed:false]): every query scans every line, like the
-      paper's prototype shelling out to grep — the search-cost ablation
-      baseline.
+      paper's prototype shelling out to grep — the test oracle and the
+      search-cost ablation baseline.
 
-    All three return identical hits for every query (the property tests
-    check this), so mode choice is purely a performance decision. *)
+    Both return identical hits for every query (the property tests check
+    this across lazy, snapshot and delta engines), so mode choice is purely
+    a performance decision. *)
 
 (** One matching plaintext line, materialised from an arena slot only when a
     query returns it. *)
@@ -30,49 +30,31 @@ type hit = {
 
 type t
 
-(** One category's postings in packed CSR form — the serialization boundary
-    between the engine and the snapshot store.  [keys] holds the strictly
-    ascending operand symbol ids; key [k]'s slots are strictly ascending in
-    arena order.  Two bodies share the shape: [Flat] random-access slot
-    vectors (in-process builds, v1 snapshots) and [Coded] per-key compressed
-    runs — varint deltas or bitmap words, see {!Postcodec} — decoded on
-    demand (v2 snapshots).  All vectors are off-heap; the flat layout is
-    deterministic: sequential, pool-sharded and snapshot-loaded builds of
-    the same arena are byte-identical. *)
+(** One category's postings — the serialization boundary between the
+    engine and the snapshot store.  [keys] holds the strictly ascending
+    operand symbol ids; key [k]'s slots, strictly ascending in arena order,
+    are the self-contained {!Postcodec} run at bytes
+    [offsets.(k) .. offsets.(k+1)-1] of [runs] (varint deltas or bitmap
+    words), decoded on demand.  This is the only layout: lazy, sharded and
+    delta-patched builds produce it, and it is the snapshot file's postings
+    sections as they are, so sequential, pool-sharded, delta and
+    snapshot-loaded tables of the same arena are byte-identical.  All
+    vectors are off-heap. *)
 module Packed : sig
-  type body = Flat of Ivec.t | Coded of Bvec.t
-
-  type t = { keys : Ivec.t; offsets : Ivec.t; body : body }
-
-  val n_slots : t -> int
-  val n_keys : t -> int
-
-  (** Slot count of key index [k] — O(1) for both bodies. *)
-  val count : t -> int -> int
-
-  (** Apply [f] to each slot of key index [k], ascending. *)
-  val iter_key : t -> int -> (int -> unit) -> unit
-
-  (** Payload size in bytes (mapped or heap-side). *)
-  val bytes : t -> int
-
-  (** Decode to a [Flat] body; identity when already flat. *)
-  val to_flat : t -> t
+  type t = { keys : Ivec.t; offsets : Ivec.t; runs : Bvec.t }
 end
 
-(** Build an engine over a disassembled app.  [indexed] (default true)
-    selects the postings-backed mode; [eager] (default false) builds all
-    postings categories up front instead of on first use.  [pool] shards
-    eager construction across the pool's domains (per-domain slices of the
-    hit arena built into domain-local tables, then merged in slice order);
-    the resulting postings are identical to the sequential build.  Lazy
-    builds are always sequential — they can trigger inside pool tasks, where
-    sharding over the same pool could re-enter the engine's locks (see
-    engine.ml).  Queries against the engine are safe from multiple domains:
-    the query cache is mutex-guarded and hit/miss counters are
-    scheduling-independent. *)
-val create :
-  ?indexed:bool -> ?eager:bool -> ?pool:Parallel.Pool.t -> Dex.Dexfile.t -> t
+(** Build an indexed engine over a disassembled app ([indexed:false]: a
+    scan engine).  Postings build lazily, sequentially, on each category's
+    first query — such a build can trigger inside pool tasks, where sharding
+    over the same pool could re-enter the engine's locks (see engine.ml).
+    [pool] shards {!export_packed}'s builds across the pool's domains
+    (per-domain slices of the hit arena counted into domain-local tables,
+    then merged in slice order); the resulting postings are identical to
+    the sequential build.  Queries against the engine are safe from
+    multiple domains: the query cache is mutex-guarded and hit/miss
+    counters are scheduling-independent. *)
+val create : ?indexed:bool -> ?pool:Parallel.Pool.t -> Dex.Dexfile.t -> t
 
 (** All seven categories in packed form, in category order, building any not
     yet built (sharded over the engine's pool when it has one) — the
@@ -80,10 +62,25 @@ val create :
 val export_packed : t -> Packed.t array
 
 (** An indexed engine whose postings are installed wholesale — the snapshot
-    load and delta-patch paths.  The array must hold one table per category,
-    in category order.  {!index_mode} reports [mode] (default
-    ["snapshot"]; {!Store.Snapshot}'s delta path passes ["delta"]). *)
-val create_packed : ?mode:string -> Dex.Dexfile.t -> Packed.t array -> t
+    load path.  The array must hold one table per category, in category
+    order; {!index_mode} reports ["snapshot"]. *)
+val create_packed : Dex.Dexfile.t -> Packed.t array -> t
+
+(** [patch old dex ~slot_map ~fresh] is the delta engine over [dex], a
+    new build whose arena reuses slots of [old]'s: every category carries
+    [old]'s postings through [slot_map] (old slot -> new slot, [-1] for a
+    slot whose class was dropped or re-rendered) and merges in the postings
+    of the [fresh] slot ranges (ascending, disjoint — the re-rendered
+    classes), indexed exactly as a build of [dex] would index them.  The
+    result answers every query like a cold engine over [dex], inherits
+    [old]'s rule-set stamp, and reports {!index_mode} ["delta"].  Also
+    returns the number of postings carried and rebuilt. *)
+val patch :
+  t ->
+  Dex.Dexfile.t ->
+  slot_map:int array ->
+  fresh:(int * int) list ->
+  t * int * int
 
 (** The program the engine's dexfile was disassembled from — the "program
     analysis space" paired with this "bytecode search space". *)
@@ -120,15 +117,15 @@ val run_uncached : t -> Query.t -> hit list
     [run t q]. *)
 val run_conj : t -> Query.t list -> hit list
 
-(** ["scan"], ["lazy"], ["eager"], ["snapshot"] or ["delta"]. *)
+(** ["scan"], ["lazy"], ["snapshot"] or ["delta"]. *)
 val index_mode : t -> string
 
-(** Number of postings categories built so far (0-7).  Lazy engines build
-    strictly fewer than eager ones unless every category was queried. *)
+(** Number of postings categories built so far (0-7): lazy engines build
+    only the categories queried so far, snapshot and delta engines hold
+    all seven. *)
 val built_categories : t -> int
 
-(** Bytes held by the postings built so far (mapped or heap-side) — lets
-    the bench compare v1 flat-slot and v2 packed footprints. *)
+(** Bytes held by the postings built so far (mapped or heap-side). *)
 val postings_footprint : t -> int
 
 (** Per-category postings build cost: [(category name, µs)] for each

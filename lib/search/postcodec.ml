@@ -1,6 +1,6 @@
 (* See postcodec.mli for the wire format.  Encoding is deterministic — the
-   varint-vs-bitmap choice is a pure function of the run — so snapshot
-   save -> load -> save stays byte-identical. *)
+   varint-vs-bitmap choice is a pure function of the run — so every
+   producer of the same slots emits the same bytes. *)
 
 let tag_varint = 0
 let tag_bitmap = 1
@@ -48,35 +48,34 @@ let checked_varint (b : Bvec.t) pos ~limit =
    bound is one byte per slot. *)
 let bitmap_words ~first ~last = ((last - first) / 64) + 1
 
-let encode buf ~get ~lo ~hi =
+let encode buf (slots : Ivec.t) ~lo ~hi =
   let n = hi - lo in
   put_varint buf n;
   if n > 0 then begin
-    let first = get lo and last = get (hi - 1) in
+    let first = Ivec.get slots lo and last = Ivec.get slots (hi - 1) in
     let nwords = bitmap_words ~first ~last in
     if 8 * nwords <= n then begin
       Buffer.add_char buf (Char.chr tag_bitmap);
       put_varint buf first;
       put_varint buf nwords;
-      let words = Array.make nwords 0L in
+      (* little-endian words: bit [d] of the bitmap is bit [d land 7] of
+         byte [d lsr 3] *)
+      let words = Bytes.make (8 * nwords) '\000' in
       for i = lo to hi - 1 do
-        let d = get i - first in
-        words.(d / 64)
-          <- Int64.logor words.(d / 64) (Int64.shift_left 1L (d land 63))
+        let d = Ivec.unsafe_get slots i - first in
+        let b = d lsr 3 in
+        Bytes.unsafe_set words b
+          (Char.unsafe_chr
+             (Char.code (Bytes.unsafe_get words b) lor (1 lsl (d land 7))))
       done;
-      let w8 = Bytes.create 8 in
-      Array.iter
-        (fun w ->
-           Bytes.set_int64_le w8 0 w;
-           Buffer.add_bytes buf w8)
-        words
+      Buffer.add_bytes buf words
     end
     else begin
       Buffer.add_char buf (Char.chr tag_varint);
       put_varint buf first;
       let prev = ref first in
       for i = lo + 1 to hi - 1 do
-        let s = get i in
+        let s = Ivec.unsafe_get slots i in
         put_varint buf (s - !prev - 1);
         prev := s
       done
@@ -84,7 +83,7 @@ let encode buf ~get ~lo ~hi =
   end
 
 let encode_array buf a =
-  encode buf ~get:(Array.get a) ~lo:0 ~hi:(Array.length a)
+  encode buf (Ivec.of_array a) ~lo:0 ~hi:(Array.length a)
 
 (* -- decoding --------------------------------------------------------- *)
 

@@ -1,6 +1,7 @@
-(** Compressed postings runs: the v2 snapshot encoding of one key's
-    strictly ascending slot list, decoded on demand by the engine's packed
-    cursors instead of being materialised as an 8-byte-per-slot {!Ivec.t}.
+(** Compressed postings runs: the encoding of one key's strictly ascending
+    slot list in every engine's postings (and so in snapshot files), decoded
+    on demand by the engine's packed cursors instead of being materialised
+    as an 8-byte-per-slot {!Ivec.t}.
 
     Wire format of one run:
     {v
@@ -13,14 +14,16 @@
 
     The bitmap form is chosen exactly when [8 * nwords <= n] — varint runs
     cost at least one byte per slot, so the choice never loses bytes, and
-    it is a pure function of the run, so re-encoding a decoded snapshot is
-    byte-identical (the save/load round-trip identity the store tests
-    assert).  Varints are LEB128; a delta of [k] encodes a gap of [k + 1]
-    (slots are strictly ascending), which makes max-gap runs cost ~9 bytes
-    per slot and dense runs 1 byte per slot. *)
+    it is a pure function of the run, so every producer — sequential and
+    sharded builds, delta patches — emits byte-identical runs for the same
+    slots (the identities the store and pool tests assert).  Varints are
+    LEB128; a delta of [k] encodes a gap of [k + 1] (slots are strictly
+    ascending), which makes max-gap runs cost ~9 bytes per slot and dense
+    runs 1 byte per slot. *)
 
-(** Append the run [get lo .. get (hi-1)] (strictly ascending) to [buf]. *)
-val encode : Buffer.t -> get:(int -> int) -> lo:int -> hi:int -> unit
+(** Append the run [slots.(lo) .. slots.(hi-1)] (strictly ascending) to
+    [buf]. *)
+val encode : Buffer.t -> Ivec.t -> lo:int -> hi:int -> unit
 
 (** [encode_array buf a] is {!encode} over the whole array. *)
 val encode_array : Buffer.t -> int array -> unit

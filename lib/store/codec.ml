@@ -14,12 +14,9 @@ let error_to_string = function
 
 let magic = "BDIXSNAP"
 
-(* v1: flat postings slots, heap line texts.  v2: Postcodec-compressed
-   postings runs and off-heap line texts.  The container layout is identical
-   across versions — only section payloads differ — so one reader serves
-   both; [Snapshot.load] dispatches on {!version}. *)
+(* v2: Postcodec-coded postings runs and off-heap line texts — the only
+   version written or read. *)
 let format_version = 2
-let min_format_version = 1
 let header_len = 32
 let checksum_offset = 24
 
@@ -84,9 +81,7 @@ let add_blob w ~id s = add w id s
 
 let align8 n = (n + 7) land lnot 7
 
-let write_file ?(version = format_version) w ~path =
-  if version < min_format_version || version > format_version then
-    invalid_arg "Codec.write_file: unsupported version";
+let write_file w ~path =
   let sections = List.rev w.sections in
   let n = List.length sections in
   let dir_len = n * 24 in
@@ -103,7 +98,7 @@ let write_file ?(version = format_version) w ~path =
   let total = align8 !off in
   let b = Bytes.make total '\000' in
   Bytes.blit_string magic 0 b 0 8;
-  Bytes.set_int32_le b 8 (Int32.of_int version);
+  Bytes.set_int32_le b 8 (Int32.of_int format_version);
   Bytes.set_int32_le b 12 (Int32.of_int n);
   Bytes.set_int64_le b 16 (Int64.of_int total);
   List.iteri
@@ -137,7 +132,6 @@ type char_map = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.A
 type reader = {
   fd : Unix.file_descr;
   r_size : int;
-  r_version : int;
   words : word_map;
       (* whole file mapped as native 64-bit words: checksum + blob copies *)
   chars : char_map;
@@ -211,8 +205,7 @@ let read_file ~path =
         if not magic_ok then fail Bad_magic
         else
           let version = le32 chars 8 in
-          if version < min_format_version || version > format_version then
-            fail (Bad_version version)
+          if version <> format_version then fail (Bad_version version)
           else if Int64.to_int (le64 chars 16) <> size then fail Truncated
           else if
             not
@@ -247,14 +240,12 @@ let read_file ~path =
               match !bad with
               | Some e -> fail e
               | None ->
-                Ok { fd; r_size = size; r_version = version; words; chars;
-                     dir }
+                Ok { fd; r_size = size; words; chars; dir }
             end
           end
     end
 
 let size r = r.r_size
-let version r = r.r_version
 
 let mem r ~id = Hashtbl.mem r.dir id
 

@@ -37,15 +37,10 @@ val magic : string
 (** 8 bytes. *)
 
 val format_version : int
-(** Current (newest) version written by default.  v1 stored flat postings
-    slot vectors and heap line texts; v2 stores {!Bytesearch.Postcodec}
-    compressed postings runs and off-heap line texts.  The container layout
-    is version-independent; readers accept any version in
-    [[min_format_version, format_version]] and {!Snapshot.load} dispatches
-    on {!version}. *)
-
-val min_format_version : int
-(** Oldest version still readable. *)
+(** The one version written and read: 2, whose files store
+    {!Bytesearch.Postcodec}-coded postings runs and off-heap line texts.
+    A file declaring any other version — including v1, the retired
+    flat-postings layout — fails with [Bad_version]. *)
 
 val header_len : int
 (** 32. *)
@@ -74,11 +69,8 @@ val add_ints : writer -> id:int -> int array -> unit
 val add_blob : writer -> id:int -> string -> unit
 
 (** Write the container to [path] (atomically: a temp file renamed over the
-    target) and return its size in bytes.  [version] (default
-    {!format_version}) stamps the header — the legacy-format save path
-    passes 1; anything outside the readable range raises
-    [Invalid_argument]. *)
-val write_file : ?version:int -> writer -> path:string -> int
+    target), stamped {!format_version}, and return its size in bytes. *)
+val write_file : writer -> path:string -> int
 
 (* -- Reading --------------------------------------------------------- *)
 
@@ -90,10 +82,6 @@ val read_file : path:string -> (reader, error) result
 
 (** Total file size in bytes. *)
 val size : reader -> int
-
-(** The format version the file declares (within the readable range, or
-    {!read_file} would have failed with [Bad_version]). *)
-val version : reader -> int
 
 (** Does the file contain section [id]?  Probe for optional sections
     (older files simply lack them). *)

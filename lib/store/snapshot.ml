@@ -8,12 +8,8 @@ let ( let* ) = Result.bind
 (* Section ids.  Per-line owner/stmt sections are deliberately absent: the
    arena already records owner and statement index for every instruction
    line, and header lines have neither, so load reconstructs line metadata
-   from the arena columns.
-
-   The ids are version-independent; the payload of [sec_slots c] is not:
-   v1 stores the flat slot vector ([sec_offsets c] holds slot indices),
-   v2 stores Postcodec-compressed runs ([sec_offsets c] holds byte
-   offsets into the coded blob). *)
+   from the arena columns.  Category [c]'s postings are its {!Packed.t}
+   verbatim: keys, byte offsets, and the Postcodec-coded runs. *)
 let sec_meta = 1
 let sec_sym_offsets = 2
 let sec_sym_blob = 3
@@ -33,7 +29,7 @@ let sec_sym = 17
 let sec_ruleset = 18
 let sec_keys c = 20 + (3 * c)
 let sec_offsets c = 21 + (3 * c)
-let sec_slots c = 22 + (3 * c)
+let sec_runs c = 22 + (3 * c)
 let n_categories = 7
 
 (* Optional (absent in pre-delta files): the per-class map — names,
@@ -119,7 +115,7 @@ let load_strings_counted r ~off_id ~blob_id ~what =
   else load_strings r ~off_id ~blob_id ~count ~what
 
 (* The same (offsets, blob) pair mapped off-heap instead of materialised —
-   the v2 line-text load path.  [Textstore.create] re-checks the offset
+   the line-text load path.  [Textstore.create] re-checks the offset
    geometry and raises; translate to the typed error. *)
 let map_textstore r ~off_id ~blob_id ~count ~what =
   let* offs = Codec.map_ivec r ~id:off_id in
@@ -128,7 +124,7 @@ let map_textstore r ~off_id ~blob_id ~count ~what =
     Error (Codec.Corrupt (Printf.sprintf "%s: offsets length mismatch" what))
   else
     match Dex.Textstore.create ~blob ~offs with
-    | store -> Ok (store, blob, offs)
+    | store -> Ok store
     | exception Invalid_argument m ->
       Error (Codec.Corrupt (Printf.sprintf "%s: %s" what m))
 
@@ -201,30 +197,7 @@ let load_classmap r ~n_lines ~n_slots =
 
 (* -- Save ------------------------------------------------------------- *)
 
-(* One category's postings as v2 sections: keys unchanged, offsets become
-   byte offsets into the coded blob, each key's run compressed by
-   {!Postcodec}.  Encoding goes through the packed cursor API, so it works
-   identically for [Flat] (in-process) and [Coded] (snapshot-loaded)
-   bodies, and the byte choice is a pure function of each run — save ->
-   load -> save is byte-identical. *)
-let coded_sections (p : Packed.t) =
-  let nk = Packed.n_keys p in
-  let offsets = Ivec.create (nk + 1) in
-  let buf = Buffer.create 4096 in
-  let run = ref [||] in
-  for k = 0 to nk - 1 do
-    let n = Packed.count p k in
-    if Array.length !run < n then run := Array.make (max n 64) 0;
-    let a = !run and i = ref 0 in
-    Packed.iter_key p k (fun slot -> a.(!i) <- slot; incr i);
-    Ivec.set offsets k (Buffer.length buf);
-    Postcodec.encode buf ~get:(Array.get a) ~lo:0 ~hi:n
-  done;
-  Ivec.set offsets nk (Buffer.length buf);
-  (offsets, Buffer.contents buf)
-
-let save ?(format_version = Codec.format_version) ?ruleset_hash
-    ?(results = [||]) ~path engine =
+let save ?ruleset_hash ?(results = [||]) ~path engine =
   let span0 = Obs.Span.start () in
   (* default to the stamp already on the engine, so save -> load -> save
      stays byte-identical for stamped files *)
@@ -264,75 +237,36 @@ let save ?(format_version = Codec.format_version) ?ruleset_hash
   Array.iteri
     (fun c (p : Packed.t) ->
        Codec.add_ivec w ~id:(sec_keys c) p.Packed.keys;
-       if format_version >= 2 then begin
-         let offsets, blob = coded_sections p in
-         Codec.add_ivec w ~id:(sec_offsets c) offsets;
-         Codec.add_blob w ~id:(sec_slots c) blob
-       end
-       else begin
-         let p = Packed.to_flat p in
-         match p.Packed.body with
-         | Packed.Flat slots ->
-           Codec.add_ivec w ~id:(sec_offsets c) p.Packed.offsets;
-           Codec.add_ivec w ~id:(sec_slots c) slots
-         | Packed.Coded _ -> assert false  (* to_flat *)
-       end)
+       Codec.add_ivec w ~id:(sec_offsets c) p.Packed.offsets;
+       Codec.add_blob w ~id:(sec_runs c) (Bvec.to_string p.Packed.runs))
     packed;
-  let bytes = Codec.write_file ~version:format_version w ~path in
+  let bytes = Codec.write_file w ~path in
   Obs.Metrics.incr m_save_files;
   Obs.Metrics.add m_save_bytes bytes;
   Obs.Span.emit ~cat:"store" ~name:"store:save"
     ~attrs:
       [ ("path", Obs.Span.Str path); ("bytes", Obs.Span.Int bytes);
-        ("version", Obs.Span.Int format_version);
         ("syms", Obs.Span.Int (Array.length syms)) ]
     span0;
   bytes
 
 (* -- Parse ------------------------------------------------------------ *)
 
-(* Validate one v1 category's CSR geometry against the snapshot's own
-   symbol and slot counts (symbol ids here are still snapshot ids). *)
-let check_packed_flat ~n_syms ~n_slots c ~keys ~offsets ~slots =
-  let nk = Ivec.length keys in
-  let bad what =
-    Error (Codec.Corrupt (Printf.sprintf "postings %d: %s" c what))
-  in
-  if Ivec.length offsets <> nk + 1 then bad "offsets length"
-  else if Ivec.get offsets 0 <> 0 then bad "offsets start"
-  else if Ivec.get offsets nk <> Ivec.length slots then bad "offsets end"
-  else begin
-    let ok = ref true in
-    for k = 0 to nk - 1 do
-      let key = Ivec.get keys k in
-      if key < 0 || key >= n_syms then ok := false;
-      if k > 0 && Ivec.get keys (k - 1) >= key then ok := false;
-      if Ivec.get offsets (k + 1) < Ivec.get offsets k then ok := false
-    done;
-    if not !ok then bad "keys/offsets not ascending or out of range"
-    else begin
-      let ok = ref true in
-      for i = 0 to Ivec.length slots - 1 do
-        let s = Ivec.get slots i in
-        if s < 0 || s >= n_slots then ok := false
-      done;
-      if !ok then Ok () else bad "slot out of range"
-    end
-  end
-
-(* Validate one v2 category: same key geometry, byte offsets partitioning
-   the coded blob exactly, and every coded run well-formed with slots in
-   range.  Every byte the engine's unchecked cursors will later read is
-   checked here — and the walk doubles as a sequential touch of the run
-   bytes, so it prefaults the postings as a side effect. *)
-let check_packed_coded ~n_syms ~n_slots c ~keys ~offsets ~(coded : Bvec.t) =
+(* Validate one category against the snapshot's own symbol and slot counts
+   (symbol ids here are still snapshot ids): keys strictly ascending and in
+   range, byte offsets partitioning the coded runs exactly, and every run
+   well-formed with slots in range.  Every byte the engine's unchecked
+   cursors will later read is checked here — and the walk doubles as a
+   sequential touch of the run bytes, so it prefaults the postings as a
+   side effect. *)
+let check_packed ~n_syms ~n_slots c ~keys ~offsets ~(runs : Bvec.t) =
   let nk = Ivec.length keys in
   let bad what =
     Error (Codec.Corrupt (Printf.sprintf "postings %d: %s" c what))
   in
   if Ivec.length offsets <> nk + 1 then bad "offsets length"
   else if nk > 0 && Ivec.get offsets 0 <> 0 then bad "offsets start"
-  else if Ivec.get offsets nk <> Bvec.length coded then bad "offsets end"
+  else if Ivec.get offsets nk <> Bvec.length runs then bad "offsets end"
   else begin
     let ok = ref true in
     for k = 0 to nk - 1 do
@@ -343,17 +277,17 @@ let check_packed_coded ~n_syms ~n_slots c ~keys ~offsets ~(coded : Bvec.t) =
     done;
     if not !ok then bad "keys/offsets not ascending or out of range"
     else begin
-      let rec runs k =
+      let rec check_runs k =
         if k = nk then Ok ()
         else
           match
-            Postcodec.validate coded ~pos:(Ivec.get offsets k)
+            Postcodec.validate runs ~pos:(Ivec.get offsets k)
               ~limit:(Ivec.get offsets (k + 1)) ~max_slot:(n_slots - 1)
           with
-          | Ok _ -> runs (k + 1)
+          | Ok _ -> check_runs (k + 1)
           | Error m -> bad (Printf.sprintf "run %d: %s" k m)
       in
-      runs 0
+      check_runs 0
     end
   end
 
@@ -369,12 +303,10 @@ let rec result_each f = function
    load path and the delta path.  Symbol ids in [arena_sym] and
    [packed_snap] keys are still snapshot ids. *)
 type parsed = {
-  p_version : int;
   p_n_lines : int;
   p_n_slots : int;
   p_syms : string array;
-  p_texts :
-    [ `Heap of string array | `Store of Dex.Textstore.t * Bvec.t * Ivec.t ];
+  p_texts : Dex.Textstore.t;
   p_owners : Ir.Jsig.meth array;
   p_owner_cls : string array;
   p_line_idx : Ivec.t;
@@ -388,7 +320,6 @@ type parsed = {
 }
 
 let parse r =
-  let version = Codec.version r in
   let* meta = Codec.map_ivec r ~id:sec_meta in
   if Ivec.length meta <> 4 then Error (Codec.Corrupt "meta length")
   else begin
@@ -403,22 +334,11 @@ let parse r =
         load_strings r ~off_id:sec_sym_offsets ~blob_id:sec_sym_blob
           ~count:n_syms ~what:"symbol table"
       in
-      (* v1 materialises one heap string per line; v2 leaves the texts
-         in the mapped blob and lines lazily materialise through
-         [Dexfile.line_text]. *)
+      (* the texts stay in the mapped blob; lines lazily materialise
+         through [Dexfile.line_text] *)
       let* texts =
-        if version >= 2 then
-          let* store, blob, offs =
-            map_textstore r ~off_id:sec_line_offsets
-              ~blob_id:sec_line_blob ~count:n_lines ~what:"line texts"
-          in
-          Ok (`Store (store, blob, offs))
-        else
-          let* a =
-            load_strings r ~off_id:sec_line_offsets
-              ~blob_id:sec_line_blob ~count:n_lines ~what:"line texts"
-          in
-          Ok (`Heap a)
+        map_textstore r ~off_id:sec_line_offsets ~blob_id:sec_line_blob
+          ~count:n_lines ~what:"line texts"
       in
       let* owner_strs =
         load_strings r ~off_id:sec_owner_offsets ~blob_id:sec_owner_blob
@@ -470,23 +390,9 @@ let parse r =
           else
             let* keys = Codec.map_ivec r ~id:(sec_keys c) in
             let* offsets = Codec.map_ivec r ~id:(sec_offsets c) in
-            let* p =
-              if version >= 2 then
-                let* coded = Codec.map_bytes r ~id:(sec_slots c) in
-                let* () =
-                  check_packed_coded ~n_syms ~n_slots c ~keys ~offsets
-                    ~coded
-                in
-                Ok { Packed.keys; offsets; body = Packed.Coded coded }
-              else
-                let* slots = Codec.map_ivec r ~id:(sec_slots c) in
-                let* () =
-                  check_packed_flat ~n_syms ~n_slots c ~keys ~offsets
-                    ~slots
-                in
-                Ok { Packed.keys; offsets; body = Packed.Flat slots }
-            in
-            go (c + 1) (p :: acc)
+            let* runs = Codec.map_bytes r ~id:(sec_runs c) in
+            let* () = check_packed ~n_syms ~n_slots c ~keys ~offsets ~runs in
+            go (c + 1) ({ Packed.keys; offsets; runs } :: acc)
         in
         go 0 []
       in
@@ -500,7 +406,7 @@ let parse r =
       in
       let* classmap = load_classmap r ~n_lines ~n_slots in
       Ok
-        { p_version = version; p_n_lines = n_lines; p_n_slots = n_slots;
+        { p_n_lines = n_lines; p_n_slots = n_slots;
           p_syms = syms; p_texts = texts; p_owners = owners;
           p_owner_cls = owner_cls; p_line_idx = line_idx;
           p_stmt_idx = stmt_idx; p_owner_id = owner_id; p_cat = cat;
@@ -510,15 +416,12 @@ let parse r =
 
 (* -- Load ------------------------------------------------------------- *)
 
-(* Rebuild one category's postings with live symbol ids: re-key each entry
-   through [live_of_snap], then re-sort key order (slot lists are unchanged
-   and stay ascending).  Fresh flat ivecs — the mapped originals are
-   dropped, and a remapped engine pays v1-shaped memory for its postings
-   regardless of snapshot version (remaps are the rare skewed-symbol-table
-   path). *)
+(* Re-key one category's postings to live symbol ids and re-sort the keys.
+   Each key's coded run is self-contained, so it moves as one byte range,
+   undecoded, into fresh vectors (the mapped originals are dropped; remaps
+   are the rare skewed-symbol-table path). *)
 let remap_packed live_of_snap (p : Packed.t) =
-  let p = Packed.to_flat p in
-  let nk = Packed.n_keys p in
+  let nk = Ivec.length p.Packed.keys in
   let newkey =
     Array.init nk (fun k -> live_of_snap.(Ivec.get p.Packed.keys k))
   in
@@ -526,18 +429,21 @@ let remap_packed live_of_snap (p : Packed.t) =
   Array.sort (fun a b -> compare newkey.(a) newkey.(b)) order;
   let keys = Ivec.create nk in
   let offsets = Ivec.create (nk + 1) in
-  let slots = Ivec.create (Packed.n_slots p) in
+  let runs = Bvec.create (Bvec.length p.Packed.runs) in
   let pos = ref 0 in
-  Ivec.set offsets 0 0;
   Array.iteri
     (fun i k ->
+       let lo = Ivec.get p.Packed.offsets k in
+       let len = Ivec.get p.Packed.offsets (k + 1) - lo in
        Ivec.set keys i newkey.(k);
-       Packed.iter_key p k (fun slot ->
-           Ivec.set slots !pos slot;
-           incr pos);
-       Ivec.set offsets (i + 1) !pos)
+       Ivec.set offsets i !pos;
+       Bigarray.Array1.blit
+         (Bigarray.Array1.sub p.Packed.runs lo len)
+         (Bigarray.Array1.sub runs !pos len);
+       pos := !pos + len)
     order;
-  { Packed.keys; offsets; body = Packed.Flat slots }
+  Ivec.set offsets nk !pos;
+  { Packed.keys; offsets; runs }
 
 (* Touch the small always-hot mapped sections — every arena column plus the
    postings directory (keys and offsets) of each category — so the first
@@ -566,23 +472,16 @@ let prefault_hot ~(arena : Dex.Arena.t) ~(packed : Packed.t array) =
    engine is usable either way; the knob only moves page-fault cost from
    first queries to load. *)
 let prefault_engine ~(arena : Dex.Arena.t) ~(packed : Packed.t array)
-    ~(texts : Dex.Textstore.t option) =
+    ~(texts : Dex.Textstore.t) =
   let acc = ref (prefault_hot ~arena ~packed) in
   Array.iter
-    (fun (p : Packed.t) ->
-       match p.Packed.body with
-       | Packed.Flat slots -> acc := !acc lxor Ivec.prefault slots
-       | Packed.Coded b -> acc := !acc lxor Bvec.prefault b)
+    (fun (p : Packed.t) -> acc := !acc lxor Bvec.prefault p.Packed.runs)
     packed;
-  (match texts with
-   | Some store -> acc := !acc lxor Dex.Textstore.prefault store
-   | None -> ());
-  Sys.opaque_identity !acc
+  Sys.opaque_identity (!acc lxor Dex.Textstore.prefault texts)
 
 let load ?(prefault = false) ~path program =
   let span0 = Obs.Span.start () in
   let* r = Codec.read_file ~path in
-  let version = Codec.version r in
   let finish res =
     Codec.close r;
     (match res with
@@ -593,7 +492,6 @@ let load ?(prefault = false) ~path program =
          ~attrs:
            [ ("path", Obs.Span.Str path);
              ("bytes", Obs.Span.Int (Codec.size r));
-             ("version", Obs.Span.Int version);
              ("prefault", Obs.Span.Bool prefault);
              ("mode", Obs.Span.Str (Engine.index_mode engine)) ]
          span0
@@ -603,9 +501,6 @@ let load ?(prefault = false) ~path program =
   finish
     (let* p = parse r in
      let n_lines = p.p_n_lines and n_slots = p.p_n_slots in
-     let texts_store =
-       match p.p_texts with `Store (s, _, _) -> Some s | `Heap _ -> None
-     in
      (* Re-intern the snapshot's symbol table; ids are stable when the
         live table evolved identically (the common warm start). *)
      let live_of_snap =
@@ -638,21 +533,16 @@ let load ?(prefault = false) ~path program =
        owner_of_line.(li) <- Ivec.get p.p_owner_id i;
        stmt_of_line.(li) <- Ivec.get p.p_stmt_idx i
      done;
-     let text_of_line =
-       match p.p_texts with
-       | `Store _ -> fun _ -> Dex.Textstore.pending
-       | `Heap a -> fun li -> a.(li)
-     in
      let lines =
        Array.init n_lines (fun li ->
            let oi = owner_of_line.(li) in
            if oi < 0 then
-             { Dex.Disasm.text = text_of_line li; owner = None;
+             { Dex.Disasm.text = Dex.Textstore.pending; owner = None;
                owner_cls = None; stmt_idx = None;
                key = Dex.Disasm.K_none; tokens = None }
            else
              let si = stmt_of_line.(li) in
-             { Dex.Disasm.text = text_of_line li;
+             { Dex.Disasm.text = Dex.Textstore.pending;
                owner = Some p.p_owners.(oi);
                owner_cls = Some p.p_owner_cls.(oi);
                stmt_idx = (if si >= 0 then Some si else None);
@@ -669,17 +559,12 @@ let load ?(prefault = false) ~path program =
         and the text blob *)
      if prefault then begin
        Obs.Metrics.incr m_load_prefaulted;
-       ignore (prefault_engine ~arena ~packed ~texts:texts_store)
+       ignore (prefault_engine ~arena ~packed ~texts:p.p_texts)
      end
      else ignore (prefault_hot ~arena ~packed);
      let dex =
-       match texts_store with
-       | Some store ->
-         Dex.Dexfile.of_store ~classmap:p.p_classmap lines arena program
-           store
-       | None ->
-         { Dex.Dexfile.lines; arena; program; classmap = p.p_classmap;
-           texts = None }
+       Dex.Dexfile.of_store ~classmap:p.p_classmap lines arena program
+         p.p_texts
      in
      let engine = Engine.create_packed dex packed in
      (* carry the saved rule-set stamp onto the engine, so an analysis
@@ -714,36 +599,17 @@ type delta_report = {
   d_removed : int;
   d_lines_reused : int;
   d_lines_rendered : int;
-  d_patched_postings_bytes : int;
-  d_rebuilt_postings_bytes : int;
+  d_carried_postings : int;
+  d_rebuilt_postings : int;
 }
 
 let delta_report_to_string d =
   Printf.sprintf
     "classes %d (unchanged %d, changed %d, added %d, removed %d), lines \
-     reused %d / rendered %d, postings patched %d B / rebuilt %d B"
+     reused %d / rendered %d, postings carried %d / rebuilt %d"
     d.d_total d.d_unchanged d.d_changed d.d_added d.d_removed
-    d.d_lines_reused d.d_lines_rendered d.d_patched_postings_bytes
-    d.d_rebuilt_postings_bytes
-
-(* Merge two ascending slot runs (carried-over old slots and freshly built
-   ones).  The old run is ascending because the old->new slot map is
-   monotone whenever both builds lay classes out in the same relative
-   order; a final sortedness check covers the exotic layouts (multidex
-   partition order) by falling back to a sort. *)
-let merge_runs a b =
-  let rec go acc a b =
-    match (a, b) with
-    | [], rest | rest, [] -> List.rev_append acc rest
-    | x :: a', y :: b' ->
-      if x <= y then go (x :: acc) a' b else go (y :: acc) b' a
-  in
-  let merged = go [] a b in
-  let rec sorted = function
-    | [] | [ _ ] -> true
-    | x :: (y :: _ as tl) -> x < y && sorted tl
-  in
-  if sorted merged then merged else List.sort_uniq compare merged
+    d.d_lines_reused d.d_lines_rendered d.d_carried_postings
+    d.d_rebuilt_postings
 
 (* What delta decided about one class of the new build, in new line
    order. *)
@@ -776,7 +642,6 @@ let delta_of_engine old_engine program =
   else begin
     let old_lines = dex_old.Dex.Dexfile.lines in
     let oa = dex_old.Dex.Dexfile.arena in
-    let old_packed = Engine.export_packed old_engine in
     let old_n_slots = Ivec.length oa.Dex.Arena.line_idx in
     (* The new build's class list, in the canonical disassembly order
        (non-system classes sorted by name, as [Disasm.program_lines]
@@ -1027,98 +892,6 @@ let delta_of_engine old_engine program =
           Array.append oa.Dex.Arena.owner_cls
             (Array.of_list (List.rev !owner_cls_tail)) }
     in
-    (* postings: per category, carry surviving old CSR rows through the
-       slot map (the old engine's keys are already live symbol ids) and
-       add the rendered classes' fresh entries *)
-    let patched_bytes = ref 0 and rebuilt_bytes = ref 0 in
-    let patch_category c =
-      let tbl : (int, int list ref * int list ref) Hashtbl.t =
-        Hashtbl.create 1024
-      in
-      let bucket k =
-        match Hashtbl.find_opt tbl k with
-        | Some b -> b
-        | None ->
-          let b = (ref [], ref []) in
-          Hashtbl.add tbl k b;
-          b
-      in
-      let old_p = old_packed.(c) in
-      let nk = Packed.n_keys old_p in
-      for ki = 0 to nk - 1 do
-        let k = Ivec.get old_p.Packed.keys ki in
-        let carried, _ = bucket k in
-        Packed.iter_key old_p ki (fun os ->
-            let ns = slot_map.(os) in
-            if ns >= 0 then begin
-              carried := ns :: !carried;
-              incr patched_bytes
-            end)
-      done;
-      let add_fresh k ns =
-        let _, fresh = bucket k in
-        fresh := ns :: !fresh;
-        incr rebuilt_bytes
-      in
-      List.iter
-        (fun (lo, hi) ->
-           for ns = lo to hi - 1 do
-             if c = 6 then begin
-               (* class tokens: every distinct class-descriptor token of
-                  the slot's line (rendered lines carry them) *)
-               let li = Ivec.get line_idx ns in
-               match lines.(li).Dex.Disasm.tokens with
-               | Some toks ->
-                 Array.iter (fun tok -> add_fresh (Sym.id tok) ns) toks
-               | None ->
-                 Array.iter
-                   (fun tok -> add_fresh (Sym.id tok) ns)
-                   (Dex.Tokens.of_string lines.(li).Dex.Disasm.text)
-             end
-             else begin
-               let cc = Ivec.get cat ns in
-               let member =
-                 if c = 4 then
-                   cc = Dex.Arena.cat_field || cc = Dex.Arena.cat_static_field
-                 else if c = 5 then cc = Dex.Arena.cat_static_field
-                 else cc = c
-               in
-               if member then add_fresh (Ivec.get sym ns) ns
-             end
-           done)
-        fresh_ranges;
-      (* finalize: ascending keys, each key's run ascending *)
-      let keys_l =
-        List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
-      in
-      let runs =
-        List.map
-          (fun k ->
-             let carried, fresh = Hashtbl.find tbl k in
-             (k, merge_runs (List.rev !carried) (List.rev !fresh)))
-          keys_l
-      in
-      let runs = List.filter (fun (_, run) -> run <> []) runs in
-      let nk = List.length runs in
-      let total = List.fold_left (fun n (_, r) -> n + List.length r) 0 runs in
-      let keys_v = Ivec.create nk in
-      let offsets = Ivec.create (nk + 1) in
-      let slots = Ivec.create total in
-      let pos = ref 0 in
-      Ivec.set offsets 0 0;
-      List.iteri
-        (fun i (k, run) ->
-           Ivec.set keys_v i k;
-           List.iter
-             (fun s ->
-                Ivec.set slots !pos s;
-                incr pos)
-             run;
-           Ivec.set offsets (i + 1) !pos)
-        runs;
-      { Packed.keys = keys_v; offsets; body = Packed.Flat slots }
-    in
-    let packed = Array.init n_categories patch_category in
     let classmap =
       Classmap.v ~names:cm_names ~line_lo:cm_line_lo ~line_hi:cm_line_hi
         ~slot_lo:cm_slot_lo ~slot_hi:cm_slot_hi ~text_hash:cm_text
@@ -1134,18 +907,18 @@ let delta_of_engine old_engine program =
            invalid_arg ("Snapshot.delta: " ^ m))
       | None -> { Dex.Dexfile.lines; arena; program; classmap; texts = None }
     in
-    let engine = Engine.create_packed ~mode:"delta" dex packed in
-    (* carry the rule-set stamp, so an analysis under a different rule set
-       sees `Changed` and warns instead of silently trusting warm state *)
-    (match Engine.ruleset_stamp old_engine with
-     | Some h -> ignore (Engine.note_ruleset engine h)
-     | None -> ());
+    (* postings: surviving old entries carried through the slot map, the
+       rendered classes' entries built fresh; the patched engine keeps the
+       old rule-set stamp, so an analysis under a different rule set sees
+       `Changed` and warns instead of silently trusting warm state *)
+    let engine, carried, rebuilt =
+      Engine.patch old_engine dex ~slot_map ~fresh:fresh_ranges
+    in
     let report =
       { d_total = n_classes; d_unchanged = !n_unchanged;
         d_changed = !n_changed; d_added = !n_added; d_removed = n_removed;
         d_lines_reused = !reused_lines; d_lines_rendered = !rendered_lines;
-        d_patched_postings_bytes = 8 * !patched_bytes;
-        d_rebuilt_postings_bytes = 8 * !rebuilt_bytes }
+        d_carried_postings = carried; d_rebuilt_postings = rebuilt }
     in
     Obs.Metrics.incr m_delta_loads;
     Obs.Metrics.add m_delta_reused !n_unchanged;

@@ -6,17 +6,21 @@
     per-class {!Dex.Classmap} (line/slot ranges plus text and IR content
     hashes) and, optionally, persisted per-sink analysis results — in one
     {!Codec} container, so a warm start maps it back instead of
-    disassembling and indexing again.  Int-array payloads load as mmapped
-    {!Ivec.t}s: they live off the OCaml heap, so the warm path also carries
+    disassembling and indexing again.  The store owns only the file
+    sections: postings are the engine's {!Bytesearch.Engine.Packed} tables
+    written and mapped as they are (keys, byte offsets, coded runs), and
+    the line texts one blob.  Payloads load as mmapped {!Ivec.t}s and
+    {!Bvec.t}s: they live off the OCaml heap, so the warm path also carries
     less GC pressure than a cold build.
 
     Symbol ids are snapshot-stable.  Save writes the whole live symbol
     table; load re-interns its strings in id order.  In the common case
     (fresh process, same pipeline) this reproduces identical ids and the
     mapped vectors are used as-is; otherwise load rewrites the arena's sym
-    column in place (the mappings are private, copy-on-write) and permutes
-    the postings to live ids, so a warm engine always returns hits
-    byte-identical to a cold one.
+    column in place (the mappings are private, copy-on-write) and re-sorts
+    the postings keys to live ids, moving each key's coded run as one byte
+    range, so a warm engine always returns hits byte-identical to a cold
+    one.
 
     Loaded plaintext lines carry [K_none]/no tokens (the postings that
     needed them are already built), which only matters if a snapshot
@@ -30,15 +34,9 @@ val default_path : dir:string -> app_id:string -> string
 
 (** Serialize [engine]'s symbol table, dexfile lines, arena, classmap and
     all seven postings categories (building any not yet built) to [path],
-    atomically.  Returns the file size in bytes.
-
-    [format_version] (default {!Codec.format_version}, i.e. v2) selects the
-    payload encoding: v2 compresses each postings run with
-    {!Bytesearch.Postcodec} (varint deltas / bitmap words — several times
-    smaller on disk and decoded on demand after load); passing [1] writes
-    the legacy flat-slot layout, kept so version-skew tests (and downgrade
-    paths) can produce v1 files.  Save -> load -> save is byte-identical at
-    either version.
+    atomically, in format {!Codec.format_version}.  Returns the file size
+    in bytes.  The postings runs are written as the engine holds them, so
+    save -> load -> save is byte-identical.
 
     [ruleset_hash] (default: the engine's own
     {!Bytesearch.Engine.ruleset_stamp}, if any) records the detection-rule-set
@@ -51,7 +49,6 @@ val default_path : dir:string -> app_id:string -> string
     [Backdroid.Resultcache]; the store does not interpret the strings).
     Read back with {!load_results}. *)
 val save :
-  ?format_version:int ->
   ?ruleset_hash:int ->
   ?results:string array ->
   path:string ->
@@ -60,12 +57,13 @@ val save :
 
 (** [load ?prefault ~path program] maps the snapshot at [path] back into a
     ready engine over [program] (which supplies the analysis-side IR; the
-    snapshot supplies everything search-side).  Both v1 and v2 files load;
-    v2 postings stay compressed (the engine decodes runs on demand) and v2
-    line texts stay in the mapped blob (materialised lazily per returned
-    hit).  Validates structure fully before use — every coded run is walked
-    and range-checked — so a damaged file yields a typed {!Codec.error},
-    never a crash or a silently wrong engine.
+    snapshot supplies everything search-side).  Postings stay coded (the
+    engine decodes runs on demand) and line texts stay in the mapped blob
+    (materialised lazily per returned hit).  Validates structure fully
+    before use — every coded run is walked and range-checked — so a damaged
+    file yields a typed {!Codec.error}, never a crash or a silently wrong
+    engine; a file of another format version (a retired v1 file, say)
+    fails with [Bad_version].
 
     The hot sections — the five arena columns and every category's postings
     directory (keys and offsets) — are always prefaulted: they are a few
@@ -87,7 +85,7 @@ val load :
 val load_results : path:string -> (string array, Codec.error) result
 
 (** What {!delta} did: per-class reuse/re-render counts and the postings
-    bytes carried over versus rebuilt. *)
+    carried over versus rebuilt. *)
 type delta_report = {
   d_total : int;        (** classes in the new build *)
   d_unchanged : int;    (** classes spliced from the old snapshot *)
@@ -96,10 +94,11 @@ type delta_report = {
   d_removed : int;      (** old-snapshot classes absent from the new build *)
   d_lines_reused : int;
   d_lines_rendered : int;
-  d_patched_postings_bytes : int;
-      (** bytes of postings entries carried over from the old snapshot *)
-  d_rebuilt_postings_bytes : int;
-      (** bytes of postings entries rebuilt for re-rendered classes *)
+  d_carried_postings : int;
+      (** postings (slots, over all categories) carried over from the old
+          engine *)
+  d_rebuilt_postings : int;
+      (** postings (slots) built fresh for re-rendered classes *)
 }
 
 val delta_report_to_string : delta_report -> string
@@ -109,8 +108,8 @@ val delta_report_to_string : delta_report -> string
     [program]: classes whose structural {!Ir.Irhash} matches the old
     engine's classmap entry keep their line records (shared by reference),
     text bytes, arena rows and postings entries; only changed or added
-    classes are rendered and indexed, and the affected postings CSR rows
-    are patched.  No file I/O, no parsing, no symbol re-interning — this
+    classes are rendered and indexed, and {!Bytesearch.Engine.patch}
+    merges their postings into the carried ones.  No file I/O, no parsing, no symbol re-interning — this
     is the maintained-index fast path an app store uses when version N+1
     of an app arrives while version N's index is warm, and what the corpus
     cache uses to upgrade a stale snapshot it has already loaded.  The old

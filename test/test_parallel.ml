@@ -122,45 +122,48 @@ let hit_fingerprint (h : Bytesearch.Engine.hit) =
     (Ir.Jsig.meth_to_string h.owner) h.owner_cls
     (match h.stmt_idx with Some i -> string_of_int i | None -> "-")
 
+(* Two packed tables hold the same bytes: keys, run offsets and runs. *)
+let check_packed_equal what (a : Bytesearch.Engine.Packed.t)
+    (b : Bytesearch.Engine.Packed.t) =
+  let module P = Bytesearch.Engine.Packed in
+  Alcotest.(check (array int)) (what ^ ": keys") (Ivec.to_array a.P.keys)
+    (Ivec.to_array b.P.keys);
+  Alcotest.(check (array int)) (what ^ ": offsets")
+    (Ivec.to_array a.P.offsets) (Ivec.to_array b.P.offsets);
+  Alcotest.(check string) (what ^ ": runs") (Bvec.to_string a.P.runs)
+    (Bvec.to_string b.P.runs)
+
 let test_sharded_index () =
-  (* ~9k dex lines: enough for the build to split into [test_jobs] shards *)
+  (* ~9k dex lines: an arena above twice the engine's 2048-slot minimum
+     shard, so a pooled export splits into [test_jobs] shards *)
   let app = fixture_app ~filler:65 () in
-  let seq_engine = Bytesearch.Engine.create app.G.dex in
+  Alcotest.(check bool) "arena large enough to shard" true
+    (Dex.Arena.length app.G.dex.Dex.Dexfile.arena > 2 * 2048);
+  let seq =
+    Bytesearch.Engine.export_packed (Bytesearch.Engine.create app.G.dex)
+  in
   Pool.with_pool ~jobs:test_jobs (fun pool ->
-      let par_engine = Bytesearch.Engine.create ~pool app.G.dex in
-      let queries =
-        [ Bytesearch.Query.invocation
-            (Dex.Descriptor.meth_desc Framework.Api.cipher_get_instance);
-          Bytesearch.Query.invocation
-            (Dex.Descriptor.meth_desc Framework.Api.ssl_set_hostname_verifier);
-          Bytesearch.Query.const_string "AES";
-          Bytesearch.Query.Raw "invoke-static" ]
+      let par =
+        Bytesearch.Engine.export_packed
+          (Bytesearch.Engine.create ~pool app.G.dex)
       in
-      List.iter
-        (fun q ->
-           let fp e =
-             List.map hit_fingerprint (Bytesearch.Engine.run_uncached e q)
-           in
-           Alcotest.(check (list string))
-             ("identical hits for " ^ Bytesearch.Query.to_command q)
-             (fp seq_engine) (fp par_engine))
-        queries)
+      Array.iteri
+        (fun c p ->
+           check_packed_equal (Printf.sprintf "category %d" c) p par.(c))
+        seq)
 
 (* ------------------------------------------------------------------ *)
 (* Property: every query kind returns identical hits under unindexed scan,
-   lazy postings, eager postings and a mapped snapshot of the eager index,
-   with and without a worker pool.  The
-   query set is exhaustive over the fixture: one invocation query per app
-   method, one class-shaped query per app class per kind, one field query
-   per field per kind, plus const-string and raw probes (including strings
-   containing ", " — the operand-split edge the postings index must not
-   mis-key). *)
+   lazy postings, a mapped snapshot and a delta-patched index, with and
+   without a worker pool.  The query set is exhaustive over the program:
+   one invocation query per app method, one class-shaped query per app
+   class per kind, one field query per field per kind, plus const-string
+   and raw probes (including strings containing ", " — the operand-split
+   edge the postings index must not mis-key). *)
 
-let test_mode_equivalence () =
-  let app = fixture_app ~filler:12 ~seed:17 () in
+let exhaustive_queries program =
   let module Q = Bytesearch.Query in
-  let module E = Bytesearch.Engine in
-  let classes = Ir.Program.app_classes app.G.program in
+  let classes = Ir.Program.app_classes program in
   let class_descs =
     List.map (fun (c : Ir.Jclass.t) -> Dex.Descriptor.class_desc c.Ir.Jclass.name)
       classes
@@ -180,37 +183,40 @@ let test_mode_equivalence () =
   in
   let strings = [ "AES"; "a, b"; "\"quoted\""; "no-such-literal" ] in
   let raws = [ "invoke-static"; "const-string"; "no-such-opcode" ] in
-  let queries =
-    List.map Q.invocation meth_descs
-    @ List.concat_map
-        (fun d -> [ Q.new_instance d; Q.const_class d; Q.class_use d ])
-        class_descs
-    @ List.concat_map
-        (fun d -> [ Q.field_access d; Q.static_field_access d ])
-        field_descs
-    @ List.map Q.const_string strings
-    @ List.map Q.raw raws
-  in
+  List.map Q.invocation meth_descs
+  @ List.concat_map
+      (fun d -> [ Q.new_instance d; Q.const_class d; Q.class_use d ])
+      class_descs
+  @ List.concat_map
+      (fun d -> [ Q.field_access d; Q.static_field_access d ])
+      field_descs
+  @ List.map Q.const_string strings
+  @ List.map Q.raw raws
+
+let test_mode_equivalence () =
+  let app = fixture_app ~filler:12 ~seed:17 () in
+  let module Q = Bytesearch.Query in
+  let module E = Bytesearch.Engine in
+  let queries = exhaustive_queries app.G.program in
   let scan = E.create ~indexed:false app.G.dex in
   let lazy_seq = E.create app.G.dex in
-  let eager_seq = E.create ~eager:true app.G.dex in
-  (* the fourth mode: save the eager engine's index and map it back *)
+  (* a mapped snapshot: save a fresh engine's index and map it back *)
   let snap_path = Filename.temp_file "backdroid_modeequiv" ".bdix" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove snap_path with Sys_error _ -> ())
   @@ fun () ->
-  ignore (Store.Snapshot.save ~path:snap_path eager_seq);
+  ignore (Store.Snapshot.save ~path:snap_path (E.create app.G.dex));
   let load_snapshot () =
     match Store.Snapshot.load ~path:snap_path app.G.program with
     | Ok e -> e
     | Error e -> Alcotest.failf "snapshot load: %s" (Store.Codec.error_to_string e)
   in
   let snap_seq = load_snapshot () in
-  (* the fifth mode: an index delta-patched from an older app version.
+  (* an index delta-patched from an older app version.
      Snapshot a mutated variant (the "v1" build), then patch it toward
      [app] so changed classes genuinely re-render while the rest splice. *)
   let old_app = Appgen.Generator.mutate ~pct:0.3 app in
-  let old_engine = E.create ~eager:true old_app.G.dex in
+  let old_engine = E.create old_app.G.dex in
   let delta_path = Filename.temp_file "backdroid_modeequiv_v1" ".bdix" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove delta_path with Sys_error _ -> ())
@@ -229,15 +235,12 @@ let test_mode_equivalence () =
   in
   Pool.with_pool ~jobs:test_jobs (fun pool ->
       let lazy_pool = E.create ~pool app.G.dex in
-      let eager_pool = E.create ~eager:true ~pool app.G.dex in
       let snap_pool = load_snapshot () in
       let engines =
-        [ ("lazy/jobs=1", lazy_seq); ("eager/jobs=1", eager_seq);
-          ("snapshot/jobs=1", snap_seq);
+        [ ("lazy/jobs=1", lazy_seq); ("snapshot/jobs=1", snap_seq);
           ("delta-file/jobs=1", delta_file);
           ("delta-resident/jobs=1", delta_resident);
-          ("lazy/jobs=4", lazy_pool); ("eager/jobs=4", eager_pool);
-          ("snapshot/jobs=4", snap_pool) ]
+          ("lazy/jobs=4", lazy_pool); ("snapshot/jobs=4", snap_pool) ]
       in
       Alcotest.(check bool) "non-trivial query set" true
         (List.length queries > 50);
@@ -255,8 +258,6 @@ let test_mode_equivalence () =
                   (List.map hit_fingerprint (E.run_uncached e q)))
              engines)
         queries;
-      Alcotest.(check int) "eager built every category" 7
-        (E.built_categories eager_pool);
       Alcotest.(check int) "lazy built every queried category" 7
         (E.built_categories lazy_pool);
       Alcotest.(check int) "snapshot loaded every category" 7
@@ -359,7 +360,7 @@ let cases =
     Alcotest.test_case "sharded index == sequential index" `Quick
       test_sharded_index;
     Alcotest.test_case
-      "scan == lazy == eager == snapshot == delta at jobs=1 and jobs=4"
+      "scan == lazy == snapshot == delta at jobs=1 and jobs=4"
       `Quick test_mode_equivalence;
     Alcotest.test_case "driver: jobs=1 == jobs=4" `Quick
       test_driver_determinism;

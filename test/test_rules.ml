@@ -321,7 +321,7 @@ let test_warm_cache_ruleset_change () =
   @@ fun () ->
   (* run 1: cold under A; save stamps the snapshot with the engine's own
      rule-set hash, which analyze just set to A's *)
-  let e0 = Bytesearch.Engine.create ~eager:true app.G.dex in
+  let e0 = Bytesearch.Engine.create app.G.dex in
   let _ =
     Driver.analyze ~cfg:(with_rules rules_a) ~engine:e0 ~dex:app.G.dex
       ~manifest:app.G.manifest ()

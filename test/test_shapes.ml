@@ -314,6 +314,21 @@ let builder_cases =
         Alcotest.(check bool) "secure verdict resolved" true
           (List.exists
              (fun (rep : Driver.sink_report) -> rep.verdict = Detectors.Secure)
+             r.reports));
+    Alcotest.test_case "stringbuilder spec on an ssl sink is planted secure"
+      `Quick (fun () ->
+        (* a cipher string where a HostnameVerifier goes misuses nothing *)
+        let app = make_app Shape.Builder_spec Sinks.ssl_factory true in
+        let planted = List.hd app.G.planted in
+        Alcotest.(check bool) "planted label" false
+          planted.Appgen.Templates.insecure;
+        let r = analyze_app app in
+        Alcotest.(check int) "no insecure" 0 (count_insecure r);
+        Alcotest.(check bool) "sink reported unresolved" true
+          (List.exists
+             (fun (rep : Driver.sink_report) ->
+                rep.reachable && rep.verdict = Detectors.Unresolved
+                && rep.meth.Ir.Jsig.cls = planted.Appgen.Templates.sink_class)
              r.reports)) ]
 
 let loop_cases =

@@ -25,7 +25,7 @@ let with_snapshot f =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let engine = E.create ~eager:true app.G.dex in
+  let engine = E.create app.G.dex in
   let bytes = Store.Snapshot.save ~path engine in
   Alcotest.(check bool) "snapshot is non-trivial" true (bytes > 1024);
   f ~app ~path
@@ -161,45 +161,19 @@ let test_warm_analyze_equals_cold () =
     (List.map report_fingerprint cold.Driver.reports)
     (List.map report_fingerprint warm.Driver.reports)
 
-(* -- v2 specifics: coded postings, off-heap texts, prefault ----------- *)
+(* -- Format version, coded postings, prefault, symbol remap ----------- *)
 
-(* A v1 (legacy flat-postings) file still loads, and its engine answers
-   exactly like the v2 one. *)
-let test_v1_version_skew () =
+(* A v1 file (the retired flat-postings layout) is refused with a typed
+   error.  The version field, bytes 8-11, lies outside the checksummed
+   range, so patching it alone needs no reseal. *)
+let test_v1_refused () =
   with_snapshot @@ fun ~app ~path ->
-  let v2_bytes = (Unix.stat path).Unix.st_size in
-  let path1 = Filename.temp_file "backdroid_store_v1" ".bdix" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path1 with Sys_error _ -> ())
-  @@ fun () ->
-  let engine = E.create ~eager:true app.G.dex in
-  let v1_bytes = Store.Snapshot.save ~format_version:1 ~path:path1 engine in
-  Alcotest.(check bool) "v2 file is smaller than v1" true
-    (v2_bytes < v1_bytes);
-  let load p =
-    match Store.Snapshot.load ~path:p app.G.program with
-    | Ok e -> e
-    | Error e -> Alcotest.failf "load: %s" (Store.Codec.error_to_string e)
-  in
-  let e1 = load path1 and e2 = load path in
-  Alcotest.(check string) "v1 loads as snapshot engine" "snapshot"
-    (E.index_mode e1);
-  let q = Bytesearch.Query.raw "invoke-static" in
-  let fp e =
-    List.map (fun (h : E.hit) -> Printf.sprintf "%d:%s" h.line_no h.text)
-      (E.run e q)
-  in
-  Alcotest.(check (list string)) "v1 hits == v2 hits" (fp e2) (fp e1);
-  (* v1 round-trips at its own version *)
-  let path1b = Filename.temp_file "backdroid_store_v1b" ".bdix" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path1b with Sys_error _ -> ())
-  @@ fun () ->
-  ignore (Store.Snapshot.save ~format_version:1 ~path:path1b e1);
-  Alcotest.(check bool) "v1 save -> load -> save is byte-identical" true
-    (read_all path1 = read_all path1b)
+  let b = Bytes.of_string (read_all path) in
+  Bytes.set_int32_le b 8 1l;
+  write_all path (Bytes.to_string b);
+  check_load_error ~app ~path "v1 file" (Store.Codec.Bad_version 1)
 
-(* Garbage inside a v2 coded-postings section must come back as [Corrupt]
+(* Garbage inside a coded-postings section must come back as [Corrupt]
    (the per-run validation), never a crash or a wrong engine. *)
 let test_corrupt_coded_run () =
   with_snapshot @@ fun ~app ~path ->
@@ -240,6 +214,81 @@ let test_prefault_load () =
   Alcotest.(check bool) "prefaulted engine finds hits" true (fp hot <> []);
   Alcotest.(check (list string)) "prefault changes nothing but timing"
     (fp cold) (fp hot)
+
+(* A snapshot written by another process carries that process's symbol
+   ids.  Loaded here, after this process has interned another app's
+   symbols, it takes the remap path — keys re-sorted to live ids, coded
+   runs moved as byte ranges, the arena's sym column rewritten — and must
+   still answer exactly like a cold engine.  The writer is the built CLI,
+   spawned rather than forked: [Unix.fork] is refused once a domain has
+   run. *)
+let cli = Filename.concat Filename.parent_dir_name "bin/backdroid_cli.exe"
+
+let remapped_loads () =
+  Option.value ~default:0
+    (List.assoc_opt "store.load.remapped"
+       (Obs.Metrics.snapshot ()).Obs.Metrics.counters)
+
+let test_foreign_snapshot_remaps () =
+  let path = Filename.temp_file "backdroid_foreign" ".bdix" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Fun.protect ~finally:(fun () -> Unix.close devnull) (fun () ->
+        Unix.create_process cli
+          [| cli; "analyze"; "--seed"; "7"; "--size-mb"; "2"; "--plant";
+             "callback:cipher"; "--plant"; "direct:ssl"; "--insecure";
+             "--jobs"; "1"; "--save-index"; path |]
+          Unix.stdin devnull devnull)
+  in
+  (match Unix.waitpid [] pid with
+   | _, Unix.WEXITED 0 -> ()
+   | _ -> Alcotest.failf "%s analyze --save-index failed" cli);
+  ignore (fixture_app ~seed:5 ());
+  let spec =
+    { Serve.Appspec.default with
+      Serve.Appspec.seed = 7; size_mb = 2.0; insecure = true;
+      plants = [ ("callback", "cipher"); ("direct", "ssl") ] }
+  in
+  let app =
+    match Serve.Appspec.generate spec with
+    | Ok app -> app
+    | Error m -> Alcotest.fail m
+  in
+  let before = remapped_loads () in
+  let warm =
+    match Store.Snapshot.load ~path app.G.program with
+    | Ok e -> e
+    | Error e -> Alcotest.failf "load: %s" (Store.Codec.error_to_string e)
+  in
+  Alcotest.(check bool) "load took the remap path" true
+    (remapped_loads () > before);
+  let cold = E.create app.G.dex in
+  let sym_column e =
+    Ivec.to_array (E.dexfile e).Dex.Dexfile.arena.Dex.Arena.sym
+  in
+  Alcotest.(check (array int)) "arena sym column rewritten to live ids"
+    (sym_column cold) (sym_column warm);
+  Array.iteri
+    (fun c p ->
+       Test_parallel.check_packed_equal
+         (Printf.sprintf "remapped category %d" c)
+         p (E.export_packed warm).(c))
+    (E.export_packed cold);
+  List.iter
+    (fun q ->
+       Alcotest.(check (list string))
+         ("remapped hits for " ^ Bytesearch.Query.to_command q)
+         (List.map Test_parallel.hit_fingerprint (E.run_uncached cold q))
+         (List.map Test_parallel.hit_fingerprint (E.run_uncached warm q)))
+    (Test_parallel.exhaustive_queries app.G.program);
+  let lines engine =
+    Serve.Render.report_lines
+      (Driver.analyze ~engine ~dex:app.G.dex ~manifest:app.G.manifest ())
+  in
+  Alcotest.(check (list string)) "remapped report lines == cold"
+    (lines cold) (lines warm)
 
 let test_default_path () =
   let p = Store.Snapshot.default_path ~dir:"/tmp" ~app_id:"com.a/b c" in
@@ -363,7 +412,7 @@ let test_delta_requires_classmap () =
   let stripped =
     { app.G.dex with Dex.Dexfile.classmap = Dex.Classmap.empty }
   in
-  let engine = E.create ~eager:true stripped in
+  let engine = E.create stripped in
   match Store.Snapshot.delta_of_engine engine app.G.program with
   | Ok _ -> Alcotest.fail "delta on a classmap-less engine succeeded"
   | Error (Store.Codec.Corrupt _) -> ()
@@ -383,7 +432,7 @@ let delta_equiv =
        Fun.protect
          ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
        @@ fun () ->
-       let e1 = E.create ~eager:true app.G.dex in
+       let e1 = E.create app.G.dex in
        ignore (Store.Snapshot.save ~path e1);
        let v2 = G.mutate ~seed ~pct app in
        let cold = Driver.analyze ~dex:v2.G.dex ~manifest:v2.G.manifest () in
@@ -505,12 +554,14 @@ let cases =
       test_roundtrip_identical;
     Alcotest.test_case "warm analyze == cold analyze" `Quick
       test_warm_analyze_equals_cold;
-    Alcotest.test_case "v1 files still load, smaller v2" `Quick
-      test_v1_version_skew;
+    Alcotest.test_case "v1 files are refused as Bad_version 1" `Quick
+      test_v1_refused;
     Alcotest.test_case "corrupt v2 coded run is typed" `Quick
       test_corrupt_coded_run;
     Alcotest.test_case "prefault load is equivalent" `Quick
       test_prefault_load;
+    Alcotest.test_case "foreign-process snapshot remaps to live ids" `Quick
+      test_foreign_snapshot_remaps;
     Alcotest.test_case "default snapshot path" `Quick test_default_path;
     Alcotest.test_case "delta patch == from-scratch (file + resident)" `Quick
       test_delta_equals_cold;
