@@ -196,39 +196,58 @@ let run_speedup ~jobs =
   Printf.printf "  %-34s %9.2fx\n" "speedup" (t_seq /. t_par)
 
 (* ------------------------------------------------------------------ *)
-(* trace profile: drive the slicer through the Resolver broker with a ring
-   trace sink and aggregate the events into per-strategy latency columns,
-   plus the search-command cache's per-category compute timings. *)
+(* trace profile: drive the slicer through the Resolver broker under a
+   span recorder and fold the "resolve" spans into per-strategy latency
+   columns (Obs.Summary count, mean and max, plus the summed hits,
+   searches and cached attributes), then the search-command cache's
+   per-category compute timings. *)
 
 let run_trace_profile ~app =
   print_endline "\n== trace: per-strategy caller-resolution profile ==";
   let engine = Bytesearch.Engine.create app.G.dex in
-  let ring = Backdroid.Trace.Ring.create () in
   let shared =
-    Backdroid.Context.shared ~trace:(Backdroid.Trace.Ring.sink ring) ~engine
-      ~manifest:app.G.manifest ()
+    Backdroid.Context.shared ~engine ~manifest:app.G.manifest ()
   in
   let occurrences =
     Backdroid.Driver.initial_sink_search
       ~cfg:Backdroid.Driver.default_config engine
   in
-  List.iter
-    (fun (sink, meth, site) ->
-       ignore
-         (Backdroid.Slicer.slice ~shared ~sink ~sink_meth:meth
-            ~sink_site:site ()))
-    occurrences;
+  let recorder = Obs.Span.Recorder.create () in
+  Obs.Span.Recorder.install recorder;
+  Fun.protect ~finally:(fun () -> Obs.Span.set_sink None) (fun () ->
+      List.iter
+        (fun (sink, meth, site) ->
+           ignore
+             (Backdroid.Slicer.slice ~shared ~sink ~sink_meth:meth
+                ~sink_site:site ()))
+        occurrences);
+  let spans =
+    Backdroid.Resolver.resolve_spans (Obs.Span.Recorder.spans recorder)
+  in
+  let sum name attr =
+    List.fold_left
+      (fun acc (s : Obs.Span.span) ->
+         match List.assoc_opt attr s.Obs.Span.attrs with
+         | Some (Obs.Span.Int n) when s.Obs.Span.name = name -> acc + n
+         | _ -> acc)
+      0 spans
+  in
   Printf.printf "  %d sinks, %d resolutions\n" (List.length occurrences)
-    (Backdroid.Trace.Ring.recorded ring);
+    (List.length spans);
   Printf.printf "  %-10s %6s %6s %9s %7s %11s %11s\n" "strategy" "count"
     "hits" "searches" "cached" "mean" "max";
   List.iter
-    (fun (name, (a : Backdroid.Trace.agg)) ->
+    (fun (r : Obs.Summary.row) ->
+       let name = r.Obs.Summary.r_name in
        Printf.printf "  %-10s %6d %6d %9d %7d %9.1fus %9.1fus\n" name
-         a.Backdroid.Trace.a_count a.Backdroid.Trace.a_hits
-         a.Backdroid.Trace.a_searches a.Backdroid.Trace.a_cached
-         (Backdroid.Trace.mean_us a) a.Backdroid.Trace.a_max_us)
-    (Backdroid.Trace.aggregate (Backdroid.Trace.Ring.events ring));
+         r.Obs.Summary.r_count (sum name "hits") (sum name "searches")
+         (sum name "cached")
+         (r.Obs.Summary.r_total_us /. float_of_int r.Obs.Summary.r_count)
+         r.Obs.Summary.r_max_us)
+    (List.sort
+       (fun (a : Obs.Summary.row) b ->
+          String.compare a.Obs.Summary.r_name b.Obs.Summary.r_name)
+       (Obs.Summary.compute spans));
   print_endline "  -- search-command cache, per category --";
   let timings = Bytesearch.Engine.category_timings engine in
   List.iter

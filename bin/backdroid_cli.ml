@@ -182,12 +182,13 @@ let explain_t =
            resolver strategies taken with caller counts, searches issued \
            per category, budget spent vs cap, SSG size and wall time.")
 
-(* Install the span recorder when [--profile] asks for one; metrics record
-   by default (they are integer bumps on per-domain shards). *)
-let setup_obs ~profile =
-  match profile with
-  | None -> None
-  | Some _ ->
+(* Install the span recorder when [--profile] or [--trace] asks for one;
+   metrics record by default (they are integer bumps on per-domain
+   shards). *)
+let setup_obs ~profile ~trace =
+  match profile, trace with
+  | None, None -> None
+  | _ ->
     let rec_ = Obs.Span.Recorder.create () in
     Obs.Span.Recorder.install rec_;
     Some rec_
@@ -220,6 +221,11 @@ let flight_counters () =
        | _ -> [])
     (Obs.Flight.events ())
 
+(* Drops are counted across every span category, resolve spans included. *)
+let dropped_note rec_ =
+  let d = Obs.Span.Recorder.dropped rec_ in
+  if d > 0 then Printf.sprintf " (%d dropped)" d else ""
+
 let finish_obs ~profile ~metrics ~metrics_format ~app_name recorder =
   (match profile, recorder with
    | Some path, Some rec_ ->
@@ -230,9 +236,7 @@ let finish_obs ~profile ~metrics ~metrics_format ~app_name recorder =
          ~counters:(flight_counters ()) path spans
      in
      Printf.printf "profile: %d spans (%d events) -> %s%s\n"
-       (List.length spans) n path
-       (let d = Obs.Span.Recorder.dropped rec_ in
-        if d > 0 then Printf.sprintf " (%d dropped)" d else "");
+       (List.length spans) n path (dropped_note rec_);
      print_string (Obs.Summary.render (Obs.Summary.compute spans))
    | _ -> ());
   match metrics with
@@ -262,9 +266,10 @@ let analyze_cmd =
       value & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
-            "Record one structured event per caller resolution (strategy, \
-             query, hits, cache hits, latency) and dump them as JSON to \
-             $(docv).")
+            "Record the caller resolutions (one $(b,resolve) span each: \
+             strategy, query, hits, searches, cache hits, latency) and dump \
+             them as JSON to $(docv), in completion order.  Uses the same \
+             span recorder as $(b,--profile).")
   in
   let time_limit_t =
     Arg.(
@@ -366,7 +371,7 @@ let analyze_cmd =
            Printf.eprintf "error: %s\n" (Rules.Parse.error_to_string e);
            exit 1)
     in
-    let recorder = setup_obs ~profile in
+    let recorder = setup_obs ~profile ~trace:trace_file in
     let warm = load_index <> None || delta_index <> None in
     let app = make_app ~build_dex:(not warm) ~seed ~size_mb ~plants ~insecure () in
     let app =
@@ -435,11 +440,6 @@ let analyze_cmd =
          | Some e -> Some e
          | None -> Some (Bytesearch.Engine.create app.G.dex))
     in
-    let ring =
-      match trace_file with
-      | Some _ -> Some (Backdroid.Trace.Ring.create ())
-      | None -> None
-    in
     let cfg =
       { Backdroid.Driver.default_config with
         Backdroid.Driver.rules;
@@ -447,11 +447,7 @@ let analyze_cmd =
         jobs;
         budget =
           { Backdroid.Context.default_budget with
-            Backdroid.Context.time_limit_ms };
-        trace =
-          (match ring with
-           | Some ring -> Backdroid.Trace.Ring.sink ring
-           | None -> Backdroid.Trace.log_sink) }
+            Backdroid.Context.time_limit_ms } }
     in
     let t0 = Unix.gettimeofday () in
     let r =
@@ -489,12 +485,13 @@ let analyze_cmd =
            | None -> ())
       r.Backdroid.Driver.reports;
     print_endline (Serve.Render.stats_line r);
-    (match trace_file, ring with
-     | Some path, Some ring ->
-       Backdroid.Trace.Ring.write_json ring path;
-       Printf.printf "trace: %d resolutions recorded -> %s\n"
-         (Backdroid.Trace.Ring.recorded ring)
-         path
+    (match trace_file, recorder with
+     | Some path, Some rec_ ->
+       let spans = Obs.Span.Recorder.spans rec_ in
+       Obs.Io.write_string path (Backdroid.Resolver.trace_json spans);
+       Printf.printf "trace: %d resolutions recorded -> %s%s\n"
+         (List.length (Backdroid.Resolver.resolve_spans spans))
+         path (dropped_note rec_)
      | _ -> ());
     (match flight with
      | None -> ()

@@ -1,8 +1,9 @@
 (** The analysis context: everything the backward slicing threads through
     one sink analysis, split into the app-wide {!shared} part (program,
     manifest, search engine, the Sec. IV-F sink-reachability cache, loop
-    statistics, trace sink) and the per-sink part (SSG under construction,
-    budget accounting).
+    statistics) and the per-sink part (SSG under construction, budget
+    accounting).  It also defines the caller-resolution {!strategy}
+    enumeration, which both [Resolver] and [Provenance] index by.
 
     The {!budget} supersedes the slicer's bare [max_work]/[max_depth] ints:
     it adds an optional wall-clock deadline, and exhausting any limit is
@@ -36,11 +37,31 @@ let outcome_to_string = function
     Printf.sprintf "partial(%s)"
       (String.concat "," (List.map exhaustion_to_string ex))
 
+(** Which Sec. IV mechanism answered a caller query. *)
+type strategy = Basic | Advanced | Clinit | Lifecycle | Icc
+
+let strategies = [| Basic; Advanced; Clinit; Lifecycle; Icc |]
+
+let strategy_to_string = function
+  | Basic -> "basic"
+  | Advanced -> "advanced"
+  | Clinit -> "clinit"
+  | Lifecycle -> "lifecycle"
+  | Icc -> "icc"
+
+(** Dense slot of [s] in {!strategies}. *)
+let strategy_index = function
+  | Basic -> 0
+  | Advanced -> 1
+  | Clinit -> 2
+  | Lifecycle -> 3
+  | Icc -> 4
+
 (* ------------------------------------------------------------------ *)
 
 (** App-wide state shared by every sink slice of one group: the engine and
     program/manifest spaces, the sink-API-call reachability cache with its
-    counters (Sec. IV-F), the dead-loop statistics and the trace sink. *)
+    counters (Sec. IV-F) and the dead-loop statistics. *)
 type shared = {
   engine : Bytesearch.Engine.t;
   program : Ir.Program.t;
@@ -49,14 +70,12 @@ type shared = {
   reach_cache : (int, bool) Hashtbl.t;  (* keyed by [Sym.id (Jsig.meth_sym m)] *)
   reach_total : int ref;
   reach_cached : int ref;
-  trace : Trace.sink;
 }
 
-let shared ?(loops = Loopdetect.create ()) ?(trace = Trace.log_sink) ~engine
-    ~manifest () =
+let shared ?(loops = Loopdetect.create ()) ~engine ~manifest () =
   { engine; program = Bytesearch.Engine.program engine; manifest; loops;
     reach_cache = Hashtbl.create 64; reach_total = ref 0;
-    reach_cached = ref 0; trace }
+    reach_cached = ref 0 }
 
 (** One sink slice's context: the shared state plus the SSG under
     construction and the budget accounting. *)
@@ -68,15 +87,13 @@ type t = {
   reach_cache : (int, bool) Hashtbl.t;  (* keyed by [Sym.id (Jsig.meth_sym m)] *)
   reach_total : int ref;
   reach_cached : int ref;
-  trace : Trace.sink;
   budget : budget;
   ssg : Ssg.t;
   started_at : float;
   mutable work_count : int;
   mutable exhausted : exhaustion list;  (* most recent first, deduplicated *)
-  (* provenance accumulators: per-strategy resolution/caller counts (slots
-     in [Resolver.strategy_index] order — 5 strategies; Context cannot name
-     Resolver without a cycle) and the creating domain's query-issue
+  (* provenance accumulators: per-strategy resolution/caller counts (one
+     slot per {!strategies} entry) and the creating domain's query-issue
      counters, deltaed at slice end *)
   prov_resolutions : int array;
   prov_callers : int array;
@@ -87,9 +104,10 @@ let create ?(budget = default_budget) (sh : shared) ~ssg =
   { engine = sh.engine; program = sh.program; manifest = sh.manifest;
     loops = sh.loops; reach_cache = sh.reach_cache;
     reach_total = sh.reach_total; reach_cached = sh.reach_cached;
-    trace = sh.trace; budget; ssg; started_at = Unix.gettimeofday ();
-    work_count = 0; exhausted = [];
-    prov_resolutions = Array.make 5 0; prov_callers = Array.make 5 0;
+    budget; ssg; started_at = Unix.gettimeofday (); work_count = 0;
+    exhausted = [];
+    prov_resolutions = Array.make (Array.length strategies) 0;
+    prov_callers = Array.make (Array.length strategies) 0;
     prov_searches0 = Bytesearch.Cache.local_counts () }
 
 let exhaust ctx kind =

@@ -1,6 +1,7 @@
 (** The analysis context: the app-wide state one sink group shares
     ({!shared}) plus the per-sink slicing state ({!t}) with its typed
-    {!budget} and {!outcome}.
+    {!budget} and {!outcome}, and the caller-resolution {!strategy}
+    enumeration that [Resolver] and [Provenance] both index by.
 
     The budget supersedes the slicer's bare [max_work]/[max_depth] ints: it
     adds an optional wall-clock deadline, and exhausting any limit yields a
@@ -25,9 +26,22 @@ type outcome = Complete | Partial of exhaustion list
 
 val outcome_to_string : outcome -> string
 
+(** Which Sec. IV mechanism answered a caller query (re-exported as
+    [Resolver.strategy]). *)
+type strategy = Basic | Advanced | Clinit | Lifecycle | Icc
+
+(** Every strategy, in slot order. *)
+val strategies : strategy array
+
+val strategy_to_string : strategy -> string
+
+(** Dense slot of a strategy in {!strategies}: the index into
+    [prov_resolutions] / [prov_callers]. *)
+val strategy_index : strategy -> int
+
 (** App-wide state shared by every sink slice of one group: engine,
     program/manifest spaces, the sink-API-call reachability cache with its
-    counters (Sec. IV-F), the dead-loop statistics and the trace sink. *)
+    counters (Sec. IV-F) and the dead-loop statistics. *)
 type shared = {
   engine : Bytesearch.Engine.t;
   program : Ir.Program.t;
@@ -36,12 +50,10 @@ type shared = {
   reach_cache : (int, bool) Hashtbl.t;  (* keyed by [Sym.id (Jsig.meth_sym m)] *)
   reach_total : int ref;
   reach_cached : int ref;
-  trace : Trace.sink;
 }
 
 val shared :
   ?loops:Loopdetect.stats ->
-  ?trace:Trace.sink ->
   engine:Bytesearch.Engine.t ->
   manifest:Manifest.App_manifest.t -> unit -> shared
 
@@ -55,15 +67,14 @@ type t = {
   reach_cache : (int, bool) Hashtbl.t;  (* keyed by [Sym.id (Jsig.meth_sym m)] *)
   reach_total : int ref;
   reach_cached : int ref;
-  trace : Trace.sink;
   budget : budget;
   ssg : Ssg.t;
   started_at : float;
   mutable work_count : int;
   mutable exhausted : exhaustion list;
   (* provenance accumulators (see {!Provenance}): per-strategy resolution
-     and caller counts in [Resolver.strategy_index] order, plus the
-     creating domain's query-issue counters at slice start *)
+     and caller counts in {!strategy_index} slots, plus the creating
+     domain's query-issue counters at slice start *)
   prov_resolutions : int array;
   prov_callers : int array;
   prov_searches0 : Bytesearch.Cache.local_counts;

@@ -33,9 +33,6 @@ type config = {
   resolve_reflection : bool;
       (** de-reflect constant Class.forName/getMethod/invoke triples before
           the analysis (the Sec. VII extension; off by default) *)
-  indexed_search : bool;
-      (** search via per-category postings (default); off = grep-style full
-          scans per query, like the paper's prototype *)
   jobs : int;
       (** per-sink parallelism: sink call sites are grouped by containing
           method and the groups analysed on a domain pool of this size
@@ -45,9 +42,6 @@ type config = {
       (** per-sink slicing budget (work/depth caps + optional wall-clock
           deadline); exhaustion surfaces as a [Partial] outcome in the
           report *)
-  trace : Trace.sink;
-      (** receives one structured event per caller resolution; the default
-          forwards to [Log.debug] *)
   forward : Forward.config;
 }
 
@@ -55,10 +49,8 @@ let default_config =
   { rules = Rules.Builtin.primary;
     subclass_aware_initial_search = false;
     resolve_reflection = false;
-    indexed_search = true;
     jobs = 1;
     budget = Context.default_budget;
-    trace = Trace.log_sink;
     forward = Forward.default_config }
 
 type sink_report = {
@@ -262,7 +254,7 @@ let analyze_group ~cfg ~engine ~manifest ?replay group =
   Obs.Span.with_span ~cat:"analyze" ~name:"sink-group"
     ~attrs:[ ("sites", Obs.Span.Int (List.length group)) ]
   @@ fun () ->
-  let shared = Context.shared ~trace:cfg.trace ~engine ~manifest () in
+  let shared = Context.shared ~engine ~manifest () in
   let program = shared.Context.program in
   (* the group's slot in the sink-API-call cache (one key per group) *)
   let known_reachable = ref None in
@@ -429,7 +421,7 @@ let open_session ?(cfg = default_config) ?pool ?engine ?results
       | Some e -> e
       | None ->
         Obs.Span.with_span ~cat:"app" ~name:"engine-create" (fun () ->
-            Bytesearch.Engine.create ~indexed:cfg.indexed_search ~pool dex)
+            Bytesearch.Engine.create ~pool dex)
     in
     (* diff the persisted result cache (if any) against this build's
        classmap once; every run of the session consults the precomputed

@@ -14,7 +14,10 @@
 
     The driver owns the cross-sink caches (search-command cache inside the
     engine; sink-API-call reachability cache) and the loop-detection
-    statistics of Sec. IV-F. *)
+    statistics of Sec. IV-F.  It carries no event sink: each caller
+    resolution is recorded as a ["resolve"] span (see {!Resolver}), which
+    an installed [Obs.Span] recorder collects for [--trace] and
+    [--profile]. *)
 
 module Sinks = Framework.Sinks
 type config = {
@@ -23,7 +26,6 @@ type config = {
           (the paper's ECB + SSL misuse classes) *)
   subclass_aware_initial_search : bool;
   resolve_reflection : bool;
-  indexed_search : bool;
   jobs : int;
       (** per-sink parallelism: sink call sites are grouped by containing
           method and the groups analysed on a domain pool of this size
@@ -32,9 +34,6 @@ type config = {
   budget : Context.budget;
       (** per-sink slicing budget (work/depth caps + optional wall-clock
           deadline); exhaustion surfaces as a [Partial] outcome *)
-  trace : Trace.sink;
-      (** receives one structured event per caller resolution; default
-          [Trace.log_sink] *)
   forward : Forward.config;
 }
 val default_config : config
@@ -146,7 +145,8 @@ val session_pool : session -> Parallel.Pool.t
     index build and the per-sink-group fan-out; without it a fresh pool of
     [cfg.jobs] is created for the call (so [cfg.jobs = 1] is exactly the
     sequential path).  [engine] supplies a premade search engine (a
-    snapshot warm start): its dexfile replaces [dex] and no index is built —
+    snapshot warm start, or a [~indexed:false] scan engine for the grep
+    ablation): its dexfile replaces [dex] and no index is built —
     unless [cfg.resolve_reflection] actually rewrites call sites, which
     invalidates any prebuilt index, so the engine is discarded (with a
     logged warning) and the rewritten program is indexed cold.  A premade

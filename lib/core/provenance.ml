@@ -24,15 +24,11 @@ let source_to_string = function
   | Replayed -> "replayed"
   | Sink_cache -> "sink-cache"
 
-(** Strategy slot names, in [Resolver.strategy_index] order (the order of
-    [Context.prov_resolutions]). *)
-let strategy_names = [| "basic"; "advanced"; "clinit"; "lifecycle"; "icc" |]
-
 type t = {
   p_source : source;
   p_strategies : (string * int * int) list;
       (** (strategy, resolutions, callers found), non-zero entries only,
-          in {!strategy_names} order *)
+          in [Context.strategies] order *)
   p_searches : int;        (** bytecode-search queries issued by the slice *)
   p_search_cached : int;   (** of which served from the search cache
                                (scheduling-dependent; informational) *)
@@ -68,11 +64,13 @@ let fresh_of (ctx : Context.t) ~wall_us =
   let l0 = ctx.Context.prov_searches0 in
   let l1 = Bytesearch.Cache.local_counts () in
   let strategies = ref [] in
-  for i = Array.length strategy_names - 1 downto 0 do
+  for i = Array.length Context.strategies - 1 downto 0 do
     let r = ctx.Context.prov_resolutions.(i)
     and c = ctx.Context.prov_callers.(i) in
     if r > 0 || c > 0 then
-      strategies := (strategy_names.(i), r, c) :: !strategies
+      strategies :=
+        (Context.strategy_to_string Context.strategies.(i), r, c)
+        :: !strategies
   done;
   let categories = ref [] in
   for i = Bytesearch.Query.n_categories - 1 downto 0 do

@@ -11,9 +11,6 @@ type source =
 
 val source_to_string : source -> string
 
-(** Strategy slot names, in [Resolver.strategy_index] order. *)
-val strategy_names : string array
-
 type t = {
   p_source : source;
   p_strategies : (string * int * int) list;

@@ -11,31 +11,19 @@
     caller.  The slicer's two traversals consume these records generically,
     with no per-strategy match arms.
 
-    Every resolution emits one structured {!Trace.event} through the
-    context's pluggable sink. *)
+    Every resolution is recorded once, by {!traced}: one ["resolve"] span
+    (the [--trace] and [--profile] surfaces), the metrics, a flight entry
+    and the provenance tallies. *)
 
 open Ir
 
-(** Which Sec. IV mechanism answered the query.  [Icc] is selected by the
+(** Which Sec. IV mechanism answered the query (defined in {!Context}, which
+    both this module and [Provenance] index by).  [Icc] is selected by the
     residual {!demand} (Intent-extra residuals at a lifecycle handler), the
     others by {!classify}. *)
-type strategy = Basic | Advanced | Clinit | Lifecycle | Icc
+type strategy = Context.strategy = Basic | Advanced | Clinit | Lifecycle | Icc
 
-let strategy_to_string = function
-  | Basic -> "basic"
-  | Advanced -> "advanced"
-  | Clinit -> "clinit"
-  | Lifecycle -> "lifecycle"
-  | Icc -> "icc"
-
-(** Dense strategy slot, the index into [Context.prov_resolutions] /
-    [Provenance.strategy_names] (same order). *)
-let strategy_index = function
-  | Basic -> 0
-  | Advanced -> 1
-  | Clinit -> 2
-  | Lifecycle -> 3
-  | Icc -> 4
+let strategy_to_string = Context.strategy_to_string
 
 (** Classify [callee].  Order matters: [<clinit>] before everything (it is a
     static method but unsearchable); lifecycle handlers before the
@@ -191,56 +179,83 @@ let lifecycle_resolution ctx (d : demand) (m : Jsig.meth) =
            preds)
 
 (* ------------------------------------------------------------------ *)
-(* Tracing                                                             *)
+(* Recording                                                           *)
 
-(* Resolution counters, one per strategy, registered up front so the
+(* Resolution counters, one per strategy slot, registered up front so the
    metrics snapshot lists all five even when a strategy never ran. *)
 let m_resolutions =
-  List.map
-    (fun s ->
-       (s, Obs.Metrics.counter ("resolve." ^ strategy_to_string s)))
-    [ Basic; Advanced; Clinit; Lifecycle; Icc ]
+  Array.map
+    (fun s -> Obs.Metrics.counter ("resolve." ^ strategy_to_string s))
+    Context.strategies
 
 let m_callers = Obs.Metrics.counter "resolve.callers"
 
-(* One resolution = one [Trace.event] through the context sink (the
-   [--trace] surface, shape unchanged) and one "resolve" span carrying the
-   same fields as attributes (the [--profile] surface). *)
+(* The one place a resolution is recorded: metrics, provenance tallies, a
+   flight entry, the [-v] debug line and one "resolve" span whose name is
+   the strategy and whose attributes carry the query, hits, searches and
+   cached counts.  The search counts are deltas of the calling domain's
+   counters, so a concurrent slice's searches never leak into another
+   resolution's record. *)
 let traced ctx strategy query f =
-  let engine = ctx.Context.engine in
-  let s0 = Bytesearch.Engine.total_searches engine in
-  let c0 = Bytesearch.Engine.cached_searches engine in
-  let span0 = Obs.Span.start () in
-  let t0 = Unix.gettimeofday () in
+  let l0 = Bytesearch.Engine.local_counts () in
+  let t0 = Obs.Span.now_us () in
   let r = f () in
-  let elapsed_us = (Unix.gettimeofday () -. t0) *. 1e6 in
+  let l1 = Bytesearch.Engine.local_counts () in
   let hits = List.length r.callers in
-  let searches = Bytesearch.Engine.total_searches engine - s0 in
-  let cached = Bytesearch.Engine.cached_searches engine - c0 in
-  Obs.Metrics.incr (List.assoc strategy m_resolutions);
+  let searches = l1.Bytesearch.Cache.lc_total - l0.Bytesearch.Cache.lc_total in
+  let cached = l1.Bytesearch.Cache.lc_cached - l0.Bytesearch.Cache.lc_cached in
+  let idx = Context.strategy_index strategy in
+  let name = strategy_to_string strategy in
+  Obs.Metrics.incr m_resolutions.(idx);
   Obs.Metrics.add m_callers hits;
-  let idx = strategy_index strategy in
   ctx.Context.prov_resolutions.(idx) <-
     ctx.Context.prov_resolutions.(idx) + 1;
   ctx.Context.prov_callers.(idx) <- ctx.Context.prov_callers.(idx) + hits;
   (* flight record: the query string is already retained by the search
      cache, so the ring holds one cons and one tuple per resolution — the
-     full per-resolution numbers live in --trace and the provenance
-     ledger, and re-retaining them here measurably dents the always-on
-     budget *)
-  Obs.Flight.record ~kind:"trace" ~name:(strategy_to_string strategy)
+     full numbers live in the span and the provenance ledger, and
+     re-retaining them here measurably dents the always-on budget *)
+  Obs.Flight.record ~kind:"resolve" ~name
     ~attrs:[ ("query", Obs.Span.Str query) ] ();
-  if Obs.Span.pending span0 then
-    Obs.Span.emit ~cat:"resolve" ~name:(strategy_to_string strategy)
+  if Obs.Span.enabled () then
+    Obs.Span.emit ~cat:"resolve" ~name
       ~attrs:[ ("query", Obs.Span.Str query);
                ("hits", Obs.Span.Int hits);
                ("searches", Obs.Span.Int searches);
                ("cached", Obs.Span.Int cached) ]
-      span0;
-  ctx.Context.trace
-    { Trace.strategy = strategy_to_string strategy;
-      query; hits; searches; cached; elapsed_us };
+      t0;
+  Log.debug (fun l ->
+      l "resolve[%s] %s: %d callers, %d searches (%d cached), %.1fus" name
+        query hits searches cached (Obs.Span.now_us () -. t0));
   r
+
+let resolve_spans spans =
+  List.filter (fun (s : Obs.Span.span) -> s.Obs.Span.cat = "resolve") spans
+  |> List.stable_sort (fun (a : Obs.Span.span) b ->
+      Float.compare a.Obs.Span.t1_us b.Obs.Span.t1_us)
+
+let trace_json spans =
+  let attr k (s : Obs.Span.span) = List.assoc_opt k s.Obs.Span.attrs in
+  let int k s =
+    match attr k s with Some (Obs.Span.Int n) -> n | _ -> 0
+  in
+  let spans = resolve_spans spans in
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "{\"recorded\":%d,\"events\":[" (List.length spans);
+  List.iteri
+    (fun i (s : Obs.Span.span) ->
+       if i > 0 then Buffer.add_char b ',';
+       Printf.bprintf b
+         "{\"strategy\":\"%s\",\"query\":\"%s\",\"hits\":%d,\
+          \"searches\":%d,\"cached\":%d,\"elapsed_us\":%s}"
+         (Obs.Jsonf.escape s.Obs.Span.name)
+         (Obs.Jsonf.escape
+            (match attr "query" s with Some (Obs.Span.Str q) -> q | _ -> ""))
+         (int "hits" s) (int "searches" s) (int "cached" s)
+         (Obs.Jsonf.number (Obs.Span.duration_us s)))
+    spans;
+  Buffer.add_string b "]}";
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* The broker API                                                      *)

@@ -6,17 +6,21 @@
     {!resolution} whose {!caller} records each carry a ready-made
     [Ssg.edge] and a {!bind} describing the residual-taint mapping — so the
     slicer's traversals are generic, with no per-strategy match arms.
-    Every resolution emits one {!Trace.event} through the context's sink. *)
 
-(** Which Sec. IV mechanism answered the query.  [Icc] is selected by the
-    residual {!demand}, the others by {!classify}. *)
-type strategy = Basic | Advanced | Clinit | Lifecycle | Icc
+    Every resolution is recorded once: one ["resolve"] span named after its
+    strategy, with [query], [hits], [searches] and [cached] attributes, plus
+    the [resolve.*] metrics, a flight entry, the {!Provenance} tallies and a
+    debug log line.  [--trace] and [--profile] both read the spans.  The
+    search counts come from the calling domain's own counters, so a
+    concurrent slice never leaks into them; under [--jobs N] only the
+    [cached] split depends on which racing slice paid a shared miss. *)
+
+(** Which Sec. IV mechanism answered the query (re-exported from
+    {!Context}).  [Icc] is selected by the residual {!demand}, the others by
+    {!classify}. *)
+type strategy = Context.strategy = Basic | Advanced | Clinit | Lifecycle | Icc
 
 val strategy_to_string : strategy -> string
-
-(** Dense strategy slot: index into [Context.prov_resolutions] /
-    [Provenance.strategy_names] (same order). *)
-val strategy_index : strategy -> int
 
 (** Classify [callee].  Order matters: [<clinit>] before everything (it is a
     static method but unsearchable); lifecycle handlers before the
@@ -66,3 +70,11 @@ type resolution = {
     receiver-field residuals at an entry handler the predecessor-handler
     search. *)
 val callers : ?demand:demand -> Context.t -> Ir.Jsig.meth -> resolution
+
+(** The ["resolve"] spans among [spans], in completion order. *)
+val resolve_spans : Obs.Span.span list -> Obs.Span.span list
+
+(** The [--trace] artifact over the resolve spans among [spans]:
+    [{"recorded":N,"events":[{strategy,query,hits,searches,cached,
+    elapsed_us}, ...]}] in completion order, non-finite latencies clamped. *)
+val trace_json : Obs.Span.span list -> string

@@ -17,7 +17,7 @@
 (** Slice one sink API call occurrence, producing its SSG and the typed
     budget outcome.  [shared] carries the app-wide state of the sink group —
     the engine, the sink-API-call reachability cache with its counters
-    (Sec. IV-F), the loop statistics and the trace sink; [budget] (default
+    (Sec. IV-F) and the loop statistics; [budget] (default
     {!Context.default_budget}) bounds this one slice, and exhausting it
     yields a [Partial] outcome instead of silent truncation. *)
 val slice :

@@ -390,9 +390,7 @@ let ablation_search ?(count = 24) opts =
        let m1, _ = Runner.run_backdroid app in
        let m2, _ =
          Runner.run_backdroid
-           ~cfg:
-             { Backdroid.Driver.default_config with
-               Backdroid.Driver.indexed_search = false }
+           ~engine:(Bytesearch.Engine.create ~indexed:false app.G.dex)
            app
        in
        idx := m1.Runner.seconds :: !idx;

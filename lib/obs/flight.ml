@@ -15,7 +15,7 @@ type event = {
   ev_ts_us : float;         (** µs since the process origin ({!Span.now_us}) *)
   ev_dom : int;             (** recording domain id *)
   ev_pid : int;             (** logical process (app) id *)
-  ev_kind : string;         (** "span" | "counter" | "trace" | "anomaly" | ... *)
+  ev_kind : string;         (** "span" | "counter" | "resolve" | "anomaly" | ... *)
   ev_name : string;
   ev_attrs : Span.attr list;
 }

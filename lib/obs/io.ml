@@ -1,6 +1,6 @@
 (** Exception-safe file output, shared by every writer that dumps an
-    artifact (trace rings, Chrome traces, metrics snapshots, bench JSON).
-    An exception mid-write must not leak the fd. *)
+    artifact (resolution traces, Chrome traces, metrics snapshots, bench
+    JSON).  An exception mid-write must not leak the fd. *)
 
 let with_file_out path f =
   let oc = open_out path in

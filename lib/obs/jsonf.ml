@@ -1,5 +1,5 @@
 (** Shared JSON fragment helpers for every hand-rolled writer in the tree
-    (trace rings, Chrome traces, metrics snapshots, bench artifacts).
+    (resolution traces, Chrome traces, metrics snapshots, bench artifacts).
 
     The one rule that earns this module its existence: floats are clamped to
     finite values before rendering.  [Printf "%f"] happily prints [inf] and

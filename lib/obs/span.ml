@@ -3,9 +3,9 @@
     corpus runs), wall-clock begin/end timestamps in microseconds since the
     process origin, and typed attributes.
 
-    The span sink is pluggable like [Trace.sink].  The default state is *no
-    sink installed*, in which case {!with_span} runs its thunk with exactly
-    one [Atomic.get] of overhead — no clock reads, no allocation.  The
+    The span sink is pluggable.  The default state is *no sink
+    installed*, in which case {!with_span} runs its thunk with exactly one
+    [Atomic.get] of overhead — no clock reads, no allocation.  The
     standard recorder is {!Recorder}: one bounded buffer shard per domain
     (via [Domain.DLS]), so the hot path never takes a mutex; shards register
     themselves under a lock once per domain and are merged at snapshot. *)

@@ -57,14 +57,21 @@ let test_jsonf_escape () =
 
 (* A non-finite resolution latency must not poison the --trace artifact. *)
 let test_trace_event_nonfinite () =
-  let ev =
-    { Backdroid.Trace.strategy = "basic"; query = "q\"uote"; hits = 1;
-      searches = 2; cached = 0; elapsed_us = Float.infinity }
+  let span =
+    { Obs.Span.cat = "resolve"; name = "basic"; pid = 0; tid = 0;
+      t0_us = 0.0; t1_us = Float.infinity;
+      attrs =
+        [ ("query", Obs.Span.Str "q\"uote"); ("hits", Obs.Span.Int 1);
+          ("searches", Obs.Span.Int 2); ("cached", Obs.Span.Int 0) ] }
   in
-  let json = Backdroid.Trace.event_to_json ev in
+  let json = Backdroid.Resolver.trace_json [ span ] in
   Alcotest.(check bool) "object shape" true
     (String.length json > 2 && json.[0] = '{'
      && json.[String.length json - 1] = '}');
+  Alcotest.(check bool) "the span renders as one event" true
+    (let head = "{\"recorded\":1,\"events\":[{\"strategy\":\"basic\"" in
+     String.length json >= String.length head
+     && String.sub json 0 (String.length head) = head);
   String.iteri
     (fun i c ->
        if c = 'i' || c = 'n' then
@@ -95,22 +102,6 @@ let test_io_no_fd_leak () =
       Alcotest.(check int) "fd count restored" before (open_fds ());
       Obs.Io.write_string path "done";
       Alcotest.(check int) "fd count after write_string" before (open_fds ()))
-
-let test_ring_write_json_closes () =
-  let ring = Backdroid.Trace.Ring.create () in
-  Backdroid.Trace.Ring.sink ring
-    { Backdroid.Trace.strategy = "basic"; query = "q"; hits = 0; searches = 0;
-      cached = 0; elapsed_us = 1.0 };
-  let path = Filename.temp_file "obs_ring" ".json" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
-      let before = open_fds () in
-      Backdroid.Trace.Ring.write_json ring path;
-      Alcotest.(check int) "fd closed" before (open_fds ());
-      let ic = open_in path in
-      let line = input_line ic in
-      close_in ic;
-      Alcotest.(check bool) "json written" true
-        (String.length line > 0 && line.[0] = '{'))
 
 (* ------------------------------------------------------------------ *)
 (* Spans: disabled cost, nesting, pid scoping, exception emission       *)
@@ -456,8 +447,6 @@ let cases =
       test_trace_event_nonfinite;
     Alcotest.test_case "with_file_out closes fd on exception" `Quick
       test_io_no_fd_leak;
-    Alcotest.test_case "ring write_json closes its fd" `Quick
-      test_ring_write_json_closes;
     Alcotest.test_case "disabled spans record nothing" `Quick
       test_span_disabled_records_nothing;
     Alcotest.test_case "span nesting and attrs" `Quick

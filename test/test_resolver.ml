@@ -1,14 +1,15 @@
 (* Direct unit tests for the Resolver broker: the clinit class-use strategy
    (Sec. IV-C) and the two-time ICC strategy (Sec. IV-D) exercised through
    the uniform [Resolver.callers] API, the per-sink budget's typed [Partial]
-   outcomes, and the structured trace ring/aggregation. *)
+   outcomes, and the "resolve" spans every resolution emits — exact per
+   resolution at any pool width. *)
 
 open Ir
 module B = Builder
 module Api = Framework.Api
 module Context = Backdroid.Context
 module Resolver = Backdroid.Resolver
-module Trace = Backdroid.Trace
+module Driver = Backdroid.Driver
 
 let plain_ctor ~cls ~super =
   B.constructor ~cls (fun mb ->
@@ -18,11 +19,11 @@ let plain_ctor ~cls ~super =
 
 (** Build a full analysis context over hand-built classes: engine, manifest,
     shared state and a throwaway SSG. *)
-let ctx_of ?trace ?budget classes components =
+let ctx_of ?budget classes components =
   let p = Program.of_classes (Framework.Stubs.classes () @ classes) in
   let engine = Bytesearch.Engine.create (Dex.Dexfile.of_program p) in
   let manifest = Manifest.App_manifest.make ~package:"rz" ~components in
-  let shared = Context.shared ?trace ~engine ~manifest () in
+  let shared = Context.shared ~engine ~manifest () in
   let sink_meth = Jsig.meth ~cls:"rz.X" ~name:"x" ~params:[] ~ret:Types.Void in
   Context.create ?budget shared
     ~ssg:(Backdroid.Ssg.create ~sink:Framework.Sinks.cipher ~sink_meth ~sink_site:0)
@@ -150,7 +151,7 @@ let test_icc_unregistered () =
   Alcotest.(check bool) "and no entry/complete" false
     (r.Resolver.entry || r.Resolver.complete)
 
-(* --- the per-sink budget: typed Partial outcomes + trace --- *)
+(* --- the per-sink budget: typed Partial outcomes + resolve spans --- *)
 
 let pathological_app =
   lazy
@@ -163,11 +164,11 @@ let pathological_app =
            [ { Appgen.Generator.shape = Appgen.Shape.Static_chain;
                sink = Framework.Sinks.cipher; insecure = true } ] })
 
-let slice_with ~budget ~trace =
+let slice_with ~budget =
   let app = Lazy.force pathological_app in
   let engine = Bytesearch.Engine.create app.Appgen.Generator.dex in
   let shared =
-    Context.shared ~trace ~engine ~manifest:app.Appgen.Generator.manifest ()
+    Context.shared ~engine ~manifest:app.Appgen.Generator.manifest ()
   in
   match
     Backdroid.Driver.initial_sink_search
@@ -177,12 +178,20 @@ let slice_with ~budget ~trace =
     snd (Backdroid.Slicer.slice ~shared ~budget ~sink ~sink_meth ~sink_site ())
   | [] -> Alcotest.fail "generated app has no sink occurrence"
 
+(* Record spans for the duration of [f]; the global sink is cleared
+   afterwards, also when [f] fails. *)
+let with_recorder f =
+  let recorder = Obs.Span.Recorder.create () in
+  Obs.Span.Recorder.install recorder;
+  Fun.protect ~finally:(fun () -> Obs.Span.set_sink None) (fun () ->
+      let v = f () in
+      (v, Resolver.resolve_spans (Obs.Span.Recorder.spans recorder)))
+
 let test_budget_work_exhaustion () =
-  let ring = Trace.Ring.create () in
-  let outcome =
-    slice_with
-      ~budget:{ Context.default_budget with Context.max_work = 0 }
-      ~trace:(Trace.Ring.sink ring)
+  let outcome, spans =
+    with_recorder (fun () ->
+        slice_with
+          ~budget:{ Context.default_budget with Context.max_work = 0 })
   in
   (match outcome with
    | Context.Partial limits ->
@@ -192,19 +201,16 @@ let test_budget_work_exhaustion () =
   Alcotest.(check string) "outcome renders its limits" "partial(work)"
     (Context.outcome_to_string outcome);
   Alcotest.(check bool) "resolutions were traced before exhaustion" true
-    (Trace.Ring.recorded ring > 0);
-  let json = Trace.Ring.to_json ring in
+    (spans <> []);
+  let json = Resolver.trace_json spans in
   Alcotest.(check bool) "trace dump is non-empty JSON" true
-    (String.length json > 2
-     && String.sub json 0 1 = "{"
-     && Trace.Ring.length ring > 0)
+    (String.length json > 2 && String.sub json 0 1 = "{")
 
 let test_budget_deadline () =
   let outcome =
     slice_with
       ~budget:
         { Context.default_budget with Context.time_limit_ms = Some 0.0 }
-      ~trace:Trace.null
   in
   match outcome with
   | Context.Partial [ Context.Deadline ] -> ()
@@ -214,43 +220,101 @@ let test_budget_deadline () =
          (Context.outcome_to_string o))
 
 let test_unbudgeted_complete () =
-  let outcome = slice_with ~budget:Context.default_budget ~trace:Trace.null in
+  let outcome = slice_with ~budget:Context.default_budget in
   Alcotest.(check string) "default budget completes the slice" "complete"
     (Context.outcome_to_string outcome)
 
-(* --- trace ring + aggregation --- *)
+(* --- resolve spans: exact per resolution at any pool width --- *)
 
-let ev ?(strategy = "basic") elapsed_us =
-  { Trace.strategy; query = "q"; hits = 1; searches = 2; cached = 1;
-    elapsed_us }
+(* Fifteen shapes, each planted three times on both primary sinks: enough
+   sink groups that jobs 4 slices them concurrently on several domains. *)
+let many_plant_app =
+  lazy
+    (let shapes = List.filteri (fun i _ -> i < 15) Appgen.Shape.all in
+     let plants =
+       List.concat_map
+         (fun shape ->
+            List.concat
+              (List.init 3 (fun _ ->
+                   [ (Appgen.Shape.to_string shape, "cipher");
+                     (Appgen.Shape.to_string shape, "ssl") ])))
+         shapes
+     in
+     match
+       Serve.Appspec.generate
+         { Serve.Appspec.default with
+           Serve.Appspec.seed = 7; size_mb = 30.0; plants }
+     with
+     | Ok app -> app
+     | Error e -> Alcotest.fail e)
 
-let test_ring_wraparound () =
-  let r = Trace.Ring.create ~capacity:2 () in
-  let sink = Trace.Ring.sink r in
-  sink (ev 1.0);
-  sink (ev 2.0);
-  sink (ev 3.0);
-  Alcotest.(check int) "capacity bounds the buffer" 2 (Trace.Ring.length r);
-  Alcotest.(check int) "recorded counts every event" 3 (Trace.Ring.recorded r);
-  Alcotest.(check (list (float 1e-9))) "oldest first, oldest dropped"
-    [ 2.0; 3.0 ]
-    (List.map (fun (e : Trace.event) -> e.Trace.elapsed_us)
-       (Trace.Ring.events r))
+let resolve_run jobs =
+  let app = Lazy.force many_plant_app in
+  with_recorder (fun () ->
+      Driver.analyze ~cfg:{ Driver.default_config with Driver.jobs }
+        ~dex:app.Appgen.Generator.dex
+        ~manifest:app.Appgen.Generator.manifest ())
 
-let test_aggregate () =
-  let events =
-    [ ev 10.0; ev 20.0; ev ~strategy:"icc" 5.0 ]
+(* "strategy|query|hits|searches" per resolve span, sorted: the
+   scheduling-independent part of each resolution's record. *)
+let records spans =
+  let attr k (s : Obs.Span.span) =
+    match List.assoc_opt k s.Obs.Span.attrs with
+    | Some (Obs.Span.Str v) -> v
+    | Some (Obs.Span.Int n) -> string_of_int n
+    | _ -> "?"
   in
-  match Trace.aggregate events with
-  | [ ("basic", b); ("icc", i) ] ->
-    Alcotest.(check int) "basic count" 2 b.Trace.a_count;
-    Alcotest.(check int) "basic searches summed" 4 b.Trace.a_searches;
-    Alcotest.(check (float 1e-9)) "basic mean" 15.0 (Trace.mean_us b);
-    Alcotest.(check (float 1e-9)) "basic max" 20.0 b.Trace.a_max_us;
-    Alcotest.(check int) "icc cached summed" 1 i.Trace.a_cached
-  | l ->
-    Alcotest.fail
-      (Printf.sprintf "expected 2 strategies, got %d" (List.length l))
+  List.sort compare
+    (List.map
+       (fun (s : Obs.Span.span) ->
+          String.concat "|"
+            [ s.Obs.Span.name; attr "query" s; attr "hits" s;
+              attr "searches" s ])
+       spans)
+
+(* Resolutions of strategy [name] in the reports' provenance, counted once
+   per sink site (rules sharing a site share its ledger). *)
+let prov_count (r : Driver.result) name =
+  List.sort_uniq compare
+    (List.map
+       (fun (rep : Driver.sink_report) ->
+          ( (rep.Driver.sink.Framework.Sinks.name,
+             Ir.Jsig.meth_to_string rep.Driver.meth, rep.Driver.site),
+            rep.Driver.prov.Backdroid.Provenance.p_strategies ))
+       r.Driver.reports)
+  |> List.fold_left
+    (fun acc (_, strategies) ->
+       List.fold_left
+         (fun acc (n, res, _) -> if n = name then acc + res else acc)
+         acc strategies)
+    0
+
+(* Three jobs-4 runs: each interleaves the domains differently, and any
+   one leaking a search into another resolution's count fails the test. *)
+let test_resolve_spans_jobs () =
+  let r1, spans1 = resolve_run 1 in
+  Alcotest.(check bool) "the app takes many resolutions" true
+    (List.length spans1 > 100);
+  Alcotest.(check int) "one span per resolution"
+    r1.Driver.stats.Driver.resolutions (List.length spans1);
+  List.iteri
+    (fun i (jobs, (r, spans)) ->
+       Alcotest.(check (list string))
+         (Printf.sprintf "resolve records equal at jobs 1 and %d (run %d)"
+            jobs i)
+         (records spans1) (records spans);
+       Array.iter
+         (fun s ->
+            let name = Resolver.strategy_to_string s in
+            Alcotest.(check int)
+              (Printf.sprintf "%s spans = provenance (run %d)" name i)
+              (prov_count r name)
+              (List.length
+                 (List.filter
+                    (fun (sp : Obs.Span.span) -> sp.Obs.Span.name = name)
+                    spans)))
+         Context.strategies)
+    ((1, (r1, spans1)) :: List.init 3 (fun _ -> (4, resolve_run 4)))
 
 let cases =
   [ Alcotest.test_case "clinit reachable via class use" `Quick test_clinit_reachable;
@@ -261,7 +325,7 @@ let cases =
       test_budget_work_exhaustion;
     Alcotest.test_case "deadline budget yields partial" `Quick test_budget_deadline;
     Alcotest.test_case "default budget completes" `Quick test_unbudgeted_complete;
-    Alcotest.test_case "trace ring wraparound" `Quick test_ring_wraparound;
-    Alcotest.test_case "trace aggregation" `Quick test_aggregate ]
+    Alcotest.test_case "resolve spans equal at jobs 1 and 4" `Quick
+      test_resolve_spans_jobs ]
 
 let suites = [ "resolver", cases ]
