@@ -600,7 +600,7 @@ let ssg_footprint ~(classmap : Dex.Classmap.t) (ssg : Ssg.t) sink_meth =
     and stamped with [dex]'s class-hash table; an empty classmap yields an
     empty cache (nothing could ever be validated against it). *)
 let export_results ~(dex : Dex.Dexfile.t) result =
-  let classmap = dex.Dex.Dexfile.classmap in
+  let classmap = Dex.Dexfile.classmap dex in
   if Classmap.length classmap = 0 then Resultcache.empty
   else begin
     let classes =

@@ -330,7 +330,7 @@ let slot_operand_class ~cat ~sym_id =
     with _ -> None
 
 let plan t ~(dex : Dex.Dexfile.t) =
-  let cm = dex.Dex.Dexfile.classmap in
+  let cm = Dex.Dexfile.classmap dex in
   let arena = dex.Dex.Dexfile.arena in
   let p_valid = Hashtbl.create 64 in
   if Classmap.length cm = 0 || Array.length t.classes = 0 then

@@ -46,7 +46,7 @@ let key_code : Disasm.key -> int * int = function
 let of_lines (lines : Disasm.line array) =
   let n_slots = ref 0 in
   Array.iter
-    (fun (l : Disasm.line) -> if l.owner <> None then incr n_slots)
+    (fun (l : Disasm.line) -> if Option.is_some l.owner then incr n_slots)
     lines;
   let n = !n_slots in
   let line_idx = Ivec.create n in
@@ -56,6 +56,28 @@ let of_lines (lines : Disasm.line array) =
   let sym = Ivec.create n in
   let owner_tbl : int Ir.Jsig.Meth_tbl.t = Ir.Jsig.Meth_tbl.create 256 in
   let owners = ref [] and owner_cls = ref [] and n_owners = ref 0 in
+  (* a method's lines are contiguous and share one owner value, so the
+     table is probed once per method, not once per slot *)
+  let last_owner = ref None and last_id = ref (-1) in
+  let owner_id_of (l : Disasm.line) owner =
+    match !last_owner with
+    | Some o when o == owner -> !last_id
+    | _ ->
+      let id =
+        match Ir.Jsig.Meth_tbl.find_opt owner_tbl owner with
+        | Some id -> id
+        | None ->
+          let id = !n_owners in
+          incr n_owners;
+          Ir.Jsig.Meth_tbl.add owner_tbl owner id;
+          owners := owner :: !owners;
+          owner_cls := Option.value ~default:"" l.owner_cls :: !owner_cls;
+          id
+      in
+      last_owner := l.owner;
+      last_id := id;
+      id
+  in
   let slot = ref 0 in
   Array.iteri
     (fun i (l : Disasm.line) ->
@@ -66,16 +88,7 @@ let of_lines (lines : Disasm.line array) =
          incr slot;
          Ivec.set line_idx s i;
          Ivec.set stmt_idx s (Option.value ~default:(-1) l.stmt_idx);
-         Ivec.set owner_id s
-           (match Ir.Jsig.Meth_tbl.find_opt owner_tbl owner with
-            | Some id -> id
-            | None ->
-              let id = !n_owners in
-              incr n_owners;
-              Ir.Jsig.Meth_tbl.add owner_tbl owner id;
-              owners := owner :: !owners;
-              owner_cls := Option.value ~default:"" l.owner_cls :: !owner_cls;
-              id);
+         Ivec.set owner_id s (owner_id_of l owner);
          let c, sy = key_code l.key in
          Ivec.set cat s c;
          Ivec.set sym s sy)

@@ -1,10 +1,13 @@
 (* Per-class table over a disassembled dexfile: for each class, its
    contiguous line range, its contiguous arena slot range, and two content
-   hashes — the canonical FNV-1a-64 over its rendered lines (computed while
-   the freshly-rendered texts are still in hand) and the structural
-   {!Ir.Irhash} over its IR.  The delta snapshot path diffs a new build
-   against an old snapshot on the IR hash (no rendering needed), then
-   splices lines, arena slots and postings per class using the ranges. *)
+   hashes — the canonical FNV-1a-64 over its rendered lines and the
+   structural {!Ir.Irhash} over its IR.  A freshly disassembled dexfile
+   builds it on first use ([Dexfile.classmap]), when a snapshot save, a
+   delta, a persisted-results export or a freshness check first reads it;
+   snapshot-loaded and delta-built dexfiles carry theirs.  The delta
+   snapshot path diffs a new build against an old snapshot on the IR hash
+   (no rendering needed), then splices lines, arena slots and postings per
+   class using the ranges. *)
 
 type t = {
   names : string array;
@@ -67,9 +70,10 @@ let of_lines (lines : Disasm.line array) (arena : Arena.t) program =
     | None -> incr i
     | Some cls ->
       let lo = !i in
-      while
-        !i < n_lines && lines.(!i).Disasm.owner_cls = Some cls
-      do
+      let same_class (l : Disasm.line) =
+        match l.owner_cls with Some c -> String.equal c cls | None -> false
+      in
+      while !i < n_lines && same_class lines.(!i) do
         incr i
       done;
       let hi = !i in

@@ -2,9 +2,10 @@
 
     One entry per class, in line order (classes are contiguous runs of the
     dex plaintext): its [\[lo, hi)] line range, its [\[lo, hi)] arena slot
-    range, the FNV-1a-64 hash of its rendered lines ([text_hash], computed
-    at disassembly time while the texts are in hand) and the structural
-    {!Ir.Irhash} of its IR ([ir_hash]).
+    range, the FNV-1a-64 hash of its rendered lines ([text_hash]) and the
+    structural {!Ir.Irhash} of its IR ([ir_hash]).  A disassembled dexfile
+    builds its table on first use ([Dexfile.classmap]); a one-shot analysis
+    that saves nothing never builds one.
 
     The delta snapshot path ({!Store.Snapshot}, PR 8) diffs a new build
     against an old snapshot by [ir_hash] — no rendering needed for

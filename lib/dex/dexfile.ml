@@ -4,15 +4,21 @@
     per-category postings index into and the per-class {!Classmap} the delta
     snapshot path diffs against. *)
 
+(* A once-cell: the classmap is built on first use, under the lock, unless
+   the dexfile was made with one. *)
+type classmap_cell = { lock : Mutex.t; mutable built : Classmap.t option }
+
 type t = {
   lines : Disasm.line array;
   arena : Arena.t;
   program : Ir.Program.t;
-  classmap : Classmap.t;
   texts : Textstore.t option;
       (** off-heap line texts of a snapshot-loaded dexfile; [None] when the
           lines were disassembled in-process and carry their own strings *)
+  classmap_cell : classmap_cell;
 }
+
+let cell built = { lock = Mutex.create (); built }
 
 let of_lines lines program =
   let arena =
@@ -20,29 +26,34 @@ let of_lines lines program =
       ~attrs:[ ("lines", Obs.Span.Int (Array.length lines)) ]
       (fun () -> Arena.of_lines lines)
   in
-  let classmap =
-    Obs.Span.with_span ~cat:"dex" ~name:"classmap" (fun () ->
-        Classmap.of_lines lines arena program)
-  in
-  { lines; arena; program; classmap; texts = None }
+  { lines; arena; program; texts = None; classmap_cell = cell None }
 
-(** A dexfile whose line texts live in an off-heap {!Textstore} (a snapshot
-    load).  Line records start at {!Textstore.pending} and materialise
-    lazily through {!line_text}. *)
-let of_store ?(classmap = Classmap.empty) lines arena program texts =
-  { lines; arena; program; classmap; texts = Some texts }
+let of_parts ?texts ~classmap lines arena program =
+  { lines; arena; program; texts; classmap_cell = cell (Some classmap) }
 
 (** A dexfile with no plaintext: the placeholder a warm start installs
     before a snapshot load supplies the real lines and arena, so app
     generation can skip disassembly entirely. *)
 let empty p =
-  { lines = [||]; arena = Arena.of_lines [||]; program = p;
-    classmap = Classmap.empty; texts = None }
+  of_parts ~classmap:Classmap.empty [||] (Arena.of_lines [||]) p
+
+let classmap t =
+  let c = t.classmap_cell in
+  Mutex.protect c.lock (fun () ->
+      match c.built with
+      | Some cm -> cm
+      | None ->
+        let cm =
+          Obs.Span.with_span ~cat:"dex" ~name:"classmap" (fun () ->
+              Classmap.of_lines t.lines t.arena t.program)
+        in
+        c.built <- Some cm;
+        cm)
 
 let of_program p =
   let lines =
     Obs.Span.with_span ~cat:"dex" ~name:"disasm" (fun () ->
-        Array.of_list (Disasm.program_lines p))
+        Disasm.program_lines p)
   in
   of_lines lines p
 
@@ -50,14 +61,14 @@ let of_program p =
     merge the plaintexts, as BackDroid's preprocessing step does. *)
 let of_partitions p partitions =
   let part_lines part =
-    List.concat_map
+    List.filter_map
       (fun cls_name ->
          match Ir.Program.find_class p cls_name with
-         | Some c when not c.Ir.Jclass.is_system -> Disasm.class_lines c
-         | Some _ | None -> [])
+         | Some c when not c.Ir.Jclass.is_system -> Some (Disasm.class_lines c)
+         | Some _ | None -> None)
       part
   in
-  of_lines (Array.of_list (List.concat_map part_lines partitions)) p
+  of_lines (Array.concat (List.concat_map part_lines partitions)) p
 
 let line_count t = Array.length t.lines
 

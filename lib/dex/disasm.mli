@@ -7,7 +7,11 @@
     or quoted string literal), hash-consed at disassembly time.  Search
     postings are built from these keys with no text re-parsing; queries
     intern through the same [Descriptor] memos, so an indexed operand and
-    the query that must match it are the same [Sym.t]. *)
+    the query that must match it are the same [Sym.t].
+
+    Rendering is deterministic, including the order in which registers are
+    numbered and symbols interned; snapshots store symbol ids, so that
+    order is part of their format. *)
 
 (** The searchable operand of an instruction line.  Mirrors the
     operand-extraction rule of the text search (the operand is the text
@@ -38,20 +42,13 @@ type line = {
           {!line.text} via {!Tokens.of_string}) *)
 }
 
+(** A header line (no owner method, no key, no tokens). *)
 val header : string -> string option -> line
-val binop_mnemonic : Ir.Expr.binop -> string
-val invoke_mnemonic : Ir.Expr.invoke_kind -> string
 
-(** Per-method register naming: IR locals map to [vN] in first-use order. *)
-type regmap = { tbl : (string, int) Hashtbl.t; mutable next : int; }
-val reg : regmap -> Ir.Value.local -> string
-val value_reg : regmap -> Ir.Value.t -> string
+(** The lines of one class: its header lines, then each method's header
+    and instructions. *)
+val class_lines : Ir.Jclass.t -> line array
 
-(** Rendered instruction text paired with its interned searchable operand. *)
-val invoke_line : regmap -> Ir.Expr.invoke -> string * key
-val stmt_lines : regmap -> 'a -> Ir.Stmt.t -> (string * key) list
-val method_lines : Ir.Jclass.t -> Ir.Jmethod.t -> line list
-val class_lines : Ir.Jclass.t -> line list
-
-(** Disassemble all non-system classes — the app dex content. *)
-val program_lines : Ir.Program.t -> line list
+(** Disassemble all non-system classes, in name order — the app dex
+    content. *)
+val program_lines : Ir.Program.t -> line array

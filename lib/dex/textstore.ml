@@ -5,14 +5,18 @@ type t = { blob : Bvec.t; offs : Ivec.t }
    materialization check is plain pointer equality. *)
 let pending = String.init 1 (fun _ -> '\x00')
 
-let create ~blob ~offs =
+let create ~blob ~(offs : Ivec.t) =
   let n = Ivec.length offs - 1 in
   if n < 0 then invalid_arg "Textstore.create: empty offsets";
   if Ivec.get offs 0 <> 0 then
     invalid_arg "Textstore.create: offsets must start at 0";
+  (* every snapshot load and delta runs this over all lines: read the
+     bigarray directly rather than through a per-element call *)
   for i = 0 to n - 1 do
-    if Ivec.get offs (i + 1) < Ivec.get offs i then
-      invalid_arg "Textstore.create: offsets not ascending"
+    if
+      Bigarray.Array1.unsafe_get offs (i + 1)
+      < Bigarray.Array1.unsafe_get offs i
+    then invalid_arg "Textstore.create: offsets not ascending"
   done;
   if Ivec.get offs n <> Bvec.length blob then
     invalid_arg "Textstore.create: offsets inconsistent with blob";

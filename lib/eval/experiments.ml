@@ -76,23 +76,6 @@ let run_corpus ?(progress = fun _ -> ()) opts =
      build (the app changed between runs — a "version update") is not thrown
      away: it is delta-patched against the new program — only changed
      classes are re-disassembled and re-indexed — and re-saved. *)
-  let snapshot_fresh engine program =
-    let cm = (Bytesearch.Engine.dexfile engine).Dex.Dexfile.classmap in
-    Dex.Classmap.length cm > 0
-    &&
-    let n = ref 0 in
-    Ir.Program.fold_classes program
-      (fun (c : Ir.Jclass.t) ok ->
-         if c.Ir.Jclass.is_system then ok
-         else begin
-           incr n;
-           ok
-           && Dex.Classmap.ir_hash_of cm c.Ir.Jclass.name
-              = Some (Ir.Irhash.jclass c)
-         end)
-      true
-    && !n = Dex.Classmap.length cm
-  in
   let prepare (cfg : G.config) =
     match opts.snapshot_dir with
     | None -> (G.generate cfg, None)
@@ -112,7 +95,7 @@ let run_corpus ?(progress = fun _ -> ()) opts =
       if Sys.file_exists path then begin
         let app = G.generate ~build_dex:false cfg in
         match Store.Snapshot.load ~path app.G.program with
-        | Ok engine when snapshot_fresh engine app.G.program ->
+        | Ok engine when Store.Snapshot.fresh engine app.G.program ->
           (app, Some engine)
         | Ok stale -> begin
             (* the stale engine is already resident — patch it in memory

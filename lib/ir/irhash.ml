@@ -10,7 +10,12 @@
 let offset_basis = 0xcbf29ce484222325L
 let prime = 0x100000001b3L
 
-let byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) prime
+(* The one FNV-1a step.  [int] and [string] are the hot folds (every class
+   name, every rendered line of a text hash): [for] loops over a local
+   [Int64] ref that call this inlined step, so ocamlopt keeps the ref
+   unboxed and no byte allocates. *)
+let[@inline] byte h b =
+  Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) prime
 
 let int h i =
   (* eight explicit bytes so [int h 1; int h 2] never collides with
@@ -23,7 +28,9 @@ let int h i =
 
 let string h s =
   let h = ref (int h (String.length s)) in
-  String.iter (fun c -> h := byte !h (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    h := byte !h (Char.code (String.unsafe_get s i))
+  done;
   !h
 
 let tag h t = byte h t

@@ -13,6 +13,17 @@ let get (v : t) i = Bigarray.Array1.get v i
 let set (v : t) i x = Bigarray.Array1.set v i x
 let unsafe_get (v : t) i = Bigarray.Array1.unsafe_get v i
 
+let blit_add (src : t) src_pos (dst : t) dst_pos len d =
+  if
+    len < 0 || src_pos < 0 || dst_pos < 0
+    || src_pos + len > length src
+    || dst_pos + len > length dst
+  then invalid_arg "Ivec.blit_add";
+  for i = 0 to len - 1 do
+    Bigarray.Array1.unsafe_set dst (dst_pos + i)
+      (Bigarray.Array1.unsafe_get src (src_pos + i) + d)
+  done
+
 let of_array a =
   let n = Array.length a in
   let v = create n in

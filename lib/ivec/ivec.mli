@@ -23,6 +23,11 @@ val set : t -> int -> int -> unit
 (** Unchecked access — callers must guarantee [0 <= i < length]. *)
 val unsafe_get : t -> int -> int
 
+(** [blit_add src src_pos dst dst_pos len d] stores [src.(src_pos + i) + d]
+    at [dst.(dst_pos + i)] for [0 <= i < len]: a block copy that rebases
+    positions on the way.  The ranges must not overlap. *)
+val blit_add : t -> int -> t -> int -> int -> int -> unit
+
 val of_array : int array -> t
 val to_array : t -> int array
 

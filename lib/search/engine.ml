@@ -365,88 +365,102 @@ let ruleset_stamp t = Atomic.get t.ruleset
 (* ------------------------------------------------------------------ *)
 (* Delta patch                                                         *)
 
-(* Merge two ascending slot runs (carried-over old slots and freshly built
-   ones).  The old run is ascending because the old->new slot map is
-   monotone whenever both builds lay classes out in the same relative
-   order; a final sortedness check covers the exotic layouts (multidex
-   partition order) by falling back to a sort. *)
-let merge_runs a b =
-  let rec go acc a b =
-    match (a, b) with
-    | [], rest | rest, [] -> List.rev_append acc rest
-    | x :: a', y :: b' ->
-      if x <= y then go (x :: acc) a' b else go (y :: acc) b' a
-  in
-  let merged = go [] a b in
-  let rec sorted = function
-    | [] | [ _ ] -> true
-    | x :: (y :: _ as tl) -> x < y && sorted tl
-  in
-  if sorted merged then merged else List.sort_uniq compare merged
-
 (* One category of a delta engine: [old]'s postings carried through
-   [slot_map], merged with the postings of the [fresh] slot ranges of
-   [dex] exactly as a build would index them.  Also returns the carried
-   and rebuilt posting counts. *)
-let patch_category ~slot_map ~fresh dex c (old : Packed.t) =
-  let tbl : (int, int list ref * int list ref) Hashtbl.t =
-    Hashtbl.create 1024
-  in
-  let bucket k =
-    match Hashtbl.find_opt tbl k with
-    | Some b -> b
-    | None ->
-      let b = (ref [], ref []) in
-      Hashtbl.add tbl k b;
-      b
-  in
-  let carried = ref 0 and rebuilt = ref 0 in
-  for ki = 0 to Packed.n_keys old - 1 do
-    let run, _ = bucket (Ivec.get old.Packed.keys ki) in
-    Packed.iter_key old ki (fun os ->
-        let ns = slot_map.(os) in
-        if ns >= 0 then begin
-          run := ns :: !run;
-          incr carried
-        end)
-  done;
+   [slot_map], merged key by key with the postings of the [fresh] slot
+   ranges of [dex] exactly as a build would index them, and re-encoded.
+   [run] is scratch space for one key's slots.  A carried run is ascending
+   because the old->new slot map is monotone whenever both builds lay
+   classes out in the same relative order; a run that is not (an old build
+   in multidex partition order) is sorted before the fresh slots are
+   merged in.  Fresh slots never collide with carried ones: they belong to
+   re-rendered classes, which no old slot maps to.  Also returns the
+   carried and rebuilt posting counts. *)
+let patch_category ~slot_map ~fresh ~run dex c (old : Packed.t) =
+  let fresh_posts = ref [] in
   let fallback = Hashtbl.create 8 in
   List.iter
     (fun (lo, hi) ->
        iter_postings dex c ~lo ~hi fallback (fun k ns ->
-           let _, run = bucket k in
-           run := ns :: !run;
-           incr rebuilt))
+           fresh_posts := (k, ns) :: !fresh_posts))
     fresh;
-  (* ascending keys, each key's run ascending, empty runs dropped *)
-  let runs =
-    Hashtbl.fold
-      (fun k (old_run, new_run) acc ->
-         match merge_runs (List.rev !old_run) (List.rev !new_run) with
-         | [] -> acc
-         | run -> (k, run) :: acc)
-      tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let nk = List.length runs in
-  let keys = Ivec.create nk and flat = Array.make (nk + 1) 0 in
-  let slots =
-    Ivec.create (List.fold_left (fun n (_, r) -> n + List.length r) 0 runs)
-  in
-  List.iteri
-    (fun i (k, run) ->
-       Ivec.set keys i k;
-       List.iteri (fun j s -> Ivec.set slots (flat.(i) + j) s) run;
-       flat.(i + 1) <- flat.(i) + List.length run)
-    runs;
-  (Packed.encode ~keys ~flat ~slots, !carried, !rebuilt)
+  (* by key, then slot *)
+  let fp = Array.of_list !fresh_posts in
+  Array.sort compare fp;
+  let nf = Array.length fp and nko = Packed.n_keys old in
+  let fresh_key i = if i < nf then fst fp.(i) else max_int in
+  let keys = Array.make (nko + nf) 0
+  and offsets = Array.make (nko + nf + 1) 0 in
+  let buf = Buffer.create (Bvec.length old.Packed.runs + (4 * nf) + 16) in
+  let nk = ref 0 and carried = ref 0 in
+  let ko = ref 0 and fi = ref 0 in
+  while !ko < nko || !fi < nf do
+    let kold = if !ko < nko then Ivec.get old.Packed.keys !ko else max_int in
+    let k = if kold <= fresh_key !fi then kold else fresh_key !fi in
+    let n = ref 0 and sorted = ref true in
+    if kold = k then begin
+      (* carry the run in place: map each old slot, drop the dead ones *)
+      let m = ref 0 in
+      Packed.iter_key old !ko (fun os ->
+          Bigarray.Array1.set run !m os;
+          incr m);
+      let prev = ref (-1) in
+      for i = 0 to !m - 1 do
+        let ns = slot_map.(Bigarray.Array1.unsafe_get run i) in
+        if ns >= 0 then begin
+          if ns < !prev then sorted := false;
+          Bigarray.Array1.unsafe_set run !n ns;
+          prev := ns;
+          incr n
+        end
+      done;
+      incr ko
+    end;
+    if not !sorted then begin
+      let a = Array.init !n (Ivec.get run) in
+      Array.sort compare a;
+      Array.iteri (Ivec.set run) a
+    end;
+    carried := !carried + !n;
+    (* merge this key's fresh slots in from the back *)
+    let f0 = !fi in
+    while fresh_key !fi = k do incr fi done;
+    let i = ref (!n - 1) and w = ref (!n + !fi - f0 - 1) in
+    for j = !fi - 1 downto f0 do
+      let s = snd fp.(j) in
+      while !i >= 0 && Ivec.get run !i > s do
+        Ivec.set run !w (Ivec.get run !i);
+        decr i;
+        decr w
+      done;
+      Ivec.set run !w s;
+      decr w
+    done;
+    n := !n + !fi - f0;
+    if !n > 0 then begin
+      keys.(!nk) <- k;
+      offsets.(!nk) <- Buffer.length buf;
+      Postcodec.encode buf run ~lo:0 ~hi:!n;
+      incr nk
+    end
+  done;
+  offsets.(!nk) <- Buffer.length buf;
+  ( { Packed.keys = Ivec.of_array (Array.sub keys 0 !nk);
+      offsets = Ivec.of_array (Array.sub offsets 0 (!nk + 1));
+      runs = Bvec.of_string (Buffer.contents buf) },
+    !carried, nf )
 
 let patch old dex ~slot_map ~fresh =
+  (* a key's run holds at most every old slot before the carry, and at
+     most every new slot after the merge *)
+  let run =
+    Ivec.create
+      (max (Array.length slot_map) (Dex.Arena.length dex.Dex.Dexfile.arena))
+  in
   let carried = ref 0 and rebuilt = ref 0 in
   let tables =
     Array.mapi
       (fun c p ->
-         let p, nc, nr = patch_category ~slot_map ~fresh dex c p in
+         let p, nc, nr = patch_category ~slot_map ~fresh ~run dex c p in
          carried := !carried + nc;
          rebuilt := !rebuilt + nr;
          p)

@@ -150,23 +150,6 @@ let generate ?build_dex spec =
   | Ok app -> app
   | Result.Error m -> raise (Reject m)
 
-let snapshot_fresh engine program =
-  let cm = (Bytesearch.Engine.dexfile engine).Dex.Dexfile.classmap in
-  Dex.Classmap.length cm > 0
-  &&
-  let n = ref 0 in
-  Ir.Program.fold_classes program
-    (fun (c : Ir.Jclass.t) ok ->
-       if c.Ir.Jclass.is_system then ok
-       else begin
-         incr n;
-         ok
-         && Dex.Classmap.ir_hash_of cm c.Ir.Jclass.name
-            = Some (Ir.Irhash.jclass c)
-       end)
-    true
-  && !n = Dex.Classmap.length cm
-
 let driver_cfg t = { D.default_config with D.rules = t.cfg.rules;
                      jobs = t.cfg.jobs; budget = t.cfg.budget }
 
@@ -195,7 +178,7 @@ let load_session t ~snapshot spec =
   | Some path when Sys.file_exists path ->
     let app = generate ~build_dex:false spec in
     (match Store.Snapshot.load ~prefault:true ~path app.G.program with
-     | Ok engine when snapshot_fresh engine app.G.program ->
+     | Ok engine when Store.Snapshot.fresh engine app.G.program ->
        Obs.Flight.record ~kind:"serve" ~name:"snapshot-load"
          ~attrs:[ ("path", Obs.Span.Str path) ] ();
        (open_with ~engine ?results:(load_results path) app, Protocol.Miss)
@@ -248,7 +231,7 @@ let resolve_session t ~snapshot spec =
   | Some entry ->
     let app = generate ~build_dex:false spec in
     let old = D.session_engine entry.Enginecache.session in
-    if snapshot_fresh old app.G.program then begin
+    if Store.Snapshot.fresh old app.G.program then begin
       entry.Enginecache.spec <- spec;
       (entry.Enginecache.session, Protocol.Hit)
     end

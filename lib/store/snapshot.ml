@@ -230,7 +230,7 @@ let save ?ruleset_hash ?(results = [||]) ~path engine =
   Codec.add_ivec w ~id:sec_owner_id arena.Dex.Arena.owner_id;
   Codec.add_ivec w ~id:sec_cat arena.Dex.Arena.cat;
   Codec.add_ivec w ~id:sec_sym arena.Dex.Arena.sym;
-  add_classmap w dex.Dex.Dexfile.classmap;
+  add_classmap w (Dex.Dexfile.classmap dex);
   if Array.length results > 0 then
     add_strings w ~off_id:sec_results_offsets ~blob_id:sec_results_blob
       results;
@@ -563,8 +563,8 @@ let load ?(prefault = false) ~path program =
      end
      else ignore (prefault_hot ~arena ~packed);
      let dex =
-       Dex.Dexfile.of_store ~classmap:p.p_classmap lines arena program
-         p.p_texts
+       Dex.Dexfile.of_parts ~texts:p.p_texts ~classmap:p.p_classmap lines
+         arena program
      in
      let engine = Engine.create_packed dex packed in
      (* carry the saved rule-set stamp onto the engine, so an analysis
@@ -611,11 +611,45 @@ let delta_report_to_string d =
     d.d_lines_reused d.d_lines_rendered d.d_carried_postings
     d.d_rebuilt_postings
 
-(* What delta decided about one class of the new build, in new line
-   order. *)
-type plan_entry =
-  | P_reuse of int  (* old classmap index; lines/slots/postings carried *)
-  | P_render of Dex.Disasm.line array  (* changed or added: fresh lines *)
+(* How delta assembles the new build, in new line order.  A [Copy] moves
+   old lines [llo, lhi) and old slots [slo, shi) to new positions [lbase]
+   and [sbase]: one reused class, or a run of reused classes that were
+   adjacent in the old build too, so an update that changes one class
+   splices in a handful of block copies.  A [Render] places the fresh
+   lines of a changed or added class. *)
+type move =
+  | Copy of { llo : int; lhi : int; slo : int; shi : int; lbase : int;
+              sbase : int }
+  | Render of { cls_lines : Dex.Disasm.line array; lbase : int; sbase : int }
+
+(* Fills the new line array until the splice overwrites every cell.  A
+   long-lived value: filling a major-heap array with a freshly allocated
+   one would force a minor collection first. *)
+let placeholder_line = Dex.Disasm.header "" None
+
+(* [len] elements of one bigarray into another: a single memmove *)
+let blit_range src spos dst dpos len =
+  if len > 0 then
+    Bigarray.Array1.blit
+      (Bigarray.Array1.sub src spos len)
+      (Bigarray.Array1.sub dst dpos len)
+
+let fresh engine program =
+  let cm = Dex.Dexfile.classmap (Engine.dexfile engine) in
+  Classmap.length cm > 0
+  &&
+  let n = ref 0 in
+  Ir.Program.fold_classes program
+    (fun (c : Ir.Jclass.t) ok ->
+       if c.Ir.Jclass.is_system then ok
+       else begin
+         incr n;
+         ok
+         && Classmap.ir_hash_of cm c.Ir.Jclass.name
+            = Some (Ir.Irhash.jclass c)
+       end)
+    true
+  && !n = Classmap.length cm
 
 (* Patch a resident engine into an engine for [program].  This is the
    maintained-index scenario — an app-store service holding the previous
@@ -631,7 +665,7 @@ type plan_entry =
 let delta_of_engine old_engine program =
   let span0 = Obs.Span.start () in
   let dex_old = Engine.dexfile old_engine in
-  let cm_old = dex_old.Dex.Dexfile.classmap in
+  let cm_old = Dex.Dexfile.classmap dex_old in
   if
     Classmap.length cm_old = 0
     && Array.length dex_old.Dex.Dexfile.lines > 0
@@ -651,54 +685,69 @@ let delta_of_engine old_engine program =
       |> List.filter (fun (c : Ir.Jclass.t) -> not c.Ir.Jclass.is_system)
       |> List.sort (fun (a : Ir.Jclass.t) b ->
              String.compare a.Ir.Jclass.name b.Ir.Jclass.name)
+      |> Array.of_list
     in
+    let n_classes = Array.length classes in
+    let cm_names = Array.make (max 1 n_classes) "" in
+    let cm_line_lo = Array.make (max 1 n_classes) 0 in
+    let cm_line_hi = Array.make (max 1 n_classes) 0 in
+    let cm_slot_lo = Array.make (max 1 n_classes) 0 in
+    let cm_slot_hi = Array.make (max 1 n_classes) 0 in
+    let cm_text = Array.make (max 1 n_classes) 0L in
+    let cm_ir = Array.make (max 1 n_classes) 0L in
     let n_unchanged = ref 0
     and n_changed = ref 0
     and n_added = ref 0 in
-    let plan =
-      List.map
-        (fun (c : Ir.Jclass.t) ->
-           let ih = Ir.Irhash.jclass c in
-           match Classmap.find cm_old c.Ir.Jclass.name with
-           | Some oi when cm_old.Classmap.ir_hash.(oi) = ih ->
-             incr n_unchanged;
-             (c, ih, P_reuse oi)
-           | Some _ ->
-             incr n_changed;
-             (c, ih, P_render (Array.of_list (Dex.Disasm.class_lines c)))
-           | None ->
-             incr n_added;
-             (c, ih, P_render (Array.of_list (Dex.Disasm.class_lines c))))
-        classes
-    in
-    let n_classes = List.length plan in
-    let n_removed = Classmap.length cm_old - !n_unchanged - !n_changed in
-    (* sizes *)
-    let n_lines = ref 0 and n_slots = ref 0 in
     let reused_lines = ref 0 and rendered_lines = ref 0 in
-    List.iter
-      (fun (_, _, pe) ->
-         match pe with
-         | P_reuse oi ->
-           let nl =
-             cm_old.Classmap.line_hi.(oi) - cm_old.Classmap.line_lo.(oi)
-           in
-           reused_lines := !reused_lines + nl;
-           n_lines := !n_lines + nl;
-           n_slots :=
-             !n_slots
-             + (cm_old.Classmap.slot_hi.(oi) - cm_old.Classmap.slot_lo.(oi))
-         | P_render lines ->
-           rendered_lines := !rendered_lines + Array.length lines;
-           n_lines := !n_lines + Array.length lines;
-           Array.iter
-             (fun (l : Dex.Disasm.line) ->
-                if l.Dex.Disasm.owner <> None then incr n_slots)
-             lines)
-      plan;
-    let n_lines = !n_lines and n_slots = !n_slots in
+    let rendered_cls = Hashtbl.create 16 in
+    (* plan: diff each class on its IR hash, lay out the new line and slot
+       ranges, and fill the new classmap *)
+    let moves = ref [] and lpos = ref 0 and spos = ref 0 in
+    Array.iteri
+      (fun ci (c : Ir.Jclass.t) ->
+         let ih = Ir.Irhash.jclass c in
+         let lbase = !lpos and sbase = !spos in
+         (match Classmap.find cm_old c.Ir.Jclass.name with
+          | Some oi when cm_old.Classmap.ir_hash.(oi) = ih ->
+            incr n_unchanged;
+            let llo = cm_old.Classmap.line_lo.(oi)
+            and lhi = cm_old.Classmap.line_hi.(oi)
+            and slo = cm_old.Classmap.slot_lo.(oi)
+            and shi = cm_old.Classmap.slot_hi.(oi) in
+            (moves :=
+               match !moves with
+               | Copy m :: rest when m.lhi = llo && m.shi = slo ->
+                 Copy { m with lhi; shi } :: rest
+               | ms -> Copy { llo; lhi; slo; shi; lbase; sbase } :: ms);
+            lpos := lbase + (lhi - llo);
+            spos := sbase + (shi - slo);
+            reused_lines := !reused_lines + (lhi - llo);
+            cm_text.(ci) <- cm_old.Classmap.text_hash.(oi)
+          | found ->
+            if Option.is_some found then incr n_changed else incr n_added;
+            Hashtbl.replace rendered_cls c.Ir.Jclass.name ();
+            let cls_lines = Dex.Disasm.class_lines c in
+            let n = Array.length cls_lines in
+            moves := Render { cls_lines; lbase; sbase } :: !moves;
+            lpos := lbase + n;
+            Array.iter
+              (fun (l : Dex.Disasm.line) ->
+                 if l.Dex.Disasm.owner <> None then incr spos)
+              cls_lines;
+            rendered_lines := !rendered_lines + n;
+            cm_text.(ci) <- Classmap.text_hash_of_lines cls_lines 0 n);
+         cm_names.(ci) <- c.Ir.Jclass.name;
+         cm_line_lo.(ci) <- lbase;
+         cm_line_hi.(ci) <- !lpos;
+         cm_slot_lo.(ci) <- sbase;
+         cm_slot_hi.(ci) <- !spos;
+         cm_ir.(ci) <- ih)
+      classes;
+    let moves = List.rev !moves in
+    let n_removed = Classmap.length cm_old - !n_unchanged - !n_changed in
+    let n_lines = !lpos and n_slots = !spos in
     (* the new text geometry, present iff the old dexfile is store-backed:
-       reused classes contribute their old blob byte ranges wholesale,
+       copied blocks contribute their old blob byte ranges wholesale,
        rendered classes their fresh strings *)
     let old_store =
       match dex_old.Dex.Dexfile.texts with
@@ -706,33 +755,25 @@ let delta_of_engine old_engine program =
         Some (Dex.Textstore.blob store, Dex.Textstore.offsets store)
       | None -> None
     in
-    let blob_bytes = ref 0 in
-    (match old_store with
-     | None -> ()
-     | Some (_, old_offs) ->
-       List.iter
-         (fun (_, _, pe) ->
-            match pe with
-            | P_reuse oi ->
-              blob_bytes :=
-                !blob_bytes
-                + (Ivec.get old_offs cm_old.Classmap.line_hi.(oi)
-                   - Ivec.get old_offs cm_old.Classmap.line_lo.(oi))
-            | P_render lines ->
-              Array.iter
-                (fun (l : Dex.Disasm.line) ->
-                   blob_bytes := !blob_bytes + String.length l.Dex.Disasm.text)
-                lines)
-         plan);
     let new_blob =
       match old_store with
-      | Some _ -> Some (Bvec.create !blob_bytes, Ivec.create (n_lines + 1))
       | None -> None
+      | Some (_, old_offs) ->
+        let bytes =
+          List.fold_left
+            (fun n -> function
+               | Copy { llo; lhi; _ } ->
+                 n + (Ivec.get old_offs lhi - Ivec.get old_offs llo)
+               | Render { cls_lines; _ } ->
+                 Array.fold_left
+                   (fun n (l : Dex.Disasm.line) ->
+                      n + String.length l.Dex.Disasm.text)
+                   n cls_lines)
+            0 moves
+        in
+        Some (Bvec.create bytes, Ivec.create (n_lines + 1))
     in
-    (* splice: lines, arena columns, text blob, classmap — one pass in new
-       class order *)
-    let dummy = Dex.Disasm.header "" None in
-    let lines = Array.make (max 1 n_lines) dummy in
+    let lines = Array.make (max 1 n_lines) placeholder_line in
     let line_idx = Ivec.create n_slots in
     let stmt_idx = Ivec.create n_slots in
     let owner_id = Ivec.create n_slots in
@@ -745,19 +786,22 @@ let delta_of_engine old_engine program =
        of exactly those classes, so a re-rendered class reuses its old
        owner ids where the signature persists.  Owners of removed classes
        (or removed methods) linger as unreferenced entries; they are
-       reclaimed by the next full save-from-cold. *)
-    let rendered_cls = Hashtbl.create 16 in
-    List.iter
-      (fun ((c : Ir.Jclass.t), _, pe) ->
-         match pe with
-         | P_render _ -> Hashtbl.replace rendered_cls c.Ir.Jclass.name ()
-         | P_reuse _ -> ())
-      plan;
+       reclaimed by the next full save-from-cold.  A class's owners are
+       adjacent, so the class test runs once per class. *)
     let owner_tbl : int Ir.Jsig.Meth_tbl.t = Ir.Jsig.Meth_tbl.create 64 in
+    let last_cls = ref None in
     Array.iteri
       (fun i m ->
-         if Hashtbl.mem rendered_cls oa.Dex.Arena.owner_cls.(i) then
-           Ir.Jsig.Meth_tbl.replace owner_tbl m i)
+         let cls = oa.Dex.Arena.owner_cls.(i) in
+         let rendered =
+           match !last_cls with
+           | Some (c, r) when String.equal c cls -> r
+           | _ ->
+             let r = Hashtbl.mem rendered_cls cls in
+             last_cls := Some (cls, r);
+             r
+         in
+         if rendered then Ir.Jsig.Meth_tbl.replace owner_tbl m i)
       oa.Dex.Arena.owners;
     let n_old_owners = Array.length oa.Dex.Arena.owners in
     let owners_tail = ref []
@@ -774,111 +818,71 @@ let delta_of_engine old_engine program =
         owner_cls_tail := cls :: !owner_cls_tail;
         id
     in
-    let cm_names = Array.make (max 1 n_classes) "" in
-    let cm_line_lo = Array.make (max 1 n_classes) 0 in
-    let cm_line_hi = Array.make (max 1 n_classes) 0 in
-    let cm_slot_lo = Array.make (max 1 n_classes) 0 in
-    let cm_slot_hi = Array.make (max 1 n_classes) 0 in
-    let cm_text = Array.make (max 1 n_classes) 0L in
-    let cm_ir = Array.make (max 1 n_classes) 0L in
-    (* slot ranges of rendered classes, for the fresh postings pass *)
-    let fresh_ranges = ref [] in
-    let lpos = ref 0 and spos = ref 0 and bpos = ref 0 and ci = ref 0 in
+    (* splice: lines, arena columns and text blob, move by move; the
+       rendered classes' slot ranges feed the fresh postings pass *)
+    let fresh_ranges = ref [] and bpos = ref 0 in
     List.iter
-      (fun ((c : Ir.Jclass.t), ih, pe) ->
-         let line_base = !lpos and slot_base = !spos in
-         (match pe with
-          | P_reuse oi ->
-            let llo = cm_old.Classmap.line_lo.(oi)
-            and lhi = cm_old.Classmap.line_hi.(oi)
-            and slo = cm_old.Classmap.slot_lo.(oi)
-            and shi = cm_old.Classmap.slot_hi.(oi) in
-            let nl = lhi - llo and nsl = shi - slo in
-            (* share the unchanged class's line records *)
-            Array.blit old_lines llo lines line_base nl;
-            (match (new_blob, old_store) with
-             | Some (blob, offs), Some (old_blob, old_offs) ->
-               let o_lo = Ivec.get old_offs llo in
-               let o_hi = Ivec.get old_offs lhi in
-               let len = o_hi - o_lo in
-               if len > 0 then
-                 Bigarray.Array1.blit
-                   (Bigarray.Array1.sub old_blob o_lo len)
-                   (Bigarray.Array1.sub blob !bpos len);
-               let doff = !bpos - o_lo in
-               for li = llo to lhi - 1 do
-                 Ivec.set offs (line_base + li - llo)
-                   (Ivec.get old_offs li + doff)
-               done;
-               bpos := !bpos + len
-             | _ -> ());
-            (* arena columns: whole-class bulk copies; only [line_idx]
-               needs a per-slot rebase *)
-            if nsl > 0 then begin
-              Bigarray.Array1.blit
-                (Bigarray.Array1.sub oa.Dex.Arena.stmt_idx slo nsl)
-                (Bigarray.Array1.sub stmt_idx !spos nsl);
-              Bigarray.Array1.blit
-                (Bigarray.Array1.sub oa.Dex.Arena.cat slo nsl)
-                (Bigarray.Array1.sub cat !spos nsl);
-              Bigarray.Array1.blit
-                (Bigarray.Array1.sub oa.Dex.Arena.owner_id slo nsl)
-                (Bigarray.Array1.sub owner_id !spos nsl);
-              Bigarray.Array1.blit
-                (Bigarray.Array1.sub oa.Dex.Arena.sym slo nsl)
-                (Bigarray.Array1.sub sym !spos nsl);
-              let dline = line_base - llo in
-              for j = 0 to nsl - 1 do
-                Ivec.set line_idx (!spos + j)
-                  (Ivec.get oa.Dex.Arena.line_idx (slo + j) + dline);
-                slot_map.(slo + j) <- !spos + j
-              done
-            end;
-            spos := !spos + nsl;
-            cm_text.(!ci) <- cm_old.Classmap.text_hash.(oi);
-            lpos := line_base + nl
-          | P_render cls_lines ->
-            Array.iteri
-              (fun j (l : Dex.Disasm.line) ->
-                 lines.(line_base + j) <- l;
-                 (match new_blob with
-                  | Some (blob, offs) ->
-                    Ivec.set offs (line_base + j) !bpos;
-                    let s = l.Dex.Disasm.text in
-                    for k = 0 to String.length s - 1 do
-                      Bigarray.Array1.set blob (!bpos + k)
-                        (String.unsafe_get s k)
-                    done;
-                    bpos := !bpos + String.length s
-                  | None -> ());
-                 match l.Dex.Disasm.owner with
-                 | None -> ()
-                 | Some owner ->
-                   let ns = !spos in
-                   incr spos;
-                   Ivec.set line_idx ns (line_base + j);
-                   Ivec.set stmt_idx ns
-                     (Option.value ~default:(-1) l.Dex.Disasm.stmt_idx);
-                   let cc, sy = Dex.Arena.key_code l.Dex.Disasm.key in
-                   Ivec.set cat ns cc;
-                   Ivec.set sym ns sy;
-                   Ivec.set owner_id ns
-                     (intern_owner owner
-                        (Option.value ~default:"" l.Dex.Disasm.owner_cls)))
-              cls_lines;
-            lpos := line_base + Array.length cls_lines;
-            if !spos > slot_base then
-              fresh_ranges := (slot_base, !spos) :: !fresh_ranges;
-            cm_text.(!ci) <-
-              Classmap.text_hash_of_lines lines line_base !lpos);
-         cm_names.(!ci) <- c.Ir.Jclass.name;
-         cm_line_lo.(!ci) <- line_base;
-         cm_line_hi.(!ci) <- !lpos;
-         cm_slot_lo.(!ci) <- slot_base;
-         cm_slot_hi.(!ci) <- !spos;
-         cm_ir.(!ci) <- ih;
-         incr ci)
-      plan;
+      (function
+        | Copy { llo; lhi; slo; shi; lbase; sbase } ->
+          (* share the unchanged classes' line records *)
+          Array.blit old_lines llo lines lbase (lhi - llo);
+          (match (new_blob, old_store) with
+           | Some (blob, offs), Some (old_blob, old_offs) ->
+             let o_lo = Ivec.get old_offs llo in
+             let len = Ivec.get old_offs lhi - o_lo in
+             blit_range old_blob o_lo blob !bpos len;
+             Ivec.blit_add old_offs llo offs lbase (lhi - llo) (!bpos - o_lo);
+             bpos := !bpos + len
+           | _ -> ());
+          (* arena columns: bulk copies; only [line_idx] needs a rebase *)
+          let nsl = shi - slo in
+          blit_range oa.Dex.Arena.stmt_idx slo stmt_idx sbase nsl;
+          blit_range oa.Dex.Arena.cat slo cat sbase nsl;
+          blit_range oa.Dex.Arena.owner_id slo owner_id sbase nsl;
+          blit_range oa.Dex.Arena.sym slo sym sbase nsl;
+          Ivec.blit_add oa.Dex.Arena.line_idx slo line_idx sbase nsl
+            (lbase - llo);
+          for j = 0 to nsl - 1 do
+            slot_map.(slo + j) <- sbase + j
+          done
+        | Render { cls_lines; lbase; sbase } ->
+          let ns = ref sbase in
+          (* a method's lines share one owner value: intern it once *)
+          let last_owner = ref None and last_id = ref (-1) in
+          Array.iteri
+            (fun j (l : Dex.Disasm.line) ->
+               lines.(lbase + j) <- l;
+               (match new_blob with
+                | Some (blob, offs) ->
+                  Ivec.set offs (lbase + j) !bpos;
+                  let s = l.Dex.Disasm.text in
+                  for k = 0 to String.length s - 1 do
+                    Bigarray.Array1.set blob (!bpos + k) (String.unsafe_get s k)
+                  done;
+                  bpos := !bpos + String.length s
+                | None -> ());
+               match l.Dex.Disasm.owner with
+               | None -> ()
+               | Some owner ->
+                 let s = !ns in
+                 incr ns;
+                 Ivec.set line_idx s (lbase + j);
+                 Ivec.set stmt_idx s
+                   (Option.value ~default:(-1) l.Dex.Disasm.stmt_idx);
+                 let cc, sy = Dex.Arena.key_code l.Dex.Disasm.key in
+                 Ivec.set cat s cc;
+                 Ivec.set sym s sy;
+                 (match !last_owner with
+                  | Some o when o == owner -> ()
+                  | _ ->
+                    last_owner := l.Dex.Disasm.owner;
+                    last_id :=
+                      intern_owner owner
+                        (Option.value ~default:"" l.Dex.Disasm.owner_cls));
+                 Ivec.set owner_id s !last_id)
+            cls_lines;
+          if !ns > sbase then fresh_ranges := (sbase, !ns) :: !fresh_ranges)
+      moves;
     (match new_blob with
      | Some (_, offs) -> Ivec.set offs n_lines !bpos
      | None -> ());
@@ -897,16 +901,17 @@ let delta_of_engine old_engine program =
         ~slot_lo:cm_slot_lo ~slot_hi:cm_slot_hi ~text_hash:cm_text
         ~ir_hash:cm_ir
     in
-    let dex =
+    let texts =
       match new_blob with
       | Some (blob, offs) ->
         (match Dex.Textstore.create ~blob ~offs with
-         | store -> Dex.Dexfile.of_store ~classmap lines arena program store
+         | store -> Some store
          | exception Invalid_argument m ->
            (* impossible by construction; surface loudly if not *)
            invalid_arg ("Snapshot.delta: " ^ m))
-      | None -> { Dex.Dexfile.lines; arena; program; classmap; texts = None }
+      | None -> None
     in
+    let dex = Dex.Dexfile.of_parts ?texts ~classmap lines arena program in
     (* postings: surviving old entries carried through the slot map, the
        rendered classes' entries built fresh; the patched engine keeps the
        old rule-set stamp, so an analysis under a different rule set sees

@@ -33,9 +33,9 @@
 val default_path : dir:string -> app_id:string -> string
 
 (** Serialize [engine]'s symbol table, dexfile lines, arena, classmap and
-    all seven postings categories (building any not yet built) to [path],
-    atomically, in format {!Codec.format_version}.  Returns the file size
-    in bytes.  The postings runs are written as the engine holds them, so
+    all seven postings categories (building any not yet built, the
+    classmap included) to [path], atomically, in format
+    {!Codec.format_version}.  Returns the file size in bytes.  The postings runs are written as the engine holds them, so
     save -> load -> save is byte-identical.
 
     [ruleset_hash] (default: the engine's own
@@ -102,6 +102,13 @@ type delta_report = {
 }
 
 val delta_report_to_string : delta_report -> string
+
+(** [fresh engine program] holds when [engine]'s class map lists exactly
+    [program]'s app classes, each with its current structural
+    {!Ir.Irhash}: an engine just loaded from a snapshot answers for
+    [program] as it is, and needs no {!delta_of_engine}.  False for an
+    engine with no class map. *)
+val fresh : Bytesearch.Engine.t -> Ir.Program.t -> bool
 
 (** [delta_of_engine old program] patches a {e resident} engine — the
     previous app version's index, still in memory — into an engine for

@@ -133,6 +133,292 @@ let unit_cases =
 
 let prop_cases = List.map qcheck [ meth_desc_roundtrip; type_desc_roundtrip ]
 
+(* --- golden rendering --- *)
+
+(* One hand-built class that exercises every statement and expression
+   constructor and every constant kind.  Its rendering is pinned line by
+   line (text, key and tokens), and so is the order in which the renderer
+   numbers registers and interns symbols: snapshot files store symbol ids,
+   so that order is part of their format.  Three locals not seen before
+   number right to left ([add-int v5, v4, v3]); a phi numbers an operand
+   defined later before its own target; a cast and an invoke with a result
+   number their destination first. *)
+let g_cls = "golden.render.Widget"
+let kind = "golden.render.Kind"
+
+let golden_class () =
+  let l id ty = { Value.id; ty } in
+  let loc x = Value.Local x in
+  let obj c = Types.Object c in
+  let this_ = l "this" (obj g_cls) in
+  let p0 = l "p0" Types.string_ and p1 = l "p1" Types.Int in
+  let sum = l "sum" Types.Int and lhs = l "lhs" Types.Int
+  and rhs = l "rhs" Types.Int in
+  let phi = l "phi" Types.Int and later = l "later" Types.Int in
+  let s = l "s" Types.string_ and k = l "k" (obj "java.lang.Class") in
+  let i = l "i" Types.Int and n = l "n" (obj kind) in
+  let lg = l "lg" Types.Long and fl = l "fl" Types.Float
+  and db = l "db" Types.Double in
+  let mv = l "mv" Types.string_ in
+  let cast = l "cast" (obj kind) and src = l "src" Types.object_ in
+  let r = l "r" Types.string_ and arg = l "arg" Types.Int in
+  let o = l "o" (obj kind) and arr = l "arr" (Types.Array (obj kind)) in
+  let el = l "el" (obj kind) and fv = l "fv" Types.string_
+  and sv = l "sv" (obj kind) and ex = l "ex" (obj "java.lang.Throwable")
+  and len = l "len" Types.Int in
+  let x = l "x" Types.Int and y = l "y" Types.Int in
+  let f_name = Jsig.field ~cls:g_cls ~name:"gName" ~ty:Types.string_ in
+  let f_count = Jsig.field ~cls:g_cls ~name:"gCount" ~ty:Types.Int in
+  let f_shared = Jsig.field ~cls:g_cls ~name:"gShared" ~ty:(obj kind) in
+  let m_fmt =
+    Jsig.meth ~cls:g_cls ~name:"fmt"
+      ~params:
+        [ obj "java.lang.Class"; Types.string_; Types.Int; Types.Int;
+          Types.Long; Types.Float; obj kind; Types.Int ]
+      ~ret:Types.string_
+  in
+  let m_static = Jsig.meth ~cls:kind ~name:"touch" ~params:[] ~ret:Types.Void in
+  let m_iface =
+    Jsig.meth ~cls:"golden.render.Iface1" ~name:"accept"
+      ~params:[ Types.string_ ] ~ret:Types.Void
+  in
+  let m_init = Jsig.meth ~cls:kind ~name:"<init>" ~params:[] ~ret:Types.Void in
+  let body : Stmt.t array =
+    [| Assign (this_, This);
+       Assign (p0, Param 0);
+       Assign (p1, Param 1);
+       Assign (sum, Binop (Add, loc lhs, loc rhs));
+       Assign (phi, Phi [ sum; later ]);
+       Assign (later, Binop (Cmp, loc phi, Const (Int_c 1)));
+       Assign (s, Imm (Const (Str_c "say \"hi\", Lgolden/render/InString;\n\t\001")));
+       Assign (k, Imm (Const (Class_c kind)));
+       Assign (i, Imm (Const (Int_c (-42))));
+       Assign (n, Imm (Const Null));
+       Assign (lg, Imm (Const (Long_c 1234567890123L)));
+       Assign (fl, Imm (Const (Float_c 1.5)));
+       Assign (db, Imm (Const (Double_c (-0.25))));
+       Assign (mv, Imm (Local s));
+       Assign (cast, Cast (obj kind, loc src));
+       Assign
+         (r,
+          Invoke
+            { kind = Virtual; callee = m_fmt; base = Some this_;
+              args =
+                [ Const (Class_c "golden.render.Arg");
+                  Const (Str_c "a, \"b\"\\"); loc arg; Const (Int_c 7);
+                  Const (Long_c (-9L)); Const (Float_c 2.5); Const Null;
+                  loc i ] });
+       Assign (o, New kind);
+       Assign (arr, New_array (obj kind, loc i));
+       Assign (el, Array_get (arr, Const (Int_c 0)));
+       Assign (fv, Instance_get (this_, f_name));
+       Assign (sv, Static_get f_shared);
+       Assign (ex, Caught_exception);
+       Assign (len, Length (loc arr));
+       Instance_put (this_, f_count, loc i);
+       Static_put (f_shared, loc o);
+       Array_put (arr, Const (Int_c 1), loc el);
+       Invoke { kind = Static; callee = m_static; base = None; args = [] };
+       Invoke
+         { kind = Interface; callee = m_iface; base = Some o; args = [ loc s ] };
+       Invoke { kind = Special; callee = m_init; base = Some o; args = [] };
+       If (Lt, loc i, Const (Int_c 3), 0x1c);
+       If (Ge, loc x, loc y, 0xabcd);
+       Goto 0x12345;
+       Goto 3;
+       Nop;
+       Throw (loc ex);
+       Return (Some (loc r));
+       Return None |]
+  in
+  let render =
+    Jmethod.make
+      ~msig:
+        (Jsig.meth ~cls:g_cls ~name:"render"
+           ~params:[ Types.string_; Types.Int ] ~ret:Types.string_)
+      ~body:(Some body) ()
+  in
+  let wide =
+    Jmethod.make
+      ~msig:(Jsig.meth ~cls:g_cls ~name:"wide" ~params:[] ~ret:Types.Void)
+      ~body:
+        (Some
+           (Array.init 260 (fun j ->
+                Stmt.Assign
+                  (l ("w" ^ string_of_int j) Types.Int,
+                   Imm (Const (Int_c j))))))
+      ()
+  in
+  let abstract =
+    Jmethod.make
+      ~msig:(Jsig.meth ~cls:g_cls ~name:"shape" ~params:[] ~ret:(obj kind))
+      ~body:None ()
+  in
+  Jclass.make g_cls ~super:(Some "golden.render.Base")
+    ~interfaces:[ "golden.render.Iface1"; "golden.render.Iface2" ]
+    ~fields:[ f_name; f_count; f_shared ]
+    ~methods:[ render; wide; abstract ]
+
+let golden_render =
+  [ ("Class descriptor : 'Lgolden/render/Widget;'", "none", None);
+    ("  Superclass : 'Lgolden/render/Base;'", "none", None);
+    ("  Interface : 'Lgolden/render/Iface1;'", "none", None);
+    ("  Interface : 'Lgolden/render/Iface2;'", "none", None);
+    ("  field Lgolden/render/Widget;.gName:Ljava/lang/String;", "none", None);
+    ("  field Lgolden/render/Widget;.gCount:I", "none", None);
+    ( "  field Lgolden/render/Widget;.gShared:Lgolden/render/Kind;",
+      "none",
+      None );
+    ( "  method Lgolden/render/Widget;.render:(Ljava/lang/String;I)Ljava/lang/String;",
+      "none",
+      None );
+    ("    0000: .this v0", "none", Some []);
+    ("    0001: .param v1, p0", "none", Some []);
+    ("    0002: .param v2, p1", "none", Some []);
+    ("    0003: add-int v5, v4, v3", "none", Some []);
+    ("    0004: .phi v7 = (v5, v6)", "none", Some []);
+    ("    0005: cmp-long v6, v7, #int 1", "none", Some []);
+    ( "    0006: const-string v8, \"say \\\"hi\\\", Lgolden/render/InString;\\n\\t\\001\"",
+      "const-string \"say \\\"hi\\\", Lgolden/render/InString;\\n\\t\\001\"",
+      Some ["Lgolden/render/InString;"] );
+    ( "    0007: const-class v9, Lgolden/render/Kind;",
+      "const-class Lgolden/render/Kind;",
+      Some ["Lgolden/render/Kind;"] );
+    ("    0008: const/16 v10, #int -42", "none", Some []);
+    ("    0009: const/4 v11, #int 0", "none", Some []);
+    ("    000a: const-wide v12, #long 1234567890123", "none", Some []);
+    ("    000b: const v13, #float 1.500000", "none", Some []);
+    ("    000c: const-wide v14, #double -0.250000", "none", Some []);
+    ("    000d: move-object v15, v8", "none", Some []);
+    ("    000e: move-object v16, v17", "none", Some []);
+    ( "    000e: check-cast v16, Lgolden/render/Kind;",
+      "none",
+      Some ["Lgolden/render/Kind;"] );
+    ( "    000f: invoke-virtual {v0, Lgolden/render/Arg;, \"a, \\\"b\\\"\\\\\", v19, #int 7, #long -9, #float 2.500000, #null, v10}, Lgolden/render/Widget;.fmt:(Ljava/lang/Class;Ljava/lang/String;IIJFLgolden/render/Kind;I)Ljava/lang/String;",
+      "invoke Lgolden/render/Widget;.fmt:(Ljava/lang/Class;Ljava/lang/String;IIJFLgolden/render/Kind;I)Ljava/lang/String;",
+      Some ["Lgolden/render/Widget;"; "Ljava/lang/Class;"; "Ljava/lang/String;"] );
+    ("    000f: move-result-object v18", "none", Some []);
+    ( "    0010: new-instance v20, Lgolden/render/Kind;",
+      "new-instance Lgolden/render/Kind;",
+      Some ["Lgolden/render/Kind;"] );
+    ( "    0011: new-array v21, v10, [Lgolden/render/Kind;",
+      "none",
+      Some ["Lgolden/render/Kind;"] );
+    ("    0012: aget-object v22, v21, #int 0", "none", Some []);
+    ( "    0013: iget-object v23, v0, Lgolden/render/Widget;.gName:Ljava/lang/String;",
+      "field Lgolden/render/Widget;.gName:Ljava/lang/String;",
+      Some ["Lgolden/render/Widget;"; "Ljava/lang/String;"] );
+    ( "    0014: sget-object v24, Lgolden/render/Widget;.gShared:Lgolden/render/Kind;",
+      "static-field Lgolden/render/Widget;.gShared:Lgolden/render/Kind;",
+      Some ["Lgolden/render/Kind;"; "Lgolden/render/Widget;"] );
+    ("    0015: move-exception v25", "none", Some []);
+    ("    0016: array-length v26, v21", "none", Some []);
+    ( "    0017: iput-object v10, v0, Lgolden/render/Widget;.gCount:I",
+      "field Lgolden/render/Widget;.gCount:I",
+      Some ["Lgolden/render/Widget;"] );
+    ( "    0018: sput-object v20, Lgolden/render/Widget;.gShared:Lgolden/render/Kind;",
+      "static-field Lgolden/render/Widget;.gShared:Lgolden/render/Kind;",
+      Some ["Lgolden/render/Kind;"; "Lgolden/render/Widget;"] );
+    ("    0019: aput-object v22, v21, #int 1", "none", Some []);
+    ( "    001a: invoke-static {}, Lgolden/render/Kind;.touch:()V",
+      "invoke Lgolden/render/Kind;.touch:()V",
+      Some ["Lgolden/render/Kind;"] );
+    ( "    001b: invoke-interface {v20, v8}, Lgolden/render/Iface1;.accept:(Ljava/lang/String;)V",
+      "invoke Lgolden/render/Iface1;.accept:(Ljava/lang/String;)V",
+      Some ["Lgolden/render/Iface1;"; "Ljava/lang/String;"] );
+    ( "    001c: invoke-direct {v20}, Lgolden/render/Kind;.<init>:()V",
+      "invoke Lgolden/render/Kind;.<init>:()V",
+      Some ["Lgolden/render/Kind;"] );
+    ("    001d: if-lt v10, #int 3, :cond_001c", "none", Some []);
+    ("    001e: if-ge v28, v27, :cond_abcd", "none", Some []);
+    ("    001f: goto :goto_12345", "none", Some []);
+    ("    0020: goto :goto_0003", "none", Some []);
+    ("    0021: nop", "none", Some []);
+    ("    0022: throw v25", "none", Some []);
+    ("    0023: return-object v18", "none", Some []);
+    ("    0024: return-void", "none", Some []) ]
+
+(* the [wide] method crosses the 256 precomputed register names *)
+let golden_wide =
+  ("  method Lgolden/render/Widget;.wide:()V", "none", None)
+  :: List.init 260 (fun j ->
+      (Printf.sprintf "    %04x: const/16 v%d, #int %d" j j j, "none", Some []))
+
+let golden_abstract =
+  [ ("  method Lgolden/render/Widget;.shape:()Lgolden/render/Kind;", "none",
+     None) ]
+
+let key_string (k : Dex.Disasm.key) =
+  match k with
+  | K_invoke s -> "invoke " ^ Sym.to_string s
+  | K_new_instance s -> "new-instance " ^ Sym.to_string s
+  | K_const_class s -> "const-class " ^ Sym.to_string s
+  | K_const_string s -> "const-string " ^ Sym.to_string s
+  | K_field s -> "field " ^ Sym.to_string s
+  | K_static_field s -> "static-field " ^ Sym.to_string s
+  | K_none -> "none"
+
+let test_golden_rendering () =
+  let got =
+    Dex.Disasm.class_lines (golden_class ())
+    |> Array.to_list
+    |> List.map (fun (l : Dex.Disasm.line) ->
+        ( l.text, key_string l.key,
+          Option.map
+            (fun toks ->
+               List.sort String.compare
+                 (List.map Sym.to_string (Array.to_list toks)))
+            l.tokens ))
+  in
+  Alcotest.(check (list (triple string string (option (list string)))))
+    "golden lines"
+    (golden_render @ golden_wide @ golden_abstract)
+    got
+
+(* Fields, then interfaces, superclass and class, then each method as it
+   is reached.  The golden names are interned nowhere else, so their ids
+   come from the first render of the class. *)
+let test_golden_intern_order () =
+  ignore (Dex.Disasm.class_lines (golden_class ()));
+  let id s =
+    match Sym.find s with
+    | Some sym -> Sym.id sym
+    | None -> Alcotest.failf "%s was not interned" s
+  in
+  let ids =
+    List.map id
+      [ "Lgolden/render/Widget;.gName:Ljava/lang/String;";
+        "Lgolden/render/Widget;.gCount:I";
+        "Lgolden/render/Widget;.gShared:Lgolden/render/Kind;";
+        "Lgolden/render/Iface1;"; "Lgolden/render/Iface2;";
+        "Lgolden/render/Base;"; "Lgolden/render/Widget;";
+        "Lgolden/render/Widget;.render:(Ljava/lang/String;I)Ljava/lang/String;";
+        "Lgolden/render/Widget;.wide:()V";
+        "Lgolden/render/Widget;.shape:()Lgolden/render/Kind;" ]
+  in
+  Alcotest.(check (list int)) "descriptor ids ascend" (List.sort compare ids)
+    ids
+
+(* Snapshot files store these hashes and a delta compares them against a
+   fresh build's, so their values must never change. *)
+let test_pinned_hashes () =
+  let c = golden_class () in
+  Alcotest.(check int64) "Irhash.jclass" 0x5eb4bbb021bb68ffL (Irhash.jclass c);
+  let lines = Dex.Disasm.class_lines c in
+  Alcotest.(check int64) "Classmap.text_hash_of_lines" 0xfafdecfac6110b34L
+    (Dex.Classmap.text_hash_of_lines lines 0 (Array.length lines));
+  List.iter
+    (fun (s, h) ->
+       Alcotest.(check int64) (Printf.sprintf "Irhash.string %S" s) h
+         (Irhash.string Irhash.offset_basis s))
+    [ ("", 0xa8c7f832281a39c5L); ("BackDroid", 0x4575c1f532bce0f7L);
+      ("\xff\x00\x80 Lcom/a/B;", 0x89aeba18c82f5c1cL) ]
+
+let golden_cases =
+  [ Alcotest.test_case "golden class rendering" `Quick test_golden_rendering;
+    Alcotest.test_case "golden intern order" `Quick test_golden_intern_order;
+    Alcotest.test_case "pinned content hashes" `Quick test_pinned_hashes ]
+
 
 (* --- plaintext parser (round-trip with the disassembler) --- *)
 
@@ -241,5 +527,5 @@ let parser_cases =
 let parser_props = [ QCheck_alcotest.to_alcotest parse_total ]
 
 let suites =
-  [ "dex.unit", unit_cases; "dex.props", prop_cases;
+  [ "dex.unit", unit_cases; "dex.golden", golden_cases; "dex.props", prop_cases;
     "dex.parser", parser_cases; "dex.parser-props", parser_props ]

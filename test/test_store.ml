@@ -7,12 +7,12 @@ module G = Appgen.Generator
 module E = Bytesearch.Engine
 module Driver = Backdroid.Driver
 
-let fixture_app ?(seed = 41) ?(filler = 8) () =
+let fixture_app ?(seed = 41) ?(filler = 8) ?build_dex () =
   let rng = Appgen.Rng.create (seed * 131) in
   let plants =
     List.init 4 (fun _ -> Appgen.Corpus.random_plant rng ~insecure_p:0.5)
   in
-  G.generate
+  G.generate ?build_dex
     { G.default_config with
       G.seed;
       name = Printf.sprintf "com.test.store%d" seed;
@@ -409,8 +409,11 @@ let test_delta_engine_roundtrip () =
    callers fall back to a cold build. *)
 let test_delta_requires_classmap () =
   let app = fixture_app () in
+  let dex = app.G.dex in
   let stripped =
-    { app.G.dex with Dex.Dexfile.classmap = Dex.Classmap.empty }
+    Dex.Dexfile.of_parts ?texts:dex.Dex.Dexfile.texts
+      ~classmap:Dex.Classmap.empty dex.Dex.Dexfile.lines dex.Dex.Dexfile.arena
+      dex.Dex.Dexfile.program
   in
   let engine = E.create stripped in
   match Store.Snapshot.delta_of_engine engine app.G.program with
@@ -421,6 +424,66 @@ let test_delta_requires_classmap () =
 
 (* Property: over random (seed, pct) — including pct=0 (pure reuse) and
    pct=1 (everything re-rendered) — incremental always equals from-scratch. *)
+(* The delta re-derives the index exactly: a delta engine's arena and all
+   seven postings tables equal a cold build's, byte for byte.  From an old
+   build in partition order the old->new slot map is not monotone, so the
+   carried runs go through the re-sort path; with nothing changed, every
+   class moves and none is re-rendered; with all but one class removed,
+   old runs are longer than the new arena. *)
+let test_delta_postings_equal_cold () =
+  let app = fixture_app ~filler:20 () in
+  let names =
+    Ir.Program.fold_classes app.G.program
+      (fun (c : Ir.Jclass.t) acc ->
+         if c.Ir.Jclass.is_system then acc else c.Ir.Jclass.name :: acc)
+      []
+    |> List.sort String.compare
+  in
+  let front, back = List.partition (fun n -> String.length n mod 2 = 0) names in
+  let partitioned =
+    Dex.Dexfile.of_partitions app.G.program [ List.rev back; front ]
+  in
+  (* an update that keeps one app class: old runs outgrow the new arena *)
+  let shrunk =
+    Ir.Program.of_classes
+      (Ir.Program.fold_classes app.G.program
+         (fun (c : Ir.Jclass.t) acc ->
+            if c.Ir.Jclass.is_system || c.Ir.Jclass.name = List.hd names then
+              c :: acc
+            else acc)
+         [])
+  in
+  let changed = (G.mutate ~build_dex:false ~pct:0.25 app).G.program in
+  List.iter
+    (fun (what, old_dex, v2_program) ->
+       let delta =
+         match Store.Snapshot.delta_of_engine (E.create old_dex) v2_program
+         with
+         | Ok (e, _) -> e
+         | Error e ->
+           Alcotest.failf "%s: %s" what (Store.Codec.error_to_string e)
+       in
+       let cold = E.create (Dex.Dexfile.of_program v2_program) in
+       let column f e = Ivec.to_array (f (E.dexfile e).Dex.Dexfile.arena) in
+       List.iter
+         (fun (name, f) ->
+            Alcotest.(check (array int)) (what ^ ": arena " ^ name)
+              (column f cold) (column f delta))
+         [ ("line_idx", fun a -> a.Dex.Arena.line_idx);
+           ("stmt_idx", fun a -> a.Dex.Arena.stmt_idx);
+           ("cat", fun a -> a.Dex.Arena.cat);
+           ("sym", fun a -> a.Dex.Arena.sym) ];
+       Array.iteri
+         (fun c p ->
+            Test_parallel.check_packed_equal
+              (Printf.sprintf "%s: category %d" what c)
+              p (E.export_packed delta).(c))
+         (E.export_packed cold))
+    [ ("canonical order, 25% changed", app.G.dex, changed);
+      ("partition order, 25% changed", partitioned, changed);
+      ("partition order, unchanged", partitioned, app.G.program);
+      ("canonical order, all but one class removed", app.G.dex, shrunk) ]
+
 let delta_equiv =
   let gen = QCheck.Gen.(pair (int_range 1 60) (oneofl [ 0.0; 0.1; 0.4; 1.0 ])) in
   let print (s, p) = Printf.sprintf "seed=%d pct=%.2f" s p in
@@ -547,6 +610,55 @@ let codec_roundtrip =
            | Error _ -> ()));
        true)
 
+(* A disassembled dexfile builds its class map on first use: a one-shot
+   analysis never pays for it, and the save that first needs it builds it
+   exactly once. *)
+let test_classmap_on_first_use () =
+  let app = fixture_app ~seed:47 ~build_dex:false () in
+  let path = Filename.temp_file "backdroid_store" ".bdix" in
+  let r = Obs.Span.Recorder.create () in
+  Fun.protect
+    ~finally:(fun () ->
+        Obs.Span.set_sink None;
+        try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  Obs.Span.Recorder.install r;
+  let count name =
+    List.length
+      (List.filter
+         (fun (s : Obs.Span.span) -> s.cat = "dex" && s.name = name)
+         (Obs.Span.Recorder.spans r))
+  in
+  let dex = Dex.Dexfile.of_program app.G.program in
+  let engine = E.create dex in
+  ignore (Driver.analyze ~engine ~dex ~manifest:app.G.manifest ());
+  Alcotest.(check int) "disassembly recorded" 1 (count "disasm");
+  Alcotest.(check int) "no class map after analyze" 0 (count "classmap");
+  ignore (Store.Snapshot.save ~path engine);
+  Alcotest.(check int) "save builds it once" 1 (count "classmap");
+  ignore (Store.Snapshot.save ~path engine);
+  Alcotest.(check int) "and keeps it" 1 (count "classmap")
+
+(* Two domains that ask for a fresh dexfile's class map at once get the
+   same value, built once. *)
+let test_classmap_once_across_domains () =
+  let app = fixture_app ~seed:48 () in
+  let dex = app.G.dex in
+  let go = Atomic.make false in
+  let ask () =
+    while not (Atomic.get go) do Domain.cpu_relax () done;
+    Dex.Dexfile.classmap dex
+  in
+  let d1 = Domain.spawn ask and d2 = Domain.spawn ask in
+  Atomic.set go true;
+  let a = Domain.join d1 and b = Domain.join d2 in
+  Alcotest.(check bool) "same physical class map" true (a == b);
+  Alcotest.(check bool) "the dexfile keeps it" true
+    (Dex.Dexfile.classmap dex == a);
+  Alcotest.(check int) "one entry per app class"
+    (List.length (Ir.Program.app_classes app.G.program))
+    (Dex.Classmap.length a)
+
 let cases =
   [ Alcotest.test_case "corrupted snapshots fail as typed errors" `Quick
       test_rejects_corruption;
@@ -569,6 +681,12 @@ let cases =
       test_delta_engine_roundtrip;
     Alcotest.test_case "delta without a class map is a typed error" `Quick
       test_delta_requires_classmap;
+    Alcotest.test_case "delta postings == cold postings, any old order"
+      `Quick test_delta_postings_equal_cold;
+    Alcotest.test_case "class map is built on first use" `Quick
+      test_classmap_on_first_use;
+    Alcotest.test_case "class map is built once across domains" `Quick
+      test_classmap_once_across_domains;
     QCheck_alcotest.to_alcotest delta_equiv;
     QCheck_alcotest.to_alcotest codec_roundtrip ]
 
