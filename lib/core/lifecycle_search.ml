@@ -12,7 +12,8 @@ open Ir
     component kinds' handler sub-signatures while its class descends from a
     framework component class? *)
 let is_lifecycle_handler program (m : Jsig.meth) =
-  Manifest.Lifecycle.is_lifecycle_subsig (Jsig.sub_signature m)
+  Manifest.Lifecycle.is_handler_name m.name
+  && Manifest.Lifecycle.is_lifecycle_subsig (Jsig.sub_signature m)
   && List.exists
        (fun kind ->
           Program.is_subclass_of program ~sub:m.cls
@@ -23,8 +24,8 @@ let is_lifecycle_handler program (m : Jsig.meth) =
     the manifest?  Handlers of classes absent from the manifest are
     deactivated code (the Amandroid false-positive class of Sec. VI-C). *)
 let is_entry program manifest (m : Jsig.meth) =
-  is_lifecycle_handler program m
-  && Manifest.App_manifest.is_entry_class manifest m.cls
+  Manifest.App_manifest.is_entry_class manifest m.cls
+  && is_lifecycle_handler program m
 
 (** Earlier handlers of the same component class that can seed residual
     state: the transitive predecessor closure, filtered to the handlers the

@@ -42,8 +42,7 @@ let indicator_types program cls subsig =
     | Some c -> Option.is_some (Jclass.find_method_by_subsig c subsig)
     | None -> false
   in
-  List.filter declares
-    (Program.superclasses program cls @ Program.interfaces_of program cls)
+  List.filter declares (Program.ancestors program cls)
 
 type state = {
   program : Program.t;

@@ -25,12 +25,13 @@ module Sinks = Framework.Sinks
 
 type taints = {
   locals : (string, unit) Hashtbl.t;
-  fields : (string, (string, Jsig.field) Hashtbl.t) Hashtbl.t;
-      (** object id -> (field signature -> field); inner tables are removed
-          eagerly when they empty, so membership of the outer key means "has
-          tainted fields" *)
-  intents : (string, (string, unit) Hashtbl.t) Hashtbl.t;
-      (** object id -> set of tainted extra keys; same eager-removal rule *)
+  mutable fields : (string, (string, Jsig.field) Hashtbl.t) Hashtbl.t option;
+      (** object id -> (field signature -> field), allocated on the first
+          field taint; inner tables are removed eagerly when they empty, so
+          membership of the outer key means "has tainted fields" *)
+  mutable intents : (string, (string, unit) Hashtbl.t) Hashtbl.t option;
+      (** object id -> set of tainted extra keys, allocated on the first
+          Intent taint; same eager-removal rule *)
   mutable settled : residual_acc list;
       (** residuals settled during the scan, at identity statements *)
 }
@@ -38,84 +39,91 @@ type taints = {
 and residual_acc = R_acc_param of int | R_acc_this
 
 let fresh_taints () =
-  { locals = Hashtbl.create 8; fields = Hashtbl.create 4;
-    intents = Hashtbl.create 2; settled = [] }
+  { locals = Hashtbl.create 8; fields = None; intents = None; settled = [] }
 
 let taint_local t id = Hashtbl.replace t.locals id ()
 let untaint_local t id = Hashtbl.remove t.locals id
 let local_tainted t id = Hashtbl.mem t.locals id
 
+(* [found], or else a fresh table of [size] buckets handed to [store]: the
+   taint tables are allocated on first write. *)
+let or_create found ~size store =
+  match found with
+  | Some tbl -> tbl
+  | None ->
+    let tbl = Hashtbl.create size in
+    store tbl;
+    tbl
+
+(* [obj]'s inner table in an object-keyed table, created on first write
+   along with the outer table. *)
+let inner_of outer obj ~size =
+  or_create (Hashtbl.find_opt outer obj) ~size (Hashtbl.replace outer obj)
+
+(* [obj]'s inner table in an optional outer table, if any. *)
+let inner_opt outer obj =
+  match outer with None -> None | Some o -> Hashtbl.find_opt o obj
+
+let remove_inner outer obj key =
+  match outer with
+  | None -> ()
+  | Some o ->
+    (match Hashtbl.find_opt o obj with
+     | None -> ()
+     | Some inner ->
+       Hashtbl.remove inner key;
+       if Hashtbl.length inner = 0 then Hashtbl.remove o obj)
+
+let outer_length = function None -> 0 | Some o -> Hashtbl.length o
+
 let taint_field t obj (f : Jsig.field) =
-  let inner =
-    match Hashtbl.find_opt t.fields obj with
-    | Some inner -> inner
-    | None ->
-      let inner = Hashtbl.create 4 in
-      Hashtbl.replace t.fields obj inner;
-      inner
-  in
-  Hashtbl.replace inner (Jsig.field_to_string f) f;
+  let fields = or_create t.fields ~size:4 (fun o -> t.fields <- Some o) in
+  Hashtbl.replace (inner_of fields obj ~size:4) (Jsig.field_to_string f) f;
   (* the paper also taints the class object itself *)
   taint_local t obj
 
 let untaint_field t obj (f : Jsig.field) =
-  match Hashtbl.find_opt t.fields obj with
-  | None -> ()
-  | Some inner ->
-    Hashtbl.remove inner (Jsig.field_to_string f);
-    if Hashtbl.length inner = 0 then Hashtbl.remove t.fields obj
+  remove_inner t.fields obj (Jsig.field_to_string f)
 
 let field_tainted t obj (f : Jsig.field) =
-  match Hashtbl.find_opt t.fields obj with
+  match inner_opt t.fields obj with
   | None -> false
   | Some inner -> Hashtbl.mem inner (Jsig.field_to_string f)
 
-let has_field_taints t obj = Hashtbl.mem t.fields obj
+let has_field_taints t obj = Option.is_some (inner_opt t.fields obj)
 
 (** Fields tainted on a given object local — O(own fields). *)
 let fields_of t obj =
-  match Hashtbl.find_opt t.fields obj with
+  match inner_opt t.fields obj with
   | None -> []
   | Some inner -> Hashtbl.fold (fun _ f acc -> f :: acc) inner []
 
 let taint_intent t obj key =
-  let inner =
-    match Hashtbl.find_opt t.intents obj with
-    | Some inner -> inner
-    | None ->
-      let inner = Hashtbl.create 2 in
-      Hashtbl.replace t.intents obj inner;
-      inner
-  in
-  Hashtbl.replace inner key ();
+  let intents = or_create t.intents ~size:2 (fun o -> t.intents <- Some o) in
+  Hashtbl.replace (inner_of intents obj ~size:2) key ();
   (* track the carrying object as well, mirroring the field rule *)
   Hashtbl.replace t.locals obj ()
 
-let untaint_intent t obj key =
-  match Hashtbl.find_opt t.intents obj with
-  | None -> ()
-  | Some inner ->
-    Hashtbl.remove inner key;
-    if Hashtbl.length inner = 0 then Hashtbl.remove t.intents obj
+let untaint_intent t obj key = remove_inner t.intents obj key
 
 let intent_tainted t obj key =
-  match Hashtbl.find_opt t.intents obj with
+  match inner_opt t.intents obj with
   | None -> false
   | Some inner -> Hashtbl.mem inner key
 
-let has_intent_taints t obj = Hashtbl.mem t.intents obj
+let has_intent_taints t obj = Option.is_some (inner_opt t.intents obj)
 
 (** Extra keys tainted on a given Intent local — O(own keys). *)
 let intent_keys_of t obj =
-  match Hashtbl.find_opt t.intents obj with
+  match inner_opt t.intents obj with
   | None -> []
   | Some inner -> Hashtbl.fold (fun k () acc -> k :: acc) inner []
 
 let has_obj_taints t obj = has_field_taints t obj || has_intent_taints t obj
 
 let is_empty t =
-  Hashtbl.length t.locals = 0 && Hashtbl.length t.fields = 0
-  && Hashtbl.length t.intents = 0
+  Hashtbl.length t.locals = 0 && outer_length t.fields = 0
+  && outer_length t.intents = 0
 
 (** Transfer all taints attached to alias [dst] onto [src] (processing a
     backward copy [dst := src]). *)
@@ -185,17 +193,14 @@ let rec scan (ctx : Context.t) ~path ~cdepth (meth : Jsig.meth) body ~from_idx t
           as a residual for the caller mapping *)
        untaint_local t l.Value.id;
        record ctx meth !idx stmt;
-       Ssg.record_taint ctx.ssg ~meth l.Value.id;
        t.settled <- R_acc_param i :: t.settled
      | Stmt.Assign (l, Expr.This) when local_tainted t l.Value.id ->
        untaint_local t l.Value.id;
        record ctx meth !idx stmt;
-       Ssg.record_taint ctx.ssg ~meth l.Value.id;
        t.settled <- R_acc_this :: t.settled
      | Stmt.Assign (l, e) when local_tainted t l.Value.id ->
        untaint_local t l.Value.id;
        record ctx meth !idx stmt;
-       Ssg.record_taint ctx.ssg ~meth l.Value.id;
        process_def ctx ~path ~cdepth meth body !idx t l e
      | Stmt.Assign (l, Expr.Imm (Value.Local x))
        when has_obj_taints t l.Value.id ->
@@ -432,26 +437,26 @@ and residuals_of (ctx : Context.t) meth t =
            | Some i -> acc := R_param i :: !acc
            | None -> ())
       t.locals;
-    Hashtbl.iter
-      (fun id inner ->
-         if Some id = this_id then
-           Hashtbl.iter (fun _ f -> acc := R_this_field f :: !acc) inner
-         else
-           match param_index id with
-           | Some pi ->
-             Hashtbl.iter (fun _ f -> acc := R_param_field (pi, f) :: !acc)
-               inner
-           | None -> ())
+    Option.iter
+      (Hashtbl.iter (fun id inner ->
+           if Some id = this_id then
+             Hashtbl.iter (fun _ f -> acc := R_this_field f :: !acc) inner
+           else
+             match param_index id with
+             | Some pi ->
+               Hashtbl.iter (fun _ f -> acc := R_param_field (pi, f) :: !acc)
+                 inner
+             | None -> ()))
       t.fields;
-    Hashtbl.iter
-      (fun id inner ->
-         if id = getintent_marker then
-           Hashtbl.iter (fun k () -> acc := R_intent (-1, k) :: !acc) inner
-         else
-           match param_index id with
-           | Some i ->
-             Hashtbl.iter (fun k () -> acc := R_intent (i, k) :: !acc) inner
-           | None -> ())
+    Option.iter
+      (Hashtbl.iter (fun id inner ->
+           if id = getintent_marker then
+             Hashtbl.iter (fun k () -> acc := R_intent (-1, k) :: !acc) inner
+           else
+             match param_index id with
+             | Some i ->
+               Hashtbl.iter (fun k () -> acc := R_intent (i, k) :: !acc) inner
+             | None -> ()))
       t.intents;
     List.iter
       (fun r ->

@@ -3,9 +3,11 @@
     One SSG is generated per sink API call.  It records (i) the raw typed
     statements visited by the backward slicing, wrapped as {!type:unit_}
     nodes; (ii) every inter-procedural relationship resolved by bytecode
-    search, as typed {!type:edge}s; (iii) the hierarchical taint map (one
-    taint set per tracked method, plus a global static-field set); and (iv) a
-    special static track for off-path [<clinit>] methods added on demand. *)
+    search, as typed {!type:edge}s; (iii) the global static-field taint
+    set; and (iv) a special static track for off-path [<clinit>] methods
+    added on demand.  The per-method taint sets of the paper's hierarchical
+    taint map live in the slicer while it scans a method; the SSG keeps no
+    copy of them, since nothing downstream reads one. *)
 
 open Ir
 
@@ -51,8 +53,6 @@ type t = {
       (** methods where backtracking reached a registered entry point *)
   mutable static_track : Jsig.meth list;
       (** off-path [<clinit>] methods added on demand *)
-  taint_map : (string, string list) Hashtbl.t;
-      (** hierarchical taint map: method signature → taints recorded there *)
   mutable global_static_taints : Jsig.field list;
   mutable next_id : int;
   mutable reachable : bool;
@@ -60,8 +60,8 @@ type t = {
 
 let create ~sink ~sink_meth ~sink_site =
   { sink; sink_meth; sink_site; nodes = []; edges = []; entry_methods = [];
-    static_track = []; taint_map = Hashtbl.create 16;
-    global_static_taints = []; next_id = 0; reachable = false }
+    static_track = []; global_static_taints = []; next_id = 0;
+    reachable = false }
 
 let add_node t ~meth ~stmt_idx ~stmt =
   let id = t.next_id in
@@ -79,11 +79,6 @@ let add_entry t m =
 let add_static_track t m =
   if not (List.exists (Jsig.meth_equal m) t.static_track) then
     t.static_track <- m :: t.static_track
-
-let record_taint t ~meth taint =
-  let key = Jsig.meth_to_string meth in
-  let prev = Option.value ~default:[] (Hashtbl.find_opt t.taint_map key) in
-  if not (List.mem taint prev) then Hashtbl.replace t.taint_map key (taint :: prev)
 
 let add_global_static_taint t f =
   if not (List.exists (Jsig.field_equal f) t.global_static_taints) then

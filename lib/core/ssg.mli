@@ -3,9 +3,11 @@
     One SSG is generated per sink API call.  It records (i) the raw typed
     statements visited by the backward slicing, wrapped as {!type:unit_}
     nodes; (ii) every inter-procedural relationship resolved by bytecode
-    search, as typed {!type:edge}s; (iii) the hierarchical taint map (one
-    taint set per tracked method, plus a global static-field set); and (iv) a
-    special static track for off-path [<clinit>] methods added on demand. *)
+    search, as typed {!type:edge}s; (iii) the global static-field taint
+    set; and (iv) a special static track for off-path [<clinit>] methods
+    added on demand.  The per-method taint sets of the paper's hierarchical
+    taint map live in the slicer while it scans a method; the SSG keeps no
+    copy of them, since nothing downstream reads one. *)
 
 (** An SSGUnit: a raw typed statement plus its node identity. *)
 type unit_ = {
@@ -36,7 +38,6 @@ type t = {
   mutable edges : edge list;
   mutable entry_methods : Ir.Jsig.meth list;
   mutable static_track : Ir.Jsig.meth list;
-  taint_map : (string, string list) Hashtbl.t;
   mutable global_static_taints : Ir.Jsig.field list;
   mutable next_id : int;
   mutable reachable : bool;
@@ -48,7 +49,6 @@ val add_node :
 val add_edge : t -> edge -> unit
 val add_entry : t -> Ir.Jsig.meth -> unit
 val add_static_track : t -> Ir.Jsig.meth -> unit
-val record_taint : t -> meth:Ir.Jsig.meth -> string -> unit
 val add_global_static_taint : t -> Ir.Jsig.field -> unit
 val remove_global_static_taint : t -> Ir.Jsig.field -> unit
 val node_count : t -> int

@@ -30,9 +30,17 @@ let find_method c ~name ~params =
        && List.for_all2 Types.equal m.msig.Jsig.params params)
     c.methods
 
+(** The method with sub-signature [subsig].  A candidate is rendered only
+    when its name matches. *)
 let find_method_by_subsig c subsig =
-  List.find_opt (fun m -> String.equal (Jmethod.sub_signature m) subsig)
-    c.methods
+  match Jsig.subsig_name subsig with
+  | None -> None
+  | Some name ->
+    List.find_opt
+      (fun (m : Jmethod.t) ->
+         String.equal m.msig.Jsig.name name
+         && String.equal (Jmethod.sub_signature m) subsig)
+      c.methods
 
 let constructors c =
   List.filter (fun m -> Jmethod.is_constructor m) c.methods

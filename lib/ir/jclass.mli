@@ -24,6 +24,9 @@ val make :
   ?fields:Jsig.field list -> ?methods:Jmethod.t list -> string -> t
 val find_method :
   t -> name:String.t -> params:Types.t list -> Jmethod.t option
+
+(** The method with sub-signature [subsig].  A candidate is rendered only
+    when its name matches. *)
 val find_method_by_subsig : t -> String.t -> Jmethod.t option
 val constructors : t -> Jmethod.t list
 val clinit : t -> Jmethod.t option

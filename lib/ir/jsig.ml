@@ -34,18 +34,89 @@ let field_equal a b =
 let is_init m = String.equal m.name "<init>"
 let is_clinit m = String.equal m.name "<clinit>"
 
+(* The renderers below size their result first and fill one [Bytes] in
+   place: one allocation per signature, and no format interpretation.  They
+   run per field-taint operation and per sub-signature lookup of the
+   analysis, and their output is part of the snapshot and result-cache
+   formats, so a changed byte is a format change. *)
+
+(* Length of [Types.to_string t], without building it. *)
+let rec type_length = function
+  | Types.Array e -> type_length e + 2
+  | t -> String.length (Types.to_string t)
+
+let put_string b pos s =
+  let n = String.length s in
+  Bytes.blit_string s 0 b pos n;
+  pos + n
+
+let put_char b pos c =
+  Bytes.set b pos c;
+  pos + 1
+
+(* Writes [Types.to_string t] at [pos]; returns the position after it. *)
+let rec put_type b pos = function
+  | Types.Array e -> put_string b (put_type b pos e) "[]"
+  | t -> put_string b pos (Types.to_string t)
+
+let sub_signature_length m =
+  (* [ret name(p1,p2)]: a space, two parentheses and a comma between each
+     two parameters *)
+  List.fold_left (fun n t -> n + type_length t) 0 m.params
+  + type_length m.ret + String.length m.name + 3
+  + max 0 (List.length m.params - 1)
+
+(* Writes [ret name(p1,p2)] at [pos]. *)
+let put_sub_signature b pos m =
+  let pos = put_char b (put_type b pos m.ret) ' ' in
+  let pos = put_char b (put_string b pos m.name) '(' in
+  let pos =
+    match m.params with
+    | [] -> pos
+    | t :: rest ->
+      List.fold_left
+        (fun pos t -> put_type b (put_char b pos ',') t)
+        (put_type b pos t) rest
+  in
+  put_char b pos ')'
+
 (** Class-independent part of a method signature: [ret name(p1,p2)].  Two
     methods with equal sub-signatures are in an overriding relation when their
     classes are. *)
 let sub_signature m =
-  Printf.sprintf "%s %s(%s)" (Types.to_string m.ret) m.name
-    (String.concat "," (List.map Types.to_string m.params))
+  let b = Bytes.create (sub_signature_length m) in
+  ignore (put_sub_signature b 0 m);
+  Bytes.unsafe_to_string b
+
+(** The method name in a sub-signature [ret name(p1,p2)] as
+    {!sub_signature} renders it; [None] for any other shape.  Types hold no
+    spaces, so the name runs from the first space to the next ['(']. *)
+let subsig_name s =
+  match String.index_opt s ' ' with
+  | None -> None
+  | Some sp ->
+    (match String.index_from_opt s (sp + 1) '(' with
+     | None -> None
+     | Some lp -> Some (String.sub s (sp + 1) (lp - sp - 1)))
 
 (** Full Soot-format signature: [<cls: ret name(p1,p2)>]. *)
-let meth_to_string m = Printf.sprintf "<%s: %s>" m.cls (sub_signature m)
+let meth_to_string m =
+  let b = Bytes.create (String.length m.cls + sub_signature_length m + 4) in
+  let pos = put_string b (put_char b 0 '<') m.cls in
+  let pos = put_sub_signature b (put_string b pos ": ") m in
+  ignore (put_char b pos '>');
+  Bytes.unsafe_to_string b
 
 let field_to_string f =
-  Printf.sprintf "<%s: %s %s>" f.fcls (Types.to_string f.fty) f.fname
+  let b =
+    Bytes.create
+      (String.length f.fcls + type_length f.fty + String.length f.fname + 5)
+  in
+  let pos = put_string b (put_char b 0 '<') f.fcls in
+  let pos = put_type b (put_string b pos ": ") f.fty in
+  let pos = put_string b (put_char b pos ' ') f.fname in
+  ignore (put_char b pos '>');
+  Bytes.unsafe_to_string b
 
 (** Parse a Soot-format method signature produced by {!meth_to_string}.
     Raises [Invalid_argument] on malformed input. *)
@@ -81,10 +152,33 @@ let meth_of_string s =
 let pp_meth ppf m = Fmt.string ppf (meth_to_string m)
 let pp_field ppf f = Fmt.string ppf (field_to_string f)
 
+(* Allocation-free hashes: the strings are hashed in place ([Hashtbl.hash]
+   of a string returns an immediate) and the parameter types are folded
+   structurally, where a hash of a tuple would allocate the tuple and a
+   [Types.to_key] string per parameter on every probe. *)
+let combine h x = (h * 65599) + x
+
+let rec type_hash h = function
+  | Types.Object c -> combine (combine h 10) (Hashtbl.hash c)
+  | Types.Array e -> type_hash (combine h 11) e
+  | Types.Void -> combine h 1
+  | Types.Boolean -> combine h 2
+  | Types.Byte -> combine h 3
+  | Types.Char -> combine h 4
+  | Types.Short -> combine h 5
+  | Types.Int -> combine h 6
+  | Types.Long -> combine h 7
+  | Types.Float -> combine h 8
+  | Types.Double -> combine h 9
+
 module Meth_key = struct
   type t = meth
   let equal = meth_equal
-  let hash m = Hashtbl.hash (m.cls, m.name, List.map Types.to_key m.params)
+  let hash m =
+    List.fold_left type_hash
+      (combine (Hashtbl.hash m.cls) (Hashtbl.hash m.name))
+      m.params
+    land max_int
 end
 
 module Meth_tbl = Hashtbl.Make (Meth_key)
@@ -103,7 +197,7 @@ let subsig_sym =
 module Field_key = struct
   type t = field
   let equal = field_equal
-  let hash f = Hashtbl.hash (f.fcls, f.fname)
+  let hash f = combine (Hashtbl.hash f.fcls) (Hashtbl.hash f.fname) land max_int
 end
 
 module Field_tbl = Hashtbl.Make (Field_key)

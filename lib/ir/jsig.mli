@@ -26,6 +26,10 @@ val is_clinit : meth -> bool
     classes are. *)
 val sub_signature : meth -> string
 
+(** The method name in a sub-signature [ret name(p1,p2)] as
+    {!sub_signature} renders it; [None] for any other shape. *)
+val subsig_name : string -> string option
+
 (** Full Soot-format signature: [<cls: ret name(p1,p2)>]. *)
 val meth_to_string : meth -> string
 val field_to_string : field -> string

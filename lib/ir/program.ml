@@ -3,19 +3,35 @@
     BackDroid; the "bytecode search space" is derived from it by
     {!module:Dex.Disasm}. *)
 
+(* Class names are probed on every hierarchy step of the analysis; a
+   string-specialised table compares them with [String.equal] where the
+   polymorphic table ran [compare].  [String.hash] is [Hashtbl.hash] on
+   strings, so buckets, and with them [fold_classes]' order, are those of
+   the polymorphic table. *)
+module Str_tbl = Hashtbl.Make (String)
+
+module Str_map = Map.Make (String)
+
 type t = {
-  classes : (string, Jclass.t) Hashtbl.t;
-  mutable subclass_cache : (string, string list) Hashtbl.t option;
+  classes : Jclass.t Str_tbl.t;
+  lock : Mutex.t;  (** serialises the hierarchy caches' writers *)
+  ancestors : string list Str_map.t Atomic.t;
+      (** per class queried so far: superclasses, then transitive
+          interfaces *)
+  children : string list Str_tbl.t option Atomic.t;
+      (** parent -> direct children, built whole on the first query *)
   dispatch_cache : (string * string, (string * Jmethod.t) list) Hashtbl.t;
 }
 
 let create () =
-  { classes = Hashtbl.create 512; subclass_cache = None;
+  { classes = Str_tbl.create 512; lock = Mutex.create ();
+    ancestors = Atomic.make Str_map.empty; children = Atomic.make None;
     dispatch_cache = Hashtbl.create 1024 }
 
 let add_class p (c : Jclass.t) =
-  Hashtbl.replace p.classes c.name c;
-  p.subclass_cache <- None;
+  Str_tbl.replace p.classes c.name c;
+  Atomic.set p.ancestors Str_map.empty;
+  Atomic.set p.children None;
   Hashtbl.reset p.dispatch_cache
 
 let of_classes cs =
@@ -23,12 +39,12 @@ let of_classes cs =
   List.iter (add_class p) cs;
   p
 
-let find_class p name = Hashtbl.find_opt p.classes name
+let find_class p name = Str_tbl.find_opt p.classes name
 
-let iter_classes p f = Hashtbl.iter (fun _ c -> f c) p.classes
+let iter_classes p f = Str_tbl.iter (fun _ c -> f c) p.classes
 
 let fold_classes p f init =
-  Hashtbl.fold (fun _ c acc -> f c acc) p.classes init
+  Str_tbl.fold (fun _ c acc -> f c acc) p.classes init
 
 let app_classes p =
   fold_classes p (fun c acc -> if c.Jclass.is_system then acc else c :: acc) []
@@ -74,25 +90,43 @@ let interfaces_of p name =
   walk name;
   List.rev !acc
 
-let rebuild_subclass_cache p =
-  let tbl = Hashtbl.create 256 in
+(* The hierarchy caches are immutable once published through their
+   atomics: every pool domain of a session queries the same program, and a
+   read takes no lock.  On a miss, [extend] runs under [p.lock], after a
+   second look, and returns the answer with the extended cache to publish.
+   The ancestors are cached per class, not for the whole program at once:
+   an analysis asks for a fifth to a third of the classes. *)
+let cached p cell lookup extend =
+  match lookup (Atomic.get cell) with
+  | Some v -> v
+  | None ->
+    Mutex.protect p.lock (fun () ->
+        let cur = Atomic.get cell in
+        match lookup cur with
+        | Some v -> v
+        | None ->
+          let v, next = extend cur in
+          Atomic.set cell next;
+          v)
+
+let build_children p =
+  let tbl = Str_tbl.create 256 in
   let add parent child =
-    let prev = Option.value ~default:[] (Hashtbl.find_opt tbl parent) in
-    Hashtbl.replace tbl parent (child :: prev)
+    let prev = Option.value ~default:[] (Str_tbl.find_opt tbl parent) in
+    Str_tbl.replace tbl parent (child :: prev)
   in
   iter_classes p (fun c ->
       (match c.super with Some s -> add s c.name | None -> ());
       List.iter (fun i -> add i c.name) c.interfaces);
-  p.subclass_cache <- Some tbl;
   tbl
 
 let direct_subclasses p name =
-  let tbl =
-    match p.subclass_cache with
-    | Some t -> t
-    | None -> rebuild_subclass_cache p
+  let children =
+    cached p p.children Fun.id (fun _ ->
+        let tbl = build_children p in
+        (tbl, Some tbl))
   in
-  Option.value ~default:[] (Hashtbl.find_opt tbl name)
+  Option.value ~default:[] (Str_tbl.find_opt children name)
 
 (** All strict subclasses (and, for interfaces, implementers) of [name]. *)
 let subclasses_transitive p name =
@@ -109,10 +143,13 @@ let subclasses_transitive p name =
   in
   List.rev (go name [])
 
+let ancestors p name =
+  cached p p.ancestors (Str_map.find_opt name) (fun m ->
+      let a = superclasses p name @ interfaces_of p name in
+      (a, Str_map.add name a m))
+
 let is_subclass_of p ~sub ~super =
-  String.equal sub super
-  || List.exists (String.equal super) (superclasses p sub)
-  || List.exists (String.equal super) (interfaces_of p sub)
+  String.equal sub super || List.exists (String.equal super) (ancestors p sub)
 
 (** Resolve a sub-signature against [cls], walking up the hierarchy as the VM
     would.  Returns the concrete declaring method, if any. *)
@@ -173,13 +210,12 @@ let subclass_overrides p cls subsig =
     interface of its class?  Such callees need the advanced search. *)
 let overrides_foreign_declaration p (msig : Jsig.meth) =
   let subsig = Jsig.sub_signature msig in
-  let declares n =
-    match find_class p n with
-    | Some c -> Option.is_some (Jclass.find_method_by_subsig c subsig)
-    | None -> false
-  in
-  List.exists declares (superclasses p msig.cls)
-  || List.exists declares (interfaces_of p msig.cls)
+  List.exists
+    (fun n ->
+       match find_class p n with
+       | Some c -> Option.is_some (Jclass.find_method_by_subsig c subsig)
+       | None -> false)
+    (ancestors p msig.cls)
 
 (** Total number of statements in app (non-system) method bodies — our
     size metric, standing in for APK megabytes. *)

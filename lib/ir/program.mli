@@ -3,12 +3,15 @@
     BackDroid; the "bytecode search space" is derived from it by
     {!module:Dex.Disasm}. *)
 
-type t = {
-  classes : (string, Jclass.t) Hashtbl.t;
-  mutable subclass_cache : (string, string list) Hashtbl.t option;
-  dispatch_cache : (string * string, (string * Jmethod.t) list) Hashtbl.t;
-}
+(** The class table plus per-program hierarchy caches.  The hierarchy
+    queries are domain-safe, so the pool domains of one session may share
+    a program; {!dispatch_targets}' memo table is not (only the
+    single-domain baselines use it), and {!add_class} must not race with
+    any query. *)
+type t
 val create : unit -> t
+
+(** Add or replace a class; resets the hierarchy caches. *)
 val add_class : t -> Jclass.t -> unit
 val of_classes : Jclass.t list -> t
 val find_class : t -> string -> Jclass.t option
@@ -23,11 +26,19 @@ val superclasses : t -> string -> string list
 (** All interfaces implemented by [name], transitively (through both the
     superclass chain and super-interfaces). *)
 val interfaces_of : t -> string -> string list
-val rebuild_subclass_cache : t -> (string, string list) Hashtbl.t
+
+(** {!superclasses} followed by {!interfaces_of}, built once per class and
+    program and read without a lock. *)
+val ancestors : t -> string -> string list
+
+(** Direct subclasses and implementers of [name], from a parent-to-children
+    table built once per program and read without a lock. *)
 val direct_subclasses : t -> string -> string list
 
 (** All strict subclasses (and, for interfaces, implementers) of [name]. *)
 val subclasses_transitive : t -> string -> string list
+
+(** [sub] is [super] or one of its {!ancestors}. *)
 val is_subclass_of : t -> sub:String.t -> super:String.t -> bool
 
 (** Resolve a sub-signature against [cls], walking up the hierarchy as the VM

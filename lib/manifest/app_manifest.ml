@@ -4,15 +4,24 @@
     sink reachable (the source of several Amandroid false positives in
     Sec. VI-C). *)
 
+module Str_tbl = Hashtbl.Make (String)
+
 type t = {
   package : string;
   components : Component.t list;
+  by_class : Component.t Str_tbl.t;
+      (** each class's first component in [components] *)
 }
 
-let make ~package ~components = { package; components }
+let make ~package ~components =
+  let by_class = Str_tbl.create 16 in
+  List.iter
+    (fun (c : Component.t) ->
+       if not (Str_tbl.mem by_class c.cls) then Str_tbl.add by_class c.cls c)
+    components;
+  { package; components; by_class }
 
-let find_component t cls =
-  List.find_opt (fun (c : Component.t) -> String.equal c.cls cls) t.components
+let find_component t cls = Str_tbl.find_opt t.by_class cls
 
 (** Is [cls] a registered entry component? *)
 let is_entry_class t cls = Option.is_some (find_component t cls)

@@ -4,7 +4,12 @@
     sink reachable (the source of several Amandroid false positives in
     Sec. VI-C). *)
 
-type t = { package : string; components : Component.t list; }
+type t = private {
+  package : string;
+  components : Component.t list;
+  by_class : Component.t Hashtbl.Make(String).t;
+      (** each class's first component in [components] *)
+}
 val make : package:string -> components:Component.t list -> t
 val find_component : t -> String.t -> Component.t option
 

@@ -36,6 +36,12 @@ let all_handler_subsigs =
 
 let is_lifecycle_subsig subsig = List.mem subsig all_handler_subsigs
 
+let handler_names = List.filter_map Ir.Jsig.subsig_name all_handler_subsigs
+
+(** Is [name] the name of some handler?  Lets a caller reject most methods
+    before rendering their sub-signature. *)
+let is_handler_name name = List.mem name handler_names
+
 (** Handlers guaranteed to run before [subsig] in the same component —
     the "other lifecycle handlers that invoke the callee handler".  E.g.
     [onResume] is preceded by [onStart], which is preceded by [onCreate]. *)

@@ -13,6 +13,10 @@ val handlers_of_kind : Component.kind -> string list
 val all_handler_subsigs : string list
 val is_lifecycle_subsig : string -> bool
 
+(** Is [name] the name of some handler?  Lets a caller reject most methods
+    before rendering their sub-signature. *)
+val is_handler_name : string -> bool
+
 (** Handlers guaranteed to run before [subsig] in the same component —
     the "other lifecycle handlers that invoke the callee handler".  E.g.
     [onResume] is preceded by [onStart], which is preceded by [onCreate]. *)
