@@ -26,6 +26,23 @@ let sub_string v pos len =
 
 let to_string v = sub_string v 0 (length v)
 
+(* unaligned native-endian word access, the compiler's own primitives *)
+external unsafe_get64 : t -> int -> int64 = "%caml_bigstring_get64u"
+external unsafe_set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let blit_to_bytes v pos b off len =
+  if
+    len < 0 || pos < 0 || pos + len > length v || off < 0
+    || off + len > Bytes.length b
+  then invalid_arg "Bvec.blit_to_bytes";
+  let words = len / 8 in
+  for i = 0 to words - 1 do
+    unsafe_set64 b (off + (i * 8)) (unsafe_get64 v (pos + (i * 8)))
+  done;
+  for i = words * 8 to len - 1 do
+    Bytes.unsafe_set b (off + i) (unsafe_get v (pos + i))
+  done
+
 let equal_string v ~pos s =
   let n = String.length s in
   let rec go i =

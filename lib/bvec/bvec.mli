@@ -34,6 +34,10 @@ val to_string : t -> string
     fresh string (bounds-checked). *)
 val sub_string : t -> int -> int -> string
 
+(** [blit_to_bytes v pos b off len] copies [len] bytes of [v] starting at
+    [pos] into [b] at [off], a machine word at a time (bounds-checked). *)
+val blit_to_bytes : t -> int -> bytes -> int -> int -> unit
+
 (** [equal_string v ~pos s] holds when the bytes at [pos .. pos +
     length s - 1] equal [s].  Allocation-free; callers must guarantee the
     range is in bounds. *)

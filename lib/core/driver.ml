@@ -378,6 +378,8 @@ type session = {
   s_engine : Bytesearch.Engine.t;
   s_manifest : Manifest.App_manifest.t;
   s_replay : Resultcache.plan option;
+  s_ruleset_hash : int;
+      (* of [s_cfg.rules]: a request's budget cannot change the rules *)
 }
 
 let open_session ?(cfg = default_config) ?pool ?engine ?results
@@ -433,7 +435,8 @@ let open_session ?(cfg = default_config) ?pool ?engine ?results
         Some (Resultcache.plan rc ~dex:(Bytesearch.Engine.dexfile engine))
     in
     { s_cfg = cfg; s_pool = pool; s_owns_pool = owns_pool; s_engine = engine;
-      s_manifest = manifest; s_replay = replay }
+      s_manifest = manifest; s_replay = replay;
+      s_ruleset_hash = Rules.Rule.hash_list cfg.rules }
   with e ->
     let bt = Printexc.get_raw_backtrace () in
     if owns_pool then Parallel.Pool.shutdown pool;
@@ -454,9 +457,7 @@ let run_session ?budget s =
   in
   let engine = s.s_engine and manifest = s.s_manifest in
   let replay = s.s_replay in
-  (match
-     Bytesearch.Engine.note_ruleset engine (Rules.Rule.hash_list cfg.rules)
-   with
+  (match Bytesearch.Engine.note_ruleset engine s.s_ruleset_hash with
    | `Changed ->
      Log.warn (fun m ->
          m "rule set changed since this engine was last used; flushed the \

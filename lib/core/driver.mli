@@ -105,8 +105,9 @@ val initial_sink_search :
 (** {2 Request-scoped analysis}
 
     A [session] captures everything resolvable once per app — the search
-    engine (snapshot warm start or cold build), the worker pool, and the
-    persisted-result replay plan (one classmap diff) — so a resident
+    engine (snapshot warm start or cold build), the worker pool, the
+    persisted-result replay plan (one classmap diff) and the rule set's
+    content hash — so a resident
     server can pay setup once and then serve each request with only the
     per-request work: initial search, per-sink-group fan-out, statistics
     merge.  {!analyze} is exactly

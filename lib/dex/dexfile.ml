@@ -29,6 +29,10 @@ let of_lines lines program =
   { lines; arena; program; texts = None; classmap_cell = cell None }
 
 let of_parts ?texts ~classmap lines arena program =
+  (match texts with
+   | Some store when Textstore.count store <> Array.length lines ->
+     invalid_arg "Dexfile.of_parts: texts and lines differ in count"
+   | _ -> ());
   { lines; arena; program; texts; classmap_cell = cell (Some classmap) }
 
 (** A dexfile with no plaintext: the placeholder a warm start installs

@@ -23,7 +23,8 @@ val of_program : Ir.Program.t -> t
 (** A dexfile over lines, arena and class map built elsewhere (the snapshot
     load and delta paths).  With [texts], the line records carry
     {!Textstore.pending} as their text and {!line_text} materialises and
-    caches real strings on demand. *)
+    caches real strings on demand; the store holds one text per line
+    ([Invalid_argument] otherwise). *)
 val of_parts :
   ?texts:Textstore.t ->
   classmap:Classmap.t ->

@@ -13,7 +13,8 @@ let prime = 0x100000001b3L
 (* The one FNV-1a step.  [int] and [string] are the hot folds (every class
    name, every rendered line of a text hash): [for] loops over a local
    [Int64] ref that call this inlined step, so ocamlopt keeps the ref
-   unboxed and no byte allocates. *)
+   unboxed and no byte allocates.  Their results, like every other step's,
+   are returned boxed. *)
 let[@inline] byte h b =
   Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) prime
 

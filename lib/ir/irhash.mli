@@ -4,7 +4,13 @@
     hierarchy links, flags, fields, and every method signature, access set
     and body statement.  The walk feeds only constructor tags, strings and
     small ints, so the hash is stable across processes (no [Sym] ids, no
-    physical identity) and allocation-free.
+    physical identity).
+
+    The walk allocates: every fold step that is not inlined returns its
+    state as a boxed [int64], about 44 minor words per IR statement.  Two
+    allocation-free folds — the state in an 8-byte [Bytes], or in two
+    native-int halves of a record — gave the same hashes but made the
+    ledger's delta-update slower end to end, so the boxed fold stays.
 
     Disassembly is a deterministic function of this structure, so equal
     hashes mean equal rendered dex lines; the delta snapshot path uses this

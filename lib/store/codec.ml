@@ -22,15 +22,15 @@ let checksum_offset = 24
 
 let fnv_offset = 0xcbf29ce484222325L
 
-let fnv1a64 ?(pos = 0) ?len (b : bytes) =
-  let len = match len with Some l -> l | None -> Bytes.length b - pos in
-  let h = ref fnv_offset in
-  (* fold native-endian 64-bit words, not bytes: checksummed regions are
-     8-aligned by construction and the 8x shorter loop keeps validation off
-     the warm path's critical time.  Native order means the reader can fold
-     an mmapped int64 view directly; a snapshot carried across endianness
-     fails the checksum and rebuilds cold, which is the documented contract
-     for these per-host caches. *)
+(* Continue an FNV-1a 64 fold over [len] bytes of [b] from [pos]: native-
+   endian 64-bit words, then the trailing bytes one at a time.  Checksummed
+   regions are 8-aligned by construction and the 8x shorter loop keeps
+   validation off the warm path's critical time.  Native order means the
+   reader can fold an mmapped int64 view directly; a snapshot carried
+   across endianness fails the checksum and rebuilds cold, which is the
+   documented contract for these per-host caches. *)
+let fold h (b : bytes) ~pos ~len =
+  let h = ref h in
   let words = len / 8 in
   for i = 0 to words - 1 do
     h :=
@@ -46,82 +46,190 @@ let fnv1a64 ?(pos = 0) ?len (b : bytes) =
   done;
   !h
 
+let fnv1a64 ?(pos = 0) ?len (b : bytes) =
+  let len = match len with Some l -> l | None -> Bytes.length b - pos in
+  fold fnv_offset b ~pos ~len
+
 (* -- Writing --------------------------------------------------------- *)
 
-type pending = { p_id : int; p_payload : string }
+(* A multiple of 8, and only a full chunk is flushed before the last one,
+   so every flush but the last folds whole words into the checksum and the
+   streamed fold equals [fnv1a64] over the finished file. *)
+let chunk_len = 65536
 
-type writer = { mutable sections : pending list (* reversed *) }
+(* Everything after the header, staged through one chunk.  [flushed] bytes
+   have gone to [oc] and into [hash]; the file position of the next byte is
+   [header_len + flushed + fill]. *)
+type sink = {
+  oc : Out_channel.t;
+  chunk : Bytes.t;
+  mutable fill : int;
+  mutable flushed : int;
+  mutable hash : int64;
+}
 
-let writer () = { sections = [] }
+let flush s =
+  s.hash <- fold s.hash s.chunk ~pos:0 ~len:s.fill;
+  Out_channel.output s.oc s.chunk 0 s.fill;
+  s.flushed <- s.flushed + s.fill;
+  s.fill <- 0
 
-let add w id payload =
-  if List.exists (fun p -> p.p_id = id) w.sections then
-    invalid_arg "Codec.add: duplicate section id";
-  w.sections <- { p_id = id; p_payload = payload } :: w.sections
+let written s = s.flushed + s.fill
 
-let ivec_payload v =
-  let n = Ivec.length v in
-  let b = Bytes.create (n * 8) in
-  for i = 0 to n - 1 do
-    Bytes.set_int64_ne b (i * 8) (Int64.of_int (Ivec.unsafe_get v i))
-  done;
-  Bytes.unsafe_to_string b
+(* Free bytes in the chunk, at least one. *)
+let room s =
+  if s.fill = chunk_len then flush s;
+  chunk_len - s.fill
 
-let ints_payload a =
-  let n = Array.length a in
-  let b = Bytes.create (n * 8) in
-  for i = 0 to n - 1 do
-    Bytes.set_int64_ne b (i * 8) (Int64.of_int (Array.unsafe_get a i))
-  done;
-  Bytes.unsafe_to_string b
+(* Word writes rely on the layout: int payloads start 8-aligned, so a word
+   never straddles a flush (a misaligned one fails the bounds check). *)
+let put_int s i =
+  if s.fill = chunk_len then flush s;
+  Bytes.set_int64_ne s.chunk s.fill (Int64.of_int i);
+  s.fill <- s.fill + 8
 
-let add_ivec w ~id v = add w id (ivec_payload v)
-let add_ints w ~id a = add w id (ints_payload a)
-let add_blob w ~id s = add w id s
+let put_int64_le s x =
+  if s.fill = chunk_len then flush s;
+  Bytes.set_int64_le s.chunk s.fill x;
+  s.fill <- s.fill + 8
+
+(* The bulk puts copy one run per iteration: as much as the chunk holds. *)
+let put_sub s str pos len =
+  let pos = ref pos and len = ref len in
+  while !len > 0 do
+    let n = min !len (room s) in
+    Bytes.blit_string str !pos s.chunk s.fill n;
+    s.fill <- s.fill + n;
+    pos := !pos + n;
+    len := !len - n
+  done
+
+let put_string s str = put_sub s str 0 (String.length str)
+
+let put_bvec s v =
+  let pos = ref 0 and len = ref (Bvec.length v) in
+  while !len > 0 do
+    let n = min !len (room s) in
+    Bvec.blit_to_bytes v !pos s.chunk s.fill n;
+    s.fill <- s.fill + n;
+    pos := !pos + n;
+    len := !len - n
+  done
+
+(* An int vector a run of words per iteration. *)
+let put_ivec s v =
+  let n = Ivec.length v and i = ref 0 in
+  while !i < n do
+    let k = min (n - !i) (max 1 (room s / 8)) in
+    for j = 0 to k - 1 do
+      Bytes.set_int64_ne s.chunk (s.fill + (j * 8))
+        (Int64.of_int (Ivec.unsafe_get v (!i + j)))
+    done;
+    s.fill <- s.fill + (k * 8);
+    i := !i + k
+  done
+
+type section = { id : int; len : int; produce : sink -> unit }
+
+let section ~id ~len produce =
+  if len < 0 then invalid_arg "Codec.section: negative length";
+  { id; len; produce }
+
+let ivec ~id v =
+  section ~id ~len:(8 * Ivec.length v) (fun s -> put_ivec s v)
+
+let ints ~id a =
+  section ~id ~len:(8 * Array.length a) (fun s -> Array.iter (put_int s) a)
+
+let bvec ~id v = section ~id ~len:(Bvec.length v) (fun s -> put_bvec s v)
+
+let strings ~id a =
+  let len = Array.fold_left (fun n str -> n + String.length str) 0 a in
+  section ~id ~len (fun s -> Array.iter (put_string s) a)
 
 let align8 n = (n + 7) land lnot 7
+let zeros = String.make 8 '\000'
 
-let write_file w ~path =
-  let sections = List.rev w.sections in
+(* Unique per write among live writers: concurrent saves to one path never
+   share a temp file. *)
+let temp_seq = Atomic.make 0
+
+let temp_path path =
+  Printf.sprintf "%s.%d-%d.tmp" path (Unix.getpid ())
+    (Atomic.fetch_and_add temp_seq 1)
+
+(* Directory, then each payload at its 8-aligned offset, all through one
+   chunk; the header goes last, once the checksum is known. *)
+let stream oc placed ~n ~total =
+  let s =
+    { oc; chunk = Bytes.create chunk_len; fill = 0; flushed = 0;
+      hash = fnv_offset }
+  in
+  let pad_to off = put_sub s zeros 0 (off - header_len - written s) in
+  List.iter
+    (fun (sec, off) ->
+       put_int64_le s (Int64.of_int sec.id);
+       put_int64_le s (Int64.of_int off);
+       put_int64_le s (Int64.of_int sec.len))
+    placed;
+  List.iter
+    (fun (sec, off) ->
+       pad_to off;
+       sec.produce s;
+       let got = header_len + written s - off in
+       if got <> sec.len then
+         invalid_arg
+           (Printf.sprintf "Codec.write_file: section %d wrote %d of %d bytes"
+              sec.id got sec.len))
+    placed;
+  pad_to total;
+  flush s;
+  let h = Bytes.make header_len '\000' in
+  Bytes.blit_string magic 0 h 0 8;
+  Bytes.set_int32_le h 8 (Int32.of_int format_version);
+  Bytes.set_int32_le h 12 (Int32.of_int n);
+  Bytes.set_int64_le h 16 (Int64.of_int total);
+  Bytes.set_int64_le h checksum_offset s.hash;
+  Out_channel.seek oc 0L;
+  Out_channel.output_bytes oc h
+
+let write_file ~path sections =
   let n = List.length sections in
-  let dir_len = n * 24 in
-  (* assign payload offsets, 8-aligned *)
-  let off = ref (header_len + dir_len) in
+  if List.length (List.sort_uniq compare (List.map (fun s -> s.id) sections))
+     <> n
+  then invalid_arg "Codec.write_file: duplicate section id";
+  (* lay out the payloads from their lengths, 8-aligned *)
+  let off = ref (header_len + (n * 24)) in
   let placed =
     List.map
-      (fun p ->
+      (fun sec ->
          let o = align8 !off in
-         off := o + String.length p.p_payload;
-         (p, o))
+         off := o + sec.len;
+         (sec, o))
       sections
   in
   let total = align8 !off in
-  let b = Bytes.make total '\000' in
-  Bytes.blit_string magic 0 b 0 8;
-  Bytes.set_int32_le b 8 (Int32.of_int format_version);
-  Bytes.set_int32_le b 12 (Int32.of_int n);
-  Bytes.set_int64_le b 16 (Int64.of_int total);
-  List.iteri
-    (fun i (p, o) ->
-       let e = header_len + (i * 24) in
-       Bytes.set_int64_le b e (Int64.of_int p.p_id);
-       Bytes.set_int64_le b (e + 8) (Int64.of_int o);
-       Bytes.set_int64_le b (e + 16)
-         (Int64.of_int (String.length p.p_payload));
-       Bytes.blit_string p.p_payload 0 b o (String.length p.p_payload))
-    placed;
-  Bytes.set_int64_le b checksum_offset
-    (fnv1a64 ~pos:header_len ~len:(total - header_len) b);
-  let tmp = path ^ ".tmp" in
-  let oc = Out_channel.open_bin tmp in
-  Fun.protect ~finally:(fun () -> Out_channel.close oc) (fun () ->
-      Out_channel.output_bytes oc b);
-  Sys.rename tmp path;
-  total
+  let tmp = temp_path path in
+  let oc =
+    Out_channel.open_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
+      0o666 tmp
+  in
+  match
+    Out_channel.seek oc (Int64.of_int header_len);
+    stream oc placed ~n ~total;
+    Out_channel.close oc;
+    Sys.rename tmp path
+  with
+  | () -> total
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Out_channel.close_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Printexc.raise_with_backtrace e bt
 
 (* -- Reading --------------------------------------------------------- *)
 
-type section = { s_off : int; s_len : int }
+type extent = { s_off : int; s_len : int }
 
 (* concrete element types matter below: helpers over bigarrays must be
    annotated or they infer polymorphic kinds and compile to the generic
@@ -136,7 +244,7 @@ type reader = {
       (* whole file mapped as native 64-bit words: checksum + blob copies *)
   chars : char_map;
       (* same mapping, byte granularity: header fields + unaligned tails *)
-  dir : (int, section) Hashtbl.t;
+  dir : (int, extent) Hashtbl.t;
 }
 
 let ( let* ) = Result.bind
@@ -249,13 +357,13 @@ let size r = r.r_size
 
 let mem r ~id = Hashtbl.mem r.dir id
 
-let section r id =
+let extent r id =
   match Hashtbl.find_opt r.dir id with
   | Some s -> Ok s
   | None -> Error (Corrupt (Printf.sprintf "missing section %d" id))
 
 let map_ivec r ~id =
-  let* s = section r id in
+  let* s = extent r id in
   if s.s_len land 7 <> 0 then
     Error (Corrupt (Printf.sprintf "section %d is not an int vector" id))
   else
@@ -270,13 +378,13 @@ let map_ivec r ~id =
    Like [map_ivec] views, it stays valid after [close] and writes are
    copy-on-write. *)
 let map_bytes r ~id =
-  let* s = section r id in
+  let* s = extent r id in
   Ok (Bigarray.Array1.sub r.chars s.s_off s.s_len)
 
 (* Copy a word at a time out of the mapping (offsets are 8-aligned by the
    directory check); the sub-word tail goes byte-wise. *)
 let read_blob r ~id =
-  let* s = section r id in
+  let* s = extent r id in
   let b = Bytes.create s.s_len in
   let wbase = s.s_off / 8 in
   let nw = s.s_len / 8 in

@@ -11,11 +11,19 @@
      32 ..      directory: per section, 3 x u64 { id, offset, byte length }
       then      section payloads, each 8-byte aligned
     v}
+    Padding before and after payloads is zero bytes, and the file length is
+    a multiple of 8.
 
     Int-vector payloads are native-endian machine words so a load can map
     them straight into {!Ivec.t}s with [Unix.map_file] — snapshots are
     per-host caches, not interchange files (a host with a different word
     order simply fails the structural checks and rebuilds cold).
+
+    Writes stream: each section's producer puts its bytes straight from
+    where they live into one reusable {!chunk_len}-byte chunk, and the
+    checksum is folded over each chunk as it goes to the file, so a save
+    holds no image of the file and copies each byte once on the OCaml
+    side.
 
     Loads validate in order: header present ([Truncated]), magic
     ([Bad_magic]), version ([Bad_version]), recorded vs actual file length
@@ -58,19 +66,54 @@ val fnv1a64 : ?pos:int -> ?len:int -> bytes -> int64
 
 (* -- Writing --------------------------------------------------------- *)
 
-type writer
+(** A section to write: an id, a byte length and a producer that puts
+    exactly that many bytes into a {!sink}.  The constructors below write
+    from where the data already lives — an {!Ivec.t} or a {!Bvec.t} as it
+    is, strings as they are — so a save copies each byte once, into the
+    write chunk. *)
+type section
 
-val writer : unit -> writer
+(** Where a producer puts its bytes: a fixed-size chunk of {!chunk_len}
+    bytes that {!write_file} flushes to the file, folding the checksum over
+    each chunk as it goes. *)
+type sink
 
-(** Append sections.  Ids must be distinct; order is preserved. *)
-val add_ivec : writer -> id:int -> Ivec.t -> unit
+(** The write chunk's size in bytes, a multiple of 8.  Exposed so tests can
+    write sections longer than one chunk. *)
+val chunk_len : int
 
-val add_ints : writer -> id:int -> int array -> unit
-val add_blob : writer -> id:int -> string -> unit
+(** [section ~id ~len produce]: [produce] must put exactly [len] bytes, or
+    {!write_file} raises [Invalid_argument].  A payload starts 8-aligned,
+    so a producer may put words from its start. *)
+val section : id:int -> len:int -> (sink -> unit) -> section
 
-(** Write the container to [path] (atomically: a temp file renamed over the
-    target), stamped {!format_version}, and return its size in bytes. *)
-val write_file : writer -> path:string -> int
+(** One native-endian machine word, as {!map_ivec} reads it back. *)
+val put_int : sink -> int -> unit
+
+val put_int64_le : sink -> int64 -> unit
+
+(** An int vector as native-endian machine words. *)
+val ivec : id:int -> Ivec.t -> section
+
+val ints : id:int -> int array -> section
+val bvec : id:int -> Bvec.t -> section
+
+(** The concatenation of the strings, unseparated. *)
+val strings : id:int -> string array -> section
+
+(** Write the sections to [path] in order, stamped {!format_version}, and
+    return the file size in bytes.  The directory is laid out from the
+    lengths, then the directory and each payload stream into a temp file
+    through one reusable chunk, and the header is written last, once the
+    checksum is known.  The temp file sits beside [path] under a name
+    unique per write, and is renamed over [path] when complete, so a
+    reader never sees a partial file and concurrent saves to one path do
+    not share it.  On any exception (a full disk, [path] naming a
+    directory, a producer that breaks its length) the temp file is removed
+    and the exception re-raised; I/O failures are [Sys_error].  The output
+    is never mapped, so a full disk is an exception, never a [SIGBUS].
+    Raises [Invalid_argument] on duplicate section ids. *)
+val write_file : path:string -> section list -> int
 
 (* -- Reading --------------------------------------------------------- *)
 

@@ -68,19 +68,19 @@ let default_path ~dir ~app_id =
 
 (* -- String arrays as (offsets, blob) section pairs ------------------- *)
 
-let add_strings w ~off_id ~blob_id (a : string array) =
-  let n = Array.length a in
-  let offs = Array.make (n + 1) 0 in
-  let total = ref 0 in
-  for i = 0 to n - 1 do
-    offs.(i) <- !total;
-    total := !total + String.length a.(i)
-  done;
-  offs.(n) <- !total;
-  let buf = Buffer.create (max 16 !total) in
-  Array.iter (Buffer.add_string buf) a;
-  Codec.add_ints w ~id:off_id offs;
-  Codec.add_blob w ~id:blob_id (Buffer.contents buf)
+(* The offsets are the running byte totals, from 0: computed as they are
+   written, never held. *)
+let string_sections ~off_id ~blob_id (a : string array) =
+  [ Codec.section ~id:off_id ~len:(8 * (Array.length a + 1)) (fun s ->
+        Codec.put_int s 0;
+        ignore
+          (Array.fold_left
+             (fun t str ->
+                let t = t + String.length str in
+                Codec.put_int s t;
+                t)
+             0 a));
+    Codec.strings ~id:blob_id a ]
 
 let load_strings r ~off_id ~blob_id ~count ~what =
   let* offs = Codec.map_ivec r ~id:off_id in
@@ -130,26 +130,24 @@ let map_textstore r ~off_id ~blob_id ~count ~what =
 
 (* -- Per-class map sections ------------------------------------------- *)
 
-let add_classmap w (cm : Classmap.t) =
+let classmap_sections (cm : Classmap.t) =
   let n = Classmap.length cm in
-  if n > 0 then begin
-    add_strings w ~off_id:sec_cm_name_offsets ~blob_id:sec_cm_name_blob
-      cm.Classmap.names;
-    let ranges = Array.make (4 * n) 0 in
-    for i = 0 to n - 1 do
-      ranges.((4 * i) + 0) <- cm.Classmap.line_lo.(i);
-      ranges.((4 * i) + 1) <- cm.Classmap.line_hi.(i);
-      ranges.((4 * i) + 2) <- cm.Classmap.slot_lo.(i);
-      ranges.((4 * i) + 3) <- cm.Classmap.slot_hi.(i)
-    done;
-    Codec.add_ints w ~id:sec_cm_ranges ranges;
-    let b = Bytes.create (16 * n) in
-    for i = 0 to n - 1 do
-      Bytes.set_int64_le b (16 * i) cm.Classmap.text_hash.(i);
-      Bytes.set_int64_le b ((16 * i) + 8) cm.Classmap.ir_hash.(i)
-    done;
-    Codec.add_blob w ~id:sec_cm_hashes (Bytes.unsafe_to_string b)
-  end
+  if n = 0 then []
+  else
+    string_sections ~off_id:sec_cm_name_offsets ~blob_id:sec_cm_name_blob
+      cm.Classmap.names
+    @ [ Codec.section ~id:sec_cm_ranges ~len:(32 * n) (fun s ->
+            for i = 0 to n - 1 do
+              Codec.put_int s cm.Classmap.line_lo.(i);
+              Codec.put_int s cm.Classmap.line_hi.(i);
+              Codec.put_int s cm.Classmap.slot_lo.(i);
+              Codec.put_int s cm.Classmap.slot_hi.(i)
+            done);
+        Codec.section ~id:sec_cm_hashes ~len:(16 * n) (fun s ->
+            for i = 0 to n - 1 do
+              Codec.put_int64_le s cm.Classmap.text_hash.(i);
+              Codec.put_int64_le s cm.Classmap.ir_hash.(i)
+            done) ]
 
 let load_classmap r ~n_lines ~n_slots =
   if not (Codec.mem r ~id:sec_cm_name_offsets) then Ok Classmap.empty
@@ -211,36 +209,50 @@ let save ?ruleset_hash ?(results = [||]) ~path engine =
   let arena = dex.Dex.Dexfile.arena in
   let n_lines = Dex.Dexfile.line_count dex in
   let syms = Sym.dump () in
-  let w = Codec.writer () in
-  Codec.add_ints w ~id:sec_meta
-    [| n_lines; Dex.Arena.length arena;
-       Array.length arena.Dex.Arena.owners; Array.length syms |];
-  (match ruleset_hash with
-   | Some h -> Codec.add_ints w ~id:sec_ruleset [| h |]
-   | None -> ());
-  add_strings w ~off_id:sec_sym_offsets ~blob_id:sec_sym_blob syms;
-  add_strings w ~off_id:sec_line_offsets ~blob_id:sec_line_blob
-    (Array.init n_lines (Dex.Dexfile.line_text dex));
-  add_strings w ~off_id:sec_owner_offsets ~blob_id:sec_owner_blob
-    (Array.map Ir.Jsig.meth_to_string arena.Dex.Arena.owners);
-  add_strings w ~off_id:sec_cls_offsets ~blob_id:sec_cls_blob
-    arena.Dex.Arena.owner_cls;
-  Codec.add_ivec w ~id:sec_line_idx arena.Dex.Arena.line_idx;
-  Codec.add_ivec w ~id:sec_stmt_idx arena.Dex.Arena.stmt_idx;
-  Codec.add_ivec w ~id:sec_owner_id arena.Dex.Arena.owner_id;
-  Codec.add_ivec w ~id:sec_cat arena.Dex.Arena.cat;
-  Codec.add_ivec w ~id:sec_sym arena.Dex.Arena.sym;
-  add_classmap w (Dex.Dexfile.classmap dex);
-  if Array.length results > 0 then
-    add_strings w ~off_id:sec_results_offsets ~blob_id:sec_results_blob
-      results;
-  Array.iteri
-    (fun c (p : Packed.t) ->
-       Codec.add_ivec w ~id:(sec_keys c) p.Packed.keys;
-       Codec.add_ivec w ~id:(sec_offsets c) p.Packed.offsets;
-       Codec.add_blob w ~id:(sec_runs c) (Bvec.to_string p.Packed.runs))
-    packed;
-  let bytes = Codec.write_file w ~path in
+  (* a store-backed dexfile's texts go out as the store holds them, so
+     saving materialises no line; a cold dexfile's lines carry theirs *)
+  let line_sections =
+    match dex.Dex.Dexfile.texts with
+    | Some store ->
+      [ Codec.ivec ~id:sec_line_offsets (Dex.Textstore.offsets store);
+        Codec.bvec ~id:sec_line_blob (Dex.Textstore.blob store) ]
+    | None ->
+      string_sections ~off_id:sec_line_offsets ~blob_id:sec_line_blob
+        (Array.map (fun l -> l.Dex.Disasm.text) dex.Dex.Dexfile.lines)
+  in
+  let sections =
+    List.concat
+      [ [ Codec.ints ~id:sec_meta
+            [| n_lines; Dex.Arena.length arena;
+               Array.length arena.Dex.Arena.owners; Array.length syms |] ];
+        (match ruleset_hash with
+         | Some h -> [ Codec.ints ~id:sec_ruleset [| h |] ]
+         | None -> []);
+        string_sections ~off_id:sec_sym_offsets ~blob_id:sec_sym_blob syms;
+        line_sections;
+        string_sections ~off_id:sec_owner_offsets ~blob_id:sec_owner_blob
+          (Array.map Ir.Jsig.meth_to_string arena.Dex.Arena.owners);
+        string_sections ~off_id:sec_cls_offsets ~blob_id:sec_cls_blob
+          arena.Dex.Arena.owner_cls;
+        [ Codec.ivec ~id:sec_line_idx arena.Dex.Arena.line_idx;
+          Codec.ivec ~id:sec_stmt_idx arena.Dex.Arena.stmt_idx;
+          Codec.ivec ~id:sec_owner_id arena.Dex.Arena.owner_id;
+          Codec.ivec ~id:sec_cat arena.Dex.Arena.cat;
+          Codec.ivec ~id:sec_sym arena.Dex.Arena.sym ];
+        classmap_sections (Dex.Dexfile.classmap dex);
+        (if Array.length results > 0 then
+           string_sections ~off_id:sec_results_offsets
+             ~blob_id:sec_results_blob results
+         else []);
+        List.concat
+          (List.mapi
+             (fun c (p : Packed.t) ->
+                [ Codec.ivec ~id:(sec_keys c) p.Packed.keys;
+                  Codec.ivec ~id:(sec_offsets c) p.Packed.offsets;
+                  Codec.bvec ~id:(sec_runs c) p.Packed.runs ])
+             (Array.to_list packed)) ]
+  in
+  let bytes = Codec.write_file ~path sections in
   Obs.Metrics.incr m_save_files;
   Obs.Metrics.add m_save_bytes bytes;
   Obs.Span.emit ~cat:"store" ~name:"store:save"
@@ -688,13 +700,13 @@ let delta_of_engine old_engine program =
       |> Array.of_list
     in
     let n_classes = Array.length classes in
-    let cm_names = Array.make (max 1 n_classes) "" in
-    let cm_line_lo = Array.make (max 1 n_classes) 0 in
-    let cm_line_hi = Array.make (max 1 n_classes) 0 in
-    let cm_slot_lo = Array.make (max 1 n_classes) 0 in
-    let cm_slot_hi = Array.make (max 1 n_classes) 0 in
-    let cm_text = Array.make (max 1 n_classes) 0L in
-    let cm_ir = Array.make (max 1 n_classes) 0L in
+    let cm_names = Array.make n_classes "" in
+    let cm_line_lo = Array.make n_classes 0 in
+    let cm_line_hi = Array.make n_classes 0 in
+    let cm_slot_lo = Array.make n_classes 0 in
+    let cm_slot_hi = Array.make n_classes 0 in
+    let cm_text = Array.make n_classes 0L in
+    let cm_ir = Array.make n_classes 0L in
     let n_unchanged = ref 0
     and n_changed = ref 0
     and n_added = ref 0 in
@@ -773,7 +785,7 @@ let delta_of_engine old_engine program =
         in
         Some (Bvec.create bytes, Ivec.create (n_lines + 1))
     in
-    let lines = Array.make (max 1 n_lines) placeholder_line in
+    let lines = Array.make n_lines placeholder_line in
     let line_idx = Ivec.create n_slots in
     let stmt_idx = Ivec.create n_slots in
     let owner_id = Ivec.create n_slots in

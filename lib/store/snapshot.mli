@@ -35,8 +35,12 @@ val default_path : dir:string -> app_id:string -> string
 (** Serialize [engine]'s symbol table, dexfile lines, arena, classmap and
     all seven postings categories (building any not yet built, the
     classmap included) to [path], atomically, in format
-    {!Codec.format_version}.  Returns the file size in bytes.  The postings runs are written as the engine holds them, so
-    save -> load -> save is byte-identical.
+    {!Codec.format_version}.  Returns the file size in bytes.  Every
+    section streams from where the engine holds it: the postings runs and
+    arena columns as they are, and a snapshot-loaded or delta-built
+    dexfile's line texts from its off-heap store, so saving materialises no
+    line.  save -> load -> save is byte-identical.  An I/O failure raises
+    [Sys_error], leaves [path] as it was and removes the temp file.
 
     [ruleset_hash] (default: the engine's own
     {!Bytesearch.Engine.ruleset_stamp}, if any) records the detection-rule-set

@@ -404,6 +404,34 @@ let test_delta_engine_roundtrip () =
     (List.map report_fingerprint cold.Driver.reports)
     (List.map report_fingerprint warm.Driver.reports)
 
+(* An update that removes every app class leaves a delta engine with no
+   lines at all — not one placeholder line — and it saves and loads back
+   as such. *)
+let test_delta_to_empty_app () =
+  with_snapshot @@ fun ~app ~path ->
+  let emptied =
+    Ir.Program.of_classes
+      (Ir.Program.fold_classes app.G.program
+         (fun (c : Ir.Jclass.t) acc ->
+            if c.Ir.Jclass.is_system then c :: acc else acc)
+         [])
+  in
+  let engine =
+    match Store.Snapshot.delta ~path emptied with
+    | Ok (e, _) -> e
+    | Error e -> Alcotest.failf "delta: %s" (Store.Codec.error_to_string e)
+  in
+  Alcotest.(check int) "no lines" 0 (Dex.Dexfile.line_count (E.dexfile engine));
+  let path2 = Filename.temp_file "backdroid_empty" ".bdix" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path2 with Sys_error _ -> ())
+  @@ fun () ->
+  ignore (Store.Snapshot.save ~path:path2 engine);
+  match Store.Snapshot.load ~path:path2 emptied with
+  | Ok e ->
+    Alcotest.(check int) "no lines after a reload" 0
+      (Dex.Dexfile.line_count (E.dexfile e))
+  | Error e -> Alcotest.failf "load: %s" (Store.Codec.error_to_string e)
+
 (* An engine with no class map (pre-delta snapshot, or a cold engine built
    before classmaps existed) cannot be delta-patched: typed error, so
    callers fall back to a cold build. *)
@@ -659,6 +687,247 @@ let test_classmap_once_across_domains () =
     (List.length (Ir.Program.app_classes app.G.program))
     (Dex.Classmap.length a)
 
+(* -- The streamed writer ----------------------------------------------- *)
+
+module C = Store.Codec
+
+(* What a generated section holds, and how it is handed to the writer. *)
+type spec =
+  | Ivec of int array          (* [C.ivec] over an off-heap copy *)
+  | Ints of int array          (* [C.ints] *)
+  | Strings of string array    (* [C.strings]: the concatenation *)
+  | Bytevec of string          (* [C.bvec] over an off-heap copy *)
+
+let spec_bytes = function
+  | Ivec a | Ints a ->
+    let b = Bytes.create (8 * Array.length a) in
+    Array.iteri (fun i x -> Bytes.set_int64_ne b (8 * i) (Int64.of_int x)) a;
+    Bytes.to_string b
+  | Strings a -> String.concat "" (Array.to_list a)
+  | Bytevec s -> s
+
+let to_section id = function
+  | Ivec a -> C.ivec ~id (Ivec.of_array a)
+  | Ints a -> C.ints ~id a
+  | Strings a -> C.strings ~id a
+  | Bytevec s -> C.bvec ~id (Bvec.of_string s)
+
+let print_spec (id, sp) =
+  let kind =
+    match sp with
+    | Ivec _ -> "ivec"
+    | Ints _ -> "ints"
+    | Strings a -> Printf.sprintf "strings[%d]" (Array.length a)
+    | Bytevec _ -> "bvec"
+  in
+  Printf.sprintf "%d:%s/%d" id kind (String.length (spec_bytes sp))
+
+(* Byte lengths: empty, every residue mod 8, and past one write chunk. *)
+let gen_len =
+  QCheck.Gen.(
+    frequency
+      [ (1, return 0); (4, int_range 1 40);
+        (2, int_range (C.chunk_len - 9) (C.chunk_len + 9));
+        (1, int_range (C.chunk_len + 10) ((2 * C.chunk_len) + 17)) ])
+
+let gen_spec =
+  QCheck.Gen.(
+    let words =
+      let* n = map (fun l -> l / 8) gen_len in
+      array_size (return n)
+        (oneof [ int; int_range (-3) 3; oneofl [ min_int; max_int; -1 ] ])
+    in
+    let bytes = gen_len >>= fun n -> string_size ~gen:char (return n) in
+    oneof
+      [ map (fun a -> Ivec a) words;
+        map (fun a -> Ints a) words;
+        map (fun s -> Bytevec s) bytes;
+        (* one string; a few; or many short ones, which end on every
+           chunk offset, aligned or not *)
+        (let short = string_size ~gen:char (int_range 0 17) in
+         let* parts =
+           oneof
+             [ map (fun s -> [| s |]) bytes;
+               array_size (int_range 0 6) (oneof [ short; bytes ]);
+               array_size (int_range 0 12_000) short ]
+         in
+         return (Strings parts)) ])
+
+let gen_sections =
+  QCheck.Gen.(
+    let* k = int_range 0 7 in
+    let* ids = list_size (return k) (int_range 0 100_000) in
+    let ids = List.sort_uniq compare ids in
+    let* ids = shuffle_l ids in
+    let* specs = list_size (return (List.length ids)) gen_spec in
+    return (List.combine ids specs))
+
+(* The file image [codec.mli] documents, built independently: header,
+   directory, 8-aligned payloads, zero padding, sealed with [fnv1a64]. *)
+let reference_image sections =
+  let n = List.length sections in
+  let align n = (n + 7) land lnot 7 in
+  let off = ref (C.header_len + (24 * n)) in
+  let placed =
+    List.map
+      (fun (id, sp) ->
+         let o = align !off in
+         let b = spec_bytes sp in
+         off := o + String.length b;
+         (id, o, b))
+      sections
+  in
+  let total = align !off in
+  let img = Bytes.make total '\000' in
+  Bytes.blit_string C.magic 0 img 0 8;
+  Bytes.set_int32_le img 8 (Int32.of_int C.format_version);
+  Bytes.set_int32_le img 12 (Int32.of_int n);
+  Bytes.set_int64_le img 16 (Int64.of_int total);
+  List.iteri
+    (fun i (id, o, b) ->
+       let e = C.header_len + (24 * i) in
+       Bytes.set_int64_le img e (Int64.of_int id);
+       Bytes.set_int64_le img (e + 8) (Int64.of_int o);
+       Bytes.set_int64_le img (e + 16) (Int64.of_int (String.length b));
+       Bytes.blit_string b 0 img o (String.length b))
+    placed;
+  Bytes.set_int64_le img C.checksum_offset
+    (C.fnv1a64 ~pos:C.header_len ~len:(total - C.header_len) img);
+  Bytes.to_string img
+
+let writer_matches_layout =
+  QCheck.Test.make ~name:"streamed writer == documented layout, reads back"
+    ~count:60
+    (QCheck.make
+       ~print:(fun l -> String.concat " " (List.map print_spec l))
+       gen_sections)
+    (fun sections ->
+       let path = Filename.temp_file "backdroid_codec" ".bdix" in
+       Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+       let size =
+         C.write_file ~path
+           (List.map (fun (id, sp) -> to_section id sp) sections)
+       in
+       let expect = reference_image sections in
+       if size <> String.length expect then
+         QCheck.Test.fail_reportf "size %d, layout says %d" size
+           (String.length expect);
+       if read_all path <> expect then
+         QCheck.Test.fail_report "file bytes differ from the reference image";
+       let r =
+         match C.read_file ~path with
+         | Ok r -> r
+         | Error e -> QCheck.Test.fail_reportf "read: %s" (C.error_to_string e)
+       in
+       Fun.protect ~finally:(fun () -> C.close r) @@ fun () ->
+       List.iter
+         (fun (id, sp) ->
+            let got =
+              match sp with
+              | Ivec _ | Ints _ ->
+                Result.map
+                  (fun v -> spec_bytes (Ints (Ivec.to_array v)))
+                  (C.map_ivec r ~id)
+              | Strings _ | Bytevec _ ->
+                let blob = C.read_blob r ~id in
+                let mapped = Result.map Bvec.to_string (C.map_bytes r ~id) in
+                if blob <> mapped then
+                  QCheck.Test.fail_reportf "section %d: blob <> mapped" id;
+                blob
+            in
+            match got with
+            | Ok b when b = spec_bytes sp -> ()
+            | Ok _ -> QCheck.Test.fail_reportf "section %d reads back wrong" id
+            | Error e ->
+              QCheck.Test.fail_reportf "section %d: %s" id
+                (C.error_to_string e))
+         sections;
+       true)
+
+(* Saving writes a store-backed dexfile's texts from the store: a line
+   whose text is still pending stays pending, whether the engine was
+   loaded from a snapshot or delta-patched from a loaded one. *)
+let test_save_keeps_lines_pending () =
+  with_snapshot @@ fun ~app ~path ->
+  let loaded =
+    match Store.Snapshot.load ~path app.G.program with
+    | Ok e -> e
+    | Error e -> Alcotest.failf "load: %s" (Store.Codec.error_to_string e)
+  in
+  let v2 = G.mutate ~pct:0.25 app in
+  let delta =
+    match Store.Snapshot.delta_of_engine loaded v2.G.program with
+    | Ok (e, _) -> e
+    | Error e ->
+      Alcotest.failf "delta_of_engine: %s" (Store.Codec.error_to_string e)
+  in
+  let pending e =
+    let lines = (E.dexfile e).Dex.Dexfile.lines in
+    List.filter
+      (fun i -> lines.(i).Dex.Disasm.text == Dex.Textstore.pending)
+      (List.init (Array.length lines) Fun.id)
+  in
+  let before_loaded = pending loaded and before_delta = pending delta in
+  Alcotest.(check bool) "a loaded engine starts with pending lines" true
+    (before_loaded <> []);
+  Alcotest.(check bool) "a delta engine shares pending lines" true
+    (before_delta <> []);
+  let path2 = Filename.temp_file "backdroid_pending" ".bdix" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path2 with Sys_error _ -> ())
+  @@ fun () ->
+  ignore (Store.Snapshot.save ~path:path2 loaded);
+  Alcotest.(check (list int)) "saving a loaded engine renders no line"
+    before_loaded (pending loaded);
+  ignore (Store.Snapshot.save ~path:path2 delta);
+  Alcotest.(check (list int)) "saving a delta engine renders no line"
+    before_delta (pending delta)
+
+(* A save that fails — here the rename onto a directory — raises the I/O
+   error the daemon handles, and leaves no temp file behind. *)
+let test_failed_save_leaves_no_temp () =
+  let app = fixture_app () in
+  let dir = Filename.temp_dir "backdroid_store" "" in
+  let target = Filename.concat dir "target.bdix" in
+  Sys.mkdir target 0o755;
+  Fun.protect ~finally:(fun () -> Sys.rmdir target; Sys.rmdir dir)
+  @@ fun () ->
+  (match Store.Snapshot.save ~path:target (E.create app.G.dex) with
+   | _ -> Alcotest.fail "a save onto a directory succeeded"
+   | exception Sys_error _ -> ());
+  Alcotest.(check (list string)) "only the directory remains"
+    [ "target.bdix" ] (Array.to_list (Sys.readdir dir))
+
+(* Saves racing to one path each write their own temp file: every one
+   completes, the survivor is a whole snapshot, and no temp file is
+   left. *)
+let test_concurrent_saves_one_path () =
+  let app = fixture_app () in
+  let engine = E.create app.G.dex in
+  let dir = Filename.temp_dir "backdroid_store" "" in
+  let target = Filename.concat dir "target.bdix" in
+  Fun.protect
+    ~finally:(fun () ->
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f))
+          (Sys.readdir dir);
+        Sys.rmdir dir)
+  @@ fun () ->
+  let expect = Store.Snapshot.save ~path:target engine in
+  let go = Atomic.make false in
+  let save () =
+    while not (Atomic.get go) do Domain.cpu_relax () done;
+    List.init 4 (fun _ -> Store.Snapshot.save ~path:target engine)
+  in
+  let d1 = Domain.spawn save and d2 = Domain.spawn save in
+  Atomic.set go true;
+  let sizes = Domain.join d1 @ Domain.join d2 in
+  Alcotest.(check (list int)) "every save completes"
+    (List.init 8 (fun _ -> expect)) sizes;
+  Alcotest.(check (list string)) "no temp file left" [ "target.bdix" ]
+    (Array.to_list (Sys.readdir dir));
+  match Store.Snapshot.load ~path:target app.G.program with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "survivor: %s" (Store.Codec.error_to_string e)
+
 let cases =
   [ Alcotest.test_case "corrupted snapshots fail as typed errors" `Quick
       test_rejects_corruption;
@@ -679,6 +948,8 @@ let cases =
       test_delta_equals_cold;
     Alcotest.test_case "delta engine saves and round-trips" `Quick
       test_delta_engine_roundtrip;
+    Alcotest.test_case "delta to an app with no classes" `Quick
+      test_delta_to_empty_app;
     Alcotest.test_case "delta without a class map is a typed error" `Quick
       test_delta_requires_classmap;
     Alcotest.test_case "delta postings == cold postings, any old order"
@@ -687,7 +958,14 @@ let cases =
       test_classmap_on_first_use;
     Alcotest.test_case "class map is built once across domains" `Quick
       test_classmap_once_across_domains;
+    Alcotest.test_case "saving leaves pending lines pending" `Quick
+      test_save_keeps_lines_pending;
+    Alcotest.test_case "a failed save leaves no temp file" `Quick
+      test_failed_save_leaves_no_temp;
+    Alcotest.test_case "concurrent saves to one path" `Quick
+      test_concurrent_saves_one_path;
     QCheck_alcotest.to_alcotest delta_equiv;
-    QCheck_alcotest.to_alcotest codec_roundtrip ]
+    QCheck_alcotest.to_alcotest codec_roundtrip;
+    QCheck_alcotest.to_alcotest writer_matches_layout ]
 
 let suites = [ "store.snapshot", cases ]
