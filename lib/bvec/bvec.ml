@@ -11,24 +11,25 @@ let unsafe_get (v : t) i = Bigarray.Array1.unsafe_get v i
 let get_u8 v i = Char.code (get v i)
 let unsafe_u8 (v : t) i = Char.code (Bigarray.Array1.unsafe_get v i)
 
-let of_string s =
-  let n = String.length s in
-  let v = create n in
-  for i = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set v i (String.unsafe_get s i)
-  done;
-  v
-
-let sub_string v pos len =
-  if pos < 0 || len < 0 || pos + len > length v then
-    invalid_arg "Bvec.sub_string";
-  String.init len (fun i -> unsafe_get v (pos + i))
-
-let to_string v = sub_string v 0 (length v)
-
 (* unaligned native-endian word access, the compiler's own primitives *)
 external unsafe_get64 : t -> int -> int64 = "%caml_bigstring_get64u"
 external unsafe_set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bytes_get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+external unsafe_put64 : t -> int -> int64 -> unit = "%caml_bigstring_set64u"
+
+let of_bytes b len =
+  if len < 0 || len > Bytes.length b then invalid_arg "Bvec.of_bytes";
+  let v = create len in
+  let words = len / 8 in
+  for i = 0 to words - 1 do
+    unsafe_put64 v (i * 8) (bytes_get64 b (i * 8))
+  done;
+  for i = words * 8 to len - 1 do
+    Bigarray.Array1.unsafe_set v i (Bytes.unsafe_get b i)
+  done;
+  v
+
+let of_string s = of_bytes (Bytes.unsafe_of_string s) (String.length s)
 
 let blit_to_bytes v pos b off len =
   if
@@ -42,6 +43,15 @@ let blit_to_bytes v pos b off len =
   for i = words * 8 to len - 1 do
     Bytes.unsafe_set b (off + i) (unsafe_get v (pos + i))
   done
+
+let sub_string v pos len =
+  if pos < 0 || len < 0 || pos + len > length v then
+    invalid_arg "Bvec.sub_string";
+  let b = Bytes.create len in
+  blit_to_bytes v pos b 0 len;
+  Bytes.unsafe_to_string b
+
+let to_string v = sub_string v 0 (length v)
 
 let equal_string v ~pos s =
   let n = String.length s in

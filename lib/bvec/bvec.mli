@@ -28,6 +28,10 @@ val get_u8 : t -> int -> int
 val unsafe_u8 : t -> int -> int
 
 val of_string : string -> t
+
+(** [of_bytes b len] copies the first [len] bytes of [b] into a fresh
+    vector, a machine word at a time. *)
+val of_bytes : bytes -> int -> t
 val to_string : t -> string
 
 (** [sub_string v pos len] materialises [len] bytes starting at [pos] as a

@@ -1,10 +1,11 @@
 (** Compact struct-of-arrays hit arena over a disassembled dex plaintext.
 
     One slot per instruction line (a line with an enclosing method); slots
-    are in line order.  Per-category search postings index into this arena
-    with plain ints, and hit records are materialised from a slot only when
-    a query returns it — the arena replaces the per-line boxed hit records
-    the old eager index allocated up front.
+    are in line order, so [line_idx] is strictly ascending.  Header lines
+    have no slot.  Per-category search postings index into this arena with
+    plain ints, and hit records are materialised from a slot only when a
+    query returns it.  The renderer ({!Writer}) fills the columns as it
+    writes each instruction line.
 
     The int columns are {!Ivec.t}s: the payload lives off the OCaml heap,
     invisible to the GC, and a snapshot load can alias them to mmapped file
@@ -22,7 +23,7 @@ val cat_static_field : int
 val cat_none : int
 
 type t = {
-  line_idx : Ivec.t;  (** slot -> index into the dexfile line array *)
+  line_idx : Ivec.t;  (** slot -> line number in the dexfile's texts *)
   stmt_idx : Ivec.t;  (** slot -> IR statement index; [-1] = none *)
   owner_id : Ivec.t;  (** slot -> index into [owners] / [owner_cls] *)
   cat : Ivec.t;       (** slot -> category code; {!cat_none} = unkeyed *)
@@ -33,9 +34,3 @@ type t = {
 
 (** Number of slots. *)
 val length : t -> int
-
-(** Category code and operand [Sym.id] of a disassembler key. *)
-val key_code : Disasm.key -> int * int
-
-(** Build the arena in one pass over the disassembled lines. *)
-val of_lines : Disasm.line array -> t

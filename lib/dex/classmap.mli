@@ -2,10 +2,11 @@
 
     One entry per class, in line order (classes are contiguous runs of the
     dex plaintext): its [\[lo, hi)] line range, its [\[lo, hi)] arena slot
-    range, the FNV-1a-64 hash of its rendered lines ([text_hash]) and the
-    structural {!Ir.Irhash} of its IR ([ir_hash]).  A disassembled dexfile
-    builds its table on first use ([Dexfile.classmap]); a one-shot analysis
-    that saves nothing never builds one.
+    range, the FNV-1a-64 hash of its rendered lines ([text_hash],
+    {!Textstore.hash_lines}) and the structural {!Ir.Irhash} of its IR
+    ([ir_hash]).  A disassembled dexfile records the ranges as it renders
+    and hashes on first use ([Dexfile.classmap]); a one-shot analysis that
+    saves nothing never hashes.
 
     The delta snapshot path ({!Store.Snapshot}, PR 8) diffs a new build
     against an old snapshot by [ir_hash] — no rendering needed for
@@ -18,7 +19,7 @@ type t = private {
   line_hi : int array;         (** [\[line_lo.(i), line_hi.(i))] lines *)
   slot_lo : int array;
   slot_hi : int array;         (** [\[slot_lo.(i), slot_hi.(i))] arena slots *)
-  text_hash : int64 array;     (** FNV-1a-64 over the rendered lines *)
+  text_hash : int64 array;     (** {!Textstore.hash_lines} of the lines *)
   ir_hash : int64 array;       (** structural {!Ir.Irhash.jclass} *)
   index : (string, int) Hashtbl.t;
 }
@@ -32,18 +33,10 @@ val find : t -> string -> int option
 (** Structural IR hash of class [name], if present. *)
 val ir_hash_of : t -> string -> int64 option
 
-(** Rebuild from columns (the snapshot load path).  Raises
-    [Invalid_argument] on a column length mismatch. *)
+(** Build from columns.  Raises [Invalid_argument] on a column length
+    mismatch. *)
 val v :
   names:string array ->
   line_lo:int array -> line_hi:int array ->
   slot_lo:int array -> slot_hi:int array ->
   text_hash:int64 array -> ir_hash:int64 array -> t
-
-(** FNV-1a-64 over lines [\[lo, hi)] (their [text] fields, each
-    length-prefixed) — the canonical per-class text hash. *)
-val text_hash_of_lines : Disasm.line array -> int -> int -> int64
-
-(** Build the table in one pass over freshly disassembled lines (which must
-    carry real text) and their arena. *)
-val of_lines : Disasm.line array -> Arena.t -> Ir.Program.t -> t

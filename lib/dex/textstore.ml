@@ -1,10 +1,5 @@
 type t = { blob : Bvec.t; offs : Ivec.t }
 
-(* A unique, physically distinguishable marker.  Built at module init (not
-   a literal) so no other string in the program can share it; the lazy
-   materialization check is plain pointer equality. *)
-let pending = String.init 1 (fun _ -> '\x00')
-
 let create ~blob ~(offs : Ivec.t) =
   let n = Ivec.length offs - 1 in
   if n < 0 then invalid_arg "Textstore.create: empty offsets";
@@ -47,42 +42,13 @@ let starts_with t i ~pos ~prefix =
   && pos + String.length prefix <= length_at t i
   && Bvec.equal_string t.blob ~pos:(start t i + pos) prefix
 
-(* Same first-char skip loop as the heap-string scan path, reading the
-   mapped blob directly — no String.sub, no line materialization. *)
-let contains t i ~pat =
-  let lp = String.length pat in
-  if lp = 0 then true
-  else begin
-    let lo = start t i in
-    let ls = length_at t i in
-    if lp > ls then false
-    else begin
-      let max_start = lo + ls - lp in
-      let c0 = String.unsafe_get pat 0 in
-      let blob = t.blob in
-      let rec eq_at p j =
-        j >= lp
-        || (Bvec.unsafe_get blob (p + j) = String.unsafe_get pat j
-            && eq_at p (j + 1))
-      in
-      let rec at p =
-        if p > max_start then false
-        else if Bvec.unsafe_get blob p = c0 && eq_at p 1 then true
-        else at (p + 1)
-      in
-      at lo
-    end
-  end
-
 (* Every line containing [pat], ascending, each line reported once — the
    residual scan's bulk path.  One Boyer–Moore–Horspool pass over the whole
    concatenated blob instead of a naive loop per line: the bad-character
    table skips ~|pat| bytes per probe, so long opcode patterns touch an
-   order of magnitude fewer bytes than the per-line scan, which is what
-   lets a snapshot engine's residual scan beat the heap-string scan instead
-   of trailing it on bigarray access latency.  A match straddling a line
-   boundary belongs to no line and is skipped, matching per-line
-   semantics. *)
+   order of magnitude fewer bytes than a naive scan per line.  A match
+   straddling a line boundary belongs to no line and is skipped, matching
+   per-line semantics. *)
 let iter_matches t ~pat f =
   let lp = String.length pat in
   let nlines = count t in
@@ -126,5 +92,12 @@ let iter_matches t ~pat f =
       done
     end
   end
+
+let hash_lines t lo hi =
+  let h = ref Ir.Irhash.offset_basis in
+  for i = lo to hi - 1 do
+    h := Ir.Irhash.bigstring !h t.blob ~pos:(start t i) ~len:(length_at t i)
+  done;
+  !h
 
 let prefault t = Bvec.prefault t.blob lxor Ivec.prefault t.offs

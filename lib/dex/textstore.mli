@@ -1,20 +1,13 @@
-(** Off-heap line texts: the snapshot-loaded dexfile's plaintext lines as
-    (offset, length) views into the mmapped text-blob section, instead of
-    one heap string per line materialised at load time.
+(** The dexfile's plaintext lines as (offset, length) views into one byte
+    blob.  This is the only layout of line texts: the renderer writes it
+    ({!Writer}), a snapshot stores it as two sections and maps them back.
 
-    The residual text scan (free-form [Raw] queries against a snapshot
-    engine) matches directly against the blob with the allocation-free
-    predicates below; a line's string is materialised only when a hit
-    actually returns it, and is then cached on the line record (see
-    [Dexfile.line_text]), so repeated hits pay the [String] allocation
-    once. *)
+    The residual text scan (free-form [Raw] queries) matches directly
+    against the blob with the allocation-free predicates below; a line's
+    string is materialised only when a caller asks for it
+    ([Dexfile.line_text]). *)
 
 type t
-
-(** The placeholder installed in [Disasm.line.text] for lines whose text
-    still lives only in the store.  A unique string instance — test with
-    [==], never [=]. *)
-val pending : string
 
 (** [create ~blob ~offs] views line [i] as bytes
     [offs.(i) .. offs.(i+1) - 1] of [blob].  Raises [Invalid_argument] if
@@ -24,8 +17,8 @@ val create : blob:Bvec.t -> offs:Ivec.t -> t
 (** Number of lines. *)
 val count : t -> int
 
-(** The raw backing views — the delta-patch path splices per-class byte
-    ranges of an old store into a new blob with these. *)
+(** The raw backing views — the snapshot save writes them as they are,
+    and the delta copies per-class byte ranges of an old store with them. *)
 
 val blob : t -> Bvec.t
 val offsets : t -> Ivec.t
@@ -43,9 +36,6 @@ val index_char : t -> int -> char -> int
 (** Whether line [i] carries [prefix] at byte [pos].  Allocation-free. *)
 val starts_with : t -> int -> pos:int -> prefix:string -> bool
 
-(** Whether line [i] contains [pat] as a substring.  Allocation-free. *)
-val contains : t -> int -> pat:string -> bool
-
 (** [iter_matches t ~pat f] calls [f i] for every line [i] containing
     [pat], ascending, each such line once.  One Boyer–Moore–Horspool pass
     over the whole blob (not a loop per line), so cost scales with
@@ -53,6 +43,11 @@ val contains : t -> int -> pat:string -> bool
     empty [pat] matches every line; a match straddling a line boundary
     matches neither line. *)
 val iter_matches : t -> pat:string -> (int -> unit) -> unit
+
+(** FNV-1a-64 over lines [lo .. hi - 1], each folded as
+    {!Ir.Irhash.string} folds its text — the per-class text hash of
+    {!Classmap}. *)
+val hash_lines : t -> int -> int -> int64
 
 (** Touch every page of the blob and offsets (see {!Bvec.prefault}). *)
 val prefault : t -> int

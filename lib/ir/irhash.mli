@@ -31,3 +31,11 @@ val offset_basis : int64
 
 (** [string h s] folds [s] (length-prefixed) into [h]. *)
 val string : int64 -> string -> int64
+
+(** [bigstring h v ~pos ~len] folds bytes [pos .. pos + len - 1] of [v]
+    exactly as {!string} folds the same bytes held in a string — the
+    per-class text hash reads line texts where they are stored. *)
+val bigstring :
+  int64 ->
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  pos:int -> len:int -> int64

@@ -5,14 +5,18 @@
     Indexed mode answers queries from per-category postings: for each of the
     seven searchable categories, a packed triple — ascending operand symbol
     ids, byte offsets, and {!Postcodec}-coded slot runs into the dexfile's
-    hit {!Dex.Arena}, all off-heap.  Postings are built from the interned
-    operand keys the disassembler attached to each line — no text
-    re-parsing — and hit records are materialised only for slots a query
-    actually returns.  The packed layout is deterministic (keys sorted by
-    symbol id, slots in arena order, each run's bytes a pure function of
-    its slots), so a sequential build, a sharded build, a delta patch and a
-    snapshot load produce byte-identical tables, and those tables are the
-    snapshot file's postings sections as they are.
+    hit {!Dex.Arena}, all off-heap.  Postings are built from the arena's
+    interned operand column and, for class tokens, from the tokens the
+    dexfile kept for the slots it rendered ({!Dex.Dexfile.iter_tokens}) —
+    no text re-parsing, and never over slots a snapshot supplied — and hit
+    records are materialised only for slots a query actually returns; a
+    hit carries no text.  Scan mode and free-form [Raw] queries match
+    against the dexfile's one text store ({!Dex.Textstore.iter_matches}),
+    whatever produced it.  The packed layout is deterministic (keys sorted
+    by symbol id, slots in arena order, each run's bytes a pure function
+    of its slots), so a sequential build, a sharded build, a delta patch
+    and a snapshot load produce byte-identical tables, and those tables
+    are the snapshot file's postings sections as they are.
 
     Each category's postings build lazily on the first query of that
     category (double-checked under a build mutex), so an analysis that
@@ -31,7 +35,6 @@
 
 type hit = {
   line_no : int;
-  text : string;
   owner : Ir.Jsig.meth;     (** enclosing method of the matching line *)
   owner_cls : string;
   stmt_idx : int option;
@@ -159,30 +162,12 @@ let cat_member c =
   else if c = cat_static_field_ops then fun k -> k = Dex.Arena.cat_static_field
   else fun k -> k = c
 
-(* The class-tokens passes read each line's render-time token array; lines
-   without one (snapshot-loaded dexfiles) re-tokenize their text on first
-   touch, cached per slot so round 2 reuses round 1's work. *)
-let slot_tokens (dex : Dex.Dexfile.t) slot fallback =
-  let li = Ivec.unsafe_get dex.arena.Dex.Arena.line_idx slot in
-  match dex.lines.(li).Dex.Disasm.tokens with
-  | Some toks -> toks
-  | None ->
-    (match Hashtbl.find_opt fallback slot with
-     | Some toks -> toks
-     | None ->
-       let toks = Dex.Tokens.of_string (Dex.Dexfile.line_text dex li) in
-       Hashtbl.add fallback slot toks;
-       toks)
-
 (* Apply [f key slot] to each posting of category [c] in slots
    [lo .. hi-1], in slot order — the one definition of what a category
    indexes, shared by the counting, filling and delta passes. *)
-let iter_postings (dex : Dex.Dexfile.t) c ~lo ~hi fallback f =
+let iter_postings (dex : Dex.Dexfile.t) c ~lo ~hi f =
   let a : Dex.Arena.t = dex.arena in
-  if c = cat_class_tokens then
-    for slot = lo to hi - 1 do
-      Array.iter (fun tok -> f (Sym.id tok) slot) (slot_tokens dex slot fallback)
-    done
+  if c = cat_class_tokens then Dex.Dexfile.iter_tokens dex ~lo ~hi f
   else begin
     let member = cat_member c in
     for slot = lo to hi - 1 do
@@ -193,14 +178,13 @@ let iter_postings (dex : Dex.Dexfile.t) c ~lo ~hi fallback f =
 
 let shard_count dex c ~lo ~hi =
   let cnt = counts_create () in
-  let fallback : (int, Sym.t array) Hashtbl.t = Hashtbl.create 8 in
-  iter_postings dex c ~lo ~hi fallback (fun k _ -> counts_bump cnt k);
-  (cnt, fallback)
+  iter_postings dex c ~lo ~hi (fun k _ -> counts_bump cnt k);
+  cnt
 
 (* [cursor.(k)] is this shard's next write position for key [k] (absolute
    into [slots]); fills advance it monotonically. *)
-let shard_fill dex c ~lo ~hi ~cursor ~slots fallback =
-  iter_postings dex c ~lo ~hi fallback (fun k slot ->
+let shard_fill dex c ~lo ~hi ~cursor ~slots =
+  iter_postings dex c ~lo ~hi (fun k slot ->
       let p = Array.unsafe_get cursor k in
       Ivec.set slots p slot;
       Array.unsafe_set cursor k (p + 1))
@@ -232,10 +216,10 @@ let build_postings ?pool dex c =
   let counted =
     map (fun (lo, hi) -> shard_count dex c ~lo ~hi) ranges
   in
-  let maxk = Array.fold_left (fun m (cnt, _) -> max m cnt.maxk) (-1) counted in
+  let maxk = Array.fold_left (fun m cnt -> max m cnt.maxk) (-1) counted in
   let total = Array.make (maxk + 1) 0 in
   Array.iter
-    (fun (cnt, _) ->
+    (fun cnt ->
        for k = 0 to cnt.maxk do
          total.(k) <- total.(k) + Array.unsafe_get cnt.c k
        done)
@@ -265,18 +249,17 @@ let build_postings ?pool dex c =
   let fills =
     Array.mapi
       (fun i (lo, hi) ->
-         let cnt, fallback = counted.(i) in
+         let cnt = counted.(i) in
          let cursor = Array.copy running in
          for k = 0 to cnt.maxk do
            running.(k) <- running.(k) + Array.unsafe_get cnt.c k
          done;
-         (lo, hi, cursor, fallback))
+         (lo, hi, cursor))
       ranges
   in
   ignore
     (map
-       (fun (lo, hi, cursor, fallback) ->
-          shard_fill dex c ~lo ~hi ~cursor ~slots fallback)
+       (fun (lo, hi, cursor) -> shard_fill dex c ~lo ~hi ~cursor ~slots)
        fills);
   Packed.encode ~keys ~flat ~slots
 
@@ -366,21 +349,20 @@ let ruleset_stamp t = Atomic.get t.ruleset
 (* Delta patch                                                         *)
 
 (* One category of a delta engine: [old]'s postings carried through
-   [slot_map], merged key by key with the postings of the [fresh] slot
-   ranges of [dex] exactly as a build would index them, and re-encoded.
-   [run] is scratch space for one key's slots.  A carried run is ascending
-   because the old->new slot map is monotone whenever both builds lay
-   classes out in the same relative order; a run that is not (an old build
-   in multidex partition order) is sorted before the fresh slots are
-   merged in.  Fresh slots never collide with carried ones: they belong to
-   re-rendered classes, which no old slot maps to.  Also returns the
-   carried and rebuilt posting counts. *)
+   [slot_map], merged key by key with the postings of the slot ranges
+   [dex] rendered ([fresh]) exactly as a build would index them, and
+   re-encoded.  [run] is scratch space for one key's slots.  A carried run
+   is ascending because the old->new slot map is monotone whenever both
+   builds lay classes out in the same relative order; a run that is not
+   (an old build in multidex partition order) is sorted before the fresh
+   slots are merged in.  Fresh slots never collide with carried ones: they
+   belong to re-rendered classes, which no old slot maps to.  Also returns
+   the carried and rebuilt posting counts. *)
 let patch_category ~slot_map ~fresh ~run dex c (old : Packed.t) =
   let fresh_posts = ref [] in
-  let fallback = Hashtbl.create 8 in
   List.iter
     (fun (lo, hi) ->
-       iter_postings dex c ~lo ~hi fallback (fun k ns ->
+       iter_postings dex c ~lo ~hi (fun k ns ->
            fresh_posts := (k, ns) :: !fresh_posts))
     fresh;
   (* by key, then slot *)
@@ -449,7 +431,8 @@ let patch_category ~slot_map ~fresh ~run dex c (old : Packed.t) =
       runs = Bvec.of_string (Buffer.contents buf) },
     !carried, nf )
 
-let patch old dex ~slot_map ~fresh =
+let patch old dex ~slot_map =
+  let fresh = dex.Dex.Dexfile.rendered.Dex.Writer.ranges in
   (* a key's run holds at most every old slot before the carry, and at
      most every new slot after the merge *)
   let run =
@@ -475,47 +458,21 @@ let patch old dex ~slot_map ~fresh =
 (* ------------------------------------------------------------------ *)
 (* Scan mode                                                           *)
 
-(* Naive-but-tight substring check; patterns are short and lines are short,
-   so this outperforms building a full-text index for our corpus sizes.  The
-   candidate comparison is a char loop — no String.sub allocation in the
-   scan hot path. *)
-let contains ~pat s =
-  let lp = String.length pat and ls = String.length s in
-  if lp = 0 then true
-  else if lp > ls then false
-  else begin
-    let max_start = ls - lp in
-    let c0 = pat.[0] in
-    let rec eq_at i j =
-      j >= lp
-      || (String.unsafe_get s (i + j) = String.unsafe_get pat j
-          && eq_at i (j + 1))
-    in
-    let rec at i =
-      if i > max_start then false
-      else if s.[i] = c0 && eq_at i 1 then true
-      else at (i + 1)
-    in
-    at 0
-  end
+(* Hits are materialised per returned slot — the postings themselves hold
+   only ints. *)
+let hit_of_slot t slot =
+  let a : Dex.Arena.t = t.dex.Dex.Dexfile.arena in
+  let line_no = Ivec.get a.line_idx slot in
+  let oid = Ivec.get a.owner_id slot in
+  { line_no;
+    owner = a.owners.(oid);
+    owner_cls = a.owner_cls.(oid);
+    stmt_idx =
+      (let s = Ivec.get a.stmt_idx slot in if s < 0 then None else Some s) }
 
-let starts_with_opcode ~prefixes text =
-  (* instruction lines look like "    0004: invoke-virtual {...}, ..."; the
-     opcode prefix check runs at an offset, which stdlib
-     [String.starts_with] cannot do, hence the one explicit [String.sub] *)
-  match String.index_opt text ':' with
-  | None -> false
-  | Some colon ->
-    let rest_start = colon + 2 in
-    List.exists
-      (fun p ->
-         rest_start + String.length p <= String.length text
-         && String.sub text rest_start (String.length p) = p)
-      prefixes
-
-(* Store-side opcode prefix check: mirrors [starts_with_opcode] but reads
-   the mapped blob with no line materialization at all. *)
-let store_starts_with_opcode store i ~prefixes =
+(* Instruction lines look like "    0004: invoke-virtual {...}, ..."; the
+   opcode follows the first ": ".  Reads the blob, materialises nothing. *)
+let has_opcode store i ~prefixes =
   match Dex.Textstore.index_char store i ':' with
   | -1 -> false
   | colon ->
@@ -524,39 +481,22 @@ let store_starts_with_opcode store i ~prefixes =
       (fun p -> Dex.Textstore.starts_with store i ~pos:rest_start ~prefix:p)
       prefixes
 
+(* One skip-search pass over the text blob finds the candidate lines
+   (allocating nothing); the rare matches that are instruction lines — the
+   arena's [line_idx] is strictly ascending, so a binary search finds the
+   slot — pay the opcode-prefix check and hit materialization. *)
 let scan t ~prefixes ~pat ~filter =
+  let store = t.dex.Dex.Dexfile.text in
+  let line_idx = t.dex.Dex.Dexfile.arena.Dex.Arena.line_idx in
   let acc = ref [] in
-  let emit i (line : Dex.Disasm.line) owner =
-    let h =
-      { line_no = i; text = Dex.Dexfile.line_text t.dex i; owner;
-        owner_cls = Option.value ~default:"" line.owner_cls;
-        stmt_idx = line.stmt_idx }
-    in
-    if filter h then acc := h :: !acc
-  in
-  (match t.dex.Dex.Dexfile.texts with
-   | Some store ->
-     (* snapshot-loaded dexfile: one skip-search pass over the mapped blob
-        finds the candidate lines (allocating nothing), then the rare
-        matches pay the opcode-prefix check and hit materialization *)
-     let lines = t.dex.Dex.Dexfile.lines in
-     Dex.Textstore.iter_matches store ~pat (fun i ->
-         let line = lines.(i) in
-         match line.Dex.Disasm.owner with
-         | None -> ()
-         | Some owner ->
-           if prefixes = [] || store_starts_with_opcode store i ~prefixes
-           then emit i line owner)
-   | None ->
-     Array.iteri
-       (fun i (line : Dex.Disasm.line) ->
-          match line.owner with
-          | None -> ()
-          | Some owner ->
-            if (prefixes = [] || starts_with_opcode ~prefixes line.text)
-               && contains ~pat line.text
-            then emit i line owner)
-       t.dex.Dex.Dexfile.lines);
+  Dex.Textstore.iter_matches store ~pat (fun i ->
+      match Ivec.find_sorted line_idx i with
+      | -1 -> ()
+      | slot ->
+        if prefixes = [] || has_opcode store i ~prefixes then begin
+          let h = hit_of_slot t slot in
+          if filter h then acc := h :: !acc
+        end);
   List.rev !acc
 
 (* Operand patterns are the symbol's text behind a ", " separator.  The
@@ -607,19 +547,6 @@ let query_category : Query.t -> int option = function
   | Static_field_access _ -> Some cat_static_field_ops
   | Class_use _ -> Some cat_class_tokens
   | Raw _ -> None  (* free-form searches always scan *)
-
-(* Hits are materialised per returned slot — the postings themselves hold
-   only ints. *)
-let hit_of_slot t slot =
-  let a : Dex.Arena.t = t.dex.Dex.Dexfile.arena in
-  let line_no = Ivec.get a.line_idx slot in
-  let oid = Ivec.get a.owner_id slot in
-  { line_no;
-    text = Dex.Dexfile.line_text t.dex line_no;
-    owner = a.owners.(oid);
-    owner_cls = a.owner_cls.(oid);
-    stmt_idx =
-      (let s = Ivec.get a.stmt_idx slot in if s < 0 then None else Some s) }
 
 let hits_of_sym t (p : postings) sym =
   match Ivec.find_sorted p.Packed.keys (Sym.id sym) with

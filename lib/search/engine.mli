@@ -9,19 +9,18 @@
       double-checked under a build mutex.  Categories never queried are
       never built.  A snapshot load or a delta patch installs all seven at
       once, in the same layout.
-    - {b scan} ([indexed:false]): every query scans every line, like the
-      paper's prototype shelling out to grep — the test oracle and the
-      search-cost ablation baseline.
+    - {b scan} ([indexed:false]): every query scans the dexfile's text
+      store, like the paper's prototype shelling out to grep — the test
+      oracle and the search-cost ablation baseline.
 
     Both return identical hits for every query (the property tests check
     this across lazy, snapshot and delta engines), so mode choice is purely
     a performance decision. *)
 
 (** One matching plaintext line, materialised from an arena slot only when a
-    query returns it. *)
+    query returns it.  Its text is [Dex.Dexfile.line_text] of [line_no]. *)
 type hit = {
   line_no : int;              (** position in the merged dex plaintext *)
-  text : string;              (** the raw matching line *)
   owner : Ir.Jsig.meth;       (** enclosing method of the matching line *)
   owner_cls : string;         (** enclosing class *)
   stmt_idx : int option;      (** IR statement index, when the line is an
@@ -51,9 +50,12 @@ end
     [pool] shards {!export_packed}'s builds across the pool's domains
     (per-domain slices of the hit arena counted into domain-local tables,
     then merged in slice order); the resulting postings are identical to
-    the sequential build.  Queries against the engine are safe from
-    multiple domains: the query cache is mutex-guarded and hit/miss
-    counters are scheduling-independent. *)
+    the sequential build.  The class-tokens postings read the tokens the
+    dexfile kept at render time ([Dex.Dexfile.iter_tokens]), so their build
+    over a dexfile not rendered in this process raises [Invalid_argument];
+    snapshot and delta engines install them instead.  Queries against the
+    engine are safe from multiple domains: the query cache is mutex-guarded
+    and hit/miss counters are scheduling-independent. *)
 val create : ?indexed:bool -> ?pool:Parallel.Pool.t -> Dex.Dexfile.t -> t
 
 (** All seven categories in packed form, in category order, building any not
@@ -66,12 +68,13 @@ val export_packed : t -> Packed.t array
     order; {!index_mode} reports ["snapshot"]. *)
 val create_packed : Dex.Dexfile.t -> Packed.t array -> t
 
-(** [patch old dex ~slot_map ~fresh] is the delta engine over [dex], a
-    new build whose arena reuses slots of [old]'s: every category carries
-    [old]'s postings through [slot_map] (old slot -> new slot, [-1] for a
-    slot whose class was dropped or re-rendered) and merges in the postings
-    of the [fresh] slot ranges (ascending, disjoint — the re-rendered
-    classes), indexed exactly as a build of [dex] would index them.  The
+(** [patch old dex ~slot_map] is the delta engine over [dex], a new build
+    whose arena reuses slots of [old]'s: every category carries [old]'s
+    postings through [slot_map] (old slot -> new slot, [-1] for a slot
+    whose class was dropped or re-rendered) and merges in the postings of
+    the slots [dex] rendered in this process ([Dex.Dexfile.rendered] — the
+    re-rendered classes), indexed exactly as a build of [dex] would index
+    them.  The
     result answers every query like a cold engine over [dex], inherits
     [old]'s rule-set stamp, and reports {!index_mode} ["delta"].  Also
     returns the number of postings carried and rebuilt. *)
@@ -79,7 +82,6 @@ val patch :
   t ->
   Dex.Dexfile.t ->
   slot_map:int array ->
-  fresh:(int * int) list ->
   t * int * int
 
 (** The program the engine's dexfile was disassembled from — the "program
@@ -87,7 +89,7 @@ val patch :
 val program : t -> Ir.Program.t
 
 (** The dexfile the engine searches (the snapshot save path serializes its
-    lines and arena alongside the packed postings). *)
+    texts and arena alongside the packed postings). *)
 val dexfile : t -> Dex.Dexfile.t
 
 (** Stamp the engine with the content hash of the rule set about to drive

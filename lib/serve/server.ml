@@ -304,16 +304,18 @@ let handle_query t ~spec ~snapshot ~kind ~operand =
   | Ok q ->
     let t0 = now_us () in
     let session, _state = resolve_session t ~snapshot spec in
-    let hits = Bytesearch.Engine.run (D.session_engine session) q in
+    let engine = D.session_engine session in
+    let hits = Bytesearch.Engine.run engine q in
     let wall_us = now_us () -. t0 in
     Obs.Metrics.observe h_query_us wall_us;
+    let dex = Bytesearch.Engine.dexfile engine in
     let lines =
       List.filteri (fun i _ -> i < max_query_lines) hits
       |> List.map (fun (h : Bytesearch.Engine.hit) ->
              Printf.sprintf "%s:%d: %s"
                (Ir.Jsig.meth_to_string h.Bytesearch.Engine.owner)
                h.Bytesearch.Engine.line_no
-               (String.trim h.Bytesearch.Engine.text))
+               (String.trim (Dex.Dexfile.line_text dex h.line_no)))
     in
     Protocol.Queried { total = List.length hits; lines; wall_us }
 

@@ -5,11 +5,11 @@ module Classmap = Dex.Classmap
 
 let ( let* ) = Result.bind
 
-(* Section ids.  Per-line owner/stmt sections are deliberately absent: the
-   arena already records owner and statement index for every instruction
-   line, and header lines have neither, so load reconstructs line metadata
-   from the arena columns.  Category [c]'s postings are its {!Packed.t}
-   verbatim: keys, byte offsets, and the Postcodec-coded runs. *)
+(* Section ids.  The dexfile's layout is stored as it is: the text store's
+   offsets and blob, and the arena columns (which say which lines are
+   instructions, and of what owner and statement).  Category [c]'s postings
+   are its {!Packed.t} verbatim: keys, byte offsets, and the
+   Postcodec-coded runs. *)
 let sec_meta = 1
 let sec_sym_offsets = 2
 let sec_sym_blob = 3
@@ -115,7 +115,7 @@ let load_strings_counted r ~off_id ~blob_id ~what =
   else load_strings r ~off_id ~blob_id ~count ~what
 
 (* The same (offsets, blob) pair mapped off-heap instead of materialised —
-   the line-text load path.  [Textstore.create] re-checks the offset
+   the line texts.  [Textstore.create] re-checks the offset
    geometry and raises; translate to the typed error. *)
 let map_textstore r ~off_id ~blob_id ~count ~what =
   let* offs = Codec.map_ivec r ~id:off_id in
@@ -149,7 +149,10 @@ let classmap_sections (cm : Classmap.t) =
               Codec.put_int64_le s cm.Classmap.ir_hash.(i)
             done) ]
 
-let load_classmap r ~n_lines ~n_slots =
+(* Each entry's slots must be instruction lines of its own line range;
+   [line_idx] is already known to ascend strictly. *)
+let load_classmap r ~n_lines ~(line_idx : Ivec.t) =
+  let n_slots = Ivec.length line_idx in
   if not (Codec.mem r ~id:sec_cm_name_offsets) then Ok Classmap.empty
   else
     let* names =
@@ -175,7 +178,11 @@ let load_classmap r ~n_lines ~n_slots =
         let slo = Ivec.get ranges ((4 * i) + 2) in
         let shi = Ivec.get ranges ((4 * i) + 3) in
         if llo < 0 || llo > lhi || lhi > n_lines then ok := false;
-        if slo < 0 || slo > shi || shi > n_slots then ok := false;
+        if slo < 0 || slo > shi || shi > n_slots then ok := false
+        else if
+          slo < shi
+          && (Ivec.get line_idx slo < llo || Ivec.get line_idx (shi - 1) >= lhi)
+        then ok := false;
         (* class runs are disjoint and in line/slot order *)
         if i > 0 && (llo < line_hi.(i - 1) || slo < slot_hi.(i - 1)) then
           ok := false;
@@ -186,7 +193,8 @@ let load_classmap r ~n_lines ~n_slots =
         text_hash.(i) <- Bytes.get_int64_le hb (16 * i);
         ir_hash.(i) <- Bytes.get_int64_le hb ((16 * i) + 8)
       done;
-      if not !ok then Error (Codec.Corrupt "classmap: ranges out of order")
+      if not !ok then
+        Error (Codec.Corrupt "classmap: ranges out of order or off their lines")
       else
         Ok
           (Classmap.v ~names ~line_lo ~line_hi ~slot_lo ~slot_hi ~text_hash
@@ -207,29 +215,19 @@ let save ?ruleset_hash ?(results = [||]) ~path engine =
   let dex = Engine.dexfile engine in
   let packed = Engine.export_packed engine in
   let arena = dex.Dex.Dexfile.arena in
-  let n_lines = Dex.Dexfile.line_count dex in
+  let text = dex.Dex.Dexfile.text in
   let syms = Sym.dump () in
-  (* a store-backed dexfile's texts go out as the store holds them, so
-     saving materialises no line; a cold dexfile's lines carry theirs *)
-  let line_sections =
-    match dex.Dex.Dexfile.texts with
-    | Some store ->
-      [ Codec.ivec ~id:sec_line_offsets (Dex.Textstore.offsets store);
-        Codec.bvec ~id:sec_line_blob (Dex.Textstore.blob store) ]
-    | None ->
-      string_sections ~off_id:sec_line_offsets ~blob_id:sec_line_blob
-        (Array.map (fun l -> l.Dex.Disasm.text) dex.Dex.Dexfile.lines)
-  in
   let sections =
     List.concat
       [ [ Codec.ints ~id:sec_meta
-            [| n_lines; Dex.Arena.length arena;
+            [| Dex.Textstore.count text; Dex.Arena.length arena;
                Array.length arena.Dex.Arena.owners; Array.length syms |] ];
         (match ruleset_hash with
          | Some h -> [ Codec.ints ~id:sec_ruleset [| h |] ]
          | None -> []);
         string_sections ~off_id:sec_sym_offsets ~blob_id:sec_sym_blob syms;
-        line_sections;
+        [ Codec.ivec ~id:sec_line_offsets (Dex.Textstore.offsets text);
+          Codec.bvec ~id:sec_line_blob (Dex.Textstore.blob text) ];
         string_sections ~off_id:sec_owner_offsets ~blob_id:sec_owner_blob
           (Array.map Ir.Jsig.meth_to_string arena.Dex.Arena.owners);
         string_sections ~off_id:sec_cls_offsets ~blob_id:sec_cls_blob
@@ -315,10 +313,9 @@ let rec result_each f = function
    load path and the delta path.  Symbol ids in [arena_sym] and
    [packed_snap] keys are still snapshot ids. *)
 type parsed = {
-  p_n_lines : int;
   p_n_slots : int;
   p_syms : string array;
-  p_texts : Dex.Textstore.t;
+  p_text : Dex.Textstore.t;
   p_owners : Ir.Jsig.meth array;
   p_owner_cls : string array;
   p_line_idx : Ivec.t;
@@ -346,9 +343,7 @@ let parse r =
         load_strings r ~off_id:sec_sym_offsets ~blob_id:sec_sym_blob
           ~count:n_syms ~what:"symbol table"
       in
-      (* the texts stay in the mapped blob; lines lazily materialise
-         through [Dexfile.line_text] *)
-      let* texts =
+      let* text =
         map_textstore r ~off_id:sec_line_offsets ~blob_id:sec_line_blob
           ~count:n_lines ~what:"line texts"
       in
@@ -381,7 +376,9 @@ let parse r =
             (owner_id, "owner_id"); (cat, "cat"); (sym, "sym") ]
       in
       let* () =
-        (* range-check the arena before anything dereferences it *)
+        (* range-check the arena before anything dereferences it; slots
+           are in line order, which the text scan and the class map rely
+           on *)
         let ok = ref true in
         for i = 0 to n_slots - 1 do
           let li = Ivec.get line_idx i in
@@ -389,6 +386,7 @@ let parse r =
           let c = Ivec.get cat i in
           let s = Ivec.get sym i in
           if li < 0 || li >= n_lines then ok := false;
+          if i > 0 && li <= Ivec.get line_idx (i - 1) then ok := false;
           if oi < 0 || oi >= n_owners then ok := false;
           if c < -1 || c >= n_categories - 1 then ok := false;
           if s < -1 || s >= n_syms then ok := false
@@ -416,10 +414,9 @@ let parse r =
             Error (Codec.Corrupt "ruleset section length")
           else Ok (Some (Ivec.get v 0))
       in
-      let* classmap = load_classmap r ~n_lines ~n_slots in
+      let* classmap = load_classmap r ~n_lines ~line_idx in
       Ok
-        { p_n_lines = n_lines; p_n_slots = n_slots;
-          p_syms = syms; p_texts = texts; p_owners = owners;
+        { p_n_slots = n_slots; p_syms = syms; p_text = text; p_owners = owners;
           p_owner_cls = owner_cls; p_line_idx = line_idx;
           p_stmt_idx = stmt_idx; p_owner_id = owner_id; p_cat = cat;
           p_sym = sym; p_packed = packed_snap; p_ruleset = ruleset;
@@ -484,12 +481,12 @@ let prefault_hot ~(arena : Dex.Arena.t) ~(packed : Packed.t array) =
    engine is usable either way; the knob only moves page-fault cost from
    first queries to load. *)
 let prefault_engine ~(arena : Dex.Arena.t) ~(packed : Packed.t array)
-    ~(texts : Dex.Textstore.t) =
+    ~(text : Dex.Textstore.t) =
   let acc = ref (prefault_hot ~arena ~packed) in
   Array.iter
     (fun (p : Packed.t) -> acc := !acc lxor Bvec.prefault p.Packed.runs)
     packed;
-  Sys.opaque_identity (!acc lxor Dex.Textstore.prefault texts)
+  Sys.opaque_identity (!acc lxor Dex.Textstore.prefault text)
 
 let load ?(prefault = false) ~path program =
   let span0 = Obs.Span.start () in
@@ -512,7 +509,7 @@ let load ?(prefault = false) ~path program =
   in
   finish
     (let* p = parse r in
-     let n_lines = p.p_n_lines and n_slots = p.p_n_slots in
+     let n_slots = p.p_n_slots in
      (* Re-intern the snapshot's symbol table; ids are stable when the
         live table evolved identically (the common warm start). *)
      let live_of_snap =
@@ -536,30 +533,6 @@ let load ?(prefault = false) ~path program =
          if s >= 0 then Ivec.set p.p_sym i live_of_snap.(s)
        done
      end;
-     (* scatter arena rows to per-line metadata first so each line
-        record is allocated exactly once *)
-     let owner_of_line = Array.make n_lines (-1) in
-     let stmt_of_line = Array.make n_lines (-1) in
-     for i = 0 to n_slots - 1 do
-       let li = Ivec.get p.p_line_idx i in
-       owner_of_line.(li) <- Ivec.get p.p_owner_id i;
-       stmt_of_line.(li) <- Ivec.get p.p_stmt_idx i
-     done;
-     let lines =
-       Array.init n_lines (fun li ->
-           let oi = owner_of_line.(li) in
-           if oi < 0 then
-             { Dex.Disasm.text = Dex.Textstore.pending; owner = None;
-               owner_cls = None; stmt_idx = None;
-               key = Dex.Disasm.K_none; tokens = None }
-           else
-             let si = stmt_of_line.(li) in
-             { Dex.Disasm.text = Dex.Textstore.pending;
-               owner = Some p.p_owners.(oi);
-               owner_cls = Some p.p_owner_cls.(oi);
-               stmt_idx = (if si >= 0 then Some si else None);
-               key = Dex.Disasm.K_none; tokens = None })
-     in
      let arena =
        { Dex.Arena.line_idx = p.p_line_idx; stmt_idx = p.p_stmt_idx;
          owner_id = p.p_owner_id; cat = p.p_cat; sym = p.p_sym;
@@ -571,12 +544,11 @@ let load ?(prefault = false) ~path program =
         and the text blob *)
      if prefault then begin
        Obs.Metrics.incr m_load_prefaulted;
-       ignore (prefault_engine ~arena ~packed ~texts:p.p_texts)
+       ignore (prefault_engine ~arena ~packed ~text:p.p_text)
      end
      else ignore (prefault_hot ~arena ~packed);
      let dex =
-       Dex.Dexfile.of_parts ~texts:p.p_texts ~classmap:p.p_classmap lines
-         arena program
+       Dex.Dexfile.of_parts ~classmap:p.p_classmap p.p_text arena program
      in
      let engine = Engine.create_packed dex packed in
      (* carry the saved rule-set stamp onto the engine, so an analysis
@@ -623,28 +595,15 @@ let delta_report_to_string d =
     d.d_lines_reused d.d_lines_rendered d.d_carried_postings
     d.d_rebuilt_postings
 
-(* How delta assembles the new build, in new line order.  A [Copy] moves
-   old lines [llo, lhi) and old slots [slo, shi) to new positions [lbase]
-   and [sbase]: one reused class, or a run of reused classes that were
+(* How delta assembles the new build, in new line order.  A [Copy]
+   appends old lines [llo, lhi) and old slots [slo, shi), the slots landing
+   at [sbase]: one reused class, or a run of reused classes that were
    adjacent in the old build too, so an update that changes one class
-   splices in a handful of block copies.  A [Render] places the fresh
-   lines of a changed or added class. *)
+   splices in a handful of block copies.  A [Render] renders a changed or
+   added class. *)
 type move =
-  | Copy of { llo : int; lhi : int; slo : int; shi : int; lbase : int;
-              sbase : int }
-  | Render of { cls_lines : Dex.Disasm.line array; lbase : int; sbase : int }
-
-(* Fills the new line array until the splice overwrites every cell.  A
-   long-lived value: filling a major-heap array with a freshly allocated
-   one would force a minor collection first. *)
-let placeholder_line = Dex.Disasm.header "" None
-
-(* [len] elements of one bigarray into another: a single memmove *)
-let blit_range src spos dst dpos len =
-  if len > 0 then
-    Bigarray.Array1.blit
-      (Bigarray.Array1.sub src spos len)
-      (Bigarray.Array1.sub dst dpos len)
+  | Copy of { llo : int; lhi : int; slo : int; shi : int; sbase : int }
+  | Render of Ir.Jclass.t
 
 let fresh engine program =
   let cm = Dex.Dexfile.classmap (Engine.dexfile engine) in
@@ -667,38 +626,22 @@ let fresh engine program =
    maintained-index scenario — an app-store service holding the previous
    version's index in memory, or the corpus cache that just loaded and
    freshness-checked a snapshot — and the core of the delta path: it works
-   purely on live structures, so there is no file parse, no symbol
-   re-interning (a live engine's ids are by definition the live ones), and
-   the unchanged classes' line records are shared by reference with the
-   old engine instead of being rebuilt.  Nothing in a line record depends
-   on its position, and the only mutable field ([text]) lazily
-   materialises to the same bytes through either version's store, so
-   sharing is safe and leaves the old engine untouched. *)
+   purely on live structures, so there is no file parse and no symbol
+   re-interning (a live engine's ids are by definition the live ones).
+   The new layout is written by the same {!Dex.Writer} as a cold render:
+   unchanged classes are copied from the old layout as blocks, changed and
+   added ones rendered.  The old engine is left untouched. *)
 let delta_of_engine old_engine program =
   let span0 = Obs.Span.start () in
   let dex_old = Engine.dexfile old_engine in
   let cm_old = Dex.Dexfile.classmap dex_old in
-  if
-    Classmap.length cm_old = 0
-    && Array.length dex_old.Dex.Dexfile.lines > 0
-  then
+  if Classmap.length cm_old = 0 && Dex.Dexfile.line_count dex_old > 0 then
     Error
       (Codec.Corrupt
          "engine has no class map (pre-delta snapshot or warm placeholder)")
   else begin
-    let old_lines = dex_old.Dex.Dexfile.lines in
     let oa = dex_old.Dex.Dexfile.arena in
-    let old_n_slots = Ivec.length oa.Dex.Arena.line_idx in
-    (* The new build's class list, in the canonical disassembly order
-       (non-system classes sorted by name, as [Disasm.program_lines]
-       emits them). *)
-    let classes =
-      Ir.Program.fold_classes program (fun c acc -> c :: acc) []
-      |> List.filter (fun (c : Ir.Jclass.t) -> not c.Ir.Jclass.is_system)
-      |> List.sort (fun (a : Ir.Jclass.t) b ->
-             String.compare a.Ir.Jclass.name b.Ir.Jclass.name)
-      |> Array.of_list
-    in
+    let classes = Array.of_list (Dex.Disasm.app_classes program) in
     let n_classes = Array.length classes in
     let cm_names = Array.make n_classes "" in
     let cm_line_lo = Array.make n_classes 0 in
@@ -711,7 +654,7 @@ let delta_of_engine old_engine program =
     and n_changed = ref 0
     and n_added = ref 0 in
     let reused_lines = ref 0 and rendered_lines = ref 0 in
-    let rendered_cls = Hashtbl.create 16 in
+    let rendered_cls = Hashtbl.create 16 and rendered_ci = ref [] in
     (* plan: diff each class on its IR hash, lay out the new line and slot
        ranges, and fill the new classmap *)
     let moves = ref [] and lpos = ref 0 and spos = ref 0 in
@@ -730,7 +673,7 @@ let delta_of_engine old_engine program =
                match !moves with
                | Copy m :: rest when m.lhi = llo && m.shi = slo ->
                  Copy { m with lhi; shi } :: rest
-               | ms -> Copy { llo; lhi; slo; shi; lbase; sbase } :: ms);
+               | ms -> Copy { llo; lhi; slo; shi; sbase } :: ms);
             lpos := lbase + (lhi - llo);
             spos := sbase + (shi - slo);
             reused_lines := !reused_lines + (lhi - llo);
@@ -738,16 +681,12 @@ let delta_of_engine old_engine program =
           | found ->
             if Option.is_some found then incr n_changed else incr n_added;
             Hashtbl.replace rendered_cls c.Ir.Jclass.name ();
-            let cls_lines = Dex.Disasm.class_lines c in
-            let n = Array.length cls_lines in
-            moves := Render { cls_lines; lbase; sbase } :: !moves;
-            lpos := lbase + n;
-            Array.iter
-              (fun (l : Dex.Disasm.line) ->
-                 if l.Dex.Disasm.owner <> None then incr spos)
-              cls_lines;
-            rendered_lines := !rendered_lines + n;
-            cm_text.(ci) <- Classmap.text_hash_of_lines cls_lines 0 n);
+            rendered_ci := ci :: !rendered_ci;
+            moves := Render c :: !moves;
+            let n_lines, n_slots = Dex.Disasm.size c in
+            lpos := lbase + n_lines;
+            spos := sbase + n_slots;
+            rendered_lines := !rendered_lines + n_lines);
          cm_names.(ci) <- c.Ir.Jclass.name;
          cm_line_lo.(ci) <- lbase;
          cm_line_hi.(ci) <- !lpos;
@@ -755,52 +694,14 @@ let delta_of_engine old_engine program =
          cm_slot_hi.(ci) <- !spos;
          cm_ir.(ci) <- ih)
       classes;
-    let moves = List.rev !moves in
     let n_removed = Classmap.length cm_old - !n_unchanged - !n_changed in
-    let n_lines = !lpos and n_slots = !spos in
-    (* the new text geometry, present iff the old dexfile is store-backed:
-       copied blocks contribute their old blob byte ranges wholesale,
-       rendered classes their fresh strings *)
-    let old_store =
-      match dex_old.Dex.Dexfile.texts with
-      | Some store ->
-        Some (Dex.Textstore.blob store, Dex.Textstore.offsets store)
-      | None -> None
-    in
-    let new_blob =
-      match old_store with
-      | None -> None
-      | Some (_, old_offs) ->
-        let bytes =
-          List.fold_left
-            (fun n -> function
-               | Copy { llo; lhi; _ } ->
-                 n + (Ivec.get old_offs lhi - Ivec.get old_offs llo)
-               | Render { cls_lines; _ } ->
-                 Array.fold_left
-                   (fun n (l : Dex.Disasm.line) ->
-                      n + String.length l.Dex.Disasm.text)
-                   n cls_lines)
-            0 moves
-        in
-        Some (Bvec.create bytes, Ivec.create (n_lines + 1))
-    in
-    let lines = Array.make n_lines placeholder_line in
-    let line_idx = Ivec.create n_slots in
-    let stmt_idx = Ivec.create n_slots in
-    let owner_id = Ivec.create n_slots in
-    let cat = Ivec.create n_slots in
-    let sym = Ivec.create n_slots in
-    let slot_map = Array.make (max 1 old_n_slots) (-1) in
-    (* The old owner table is carried wholesale: reused slots keep their
-       owner ids verbatim (no re-interning), and only the methods of
-       re-rendered classes go through a table — seeded with the old ids
-       of exactly those classes, so a re-rendered class reuses its old
-       owner ids where the signature persists.  Owners of removed classes
-       (or removed methods) linger as unreferenced entries; they are
-       reclaimed by the next full save-from-cold.  A class's owners are
-       adjacent, so the class test runs once per class. *)
-    let owner_tbl : int Ir.Jsig.Meth_tbl.t = Ir.Jsig.Meth_tbl.create 64 in
+    (* The old owner table is carried wholesale: copied slots keep their
+       owner ids verbatim (no re-interning), and re-rendered classes reuse
+       their old ids where the signature persists.  Owners of removed
+       classes (or removed methods) linger as unreferenced entries; they
+       are reclaimed by the next full save-from-cold.  A class's owners
+       are adjacent, so the class test runs once per class. *)
+    let w = Dex.Writer.create ~base:oa ~lines:!lpos ~slots:!spos () in
     let last_cls = ref None in
     Array.iteri
       (fun i m ->
@@ -813,124 +714,36 @@ let delta_of_engine old_engine program =
              last_cls := Some (cls, r);
              r
          in
-         if rendered then Ir.Jsig.Meth_tbl.replace owner_tbl m i)
+         if rendered then Dex.Writer.reuse_owner w m i)
       oa.Dex.Arena.owners;
-    let n_old_owners = Array.length oa.Dex.Arena.owners in
-    let owners_tail = ref []
-    and owner_cls_tail = ref []
-    and n_owners = ref n_old_owners in
-    let intern_owner meth cls =
-      match Ir.Jsig.Meth_tbl.find_opt owner_tbl meth with
-      | Some id -> id
-      | None ->
-        let id = !n_owners in
-        incr n_owners;
-        Ir.Jsig.Meth_tbl.add owner_tbl meth id;
-        owners_tail := meth :: !owners_tail;
-        owner_cls_tail := cls :: !owner_cls_tail;
-        id
-    in
-    (* splice: lines, arena columns and text blob, move by move; the
-       rendered classes' slot ranges feed the fresh postings pass *)
-    let fresh_ranges = ref [] and bpos = ref 0 in
+    let slot_map = Array.make (max 1 (Dex.Arena.length oa)) (-1) in
     List.iter
       (function
-        | Copy { llo; lhi; slo; shi; lbase; sbase } ->
-          (* share the unchanged classes' line records *)
-          Array.blit old_lines llo lines lbase (lhi - llo);
-          (match (new_blob, old_store) with
-           | Some (blob, offs), Some (old_blob, old_offs) ->
-             let o_lo = Ivec.get old_offs llo in
-             let len = Ivec.get old_offs lhi - o_lo in
-             blit_range old_blob o_lo blob !bpos len;
-             Ivec.blit_add old_offs llo offs lbase (lhi - llo) (!bpos - o_lo);
-             bpos := !bpos + len
-           | _ -> ());
-          (* arena columns: bulk copies; only [line_idx] needs a rebase *)
-          let nsl = shi - slo in
-          blit_range oa.Dex.Arena.stmt_idx slo stmt_idx sbase nsl;
-          blit_range oa.Dex.Arena.cat slo cat sbase nsl;
-          blit_range oa.Dex.Arena.owner_id slo owner_id sbase nsl;
-          blit_range oa.Dex.Arena.sym slo sym sbase nsl;
-          Ivec.blit_add oa.Dex.Arena.line_idx slo line_idx sbase nsl
-            (lbase - llo);
-          for j = 0 to nsl - 1 do
+        | Copy { llo; lhi; slo; shi; sbase } ->
+          Dex.Writer.copy w dex_old.Dex.Dexfile.text oa ~lines:(llo, lhi)
+            ~slots:(slo, shi);
+          for j = 0 to shi - slo - 1 do
             slot_map.(slo + j) <- sbase + j
           done
-        | Render { cls_lines; lbase; sbase } ->
-          let ns = ref sbase in
-          (* a method's lines share one owner value: intern it once *)
-          let last_owner = ref None and last_id = ref (-1) in
-          Array.iteri
-            (fun j (l : Dex.Disasm.line) ->
-               lines.(lbase + j) <- l;
-               (match new_blob with
-                | Some (blob, offs) ->
-                  Ivec.set offs (lbase + j) !bpos;
-                  let s = l.Dex.Disasm.text in
-                  for k = 0 to String.length s - 1 do
-                    Bigarray.Array1.set blob (!bpos + k) (String.unsafe_get s k)
-                  done;
-                  bpos := !bpos + String.length s
-                | None -> ());
-               match l.Dex.Disasm.owner with
-               | None -> ()
-               | Some owner ->
-                 let s = !ns in
-                 incr ns;
-                 Ivec.set line_idx s (lbase + j);
-                 Ivec.set stmt_idx s
-                   (Option.value ~default:(-1) l.Dex.Disasm.stmt_idx);
-                 let cc, sy = Dex.Arena.key_code l.Dex.Disasm.key in
-                 Ivec.set cat s cc;
-                 Ivec.set sym s sy;
-                 (match !last_owner with
-                  | Some o when o == owner -> ()
-                  | _ ->
-                    last_owner := l.Dex.Disasm.owner;
-                    last_id :=
-                      intern_owner owner
-                        (Option.value ~default:"" l.Dex.Disasm.owner_cls));
-                 Ivec.set owner_id s !last_id)
-            cls_lines;
-          if !ns > sbase then fresh_ranges := (sbase, !ns) :: !fresh_ranges)
-      moves;
-    (match new_blob with
-     | Some (_, offs) -> Ivec.set offs n_lines !bpos
-     | None -> ());
-    let fresh_ranges = List.rev !fresh_ranges in
-    let arena =
-      { Dex.Arena.line_idx; stmt_idx; owner_id; cat; sym;
-        owners =
-          Array.append oa.Dex.Arena.owners
-            (Array.of_list (List.rev !owners_tail));
-        owner_cls =
-          Array.append oa.Dex.Arena.owner_cls
-            (Array.of_list (List.rev !owner_cls_tail)) }
-    in
+        | Render c -> Dex.Disasm.render w c)
+      (List.rev !moves);
+    let text, arena, rendered = Dex.Writer.finish w in
+    List.iter
+      (fun ci ->
+         cm_text.(ci) <-
+           Dex.Textstore.hash_lines text cm_line_lo.(ci) cm_line_hi.(ci))
+      !rendered_ci;
     let classmap =
       Classmap.v ~names:cm_names ~line_lo:cm_line_lo ~line_hi:cm_line_hi
         ~slot_lo:cm_slot_lo ~slot_hi:cm_slot_hi ~text_hash:cm_text
         ~ir_hash:cm_ir
     in
-    let texts =
-      match new_blob with
-      | Some (blob, offs) ->
-        (match Dex.Textstore.create ~blob ~offs with
-         | store -> Some store
-         | exception Invalid_argument m ->
-           (* impossible by construction; surface loudly if not *)
-           invalid_arg ("Snapshot.delta: " ^ m))
-      | None -> None
-    in
-    let dex = Dex.Dexfile.of_parts ?texts ~classmap lines arena program in
+    let dex = Dex.Dexfile.of_parts ~rendered ~classmap text arena program in
     (* postings: surviving old entries carried through the slot map, the
        rendered classes' entries built fresh; the patched engine keeps the
        old rule-set stamp, so an analysis under a different rule set sees
        `Changed` and warns instead of silently trusting warm state *)
-    let engine, carried, rebuilt =
-      Engine.patch old_engine dex ~slot_map ~fresh:fresh_ranges
-    in
+    let engine, carried, rebuilt = Engine.patch old_engine dex ~slot_map in
     let report =
       { d_total = n_classes; d_unchanged = !n_unchanged;
         d_changed = !n_changed; d_added = !n_added; d_removed = n_removed;

@@ -1,17 +1,18 @@
 (** Persistent preprocessing snapshots (warm-start store).
 
     A snapshot captures everything the preprocessing phase computes from a
-    program — the interned symbol table, the disassembled plaintext lines,
-    the hit {!Dex.Arena}, all seven per-category search postings, the
-    per-class {!Dex.Classmap} (line/slot ranges plus text and IR content
-    hashes) and, optionally, persisted per-sink analysis results — in one
-    {!Codec} container, so a warm start maps it back instead of
-    disassembling and indexing again.  The store owns only the file
-    sections: postings are the engine's {!Bytesearch.Engine.Packed} tables
-    written and mapped as they are (keys, byte offsets, coded runs), and
-    the line texts one blob.  Payloads load as mmapped {!Ivec.t}s and
-    {!Bvec.t}s: they live off the OCaml heap, so the warm path also carries
-    less GC pressure than a cold build.
+    program — the interned symbol table, the dexfile's layout (its
+    {!Dex.Textstore} of plaintext lines and its hit {!Dex.Arena}), all
+    seven per-category search postings, the per-class {!Dex.Classmap}
+    (line/slot ranges plus text and IR content hashes) and, optionally,
+    persisted per-sink analysis results — in one {!Codec} container, so a
+    warm start maps it back instead of disassembling and indexing again.
+    The store owns only the file sections: postings are the engine's
+    {!Bytesearch.Engine.Packed} tables written and mapped as they are
+    (keys, byte offsets, coded runs), and the text store and arena columns
+    likewise.  Payloads load as mmapped {!Ivec.t}s and {!Bvec.t}s: they
+    live off the OCaml heap, so the warm path also carries less GC
+    pressure than a cold build.
 
     Symbol ids are snapshot-stable.  Save writes the whole live symbol
     table; load re-interns its strings in id order.  In the common case
@@ -22,9 +23,9 @@
     range, so a warm engine always returns hits byte-identical to a cold
     one.
 
-    Loaded plaintext lines carry [K_none]/no tokens (the postings that
-    needed them are already built), which only matters if a snapshot
-    dexfile were re-indexed from scratch — it never is. *)
+    A snapshot keeps no class tokens, only the postings built from them, so
+    a loaded dexfile's class-tokens postings cannot be rebuilt
+    ([Dex.Dexfile.iter_tokens]) — they never need to be. *)
 
 (** [default_path ~dir ~app_id] is the conventional snapshot location:
     [dir]/[sanitized app_id].v[format_version].bdix.  The version is baked
@@ -32,15 +33,14 @@
     version check. *)
 val default_path : dir:string -> app_id:string -> string
 
-(** Serialize [engine]'s symbol table, dexfile lines, arena, classmap and
-    all seven postings categories (building any not yet built, the
-    classmap included) to [path], atomically, in format
-    {!Codec.format_version}.  Returns the file size in bytes.  Every
-    section streams from where the engine holds it: the postings runs and
-    arena columns as they are, and a snapshot-loaded or delta-built
-    dexfile's line texts from its off-heap store, so saving materialises no
-    line.  save -> load -> save is byte-identical.  An I/O failure raises
-    [Sys_error], leaves [path] as it was and removes the temp file.
+(** Serialize [engine]'s symbol table, dexfile layout, classmap and all
+    seven postings categories (building any not yet built, the classmap
+    included) to [path], atomically, in format {!Codec.format_version}.
+    Returns the file size in bytes.  Every section streams from where the
+    engine holds it — text store, arena columns and postings runs as they
+    are — so saving materialises no line.  save -> load -> save is
+    byte-identical.  An I/O failure raises [Sys_error], leaves [path] as it
+    was and removes the temp file.
 
     [ruleset_hash] (default: the engine's own
     {!Bytesearch.Engine.ruleset_stamp}, if any) records the detection-rule-set
@@ -75,7 +75,8 @@ val save :
     load time makes the first warm queries as fast as steady state.
     [prefault] (default false) extends the walk to the remaining bulk —
     postings bodies and the line-text blob — front-loading even the
-    residual text-scan cost. *)
+    residual text-scan cost.  Slots must follow line order and lie in
+    their class's line range, or the load fails with [Corrupt]. *)
 val load :
   ?prefault:bool ->
   path:string ->
@@ -117,11 +118,12 @@ val fresh : Bytesearch.Engine.t -> Ir.Program.t -> bool
 (** [delta_of_engine old program] patches a {e resident} engine — the
     previous app version's index, still in memory — into an engine for
     [program]: classes whose structural {!Ir.Irhash} matches the old
-    engine's classmap entry keep their line records (shared by reference),
-    text bytes, arena rows and postings entries; only changed or added
-    classes are rendered and indexed, and {!Bytesearch.Engine.patch}
-    merges their postings into the carried ones.  No file I/O, no parsing, no symbol re-interning — this
-    is the maintained-index fast path an app store uses when version N+1
+    engine's classmap entry keep their text bytes, arena rows and postings
+    entries, copied as blocks; only changed or added classes are rendered
+    (through the same {!Dex.Writer} as a cold render) and indexed, and
+    {!Bytesearch.Engine.patch} merges their postings into the carried
+    ones.  No file I/O, no parsing, no symbol re-interning — this is the
+    maintained-index fast path an app store uses when version N+1
     of an app arrives while version N's index is warm, and what the corpus
     cache uses to upgrade a stale snapshot it has already loaded.  The old
     engine is left untouched and remains usable.

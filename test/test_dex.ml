@@ -93,9 +93,10 @@ let test_disasm_invoke_line () =
 
 let test_line_ownership () =
   let dex = Dex.Dexfile.of_program (tiny_program ()) in
+  let a = dex.Dex.Dexfile.arena in
   let owned =
-    Array.to_list dex.Dex.Dexfile.lines
-    |> List.filter_map (fun (l : Dex.Disasm.line) -> l.owner)
+    List.init (Dex.Arena.length a) (fun s ->
+        a.Dex.Arena.owners.(Ivec.get a.Dex.Arena.owner_id s))
   in
   Alcotest.(check bool) "instruction lines carry owners" true
     (List.exists (fun m -> String.equal m.Jsig.name "m") owned)
@@ -131,7 +132,94 @@ let unit_cases =
     Alcotest.test_case "system classes excluded" `Quick
       test_system_classes_not_disassembled ]
 
-let prop_cases = List.map qcheck [ meth_desc_roundtrip; type_desc_roundtrip ]
+(* -- the text store's scan against a naive one per line -- *)
+
+let naive_contains ~pat s =
+  let lp = String.length pat in
+  let rec at i =
+    i + lp <= String.length s && (String.sub s i lp = pat || at (i + 1))
+  in
+  at 0
+
+let store_of_lines lines =
+  let offs = Array.make (List.length lines + 1) 0 in
+  List.iteri (fun i l -> offs.(i + 1) <- offs.(i) + String.length l) lines;
+  Dex.Textstore.create
+    ~blob:(Bvec.of_string (String.concat "" lines))
+    ~offs:(Ivec.of_array offs)
+
+let scan_alphabet = [ 'a'; 'b'; ':'; ' ' ]
+
+(* Short lines over a four-letter alphabet, empty ones included, so
+   matches repeat within a line; the pattern is random, a slice of the
+   concatenated lines (which may straddle a boundary), empty, or longer
+   than all the lines together. *)
+let gen_scan =
+  QCheck.Gen.(
+    let letter = oneofl scan_alphabet in
+    let* lines =
+      list_size (int_bound 12) (string_size ~gen:letter (int_bound 8))
+    in
+    let blob = String.concat "" lines in
+    let* pat =
+      oneof
+        [ string_size ~gen:letter (int_range 1 4);
+          (if blob = "" then return ""
+           else
+             let* lo = int_bound (String.length blob - 1) in
+             let* len = int_range 1 (min 6 (String.length blob - lo)) in
+             return (String.sub blob lo len));
+          return ""; return (blob ^ "a") ]
+    in
+    return (lines, pat))
+
+let scan_matches_naive =
+  QCheck.Test.make ~name:"text scan == per-line substring test" ~count:500
+    (QCheck.make
+       ~print:(fun (lines, pat) ->
+           Printf.sprintf "lines=[%s] pat=%S"
+             (String.concat "; " (List.map (Printf.sprintf "%S") lines)) pat)
+       gen_scan)
+    (fun (lines, pat) ->
+       let t = store_of_lines lines in
+       let got = ref [] in
+       Dex.Textstore.iter_matches t ~pat (fun i -> got := i :: !got);
+       let expect =
+         List.concat
+           (List.mapi
+              (fun i l -> if naive_contains ~pat l then [ i ] else [])
+              lines)
+       in
+       if List.rev !got <> expect then
+         QCheck.Test.fail_reportf "iter_matches reported [%s], expected [%s]"
+           (String.concat "," (List.map string_of_int (List.rev !got)))
+           (String.concat "," (List.map string_of_int expect));
+       List.iteri
+         (fun i s ->
+            if Dex.Textstore.get t i <> s then
+              QCheck.Test.fail_reportf "line %d reads back wrong" i;
+            List.iter
+              (fun c ->
+                 let want = Option.value ~default:(-1) (String.index_opt s c) in
+                 if Dex.Textstore.index_char t i c <> want then
+                   QCheck.Test.fail_reportf "index_char line %d %C" i c)
+              scan_alphabet;
+            for pos = -1 to String.length s + 1 do
+              let lp = String.length pat in
+              let want =
+                pos >= 0
+                && pos + lp <= String.length s
+                && String.sub s pos lp = pat
+              in
+              if Dex.Textstore.starts_with t i ~pos ~prefix:pat <> want then
+                QCheck.Test.fail_reportf "starts_with line %d at %d" i pos
+            done)
+         lines;
+       true)
+
+let prop_cases =
+  List.map qcheck
+    [ meth_desc_roundtrip; type_desc_roundtrip; scan_matches_naive ]
 
 (* --- golden rendering --- *)
 
@@ -348,28 +436,43 @@ let golden_abstract =
   [ ("  method Lgolden/render/Widget;.shape:()Lgolden/render/Kind;", "none",
      None) ]
 
-let key_string (k : Dex.Disasm.key) =
-  match k with
-  | K_invoke s -> "invoke " ^ Sym.to_string s
-  | K_new_instance s -> "new-instance " ^ Sym.to_string s
-  | K_const_class s -> "const-class " ^ Sym.to_string s
-  | K_const_string s -> "const-string " ^ Sym.to_string s
-  | K_field s -> "field " ^ Sym.to_string s
-  | K_static_field s -> "static-field " ^ Sym.to_string s
-  | K_none -> "none"
+let key_string cat sym =
+  match
+    List.assoc_opt cat
+      Dex.Arena.
+        [ (cat_invoke, "invoke"); (cat_new_instance, "new-instance");
+          (cat_const_class, "const-class"); (cat_const_string, "const-string");
+          (cat_field, "field"); (cat_static_field, "static-field") ]
+  with
+  | Some k -> k ^ " " ^ Sym.to_string (Sym.unsafe_of_id sym)
+  | None -> "none"
+
+let golden_dex () =
+  Dex.Dexfile.of_program (Program.of_classes [ golden_class () ])
+
+(* Each line's text, its arena key and, for an instruction line, its class
+   tokens. *)
+let golden_lines () =
+  let dex = golden_dex () in
+  let a = dex.Dex.Dexfile.arena in
+  let slot_of = Hashtbl.create 64 in
+  for s = 0 to Dex.Arena.length a - 1 do
+    Hashtbl.replace slot_of (Ivec.get a.Dex.Arena.line_idx s) s
+  done;
+  List.init (Dex.Dexfile.line_count dex) (fun i ->
+      let text = Dex.Dexfile.line_text dex i in
+      match Hashtbl.find_opt slot_of i with
+      | None -> (text, "none", None)
+      | Some s ->
+        let toks = ref [] in
+        Dex.Dexfile.iter_tokens dex ~lo:s ~hi:(s + 1) (fun tok _ ->
+            toks := Sym.to_string (Sym.unsafe_of_id tok) :: !toks);
+        ( text,
+          key_string (Ivec.get a.Dex.Arena.cat s) (Ivec.get a.Dex.Arena.sym s),
+          Some (List.sort String.compare !toks) ))
 
 let test_golden_rendering () =
-  let got =
-    Dex.Disasm.class_lines (golden_class ())
-    |> Array.to_list
-    |> List.map (fun (l : Dex.Disasm.line) ->
-        ( l.text, key_string l.key,
-          Option.map
-            (fun toks ->
-               List.sort String.compare
-                 (List.map Sym.to_string (Array.to_list toks)))
-            l.tokens ))
-  in
+  let got = golden_lines () in
   Alcotest.(check (list (triple string string (option (list string)))))
     "golden lines"
     (golden_render @ golden_wide @ golden_abstract)
@@ -379,7 +482,7 @@ let test_golden_rendering () =
    is reached.  The golden names are interned nowhere else, so their ids
    come from the first render of the class. *)
 let test_golden_intern_order () =
-  ignore (Dex.Disasm.class_lines (golden_class ()));
+  ignore (golden_dex ());
   let id s =
     match Sym.find s with
     | Some sym -> Sym.id sym
@@ -404,9 +507,13 @@ let test_golden_intern_order () =
 let test_pinned_hashes () =
   let c = golden_class () in
   Alcotest.(check int64) "Irhash.jclass" 0x5eb4bbb021bb68ffL (Irhash.jclass c);
-  let lines = Dex.Disasm.class_lines c in
-  Alcotest.(check int64) "Classmap.text_hash_of_lines" 0xfafdecfac6110b34L
-    (Dex.Classmap.text_hash_of_lines lines 0 (Array.length lines));
+  let cm =
+    Dex.Dexfile.classmap (Dex.Dexfile.of_program (Program.of_classes [ c ]))
+  in
+  Alcotest.(check int64) "class text hash" 0xfafdecfac6110b34L
+    cm.Dex.Classmap.text_hash.(0);
+  Alcotest.(check int64) "class IR hash" 0x5eb4bbb021bb68ffL
+    cm.Dex.Classmap.ir_hash.(0);
   List.iter
     (fun (s, h) ->
        Alcotest.(check int64) (Printf.sprintf "Irhash.string %S" s) h

@@ -107,7 +107,9 @@ let test_command_rendering () =
 
 (* -- rarest-first conjunctive planner -------------------------------- *)
 
-let hit_fingerprint (h : E.hit) = Printf.sprintf "%d:%s" h.line_no h.text
+let hit_fingerprint e (h : E.hit) =
+  Printf.sprintf "%d:%s" h.line_no
+    (Dex.Dexfile.line_text (E.dexfile e) h.line_no)
 
 (* The planner's contract, computed the slow way: primary hits whose owner
    matches every conjunct. *)
@@ -127,6 +129,7 @@ let test_conj_planner () =
   let inv = Q.invocation (Dex.Descriptor.meth_desc callee) in
   let aes = Q.const_string "AES" in
   let sf = Q.static_field_access (Dex.Descriptor.field_desc fld) in
+  let hit_fingerprint = hit_fingerprint e in
   Alcotest.(check (list string)) "empty conjunction" []
     (List.map hit_fingerprint (E.run_conj e []));
   Alcotest.(check (list string)) "singleton == run"
@@ -152,6 +155,7 @@ let test_conj_matches_manual_across_modes () =
       [ inv; aes; sf ]; [ aes; Q.raw "invoke-static" ];
       [ inv; Q.invocation "Lno/Such;.m:()V" ] ]
   in
+  let hit_fingerprint = hit_fingerprint e in
   List.iter
     (fun plan ->
        let expect =

@@ -58,6 +58,19 @@ let error_t =
        | Store.Codec.Corrupt _, Store.Codec.Corrupt _ -> true
        | a, b -> a = b)
 
+(* Payload offset of section [id], from the directory. *)
+let section_offset b id =
+  let n = Int32.to_int (Bytes.get_int32_le b 12) in
+  let rec find i =
+    if i = n then Alcotest.failf "no section %d" id
+    else
+      let e = Store.Codec.header_len + (i * 24) in
+      if Int64.to_int (Bytes.get_int64_le b e) = id then
+        Int64.to_int (Bytes.get_int64_le b (e + 8))
+      else find (i + 1)
+  in
+  find 0
+
 let check_load_error ~app ~path name expect =
   match Store.Snapshot.load ~path app.G.program with
   | Ok _ -> Alcotest.failf "%s: load unexpectedly succeeded" name
@@ -115,6 +128,28 @@ let test_rejects_corruption () =
          (Printf.sprintf "inflated %s count" name)
          (Store.Codec.Corrupt ""))
     [ "line"; "slot"; "owner"; "symbol" ];
+  (* Slot 0 moved to the last line: every value is in range, but slots no
+     longer follow line order and class 0's slots leave its lines.  Both
+     the load and the file-based delta must refuse it. *)
+  let n_lines =
+    Int64.to_int (Bytes.get_int64_le (Bytes.of_string original) meta_off)
+  in
+  mutate (fun b ->
+      Bytes.set_int64_le b (section_offset b 13) (Int64.of_int (n_lines - 1));
+      ignore (reseal b));
+  check_load_error ~app ~path "slot 0 on the last line" (Store.Codec.Corrupt "");
+  (match Store.Snapshot.delta ~path app.G.program with
+   | Ok _ -> Alcotest.fail "delta over out-of-order slots succeeded"
+   | Error e ->
+     Alcotest.check error_t "delta over out-of-order slots"
+       (Store.Codec.Corrupt "") e);
+  (* class 0 given no lines: its slots lie outside its line range *)
+  mutate (fun b ->
+      let ranges = section_offset b 43 in
+      Bytes.set_int64_le b (ranges + 8) (Bytes.get_int64_le b ranges);
+      ignore (reseal b));
+  check_load_error ~app ~path "class 0 without its lines"
+    (Store.Codec.Corrupt "");
   (* restore and prove the fixture itself still loads *)
   write_all path original;
   match Store.Snapshot.load ~path app.G.program with
@@ -208,7 +243,10 @@ let test_prefault_load () =
   let cold = load () and hot = load ~prefault:true () in
   let q = Bytesearch.Query.raw "invoke-static" in
   let fp e =
-    List.map (fun (h : E.hit) -> Printf.sprintf "%d:%s" h.line_no h.text)
+    List.map
+      (fun (h : E.hit) ->
+         Printf.sprintf "%d:%s" h.line_no
+           (Dex.Dexfile.line_text (E.dexfile e) h.line_no))
       (E.run e q)
   in
   Alcotest.(check bool) "prefaulted engine finds hits" true (fp hot <> []);
@@ -439,9 +477,8 @@ let test_delta_requires_classmap () =
   let app = fixture_app () in
   let dex = app.G.dex in
   let stripped =
-    Dex.Dexfile.of_parts ?texts:dex.Dex.Dexfile.texts
-      ~classmap:Dex.Classmap.empty dex.Dex.Dexfile.lines dex.Dex.Dexfile.arena
-      dex.Dex.Dexfile.program
+    Dex.Dexfile.of_parts ~classmap:Dex.Classmap.empty dex.Dex.Dexfile.text
+      dex.Dex.Dexfile.arena dex.Dex.Dexfile.program
   in
   let engine = E.create stripped in
   match Store.Snapshot.delta_of_engine engine app.G.program with
@@ -452,12 +489,13 @@ let test_delta_requires_classmap () =
 
 (* Property: over random (seed, pct) — including pct=0 (pure reuse) and
    pct=1 (everything re-rendered) — incremental always equals from-scratch. *)
-(* The delta re-derives the index exactly: a delta engine's arena and all
-   seven postings tables equal a cold build's, byte for byte.  From an old
-   build in partition order the old->new slot map is not monotone, so the
-   carried runs go through the re-sort path; with nothing changed, every
-   class moves and none is re-rendered; with all but one class removed,
-   old runs are longer than the new arena. *)
+(* The delta re-derives the layout exactly: a delta engine's line texts,
+   class map, arena and all seven postings tables equal a cold build's,
+   whether the old engine was built cold or loaded from its snapshot.
+   From an old build in partition order the old->new slot map is not
+   monotone, so the carried runs go through the re-sort path; with nothing
+   changed, every class moves and none is re-rendered; with all but one
+   class removed, old runs are longer than the new arena. *)
 let test_delta_postings_equal_cold () =
   let app = fixture_app ~filler:20 () in
   let names =
@@ -482,31 +520,65 @@ let test_delta_postings_equal_cold () =
          [])
   in
   let changed = (G.mutate ~build_dex:false ~pct:0.25 app).G.program in
+  let path = Filename.temp_file "backdroid_deltacold" ".bdix" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let loaded old_dex =
+    ignore (Store.Snapshot.save ~path (E.create old_dex));
+    match Store.Snapshot.load ~path app.G.program with
+    | Ok e -> e
+    | Error e -> Alcotest.failf "load: %s" (Store.Codec.error_to_string e)
+  in
   List.iter
     (fun (what, old_dex, v2_program) ->
-       let delta =
-         match Store.Snapshot.delta_of_engine (E.create old_dex) v2_program
-         with
-         | Ok (e, _) -> e
-         | Error e ->
-           Alcotest.failf "%s: %s" what (Store.Codec.error_to_string e)
-       in
-       let cold = E.create (Dex.Dexfile.of_program v2_program) in
-       let column f e = Ivec.to_array (f (E.dexfile e).Dex.Dexfile.arena) in
+       let cold_dex = Dex.Dexfile.of_program v2_program in
+       let cold = E.create cold_dex in
+       let cold_cm = Dex.Dexfile.classmap cold_dex in
        List.iter
-         (fun (name, f) ->
-            Alcotest.(check (array int)) (what ^ ": arena " ^ name)
-              (column f cold) (column f delta))
-         [ ("line_idx", fun a -> a.Dex.Arena.line_idx);
-           ("stmt_idx", fun a -> a.Dex.Arena.stmt_idx);
-           ("cat", fun a -> a.Dex.Arena.cat);
-           ("sym", fun a -> a.Dex.Arena.sym) ];
-       Array.iteri
-         (fun c p ->
-            Test_parallel.check_packed_equal
-              (Printf.sprintf "%s: category %d" what c)
-              p (E.export_packed delta).(c))
-         (E.export_packed cold))
+         (fun (from, old_engine) ->
+            let what = what ^ ", from " ^ from in
+            let delta =
+              match Store.Snapshot.delta_of_engine old_engine v2_program with
+              | Ok (e, _) -> e
+              | Error e ->
+                Alcotest.failf "%s: %s" what (Store.Codec.error_to_string e)
+            in
+            let dex = E.dexfile delta in
+            Alcotest.(check string) (what ^ ": texts")
+              (Dex.Dexfile.to_string cold_dex) (Dex.Dexfile.to_string dex);
+            let cm = Dex.Dexfile.classmap dex in
+            Alcotest.(check (array string)) (what ^ ": class names")
+              cold_cm.Dex.Classmap.names cm.Dex.Classmap.names;
+            List.iter
+              (fun (name, f) ->
+                 Alcotest.(check (array int)) (what ^ ": class " ^ name)
+                   (f cold_cm) (f cm))
+              [ ("line_lo", fun c -> c.Dex.Classmap.line_lo);
+                ("line_hi", fun c -> c.Dex.Classmap.line_hi);
+                ("slot_lo", fun c -> c.Dex.Classmap.slot_lo);
+                ("slot_hi", fun c -> c.Dex.Classmap.slot_hi) ];
+            List.iter
+              (fun (name, f) ->
+                 Alcotest.(check (array int64)) (what ^ ": class " ^ name)
+                   (f cold_cm) (f cm))
+              [ ("text_hash", fun c -> c.Dex.Classmap.text_hash);
+                ("ir_hash", fun c -> c.Dex.Classmap.ir_hash) ];
+            let column f e = Ivec.to_array (f (E.dexfile e).Dex.Dexfile.arena) in
+            List.iter
+              (fun (name, f) ->
+                 Alcotest.(check (array int)) (what ^ ": arena " ^ name)
+                   (column f cold) (column f delta))
+              [ ("line_idx", fun a -> a.Dex.Arena.line_idx);
+                ("stmt_idx", fun a -> a.Dex.Arena.stmt_idx);
+                ("cat", fun a -> a.Dex.Arena.cat);
+                ("sym", fun a -> a.Dex.Arena.sym) ];
+            Array.iteri
+              (fun c p ->
+                 Test_parallel.check_packed_equal
+                   (Printf.sprintf "%s: category %d" what c)
+                   p (E.export_packed delta).(c))
+              (E.export_packed cold))
+         [ ("cold", E.create old_dex); ("snapshot", loaded old_dex) ])
     [ ("canonical order, 25% changed", app.G.dex, changed);
       ("partition order, 25% changed", partitioned, changed);
       ("partition order, unchanged", partitioned, app.G.program);
@@ -844,44 +916,6 @@ let writer_matches_layout =
          sections;
        true)
 
-(* Saving writes a store-backed dexfile's texts from the store: a line
-   whose text is still pending stays pending, whether the engine was
-   loaded from a snapshot or delta-patched from a loaded one. *)
-let test_save_keeps_lines_pending () =
-  with_snapshot @@ fun ~app ~path ->
-  let loaded =
-    match Store.Snapshot.load ~path app.G.program with
-    | Ok e -> e
-    | Error e -> Alcotest.failf "load: %s" (Store.Codec.error_to_string e)
-  in
-  let v2 = G.mutate ~pct:0.25 app in
-  let delta =
-    match Store.Snapshot.delta_of_engine loaded v2.G.program with
-    | Ok (e, _) -> e
-    | Error e ->
-      Alcotest.failf "delta_of_engine: %s" (Store.Codec.error_to_string e)
-  in
-  let pending e =
-    let lines = (E.dexfile e).Dex.Dexfile.lines in
-    List.filter
-      (fun i -> lines.(i).Dex.Disasm.text == Dex.Textstore.pending)
-      (List.init (Array.length lines) Fun.id)
-  in
-  let before_loaded = pending loaded and before_delta = pending delta in
-  Alcotest.(check bool) "a loaded engine starts with pending lines" true
-    (before_loaded <> []);
-  Alcotest.(check bool) "a delta engine shares pending lines" true
-    (before_delta <> []);
-  let path2 = Filename.temp_file "backdroid_pending" ".bdix" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path2 with Sys_error _ -> ())
-  @@ fun () ->
-  ignore (Store.Snapshot.save ~path:path2 loaded);
-  Alcotest.(check (list int)) "saving a loaded engine renders no line"
-    before_loaded (pending loaded);
-  ignore (Store.Snapshot.save ~path:path2 delta);
-  Alcotest.(check (list int)) "saving a delta engine renders no line"
-    before_delta (pending delta)
-
 (* A save that fails — here the rename onto a directory — raises the I/O
    error the daemon handles, and leaves no temp file behind. *)
 let test_failed_save_leaves_no_temp () =
@@ -958,8 +992,6 @@ let cases =
       test_classmap_on_first_use;
     Alcotest.test_case "class map is built once across domains" `Quick
       test_classmap_once_across_domains;
-    Alcotest.test_case "saving leaves pending lines pending" `Quick
-      test_save_keeps_lines_pending;
     Alcotest.test_case "a failed save leaves no temp file" `Quick
       test_failed_save_leaves_no_temp;
     Alcotest.test_case "concurrent saves to one path" `Quick
