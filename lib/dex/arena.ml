@@ -3,8 +3,8 @@
     One slot per instruction line (a line with an enclosing method).  Each
     slot records the line's position, IR statement index, owner and — when
     the disassembler classified the line — the interned searchable operand
-    and its category.  The renderer ({!Writer}) fills these columns as it
-    writes each instruction line.  The search engine's per-category
+    and its category.  The index pass ({!Writer}) fills these columns as
+    it walks each instruction line, before any text exists.  The search engine's per-category
     postings are sorted int vectors of slots, and a hit record is
     materialised from a slot only when a query actually returns it.
 

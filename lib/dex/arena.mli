@@ -4,8 +4,8 @@
     are in line order, so [line_idx] is strictly ascending.  Header lines
     have no slot.  Per-category search postings index into this arena with
     plain ints, and hit records are materialised from a slot only when a
-    query returns it.  The renderer ({!Writer}) fills the columns as it
-    writes each instruction line.
+    query returns it.  The index pass ({!Writer}) fills the columns as it
+    walks each instruction line, before any text exists.
 
     The int columns are {!Ivec.t}s: the payload lives off the OCaml heap,
     invisible to the GC, and a snapshot load can alias them to mmapped file

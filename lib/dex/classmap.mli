@@ -4,9 +4,9 @@
     dex plaintext): its [\[lo, hi)] line range, its [\[lo, hi)] arena slot
     range, the FNV-1a-64 hash of its rendered lines ([text_hash],
     {!Textstore.hash_lines}) and the structural {!Ir.Irhash} of its IR
-    ([ir_hash]).  A disassembled dexfile records the ranges as it renders
-    and hashes on first use ([Dexfile.classmap]); a one-shot analysis that
-    saves nothing never hashes.
+    ([ir_hash]).  A disassembled dexfile records the ranges as it indexes
+    and hashes on first use ([Dexfile.classmap], which renders the text
+    first); a one-shot analysis that saves nothing never hashes.
 
     The delta snapshot path ({!Store.Snapshot}, PR 8) diffs a new build
     against an old snapshot by [ir_hash] — no rendering needed for

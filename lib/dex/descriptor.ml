@@ -5,7 +5,61 @@
     [Lcom/foo/Bar;.start:(Ljava/lang/String;)V]; fields as
     [Lcom/foo/Bar;.port:I]. *)
 
-let class_desc name = "L" ^ String.map (fun c -> if c = '.' then '/' else c) name ^ ";"
+(* The renderers below size their result first and fill one [Bytes] in
+   place, as [Ir.Jsig]'s do: one allocation per descriptor and no format
+   interpretation.  Every descriptor disassembly or query construction
+   meets for the first time renders through them. *)
+
+let put_string b pos s =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+let put_char b pos c =
+  Bytes.set b pos c;
+  pos + 1
+
+(* [L], [name] with its dots as slashes, [;] *)
+let put_class b pos name =
+  let pos = put_char b pos 'L' in
+  for i = 0 to String.length name - 1 do
+    let c = String.unsafe_get name i in
+    Bytes.set b (pos + i) (if c = '.' then '/' else c)
+  done;
+  put_char b (pos + String.length name) ';'
+
+let rec type_length = function
+  | Ir.Types.Object c -> String.length c + 2
+  | Array e -> type_length e + 1
+  | Void | Boolean | Byte | Char | Short | Int | Long | Float | Double -> 1
+
+let rec put_type b pos = function
+  | Ir.Types.Void -> put_char b pos 'V'
+  | Boolean -> put_char b pos 'Z'
+  | Byte -> put_char b pos 'B'
+  | Char -> put_char b pos 'C'
+  | Short -> put_char b pos 'S'
+  | Int -> put_char b pos 'I'
+  | Long -> put_char b pos 'J'
+  | Float -> put_char b pos 'F'
+  | Double -> put_char b pos 'D'
+  | Object c -> put_class b pos c
+  | Array e -> put_type b (put_char b pos '[') e
+
+(* [(params)ret] *)
+let proto_length params ret =
+  List.fold_left (fun n t -> n + type_length t) (type_length ret + 2) params
+
+let rec put_params b pos = function
+  | [] -> pos
+  | t :: ts -> put_params b (put_type b pos t) ts
+
+let put_proto b pos params ret =
+  put_type b (put_char b (put_params b (put_char b pos '(') params) ')') ret
+
+let class_desc name =
+  let b = Bytes.create (String.length name + 2) in
+  ignore (put_class b 0 name);
+  Bytes.unsafe_to_string b
 
 let class_of_desc d =
   let n = String.length d in
@@ -13,18 +67,10 @@ let class_of_desc d =
     String.map (fun c -> if c = '/' then '.' else c) (String.sub d 1 (n - 2))
   else invalid_arg (Printf.sprintf "Descriptor.class_of_desc: %S" d)
 
-let rec type_desc = function
-  | Ir.Types.Void -> "V"
-  | Boolean -> "Z"
-  | Byte -> "B"
-  | Char -> "C"
-  | Short -> "S"
-  | Int -> "I"
-  | Long -> "J"
-  | Float -> "F"
-  | Double -> "D"
-  | Object c -> class_desc c
-  | Array e -> "[" ^ type_desc e
+let type_desc t =
+  let b = Bytes.create (type_length t) in
+  ignore (put_type b 0 t);
+  Bytes.unsafe_to_string b
 
 (** Parse one type descriptor starting at [pos]; returns the type and the
     position just past it. *)
@@ -54,16 +100,29 @@ let type_of_desc d =
   t
 
 let proto_desc ~params ~ret =
-  "(" ^ String.concat "" (List.map type_desc params) ^ ")" ^ type_desc ret
+  let b = Bytes.create (proto_length params ret) in
+  ignore (put_proto b 0 params ret);
+  Bytes.unsafe_to_string b
+
+(* [Lcls;.name:] *)
+let member_length cls name = String.length cls + String.length name + 4
+
+let put_member b pos cls name =
+  put_char b (put_string b (put_char b (put_class b pos cls) '.') name) ':'
 
 (** Full dexdump method signature, the exact string the bytecode search
     constructs in step 1 of Fig. 3. *)
 let meth_desc (m : Ir.Jsig.meth) =
-  Printf.sprintf "%s.%s:%s" (class_desc m.cls) m.name
-    (proto_desc ~params:m.params ~ret:m.ret)
+  let b =
+    Bytes.create (member_length m.cls m.name + proto_length m.params m.ret)
+  in
+  ignore (put_proto b (put_member b 0 m.cls m.name) m.params m.ret);
+  Bytes.unsafe_to_string b
 
 let field_desc (f : Ir.Jsig.field) =
-  Printf.sprintf "%s.%s:%s" (class_desc f.fcls) f.fname (type_desc f.fty)
+  let b = Bytes.create (member_length f.fcls f.fname + type_length f.fty) in
+  ignore (put_type b (put_member b 0 f.fcls f.fname) f.fty);
+  Bytes.unsafe_to_string b
 
 (** Parse a dexdump method signature back into IR form (step 3 of Fig. 3). *)
 let meth_of_desc s =

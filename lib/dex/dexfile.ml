@@ -1,35 +1,53 @@
 (** A disassembled (and, if multidex, merged) dex file in its one layout:
-    line texts in a {!Textstore}, instruction lines in the hit {!Arena},
-    plus the per-class {!Classmap} the delta snapshot path diffs against. *)
+    the hit {!Arena} an index pass writes, the line texts a text pass
+    writes on first read, and the per-class {!Classmap} the delta snapshot
+    path diffs against. *)
 
-(* The ranges a render records per class; the hashes wait for the first
-   {!classmap} call. *)
+(* A class an index pass walked, and the ranges it wrote. *)
 type class_range = {
-  name : string;
+  cls : Ir.Jclass.t;
   line_lo : int;
   line_hi : int;
   slot_lo : int;
   slot_hi : int;
 }
 
-(* A once-cell: the classmap is hashed on first use, under the lock, unless
-   the dexfile was made with one. *)
-type classmap_cell = {
-  lock : Mutex.t;
-  mutable built : Classmap.t option;
-  ranges : class_range array;
+(* A once-cell: filled on first read, under its lock; a filled cell is
+   read without one. *)
+type 'a once = { lock : Mutex.t; value : 'a option Atomic.t }
+
+let once v = { lock = Mutex.create (); value = Atomic.make v }
+
+let force c fill =
+  match Atomic.get c.value with
+  | Some v -> v
+  | None ->
+    Mutex.protect c.lock (fun () ->
+        match Atomic.get c.value with
+        | Some v -> v
+        | None ->
+          let v = fill () in
+          Atomic.set c.value (Some v);
+          v)
+
+(* The text and the class map of an index pass wait for their first
+   read; a dexfile made with them holds them from the start. *)
+type cells = {
+  ranges : class_range array;  (* in line order; empty unless rendered *)
+  text : Textstore.t once;
+  classmap : Classmap.t once;
 }
 
 type t = {
-  text : Textstore.t;
+  lines : int;
   arena : Arena.t;
   rendered : Writer.rendered;
   program : Ir.Program.t;
-  classmap_cell : classmap_cell;
+  cells : cells;
 }
 
-(* Render [classes] in order, recording each one's ranges. *)
-let render program classes =
+(* Index [classes] in order, recording each one's ranges. *)
+let index program classes =
   Obs.Span.with_span ~cat:"dex" ~name:"disasm" (fun () ->
       let lines, slots =
         List.fold_left
@@ -38,23 +56,23 @@ let render program classes =
              (l + cl, s + cs))
           (0, 0) classes
       in
-      let w = Writer.create ~lines ~slots () in
+      let w = Writer.index ~lines ~slots in
       let ranges =
         Array.of_list classes
-        |> Array.map (fun (c : Ir.Jclass.t) ->
+        |> Array.map (fun cls ->
             let line_lo = Writer.lines w and slot_lo = Writer.slots w in
-            Disasm.render w c;
-            { name = c.name; line_lo; line_hi = Writer.lines w; slot_lo;
+            Disasm.render w cls;
+            { cls; line_lo; line_hi = Writer.lines w; slot_lo;
               slot_hi = Writer.slots w })
       in
-      let text, arena, rendered = Writer.finish w in
-      { text; arena; rendered; program;
-        classmap_cell = { lock = Mutex.create (); built = None; ranges } })
+      let arena, rendered = Writer.finish_index w in
+      { lines; arena; rendered; program;
+        cells = { ranges; text = once None; classmap = once None } })
 
-let of_program p = render p (Disasm.app_classes p)
+let of_program p = index p (Disasm.app_classes p)
 
 let of_partitions p partitions =
-  render p
+  index p
     (List.concat_map
        (List.filter_map (fun cls_name ->
             match Ir.Program.find_class p cls_name with
@@ -64,9 +82,10 @@ let of_partitions p partitions =
 
 let of_parts ?(rendered = Writer.nothing_rendered) ~classmap text arena
     program =
-  { text; arena; rendered; program;
-    classmap_cell =
-      { lock = Mutex.create (); built = Some classmap; ranges = [||] } }
+  { lines = Textstore.count text; arena; rendered; program;
+    cells =
+      { ranges = [||]; text = once (Some text);
+        classmap = once (Some classmap) } }
 
 let empty p =
   let text, arena, rendered =
@@ -74,34 +93,32 @@ let empty p =
   in
   of_parts ~rendered ~classmap:Classmap.empty text arena p
 
-let classmap t =
-  let c = t.classmap_cell in
-  Mutex.protect c.lock (fun () ->
-      match c.built with
-      | Some cm -> cm
-      | None ->
-        let cm =
-          Obs.Span.with_span ~cat:"dex" ~name:"classmap" (fun () ->
-              let col f = Array.map f c.ranges in
-              Classmap.v ~names:(col (fun r -> r.name))
-                ~line_lo:(col (fun r -> r.line_lo))
-                ~line_hi:(col (fun r -> r.line_hi))
-                ~slot_lo:(col (fun r -> r.slot_lo))
-                ~slot_hi:(col (fun r -> r.slot_hi))
-                ~text_hash:
-                  (col (fun r ->
-                       Textstore.hash_lines t.text r.line_lo r.line_hi))
-                ~ir_hash:
-                  (col (fun r ->
-                       match Ir.Program.find_class t.program r.name with
-                       | Some cls -> Ir.Irhash.jclass cls
-                       | None -> 0L)))
-        in
-        c.built <- Some cm;
-        cm)
+let m_renders = Obs.Metrics.counter "dex.text.renders"
 
-let line_count t = Textstore.count t.text
-let line_text t i = Textstore.get t.text i
+let text t =
+  force t.cells.text (fun () ->
+      Obs.Span.with_span ~cat:"dex" ~name:"text" (fun () ->
+          Obs.Metrics.incr m_renders;
+          let w = Writer.text t.arena ~lines:t.lines in
+          Array.iter (fun r -> Disasm.render w r.cls) t.cells.ranges;
+          Writer.finish_text w))
+
+let classmap t =
+  force t.cells.classmap (fun () ->
+      let text = text t in
+      Obs.Span.with_span ~cat:"dex" ~name:"classmap" (fun () ->
+          let col f = Array.map f t.cells.ranges in
+          Classmap.v ~names:(col (fun r -> r.cls.Ir.Jclass.name))
+            ~line_lo:(col (fun r -> r.line_lo))
+            ~line_hi:(col (fun r -> r.line_hi))
+            ~slot_lo:(col (fun r -> r.slot_lo))
+            ~slot_hi:(col (fun r -> r.slot_hi))
+            ~text_hash:
+              (col (fun r -> Textstore.hash_lines text r.line_lo r.line_hi))
+            ~ir_hash:(col (fun r -> Ir.Irhash.jclass r.cls))))
+
+let line_count t = t.lines
+let line_text t i = Textstore.get (text t) i
 
 let iter_tokens t ~lo ~hi f =
   let r = t.rendered in
@@ -124,12 +141,13 @@ let iter_tokens t ~lo ~hi f =
   done
 
 let to_string t =
+  let text = text t in
   let n = line_count t in
-  let blob = Textstore.blob t.text in
+  let blob = Textstore.blob text in
   let b = Bytes.create (Bvec.length blob + n) in
   for i = 0 to n - 1 do
-    let lo = Ivec.get (Textstore.offsets t.text) i in
-    let len = Textstore.length_at t.text i in
+    let lo = Ivec.get (Textstore.offsets text) i in
+    let len = Textstore.length_at text i in
     Bvec.blit_to_bytes blob lo b (lo + i) len;
     Bytes.set b (lo + i + len) '\n'
   done;

@@ -1,22 +1,29 @@
 (** A disassembled (and, if multidex, merged) dex file in its one layout:
-    the plaintext lines that the bytecode search scans, held as one
-    {!Textstore}, and the hit {!Arena} that tags each instruction line with
-    its enclosing method and that the engine's per-category postings index
-    into.  A render ({!of_program}), a snapshot load and a delta all
-    produce this layout; a snapshot stores it as it is. *)
+    the hit {!Arena} that tags each instruction line with its enclosing
+    method and operand, and that the engine's per-category postings index
+    into; and the plaintext lines, held as one {!Textstore}, that free-form
+    and scan-mode searches read.  A render ({!of_program}), a snapshot
+    load and a delta all produce this layout; a snapshot stores it as it
+    is.
 
-(** Where {!classmap} keeps the class map once it exists. *)
-type classmap_cell
+    A render is an index pass: it writes the arena and interns every
+    symbol, and writes no text.  The text is rendered on first read
+    ({!text}): an analysis over an indexed engine never reads it, so a
+    one-shot analysis never renders it.  A snapshot load or a delta
+    supplies its text. *)
+
+(** The text and the class map, each built on first use. *)
+type cells
 
 type t = private {
-  text : Textstore.t;  (** the line texts, one per line *)
+  lines : int;  (** number of lines *)
   arena : Arena.t;
   rendered : Writer.rendered;
       (** the slots rendered in this process, whose class tokens
           {!iter_tokens} knows: every slot of {!of_program}, none of a
           snapshot load, the re-rendered classes of a delta *)
   program : Ir.Program.t;
-  classmap_cell : classmap_cell;
+  cells : cells;
 }
 
 val of_program : Ir.Program.t -> t
@@ -38,14 +45,24 @@ val empty : Ir.Program.t -> t
     merge the plaintexts, as BackDroid's preprocessing step does. *)
 val of_partitions : Ir.Program.t -> string list list -> t
 
+(** The line texts.  A rendered dexfile renders them on first call, in a
+    text pass over the classes it indexed (one [dex]/[text] span and one
+    [dex.text.renders] count); the pass interns no symbol.  Readers:
+    {!line_text}, {!to_string}, {!classmap}, scan-mode and free-form
+    searches, snapshot saves and a delta's copies from an old dexfile.
+    Safe from several domains: they all get the same store. *)
+val text : t -> Textstore.t
+
 (** The per-class line/slot ranges and content hashes that snapshots,
     delta updates and persisted results read.  A disassembled dexfile
     records the ranges as it renders and hashes them on first use (one
-    [dex]/[classmap] span), so a one-shot analysis that never saves never
-    pays for the hashes; one made by {!of_parts} returns the map it was
-    given.  Safe from several domains: they all get the same value. *)
+    [dex]/[classmap] span, after {!text}), so a one-shot analysis that
+    never saves never pays for the hashes; one made by {!of_parts}
+    returns the map it was given.  Safe from several domains: they all
+    get the same value. *)
 val classmap : t -> Classmap.t
 
+(** Number of lines; renders no text. *)
 val line_count : t -> int
 
 (** The text of line [i], materialised from the store. *)
@@ -54,10 +71,12 @@ val line_text : t -> int -> string
 (** [iter_tokens t ~lo ~hi f] calls [f tok slot] for each class-descriptor
     token [tok] (a symbol id) of each slot in [\[lo, hi)], in slot order:
     a keyed slot's operand tokens, or the tokens an unkeyed slot's line
-    carried when it was rendered.  The class-tokens postings are built
-    from this and nothing else.  Raises [Invalid_argument] unless the
-    slots were rendered in this process ({!field-rendered}): a snapshot
-    keeps no tokens, only the postings built from them. *)
+    carried when it was indexed.  The class-tokens postings are built
+    from this and nothing else, and it reads no text.  Raises
+    [Invalid_argument] unless the slots were rendered in this process
+    ({!field-rendered}): a snapshot keeps no tokens, only the postings
+    built from them. *)
 val iter_tokens : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 
+(** The whole text, one line per ['\n']-terminated line. *)
 val to_string : t -> string

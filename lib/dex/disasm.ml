@@ -1,15 +1,12 @@
-(** The "dexdump" of the pipeline: renders IR method bodies into
-    dexdump-format plaintext instruction lines through a {!Writer}, which
-    lays them out as the dexfile's text store and hit arena.  BackDroid's
-    on-the-fly bytecode search is a text search over exactly this output.
-
-    Each instruction line that has a searchable operand (callee signature,
-    class descriptor, field signature or quoted string literal) is written
-    with that operand interned and classified, so the search engine's
-    postings are built from the arena with no text re-parsing, and because
-    queries intern through the same [Descriptor] memos, an indexed operand
-    and the query that matches it are the same [Sym.t].  The operand is
-    exactly the text after the line's last [", "]. *)
+(** The "dexdump" of the pipeline: one statement walk over IR classes,
+    writing dexdump-format lines through a {!Writer}.  The writer's kind
+    decides what the walk does: an index pass interns and classifies each
+    searchable operand (callee signature, class descriptor, field
+    signature or quoted string literal) and writes no text; a text pass
+    names registers and writes the plaintext, taking each operand from
+    the arena; a delta's writer does both.  The interning calls are the
+    same calls in the same order whichever pass makes them.  A keyed
+    line's text ends in [", "] and its operand. *)
 
 let binop_mnemonic = function
   | Ir.Expr.Add -> "add-int" | Sub -> "sub-int" | Mul -> "mul-int"
@@ -25,70 +22,121 @@ let invoke_mnemonic = function
   | Static -> "invoke-static"
   | Interface -> "invoke-interface"
 
-(* Per-method register naming: IR locals map to [vN] in first-use order.
-   The table maps a local's id straight to its register name. *)
+(* -- Registers ------------------------------------------------------------ *)
+
+(* Per-method register naming, in a pass that writes text: IR locals map
+   to [vN] in first-use order.  [locals] holds the method's locals in that
+   order, so a local's number is its position.  A lookup compares
+   physically first (a method's statements share their locals' values),
+   then by id, with no hashing and no closure. *)
 let reg_names = Array.init 256 (fun n -> "v" ^ string_of_int n)
 
-module Regs = Hashtbl.Make (struct
-  type t = string
+type regs = { mutable locals : Ir.Value.local array; mutable n : int }
 
-  let equal = String.equal
-  let hash = Hashtbl.hash
-end)
+let rec find_phys locals (l : Ir.Value.local) i n =
+  if i = n then -1 else if locals.(i) == l then i
+  else find_phys locals l (i + 1) n
 
-type regmap = { tbl : string Regs.t; mutable next : int }
+let rec find_id locals id i n =
+  if i = n then -1
+  else if String.equal locals.(i).Ir.Value.id id then i
+  else find_id locals id (i + 1) n
 
-let reg rm (l : Ir.Value.local) =
-  match Regs.find rm.tbl l.id with
-  | r -> r
-  | exception Not_found ->
-    let n = rm.next in
-    rm.next <- n + 1;
-    let r = if n < 256 then reg_names.(n) else "v" ^ string_of_int n in
-    Regs.add rm.tbl l.id r;
-    r
+let number r (l : Ir.Value.local) =
+  match find_phys r.locals l 0 r.n with
+  | -1 ->
+    (match find_id r.locals l.id 0 r.n with
+     | -1 ->
+       if r.n = Array.length r.locals then begin
+         let a = Array.make (max 16 (2 * r.n)) l in
+         Array.blit r.locals 0 a 0 r.n;
+         r.locals <- a
+       end;
+       r.locals.(r.n) <- l;
+       r.n <- r.n + 1;
+       r.n - 1
+     | i -> i)
+  | i -> i
 
 (* OCaml-escaped and double-quoted, as [Printf]'s [%S] renders it *)
 let quote s = String.concat "" [ "\""; String.escaped s; "\"" ]
 
-(* Interned operand renderings: each descriptor renders once per process. *)
+(* Interned operand renderings: each descriptor renders once per process.
+   A text pass finds every one already interned by the index pass. *)
 let meth_op m = Sym.to_string (Descriptor.meth_desc_sym m)
 let class_op c = Sym.to_string (Descriptor.class_desc_sym c)
 let field_op f = Sym.to_string (Descriptor.field_desc_sym f)
 
-let value_reg rm = function
-  | Ir.Value.Local l -> reg rm l
-  | Ir.Value.Const c ->
-    (* dexdump shows a register; constants are materialised by a preceding
-       const instruction in real bytecode.  For inline constant operands we
-       show the literal, which search never targets. *)
-    (match c with
-     | Ir.Value.Int_c i -> "#int " ^ string_of_int i
-     | Null -> "#null"
-     | Long_c i -> "#long " ^ Int64.to_string i
-     | Float_c f | Double_c f -> Printf.sprintf "#float %f" f
-     | Str_c s -> quote s
-     | Class_c cl -> class_op cl)
-
 (* -- Line output --------------------------------------------------------- *)
 
-(* One method body's render state: its instruction lines belong to [owner],
-   declared by class [cls], and carry the index of the statement being
-   rendered. *)
+(* One class's walk: its instruction lines belong to [owner], declared by
+   class [cls], and carry the index of the statement being walked.  An
+   index pass ([index]) interns operands; a text pass ([text]) names
+   registers and renders literals; a delta's writer does both. *)
 type out = {
   w : Writer.t;
-  owner : Ir.Jsig.meth;
+  index : bool;
+  text : bool;
+  regs : regs;
   cls : string;
+  mutable owner : Ir.Jsig.meth;
   mutable idx : int;
 }
 
+let reg o l =
+  if not o.text then ""
+  else
+    let n = number o.regs l in
+    if n < 256 then reg_names.(n) else "v" ^ string_of_int n
+
+let value o = function
+  | Ir.Value.Local l -> reg o l
+  | Ir.Value.Const c ->
+    (* dexdump shows a register; constants are materialised by a preceding
+       const instruction in real bytecode.  For inline constant operands we
+       show the literal, which search never targets.  An index pass
+       interns a class constant as every walk does, and renders only the
+       literals that may carry a class token. *)
+    (match c with
+     | Class_c cl -> class_op cl
+     | Str_c s -> if o.text || String.contains s ';' then quote s else ""
+     | _ when not o.text -> ""
+     | Int_c i -> "#int " ^ string_of_int i
+     | Null -> "#null"
+     | Long_c i -> "#long " ^ Int64.to_string i
+     | Float_c f | Double_c f -> Printf.sprintf "#float %f" f)
+
+(* An invoke's arguments, left to right; an index pass keeps none. *)
+let rec values o = function
+  | [] -> []
+  | v :: vs ->
+    let r = value o v in
+    let rs = values o vs in
+    if o.text then r :: rs else rs
+
+(* A keyed line's operand: interned by an index pass, in the order below;
+   read back from the arena by a text pass, which interns nothing. *)
+let lit_key o s =
+  if o.index then Sym.intern (quote s) else Writer.slot_sym o.w
+
+let class_key o c =
+  if o.index then Descriptor.class_desc_sym c else Writer.slot_sym o.w
+
+let meth_key o m =
+  if o.index then Descriptor.meth_desc_sym m else Writer.slot_sym o.w
+
+let field_key o f =
+  if o.index then Descriptor.field_desc_sym f else Writer.slot_sym o.w
+
 let add o s = Writer.add_string o.w s
+let operand o s = Writer.add_operand o.w s
 
 let hex_digits = "0123456789abcdef"
 
 (* [%04x] *)
 let add_hex4 o n =
-  if n land 0xffff = n then begin
+  if not o.text then ()
+  else if n land 0xffff = n then begin
     Writer.add_char o.w hex_digits.[n lsr 12];
     Writer.add_char o.w hex_digits.[(n lsr 8) land 15];
     Writer.add_char o.w hex_digits.[(n lsr 4) land 15];
@@ -98,13 +146,17 @@ let add_hex4 o n =
 
 (* Begin an instruction line: its "    %04x: " prefix and mnemonic. *)
 let start o mnemonic =
-  add o "    ";
-  add_hex4 o o.idx;
-  add o ": ";
-  add o mnemonic
+  if o.text then begin
+    add o "    ";
+    add_hex4 o o.idx;
+    add o ": ";
+    add o mnemonic
+  end
 
-(* End it, with or without a searchable operand. *)
+(* End it, with or without a searchable operand.  A keyed line's text
+   ends in its operand. *)
 let keyed o cat sym =
+  if o.text then add o (Sym.to_string sym);
   Writer.keyed o.w ~owner:o.owner ~cls:o.cls ~stmt:o.idx ~cat sym
 
 let unkeyed o = Writer.unkeyed o.w ~owner:o.owner ~cls:o.cls ~stmt:o.idx
@@ -113,38 +165,44 @@ let op0 o mnemonic =
   start o mnemonic;
   unkeyed o
 
-let op1 o mnemonic a =
+let text1 o mnemonic a =
   start o mnemonic;
   add o " ";
-  add o a;
+  operand o a
+
+let op1 o mnemonic a =
+  text1 o mnemonic a;
   unkeyed o
 
-let text2 o mnemonic a b =
-  start o mnemonic;
-  add o " ";
-  add o a;
-  add o ", ";
-  add o b
-
-let text3 o mnemonic a b c =
-  text2 o mnemonic a b;
-  add o ", ";
-  add o c
-
 let op2 o mnemonic a b =
-  text2 o mnemonic a b;
+  text1 o mnemonic a;
+  add o ", ";
+  operand o b;
   unkeyed o
 
 let op3 o mnemonic a b c =
-  text3 o mnemonic a b c;
+  text1 o mnemonic a;
+  add o ", ";
+  operand o b;
+  add o ", ";
+  operand o c;
   unkeyed o
 
-let keyed2 o cat sym mnemonic a b =
-  text2 o mnemonic a b;
+(* A keyed line's other operands carry no tokens of the line. *)
+let keyed2 o cat sym mnemonic a =
+  start o mnemonic;
+  add o " ";
+  add o a;
+  add o ", ";
   keyed o cat sym
 
-let keyed3 o cat sym mnemonic a b c =
-  text3 o mnemonic a b c;
+let keyed3 o cat sym mnemonic a b =
+  start o mnemonic;
+  add o " ";
+  add o a;
+  add o ", ";
+  add o b;
+  add o ", ";
   keyed o cat sym
 
 let add_list o = List.iteri (fun i r -> if i > 0 then add o ", "; add o r)
@@ -159,115 +217,112 @@ let add_list o = List.iteri (fun i r -> if i > 0 then add o ", "; add o r)
    target — except that a cast or an invoke with a result numbers the
    destination first.  Each case below binds its operands in that order,
    then writes the line left to right.  Every interning of a statement
-   happens before its first line's tokens. *)
+   happens before its first line's tokens.  An index pass names no
+   register and a text pass interns nothing, so either order holds in a
+   pass that does only one of the two. *)
 
-let invoke o rm (iv : Ir.Expr.invoke) =
-  let args = List.map (value_reg rm) iv.args in
+let invoke o (iv : Ir.Expr.invoke) =
+  let args = values o iv.args in
   let regs =
-    match iv.base with Some b -> reg rm b :: args | None -> args
+    match iv.base with Some b -> reg o b :: args | None -> args
   in
-  let callee = Descriptor.meth_desc_sym iv.callee in
+  let callee = meth_key o iv.callee in
   start o (invoke_mnemonic iv.kind);
   add o " {";
   add_list o regs;
   add o "}, ";
-  add o (Sym.to_string callee);
   keyed o Arena.cat_invoke callee
 
-let stmt o rm (st : Ir.Stmt.t) =
+let stmt o (st : Ir.Stmt.t) =
   match st with
   | Assign (l, Imm (Const (Str_c s))) ->
-    let lit = Sym.intern (quote s) in
-    keyed2 o Arena.cat_const_string lit "const-string" (reg rm l)
-      (Sym.to_string lit)
+    let lit = lit_key o s in
+    keyed2 o Arena.cat_const_string lit "const-string" (reg o l)
   | Assign (l, Imm (Const (Class_c c))) ->
-    let cls = Descriptor.class_desc_sym c in
-    keyed2 o Arena.cat_const_class cls "const-class" (reg rm l)
-      (Sym.to_string cls)
-  | Assign (l, Imm (Const (Int_c i))) ->
-    op2 o "const/16" (reg rm l) ("#int " ^ string_of_int i)
-  | Assign (l, Imm (Const Null)) -> op2 o "const/4" (reg rm l) "#int 0"
-  | Assign (l, Imm (Const (Long_c i))) ->
-    op2 o "const-wide" (reg rm l) ("#long " ^ Int64.to_string i)
-  | Assign (l, Imm (Const (Float_c f))) ->
-    op2 o "const" (reg rm l) (Printf.sprintf "#float %f" f)
+    let cls = class_key o c in
+    keyed2 o Arena.cat_const_class cls "const-class" (reg o l)
+  | Assign (l, Imm (Const (Int_c _) as v)) ->
+    op2 o "const/16" (reg o l) (value o v)
+  | Assign (l, Imm (Const Null)) -> op2 o "const/4" (reg o l) "#int 0"
+  | Assign (l, Imm (Const (Long_c _) as v)) ->
+    op2 o "const-wide" (reg o l) (value o v)
+  | Assign (l, Imm (Const (Float_c _) as v)) ->
+    op2 o "const" (reg o l) (value o v)
   | Assign (l, Imm (Const (Double_c f))) ->
-    op2 o "const-wide" (reg rm l) (Printf.sprintf "#double %f" f)
+    op2 o "const-wide" (reg o l)
+      (if o.text then Printf.sprintf "#double %f" f else "")
   | Assign (l, Imm (Local x)) ->
-    let rx = reg rm x in
-    op2 o "move-object" (reg rm l) rx
+    let rx = reg o x in
+    op2 o "move-object" (reg o l) rx
   | Assign (l, Binop (op, a, b)) ->
-    let vb = value_reg rm b in
-    let va = value_reg rm a in
-    op3 o (binop_mnemonic op) (reg rm l) va vb
+    let vb = value o b in
+    let va = value o a in
+    op3 o (binop_mnemonic op) (reg o l) va vb
   | Assign (l, Cast (t, v)) ->
-    let rl = reg rm l in
-    let vv = value_reg rm v in
+    let rl = reg o l in
+    let vv = value o v in
     op2 o "move-object" rl vv;
     op2 o "check-cast" rl (Descriptor.type_desc t)
   | Assign (l, Invoke iv) ->
-    let rl = reg rm l in
-    invoke o rm iv;
+    let rl = reg o l in
+    invoke o iv;
     op1 o "move-result-object" rl
   | Assign (l, New c) ->
-    let cls = Descriptor.class_desc_sym c in
-    keyed2 o Arena.cat_new_instance cls "new-instance" (reg rm l)
-      (Sym.to_string cls)
+    let cls = class_key o c in
+    keyed2 o Arena.cat_new_instance cls "new-instance" (reg o l)
   | Assign (l, New_array (t, n)) ->
-    let vn = value_reg rm n in
-    op3 o "new-array" (reg rm l) vn ("[" ^ Descriptor.type_desc t)
+    let vn = value o n in
+    op3 o "new-array" (reg o l) vn ("[" ^ Descriptor.type_desc t)
   | Assign (l, Array_get (a, i)) ->
-    let vi = value_reg rm i in
-    let ra = reg rm a in
-    op3 o "aget-object" (reg rm l) ra vi
+    let vi = value o i in
+    let ra = reg o a in
+    op3 o "aget-object" (reg o l) ra vi
   | Assign (l, Instance_get (b, f)) ->
-    let fld = Descriptor.field_desc_sym f in
-    let rb = reg rm b in
-    keyed3 o Arena.cat_field fld "iget-object" (reg rm l) rb
-      (Sym.to_string fld)
+    let fld = field_key o f in
+    let rb = reg o b in
+    keyed3 o Arena.cat_field fld "iget-object" (reg o l) rb
   | Assign (l, Static_get f) ->
-    let fld = Descriptor.field_desc_sym f in
-    keyed2 o Arena.cat_static_field fld "sget-object" (reg rm l)
-      (Sym.to_string fld)
+    let fld = field_key o f in
+    keyed2 o Arena.cat_static_field fld "sget-object" (reg o l)
   | Assign (l, Phi ls) ->
-    let rs = List.map (reg rm) ls in
-    start o ".phi ";
-    add o (reg rm l);
-    add o " = (";
-    add_list o rs;
-    add o ")";
+    if o.text then begin
+      let rs = List.map (reg o) ls in
+      start o ".phi ";
+      add o (reg o l);
+      add o " = (";
+      add_list o rs;
+      add o ")"
+    end;
     unkeyed o
-  | Assign (l, Param i) -> op2 o ".param" (reg rm l) ("p" ^ string_of_int i)
-  | Assign (l, This) -> op1 o ".this" (reg rm l)
-  | Assign (l, Caught_exception) -> op1 o "move-exception" (reg rm l)
+  | Assign (l, Param i) ->
+    op2 o ".param" (reg o l) (if o.text then "p" ^ string_of_int i else "")
+  | Assign (l, This) -> op1 o ".this" (reg o l)
+  | Assign (l, Caught_exception) -> op1 o "move-exception" (reg o l)
   | Assign (l, Length v) ->
-    let vv = value_reg rm v in
-    op2 o "array-length" (reg rm l) vv
+    let vv = value o v in
+    op2 o "array-length" (reg o l) vv
   | Instance_put (b, f, v) ->
-    let fld = Descriptor.field_desc_sym f in
-    let rb = reg rm b in
-    let vv = value_reg rm v in
-    keyed3 o Arena.cat_field fld "iput-object" vv rb (Sym.to_string fld)
+    let fld = field_key o f in
+    let rb = reg o b in
+    let vv = value o v in
+    keyed3 o Arena.cat_field fld "iput-object" vv rb
   | Static_put (f, v) ->
-    let fld = Descriptor.field_desc_sym f in
-    keyed2 o Arena.cat_static_field fld "sput-object" (value_reg rm v)
-      (Sym.to_string fld)
+    let fld = field_key o f in
+    keyed2 o Arena.cat_static_field fld "sput-object" (value o v)
   | Array_put (a, i, v) ->
-    let vi = value_reg rm i in
-    let ra = reg rm a in
-    let vv = value_reg rm v in
+    let vi = value o i in
+    let ra = reg o a in
+    let vv = value o v in
     op3 o "aput-object" vv ra vi
-  | Invoke iv -> invoke o rm iv
-  | Return (Some v) -> op1 o "return-object" (value_reg rm v)
+  | Invoke iv -> invoke o iv
+  | Return (Some v) -> op1 o "return-object" (value o v)
   | Return None -> op0 o "return-void"
   | If (op, a, b, target) ->
-    let vb = value_reg rm b in
-    let va = value_reg rm a in
-    start o (binop_mnemonic op);
-    add o " ";
-    add o va;
+    let vb = value o b in
+    let va = value o a in
+    text1 o (binop_mnemonic op) va;
     add o ", ";
-    add o vb;
+    operand o vb;
     add o ", :cond_";
     add_hex4 o target;
     unkeyed o
@@ -275,7 +330,7 @@ let stmt o rm (st : Ir.Stmt.t) =
     start o "goto :goto_";
     add_hex4 o target;
     unkeyed o
-  | Throw v -> op1 o "throw" (value_reg rm v)
+  | Throw v -> op1 o "throw" (value o v)
   | Nop -> op0 o "nop"
 
 (* The lines a statement renders: a cast and an invoke with a result take
@@ -299,20 +354,19 @@ let size (c : Ir.Jclass.t) =
     (2 + List.length c.interfaces + List.length c.fields, 0)
     c.methods
 
-let method_lines w cls (m : Ir.Jmethod.t) =
-  Writer.add_string w "  method ";
-  Writer.add_string w (meth_op m.msig);
-  Writer.header w;
+let method_lines o (m : Ir.Jmethod.t) =
+  add o "  method ";
+  add o (meth_op m.msig);
+  Writer.header o.w;
   match m.body with
   | None -> ()
   | Some body ->
-    let rm = { tbl = Regs.create 16; next = 0 } in
-    let o = { w; owner = m.msig; cls; idx = 0 } in
-    Array.iteri
-      (fun i st ->
-         o.idx <- i;
-         stmt o rm st)
-      body
+    o.owner <- m.msig;
+    o.regs.n <- 0;
+    for i = 0 to Array.length body - 1 do
+      o.idx <- i;
+      stmt o body.(i)
+    done
 
 (* Header descriptors intern in a fixed order too: fields, then interfaces,
    superclass and class, all before the first method. *)
@@ -329,7 +383,15 @@ let render w (c : Ir.Jclass.t) =
   head [ "  Superclass : '"; super; "'" ];
   List.iter (fun i -> head [ "  Interface : '"; i; "'" ]) interfaces;
   List.iter (fun f -> head [ "  field "; f ]) fields;
-  List.iter (method_lines w c.name) c.methods
+  match c.methods with
+  | [] -> ()
+  | m :: _ ->
+    let o =
+      { w; index = Writer.records_slots w; text = Writer.writes_text w;
+        regs = { locals = [||]; n = 0 }; cls = c.name; owner = m.msig;
+        idx = 0 }
+    in
+    List.iter (method_lines o) c.methods
 
 let app_classes p =
   Ir.Program.fold_classes p (fun c acc -> c :: acc) []

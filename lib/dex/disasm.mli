@@ -1,25 +1,28 @@
-(** The "dexdump" of the pipeline: renders IR classes into dexdump-format
-    plaintext through a {!Writer}, which lays the lines out as the
-    dexfile's text store and hit arena.  BackDroid's on-the-fly bytecode
-    search is a text search over exactly this output.
+(** The "dexdump" of the pipeline: walks IR classes statement by statement
+    and writes their dexdump-format lines through a {!Writer}.  One walk
+    serves every kind of pass: an index pass (the cold disassembly) interns
+    each searchable operand — callee signature, class descriptor, field
+    signature or quoted string literal — and classifies its line into an
+    arena category, writing no text; a text pass writes the lines'
+    plaintext, reading the operands back from the arena and interning
+    nothing; a delta's writer does both.  BackDroid's on-the-fly bytecode
+    search is a text search over exactly this plaintext.
 
-    Each instruction line with a searchable operand (callee signature,
-    class descriptor, field signature or quoted string literal) is written
-    with that operand interned and classified into an arena category, so
-    search postings are built with no text re-parsing; queries intern
-    through the same [Descriptor] memos, so an indexed operand and the
-    query that must match it are the same [Sym.t].
+    Search postings are built from the arena with no text re-parsing, and
+    queries intern through the same [Descriptor] memos, so an indexed
+    operand and the query that must match it are the same [Sym.t].
 
-    Rendering is deterministic, including the order in which registers are
-    numbered and symbols interned; snapshots store symbol ids, so that
-    order is part of their format. *)
+    The walk is deterministic, including the order in which registers are
+    numbered (in a pass that writes text) and symbols interned (in one
+    that records slots); snapshots store symbol ids, so that order is part
+    of their format. *)
 
 (** The lines and slots {!render} writes for a class, counted from the IR
     without rendering. *)
 val size : Ir.Jclass.t -> int * int
 
-(** Render one class: its header lines, then each method's header and
-    instructions. *)
+(** Walk one class into [w]: its header lines, then each method's header
+    and instructions. *)
 val render : Writer.t -> Ir.Jclass.t -> unit
 
 (** The non-system classes of a program in name order — the app dex

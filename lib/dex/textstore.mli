@@ -1,6 +1,7 @@
 (** The dexfile's plaintext lines as (offset, length) views into one byte
-    blob.  This is the only layout of line texts: the renderer writes it
-    ({!Writer}), a snapshot stores it as two sections and maps them back.
+    blob.  This is the only layout of line texts: a text pass writes it
+    ({!Writer}) on the dexfile's first read ([Dexfile.text]), a snapshot
+    stores it as two sections and maps them back.
 
     The residual text scan (free-form [Raw] queries) matches directly
     against the blob with the allocation-free predicates below; a line's

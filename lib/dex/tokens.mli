@@ -1,9 +1,10 @@
 (** Class-descriptor token extraction: the [Lcom/foo/Bar;] occurrences of a
     dexdump line.  The class-tokens postings index a slot under the tokens
     of its line: a keyed slot's are {!of_operand} of its operand, an
-    unkeyed slot's are taken at render time with {!of_bytes} and kept by
-    the dexfile ([Dexfile.iter_tokens]), so no line is ever re-tokenized
-    from its text. *)
+    unkeyed slot's are taken by the index pass with {!of_bytes} over the
+    line's operands that hold a [';'] and kept by the dexfile
+    ([Dexfile.iter_tokens]), so no line is ever tokenized from its
+    text. *)
 
 (** Distinct tokens of bytes [pos .. pos + len - 1] of [b], sorted by
     symbol id, each interned in order of occurrence.  Token-free ranges

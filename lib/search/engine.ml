@@ -12,11 +12,13 @@
     records are materialised only for slots a query actually returns; a
     hit carries no text.  Scan mode and free-form [Raw] queries match
     against the dexfile's one text store ({!Dex.Textstore.iter_matches}),
-    whatever produced it.  The packed layout is deterministic (keys sorted
-    by symbol id, slots in arena order, each run's bytes a pure function
-    of its slots), so a sequential build, a sharded build, a delta patch
-    and a snapshot load produce byte-identical tables, and those tables
-    are the snapshot file's postings sections as they are.
+    whatever produced it; they are the only readers of the text
+    ({!Dex.Dexfile.text}), which a cold render makes on first read.  The
+    packed layout is deterministic (keys sorted by symbol id, slots in
+    arena order, each run's bytes a pure function of its slots), so a
+    sequential build, a sharded build, a delta patch and a snapshot load
+    produce byte-identical tables, and those tables are the snapshot
+    file's postings sections as they are.
 
     Each category's postings build lazily on the first query of that
     category (double-checked under a build mutex), so an analysis that
@@ -300,7 +302,10 @@ let make ?pool ~indexed ~load_mode dex tables =
     build_lock = Mutex.create ();
     ruleset = Atomic.make None }
 
+(* A scan engine reads the text from its first query on: render it now,
+   so that preprocessing, not the first query, pays for it. *)
 let create ?(indexed = true) ?pool dex =
+  if not indexed then ignore (Dex.Dexfile.text dex : Dex.Textstore.t);
   make ?pool ~indexed ~load_mode:None dex (Array.make n_categories None)
 
 (** All seven categories in packed form, building any not yet built — the
@@ -486,7 +491,7 @@ let has_opcode store i ~prefixes =
    arena's [line_idx] is strictly ascending, so a binary search finds the
    slot — pay the opcode-prefix check and hit materialization. *)
 let scan t ~prefixes ~pat ~filter =
-  let store = t.dex.Dex.Dexfile.text in
+  let store = Dex.Dexfile.text t.dex in
   let line_idx = t.dex.Dex.Dexfile.arena.Dex.Arena.line_idx in
   let acc = ref [] in
   Dex.Textstore.iter_matches store ~pat (fun i ->

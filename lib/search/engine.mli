@@ -13,6 +13,11 @@
       store, like the paper's prototype shelling out to grep — the test
       oracle and the search-cost ablation baseline.
 
+    Only scan mode and free-form [Raw] queries read the text
+    ({!Dex.Dexfile.text}); an indexed engine answers every other query
+    from the arena, so over a cold render it never makes the dexfile
+    render its text.
+
     Both return identical hits for every query (the property tests check
     this across lazy, snapshot and delta engines), so mode choice is purely
     a performance decision. *)
@@ -44,7 +49,8 @@ module Packed : sig
 end
 
 (** Build an indexed engine over a disassembled app ([indexed:false]: a
-    scan engine).  Postings build lazily, sequentially, on each category's
+    scan engine, which renders the dexfile's text now, so that creating
+    it, not its first query, pays for that).  Postings build lazily, sequentially, on each category's
     first query — such a build can trigger inside pool tasks, where sharding
     over the same pool could re-enter the engine's locks (see engine.ml).
     [pool] shards {!export_packed}'s builds across the pool's domains

@@ -66,6 +66,11 @@ let default_path ~dir ~app_id =
   Filename.concat dir
     (Printf.sprintf "%s.v%d.bdix" sane Codec.format_version)
 
+(* The load's validation loops read each mapped column element once:
+   through the bigarray accessor, bounds-checked and compiled inline,
+   rather than a call into [Ivec] per element. *)
+let get (v : Ivec.t) i = Bigarray.Array1.get v i
+
 (* -- String arrays as (offsets, blob) section pairs ------------------- *)
 
 (* The offsets are the running byte totals, from 0: computed as they are
@@ -92,7 +97,7 @@ let load_strings r ~off_id ~blob_id ~count ~what =
   else begin
     let ok = ref true in
     for i = 0 to count - 1 do
-      if Ivec.get offs (i + 1) < Ivec.get offs i then ok := false
+      if get offs (i + 1) < get offs i then ok := false
     done;
     if (not !ok) || Ivec.get offs count <> String.length blob then
       Error
@@ -101,8 +106,8 @@ let load_strings r ~off_id ~blob_id ~count ~what =
     else
       Ok
         (Array.init count (fun i ->
-             let lo = Ivec.get offs i in
-             String.sub blob lo (Ivec.get offs (i + 1) - lo)))
+             let lo = get offs i in
+             String.sub blob lo (get offs (i + 1) - lo)))
   end
 
 (* The same pair with the count derived from the offsets section — for
@@ -215,7 +220,7 @@ let save ?ruleset_hash ?(results = [||]) ~path engine =
   let dex = Engine.dexfile engine in
   let packed = Engine.export_packed engine in
   let arena = dex.Dex.Dexfile.arena in
-  let text = dex.Dex.Dexfile.text in
+  let text = Dex.Dexfile.text dex in
   let syms = Sym.dump () in
   let sections =
     List.concat
@@ -280,10 +285,10 @@ let check_packed ~n_syms ~n_slots c ~keys ~offsets ~(runs : Bvec.t) =
   else begin
     let ok = ref true in
     for k = 0 to nk - 1 do
-      let key = Ivec.get keys k in
+      let key = get keys k in
       if key < 0 || key >= n_syms then ok := false;
-      if k > 0 && Ivec.get keys (k - 1) >= key then ok := false;
-      if Ivec.get offsets (k + 1) < Ivec.get offsets k then ok := false
+      if k > 0 && get keys (k - 1) >= key then ok := false;
+      if get offsets (k + 1) < get offsets k then ok := false
     done;
     if not !ok then bad "keys/offsets not ascending or out of range"
     else begin
@@ -381,12 +386,12 @@ let parse r =
            on *)
         let ok = ref true in
         for i = 0 to n_slots - 1 do
-          let li = Ivec.get line_idx i in
-          let oi = Ivec.get owner_id i in
-          let c = Ivec.get cat i in
-          let s = Ivec.get sym i in
+          let li = get line_idx i in
+          let oi = get owner_id i in
+          let c = get cat i in
+          let s = get sym i in
           if li < 0 || li >= n_lines then ok := false;
-          if i > 0 && li <= Ivec.get line_idx (i - 1) then ok := false;
+          if i > 0 && li <= get line_idx (i - 1) then ok := false;
           if oi < 0 || oi >= n_owners then ok := false;
           if c < -1 || c >= n_categories - 1 then ok := false;
           if s < -1 || s >= n_syms then ok := false
@@ -628,8 +633,10 @@ let fresh engine program =
    freshness-checked a snapshot — and the core of the delta path: it works
    purely on live structures, so there is no file parse and no symbol
    re-interning (a live engine's ids are by definition the live ones).
-   The new layout is written by the same {!Dex.Writer} as a cold render:
-   unchanged classes are copied from the old layout as blocks, changed and
+   The new layout is written by a {!Dex.Writer} that writes texts and
+   slots together, through the statement walk a cold render uses:
+   unchanged classes are copied from the old layout as blocks (which
+   renders a cold old dexfile's text, if nothing has yet), changed and
    added ones rendered.  The old engine is left untouched. *)
 let delta_of_engine old_engine program =
   let span0 = Obs.Span.start () in
@@ -720,7 +727,7 @@ let delta_of_engine old_engine program =
     List.iter
       (function
         | Copy { llo; lhi; slo; shi; sbase } ->
-          Dex.Writer.copy w dex_old.Dex.Dexfile.text oa ~lines:(llo, lhi)
+          Dex.Writer.copy w (Dex.Dexfile.text dex_old) oa ~lines:(llo, lhi)
             ~slots:(slo, shi);
           for j = 0 to shi - slo - 1 do
             slot_map.(slo + j) <- sbase + j

@@ -120,7 +120,8 @@ val fresh : Bytesearch.Engine.t -> Ir.Program.t -> bool
     [program]: classes whose structural {!Ir.Irhash} matches the old
     engine's classmap entry keep their text bytes, arena rows and postings
     entries, copied as blocks; only changed or added classes are rendered
-    (through the same {!Dex.Writer} as a cold render) and indexed, and
+    (through the statement walk of a cold render, text and slots in one
+    pass) and indexed, and
     {!Bytesearch.Engine.patch} merges their postings into the carried
     ones.  No file I/O, no parsing, no symbol re-interning — this is the
     maintained-index fast path an app store uses when version N+1

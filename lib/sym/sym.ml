@@ -22,14 +22,15 @@ let table : (string, int) Hashtbl.t = Hashtbl.create 4096
 let next = ref 0
 
 (* Decompose an id into (chunk, offset).  Shifting the biased id into the
-   first-chunk range makes the chunk index a log2. *)
+   first-chunk range makes the chunk index a log2, taken from the first
+   chunk's bit up: ids below [first_chunk] take no iteration. *)
+let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1)
+
 let locate id =
+  if id < 0 then invalid_arg "Sym: negative id";
   let biased = id + first_chunk in
-  (* position of the highest set bit of [biased], minus first_chunk_bits *)
-  let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
-  let chunk = log2 biased 0 - first_chunk_bits in
-  let offset = biased - (first_chunk lsl chunk) in
-  (chunk, offset)
+  let chunk = log2 (biased lsr first_chunk_bits) 0 in
+  (chunk, biased - (first_chunk lsl chunk))
 
 let to_string id =
   let chunk, offset = locate id in

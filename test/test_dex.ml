@@ -57,6 +57,126 @@ let test_field_desc () =
     "Lcom/studiosol/palcomp3/MP3LocalServer;.PORT:I" (D.field_desc f);
   Alcotest.(check bool) "roundtrip" true (Jsig.field_equal (D.field_of_desc (D.field_desc f)) f)
 
+(* The descriptor renderers as they were written with [Printf] and string
+   concatenation: the byte-exact reference for the one-[Bytes] renderers. *)
+module Ref = struct
+  let class_desc name =
+    "L" ^ String.map (fun c -> if c = '.' then '/' else c) name ^ ";"
+
+  let rec type_desc = function
+    | Types.Void -> "V"
+    | Boolean -> "Z"
+    | Byte -> "B"
+    | Char -> "C"
+    | Short -> "S"
+    | Int -> "I"
+    | Long -> "J"
+    | Float -> "F"
+    | Double -> "D"
+    | Object c -> class_desc c
+    | Array e -> "[" ^ type_desc e
+
+  let proto_desc ~params ~ret =
+    "(" ^ String.concat "" (List.map type_desc params) ^ ")" ^ type_desc ret
+
+  let meth_desc (m : Jsig.meth) =
+    Printf.sprintf "%s.%s:%s" (class_desc m.cls) m.name
+      (proto_desc ~params:m.params ~ret:m.ret)
+
+  let field_desc (f : Jsig.field) =
+    Printf.sprintf "%s.%s:%s" (class_desc f.fcls) f.fname (type_desc f.fty)
+end
+
+let check_meth_desc (m : Jsig.meth) =
+  Alcotest.(check string) "meth_desc" (Ref.meth_desc m) (D.meth_desc m);
+  Alcotest.(check string) "proto_desc"
+    (Ref.proto_desc ~params:m.params ~ret:m.ret)
+    (D.proto_desc ~params:m.params ~ret:m.ret);
+  List.iter
+    (fun t -> Alcotest.(check string) "type_desc" (Ref.type_desc t) (D.type_desc t))
+    (m.ret :: m.params)
+
+let check_field_desc (f : Jsig.field) =
+  Alcotest.(check string) "field_desc" (Ref.field_desc f) (D.field_desc f);
+  Alcotest.(check string) "type_desc" (Ref.type_desc f.fty) (D.type_desc f.fty)
+
+(* Every method and field an app declares or references, one app per
+   shape, framework stubs included. *)
+let test_descriptors_match_reference () =
+  List.iter
+    (fun shape ->
+       let app =
+         Appgen.Generator.generate ~build_dex:false
+           { Appgen.Generator.default_config with
+             Appgen.Generator.seed = 3;
+             name = "com.dex.desc";
+             filler_classes = 2;
+             plants =
+               [ { Appgen.Generator.shape; sink = Framework.Sinks.cipher;
+                   insecure = true } ] }
+       in
+       Program.fold_classes app.Appgen.Generator.program
+         (fun c () ->
+            Alcotest.(check string) "class_desc" (Ref.class_desc c.Jclass.name)
+              (D.class_desc c.Jclass.name);
+            List.iter check_field_desc c.Jclass.fields;
+            List.iter
+              (fun (m : Jmethod.t) ->
+                 check_meth_desc m.msig;
+                 Option.iter
+                   (Array.iter (fun (st : Stmt.t) ->
+                        Option.iter
+                          (fun (iv : Expr.invoke) -> check_meth_desc iv.callee)
+                          (Stmt.invoke st);
+                        match st with
+                        | Assign (_, (Instance_get (_, f) | Static_get f))
+                        | Instance_put (_, f, _) | Static_put (f, _) ->
+                          check_field_desc f
+                        | _ -> ()))
+                   m.body)
+              c.Jclass.methods)
+         ())
+    Appgen.Shape.all
+
+(* Random class names hold dots, slashes and [$]; random types nest
+   arrays of them. *)
+let gen_class_name =
+  QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'Z'; '.'; '$'; '_'; '/'; '1' ])
+                (int_bound 12))
+
+let gen_desc_type =
+  QCheck.Gen.(
+    sized @@ fix (fun self n ->
+        let base =
+          oneof
+            [ oneofl
+                [ Types.Void; Types.Boolean; Types.Byte; Types.Char;
+                  Types.Short; Types.Int; Types.Long; Types.Float;
+                  Types.Double ];
+              map (fun c -> Types.Object c) gen_class_name ]
+        in
+        if n <= 0 then base
+        else frequency [ 2, base; 1, map (fun t -> Types.Array t) (self (n - 1)) ]))
+
+let descriptors_match_reference =
+  QCheck.Test.make ~name:"descriptors == Printf reference" ~count:500
+    (QCheck.make
+       ~print:(fun (cls, name, params, ret) ->
+           Printf.sprintf "%S %S (%s) %s" cls name
+             (String.concat ", " (List.map Ref.type_desc params))
+             (Ref.type_desc ret))
+       QCheck.Gen.(
+         quad gen_class_name gen_class_name
+           (list_size (int_bound 4) gen_desc_type) gen_desc_type))
+    (fun (cls, name, params, ret) ->
+       let m = Jsig.meth ~cls ~name ~params ~ret in
+       let f = Jsig.field ~cls ~name ~ty:ret in
+       D.class_desc cls = Ref.class_desc cls
+       && D.meth_desc m = Ref.meth_desc m
+       && D.field_desc f = Ref.field_desc f
+       && D.proto_desc ~params ~ret = Ref.proto_desc ~params ~ret
+       && List.for_all (fun t -> D.type_desc t = Ref.type_desc t) (ret :: params))
+
 (* --- disassembler --- *)
 
 let tiny_program () =
@@ -126,6 +246,8 @@ let unit_cases =
   [ Alcotest.test_case "class descriptors" `Quick test_class_desc;
     Alcotest.test_case "fig3 search signature" `Quick test_fig3_signature;
     Alcotest.test_case "field descriptors" `Quick test_field_desc;
+    Alcotest.test_case "descriptors match Printf reference" `Quick
+      test_descriptors_match_reference;
     Alcotest.test_case "disasm invoke line" `Quick test_disasm_invoke_line;
     Alcotest.test_case "line ownership" `Quick test_line_ownership;
     Alcotest.test_case "multidex merge" `Quick test_multidex_merge;
@@ -219,7 +341,8 @@ let scan_matches_naive =
 
 let prop_cases =
   List.map qcheck
-    [ meth_desc_roundtrip; type_desc_roundtrip; scan_matches_naive ]
+    [ meth_desc_roundtrip; type_desc_roundtrip; scan_matches_naive;
+      descriptors_match_reference ]
 
 (* --- golden rendering --- *)
 
@@ -527,6 +650,206 @@ let golden_cases =
     Alcotest.test_case "pinned content hashes" `Quick test_pinned_hashes ]
 
 
+(* --- the index pass and the text pass --- *)
+
+let cat_of_opcode op =
+  let pre p = String.starts_with ~prefix:p op in
+  if pre "invoke-" then Dex.Arena.cat_invoke
+  else if op = "new-instance" then Dex.Arena.cat_new_instance
+  else if op = "const-class" then Dex.Arena.cat_const_class
+  else if op = "const-string" then Dex.Arena.cat_const_string
+  else if pre "iget" || pre "iput" then Dex.Arena.cat_field
+  else if pre "sget" || pre "sput" then Dex.Arena.cat_static_field
+  else Dex.Arena.cat_none
+
+let slot_tokens dex s =
+  let toks = ref [] in
+  Dex.Dexfile.iter_tokens dex ~lo:s ~hi:(s + 1) (fun tok _ ->
+      toks := tok :: !toks);
+  List.rev !toks
+
+(* The text pass renders what the index pass recorded: parsed back, each
+   instruction line maps to its slot's owner, statement, category and
+   operand, and each unkeyed line's tokens are its slot's.  Rendering
+   the text interns no symbol. *)
+let check_passes dex =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let interned = Sym.interned () in
+  let text = Dex.Dexfile.to_string dex in
+  if Sym.interned () <> interned then
+    fail "the text pass interned %d symbols" (Sym.interned () - interned);
+  let parsed = Dex.Parse.parse_text text in
+  if Array.length parsed.Dex.Parse.lines <> Dex.Dexfile.line_count dex then
+    fail "%d lines parsed, %d indexed" (Array.length parsed.Dex.Parse.lines)
+      (Dex.Dexfile.line_count dex);
+  let a = dex.Dex.Dexfile.arena in
+  let slot = ref 0 in
+  Array.iteri
+    (fun i (line, owner, _) ->
+       let slot_here =
+         !slot < Dex.Arena.length a && Ivec.get a.Dex.Arena.line_idx !slot = i
+       in
+       match (line : Dex.Parse.line) with
+       | Instruction ins ->
+         if not slot_here then fail "instruction line %d has no slot" i;
+         let s = !slot in
+         incr slot;
+         let raw = Dex.Dexfile.line_text dex i in
+         let o = a.Dex.Arena.owners.(Ivec.get a.Dex.Arena.owner_id s) in
+         if not (Option.fold ~none:false ~some:(Jsig.meth_equal o) owner) then
+           fail "line %d: owner %s" i (Jsig.meth_to_string o);
+         if Ivec.get a.Dex.Arena.stmt_idx s <> ins.addr then
+           fail "line %d: statement %d" i (Ivec.get a.Dex.Arena.stmt_idx s);
+         let cat = Ivec.get a.Dex.Arena.cat s
+         and sym = Ivec.get a.Dex.Arena.sym s in
+         if cat <> cat_of_opcode ins.opcode then
+           fail "line %d: category %d for %S" i cat raw;
+         if cat = Dex.Arena.cat_none then begin
+           if sym <> -1 then fail "line %d: unkeyed slot with a symbol" i;
+           let b = Bytes.of_string raw in
+           let toks =
+             Array.to_list
+               (Array.map Sym.id
+                  (Dex.Tokens.of_bytes b ~pos:0 ~len:(Bytes.length b)))
+           in
+           if toks <> slot_tokens dex s then fail "line %d: tokens of %S" i raw
+         end
+         else if
+           not
+             (String.ends_with
+                ~suffix:(", " ^ Sym.to_string (Sym.unsafe_of_id sym))
+                raw)
+         then fail "line %d: operand of %S" i raw
+       | _ -> if slot_here then fail "header line %d has a slot" i)
+    parsed.Dex.Parse.lines;
+  if !slot <> Dex.Arena.length a then fail "%d slots past the last line"
+      (Dex.Arena.length a - !slot);
+  true
+
+let gen_passes_app =
+  QCheck.Gen.(
+    let* seed = int_bound 100_000 in
+    let* plants =
+      list_size (int_bound 3)
+        (let* shape = oneofl Appgen.Shape.all in
+         let* sink =
+           oneofl
+             Framework.Sinks.[ cipher; ssl_factory; https_conn; webview_js ]
+         in
+         let* insecure = bool in
+         return { Appgen.Generator.shape; sink; insecure })
+    in
+    let* filler_classes = int_range 1 6 in
+    let* filler_methods_per_class = int_range 1 5 in
+    let* filler_stmts_per_method = int_range 1 16 in
+    let* filler_dispatch_p = float_bound_inclusive 1.0 in
+    let* filler_fanout_max = int_range 0 4 in
+    let* filler_jump_locality = int_bound 4 in
+    (* 0: one dex; k > 0: classes.dex partitions of k classes *)
+    let* partition = int_bound 4 in
+    return
+      ( { Appgen.Generator.default_config with
+          Appgen.Generator.seed; name = Printf.sprintf "com.dex.passes%d" seed;
+          plants;
+          filler_classes; filler_methods_per_class; filler_stmts_per_method;
+          filler_dispatch_p; filler_fanout_max; filler_jump_locality },
+        partition ))
+
+let rec chunks k = function
+  | [] -> []
+  | xs ->
+    List.filteri (fun i _ -> i < k) xs
+    :: chunks k (List.filteri (fun i _ -> i >= k) xs)
+
+let passes_agree =
+  QCheck.Test.make ~name:"text pass == index pass" ~count:40
+    (QCheck.make
+       ~print:(fun ((c : Appgen.Generator.config), k) ->
+           Printf.sprintf "seed=%d plants=%d filler=%d/%d/%d partition=%d"
+             c.seed (List.length c.plants) c.filler_classes
+             c.filler_methods_per_class c.filler_stmts_per_method k)
+       gen_passes_app)
+    (fun (cfg, partition) ->
+       let app = Appgen.Generator.generate ~build_dex:false cfg in
+       let p = app.Appgen.Generator.program in
+       let dex =
+         if partition = 0 then Dex.Dexfile.of_program p
+         else
+           (* reversed name order, so the merge is not the sorted render *)
+           Dex.Dexfile.of_partitions p
+             (chunks partition
+                (List.rev_map
+                   (fun (c : Jclass.t) -> c.name)
+                   (Dex.Disasm.app_classes p)))
+       in
+       check_passes dex)
+
+let renders () =
+  Option.value ~default:0
+    (List.assoc_opt "dex.text.renders"
+       (Obs.Metrics.snapshot ()).Obs.Metrics.counters)
+
+(* Each test names its app apart, so that the app's symbols are new to the
+   process when it is indexed. *)
+let passes_app name =
+  Appgen.Generator.generate
+    { Appgen.Generator.default_config with
+      Appgen.Generator.seed = 19;
+      name;
+      filler_classes = 4;
+      plants =
+        [ { Appgen.Generator.shape = Appgen.Shape.Callback;
+            sink = Framework.Sinks.cipher; insecure = true } ] }
+
+(* A one-shot analysis reads no line text: counting lines, the class
+   tokens, an indexed engine and the analysis render none of it.  A scan
+   engine renders it at creation, once. *)
+let test_what_renders_text () =
+  let app = passes_app "com.dex.lazy" in
+  let dex = app.Appgen.Generator.dex in
+  let r0 = renders () in
+  Alcotest.(check bool) "lines counted" true (Dex.Dexfile.line_count dex > 0);
+  Dex.Dexfile.iter_tokens dex ~lo:0
+    ~hi:(Dex.Arena.length dex.Dex.Dexfile.arena) (fun _ _ -> ());
+  let engine = Bytesearch.Engine.create dex in
+  let r =
+    Backdroid.Driver.analyze ~engine ~dex
+      ~manifest:app.Appgen.Generator.manifest ()
+  in
+  Alcotest.(check int) "the planted flow is found" 1
+    (List.length (Backdroid.Driver.insecure_reports r));
+  Alcotest.(check int) "no text rendered" r0 (renders ());
+  let scan = Dex.Dexfile.of_program app.Appgen.Generator.program in
+  ignore (Bytesearch.Engine.create ~indexed:false scan);
+  Alcotest.(check int) "a scan engine renders the text" (r0 + 1) (renders ());
+  ignore (Dex.Dexfile.to_string scan);
+  Alcotest.(check int) "once" (r0 + 1) (renders ())
+
+let test_text_interns_nothing () =
+  let app = passes_app "com.dex.interns" in
+  let dex = Dex.Dexfile.of_program app.Appgen.Generator.program in
+  let n = Sym.interned () in
+  ignore (Dex.Dexfile.text dex);
+  Alcotest.(check int) "symbols interned" n (Sym.interned ())
+
+let test_concurrent_forcing () =
+  let app = passes_app "com.dex.racing" in
+  let dex = Dex.Dexfile.of_program app.Appgen.Generator.program in
+  let r0 = renders () in
+  let force () = Domain.spawn (fun () -> Dex.Dexfile.text dex) in
+  let d1 = force () and d2 = force () in
+  let t1 = Domain.join d1 and t2 = Domain.join d2 in
+  Alcotest.(check bool) "one physical store" true (t1 == t2);
+  Alcotest.(check bool) "kept" true (Dex.Dexfile.text dex == t1);
+  Alcotest.(check int) "rendered once" (r0 + 1) (renders ())
+
+let passes_cases =
+  [ Alcotest.test_case "what renders the text" `Quick test_what_renders_text;
+    Alcotest.test_case "text pass interns nothing" `Quick
+      test_text_interns_nothing;
+    Alcotest.test_case "concurrent forcing" `Quick test_concurrent_forcing;
+    qcheck passes_agree ]
+
 (* --- plaintext parser (round-trip with the disassembler) --- *)
 
 let test_parse_roundtrip_structure () =
@@ -635,4 +958,5 @@ let parser_props = [ QCheck_alcotest.to_alcotest parse_total ]
 
 let suites =
   [ "dex.unit", unit_cases; "dex.golden", golden_cases; "dex.props", prop_cases;
+    "dex.passes", passes_cases;
     "dex.parser", parser_cases; "dex.parser-props", parser_props ]

@@ -477,7 +477,7 @@ let test_delta_requires_classmap () =
   let app = fixture_app () in
   let dex = app.G.dex in
   let stripped =
-    Dex.Dexfile.of_parts ~classmap:Dex.Classmap.empty dex.Dex.Dexfile.text
+    Dex.Dexfile.of_parts ~classmap:Dex.Classmap.empty (Dex.Dexfile.text dex)
       dex.Dex.Dexfile.arena dex.Dex.Dexfile.program
   in
   let engine = E.create stripped in
