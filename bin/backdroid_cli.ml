@@ -311,9 +311,9 @@ let analyze_cmd =
           ~doc:
             "With $(b,--load-index): extend the always-on hot-section \
              prefault (hit arena, postings directories) to every mapped \
-             page — postings bodies and line texts — right after \
-             validation, so even text-scan queries never stall on page \
-             faults.  Results are identical either way.")
+             page — the postings bodies — right after validation, so no \
+             query stalls on page faults.  Results are identical either \
+             way.")
   in
   let delta_index_t =
     Arg.(

@@ -1,9 +1,9 @@
 (** Flat byte vectors backed by [Bigarray]: the payload lives outside the
     OCaml heap, so the GC neither traces nor copies it.  The byte-granular
     sibling of {!Ivec}: snapshot loads hand out mmapped file sections as
-    [Bvec.t]s (packed postings runs, the off-heap line-text blob), and the
-    search engine's residual scan and postings cursors read them without
-    materializing strings.
+    [Bvec.t]s (packed postings runs), a dexfile's text pass leaves its
+    line-text blob in one, and the search engine's residual scan and
+    postings cursors read them without materializing strings.
 
     The type is exposed transparently so producers that already hold a char
     bigarray (an mmapped section, say) need no copy. *)

@@ -1,13 +1,12 @@
 (* Per-class table over a disassembled dexfile: for each class, its
-   contiguous line range, its contiguous arena slot range, and two content
-   hashes — the canonical FNV-1a-64 over its rendered lines and the
-   structural {!Ir.Irhash} over its IR.  A freshly disassembled dexfile
+   contiguous line range, its contiguous arena slot range, and the
+   structural {!Ir.Irhash} of its IR.  A freshly disassembled dexfile
    hashes on first use ([Dexfile.classmap]), when a snapshot save, a
    delta, a persisted-results export or a freshness check first reads it;
    snapshot-loaded and delta-built dexfiles carry theirs.  The delta
    snapshot path diffs a new build against an old snapshot on the IR hash
-   (no rendering needed), then splices lines, arena slots and postings per
-   class using the ranges. *)
+   (no rendering needed), then splices arena slots and postings per class
+   using the ranges. *)
 
 type t = {
   names : string array;
@@ -15,7 +14,6 @@ type t = {
   line_hi : int array;
   slot_lo : int array;
   slot_hi : int array;
-  text_hash : int64 array;
   ir_hash : int64 array;
   index : (string, int) Hashtbl.t;
 }
@@ -27,20 +25,19 @@ let build_index names =
   Array.iteri (fun i n -> Hashtbl.replace index n i) names;
   index
 
-let v ~names ~line_lo ~line_hi ~slot_lo ~slot_hi ~text_hash ~ir_hash =
+let v ~names ~line_lo ~line_hi ~slot_lo ~slot_hi ~ir_hash =
   let n = Array.length names in
   if
     Array.length line_lo <> n || Array.length line_hi <> n
     || Array.length slot_lo <> n || Array.length slot_hi <> n
-    || Array.length text_hash <> n || Array.length ir_hash <> n
+    || Array.length ir_hash <> n
   then invalid_arg "Classmap.v: column length mismatch";
-  { names; line_lo; line_hi; slot_lo; slot_hi; text_hash; ir_hash;
+  { names; line_lo; line_hi; slot_lo; slot_hi; ir_hash;
     index = build_index names }
 
 let empty =
   { names = [||]; line_lo = [||]; line_hi = [||]; slot_lo = [||];
-    slot_hi = [||]; text_hash = [||]; ir_hash = [||];
-    index = Hashtbl.create 1 }
+    slot_hi = [||]; ir_hash = [||]; index = Hashtbl.create 1 }
 
 let find t name = Hashtbl.find_opt t.index name
 

@@ -30,10 +30,10 @@ let force c fill =
           Atomic.set c.value (Some v);
           v)
 
-(* The text and the class map of an index pass wait for their first
-   read; a dexfile made with them holds them from the start. *)
+(* The text waits for its first read.  The class map of an index pass
+   waits too; a dexfile made from parts holds it from the start. *)
 type cells = {
-  ranges : class_range array;  (* in line order; empty unless rendered *)
+  ranges : class_range array;  (* in line order; empty unless indexed here *)
   text : Textstore.t once;
   classmap : Classmap.t once;
 }
@@ -56,7 +56,7 @@ let index program classes =
              (l + cl, s + cs))
           (0, 0) classes
       in
-      let w = Writer.index ~lines ~slots in
+      let w = Writer.index ~lines ~slots () in
       let ranges =
         Array.of_list classes
         |> Array.map (fun cls ->
@@ -80,32 +80,20 @@ let of_partitions p partitions =
             | Some _ | None -> None))
        partitions)
 
-let of_parts ?(rendered = Writer.nothing_rendered) ~classmap text arena
+let of_parts ?(rendered = Writer.nothing_rendered) ~lines ~classmap arena
     program =
-  { lines = Textstore.count text; arena; rendered; program;
+  { lines; arena; rendered; program;
     cells =
-      { ranges = [||]; text = once (Some text);
-        classmap = once (Some classmap) } }
+      { ranges = [||]; text = once None; classmap = once (Some classmap) } }
 
 let empty p =
-  let text, arena, rendered =
-    Writer.finish (Writer.create ~lines:0 ~slots:0 ())
+  let arena, rendered =
+    Writer.finish_index (Writer.index ~lines:0 ~slots:0 ())
   in
-  of_parts ~rendered ~classmap:Classmap.empty text arena p
-
-let m_renders = Obs.Metrics.counter "dex.text.renders"
-
-let text t =
-  force t.cells.text (fun () ->
-      Obs.Span.with_span ~cat:"dex" ~name:"text" (fun () ->
-          Obs.Metrics.incr m_renders;
-          let w = Writer.text t.arena ~lines:t.lines in
-          Array.iter (fun r -> Disasm.render w r.cls) t.cells.ranges;
-          Writer.finish_text w))
+  of_parts ~rendered ~lines:0 ~classmap:Classmap.empty arena p
 
 let classmap t =
   force t.cells.classmap (fun () ->
-      let text = text t in
       Obs.Span.with_span ~cat:"dex" ~name:"classmap" (fun () ->
           let col f = Array.map f t.cells.ranges in
           Classmap.v ~names:(col (fun r -> r.cls.Ir.Jclass.name))
@@ -113,9 +101,47 @@ let classmap t =
             ~line_hi:(col (fun r -> r.line_hi))
             ~slot_lo:(col (fun r -> r.slot_lo))
             ~slot_hi:(col (fun r -> r.slot_hi))
-            ~text_hash:
-              (col (fun r -> Textstore.hash_lines text r.line_lo r.line_hi))
             ~ir_hash:(col (fun r -> Ir.Irhash.jclass r.cls))))
+
+(* Entry [i] of a layout built elsewhere names a class of the program
+   whose IR it was indexed from: the program's class must render the
+   entry's line and slot counts and have its IR hash, or its text would
+   not be the text the arena indexes. *)
+let mapped_class t (cm : Classmap.t) i =
+  let name = cm.Classmap.names.(i) in
+  let matches c =
+    Disasm.size c
+    = ( cm.Classmap.line_hi.(i) - cm.Classmap.line_lo.(i),
+        cm.Classmap.slot_hi.(i) - cm.Classmap.slot_lo.(i) )
+    && Int64.equal (Ir.Irhash.jclass c) cm.Classmap.ir_hash.(i)
+  in
+  match Ir.Program.find_class t.program name with
+  | Some c when matches c -> c
+  | Some _ | None ->
+    invalid_arg
+      (Printf.sprintf
+         "Dexfile.text: the program's class %s does not match its class map \
+          entry"
+         name)
+
+let m_renders = Obs.Metrics.counter "dex.text.renders"
+
+(* A text pass over the classes in line order: those an index pass
+   walked, or else the class map's, checked against the program. *)
+let text t =
+  force t.cells.text (fun () ->
+      Obs.Span.with_span ~cat:"dex" ~name:"text" (fun () ->
+          Obs.Metrics.incr m_renders;
+          let w = Writer.text t.arena ~lines:t.lines in
+          if Array.length t.cells.ranges > 0 then
+            Array.iter (fun r -> Disasm.render w r.cls) t.cells.ranges
+          else begin
+            let cm = classmap t in
+            for i = 0 to Classmap.length cm - 1 do
+              Disasm.render w (mapped_class t cm i)
+            done
+          end;
+          Writer.finish_text w))
 
 let line_count t = t.lines
 let line_text t i = Textstore.get (text t) i
@@ -133,8 +159,8 @@ let iter_tokens t ~lo ~hi f =
   while !k < n && r.tok_slots.(!k) < lo do incr k done;
   for s = lo to hi - 1 do
     let sym = Bigarray.Array1.unsafe_get t.arena.sym s in
-    if sym >= 0 then emit (Tokens.of_operand (Sym.unsafe_of_id sym)) s
-    else if !k < n && r.tok_slots.(!k) = s then begin
+    if sym >= 0 then emit (Tokens.of_operand (Sym.unsafe_of_id sym)) s;
+    if !k < n && r.tok_slots.(!k) = s then begin
       emit r.tok_syms.(!k) s;
       incr k
     end

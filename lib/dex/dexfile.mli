@@ -1,16 +1,16 @@
 (** A disassembled (and, if multidex, merged) dex file in its one layout:
     the hit {!Arena} that tags each instruction line with its enclosing
     method and operand, and that the engine's per-category postings index
-    into; and the plaintext lines, held as one {!Textstore}, that free-form
-    and scan-mode searches read.  A render ({!of_program}), a snapshot
-    load and a delta all produce this layout; a snapshot stores it as it
-    is.
+    into; the per-class {!Classmap}; and the plaintext lines, held as one
+    {!Textstore}, that free-form and scan-mode searches read.  A render
+    ({!of_program}), a snapshot load and a delta all produce the arena and
+    the class map; a snapshot stores those, and no text.
 
     A render is an index pass: it writes the arena and interns every
-    symbol, and writes no text.  The text is rendered on first read
-    ({!text}): an analysis over an indexed engine never reads it, so a
-    one-shot analysis never renders it.  A snapshot load or a delta
-    supplies its text. *)
+    symbol, and writes no text.  Whatever produced the layout, the text is
+    rendered from the program's IR on first read ({!text}): an analysis
+    over an indexed engine never reads it, so neither a one-shot analysis
+    nor a save, a load or a delta renders it. *)
 
 (** The text and the class map, each built on first use. *)
 type cells
@@ -28,13 +28,14 @@ type t = private {
 
 val of_program : Ir.Program.t -> t
 
-(** A dexfile over a layout and class map built elsewhere (the snapshot
-    load and delta paths).  [rendered] defaults to
-    {!Writer.nothing_rendered}. *)
+(** A dexfile of [lines] lines over an arena and class map built elsewhere
+    (the snapshot load and delta paths), from [program]'s classes.
+    [rendered] defaults to {!Writer.nothing_rendered}. *)
 val of_parts :
   ?rendered:Writer.rendered ->
+  lines:int ->
   classmap:Classmap.t ->
-  Textstore.t -> Arena.t -> Ir.Program.t -> t
+  Arena.t -> Ir.Program.t -> t
 
 (** A dexfile with no lines.  Warm starts use it as the generation-time
     placeholder when the real layout is about to be mapped from a snapshot
@@ -45,21 +46,25 @@ val empty : Ir.Program.t -> t
     merge the plaintexts, as BackDroid's preprocessing step does. *)
 val of_partitions : Ir.Program.t -> string list list -> t
 
-(** The line texts.  A rendered dexfile renders them on first call, in a
-    text pass over the classes it indexed (one [dex]/[text] span and one
-    [dex.text.renders] count); the pass interns no symbol.  Readers:
-    {!line_text}, {!to_string}, {!classmap}, scan-mode and free-form
-    searches, snapshot saves and a delta's copies from an old dexfile.
-    Safe from several domains: they all get the same store. *)
+(** The line texts, rendered on first call in a text pass over the
+    classes in line order (one [dex]/[text] span and one
+    [dex.text.renders] count); the pass interns no symbol.  A dexfile from
+    {!of_program} or {!of_partitions} walks the classes it indexed.  One
+    from {!of_parts} walks the program's classes in class-map order, each
+    first checked to render its entry's line and slot counts and to have
+    its entry's IR hash: a program that is not the one the layout was
+    built from raises [Invalid_argument] rather than render a text the
+    arena does not index.  Readers: {!line_text}, {!to_string}, scan-mode
+    and free-form searches.  Safe from several domains: they all get the
+    same store. *)
 val text : t -> Textstore.t
 
-(** The per-class line/slot ranges and content hashes that snapshots,
-    delta updates and persisted results read.  A disassembled dexfile
-    records the ranges as it renders and hashes them on first use (one
-    [dex]/[classmap] span, after {!text}), so a one-shot analysis that
-    never saves never pays for the hashes; one made by {!of_parts}
-    returns the map it was given.  Safe from several domains: they all
-    get the same value. *)
+(** The per-class line/slot ranges and IR hashes that snapshots, delta
+    updates and persisted results read.  A disassembled dexfile records
+    the ranges as it renders and hashes the classes on first use (one
+    [dex]/[classmap] span), so a one-shot analysis that never saves never
+    pays for the hashes; one made by {!of_parts} returns the map it was
+    given.  Safe from several domains: they all get the same value. *)
 val classmap : t -> Classmap.t
 
 (** Number of lines; renders no text. *)
@@ -69,10 +74,11 @@ val line_count : t -> int
 val line_text : t -> int -> string
 
 (** [iter_tokens t ~lo ~hi f] calls [f tok slot] for each class-descriptor
-    token [tok] (a symbol id) of each slot in [\[lo, hi)], in slot order:
-    a keyed slot's operand tokens, or the tokens an unkeyed slot's line
-    carried when it was indexed.  The class-tokens postings are built
-    from this and nothing else, and it reads no text.  Raises
+    token [tok] (a symbol id) of each slot in [\[lo, hi)], in slot order,
+    each token once per slot: a keyed slot's operand tokens, then the
+    tokens its line's other operands carried when it was indexed, or the
+    tokens an unkeyed slot's line carried.  The class-tokens postings are
+    built from this and nothing else, and it reads no text.  Raises
     [Invalid_argument] unless the slots were rendered in this process
     ({!field-rendered}): a snapshot keeps no tokens, only the postings
     built from them. *)

@@ -4,9 +4,7 @@
     searchable operand (callee signature, class descriptor, field
     signature or quoted string literal) and writes no text; a text pass
     names registers and writes the plaintext, taking each operand from
-    the arena; a delta's writer does both.  The interning calls are the
-    same calls in the same order whichever pass makes them.  A keyed
-    line's text ends in [", "] and its operand. *)
+    the arena.  A keyed line's text ends in [", "] and its operand. *)
 
 let binop_mnemonic = function
   | Ir.Expr.Add -> "add-int" | Sub -> "sub-int" | Mul -> "mul-int"
@@ -71,11 +69,10 @@ let field_op f = Sym.to_string (Descriptor.field_desc_sym f)
 
 (* One class's walk: its instruction lines belong to [owner], declared by
    class [cls], and carry the index of the statement being walked.  An
-   index pass ([index]) interns operands; a text pass ([text]) names
-   registers and renders literals; a delta's writer does both. *)
+   index pass interns operands; a text pass ([text]) names registers and
+   renders literals. *)
 type out = {
   w : Writer.t;
-  index : bool;
   text : bool;
   regs : regs;
   cls : string;
@@ -106,27 +103,28 @@ let value o = function
      | Long_c i -> "#long " ^ Int64.to_string i
      | Float_c f | Double_c f -> Printf.sprintf "#float %f" f)
 
-(* An invoke's arguments, left to right; an index pass keeps none. *)
+(* An invoke's arguments, left to right; an index pass keeps only those
+   it renders, the ones that may carry a class token. *)
 let rec values o = function
   | [] -> []
   | v :: vs ->
     let r = value o v in
     let rs = values o vs in
-    if o.text then r :: rs else rs
+    if o.text || String.length r > 0 then r :: rs else rs
 
 (* A keyed line's operand: interned by an index pass, in the order below;
    read back from the arena by a text pass, which interns nothing. *)
 let lit_key o s =
-  if o.index then Sym.intern (quote s) else Writer.slot_sym o.w
+  if o.text then Writer.slot_sym o.w else Sym.intern (quote s)
 
 let class_key o c =
-  if o.index then Descriptor.class_desc_sym c else Writer.slot_sym o.w
+  if o.text then Writer.slot_sym o.w else Descriptor.class_desc_sym c
 
 let meth_key o m =
-  if o.index then Descriptor.meth_desc_sym m else Writer.slot_sym o.w
+  if o.text then Writer.slot_sym o.w else Descriptor.meth_desc_sym m
 
 let field_key o f =
-  if o.index then Descriptor.field_desc_sym f else Writer.slot_sym o.w
+  if o.text then Writer.slot_sym o.w else Descriptor.field_desc_sym f
 
 let add o s = Writer.add_string o.w s
 let operand o s = Writer.add_operand o.w s
@@ -188,24 +186,19 @@ let op3 o mnemonic a b c =
   operand o c;
   unkeyed o
 
-(* A keyed line's other operands carry no tokens of the line. *)
 let keyed2 o cat sym mnemonic a =
-  start o mnemonic;
-  add o " ";
-  add o a;
+  text1 o mnemonic a;
   add o ", ";
   keyed o cat sym
 
 let keyed3 o cat sym mnemonic a b =
-  start o mnemonic;
-  add o " ";
-  add o a;
+  text1 o mnemonic a;
   add o ", ";
-  add o b;
+  operand o b;
   add o ", ";
   keyed o cat sym
 
-let add_list o = List.iteri (fun i r -> if i > 0 then add o ", "; add o r)
+let add_list o = List.iteri (fun i r -> if i > 0 then add o ", "; operand o r)
 
 (* -- Statements ---------------------------------------------------------- *)
 
@@ -387,7 +380,7 @@ let render w (c : Ir.Jclass.t) =
   | [] -> ()
   | m :: _ ->
     let o =
-      { w; index = Writer.records_slots w; text = Writer.writes_text w;
+      { w; text = Writer.writes_text w;
         regs = { locals = [||]; n = 0 }; cls = c.name; owner = m.msig;
         idx = 0 }
     in

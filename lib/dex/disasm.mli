@@ -5,8 +5,8 @@
     signature or quoted string literal — and classifies its line into an
     arena category, writing no text; a text pass writes the lines'
     plaintext, reading the operands back from the arena and interning
-    nothing; a delta's writer does both.  BackDroid's on-the-fly bytecode
-    search is a text search over exactly this plaintext.
+    nothing.  BackDroid's on-the-fly bytecode search is a text search over
+    exactly this plaintext.
 
     Search postings are built from the arena with no text re-parsing, and
     queries intern through the same [Descriptor] memos, so an indexed

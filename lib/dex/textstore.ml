@@ -5,14 +5,6 @@ let create ~blob ~(offs : Ivec.t) =
   if n < 0 then invalid_arg "Textstore.create: empty offsets";
   if Ivec.get offs 0 <> 0 then
     invalid_arg "Textstore.create: offsets must start at 0";
-  (* every snapshot load and delta runs this over all lines: read the
-     bigarray directly rather than through a per-element call *)
-  for i = 0 to n - 1 do
-    if
-      Bigarray.Array1.unsafe_get offs (i + 1)
-      < Bigarray.Array1.unsafe_get offs i
-    then invalid_arg "Textstore.create: offsets not ascending"
-  done;
   if Ivec.get offs n <> Bvec.length blob then
     invalid_arg "Textstore.create: offsets inconsistent with blob";
   { blob; offs }
@@ -92,12 +84,3 @@ let iter_matches t ~pat f =
       done
     end
   end
-
-let hash_lines t lo hi =
-  let h = ref Ir.Irhash.offset_basis in
-  for i = lo to hi - 1 do
-    h := Ir.Irhash.bigstring !h t.blob ~pos:(start t i) ~len:(length_at t i)
-  done;
-  !h
-
-let prefault t = Bvec.prefault t.blob lxor Ivec.prefault t.offs

@@ -1,7 +1,7 @@
 (** The dexfile's plaintext lines as (offset, length) views into one byte
     blob.  This is the only layout of line texts: a text pass writes it
-    ({!Writer}) on the dexfile's first read ([Dexfile.text]), a snapshot
-    stores it as two sections and maps them back.
+    ({!Writer}) on the dexfile's first read ([Dexfile.text]), whatever
+    produced the dexfile.  A snapshot does not store it.
 
     The residual text scan (free-form [Raw] queries) matches directly
     against the blob with the allocation-free predicates below; a line's
@@ -11,15 +11,12 @@
 type t
 
 (** [create ~blob ~offs] views line [i] as bytes
-    [offs.(i) .. offs.(i+1) - 1] of [blob].  Raises [Invalid_argument] if
-    the offsets are not ascending from 0 to [Bvec.length blob]. *)
+    [offs.(i) .. offs.(i+1) - 1] of [blob]; the offsets must ascend, as a
+    text pass writes them.  Raises [Invalid_argument] unless they run
+    from 0 to [Bvec.length blob]. *)
 val create : blob:Bvec.t -> offs:Ivec.t -> t
 
-(** Number of lines. *)
-val count : t -> int
-
-(** The raw backing views — the snapshot save writes them as they are,
-    and the delta copies per-class byte ranges of an old store with them. *)
+(** The raw backing views, which [Dexfile.to_string] copies whole. *)
 
 val blob : t -> Bvec.t
 val offsets : t -> Ivec.t
@@ -44,11 +41,3 @@ val starts_with : t -> int -> pos:int -> prefix:string -> bool
     empty [pat] matches every line; a match straddling a line boundary
     matches neither line. *)
 val iter_matches : t -> pat:string -> (int -> unit) -> unit
-
-(** FNV-1a-64 over lines [lo .. hi - 1], each folded as
-    {!Ir.Irhash.string} folds its text — the per-class text hash of
-    {!Classmap}. *)
-val hash_lines : t -> int -> int -> int64
-
-(** Touch every page of the blob and offsets (see {!Bvec.prefault}). *)
-val prefault : t -> int

@@ -1,8 +1,9 @@
-(* The one writer of the dexfile layout, in three modes.  An index pass
+(* The one writer of the dexfile layout, in two modes.  An index pass
    writes the arena columns and the rendered slots' class tokens, and no
-   text; a text pass writes the line texts over a layout an index pass
+   text; it can also copy blocks of columns from an old layout (the
+   delta).  A text pass writes the line texts over a layout an index pass
    wrote, reading each keyed slot's operand from its arena and writing no
-   column; a delta's writer does both, and copies blocks of an old layout.
+   column.
 
    Columns are written in place at their final size; texts go into a
    growable heap buffer copied into the store once at the end, so the blob
@@ -22,8 +23,7 @@ let nothing_rendered = { ranges = []; tok_slots = [||]; tok_syms = [||] }
 module Meth_tbl = Ir.Jsig.Meth_tbl
 
 type t = {
-  index : bool;  (* writes the columns and the rendered slots' tokens *)
-  texts : bool;  (* writes the line texts *)
+  index : bool;  (* an index pass; otherwise a text pass *)
   n_lines : int;
   mutable text : Bytes.t;
   mutable tlen : int;
@@ -53,19 +53,19 @@ type t = {
 (* generated apps' lines average about 37 bytes: the buffer rarely grows *)
 let bytes_per_line = 48
 
-let make ~index ~texts ?base ?arena ~lines ~slots () =
+let make ~index ?base ?arena ~lines ~slots () =
   let base_owners, base_cls =
     match base with
     | Some (a : Arena.t) -> (a.owners, a.owner_cls)
     | None -> ([||], [||])
   in
-  let offs = Ivec.create (if texts then lines + 1 else 0) in
-  if texts then Bigarray.Array1.set offs 0 0;
+  let offs = Ivec.create (if index then 0 else lines + 1) in
+  if not index then Bigarray.Array1.set offs 0 0;
   let col (read : Arena.t -> Ivec.t) =
     match arena with Some a -> read a | None -> Ivec.create slots
   in
-  { index; texts; n_lines = lines;
-    text = Bytes.create (if texts then max 64 (bytes_per_line * lines) else 0);
+  { index; n_lines = lines;
+    text = Bytes.create (if index then 0 else max 64 (bytes_per_line * lines));
     tlen = 0; offs; line = 0;
     line_idx = col (fun a -> a.line_idx); stmt_idx = col (fun a -> a.stmt_idx);
     owner_id = col (fun a -> a.owner_id); cat = col (fun a -> a.cat);
@@ -76,16 +76,12 @@ let make ~index ~texts ?base ?arena ~lines ~slots () =
     run_lo = -1; ranges = []; toks = [];
     ops = Bytes.create (if index then 64 else 0); ops_len = 0 }
 
-let create ?base ~lines ~slots () =
-  make ~index:true ~texts:true ?base ~lines ~slots ()
-
-let index ~lines ~slots = make ~index:true ~texts:false ~lines ~slots ()
+let index ?base ~lines ~slots () = make ~index:true ?base ~lines ~slots ()
 
 let text (a : Arena.t) ~lines =
-  make ~index:false ~texts:true ~arena:a ~lines ~slots:(Arena.length a) ()
+  make ~index:false ~arena:a ~lines ~slots:(Arena.length a) ()
 
-let records_slots w = w.index
-let writes_text w = w.texts
+let writes_text w = not w.index
 let reuse_owner w meth id = Meth_tbl.replace w.owner_tbl meth id
 let lines w = w.line
 let slots w = w.slot
@@ -100,7 +96,7 @@ let ensure w n =
   end
 
 let add_string w s =
-  if w.texts then begin
+  if not w.index then begin
     let n = String.length s in
     ensure w n;
     Bytes.unsafe_blit_string s 0 w.text w.tlen n;
@@ -108,13 +104,20 @@ let add_string w s =
   end
 
 let add_char w c =
-  if w.texts then begin
+  if not w.index then begin
     ensure w 1;
     Bytes.unsafe_set w.text w.tlen c;
     w.tlen <- w.tlen + 1
   end
 
-(* An index pass keeps the operands of an unkeyed line that hold a [';'],
+(* [String.contains s ';'] from [i], without the exception it raises and
+   catches when there is none: an index pass asks for every operand of
+   every line, and almost none holds one. *)
+let rec has_semicolon s i =
+  i < String.length s
+  && (String.unsafe_get s i = ';' || has_semicolon s (i + 1))
+
+(* An index pass keeps the operands of a line that hold a [';'],
    space-separated, and tokenizes them when the line ends.  A class token
    ends in [';'], and no prefix, mnemonic, separator or register holds
    one; separators are not token characters, so no token spans two
@@ -122,7 +125,7 @@ let add_char w c =
    interned in the same order. *)
 let add_operand w s =
   add_string w s;
-  if w.index && String.contains s ';' then begin
+  if w.index && has_semicolon s 0 then begin
     let n = String.length s in
     let need = w.ops_len + n + 1 in
     if need > Bytes.length w.ops then begin
@@ -135,9 +138,19 @@ let add_operand w s =
     w.ops_len <- need
   end
 
+(* The tokens of the operands kept since the line began, which are then
+   dropped. *)
+let take_tokens w =
+  if w.ops_len = 0 then [||]
+  else begin
+    let toks = Tokens.of_bytes w.ops ~pos:0 ~len:w.ops_len in
+    w.ops_len <- 0;
+    toks
+  end
+
 let end_line w =
   w.line <- w.line + 1;
-  if w.texts then Bigarray.Array1.set w.offs w.line w.tlen
+  if not w.index then Bigarray.Array1.set w.offs w.line w.tlen
 
 let header = end_line
 
@@ -162,7 +175,7 @@ let owner_id w owner cls =
     w.last_id <- id;
     id
 
-let slot_row w ~owner ~cls ~stmt ~cat ~sym =
+let slot_row w ~owner ~cls ~stmt ~cat ~sym ~toks =
   let s = w.slot in
   if w.index then begin
     Bigarray.Array1.set w.line_idx s w.line;
@@ -170,24 +183,35 @@ let slot_row w ~owner ~cls ~stmt ~cat ~sym =
     Bigarray.Array1.set w.owner_id s (owner_id w owner cls);
     Bigarray.Array1.set w.cat s cat;
     Bigarray.Array1.set w.sym s sym;
+    if Array.length toks > 0 then w.toks <- (s, toks) :: w.toks;
     if w.run_lo < 0 then w.run_lo <- s
   end;
   w.slot <- s + 1;
   end_line w
 
 (* The operand is tokenized now although its tokens are not kept: this
-   interns the tokens in render order, and snapshots store symbol ids. *)
+   interns the tokens in render order, and snapshots store symbol ids.
+   The line's other operands may carry tokens too; a slot keeps those its
+   operand lacks, so that no token is indexed twice for one slot. *)
 let keyed w ~owner ~cls ~stmt ~cat sym =
-  if w.index then ignore (Tokens.of_operand sym : Sym.t array);
-  slot_row w ~owner ~cls ~stmt ~cat ~sym:(Sym.id sym)
+  let toks =
+    if not w.index then [||]
+    else
+      let others = take_tokens w in
+      let own = Tokens.of_operand sym in
+      (* almost every keyed line has no other token: allocate nothing *)
+      if Array.length others = 0 then others
+      else
+        Array.of_list
+          (List.filter
+             (fun t -> not (Array.exists (Sym.equal t) own))
+             (Array.to_list others))
+  in
+  slot_row w ~owner ~cls ~stmt ~cat ~sym:(Sym.id sym) ~toks
 
 let unkeyed w ~owner ~cls ~stmt =
-  if w.ops_len > 0 then begin
-    let toks = Tokens.of_bytes w.ops ~pos:0 ~len:w.ops_len in
-    if Array.length toks > 0 then w.toks <- (w.slot, toks) :: w.toks;
-    w.ops_len <- 0
-  end;
   slot_row w ~owner ~cls ~stmt ~cat:Arena.cat_none ~sym:(-1)
+    ~toks:(take_tokens w)
 
 let close_run w =
   if w.run_lo >= 0 then begin
@@ -202,16 +226,9 @@ let blit src spos dst dpos n =
       (Bigarray.Array1.sub src spos n)
       (Bigarray.Array1.sub dst dpos n)
 
-let copy w text (a : Arena.t) ~lines:(llo, lhi) ~slots:(slo, shi) =
-  if not (w.index && w.texts) then invalid_arg "Writer.copy: wrong kind of writer";
+let copy w (a : Arena.t) ~lines:(llo, lhi) ~slots:(slo, shi) =
+  if not w.index then invalid_arg "Writer.copy: a text pass copies nothing";
   close_run w;
-  let offs = Textstore.offsets text in
-  let t_lo = Ivec.get offs llo in
-  let len = Ivec.get offs lhi - t_lo in
-  ensure w len;
-  Bvec.blit_to_bytes (Textstore.blob text) t_lo w.text w.tlen len;
-  Ivec.blit_add offs (llo + 1) w.offs (w.line + 1) (lhi - llo) (w.tlen - t_lo);
-  w.tlen <- w.tlen + len;
   let n = shi - slo in
   blit a.stmt_idx slo w.stmt_idx w.slot n;
   blit a.owner_id slo w.owner_id w.slot n;
@@ -221,15 +238,14 @@ let copy w text (a : Arena.t) ~lines:(llo, lhi) ~slots:(slo, shi) =
   w.line <- w.line + (lhi - llo);
   w.slot <- w.slot + n
 
-let check w ~index ~texts what =
-  if w.index <> index || w.texts <> texts then
+let check w ~index what =
+  if w.index <> index then
     invalid_arg ("Writer." ^ what ^ ": wrong kind of writer");
   if w.line <> w.n_lines || w.slot <> Ivec.length w.line_idx then
     invalid_arg ("Writer." ^ what ^ ": fewer lines or slots than declared")
 
-let store w = Textstore.create ~blob:(Bvec.of_bytes w.text w.tlen) ~offs:w.offs
-
-let layout w =
+let finish_index w =
+  check w ~index:true "finish_index";
   close_run w;
   let arena =
     { Arena.line_idx = w.line_idx; stmt_idx = w.stmt_idx;
@@ -244,15 +260,6 @@ let layout w =
     { ranges = List.rev w.ranges; tok_slots = Array.map fst toks;
       tok_syms = Array.map snd toks } )
 
-let finish w =
-  check w ~index:true ~texts:true "finish";
-  let arena, rendered = layout w in
-  (store w, arena, rendered)
-
-let finish_index w =
-  check w ~index:true ~texts:false "finish_index";
-  layout w
-
 let finish_text w =
-  check w ~index:false ~texts:true "finish_text";
-  store w
+  check w ~index:false "finish_text";
+  Textstore.create ~blob:(Bvec.of_bytes w.text w.tlen) ~offs:w.offs

@@ -11,7 +11,7 @@ let offset_basis = 0xcbf29ce484222325L
 let prime = 0x100000001b3L
 
 (* The one FNV-1a step.  [int] and [string] are the hot folds (every class
-   name, every rendered line of a text hash): [for] loops over a local
+   name, every name and constant of a statement): [for] loops over a local
    [Int64] ref that call this inlined step, so ocamlopt keeps the ref
    unboxed and no byte allocates.  Their results, like every other step's,
    are returned boxed. *)
@@ -31,17 +31,6 @@ let string h s =
   let h = ref (int h (String.length s)) in
   for i = 0 to String.length s - 1 do
     h := byte !h (Char.code (String.unsafe_get s i))
-  done;
-  !h
-
-let bigstring h
-    (v : (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t)
-    ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bigarray.Array1.dim v then
-    invalid_arg "Irhash.bigstring";
-  let h = ref (int h len) in
-  for i = pos to pos + len - 1 do
-    h := byte !h (Char.code (Bigarray.Array1.unsafe_get v i))
   done;
   !h
 

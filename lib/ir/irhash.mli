@@ -15,7 +15,8 @@
     Disassembly is a deterministic function of this structure, so equal
     hashes mean equal rendered dex lines; the delta snapshot path uses this
     to find the classes of a new build that need re-disassembly without
-    rendering the unchanged ones.
+    rendering the unchanged ones, and a dexfile's text pass over a stored
+    layout checks each class against its stored hash before rendering it.
 
     [jclass] memoizes by physical identity (weakly, thread-safe): the IR is
     immutable and a version update shares the unchanged class objects with
@@ -24,18 +25,10 @@
 
 val jclass : Jclass.t -> int64
 
-(** The raw fold, exposed so other layers (e.g. the dex-side per-class text
-    hash) can chain the same FNV-1a-64 stream over their own data. *)
+(** The fold's first steps, exposed so that tests can pin them: snapshot
+    files store {!jclass} hashes, which these folds build. *)
 
 val offset_basis : int64
 
 (** [string h s] folds [s] (length-prefixed) into [h]. *)
 val string : int64 -> string -> int64
-
-(** [bigstring h v ~pos ~len] folds bytes [pos .. pos + len - 1] of [v]
-    exactly as {!string} folds the same bytes held in a string — the
-    per-class text hash reads line texts where they are stored. *)
-val bigstring :
-  int64 ->
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t ->
-  pos:int -> len:int -> int64

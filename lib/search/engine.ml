@@ -11,9 +11,9 @@
     no text re-parsing, and never over slots a snapshot supplied — and hit
     records are materialised only for slots a query actually returns; a
     hit carries no text.  Scan mode and free-form [Raw] queries match
-    against the dexfile's one text store ({!Dex.Textstore.iter_matches}),
-    whatever produced it; they are the only readers of the text
-    ({!Dex.Dexfile.text}), which a cold render makes on first read.  The
+    against the dexfile's one text store ({!Dex.Textstore.iter_matches});
+    they are the only readers of the text ({!Dex.Dexfile.text}), which
+    every dexfile, cold, loaded or delta-built, renders on first read.  The
     packed layout is deterministic (keys sorted by symbol id, slots in
     arena order, each run's bytes a pure function of its slots), so a
     sequential build, a sharded build, a delta patch and a snapshot load

@@ -14,9 +14,9 @@ let error_to_string = function
 
 let magic = "BDIXSNAP"
 
-(* v2: Postcodec-coded postings runs and off-heap line texts — the only
-   version written or read. *)
-let format_version = 2
+(* v3: Postcodec-coded postings runs and no line text — the only version
+   written or read. *)
+let format_version = 3
 let header_len = 32
 let checksum_offset = 24
 

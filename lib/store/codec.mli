@@ -45,10 +45,10 @@ val magic : string
 (** 8 bytes. *)
 
 val format_version : int
-(** The one version written and read: 2, whose files store
-    {!Bytesearch.Postcodec}-coded postings runs and off-heap line texts.
-    A file declaring any other version — including v1, the retired
-    flat-postings layout — fails with [Bad_version]. *)
+(** The one version written and read: 3, whose files store
+    {!Bytesearch.Postcodec}-coded postings runs and no line text.  A file
+    declaring any other version — v1, the retired flat-postings layout,
+    or v2, which also stored the line texts — fails with [Bad_version]. *)
 
 val header_len : int
 (** 32. *)

@@ -5,16 +5,15 @@ module Classmap = Dex.Classmap
 
 let ( let* ) = Result.bind
 
-(* Section ids.  The dexfile's layout is stored as it is: the text store's
-   offsets and blob, and the arena columns (which say which lines are
-   instructions, and of what owner and statement).  Category [c]'s postings
-   are its {!Packed.t} verbatim: keys, byte offsets, and the
-   Postcodec-coded runs. *)
+(* Section ids.  The dexfile's layout is stored as it is: the arena
+   columns (which say which lines are instructions, and of what owner and
+   statement) and the class map.  The line texts are not stored: a loaded
+   dexfile renders them from the program's IR on first read.  Category
+   [c]'s postings are its {!Packed.t} verbatim: keys, byte offsets, and
+   the Postcodec-coded runs. *)
 let sec_meta = 1
 let sec_sym_offsets = 2
 let sec_sym_blob = 3
-let sec_line_offsets = 4
-let sec_line_blob = 5
 let sec_owner_offsets = 9
 let sec_owner_blob = 10
 let sec_cls_offsets = 11
@@ -32,11 +31,11 @@ let sec_offsets c = 21 + (3 * c)
 let sec_runs c = 22 + (3 * c)
 let n_categories = 7
 
-(* Optional (absent in pre-delta files): the per-class map — names,
-   line/slot ranges and the two content hashes — that the delta path diffs
-   a new build against, and the persisted per-sink analysis results the
-   driver's replay path consults.  Ids sit above the postings range
-   [20, 20 + 3*7). *)
+(* The per-class map — names, line/slot ranges and IR hashes — that the
+   delta path diffs a new build against and the text pass walks, present
+   in every file with lines; and the optional persisted per-sink analysis
+   results the driver's replay path consults.  Ids sit above the postings
+   range [20, 20 + 3*7). *)
 let sec_cm_name_offsets = 41
 let sec_cm_name_blob = 42
 let sec_cm_ranges = 43
@@ -119,20 +118,6 @@ let load_strings_counted r ~off_id ~blob_id ~what =
     Error (Codec.Corrupt (Printf.sprintf "%s: empty offsets" what))
   else load_strings r ~off_id ~blob_id ~count ~what
 
-(* The same (offsets, blob) pair mapped off-heap instead of materialised —
-   the line texts.  [Textstore.create] re-checks the offset
-   geometry and raises; translate to the typed error. *)
-let map_textstore r ~off_id ~blob_id ~count ~what =
-  let* offs = Codec.map_ivec r ~id:off_id in
-  let* blob = Codec.map_bytes r ~id:blob_id in
-  if Ivec.length offs <> count + 1 then
-    Error (Codec.Corrupt (Printf.sprintf "%s: offsets length mismatch" what))
-  else
-    match Dex.Textstore.create ~blob ~offs with
-    | store -> Ok store
-    | exception Invalid_argument m ->
-      Error (Codec.Corrupt (Printf.sprintf "%s: %s" what m))
-
 (* -- Per-class map sections ------------------------------------------- *)
 
 let classmap_sections (cm : Classmap.t) =
@@ -148,17 +133,18 @@ let classmap_sections (cm : Classmap.t) =
               Codec.put_int s cm.Classmap.slot_lo.(i);
               Codec.put_int s cm.Classmap.slot_hi.(i)
             done);
-        Codec.section ~id:sec_cm_hashes ~len:(16 * n) (fun s ->
-            for i = 0 to n - 1 do
-              Codec.put_int64_le s cm.Classmap.text_hash.(i);
-              Codec.put_int64_le s cm.Classmap.ir_hash.(i)
-            done) ]
+        Codec.section ~id:sec_cm_hashes ~len:(8 * n) (fun s ->
+            Array.iter (Codec.put_int64_le s) cm.Classmap.ir_hash) ]
 
-(* Each entry's slots must be instruction lines of its own line range;
-   [line_idx] is already known to ascend strictly. *)
+(* The entries tile the lines and the slots exactly, in order — the
+   dexfile's text pass renders them one after another — and each entry's
+   slots are instruction lines of its own line range; [line_idx] is
+   already known to ascend strictly.  A file with lines carries a map. *)
 let load_classmap r ~n_lines ~(line_idx : Ivec.t) =
   let n_slots = Ivec.length line_idx in
-  if not (Codec.mem r ~id:sec_cm_name_offsets) then Ok Classmap.empty
+  if not (Codec.mem r ~id:sec_cm_name_offsets) then
+    if n_lines = 0 then Ok Classmap.empty
+    else Error (Codec.Corrupt "lines but no class map")
   else
     let* names =
       load_strings_counted r ~off_id:sec_cm_name_offsets
@@ -169,41 +155,38 @@ let load_classmap r ~n_lines ~(line_idx : Ivec.t) =
     let* hashes = Codec.read_blob r ~id:sec_cm_hashes in
     if Ivec.length ranges <> 4 * n then
       Error (Codec.Corrupt "classmap: ranges length mismatch")
-    else if String.length hashes <> 16 * n then
+    else if String.length hashes <> 8 * n then
       Error (Codec.Corrupt "classmap: hashes length mismatch")
     else begin
       let line_lo = Array.make n 0 and line_hi = Array.make n 0 in
       let slot_lo = Array.make n 0 and slot_hi = Array.make n 0 in
-      let text_hash = Array.make n 0L and ir_hash = Array.make n 0L in
       let ok = ref true in
-      let hb = Bytes.unsafe_of_string hashes in
+      let lpos = ref 0 and spos = ref 0 in
       for i = 0 to n - 1 do
-        let llo = Ivec.get ranges ((4 * i) + 0) in
-        let lhi = Ivec.get ranges ((4 * i) + 1) in
-        let slo = Ivec.get ranges ((4 * i) + 2) in
-        let shi = Ivec.get ranges ((4 * i) + 3) in
-        if llo < 0 || llo > lhi || lhi > n_lines then ok := false;
-        if slo < 0 || slo > shi || shi > n_slots then ok := false
+        let llo = get ranges ((4 * i) + 0) in
+        let lhi = get ranges ((4 * i) + 1) in
+        let slo = get ranges ((4 * i) + 2) in
+        let shi = get ranges ((4 * i) + 3) in
+        if llo <> !lpos || lhi < llo || lhi > n_lines then ok := false;
+        if slo <> !spos || shi < slo || shi > n_slots then ok := false
         else if
           slo < shi
-          && (Ivec.get line_idx slo < llo || Ivec.get line_idx (shi - 1) >= lhi)
+          && (get line_idx slo < llo || get line_idx (shi - 1) >= lhi)
         then ok := false;
-        (* class runs are disjoint and in line/slot order *)
-        if i > 0 && (llo < line_hi.(i - 1) || slo < slot_hi.(i - 1)) then
-          ok := false;
+        lpos := lhi;
+        spos := shi;
         line_lo.(i) <- llo;
         line_hi.(i) <- lhi;
         slot_lo.(i) <- slo;
-        slot_hi.(i) <- shi;
-        text_hash.(i) <- Bytes.get_int64_le hb (16 * i);
-        ir_hash.(i) <- Bytes.get_int64_le hb ((16 * i) + 8)
+        slot_hi.(i) <- shi
       done;
-      if not !ok then
-        Error (Codec.Corrupt "classmap: ranges out of order or off their lines")
+      if not (!ok && !lpos = n_lines && !spos = n_slots) then
+        Error (Codec.Corrupt "classmap: ranges do not tile the lines and slots")
       else
+        let hb = Bytes.unsafe_of_string hashes in
         Ok
-          (Classmap.v ~names ~line_lo ~line_hi ~slot_lo ~slot_hi ~text_hash
-             ~ir_hash)
+          (Classmap.v ~names ~line_lo ~line_hi ~slot_lo ~slot_hi
+             ~ir_hash:(Array.init n (fun i -> Bytes.get_int64_le hb (8 * i))))
     end
 
 (* -- Save ------------------------------------------------------------- *)
@@ -220,19 +203,16 @@ let save ?ruleset_hash ?(results = [||]) ~path engine =
   let dex = Engine.dexfile engine in
   let packed = Engine.export_packed engine in
   let arena = dex.Dex.Dexfile.arena in
-  let text = Dex.Dexfile.text dex in
   let syms = Sym.dump () in
   let sections =
     List.concat
       [ [ Codec.ints ~id:sec_meta
-            [| Dex.Textstore.count text; Dex.Arena.length arena;
+            [| Dex.Dexfile.line_count dex; Dex.Arena.length arena;
                Array.length arena.Dex.Arena.owners; Array.length syms |] ];
         (match ruleset_hash with
          | Some h -> [ Codec.ints ~id:sec_ruleset [| h |] ]
          | None -> []);
         string_sections ~off_id:sec_sym_offsets ~blob_id:sec_sym_blob syms;
-        [ Codec.ivec ~id:sec_line_offsets (Dex.Textstore.offsets text);
-          Codec.bvec ~id:sec_line_blob (Dex.Textstore.blob text) ];
         string_sections ~off_id:sec_owner_offsets ~blob_id:sec_owner_blob
           (Array.map Ir.Jsig.meth_to_string arena.Dex.Arena.owners);
         string_sections ~off_id:sec_cls_offsets ~blob_id:sec_cls_blob
@@ -318,9 +298,9 @@ let rec result_each f = function
    load path and the delta path.  Symbol ids in [arena_sym] and
    [packed_snap] keys are still snapshot ids. *)
 type parsed = {
+  p_n_lines : int;
   p_n_slots : int;
   p_syms : string array;
-  p_text : Dex.Textstore.t;
   p_owners : Ir.Jsig.meth array;
   p_owner_cls : string array;
   p_line_idx : Ivec.t;
@@ -347,10 +327,6 @@ let parse r =
       let* syms =
         load_strings r ~off_id:sec_sym_offsets ~blob_id:sec_sym_blob
           ~count:n_syms ~what:"symbol table"
-      in
-      let* text =
-        map_textstore r ~off_id:sec_line_offsets ~blob_id:sec_line_blob
-          ~count:n_lines ~what:"line texts"
       in
       let* owner_strs =
         load_strings r ~off_id:sec_owner_offsets ~blob_id:sec_owner_blob
@@ -421,8 +397,8 @@ let parse r =
       in
       let* classmap = load_classmap r ~n_lines ~line_idx in
       Ok
-        { p_n_slots = n_slots; p_syms = syms; p_text = text; p_owners = owners;
-          p_owner_cls = owner_cls; p_line_idx = line_idx;
+        { p_n_lines = n_lines; p_n_slots = n_slots; p_syms = syms;
+          p_owners = owners; p_owner_cls = owner_cls; p_line_idx = line_idx;
           p_stmt_idx = stmt_idx; p_owner_id = owner_id; p_cat = cat;
           p_sym = sym; p_packed = packed_snap; p_ruleset = ruleset;
           p_classmap = classmap }
@@ -479,19 +455,17 @@ let prefault_hot ~(arena : Dex.Arena.t) ~(packed : Packed.t array) =
   Sys.opaque_identity !acc
 
 (* Touch every page of every mapped section up front — the hot sections
-   plus the postings bodies and the line-text blob — so even the residual
-   text-scan path faults nothing in.  OCaml's Unix has no madvise; a
-   sequential one-touch-per-page walk gets the same readahead behaviour.
-   Runs after validation (which already walked the coded runs), so the
-   engine is usable either way; the knob only moves page-fault cost from
-   first queries to load. *)
-let prefault_engine ~(arena : Dex.Arena.t) ~(packed : Packed.t array)
-    ~(text : Dex.Textstore.t) =
+   plus the postings bodies — so no query faults anything in.  OCaml's
+   Unix has no madvise; a sequential one-touch-per-page walk gets the same
+   readahead behaviour.  Runs after validation (which already walked the
+   coded runs), so the engine is usable either way; the knob only moves
+   page-fault cost from first queries to load. *)
+let prefault_engine ~(arena : Dex.Arena.t) ~(packed : Packed.t array) =
   let acc = ref (prefault_hot ~arena ~packed) in
   Array.iter
     (fun (p : Packed.t) -> acc := !acc lxor Bvec.prefault p.Packed.runs)
     packed;
-  Sys.opaque_identity (!acc lxor Dex.Textstore.prefault text)
+  Sys.opaque_identity !acc
 
 let load ?(prefault = false) ~path program =
   let span0 = Obs.Span.start () in
@@ -545,15 +519,15 @@ let load ?(prefault = false) ~path program =
      in
      (* the hot sections (arena columns + postings directories) are
         always prefaulted — they are small and every query planner pass
-        touches them; [prefault] extends the walk to the postings bodies
-        and the text blob *)
+        touches them; [prefault] extends the walk to the postings bodies *)
      if prefault then begin
        Obs.Metrics.incr m_load_prefaulted;
-       ignore (prefault_engine ~arena ~packed ~text:p.p_text)
+       ignore (prefault_engine ~arena ~packed)
      end
      else ignore (prefault_hot ~arena ~packed);
      let dex =
-       Dex.Dexfile.of_parts ~classmap:p.p_classmap p.p_text arena program
+       Dex.Dexfile.of_parts ~lines:p.p_n_lines ~classmap:p.p_classmap arena
+         program
      in
      let engine = Engine.create_packed dex packed in
      (* carry the saved rule-set stamp onto the engine, so an analysis
@@ -633,11 +607,12 @@ let fresh engine program =
    freshness-checked a snapshot — and the core of the delta path: it works
    purely on live structures, so there is no file parse and no symbol
    re-interning (a live engine's ids are by definition the live ones).
-   The new layout is written by a {!Dex.Writer} that writes texts and
-   slots together, through the statement walk a cold render uses:
-   unchanged classes are copied from the old layout as blocks (which
-   renders a cold old dexfile's text, if nothing has yet), changed and
-   added ones rendered.  The old engine is left untouched. *)
+   The new layout is written by a {!Dex.Writer} index pass, through the
+   statement walk a cold render uses: unchanged classes' columns are
+   copied from the old layout as blocks, changed and added classes
+   indexed.  No text is read or written: the new dexfile renders its own
+   from [program] if something reads it.  The old engine is left
+   untouched. *)
 let delta_of_engine old_engine program =
   let span0 = Obs.Span.start () in
   let dex_old = Engine.dexfile old_engine in
@@ -655,13 +630,12 @@ let delta_of_engine old_engine program =
     let cm_line_hi = Array.make n_classes 0 in
     let cm_slot_lo = Array.make n_classes 0 in
     let cm_slot_hi = Array.make n_classes 0 in
-    let cm_text = Array.make n_classes 0L in
     let cm_ir = Array.make n_classes 0L in
     let n_unchanged = ref 0
     and n_changed = ref 0
     and n_added = ref 0 in
     let reused_lines = ref 0 and rendered_lines = ref 0 in
-    let rendered_cls = Hashtbl.create 16 and rendered_ci = ref [] in
+    let rendered_cls = Hashtbl.create 16 in
     (* plan: diff each class on its IR hash, lay out the new line and slot
        ranges, and fill the new classmap *)
     let moves = ref [] and lpos = ref 0 and spos = ref 0 in
@@ -683,12 +657,10 @@ let delta_of_engine old_engine program =
                | ms -> Copy { llo; lhi; slo; shi; sbase } :: ms);
             lpos := lbase + (lhi - llo);
             spos := sbase + (shi - slo);
-            reused_lines := !reused_lines + (lhi - llo);
-            cm_text.(ci) <- cm_old.Classmap.text_hash.(oi)
+            reused_lines := !reused_lines + (lhi - llo)
           | found ->
             if Option.is_some found then incr n_changed else incr n_added;
             Hashtbl.replace rendered_cls c.Ir.Jclass.name ();
-            rendered_ci := ci :: !rendered_ci;
             moves := Render c :: !moves;
             let n_lines, n_slots = Dex.Disasm.size c in
             lpos := lbase + n_lines;
@@ -708,7 +680,7 @@ let delta_of_engine old_engine program =
        classes (or removed methods) linger as unreferenced entries; they
        are reclaimed by the next full save-from-cold.  A class's owners
        are adjacent, so the class test runs once per class. *)
-    let w = Dex.Writer.create ~base:oa ~lines:!lpos ~slots:!spos () in
+    let w = Dex.Writer.index ~base:oa ~lines:!lpos ~slots:!spos () in
     let last_cls = ref None in
     Array.iteri
       (fun i m ->
@@ -727,25 +699,20 @@ let delta_of_engine old_engine program =
     List.iter
       (function
         | Copy { llo; lhi; slo; shi; sbase } ->
-          Dex.Writer.copy w (Dex.Dexfile.text dex_old) oa ~lines:(llo, lhi)
-            ~slots:(slo, shi);
+          Dex.Writer.copy w oa ~lines:(llo, lhi) ~slots:(slo, shi);
           for j = 0 to shi - slo - 1 do
             slot_map.(slo + j) <- sbase + j
           done
         | Render c -> Dex.Disasm.render w c)
       (List.rev !moves);
-    let text, arena, rendered = Dex.Writer.finish w in
-    List.iter
-      (fun ci ->
-         cm_text.(ci) <-
-           Dex.Textstore.hash_lines text cm_line_lo.(ci) cm_line_hi.(ci))
-      !rendered_ci;
+    let arena, rendered = Dex.Writer.finish_index w in
     let classmap =
       Classmap.v ~names:cm_names ~line_lo:cm_line_lo ~line_hi:cm_line_hi
-        ~slot_lo:cm_slot_lo ~slot_hi:cm_slot_hi ~text_hash:cm_text
-        ~ir_hash:cm_ir
+        ~slot_lo:cm_slot_lo ~slot_hi:cm_slot_hi ~ir_hash:cm_ir
     in
-    let dex = Dex.Dexfile.of_parts ~rendered ~classmap text arena program in
+    let dex =
+      Dex.Dexfile.of_parts ~rendered ~lines:!lpos ~classmap arena program
+    in
     (* postings: surviving old entries carried through the slot map, the
        rendered classes' entries built fresh; the patched engine keeps the
        old rule-set stamp, so an analysis under a different rule set sees

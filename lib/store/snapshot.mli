@@ -1,15 +1,17 @@
 (** Persistent preprocessing snapshots (warm-start store).
 
-    A snapshot captures everything the preprocessing phase computes from a
-    program — the interned symbol table, the dexfile's layout (its
-    {!Dex.Textstore} of plaintext lines and its hit {!Dex.Arena}), all
-    seven per-category search postings, the per-class {!Dex.Classmap}
-    (line/slot ranges plus text and IR content hashes) and, optionally,
-    persisted per-sink analysis results — in one {!Codec} container, so a
-    warm start maps it back instead of disassembling and indexing again.
-    The store owns only the file sections: postings are the engine's
-    {!Bytesearch.Engine.Packed} tables written and mapped as they are
-    (keys, byte offsets, coded runs), and the text store and arena columns
+    A snapshot captures the index the preprocessing phase computes from a
+    program — the interned symbol table, the dexfile's hit {!Dex.Arena},
+    all seven per-category search postings, the per-class
+    {!Dex.Classmap} (names, line/slot ranges and one IR hash per class)
+    and, optionally, persisted per-sink analysis results — in one
+    {!Codec} container, so a warm start maps it back instead of
+    disassembling and indexing again.  It stores no line text: a loaded
+    dexfile renders its text from the program's IR when something first
+    reads it ([Dex.Dexfile.text]), which an analysis over the loaded
+    engine never does.  The store owns only the file sections: postings
+    are the engine's {!Bytesearch.Engine.Packed} tables written and mapped
+    as they are (keys, byte offsets, coded runs), and the arena columns
     likewise.  Payloads load as mmapped {!Ivec.t}s and {!Bvec.t}s: they
     live off the OCaml heap, so the warm path also carries less GC
     pressure than a cold build.
@@ -33,13 +35,12 @@
     version check. *)
 val default_path : dir:string -> app_id:string -> string
 
-(** Serialize [engine]'s symbol table, dexfile layout, classmap and all
-    seven postings categories (building any not yet built, the classmap
+(** Serialize [engine]'s symbol table, arena, classmap and all seven
+    postings categories (building any not yet built, the classmap
     included) to [path], atomically, in format {!Codec.format_version}.
     Returns the file size in bytes.  Every section streams from where the
-    engine holds it — text store, arena columns and postings runs as they
-    are — so saving materialises no line.  save -> load -> save is
-    byte-identical.  An I/O failure raises [Sys_error], leaves [path] as it
+    engine holds it — arena columns and postings runs as they are — and
+    no text is rendered.  save -> load -> save is byte-identical.  An I/O failure raises [Sys_error], leaves [path] as it
     was and removes the temp file.
 
     [ruleset_hash] (default: the engine's own
@@ -60,23 +61,25 @@ val save :
   int
 
 (** [load ?prefault ~path program] maps the snapshot at [path] back into a
-    ready engine over [program] (which supplies the analysis-side IR; the
-    snapshot supplies everything search-side).  Postings stay coded (the
-    engine decodes runs on demand) and line texts stay in the mapped blob
-    (materialised lazily per returned hit).  Validates structure fully
-    before use — every coded run is walked and range-checked — so a damaged
-    file yields a typed {!Codec.error}, never a crash or a silently wrong
-    engine; a file of another format version (a retired v1 file, say)
-    fails with [Bad_version].
+    ready engine over [program] (which supplies the analysis-side IR and,
+    if something reads it, the text; the snapshot supplies the index).
+    Postings stay coded (the engine decodes runs on demand).  Validates
+    structure fully before use — every coded run is walked and
+    range-checked — so a damaged file yields a typed {!Codec.error}, never
+    a crash or a silently wrong engine; a file of another format version
+    (a retired v1 or v2 file, say) fails with [Bad_version].  The load
+    does not compare [program] with the file: {!fresh} does, and the
+    dexfile's text pass refuses a class that does not match its entry.
 
     The hot sections — the five arena columns and every category's postings
     directory (keys and offsets) — are always prefaulted: they are a few
     pages each and every query touches them, so paying their page faults at
     load time makes the first warm queries as fast as steady state.
-    [prefault] (default false) extends the walk to the remaining bulk —
-    postings bodies and the line-text blob — front-loading even the
-    residual text-scan cost.  Slots must follow line order and lie in
-    their class's line range, or the load fails with [Corrupt]. *)
+    [prefault] (default false) extends the walk to the postings bodies.
+    Slots must follow line order, the class map's entries must tile the
+    lines and the slots exactly, in order, and each entry's slots must lie
+    in its line range, or the load fails with [Corrupt]; so does a file
+    with lines and no class map. *)
 val load :
   ?prefault:bool ->
   path:string ->
@@ -118,24 +121,23 @@ val fresh : Bytesearch.Engine.t -> Ir.Program.t -> bool
 (** [delta_of_engine old program] patches a {e resident} engine — the
     previous app version's index, still in memory — into an engine for
     [program]: classes whose structural {!Ir.Irhash} matches the old
-    engine's classmap entry keep their text bytes, arena rows and postings
-    entries, copied as blocks; only changed or added classes are rendered
-    (through the statement walk of a cold render, text and slots in one
-    pass) and indexed, and
+    engine's classmap entry keep their arena rows and postings entries,
+    copied as blocks; only changed or added classes are indexed (through
+    the statement walk of a cold render), and
     {!Bytesearch.Engine.patch} merges their postings into the carried
-    ones.  No file I/O, no parsing, no symbol re-interning — this is the
-    maintained-index fast path an app store uses when version N+1
-    of an app arrives while version N's index is warm, and what the corpus
-    cache uses to upgrade a stale snapshot it has already loaded.  The old
+    ones.  No text is read or written, and there is no file I/O, no
+    parsing and no symbol re-interning — this is the maintained-index fast
+    path an app store uses when version N+1 of an app arrives while
+    version N's index is warm, and what the corpus cache uses to upgrade a
+    stale snapshot it has already loaded.  The old
     engine is left untouched and remains usable.
 
     The resulting engine answers every query identically to a cold build
     of [program] (the property tests assert this), and
     {!Bytesearch.Engine.index_mode} reports ["delta"].
 
-    Fails with a typed {!Codec.error} when the old engine has no class map
-    (a pre-delta snapshot or a warm-start placeholder) — callers fall back
-    to a cold build. *)
+    Fails with a typed {!Codec.error} when the old engine has lines but no
+    class map — callers fall back to a cold build. *)
 val delta_of_engine :
   Bytesearch.Engine.t ->
   Ir.Program.t ->
@@ -144,8 +146,8 @@ val delta_of_engine :
 (** [delta ~path program] is {!load} followed by {!delta_of_engine}: build
     an engine for [program] incrementally against the old snapshot at
     [path].  The load performs the full structural validation and symbol
-    re-interning, so a damaged or pre-classmap snapshot fails with a typed
-    {!Codec.error} — callers fall back to a cold build. *)
+    re-interning, so a damaged snapshot fails with a typed {!Codec.error}
+    — callers fall back to a cold build. *)
 val delta :
   path:string ->
   Ir.Program.t ->

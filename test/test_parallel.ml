@@ -227,12 +227,26 @@ let test_mode_equivalence () =
     | Ok (e, _) -> e
     | Error e -> Alcotest.failf "delta: %s" (Store.Codec.error_to_string e)
   in
-  let delta_resident =
-    match Store.Snapshot.delta_of_engine old_engine app.G.program with
+  let delta_of what old program =
+    match Store.Snapshot.delta_of_engine old program with
     | Ok (e, _) -> e
-    | Error e ->
-      Alcotest.failf "delta_of_engine: %s" (Store.Codec.error_to_string e)
+    | Error e -> Alcotest.failf "%s: %s" what (Store.Codec.error_to_string e)
   in
+  let delta_resident = delta_of "delta_of_engine" old_engine app.G.program in
+  (* every producer's text is the text a cold render of its program
+     gives: a loaded text walks the class map, a delta's the new layout,
+     a second-generation delta's a layout patched twice *)
+  let text e = Dex.Dexfile.to_string (E.dexfile e) in
+  let cold_text = Dex.Dexfile.to_string app.G.dex in
+  List.iter
+    (fun (what, e) ->
+       Alcotest.(check string) (what ^ " text == cold render") cold_text
+         (text e))
+    [ ("snapshot", snap_seq); ("delta-file", delta_file);
+      ("delta-resident", delta_resident) ];
+  Alcotest.(check string) "second-generation delta text == cold render"
+    (Dex.Dexfile.to_string (Dex.Dexfile.of_program old_app.G.program))
+    (text (delta_of "second generation" delta_file old_app.G.program));
   Pool.with_pool ~jobs:test_jobs (fun pool ->
       let lazy_pool = E.create ~pool app.G.dex in
       let snap_pool = load_snapshot () in

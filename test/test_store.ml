@@ -58,18 +58,21 @@ let error_t =
        | Store.Codec.Corrupt _, Store.Codec.Corrupt _ -> true
        | a, b -> a = b)
 
-(* Payload offset of section [id], from the directory. *)
-let section_offset b id =
+(* Payload offset and byte length of section [id], from the directory. *)
+let section_extent b id =
   let n = Int32.to_int (Bytes.get_int32_le b 12) in
   let rec find i =
     if i = n then Alcotest.failf "no section %d" id
     else
       let e = Store.Codec.header_len + (i * 24) in
       if Int64.to_int (Bytes.get_int64_le b e) = id then
-        Int64.to_int (Bytes.get_int64_le b (e + 8))
+        ( Int64.to_int (Bytes.get_int64_le b (e + 8)),
+          Int64.to_int (Bytes.get_int64_le b (e + 16)) )
       else find (i + 1)
   in
   find 0
+
+let section_offset b id = fst (section_extent b id)
 
 let check_load_error ~app ~path name expect =
   match Store.Snapshot.load ~path app.G.program with
@@ -150,6 +153,53 @@ let test_rejects_corruption () =
       ignore (reseal b));
   check_load_error ~app ~path "class 0 without its lines"
     (Store.Codec.Corrupt "");
+  (* The class map's entries (4 words: line_lo, line_hi, slot_lo, slot_hi)
+     must tile the lines and the slots exactly, in order: the text pass
+     renders them one after another.  Each mutation below keeps every
+     entry's slots inside its own lines. *)
+  let n_classes = snd (section_extent (Bytes.of_string original) 43) / 32 in
+  Alcotest.(check bool) "fixture has several classes" true (n_classes > 2);
+  let entry_word b i w = section_offset b 43 + (32 * i) + (8 * w) in
+  let bump i w d =
+    mutate (fun b ->
+        let o = entry_word b i w in
+        Bytes.set_int64_le b o (Int64.add (Bytes.get_int64_le b o) d);
+        ignore (reseal b))
+  in
+  (* class 1 starts a line after class 0 ends: the line between belongs
+     to no class *)
+  bump 1 0 1L;
+  check_load_error ~app ~path "a gap between two classes' lines"
+    (Store.Codec.Corrupt "");
+  (* class 0's lines run one into class 1's *)
+  bump 0 1 1L;
+  check_load_error ~app ~path "two classes' lines overlap"
+    (Store.Codec.Corrupt "");
+  (* the last class ends a slot short of the slot count *)
+  let last = n_classes - 1 in
+  let slots_of_last =
+    let b = Bytes.of_string original in
+    Int64.to_int
+      (Int64.sub
+         (Bytes.get_int64_le b (entry_word b last 3))
+         (Bytes.get_int64_le b (entry_word b last 2)))
+  in
+  Alcotest.(check bool) "the last class has slots" true (slots_of_last > 0);
+  bump last 3 (-1L);
+  check_load_error ~app ~path "the last class short of the slot count"
+    (Store.Codec.Corrupt "");
+  (* a file with lines and no class map: its sections renamed away *)
+  mutate (fun b ->
+      let n = Int32.to_int (Bytes.get_int32_le b 12) in
+      for i = 0 to n - 1 do
+        let e = Store.Codec.header_len + (i * 24) in
+        let id = Int64.to_int (Bytes.get_int64_le b e) in
+        if id >= 41 && id <= 44 then
+          Bytes.set_int64_le b e (Int64.of_int (id + 100))
+      done;
+      ignore (reseal b));
+  check_load_error ~app ~path "lines without a class map"
+    (Store.Codec.Corrupt "");
   (* restore and prove the fixture itself still loads *)
   write_all path original;
   match Store.Snapshot.load ~path app.G.program with
@@ -198,15 +248,21 @@ let test_warm_analyze_equals_cold () =
 
 (* -- Format version, coded postings, prefault, symbol remap ----------- *)
 
-(* A v1 file (the retired flat-postings layout) is refused with a typed
-   error.  The version field, bytes 8-11, lies outside the checksummed
-   range, so patching it alone needs no reseal. *)
+(* A v1 file (the retired flat-postings layout) and a v2 file (which also
+   stored the line texts) are refused with a typed error.  The version
+   field, bytes 8-11, lies outside the checksummed range, so patching it
+   alone needs no reseal. *)
 let test_v1_refused () =
   with_snapshot @@ fun ~app ~path ->
-  let b = Bytes.of_string (read_all path) in
-  Bytes.set_int32_le b 8 1l;
-  write_all path (Bytes.to_string b);
-  check_load_error ~app ~path "v1 file" (Store.Codec.Bad_version 1)
+  let original = read_all path in
+  List.iter
+    (fun v ->
+       let b = Bytes.of_string original in
+       Bytes.set_int32_le b 8 (Int32.of_int v);
+       write_all path (Bytes.to_string b);
+       check_load_error ~app ~path (Printf.sprintf "v%d file" v)
+         (Store.Codec.Bad_version v))
+    [ 1; 2 ]
 
 (* Garbage inside a coded-postings section must come back as [Corrupt]
    (the per-run validation), never a crash or a wrong engine. *)
@@ -477,8 +533,8 @@ let test_delta_requires_classmap () =
   let app = fixture_app () in
   let dex = app.G.dex in
   let stripped =
-    Dex.Dexfile.of_parts ~classmap:Dex.Classmap.empty (Dex.Dexfile.text dex)
-      dex.Dex.Dexfile.arena dex.Dex.Dexfile.program
+    Dex.Dexfile.of_parts ~lines:(Dex.Dexfile.line_count dex)
+      ~classmap:Dex.Classmap.empty dex.Dex.Dexfile.arena dex.Dex.Dexfile.program
   in
   let engine = E.create stripped in
   match Store.Snapshot.delta_of_engine engine app.G.program with
@@ -487,15 +543,16 @@ let test_delta_requires_classmap () =
   | Error e ->
     Alcotest.failf "expected Corrupt, got %s" (Store.Codec.error_to_string e)
 
-(* Property: over random (seed, pct) — including pct=0 (pure reuse) and
-   pct=1 (everything re-rendered) — incremental always equals from-scratch. *)
 (* The delta re-derives the layout exactly: a delta engine's line texts,
    class map, arena and all seven postings tables equal a cold build's,
-   whether the old engine was built cold or loaded from its snapshot.
-   From an old build in partition order the old->new slot map is not
-   monotone, so the carried runs go through the re-sort path; with nothing
-   changed, every class moves and none is re-rendered; with all but one
-   class removed, old runs are longer than the new arena. *)
+   whether the old engine was built cold or loaded from its snapshot, and
+   so does a second-generation delta, patched from the first back to the
+   old program.  A loaded engine's text equals the text of the build it
+   was saved from.  From an old build in partition order the old->new
+   slot map is not monotone, so the carried runs go through the re-sort
+   path, and the loaded text walks the classes in partition order; with
+   nothing changed, every class moves and none is re-rendered; with all
+   but one class removed, old runs are longer than the new arena. *)
 let test_delta_postings_equal_cold () =
   let app = fixture_app ~filler:20 () in
   let names =
@@ -529,61 +586,69 @@ let test_delta_postings_equal_cold () =
     | Ok e -> e
     | Error e -> Alcotest.failf "load: %s" (Store.Codec.error_to_string e)
   in
+  let delta what old_engine program =
+    match Store.Snapshot.delta_of_engine old_engine program with
+    | Ok (e, _) -> e
+    | Error e -> Alcotest.failf "%s: %s" what (Store.Codec.error_to_string e)
+  in
+  let check_like_cold what program delta =
+    let cold_dex = Dex.Dexfile.of_program program in
+    let cold = E.create cold_dex in
+    let cold_cm = Dex.Dexfile.classmap cold_dex in
+    let dex = E.dexfile delta in
+    Alcotest.(check string) (what ^ ": texts")
+      (Dex.Dexfile.to_string cold_dex) (Dex.Dexfile.to_string dex);
+    let cm = Dex.Dexfile.classmap dex in
+    Alcotest.(check (array string)) (what ^ ": class names")
+      cold_cm.Dex.Classmap.names cm.Dex.Classmap.names;
+    List.iter
+      (fun (name, f) ->
+         Alcotest.(check (array int)) (what ^ ": class " ^ name)
+           (f cold_cm) (f cm))
+      [ ("line_lo", fun c -> c.Dex.Classmap.line_lo);
+        ("line_hi", fun c -> c.Dex.Classmap.line_hi);
+        ("slot_lo", fun c -> c.Dex.Classmap.slot_lo);
+        ("slot_hi", fun c -> c.Dex.Classmap.slot_hi) ];
+    Alcotest.(check (array int64)) (what ^ ": class ir_hash")
+      cold_cm.Dex.Classmap.ir_hash cm.Dex.Classmap.ir_hash;
+    let column f e = Ivec.to_array (f (E.dexfile e).Dex.Dexfile.arena) in
+    List.iter
+      (fun (name, f) ->
+         Alcotest.(check (array int)) (what ^ ": arena " ^ name)
+           (column f cold) (column f delta))
+      [ ("line_idx", fun a -> a.Dex.Arena.line_idx);
+        ("stmt_idx", fun a -> a.Dex.Arena.stmt_idx);
+        ("cat", fun a -> a.Dex.Arena.cat);
+        ("sym", fun a -> a.Dex.Arena.sym) ];
+    Array.iteri
+      (fun c p ->
+         Test_parallel.check_packed_equal
+           (Printf.sprintf "%s: category %d" what c)
+           p (E.export_packed delta).(c))
+      (E.export_packed cold)
+  in
   List.iter
     (fun (what, old_dex, v2_program) ->
-       let cold_dex = Dex.Dexfile.of_program v2_program in
-       let cold = E.create cold_dex in
-       let cold_cm = Dex.Dexfile.classmap cold_dex in
+       let snapshot = loaded old_dex in
+       Alcotest.(check string) (what ^ ": loaded text")
+         (Dex.Dexfile.to_string old_dex)
+         (Dex.Dexfile.to_string (E.dexfile snapshot));
        List.iter
          (fun (from, old_engine) ->
             let what = what ^ ", from " ^ from in
-            let delta =
-              match Store.Snapshot.delta_of_engine old_engine v2_program with
-              | Ok (e, _) -> e
-              | Error e ->
-                Alcotest.failf "%s: %s" what (Store.Codec.error_to_string e)
-            in
-            let dex = E.dexfile delta in
-            Alcotest.(check string) (what ^ ": texts")
-              (Dex.Dexfile.to_string cold_dex) (Dex.Dexfile.to_string dex);
-            let cm = Dex.Dexfile.classmap dex in
-            Alcotest.(check (array string)) (what ^ ": class names")
-              cold_cm.Dex.Classmap.names cm.Dex.Classmap.names;
-            List.iter
-              (fun (name, f) ->
-                 Alcotest.(check (array int)) (what ^ ": class " ^ name)
-                   (f cold_cm) (f cm))
-              [ ("line_lo", fun c -> c.Dex.Classmap.line_lo);
-                ("line_hi", fun c -> c.Dex.Classmap.line_hi);
-                ("slot_lo", fun c -> c.Dex.Classmap.slot_lo);
-                ("slot_hi", fun c -> c.Dex.Classmap.slot_hi) ];
-            List.iter
-              (fun (name, f) ->
-                 Alcotest.(check (array int64)) (what ^ ": class " ^ name)
-                   (f cold_cm) (f cm))
-              [ ("text_hash", fun c -> c.Dex.Classmap.text_hash);
-                ("ir_hash", fun c -> c.Dex.Classmap.ir_hash) ];
-            let column f e = Ivec.to_array (f (E.dexfile e).Dex.Dexfile.arena) in
-            List.iter
-              (fun (name, f) ->
-                 Alcotest.(check (array int)) (what ^ ": arena " ^ name)
-                   (column f cold) (column f delta))
-              [ ("line_idx", fun a -> a.Dex.Arena.line_idx);
-                ("stmt_idx", fun a -> a.Dex.Arena.stmt_idx);
-                ("cat", fun a -> a.Dex.Arena.cat);
-                ("sym", fun a -> a.Dex.Arena.sym) ];
-            Array.iteri
-              (fun c p ->
-                 Test_parallel.check_packed_equal
-                   (Printf.sprintf "%s: category %d" what c)
-                   p (E.export_packed delta).(c))
-              (E.export_packed cold))
-         [ ("cold", E.create old_dex); ("snapshot", loaded old_dex) ])
+            let d1 = delta what old_engine v2_program in
+            check_like_cold what v2_program d1;
+            let what = what ^ ", second generation" in
+            check_like_cold what app.G.program
+              (delta what d1 app.G.program))
+         [ ("cold", E.create old_dex); ("snapshot", snapshot) ])
     [ ("canonical order, 25% changed", app.G.dex, changed);
       ("partition order, 25% changed", partitioned, changed);
       ("partition order, unchanged", partitioned, app.G.program);
       ("canonical order, all but one class removed", app.G.dex, shrunk) ]
 
+(* Property: over random (seed, pct) — including pct=0 (pure reuse) and
+   pct=1 (everything re-rendered) — incremental always equals from-scratch. *)
 let delta_equiv =
   let gen = QCheck.Gen.(pair (int_range 1 60) (oneofl [ 0.0; 0.1; 0.4; 1.0 ])) in
   let print (s, p) = Printf.sprintf "seed=%d pct=%.2f" s p in
@@ -962,6 +1027,141 @@ let test_concurrent_saves_one_path () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "survivor: %s" (Store.Codec.error_to_string e)
 
+(* -- The text of a stored layout ---------------------------------------- *)
+
+let text_renders () =
+  Option.value ~default:0
+    (List.assoc_opt "dex.text.renders"
+       (Obs.Metrics.snapshot ()).Obs.Metrics.counters)
+
+let ok_or what = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s: %s" what (Store.Codec.error_to_string e)
+
+(* A program whose [t.User.use] passes a class constant to an invoke and
+   stores a string holding [str] and another class constant with an sput
+   and an iput. *)
+let keyed_operand_program ?(str = "Lt/Str;") ~extra_nop () =
+  let helper = "t.Helper" in
+  let f = Ir.Jsig.field ~cls:helper ~name:"f" ~ty:Ir.Types.object_ in
+  let g = Ir.Jsig.field ~cls:helper ~name:"g" ~ty:Ir.Types.object_ in
+  let help =
+    Ir.Jsig.meth ~cls:helper ~name:"help"
+      ~params:[ Ir.Types.Object "java.lang.Class" ] ~ret:Ir.Types.Void
+  in
+  let this_ = { Ir.Value.id = "this"; ty = Ir.Types.Object helper } in
+  let body : Ir.Stmt.t array =
+    Array.append
+      (if extra_nop then [| Ir.Stmt.Nop |] else [||])
+      [| Assign (this_, This);
+         Invoke
+           { kind = Static; callee = help; base = None;
+             args = [ Const (Class_c "t.Arg") ] };
+         Static_put (f, Const (Str_c str));
+         Instance_put (this_, g, Const (Class_c "t.Field"));
+         Return None |]
+  in
+  let meth m body = Ir.Jmethod.make ~msig:m ~body:(Some body) () in
+  Ir.Program.of_classes
+    [ Ir.Jclass.make helper ~fields:[ f; g ]
+        ~methods:[ meth help [| Return None |] ];
+      Ir.Jclass.make "t.User"
+        ~methods:
+          [ meth
+              (Ir.Jsig.meth ~cls:"t.User" ~name:"use" ~params:[]
+                 ~ret:Ir.Types.Void)
+              body ] ]
+
+(* A snapshot stores no text: saving, loading, delta-patching and analysing
+   render none.  A loaded dexfile's text is rendered from the program on
+   first read, equals the cold render and interns nothing; against a
+   program with one changed class it raises instead, whether or not the
+   change moves a line. *)
+let test_loaded_text_from_ir () =
+  let app = fixture_app ~seed:43 () in
+  let path = Filename.temp_file "backdroid_text" ".bdix" in
+  let path2 = Filename.temp_file "backdroid_text2" ".bdix" in
+  Fun.protect
+    ~finally:(fun () ->
+        List.iter (fun p -> try Sys.remove p with Sys_error _ -> ())
+          [ path; path2 ])
+  @@ fun () ->
+  let cold_text = Dex.Dexfile.to_string app.G.dex in
+  let r0 = text_renders () in
+  let cold = E.create (Dex.Dexfile.of_program app.G.program) in
+  ignore (Store.Snapshot.save ~path cold);
+  let loaded = ok_or "load" (Store.Snapshot.load ~path app.G.program) in
+  ignore
+    (Driver.analyze ~engine:loaded ~dex:(E.dexfile loaded)
+       ~manifest:app.G.manifest ());
+  let v2 = G.mutate ~build_dex:false ~pct:0.2 app in
+  let delta, _ = ok_or "delta" (Store.Snapshot.delta ~path v2.G.program) in
+  ignore (Store.Snapshot.save ~path:path2 delta);
+  Alcotest.(check int) "save, load, analyze and delta render no text" r0
+    (text_renders ());
+  let interned = Sym.interned () in
+  Alcotest.(check string) "loaded text == cold text" cold_text
+    (Dex.Dexfile.to_string (E.dexfile loaded));
+  Alcotest.(check int) "the text pass interns nothing" interned
+    (Sym.interned ());
+  Alcotest.(check int) "rendered once" (r0 + 1) (text_renders ());
+  let one_changed = G.mutate ~seed:3 ~build_dex:false ~pct:0.01 app in
+  let changed =
+    Ir.Program.fold_classes one_changed.G.program
+      (fun (c : Ir.Jclass.t) n ->
+         match Ir.Program.find_class app.G.program c.Ir.Jclass.name with
+         | Some o when Ir.Irhash.jclass o = Ir.Irhash.jclass c -> n
+         | _ -> n + 1)
+      0
+  in
+  Alcotest.(check int) "the update changes one class" 1 changed;
+  let refuses what program =
+    let stale = ok_or "load" (Store.Snapshot.load ~path program) in
+    match Dex.Dexfile.text (E.dexfile stale) with
+    | _ -> Alcotest.failf "%s: a stale program rendered a text" what
+    | exception Invalid_argument _ -> ()
+  in
+  refuses "one class changed" one_changed.G.program;
+  (* a change that keeps every line and slot count: only the IR hash
+     tells the programs apart *)
+  ignore
+    (Store.Snapshot.save ~path
+       (E.create
+          (Dex.Dexfile.of_program (keyed_operand_program ~extra_nop:false ()))));
+  refuses "one literal changed"
+    (keyed_operand_program ~str:"Lt/Other;" ~extra_nop:false ())
+
+(* A class constant, or a string holding a [';'], passed to an invoke or
+   stored by an iput or sput is in the line's text, so an indexed
+   [Class_use] must find it as a scan does, on every kind of engine. *)
+let test_class_use_in_keyed_lines () =
+  let p1 = keyed_operand_program ~extra_nop:false () in
+  let p2 = keyed_operand_program ~extra_nop:true () in
+  let path = Filename.temp_file "backdroid_keyed" ".bdix" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let cold = E.create (Dex.Dexfile.of_program p1) in
+  ignore (Store.Snapshot.save ~path cold);
+  let loaded = ok_or "load" (Store.Snapshot.load ~path p1) in
+  let delta, rep = ok_or "delta" (Store.Snapshot.delta ~path p2) in
+  Alcotest.(check int) "the delta re-renders the user" 1
+    rep.Store.Snapshot.d_changed;
+  List.iter
+    (fun (what, program, engine) ->
+       let scan = E.create ~indexed:false (Dex.Dexfile.of_program program) in
+       List.iter
+         (fun desc ->
+            let q = Bytesearch.Query.class_use desc in
+            let expect = List.map Test_parallel.hit_fingerprint (E.run scan q) in
+            Alcotest.(check int) (what ^ ": scan finds " ^ desc) 1
+              (List.length expect);
+            Alcotest.(check (list string))
+              (what ^ ": indexed == scan for " ^ desc)
+              expect
+              (List.map Test_parallel.hit_fingerprint (E.run_uncached engine q)))
+         [ "Lt/Arg;"; "Lt/Str;"; "Lt/Field;" ])
+    [ ("cold", p1, cold); ("loaded", p1, loaded); ("delta", p2, delta) ]
+
 let cases =
   [ Alcotest.test_case "corrupted snapshots fail as typed errors" `Quick
       test_rejects_corruption;
@@ -996,6 +1196,10 @@ let cases =
       test_failed_save_leaves_no_temp;
     Alcotest.test_case "concurrent saves to one path" `Quick
       test_concurrent_saves_one_path;
+    Alcotest.test_case "a stored layout's text renders from the IR" `Quick
+      test_loaded_text_from_ir;
+    Alcotest.test_case "class-use finds a keyed line's other operands"
+      `Quick test_class_use_in_keyed_lines;
     QCheck_alcotest.to_alcotest delta_equiv;
     QCheck_alcotest.to_alcotest codec_roundtrip;
     QCheck_alcotest.to_alcotest writer_matches_layout ]
