@@ -36,8 +36,7 @@ type t = {
   sym : Ivec.t;  (* a text pass reads its keyed slots' operands here *)
   mutable slot : int;
   owner_tbl : int Meth_tbl.t;
-  base_owners : Ir.Jsig.meth array;
-  base_cls : string array;
+  base_owners : Arena.Owners.t;
   mutable new_owners : Ir.Jsig.meth list;  (* newest first *)
   mutable new_cls : string list;
   mutable n_owners : int;
@@ -54,10 +53,10 @@ type t = {
 let bytes_per_line = 48
 
 let make ~index ?base ?arena ~lines ~slots () =
-  let base_owners, base_cls =
+  let base_owners =
     match base with
-    | Some (a : Arena.t) -> (a.owners, a.owner_cls)
-    | None -> ([||], [||])
+    | Some (a : Arena.t) -> a.owners
+    | None -> Arena.Owners.empty
   in
   let offs = Ivec.create (if index then 0 else lines + 1) in
   if not index then Bigarray.Array1.set offs 0 0;
@@ -71,8 +70,9 @@ let make ~index ?base ?arena ~lines ~slots () =
     owner_id = col (fun a -> a.owner_id); cat = col (fun a -> a.cat);
     sym = col (fun a -> a.sym); slot = 0;
     owner_tbl = Meth_tbl.create (if index then 256 else 1); base_owners;
-    base_cls; new_owners = []; new_cls = [];
-    n_owners = Array.length base_owners; last_owner = None; last_id = -1;
+    new_owners = []; new_cls = [];
+    n_owners = Arena.Owners.length base_owners; last_owner = None;
+    last_id = -1;
     run_lo = -1; ranges = []; toks = [];
     ops = Bytes.create (if index then 64 else 0); ops_len = 0 }
 
@@ -251,9 +251,9 @@ let finish_index w =
     { Arena.line_idx = w.line_idx; stmt_idx = w.stmt_idx;
       owner_id = w.owner_id; cat = w.cat; sym = w.sym;
       owners =
-        Array.append w.base_owners (Array.of_list (List.rev w.new_owners));
-      owner_cls = Array.append w.base_cls (Array.of_list (List.rev w.new_cls))
-    }
+        Arena.Owners.append w.base_owners
+          (Array.of_list (List.rev w.new_owners))
+          (Array.of_list (List.rev w.new_cls)) }
   in
   let toks = Array.of_list (List.rev w.toks) in
   ( arena,

@@ -119,7 +119,8 @@ let field_to_string f =
   Bytes.unsafe_to_string b
 
 (** Parse a Soot-format method signature produced by {!meth_to_string}.
-    Raises [Invalid_argument] on malformed input. *)
+    Raises [Invalid_argument], and no other exception, on malformed
+    input. *)
 let meth_of_string s =
   let fail () = invalid_arg (Printf.sprintf "Jsig.meth_of_string: %S" s) in
   let s = String.trim s in
@@ -139,15 +140,66 @@ let meth_of_string s =
        (match String.index_opt rest '(' with
         | None -> fail ()
         | Some lp ->
-          let name = String.sub rest 0 lp in
-          let rp = String.rindex rest ')' in
-          let args = String.sub rest (lp + 1) (rp - lp - 1) in
-          let params =
-            if String.trim args = "" then []
-            else
-              String.split_on_char ',' args |> List.map Types.of_string
-          in
-          { cls; name; params; ret }))
+          (match String.rindex_opt rest ')' with
+           | Some rp when rp > lp ->
+             let name = String.sub rest 0 lp in
+             let args = String.sub rest (lp + 1) (rp - lp - 1) in
+             let params =
+               if String.trim args = "" then []
+               else
+                 String.split_on_char ',' args |> List.map Types.of_string
+             in
+             { cls; name; params; ret }
+           | Some _ | None -> fail ())))
+
+(* The byte walks of [meth_parses], top-level so that no closure is
+   allocated: [String.trim]'s whitespace, its two ends, and the first [c]
+   in [\[i, hi)] (or -1). *)
+let is_space c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
+
+let rec skip_front (b : Bvec.t) lo hi =
+  if lo < hi && is_space (Bvec.unsafe_get b lo) then skip_front b (lo + 1) hi
+  else lo
+
+let rec skip_back (b : Bvec.t) lo hi =
+  if hi > lo && is_space (Bvec.unsafe_get b (hi - 1)) then
+    skip_back b lo (hi - 1)
+  else hi
+
+let rec index_in (b : Bvec.t) i hi c =
+  if i >= hi then -1
+  else if Bvec.unsafe_get b i = c then i
+  else index_in b (i + 1) hi c
+
+(* Whether some byte in [\[lo + 1, i\]] is [c]. *)
+let rec occurs_after (b : Bvec.t) lo i c =
+  i > lo && (Bvec.unsafe_get b i = c || occurs_after b lo (i - 1) c)
+
+(** Whether {!meth_of_string} parses the [len] bytes of [b] at [pos]: the
+    same walk (trim, ['<'] and ['>'], the first [':'], trim, the first
+    space, the first ['('], a last [')'] after it) over the bytes where
+    they lie, allocating nothing.  A snapshot load checks every stored
+    signature with it and parses each on first read. *)
+let meth_parses (b : Bvec.t) ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bvec.length b then
+    invalid_arg "Jsig.meth_parses";
+  let lo = skip_front b pos (pos + len) in
+  let hi = skip_back b lo (pos + len) in
+  hi - lo >= 2
+  && Bvec.unsafe_get b lo = '<'
+  && Bvec.unsafe_get b (hi - 1) = '>'
+  &&
+  match index_in b (lo + 1) (hi - 1) ':' with
+  | -1 -> false
+  | colon ->
+    let rlo = skip_front b (colon + 1) (hi - 1) in
+    let rhi = skip_back b rlo (hi - 1) in
+    (match index_in b rlo rhi ' ' with
+     | -1 -> false
+     | sp ->
+       (match index_in b (sp + 1) rhi '(' with
+        | -1 -> false
+        | lp -> occurs_after b lp (rhi - 1) ')'))
 
 let pp_meth ppf m = Fmt.string ppf (meth_to_string m)
 let pp_field ppf f = Fmt.string ppf (field_to_string f)

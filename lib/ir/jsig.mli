@@ -35,8 +35,15 @@ val meth_to_string : meth -> string
 val field_to_string : field -> string
 
 (** Parse a Soot-format method signature produced by {!meth_to_string}.
-    Raises [Invalid_argument] on malformed input. *)
+    Raises [Invalid_argument], and no other exception, on malformed
+    input. *)
 val meth_of_string : string -> meth
+
+(** [meth_parses b ~pos ~len] holds exactly when {!meth_of_string} parses
+    the [len] bytes of [b] at [pos] — the same walk over the bytes where
+    they lie, allocating nothing.  Raises [Invalid_argument] when the
+    range is not inside [b]. *)
+val meth_parses : Bvec.t -> pos:int -> len:int -> bool
 
 (** Interned full signature (memoized {!meth_to_string}): [Sym.id] of the
     result is an O(1) dedup key, [Sym.to_string] the rendered signature. *)

@@ -470,8 +470,8 @@ let hit_of_slot t slot =
   let line_no = Ivec.get a.line_idx slot in
   let oid = Ivec.get a.owner_id slot in
   { line_no;
-    owner = a.owners.(oid);
-    owner_cls = a.owner_cls.(oid);
+    owner = Dex.Arena.Owners.meth a.owners oid;
+    owner_cls = Dex.Arena.Owners.cls a.owners oid;
     stmt_idx =
       (let s = Ivec.get a.stmt_idx slot in if s < 0 then None else Some s) }
 
@@ -611,14 +611,16 @@ let postings_count t (q : Query.t) =
 
 (* The owner methods with at least one hit for [q].  On indexed engines
    this walks the query's packed run and dedupes owner ids — no hit
-   records, no line text; on scan engines it falls back to the hits. *)
+   records, no line text, and the class filter decodes no owner; on scan
+   engines it falls back to the hits. *)
 let owners_of_query t (q : Query.t) =
   let tbl : unit Meth_tbl.t = Meth_tbl.create 64 in
-  let a : Dex.Arena.t = t.dex.Dex.Dexfile.arena in
-  let add_slot keep_cls slot =
-    let oid = Ivec.get a.owner_id slot in
-    if keep_cls a.owner_cls.(oid) then
-      Meth_tbl.replace tbl a.owners.(oid) ()
+  let owners = t.dex.Dex.Dexfile.arena.Dex.Arena.owners in
+  let owner_id = t.dex.Dex.Dexfile.arena.Dex.Arena.owner_id in
+  let add_slot keep_oid slot =
+    let oid = Ivec.get owner_id slot in
+    if keep_oid oid then
+      Meth_tbl.replace tbl (Dex.Arena.Owners.meth owners oid) ()
   in
   (match query_category q, query_sym q with
    | Some c, Some s when t.indexed ->
@@ -626,14 +628,14 @@ let owners_of_query t (q : Query.t) =
      (match Ivec.find_sorted p.Packed.keys (Sym.id s) with
       | -1 -> ()
       | k ->
-        let keep_cls =
+        let keep_oid =
           match q with
           | Class_use s ->
             let subject = Dex.Descriptor.class_of_desc (Sym.to_string s) in
-            fun cls -> not (String.equal cls subject)
+            fun oid -> not (Dex.Arena.Owners.cls_equal owners oid subject)
           | _ -> fun _ -> true
         in
-        Packed.iter_key p k (add_slot keep_cls))
+        Packed.iter_key p k (add_slot keep_oid))
    | _ ->
      List.iter (fun h -> Meth_tbl.replace tbl h.owner ()) (run t q));
   tbl

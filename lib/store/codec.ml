@@ -143,10 +143,6 @@ let ints ~id a =
 
 let bvec ~id v = section ~id ~len:(Bvec.length v) (fun s -> put_bvec s v)
 
-let strings ~id a =
-  let len = Array.fold_left (fun n str -> n + String.length str) 0 a in
-  section ~id ~len (fun s -> Array.iter (put_string s) a)
-
 let align8 n = (n + 7) land lnot 7
 let zeros = String.make 8 '\000'
 
@@ -231,25 +227,27 @@ let write_file ~path sections =
 
 type extent = { s_off : int; s_len : int }
 
-(* concrete element types matter below: helpers over bigarrays must be
-   annotated or they infer polymorphic kinds and compile to the generic
-   (boxing) access path — ~12x slower on the checksum loop *)
-type word_map = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-type char_map = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
+(* The file is mapped once per element kind: as bytes (header fields, the
+   checksum, byte sections) and as native ints (int sections), each
+   section a sub-view of one of the two.  Concrete element types matter:
+   helpers over bigarrays must be annotated or they infer polymorphic
+   kinds and compile to the generic (boxing) access path — ~12x slower on
+   the checksum loop. *)
 type reader = {
   fd : Unix.file_descr;
   r_size : int;
-  words : word_map;
-      (* whole file mapped as native 64-bit words: checksum + blob copies *)
-  chars : char_map;
-      (* same mapping, byte granularity: header fields + unaligned tails *)
+  ints : Ivec.t;  (* the whole words of the file *)
+  chars : Bvec.t;  (* every byte of the file *)
   dir : (int, extent) Hashtbl.t;
 }
 
 let ( let* ) = Result.bind
 
-let byte (chars : char_map) i = Char.code (Bigarray.Array1.get chars i)
+(* a native-endian 64-bit word at any byte offset, the compiler's own
+   primitive: the checksum folds the byte mapping a word at a time *)
+external get64u : Bvec.t -> int -> int64 = "%caml_bigstring_get64u"
+
+let byte (chars : Bvec.t) i = Char.code (Bigarray.Array1.get chars i)
 
 let le32 chars off =
   byte chars off
@@ -262,15 +260,12 @@ let le64 chars off =
   Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32)
 
 (* Equal to [fnv1a64 ~pos:header_len ~len:(size - header_len)] over the file
-   bytes, but folding the mapped word view directly — no read(2), no copy. *)
-let checksum_mapped (words : word_map) (chars : char_map) ~size =
+   bytes, but folding the mapping directly — no read(2), no copy. *)
+let checksum_mapped (chars : Bvec.t) ~size =
   let h = ref fnv_offset in
   let nw = size / 8 in
   for i = header_len / 8 to nw - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h (Bigarray.Array1.unsafe_get words i))
-        0x100000001b3L
+    h := Int64.mul (Int64.logxor !h (get64u chars (i * 8))) 0x100000001b3L
   done;
   for i = nw * 8 to size - 1 do
     h :=
@@ -293,7 +288,7 @@ let read_file ~path =
     else begin
       match
         ( Bigarray.array1_of_genarray
-            (Unix.map_file fd Bigarray.int64 Bigarray.c_layout false
+            (Unix.map_file fd Bigarray.int Bigarray.c_layout false
                [| size / 8 |]),
           Bigarray.array1_of_genarray
             (Unix.map_file fd Bigarray.char Bigarray.c_layout false
@@ -302,7 +297,7 @@ let read_file ~path =
       | exception Unix.Unix_error (e, _, _) ->
         fail
           (Corrupt (Printf.sprintf "mmap failed: %s" (Unix.error_message e)))
-      | words, chars ->
+      | ints, chars ->
         let magic_ok =
           let ok = ref true in
           for i = 0 to 7 do
@@ -318,7 +313,7 @@ let read_file ~path =
           else if
             not
               (Int64.equal (le64 chars checksum_offset)
-                 (checksum_mapped words chars ~size))
+                 (checksum_mapped chars ~size))
           then fail Bad_checksum
           else begin
             let n = le32 chars 12 in
@@ -348,7 +343,7 @@ let read_file ~path =
               match !bad with
               | Some e -> fail e
               | None ->
-                Ok { fd; r_size = size; words; chars; dir }
+                Ok { fd; r_size = size; ints; chars; dir }
             end
           end
     end
@@ -362,39 +357,21 @@ let extent r id =
   | Some s -> Ok s
   | None -> Error (Corrupt (Printf.sprintf "missing section %d" id))
 
+(* No-copy views of a section: subs of the file's private mappings (the
+   directory check made every offset 8-aligned), which stay valid after
+   [close] and whose writes are copy-on-write. *)
 let map_ivec r ~id =
   let* s = extent r id in
   if s.s_len land 7 <> 0 then
     Error (Corrupt (Printf.sprintf "section %d is not an int vector" id))
-  else
-    let n = s.s_len / 8 in
-    let g =
-      Unix.map_file r.fd ~pos:(Int64.of_int s.s_off) Bigarray.int
-        Bigarray.c_layout false [| n |]
-    in
-    Ok (Bigarray.array1_of_genarray g)
+  else Ok (Bigarray.Array1.sub r.ints (s.s_off / 8) (s.s_len / 8))
 
-(* No-copy byte view of a section: a sub of the file's private char mapping.
-   Like [map_ivec] views, it stays valid after [close] and writes are
-   copy-on-write. *)
 let map_bytes r ~id =
   let* s = extent r id in
   Ok (Bigarray.Array1.sub r.chars s.s_off s.s_len)
 
-(* Copy a word at a time out of the mapping (offsets are 8-aligned by the
-   directory check); the sub-word tail goes byte-wise. *)
 let read_blob r ~id =
   let* s = extent r id in
-  let b = Bytes.create s.s_len in
-  let wbase = s.s_off / 8 in
-  let nw = s.s_len / 8 in
-  for i = 0 to nw - 1 do
-    Bytes.set_int64_ne b (i * 8)
-      (Bigarray.Array1.unsafe_get r.words (wbase + i))
-  done;
-  for i = nw * 8 to s.s_len - 1 do
-    Bytes.set b i (Bigarray.Array1.unsafe_get r.chars (s.s_off + i))
-  done;
-  Ok (Bytes.unsafe_to_string b)
+  Ok (Bvec.sub_string r.chars s.s_off s.s_len)
 
 let close r = try Unix.close r.fd with Unix.Unix_error _ -> ()

@@ -28,9 +28,11 @@
     Loads validate in order: header present ([Truncated]), magic
     ([Bad_magic]), version ([Bad_version]), recorded vs actual file length
     ([Truncated]), checksum ([Bad_checksum]), then directory geometry
-    ([Corrupt]).  Mapped sections are private (copy-on-write): consumers may
-    rewrite mapped vectors — the symbol-id remap does — without touching the
-    file. *)
+    ([Corrupt]).  A load maps the file twice, once per element kind — as
+    bytes and as native ints — and hands out each section as a sub-view of
+    one of the two, so reading a section makes no system call.  The
+    mappings are private (copy-on-write): consumers may rewrite mapped
+    vectors — the symbol-id remap does — without touching the file. *)
 
 type error =
   | Bad_magic
@@ -67,10 +69,10 @@ val fnv1a64 : ?pos:int -> ?len:int -> bytes -> int64
 (* -- Writing --------------------------------------------------------- *)
 
 (** A section to write: an id, a byte length and a producer that puts
-    exactly that many bytes into a {!sink}.  The constructors below write
-    from where the data already lives — an {!Ivec.t} or a {!Bvec.t} as it
-    is, strings as they are — so a save copies each byte once, into the
-    write chunk. *)
+    exactly that many bytes into a {!sink}.  The constructors and puts
+    below write from where the data already lives — an {!Ivec.t} or a
+    {!Bvec.t} as it is, strings as they are — so a save copies each byte
+    once, into the write chunk. *)
 type section
 
 (** Where a producer puts its bytes: a fixed-size chunk of {!chunk_len}
@@ -92,14 +94,19 @@ val put_int : sink -> int -> unit
 
 val put_int64_le : sink -> int64 -> unit
 
+(** An int vector's elements, as {!put_int} puts each. *)
+val put_ivec : sink -> Ivec.t -> unit
+
+(** A byte vector's bytes, as they are. *)
+val put_bvec : sink -> Bvec.t -> unit
+
+val put_string : sink -> string -> unit
+
 (** An int vector as native-endian machine words. *)
 val ivec : id:int -> Ivec.t -> section
 
 val ints : id:int -> int array -> section
 val bvec : id:int -> Bvec.t -> section
-
-(** The concatenation of the strings, unseparated. *)
-val strings : id:int -> string array -> section
 
 (** Write the sections to [path] in order, stamped {!format_version}, and
     return the file size in bytes.  The directory is laid out from the
@@ -119,8 +126,8 @@ val write_file : path:string -> section list -> int
 
 type reader
 
-(** Open and fully validate [path]: header, checksum, directory.  The
-    reader holds an open fd until {!close}. *)
+(** Open, map and fully validate [path]: header, checksum, directory.
+    The reader holds an open fd until {!close}. *)
 val read_file : path:string -> (reader, error) result
 
 (** Total file size in bytes. *)
@@ -130,16 +137,17 @@ val size : reader -> int
     (older files simply lack them). *)
 val mem : reader -> id:int -> bool
 
-(** Map section [id] as an off-heap int vector (private mapping — writes
-    are copy-on-write, never hitting the file).  Fails with [Corrupt] when
-    the section is missing or its byte length is not a multiple of 8. *)
+(** Section [id] as an off-heap int vector: a no-copy view into the
+    file's private int mapping (writes are copy-on-write, never hitting
+    the file), valid after {!close}.  Fails with [Corrupt] when the
+    section is missing or its byte length is not a multiple of 8. *)
 val map_ivec : reader -> id:int -> (Ivec.t, error) result
 
-(** Read section [id] as a string. *)
+(** Section [id] copied into a string. *)
 val read_blob : reader -> id:int -> (string, error) result
 
-(** Map section [id] as an off-heap byte vector — a no-copy view into the
-    file's private (copy-on-write) mapping, valid after {!close}. *)
+(** Section [id] as an off-heap byte vector: a no-copy view into the
+    file's private byte mapping, valid after {!close}. *)
 val map_bytes : reader -> id:int -> (Bvec.t, error) result
 
 (** Close the fd.  Existing mappings stay valid. *)

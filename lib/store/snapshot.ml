@@ -72,23 +72,38 @@ let get (v : Ivec.t) i = Bigarray.Array1.get v i
 
 (* -- String arrays as (offsets, blob) section pairs ------------------- *)
 
-(* The offsets are the running byte totals, from 0: computed as they are
+(* The strings [stored] holds as it was mapped — [Ivec.length offsets - 1]
+   of them, [offsets] running from 0 to the blob's length — then [a]'s.
+   The offsets are the running byte totals, from 0: computed as they are
    written, never held. *)
-let string_sections ~off_id ~blob_id (a : string array) =
-  [ Codec.section ~id:off_id ~len:(8 * (Array.length a + 1)) (fun s ->
-        Codec.put_int s 0;
-        ignore
-          (Array.fold_left
-             (fun t str ->
-                let t = t + String.length str in
-                Codec.put_int s t;
-                t)
-             0 a));
-    Codec.strings ~id:blob_id a ]
+let no_offsets = Ivec.make 1 0
+let no_blob = Bvec.create 0
 
-let load_strings r ~off_id ~blob_id ~count ~what =
+let string_sections ?(stored = (no_offsets, no_blob)) ~off_id ~blob_id
+    (a : string array) =
+  let offsets, blob = stored in
+  let base = Bvec.length blob in
+  let len = Array.fold_left (fun n str -> n + String.length str) base a in
+  [ Codec.section ~id:off_id
+      ~len:(8 * (Ivec.length offsets + Array.length a))
+      (fun s ->
+         Codec.put_ivec s offsets;
+         ignore
+           (Array.fold_left
+              (fun t str ->
+                 let t = t + String.length str in
+                 Codec.put_int s t;
+                 t)
+              base a));
+    Codec.section ~id:blob_id ~len (fun s ->
+        Codec.put_bvec s blob;
+        Array.iter (Codec.put_string s) a) ]
+
+(* A string array's two sections, mapped and checked: [count + 1] offsets
+   ascending from 0 to the blob's length. *)
+let map_strings r ~off_id ~blob_id ~count ~what =
   let* offs = Codec.map_ivec r ~id:off_id in
-  let* blob = Codec.read_blob r ~id:blob_id in
+  let* blob = Codec.map_bytes r ~id:blob_id in
   if Ivec.length offs <> count + 1 then
     Error (Codec.Corrupt (Printf.sprintf "%s: offsets length mismatch" what))
   else if count >= 0 && Ivec.get offs 0 <> 0 then
@@ -98,25 +113,57 @@ let load_strings r ~off_id ~blob_id ~count ~what =
     for i = 0 to count - 1 do
       if get offs (i + 1) < get offs i then ok := false
     done;
-    if (not !ok) || Ivec.get offs count <> String.length blob then
+    if (not !ok) || Ivec.get offs count <> Bvec.length blob then
       Error
         (Codec.Corrupt
            (Printf.sprintf "%s: offsets inconsistent with blob" what))
-    else
-      Ok
-        (Array.init count (fun i ->
-             let lo = get offs i in
-             String.sub blob lo (get offs (i + 1) - lo)))
+    else Ok (offs, blob)
   end
 
-(* The same pair with the count derived from the offsets section — for
-   optional sections whose cardinality is not in the meta record. *)
-let load_strings_counted r ~off_id ~blob_id ~what =
+(* The strings of a pair whose count is not in the meta record (the class
+   names, the results): the offsets section gives it. *)
+let load_strings r ~off_id ~blob_id ~what =
   let* offs = Codec.map_ivec r ~id:off_id in
   let count = Ivec.length offs - 1 in
   if count < 0 then
     Error (Codec.Corrupt (Printf.sprintf "%s: empty offsets" what))
-  else load_strings r ~off_id ~blob_id ~count ~what
+  else
+    let* offs, blob = map_strings r ~off_id ~blob_id ~count ~what in
+    Ok
+      (Array.init count (fun i ->
+           let lo = get offs i in
+           Bvec.sub_string blob lo (get offs (i + 1) - lo)))
+
+(* -- The owner table ---------------------------------------------------- *)
+
+(* A loaded (or delta-extended) table's stored text is copied as it was
+   mapped; only the entries decoded from the start — a cold build's, a
+   delta's re-rendered owners — are rendered. *)
+let owner_sections (owners : Dex.Arena.Owners.t) =
+  let module O = Dex.Arena.Owners in
+  let st = O.stored owners and k = O.n_stored owners in
+  let fresh f = Array.init (O.length owners - k) (fun j -> f (k + j)) in
+  string_sections ~stored:(st.O.sig_offsets, st.O.sigs)
+    ~off_id:sec_owner_offsets ~blob_id:sec_owner_blob
+    (fresh (fun i -> Ir.Jsig.meth_to_string (O.meth owners i)))
+  @ string_sections ~stored:(st.O.cls_offsets, st.O.classes)
+      ~off_id:sec_cls_offsets ~blob_id:sec_cls_blob
+      (fresh (O.cls owners))
+
+(* The table left in its mapped sections: [Owners.of_stored] checks the
+   offsets and every signature, allocating nothing per entry. *)
+let load_owners r ~count =
+  let* sig_offsets = Codec.map_ivec r ~id:sec_owner_offsets in
+  let* sigs = Codec.map_bytes r ~id:sec_owner_blob in
+  let* cls_offsets = Codec.map_ivec r ~id:sec_cls_offsets in
+  let* classes = Codec.map_bytes r ~id:sec_cls_blob in
+  if Ivec.length sig_offsets <> count + 1 then
+    Error (Codec.Corrupt "owners: offsets length mismatch")
+  else
+    Result.map_error
+      (fun m -> Codec.Corrupt m)
+      (Dex.Arena.Owners.of_stored
+         { Dex.Arena.Owners.sig_offsets; sigs; cls_offsets; classes })
 
 (* -- Per-class map sections ------------------------------------------- *)
 
@@ -147,7 +194,7 @@ let load_classmap r ~n_lines ~(line_idx : Ivec.t) =
     else Error (Codec.Corrupt "lines but no class map")
   else
     let* names =
-      load_strings_counted r ~off_id:sec_cm_name_offsets
+      load_strings r ~off_id:sec_cm_name_offsets
         ~blob_id:sec_cm_name_blob ~what:"classmap names"
     in
     let n = Array.length names in
@@ -208,15 +255,13 @@ let save ?ruleset_hash ?(results = [||]) ~path engine =
     List.concat
       [ [ Codec.ints ~id:sec_meta
             [| Dex.Dexfile.line_count dex; Dex.Arena.length arena;
-               Array.length arena.Dex.Arena.owners; Array.length syms |] ];
+               Dex.Arena.Owners.length arena.Dex.Arena.owners;
+               Array.length syms |] ];
         (match ruleset_hash with
          | Some h -> [ Codec.ints ~id:sec_ruleset [| h |] ]
          | None -> []);
         string_sections ~off_id:sec_sym_offsets ~blob_id:sec_sym_blob syms;
-        string_sections ~off_id:sec_owner_offsets ~blob_id:sec_owner_blob
-          (Array.map Ir.Jsig.meth_to_string arena.Dex.Arena.owners);
-        string_sections ~off_id:sec_cls_offsets ~blob_id:sec_cls_blob
-          arena.Dex.Arena.owner_cls;
+        owner_sections arena.Dex.Arena.owners;
         [ Codec.ivec ~id:sec_line_idx arena.Dex.Arena.line_idx;
           Codec.ivec ~id:sec_stmt_idx arena.Dex.Arena.stmt_idx;
           Codec.ivec ~id:sec_owner_id arena.Dex.Arena.owner_id;
@@ -300,9 +345,9 @@ let rec result_each f = function
 type parsed = {
   p_n_lines : int;
   p_n_slots : int;
-  p_syms : string array;
-  p_owners : Ir.Jsig.meth array;
-  p_owner_cls : string array;
+  p_sym_offsets : Ivec.t;
+  p_sym_blob : Bvec.t;
+  p_owners : Dex.Arena.Owners.t;
   p_line_idx : Ivec.t;
   p_stmt_idx : Ivec.t;
   p_owner_id : Ivec.t;
@@ -324,22 +369,11 @@ let parse r =
     if n_lines < 0 || n_slots < 0 || n_owners < 0 || n_syms < 0 then
       Error (Codec.Corrupt "negative count in meta")
     else
-      let* syms =
-        load_strings r ~off_id:sec_sym_offsets ~blob_id:sec_sym_blob
+      let* sym_offsets, sym_blob =
+        map_strings r ~off_id:sec_sym_offsets ~blob_id:sec_sym_blob
           ~count:n_syms ~what:"symbol table"
       in
-      let* owner_strs =
-        load_strings r ~off_id:sec_owner_offsets ~blob_id:sec_owner_blob
-          ~count:n_owners ~what:"owners"
-      in
-      let* owner_cls =
-        load_strings r ~off_id:sec_cls_offsets ~blob_id:sec_cls_blob
-          ~count:n_owners ~what:"owner classes"
-      in
-      let* owners =
-        try Ok (Array.map Ir.Jsig.meth_of_string owner_strs)
-        with Invalid_argument m -> Error (Codec.Corrupt m)
-      in
+      let* owners = load_owners r ~count:n_owners in
       let* line_idx = Codec.map_ivec r ~id:sec_line_idx in
       let* stmt_idx = Codec.map_ivec r ~id:sec_stmt_idx in
       let* owner_id = Codec.map_ivec r ~id:sec_owner_id in
@@ -397,8 +431,9 @@ let parse r =
       in
       let* classmap = load_classmap r ~n_lines ~line_idx in
       Ok
-        { p_n_lines = n_lines; p_n_slots = n_slots; p_syms = syms;
-          p_owners = owners; p_owner_cls = owner_cls; p_line_idx = line_idx;
+        { p_n_lines = n_lines; p_n_slots = n_slots;
+          p_sym_offsets = sym_offsets; p_sym_blob = sym_blob;
+          p_owners = owners; p_line_idx = line_idx;
           p_stmt_idx = stmt_idx; p_owner_id = owner_id; p_cat = cat;
           p_sym = sym; p_packed = packed_snap; p_ruleset = ruleset;
           p_classmap = classmap }
@@ -413,7 +448,7 @@ let parse r =
 let remap_packed live_of_snap (p : Packed.t) =
   let nk = Ivec.length p.Packed.keys in
   let newkey =
-    Array.init nk (fun k -> live_of_snap.(Ivec.get p.Packed.keys k))
+    Array.init nk (fun k -> Sym.id live_of_snap.(Ivec.get p.Packed.keys k))
   in
   let order = Array.init nk Fun.id in
   Array.sort (fun a b -> compare newkey.(a) newkey.(b)) order;
@@ -489,14 +524,13 @@ let load ?(prefault = false) ~path program =
   finish
     (let* p = parse r in
      let n_slots = p.p_n_slots in
-     (* Re-intern the snapshot's symbol table; ids are stable when the
-        live table evolved identically (the common warm start). *)
-     let live_of_snap =
-       Array.map (fun s -> Sym.id (Sym.intern s)) p.p_syms
-     in
+     (* Re-intern the snapshot's symbol table, in one batch straight from
+        the mapped section; ids are stable when the live table evolved
+        identically (the common warm start). *)
+     let live_of_snap = Sym.intern_slices p.p_sym_blob p.p_sym_offsets in
      let identity =
        let ok = ref true in
-       Array.iteri (fun i l -> if i <> l then ok := false) live_of_snap;
+       Array.iteri (fun i l -> if i <> Sym.id l then ok := false) live_of_snap;
        !ok
      in
      let packed =
@@ -509,13 +543,13 @@ let load ?(prefault = false) ~path program =
        Obs.Metrics.incr m_load_remapped;
        for i = 0 to n_slots - 1 do
          let s = Ivec.get p.p_sym i in
-         if s >= 0 then Ivec.set p.p_sym i live_of_snap.(s)
+         if s >= 0 then Ivec.set p.p_sym i (Sym.id live_of_snap.(s))
        done
      end;
      let arena =
        { Dex.Arena.line_idx = p.p_line_idx; stmt_idx = p.p_stmt_idx;
          owner_id = p.p_owner_id; cat = p.p_cat; sym = p.p_sym;
-         owners = p.p_owners; owner_cls = p.p_owner_cls }
+         owners = p.p_owners }
      in
      (* the hot sections (arena columns + postings directories) are
         always prefaulted — they are small and every query planner pass
@@ -549,7 +583,7 @@ let load_results ~path =
   finish
     (if not (Codec.mem r ~id:sec_results_offsets) then Ok [||]
      else
-       load_strings_counted r ~off_id:sec_results_offsets
+       load_strings r ~off_id:sec_results_offsets
          ~blob_id:sec_results_blob ~what:"results")
 
 (* -- Delta ------------------------------------------------------------ *)
@@ -679,22 +713,24 @@ let delta_of_engine old_engine program =
        their old ids where the signature persists.  Owners of removed
        classes (or removed methods) linger as unreferenced entries; they
        are reclaimed by the next full save-from-cold.  A class's owners
-       are adjacent, so the class test runs once per class. *)
+       are adjacent, so the class test runs once per class, and only the
+       re-rendered classes' owners are decoded. *)
     let w = Dex.Writer.index ~base:oa ~lines:!lpos ~slots:!spos () in
+    let owners = oa.Dex.Arena.owners in
     let last_cls = ref None in
-    Array.iteri
-      (fun i m ->
-         let cls = oa.Dex.Arena.owner_cls.(i) in
-         let rendered =
-           match !last_cls with
-           | Some (c, r) when String.equal c cls -> r
-           | _ ->
-             let r = Hashtbl.mem rendered_cls cls in
-             last_cls := Some (cls, r);
-             r
-         in
-         if rendered then Dex.Writer.reuse_owner w m i)
-      oa.Dex.Arena.owners;
+    for i = 0 to Dex.Arena.Owners.length owners - 1 do
+      let rendered =
+        match !last_cls with
+        | Some (c, r) when Dex.Arena.Owners.cls_equal owners i c -> r
+        | _ ->
+          let c = Dex.Arena.Owners.cls owners i in
+          let r = Hashtbl.mem rendered_cls c in
+          last_cls := Some (c, r);
+          r
+      in
+      if rendered then
+        Dex.Writer.reuse_owner w (Dex.Arena.Owners.meth owners i) i
+    done;
     let slot_map = Array.make (max 1 (Dex.Arena.length oa)) (-1) in
     List.iter
       (function

@@ -39,8 +39,12 @@ val default_path : dir:string -> app_id:string -> string
     postings categories (building any not yet built, the classmap
     included) to [path], atomically, in format {!Codec.format_version}.
     Returns the file size in bytes.  Every section streams from where the
-    engine holds it — arena columns and postings runs as they are — and
-    no text is rendered.  save -> load -> save is byte-identical.  An I/O failure raises [Sys_error], leaves [path] as it
+    engine holds it — arena columns and postings runs as they are, and the
+    owner table's stored entries (a loaded engine's, and those a delta
+    carried over) as the bytes they were mapped from, decoded or not; only
+    owners an index pass built are rendered — and no text is rendered.
+    save -> load -> save is byte-identical, for cold, loaded and delta
+    engines alike.  An I/O failure raises [Sys_error], leaves [path] as it
     was and removes the temp file.
 
     [ruleset_hash] (default: the engine's own
@@ -63,11 +67,18 @@ val save :
 (** [load ?prefault ~path program] maps the snapshot at [path] back into a
     ready engine over [program] (which supplies the analysis-side IR and,
     if something reads it, the text; the snapshot supplies the index).
-    Postings stay coded (the engine decodes runs on demand).  Validates
-    structure fully before use — every coded run is walked and
-    range-checked — so a damaged file yields a typed {!Codec.error}, never
-    a crash or a silently wrong engine; a file of another format version
-    (a retired v1 or v2 file, say) fails with [Bad_version].  The load
+    The file is mapped once as bytes and once as native ints, and every
+    section is a view into one of the two.  Postings stay coded (the
+    engine decodes runs on demand), and the owner table stays in its
+    mapped sections: each owner's signature and class are decoded when a
+    hit first names them, so a warm analysis decodes only the owners it
+    reads.  The symbol table is re-interned in one batch, straight from
+    its section.  Validates structure fully before use — every coded run
+    is walked and range-checked, and every owner signature is checked to
+    parse ({!Ir.Jsig.meth_parses}) — so a damaged file yields a typed
+    {!Codec.error}, never a crash, a later failure or a silently wrong
+    engine; a file of another format version (a retired v1 or v2 file,
+    say) fails with [Bad_version].  The load
     does not compare [program] with the file: {!fresh} does, and the
     dexfile's text pass refuses a class that does not match its entry.
 

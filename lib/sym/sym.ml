@@ -38,6 +38,34 @@ let to_string id =
   | Some a -> Array.unsafe_get a offset
   | None -> invalid_arg "Sym.to_string: unknown symbol"
 
+(* Under the lock: store [s] as the next id, in its chunk (made if
+   absent), without publishing the slot. *)
+let add_next s =
+  let id = !next in
+  let chunk, offset = locate id in
+  let arr =
+    match Atomic.get spine.(chunk) with
+    | Some a -> a
+    | None ->
+      let a = Array.make (first_chunk lsl chunk) "" in
+      (* writes to [a] below race with nothing: the chunk is published
+         (and hence readable) only via this Atomic.set *)
+      Atomic.set spine.(chunk) (Some a);
+      a
+  in
+  arr.(offset) <- s;
+  Hashtbl.add table s id;
+  next := id + 1;
+  id
+
+(* Republish the chunks of ids [\[lo, !next)], so their slot writes are
+   ordered before any reader's acquire. *)
+let publish_from lo =
+  if !next > lo then
+    for c = fst (locate lo) to fst (locate (!next - 1)) do
+      Atomic.set spine.(c) (Atomic.get spine.(c))
+    done
+
 let intern s =
   Mutex.lock lock;
   match Hashtbl.find_opt table s with
@@ -45,25 +73,33 @@ let intern s =
     Mutex.unlock lock;
     id
   | None ->
-    let id = !next in
-    let chunk, offset = locate id in
-    let arr =
-      match Atomic.get spine.(chunk) with
-      | Some a -> a
-      | None ->
-        let a = Array.make (first_chunk lsl chunk) "" in
-        (* writes to [a] below race with nothing: the chunk is published
-           (and hence readable) only via this Atomic.set *)
-        Atomic.set spine.(chunk) (Some a);
-        a
-    in
-    arr.(offset) <- s;
-    (* republish so the slot write is ordered before any reader's acquire *)
-    Atomic.set spine.(chunk) (Some arr);
-    Hashtbl.replace table s id;
-    incr next;
+    let id = add_next s in
+    publish_from id;
     Mutex.unlock lock;
     id
+
+let intern_slices (blob : Bvec.t) (offsets : Ivec.t) =
+  let n = Ivec.length offsets - 1 in
+  let ok = ref (n >= 0 && Ivec.get offsets 0 >= 0) in
+  for i = 0 to n - 1 do
+    if Ivec.get offsets (i + 1) < Ivec.get offsets i then ok := false
+  done;
+  if not (!ok && Ivec.get offsets n <= Bvec.length blob) then
+    invalid_arg "Sym.intern_slices";
+  let ids = Array.make n 0 in
+  Mutex.lock lock;
+  let first_new = !next in
+  for i = 0 to n - 1 do
+    let lo = Ivec.unsafe_get offsets i in
+    let s = Bvec.sub_string blob lo (Ivec.unsafe_get offsets (i + 1) - lo) in
+    Array.unsafe_set ids i
+      (match Hashtbl.find_opt table s with
+       | Some id -> id
+       | None -> add_next s)
+  done;
+  publish_from first_new;
+  Mutex.unlock lock;
+  ids
 
 let find s =
   Mutex.lock lock;

@@ -19,6 +19,16 @@ type t
     table lock. *)
 val intern : string -> t
 
+(** [intern_slices blob offsets] interns the [Ivec.length offsets - 1]
+    strings [blob\[offsets.(i), offsets.(i+1))], in order, and returns
+    their symbols: the ids {!intern} would give them one by one, in one
+    critical section (no other domain's intern lands among them) with one
+    table probe per string, each cut straight from [blob].  A snapshot
+    load re-interns its symbol table this way, from the mapped section.
+    Raises [Invalid_argument] unless the offsets ascend from [0] or more
+    to at most [Bvec.length blob]. *)
+val intern_slices : Bvec.t -> Ivec.t -> t array
+
 (** The symbol of [s] if it was already interned (no insertion). *)
 val find : string -> t option
 

@@ -216,7 +216,8 @@ let test_line_ownership () =
   let a = dex.Dex.Dexfile.arena in
   let owned =
     List.init (Dex.Arena.length a) (fun s ->
-        a.Dex.Arena.owners.(Ivec.get a.Dex.Arena.owner_id s))
+        Dex.Arena.Owners.meth a.Dex.Arena.owners
+          (Ivec.get a.Dex.Arena.owner_id s))
   in
   Alcotest.(check bool) "instruction lines carry owners" true
     (List.exists (fun m -> String.equal m.Jsig.name "m") owned)
@@ -695,7 +696,10 @@ let check_passes dex =
          let s = !slot in
          incr slot;
          let raw = Dex.Dexfile.line_text dex i in
-         let o = a.Dex.Arena.owners.(Ivec.get a.Dex.Arena.owner_id s) in
+         let o =
+           Dex.Arena.Owners.meth a.Dex.Arena.owners
+             (Ivec.get a.Dex.Arena.owner_id s)
+         in
          if not (Option.fold ~none:false ~some:(Jsig.meth_equal o) owner) then
            fail "line %d: owner %s" i (Jsig.meth_to_string o);
          if Ivec.get a.Dex.Arena.stmt_idx s <> ins.addr then

@@ -200,6 +200,17 @@ let test_rejects_corruption () =
       ignore (reseal b));
   check_load_error ~app ~path "lines without a class map"
     (Store.Codec.Corrupt "");
+  (* an owner signature whose ')' is gone: its offsets still check, and
+     only the signature check can refuse it (parsing it used to raise
+     [Not_found] out of the load) *)
+  mutate (fun b ->
+      let off, len = section_extent b 10 in
+      let rp = Bytes.index_from b off ')' in
+      Alcotest.(check bool) "the owner blob holds a ')'" true (rp < off + len);
+      Bytes.set b rp 'X';
+      ignore (reseal b));
+  check_load_error ~app ~path "an owner signature without ')'"
+    (Store.Codec.Corrupt "");
   (* restore and prove the fixture itself still loads *)
   write_all path original;
   match Store.Snapshot.load ~path app.G.program with
@@ -351,6 +362,7 @@ let test_foreign_snapshot_remaps () =
     | Error m -> Alcotest.fail m
   in
   let before = remapped_loads () in
+  let file = read_all path in
   let warm =
     match Store.Snapshot.load ~path app.G.program with
     | Ok e -> e
@@ -358,6 +370,9 @@ let test_foreign_snapshot_remaps () =
   in
   Alcotest.(check bool) "load took the remap path" true
     (remapped_loads () > before);
+  (* the remap rewrote the sym column in a private mapping of the file *)
+  Alcotest.(check bool) "the file's bytes are unchanged" true
+    (read_all path = file);
   let cold = E.create app.G.dex in
   let sym_column e =
     Ivec.to_array (E.dexfile e).Dex.Dexfile.arena.Dex.Arena.sym
@@ -832,7 +847,7 @@ module C = Store.Codec
 type spec =
   | Ivec of int array          (* [C.ivec] over an off-heap copy *)
   | Ints of int array          (* [C.ints] *)
-  | Strings of string array    (* [C.strings]: the concatenation *)
+  | Strings of string array    (* [C.put_string] each: the concatenation *)
   | Bytevec of string          (* [C.bvec] over an off-heap copy *)
 
 let spec_bytes = function
@@ -846,7 +861,9 @@ let spec_bytes = function
 let to_section id = function
   | Ivec a -> C.ivec ~id (Ivec.of_array a)
   | Ints a -> C.ints ~id a
-  | Strings a -> C.strings ~id a
+  | Strings a ->
+    C.section ~id ~len:(String.length (spec_bytes (Strings a))) (fun s ->
+        Array.iter (C.put_string s) a)
   | Bytevec s -> C.bvec ~id (Bvec.of_string s)
 
 let print_spec (id, sp) =
@@ -1162,6 +1179,191 @@ let test_class_use_in_keyed_lines () =
          [ "Lt/Arg;"; "Lt/Str;"; "Lt/Field;" ])
     [ ("cold", p1, cold); ("loaded", p1, loaded); ("delta", p2, delta) ]
 
+(* -- The owner table of a loaded engine ----------------------------------- *)
+
+let owners_decoded () =
+  Option.value ~default:0
+    (List.assoc_opt "dex.owners.decoded"
+       (Obs.Metrics.snapshot ()).Obs.Metrics.counters)
+
+let owner_table e = (E.dexfile e).Dex.Dexfile.arena.Dex.Arena.owners
+
+(* A load leaves the owner table in its mapped sections: it decodes no
+   owner, and a warm analysis decodes only those its hits name, fewer
+   than the table holds. *)
+let test_warm_decodes_fewer_owners () =
+  with_snapshot @@ fun ~app ~path ->
+  let d0 = owners_decoded () in
+  let warm = ok_or "load" (Store.Snapshot.load ~path app.G.program) in
+  Alcotest.(check int) "the load decodes no owner" d0 (owners_decoded ());
+  let cold = Driver.analyze ~dex:app.G.dex ~manifest:app.G.manifest () in
+  let r =
+    Driver.analyze ~engine:warm ~dex:app.G.dex ~manifest:app.G.manifest ()
+  in
+  Alcotest.(check (list string)) "warm report == cold report"
+    (List.map report_fingerprint cold.Driver.reports)
+    (List.map report_fingerprint r.Driver.reports);
+  let decoded = owners_decoded () - d0 in
+  let table = Dex.Arena.Owners.length (owner_table warm) in
+  Alcotest.(check bool) "the analysis decodes some owners" true (decoded > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "and fewer than the table holds (%d of %d)" decoded table)
+    true (decoded < table)
+
+(* Four domains materialising one loaded engine's hits at once — each
+   entry decoded on first read, by whichever domain gets there — all get
+   the cold engine's hits. *)
+let test_concurrent_owner_decodes () =
+  with_snapshot @@ fun ~app ~path ->
+  let warm = ok_or "load" (Store.Snapshot.load ~path app.G.program) in
+  let cold = E.create app.G.dex in
+  let queries = Test_parallel.exhaustive_queries app.G.program in
+  let hits e q = List.map Test_parallel.hit_fingerprint (E.run_uncached e q) in
+  let expect = List.map (hits cold) queries in
+  let go = Atomic.make false in
+  let domains =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get go) do Domain.cpu_relax () done;
+            (* half the domains walk the queries backwards *)
+            let qs = if d mod 2 = 0 then queries else List.rev queries in
+            let got = List.map (fun q -> (q, hits warm q)) qs in
+            List.map (fun q -> List.assq q got) queries))
+  in
+  Atomic.set go true;
+  List.iteri
+    (fun d dom ->
+       List.iter2
+         (fun q (e, g) ->
+            Alcotest.(check (list string))
+              (Printf.sprintf "domain %d: %s" d (Bytesearch.Query.to_command q))
+              e g)
+         queries
+         (List.combine expect (Domain.join dom)))
+    domains
+
+(* save -> load -> save is byte-identical whatever built the engine and
+   however much of its owner table is decoded: a cold engine, a loaded one
+   with none or half of its owners decoded, and delta engines patched from
+   a cold and from a loaded engine, which save the same bytes. *)
+let test_save_load_save_every_engine () =
+  let app = fixture_app ~seed:44 () in
+  let v2 = G.mutate ~build_dex:false ~pct:0.25 app in
+  let dir = Filename.temp_dir "backdroid_resave" "" in
+  Fun.protect
+    ~finally:(fun () ->
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f))
+          (Sys.readdir dir);
+        Sys.rmdir dir)
+  @@ fun () ->
+  let n = ref 0 in
+  let save e =
+    incr n;
+    let p = Filename.concat dir (Printf.sprintf "%d.bdix" !n) in
+    ignore (Store.Snapshot.save ~path:p e);
+    p
+  in
+  let stable what program e =
+    let p1 = save e in
+    let loaded = ok_or what (Store.Snapshot.load ~path:p1 program) in
+    let p2 = save loaded in
+    Alcotest.(check bool) (what ^ ": save -> load -> save") true
+      (read_all p1 = read_all p2);
+    (* decode every other owner, as hits would (an analysis would also
+       intern symbols, which every save writes) *)
+    let o = owner_table loaded in
+    for i = 0 to Dex.Arena.Owners.length o - 1 do
+      if i mod 2 = 0 then ignore (Dex.Arena.Owners.meth o i)
+    done;
+    Alcotest.(check bool) (what ^ ": with half its owners decoded") true
+      (read_all p1 = read_all (save loaded));
+    (p1, loaded)
+  in
+  let cold = E.create app.G.dex in
+  let p_cold, loaded = stable "cold" app.G.program cold in
+  let delta what e =
+    match Store.Snapshot.delta_of_engine e v2.G.program with
+    | Ok (d, _) -> d
+    | Error err ->
+      Alcotest.failf "%s: %s" what (Store.Codec.error_to_string err)
+  in
+  let p_from_cold, _ =
+    stable "delta from cold" v2.G.program (delta "delta from cold" cold)
+  in
+  let p_from_loaded, loaded_delta =
+    stable "delta from loaded" v2.G.program (delta "delta from loaded" loaded)
+  in
+  Alcotest.(check bool) "a delta saves the same bytes from either base" true
+    (read_all p_from_cold = read_all p_from_loaded);
+  (* a second generation, back to the first program *)
+  let p_back, _ =
+    stable "second generation" app.G.program
+      (delta "second generation" loaded_delta)
+  in
+  Alcotest.(check bool) "non-trivial files" true
+    (String.length (read_all p_cold) > 1024
+     && String.length (read_all p_back) > 1024)
+
+(* Signatures as a generated app renders them, a few of each class
+   shape. *)
+let rendered_sigs =
+  lazy
+    (List.concat_map
+       (fun seed ->
+          let app = fixture_app ~seed ~filler:3 () in
+          let o = owner_table (E.create app.G.dex) in
+          List.init (Dex.Arena.Owners.length o) (fun i ->
+              Ir.Jsig.meth_to_string (Dex.Arena.Owners.meth o i)))
+       [ 41; 42 ]
+     |> Array.of_list)
+
+let parses s =
+  match Ir.Jsig.meth_of_string s with
+  | _ -> true
+  | exception Invalid_argument _ -> false
+
+(* The load's signature check accepts exactly what [meth_of_string]
+   parses: over rendered signatures, each with a byte deleted or one of
+   the bytes the parser looks for inserted, anywhere. *)
+let owner_check_like_parser =
+  let gen =
+    QCheck.Gen.(
+      let* i = int_bound 1_000_000 in
+      let* edit =
+        oneof
+          [ return `Keep;
+            map (fun p -> `Delete p) (int_bound 200);
+            map2 (fun p c -> `Insert (p, c)) (int_bound 200)
+              (oneofl [ '<'; ':'; ' '; '('; ')'; '>'; '\t'; '\n'; '\r';
+                        '\012' ]) ]
+      in
+      return (i, edit))
+  in
+  let edit s = function
+    | `Keep -> s
+    | `Delete p when String.length s = 0 -> ignore p; s
+    | `Delete p ->
+      let p = p mod String.length s in
+      String.sub s 0 p ^ String.sub s (p + 1) (String.length s - p - 1)
+    | `Insert (p, c) ->
+      let p = p mod (String.length s + 1) in
+      String.sub s 0 p ^ String.make 1 c ^ String.sub s p (String.length s - p)
+  in
+  let mutant (i, e) =
+    let sigs = Lazy.force rendered_sigs in
+    edit sigs.(i mod Array.length sigs) e
+  in
+  QCheck.Test.make ~name:"owner check == Jsig.meth_of_string" ~count:2000
+    (QCheck.make ~print:(fun x -> Printf.sprintf "%S" (mutant x)) gen)
+    (fun x ->
+       let s = mutant x in
+       (* between other bytes, as in a blob *)
+       let b = Bvec.of_string (")>" ^ s ^ "<(") in
+       let got = Ir.Jsig.meth_parses b ~pos:2 ~len:(String.length s) in
+       if got <> parses s then
+         QCheck.Test.fail_reportf "%S: check %b, parser %b" s got (parses s);
+       true)
+
 let cases =
   [ Alcotest.test_case "corrupted snapshots fail as typed errors" `Quick
       test_rejects_corruption;
@@ -1200,8 +1402,15 @@ let cases =
       test_loaded_text_from_ir;
     Alcotest.test_case "class-use finds a keyed line's other operands"
       `Quick test_class_use_in_keyed_lines;
+    Alcotest.test_case "a warm analysis decodes fewer owners than stored"
+      `Quick test_warm_decodes_fewer_owners;
+    Alcotest.test_case "four domains decode one engine's owners" `Quick
+      test_concurrent_owner_decodes;
+    Alcotest.test_case "save -> load -> save for every kind of engine"
+      `Quick test_save_load_save_every_engine;
     QCheck_alcotest.to_alcotest delta_equiv;
     QCheck_alcotest.to_alcotest codec_roundtrip;
-    QCheck_alcotest.to_alcotest writer_matches_layout ]
+    QCheck_alcotest.to_alcotest writer_matches_layout;
+    QCheck_alcotest.to_alcotest owner_check_like_parser ]
 
 let suites = [ "store.snapshot", cases ]

@@ -111,6 +111,105 @@ let test_concurrent_intern () =
          (Sym.id (Option.get (Sym.find s))))
     ids
 
+(* The batch intern a snapshot load uses gives every string the id
+   one-by-one interning would: an already-interned string keeps its id,
+   and the new ones take consecutive ids in first-occurrence order (the
+   batch is one critical section, so another domain interning at the same
+   time lands before or after it, never among its strings).  Each case
+   draws its strings from a fresh namespace; some are interned up front,
+   and a second domain interns strings of its own throughout. *)
+let batch_intern_like_one_by_one =
+  let round = Atomic.make 0 in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 0 40) (int_range 0 15))
+        (list_size (int_range 0 8) (int_range 0 15))
+        (int_range 0 200))
+  in
+  let print (batch, pre, other) =
+    Printf.sprintf "batch=[%s] pre=[%s] other=%d"
+      (String.concat ";" (List.map string_of_int batch))
+      (String.concat ";" (List.map string_of_int pre))
+      other
+  in
+  QCheck.Test.make ~name:"batch intern == one-by-one intern" ~count:100
+    (QCheck.make ~print gen)
+    (fun (batch, pre, other) ->
+       let ns = Atomic.fetch_and_add round 1 in
+       let name k = Printf.sprintf "Lbatch/r%d/C%d;" ns k in
+       List.iter (fun k -> ignore (Sym.intern (name k))) pre;
+       let before = List.map (fun k -> (k, Sym.find (name k))) batch in
+       let strs = Array.of_list (List.map name batch) in
+       let offsets = Array.make (Array.length strs + 1) 0 in
+       Array.iteri
+         (fun i s -> offsets.(i + 1) <- offsets.(i) + String.length s)
+         strs;
+       (* the blob sits at an offset of its vector: slices are cut where
+          they lie *)
+       let blob = Bvec.of_string ("##" ^ String.concat "" (Array.to_list strs)) in
+       let blob = Bigarray.Array1.sub blob 2 (Bvec.length blob - 2) in
+       let go = Atomic.make false in
+       let rival =
+         Domain.spawn (fun () ->
+             while not (Atomic.get go) do Domain.cpu_relax () done;
+             List.init other (fun j ->
+                 Sym.intern (Printf.sprintf "Lbatch/r%d/other%d;" ns j)))
+       in
+       Atomic.set go true;
+       let ids = Sym.intern_slices blob (Ivec.of_array offsets) in
+       let others = Domain.join rival in
+       if Array.length ids <> Array.length strs then
+         QCheck.Test.fail_report "one id per string";
+       Array.iteri
+         (fun i s ->
+            if not (Sym.equal ids.(i) (Sym.intern s)) then
+              QCheck.Test.fail_reportf "%s: batch id %d, intern %d" s
+                (Sym.id ids.(i)) (Sym.id (Sym.intern s));
+            if Sym.to_string ids.(i) <> s then
+              QCheck.Test.fail_reportf "%s resolves to %s" s
+                (Sym.to_string ids.(i)))
+         strs;
+       (* interned before: the same id *)
+       List.iteri
+         (fun i (_, b) ->
+            match b with
+            | Some sym when not (Sym.equal sym ids.(i)) ->
+              QCheck.Test.fail_reportf "%s moved" strs.(i)
+            | _ -> ())
+         before;
+       (* new: consecutive ids in first-occurrence order *)
+       let fresh =
+         List.sort_uniq compare
+           (List.filter_map
+              (fun (i, (_, b)) ->
+                 if b = None then Some (Sym.id ids.(i)) else None)
+              (List.mapi (fun i x -> (i, x)) before))
+       in
+       let first_seen = Hashtbl.create 16 in
+       let order =
+         List.filter_map
+           (fun (i, (k, b)) ->
+              if b <> None || Hashtbl.mem first_seen k then None
+              else begin
+                Hashtbl.replace first_seen k ();
+                Some (Sym.id ids.(i))
+              end)
+           (List.mapi (fun i x -> (i, x)) before)
+       in
+       (match fresh with
+        | [] -> ()
+        | lo :: _ ->
+          if order <> List.init (List.length fresh) (fun j -> lo + j) then
+            QCheck.Test.fail_reportf "new ids not consecutive in order: %s"
+              (String.concat "," (List.map string_of_int order)));
+       List.iteri
+         (fun j sym ->
+            if Sym.to_string sym <> Printf.sprintf "Lbatch/r%d/other%d;" ns j
+            then QCheck.Test.fail_report "the rival's symbols resolve")
+         others;
+       true)
+
 let cases =
   [ Alcotest.test_case "descriptor round-trip" `Quick test_round_trip;
     Alcotest.test_case "equality is identity" `Quick test_equality_is_identity;
@@ -118,6 +217,7 @@ let cases =
     Alcotest.test_case "interned count monotone" `Quick test_interned_monotone;
     Alcotest.test_case "descriptor symbolizers" `Quick test_descriptor_syms;
     Alcotest.test_case "concurrent interning across domains" `Quick
-      test_concurrent_intern ]
+      test_concurrent_intern;
+    QCheck_alcotest.to_alcotest batch_intern_like_one_by_one ]
 
 let suites = [ "sym", cases ]
