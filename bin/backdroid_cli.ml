@@ -47,8 +47,11 @@ let jobs_t =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker-pool width: parallel sink groups within one app (analyze) \
-           or parallel apps across the grid (experiments).  1 = sequential; \
-           results are identical either way.  Defaults to all cores but one.")
+           or parallel apps across the grid (experiments), counting the \
+           calling domain, which helps.  For the daemon: $(docv) analysis \
+           domains, beside domain 0, which only serves the sockets.  1 = \
+           sequential; results are identical either way.  Defaults to all \
+           cores but one.")
 
 let verbose_t =
   Arg.(

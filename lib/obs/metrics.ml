@@ -159,6 +159,38 @@ type snapshot = {
   histograms : (string * histo) list;    (** sorted by name *)
 }
 
+(* Merge histogram [id] across [shards].  Each array is read once and
+   bounds-checked on its own, so a merge racing an owner domain's [ensure]
+   sees an old or a new array, never an index past its end. *)
+let merge_histo shards id =
+  let merged = Array.make n_buckets 0 in
+  let count = ref 0 and sum = ref 0.0 in
+  let mn = ref Float.infinity and mx = ref Float.neg_infinity in
+  List.iter
+    (fun s ->
+       let cs = s.sh_count and sums = s.sh_sum and mins = s.sh_min in
+       let maxs = s.sh_max and bs = s.buckets in
+       if id < Array.length cs && id < Array.length sums
+          && id < Array.length mins && id < Array.length maxs
+          && id < Array.length bs
+       then begin
+         count := !count + cs.(id);
+         sum := !sum +. sums.(id);
+         if mins.(id) < !mn then mn := mins.(id);
+         if maxs.(id) > !mx then mx := maxs.(id);
+         Array.iteri (fun i c -> merged.(i) <- merged.(i) + c) bs.(id)
+       end)
+    shards;
+  let buckets = ref [] in
+  for i = n_buckets - 1 downto 0 do
+    if merged.(i) > 0 then buckets := (i, merged.(i)) :: !buckets
+  done;
+  let empty = !count = 0 in
+  { h_count = !count; h_sum = !sum;
+    h_min = (if empty then 0.0 else !mn);
+    h_max = (if empty then 0.0 else !mx);
+    h_buckets = !buckets }
+
 let snapshot () =
   Mutex.lock lock;
   let n = !registered in
@@ -178,36 +210,17 @@ let snapshot () =
       in
       counters := (labels.(id), v) :: !counters
     | Histogram ->
-      let merged = Array.make n_buckets 0 in
-      let count = ref 0 and sum = ref 0.0 in
-      let mn = ref Float.infinity and mx = ref Float.neg_infinity in
-      List.iter
-        (fun s ->
-           if id < Array.length s.sh_count then begin
-             count := !count + s.sh_count.(id);
-             sum := !sum +. s.sh_sum.(id);
-             if s.sh_min.(id) < !mn then mn := s.sh_min.(id);
-             if s.sh_max.(id) > !mx then mx := s.sh_max.(id);
-             let b = s.buckets.(id) in
-             Array.iteri (fun i c -> merged.(i) <- merged.(i) + c) b
-           end)
-        shards;
-      let buckets = ref [] in
-      for i = n_buckets - 1 downto 0 do
-        if merged.(i) > 0 then buckets := (i, merged.(i)) :: !buckets
-      done;
-      let empty = !count = 0 in
-      histograms :=
-        ( labels.(id),
-          { h_count = !count; h_sum = !sum;
-            h_min = (if empty then 0.0 else !mn);
-            h_max = (if empty then 0.0 else !mx);
-            h_buckets = !buckets } )
-        :: !histograms
+      histograms := (labels.(id), merge_histo shards id) :: !histograms
   done;
   let by_name (a, _) (b, _) = String.compare a b in
   { counters = List.sort by_name !counters;
     histograms = List.sort by_name !histograms }
+
+let read h =
+  Mutex.lock lock;
+  let shards = !shards in
+  Mutex.unlock lock;
+  merge_histo shards h
 
 (** Zero every shard of every registered metric (run while quiescent). *)
 let reset () =

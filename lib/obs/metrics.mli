@@ -46,6 +46,11 @@ type snapshot = {
 (** Merge all shards into one deterministic snapshot. *)
 val snapshot : unit -> snapshot
 
+(** One histogram merged now, while recording may go on: a sample recorded
+    during the read may be missed, so the figures are approximate (the
+    daemon's live [stats]). *)
+val read : histogram -> histo
+
 (** Zero every metric in every shard. *)
 val reset : unit -> unit
 

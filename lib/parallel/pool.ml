@@ -23,6 +23,8 @@ let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
 let jobs t = t.jobs
 
+let workers t = List.length t.workers
+
 let rec worker_loop t =
   Mutex.lock t.mutex;
   let rec next () =
@@ -73,22 +75,18 @@ let with_pool ~jobs f =
   let t = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-(* One fire-and-forget task.  With no worker domains (jobs = 1) or after
-   shutdown there is nobody to pop the queue, so run inline — the caller
-   gets sequential semantics instead of a silently dropped task. *)
+(* One fire-and-forget task for the workers.  With no worker domains
+   (jobs = 1) or after shutdown nobody would pop it, so refuse rather than
+   drop it silently. *)
 let async t task =
-  if t.jobs = 1 then task ()
-  else begin
-    Mutex.lock t.mutex;
-    if t.closed then begin
-      Mutex.unlock t.mutex;
-      task ()
-    end else begin
-      Queue.push task t.queue;
-      Condition.signal t.nonempty;
-      Mutex.unlock t.mutex
-    end
-  end
+  Mutex.lock t.mutex;
+  if t.closed || t.jobs = 1 then begin
+    Mutex.unlock t.mutex;
+    invalid_arg "Pool.async: the pool has no worker domains"
+  end;
+  Queue.push task t.queue;
+  Condition.signal t.nonempty;
+  Mutex.unlock t.mutex
 
 (* ------------------------------------------------------------------ *)
 (* Batches                                                             *)

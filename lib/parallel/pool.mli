@@ -1,7 +1,7 @@
 (** A fixed-size [Domain]-based worker pool (OCaml 5 multicore, no external
     dependencies): [jobs] counts the total concurrency including the
     submitting thread, so a pool of [jobs = 1] spawns no domains and runs
-    every task inline — exactly the sequential path.
+    every batch inline — exactly the sequential path.
 
     All combinators preserve input order in their results and re-raise the
     first (lowest-index) exception a task raised, with its backtrace, after
@@ -16,10 +16,16 @@ type t
 val default_jobs : unit -> int
 
 (** [create ~jobs] spawns [jobs - 1] worker domains ([jobs] is clamped to at
-    least 1).  Call {!shutdown} when done; {!with_pool} does it for you. *)
+    least 1): [jobs] counts the submitting thread, which helps drain its
+    batches.  A caller whose threads only {!async} work and never help
+    (the daemon) passes one more than the domains it wants working.  Call
+    {!shutdown} when done; {!with_pool} does it for you. *)
 val create : jobs:int -> t
 
 val jobs : t -> int
+
+(** Worker domains running now: [jobs - 1] until {!shutdown}, 0 after. *)
+val workers : t -> int
 
 (** [true] until {!shutdown}.  Long-lived consumers that hold a pool for
     optional sharding (e.g. lazy index builds) check this and fall back to
@@ -34,11 +40,11 @@ val shutdown : t -> unit
     afterwards, also on exception. *)
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 
-(** [async t task] enqueues one fire-and-forget task for the worker
-    domains.  [task] must not raise (wrap and park the outcome in a cell,
-    as the batch combinators do).  When the pool has no workers
-    ([jobs = 1]) or has been shut down, the task runs inline in the
-    calling thread before [async] returns. *)
+(** [async t task] enqueues one fire-and-forget task; only a worker domain
+    runs it, never the calling thread.  [task] must not raise (wrap and
+    park the outcome in a cell, as the batch combinators do).  Raises
+    [Invalid_argument] when the pool has no workers ([jobs = 1]) or has
+    been shut down, where nobody would ever pop the task. *)
 val async : t -> (unit -> unit) -> unit
 
 (** Order-preserving parallel map over an array. *)

@@ -10,17 +10,33 @@ let analyzed_line ~app_name ~seconds (r : D.result) =
   Printf.sprintf "analyzed %s in %.3fs: %d sink calls" app_name seconds
     r.D.stats.D.sink_calls
 
-let report_line (rep : D.sink_report) =
-  Printf.sprintf "  [%s] %s at %s:%d reachable=%b fact=%s%s"
-    (Backdroid.Detectors.verdict_to_string rep.D.verdict)
-    rep.D.sink.Sinks.name
-    (Ir.Jsig.meth_to_string rep.D.meth)
-    rep.D.site rep.D.reachable
-    (Backdroid.Facts.to_string rep.D.fact)
-    (match rep.D.outcome with
-     | Backdroid.Context.Complete -> ""
-     | Backdroid.Context.Partial _ ->
-       " [" ^ Backdroid.Context.outcome_to_string rep.D.outcome ^ "]")
+(* [report_line], appended to [b].  It runs once per sink on the serving
+   worker, so it builds in place instead of interpreting a format. *)
+let add_report_line b (rep : D.sink_report) =
+  let add = Buffer.add_string b in
+  add "  [";
+  add (Backdroid.Detectors.verdict_to_string rep.D.verdict);
+  add "] ";
+  add rep.D.sink.Sinks.name;
+  add " at ";
+  add (Ir.Jsig.meth_to_string rep.D.meth);
+  Buffer.add_char b ':';
+  add (string_of_int rep.D.site);
+  add " reachable=";
+  add (string_of_bool rep.D.reachable);
+  add " fact=";
+  add (Backdroid.Facts.to_string rep.D.fact);
+  match rep.D.outcome with
+  | Backdroid.Context.Complete -> ()
+  | Backdroid.Context.Partial _ ->
+    add " [";
+    add (Backdroid.Context.outcome_to_string rep.D.outcome);
+    Buffer.add_char b ']'
+
+let report_line rep =
+  let b = Buffer.create 160 in
+  add_report_line b rep;
+  Buffer.contents b
 
 let report_lines (r : D.result) = List.map report_line r.D.reports
 
@@ -36,14 +52,14 @@ let stats_line (r : D.result) =
     s.D.partial_sinks s.D.replayed_sinks s.D.index_categories_built
 
 let render ~app_name ~seconds r =
-  let b = Buffer.create 256 in
+  let b = Buffer.create (256 + (160 * List.length r.D.reports)) in
   Buffer.add_string b (analyzed_line ~app_name ~seconds r);
   Buffer.add_char b '\n';
   List.iter
-    (fun l ->
-       Buffer.add_string b l;
+    (fun rep ->
+       add_report_line b rep;
        Buffer.add_char b '\n')
-    (report_lines r);
+    r.D.reports;
   Buffer.add_string b (stats_line r);
   Buffer.add_char b '\n';
   Buffer.contents b

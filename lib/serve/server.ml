@@ -6,7 +6,9 @@
    that reads frames sequentially; the CPU-heavy work of a request is
    dispatched onto the worker-domain pool ([Parallel.Pool.async]) and the
    connection thread waits for the completion cell — systhreads on one
-   domain serialize, worker domains do not.
+   domain serialize, worker domains do not.  Domain 0 keeps the accept
+   loop and the connection I/O and never helps drain the pool, so the
+   pool has one worker domain per [jobs].
 
    Analyze/query requests resolve a resident session through the
    {!Enginecache} LRU: hits serve straight off the prefaulted engine
@@ -70,6 +72,10 @@ let m_rejected = Obs.Metrics.counter "serve.rejected"
 let m_errors = Obs.Metrics.counter "serve.errors"
 let h_analyze_us = Obs.Metrics.histogram "serve.analyze_us"
 let h_query_us = Obs.Metrics.histogram "serve.query_us"
+let h_pool_wait_us = Obs.Metrics.histogram "serve.pool_wait_us"
+let h_admission_wait_us = Obs.Metrics.histogram "serve.admission_wait_us"
+
+let now_us () = Obs.Span.now_us ()
 
 (* -- socket hygiene -------------------------------------------------- *)
 
@@ -103,31 +109,32 @@ let claim_socket path =
 (* -- dispatching CPU work to the worker domains ---------------------- *)
 
 (* Run [f] on a pool worker and wait for the result; connection threads
-   live on domain 0, so running analyses there would serialize them. *)
-let on_pool pool f =
-  if Parallel.Pool.jobs pool = 1 then f ()
-  else begin
-    let m = Mutex.create () in
-    let c = Condition.create () in
-    let cell = ref None in
-    Parallel.Pool.async pool (fun () ->
-        let r =
-          try Ok (f ())
-          with e -> Result.Error (e, Printexc.get_raw_backtrace ())
-        in
-        Mutex.lock m;
-        cell := Some r;
-        Condition.signal c;
-        Mutex.unlock m);
-    Mutex.lock m;
-    while Option.is_none !cell do
-      Condition.wait c m
-    done;
-    Mutex.unlock m;
-    match Option.get !cell with
-    | Ok v -> v
-    | Result.Error (e, bt) -> Printexc.raise_with_backtrace e bt
-  end
+   live on domain 0, so running analyses there would serialize them.
+   [submitted] is the caller's clock reading at hand-over; [f] gets the
+   worker's reading at pick-up, which times the queue wait. *)
+let on_pool pool ~submitted f =
+  let m = Mutex.create () in
+  let c = Condition.create () in
+  let cell = ref None in
+  Parallel.Pool.async pool (fun () ->
+      let started = now_us () in
+      Obs.Metrics.observe h_pool_wait_us (started -. submitted);
+      let r =
+        try Ok (f started)
+        with e -> Result.Error (e, Printexc.get_raw_backtrace ())
+      in
+      Mutex.lock m;
+      cell := Some r;
+      Condition.signal c;
+      Mutex.unlock m);
+  Mutex.lock m;
+  while Option.is_none !cell do
+    Condition.wait c m
+  done;
+  Mutex.unlock m;
+  match Option.get !cell with
+  | Ok v -> v
+  | Result.Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
 (* -- session resolution ---------------------------------------------- *)
 
@@ -259,10 +266,8 @@ let resolve_session t ~snapshot spec =
 
 (* -- request handlers ------------------------------------------------ *)
 
-let now_us () = Obs.Span.now_us ()
-
-let handle_analyze t ~spec ~snapshot ~time_limit_ms =
-  let t0 = now_us () in
+(* [t0] is the clock reading taken when a worker picked the request up. *)
+let handle_analyze t ~t0 ~spec ~snapshot ~time_limit_ms =
   let session, state = resolve_session t ~snapshot spec in
   let budget =
     match time_limit_ms with
@@ -298,11 +303,10 @@ let query_of ~kind ~operand =
 
 let max_query_lines = 50
 
-let handle_query t ~spec ~snapshot ~kind ~operand =
+let handle_query t ~t0 ~spec ~snapshot ~kind ~operand =
   match query_of ~kind ~operand with
   | Result.Error m -> Protocol.Error m
   | Ok q ->
-    let t0 = now_us () in
     let session, _state = resolve_session t ~snapshot spec in
     let engine = D.session_engine session in
     let hits = Bytesearch.Engine.run engine q in
@@ -322,6 +326,11 @@ let handle_query t ~spec ~snapshot ~kind ~operand =
 let stats_json t =
   let cs = Enginecache.stats t.cache in
   let j = Obs.Jsonf.int_field in
+  let p50_p90 name h =
+    let h = Obs.Metrics.read h in
+    [ Obs.Jsonf.num_field (name ^ "_p50") (Obs.Metrics.quantile h 0.5);
+      Obs.Jsonf.num_field (name ^ "_p90") (Obs.Metrics.quantile h 0.9) ]
+  in
   let b = Buffer.create 256 in
   Buffer.add_string b "{";
   Buffer.add_string b
@@ -335,7 +344,8 @@ let stats_json t =
     (fun f ->
        Buffer.add_string b ", ";
        Buffer.add_string b f)
-    [ j "jobs" t.cfg.jobs;
+    ([ j "jobs" t.cfg.jobs;
+      j "workers" (Parallel.Pool.workers t.pool);
       j "requests_analyze" na;
       j "requests_query" nq;
       j "requests_stats" ns;
@@ -348,7 +358,9 @@ let stats_json t =
       j "cache_hits" cs.Enginecache.hits;
       j "cache_misses" cs.Enginecache.misses;
       j "cache_evictions" cs.Enginecache.evictions;
-      j "cache_delta_patches" cs.Enginecache.delta_patches ];
+      j "cache_delta_patches" cs.Enginecache.delta_patches ]
+     @ p50_p90 "pool_wait_us" h_pool_wait_us
+     @ p50_p90 "admission_wait_us" h_admission_wait_us);
   Buffer.add_string b "}";
   Buffer.contents b
 
@@ -394,33 +406,39 @@ let dispatch t req =
     Protocol.Shutdown_ok
   | Protocol.Analyze _ | Protocol.Query _ ->
     if Atomic.get t.stopping then Protocol.Rejected Protocol.Shutting_down
-    else if not (Admission.acquire t.adm) then begin
-      Obs.Metrics.incr m_rejected;
-      Obs.Flight.record ~kind:"serve" ~name:"rejected-busy" ();
-      Protocol.Rejected Protocol.Busy
+    else begin
+      let asked = now_us () in
+      let admitted = Admission.acquire t.adm in
+      let submitted = now_us () in
+      Obs.Metrics.observe h_admission_wait_us (submitted -. asked);
+      if not admitted then begin
+        Obs.Metrics.incr m_rejected;
+        Obs.Flight.record ~kind:"serve" ~name:"rejected-busy" ();
+        Protocol.Rejected Protocol.Busy
+      end
+      else
+        Fun.protect
+          ~finally:(fun () -> Admission.release t.adm)
+          (fun () ->
+             try
+               on_pool t.pool ~submitted (fun t0 ->
+                   match req with
+                   | Protocol.Analyze { spec; snapshot; time_limit_ms } ->
+                     handle_analyze t ~t0 ~spec ~snapshot ~time_limit_ms
+                   | Protocol.Query { spec; snapshot; kind; operand } ->
+                     handle_query t ~t0 ~spec ~snapshot ~kind ~operand
+                   | Protocol.Stats | Protocol.Shutdown -> assert false)
+             with
+             | Reject m ->
+               count_error t;
+               Protocol.Error m
+             | e ->
+               count_error t;
+               Obs.Flight.anomaly ~kind:"serve" ~name:"request-failed"
+                 ~attrs:[ ("error", Obs.Span.Str (Printexc.to_string e)) ]
+                 ();
+               Protocol.Error (Printexc.to_string e))
     end
-    else
-      Fun.protect
-        ~finally:(fun () -> Admission.release t.adm)
-        (fun () ->
-           try
-             on_pool t.pool (fun () ->
-                 match req with
-                 | Protocol.Analyze { spec; snapshot; time_limit_ms } ->
-                   handle_analyze t ~spec ~snapshot ~time_limit_ms
-                 | Protocol.Query { spec; snapshot; kind; operand } ->
-                   handle_query t ~spec ~snapshot ~kind ~operand
-                 | Protocol.Stats | Protocol.Shutdown -> assert false)
-           with
-           | Reject m ->
-             count_error t;
-             Protocol.Error m
-           | e ->
-             count_error t;
-             Obs.Flight.anomaly ~kind:"serve" ~name:"request-failed"
-               ~attrs:[ ("error", Obs.Span.Str (Printexc.to_string e)) ]
-               ();
-             Protocol.Error (Printexc.to_string e))
 
 (* -- connections ----------------------------------------------------- *)
 
@@ -511,6 +529,7 @@ let accept_loop t =
   Obs.Flight.record ~kind:"serve" ~name:"shutdown-complete" ()
 
 let start cfg =
+  let cfg = { cfg with jobs = max 1 cfg.jobs } in
   match claim_socket cfg.socket with
   | Result.Error m -> Result.Error m
   | Ok () ->
@@ -540,7 +559,9 @@ let start cfg =
     let wake_r, wake_w = Unix.pipe ~cloexec:true () in
     let t =
       { cfg;
-        pool = Parallel.Pool.create ~jobs:cfg.jobs;
+        (* no connection thread helps drain, so [jobs] workers need
+           [jobs + 1] *)
+        pool = Parallel.Pool.create ~jobs:(cfg.jobs + 1);
         cache =
           Enginecache.create ~max_entries:cfg.max_resident
             ~max_bytes:(int_of_float (cfg.max_resident_mb *. 1048576.0)) ();

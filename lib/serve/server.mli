@@ -3,13 +3,18 @@
     concurrent analyze/query/stats/shutdown requests over a Unix-domain
     (and optionally TCP) socket with the {!Protocol} framing.  Request
     CPU work runs on the worker-domain pool under {!Admission} control;
-    per-request budgets come from the wire. *)
+    per-request budgets come from the wire.  The [stats] reply is one JSON
+    object: request, error and cache counters, [jobs], [workers], and the
+    p50/p90 in microseconds of the admission wait and of the pool-queue
+    wait ([serve.admission_wait_us], [serve.pool_wait_us]). *)
 
 type config = {
   socket : string;            (** Unix-domain socket path *)
   tcp : (string * int) option;
       (** additionally listen on this TCP host/port *)
-  jobs : int;                 (** worker-domain pool width *)
+  jobs : int;
+      (** analysis domains: the pool gets [jobs] worker domains (at least
+          1), and domain 0 keeps the accept loop and the connection I/O *)
   max_resident : int;         (** hot-engine LRU entry ceiling *)
   max_resident_mb : float;    (** hot-engine LRU resident-bytes ceiling *)
   max_inflight : int;         (** concurrent analyze/query requests *)

@@ -102,9 +102,6 @@ let test_nested_map () =
       in
       Alcotest.(check (array int)) "nested batches settle" expect out)
 
-(* ------------------------------------------------------------------ *)
-(* Determinism: sharded index build                                    *)
-
 let fixture_app ?(filler = 30) ?(seed = 11) () =
   let rng = Appgen.Rng.create (seed * 31) in
   let plants =
@@ -116,6 +113,49 @@ let fixture_app ?(filler = 30) ?(seed = 11) () =
       name = Printf.sprintf "com.par.app%d" seed;
       filler_classes = filler;
       plants }
+
+(* [async] hands a task to a worker domain, never to the caller, and
+   refuses a pool that has no worker to run it. *)
+let test_async_on_workers () =
+  let refused pool =
+    match Pool.async pool ignore with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  Pool.with_pool ~jobs:2 (fun pool ->
+      Alcotest.(check int) "jobs=2: one worker" 1 (Pool.workers pool);
+      let m = Mutex.create () and c = Condition.create () in
+      let ran_on = ref None in
+      Pool.async pool (fun () ->
+          Mutex.lock m;
+          ran_on := Some (Domain.self ());
+          Condition.signal c;
+          Mutex.unlock m);
+      Mutex.lock m;
+      while Option.is_none !ran_on do
+        Condition.wait c m
+      done;
+      Mutex.unlock m;
+      Alcotest.(check bool) "ran off the calling domain" true
+        ((Option.get !ran_on :> int) <> (Domain.self () :> int)));
+  Pool.with_pool ~jobs:1 (fun pool ->
+      Alcotest.(check int) "jobs=1: no worker" 0 (Pool.workers pool);
+      Alcotest.(check bool) "jobs=1 refuses" true (refused pool));
+  (* a one-shot session's calling domain helps: jobs=4 spawns three *)
+  let app = fixture_app () in
+  let s =
+    Driver.open_session
+      ~cfg:{ Driver.default_config with Driver.jobs = 4 }
+      ~dex:app.G.dex ~manifest:app.G.manifest ()
+  in
+  let pool = Driver.session_pool s in
+  Alcotest.(check int) "one-shot jobs=4: three workers" 3 (Pool.workers pool);
+  Driver.close_session s;
+  Alcotest.(check int) "no worker after shutdown" 0 (Pool.workers pool);
+  Alcotest.(check bool) "shut-down pool refuses" true (refused pool)
+
+(* ------------------------------------------------------------------ *)
+(* Determinism: sharded index build                                    *)
 
 let hit_fingerprint (h : Bytesearch.Engine.hit) =
   Printf.sprintf "%d:%s:%s:%s" h.line_no
@@ -371,6 +411,8 @@ let cases =
     Alcotest.test_case "chunks: edge sizes" `Quick test_chunks_edge_cases;
     Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
     Alcotest.test_case "nested batches" `Quick test_nested_map;
+    Alcotest.test_case "async runs only on workers" `Quick
+      test_async_on_workers;
     Alcotest.test_case "sharded index == sequential index" `Quick
       test_sharded_index;
     Alcotest.test_case

@@ -2,8 +2,8 @@
    round-trips, admission control bounds in-flight work, and — the load-
    bearing property — a served analysis is byte-identical to the one-shot
    pipeline whatever the serving path (fresh build, resident hit, snapshot
-   reload after eviction, K concurrent clients sharing one engine, jobs=1
-   or jobs=4).  Only the timing header and the cumulative [stats:] line
+   reload after eviction, K concurrent clients sharing one engine, jobs=1,
+   2 or 4).  Only the timing header and the cumulative [stats:] line
    may differ between serving paths, so comparisons filter those two. *)
 
 module S = Serve.Server
@@ -160,8 +160,13 @@ let test_served_identity () =
     Alcotest.check lines_t "resident served = one-shot" expected
       (report_lines hit_text)
 
+let histo_count name =
+  (Obs.Metrics.read (Obs.Metrics.histogram name)).Obs.Metrics.h_count
+
 let test_query_and_stats () =
   with_server @@ fun ~socket _ ->
+  let pool0 = histo_count "serve.pool_wait_us" in
+  let adm0 = histo_count "serve.admission_wait_us" in
   match
     C.with_conn ~socket (fun conn ->
         let q =
@@ -185,13 +190,24 @@ let test_query_and_stats () =
        Alcotest.(check (option int)) "analyze counted" (Some 0)
          (Obs.Jsonf.field_int j "requests_analyze");
        Alcotest.(check (option int)) "query counted" (Some 1)
-         (Obs.Jsonf.field_int j "requests_query")
+         (Obs.Jsonf.field_int j "requests_query");
+       (* the query waited once for admission and once in the pool queue *)
+       Alcotest.(check int) "one pool wait" 1
+         (histo_count "serve.pool_wait_us" - pool0);
+       Alcotest.(check int) "one admission wait" 1
+         (histo_count "serve.admission_wait_us" - adm0);
+       List.iter
+         (fun f ->
+            Alcotest.(check bool) (f ^ " reported") true
+              (Obs.Jsonf.field_float j f <> None))
+         [ "pool_wait_us_p50"; "pool_wait_us_p90"; "admission_wait_us_p50";
+           "admission_wait_us_p90" ]
      | _ -> Alcotest.fail "expected Stats_json")
 
 (* K clients interleave analyze and query against one resident engine;
    every served transcript must equal the sequential one-shot, hot
-   (pre-warmed cache) or cold (all K race the first miss), jobs=1 or
-   jobs=4. *)
+   (pre-warmed cache) or cold (all K race the first miss), jobs=1, 2 or
+   4. *)
 let concurrent_sharing ~jobs ~prewarm () =
   let expected = report_lines (oneshot spec) in
   with_server ~jobs @@ fun ~socket _ ->
@@ -230,7 +246,15 @@ let concurrent_sharing ~jobs ~prewarm () =
   List.iter Thread.join threads;
   Array.iter
     (function None -> () | Some e -> Alcotest.fail ("client: " ^ e))
-    failures
+    failures;
+  (* one worker domain per job: no connection thread helps drain the
+     pool, so domain 0 only does I/O *)
+  match C.with_conn ~socket (fun conn -> Result.Ok (call_ok conn P.Stats)) with
+  | Result.Ok (P.Stats_json j) ->
+    Alcotest.(check (option int)) "workers" (Some jobs)
+      (Obs.Jsonf.field_int j "workers")
+  | Result.Ok _ -> Alcotest.fail "expected Stats_json"
+  | Result.Error e -> Alcotest.fail ("stats: " ^ e)
 
 let test_eviction_reload () =
   let expected = report_lines (oneshot spec) in
@@ -336,6 +360,10 @@ let suites =
           (concurrent_sharing ~jobs:4 ~prewarm:true);
         Alcotest.test_case "4 clients share one engine (cold, jobs=4)" `Quick
           (concurrent_sharing ~jobs:4 ~prewarm:false);
+        Alcotest.test_case "4 clients share one engine (hot, jobs=2)" `Quick
+          (concurrent_sharing ~jobs:2 ~prewarm:true);
+        Alcotest.test_case "4 clients share one engine (cold, jobs=2)" `Quick
+          (concurrent_sharing ~jobs:2 ~prewarm:false);
         Alcotest.test_case "eviction reloads from snapshot" `Quick
           test_eviction_reload;
         Alcotest.test_case "shutdown unlinks the socket" `Quick
