@@ -90,13 +90,6 @@ let micro_tests () =
       (Staged.stage (fun () ->
            Backdroid.Driver.analyze ~dex:small.G.dex ~manifest:small.G.manifest
              ()));
-    (* sharded index build on the worker pool (vs preprocess/index-20mb) *)
-    Test.make ~name:"preprocess/index-20mb-sharded"
-      (Staged.stage (fun () ->
-           Parallel.Pool.with_pool ~jobs:(Parallel.Pool.default_jobs ())
-             (fun pool ->
-                Bytesearch.Engine.export_packed
-                  (Bytesearch.Engine.create ~pool medium.G.dex))));
     (* ablation: indexed search vs grep-style full scan *)
     Test.make ~name:"search/indexed-lookup"
       (Staged.stage (fun () ->

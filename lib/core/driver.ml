@@ -423,7 +423,7 @@ let open_session ?(cfg = default_config) ?pool ?engine ?results
       | Some e -> e
       | None ->
         Obs.Span.with_span ~cat:"app" ~name:"engine-create" (fun () ->
-            Bytesearch.Engine.create ~pool dex)
+            Bytesearch.Engine.create dex)
     in
     (* diff the persisted result cache (if any) against this build's
        classmap once; every run of the session consults the precomputed
@@ -540,14 +540,14 @@ let run_session ?budget s =
     { reports; stats }
 
 (** Analyze one app: a transient session.  [pool] (otherwise created from
-    [cfg.jobs]) drives the sharded index build and the per-sink-group
-    fan-out.  [engine] is a premade engine (a snapshot warm start); its
-    dexfile takes the place of [dex] — unless the reflection transform
-    rewrites call sites, which invalidates any prebuilt index, so the
-    engine is discarded (with a warning) and the rewritten program is
-    indexed cold.  A premade engine last used under a {e different} rule
-    set has its query cache flushed (with a warning) before this run's
-    searches — cached search state never crosses rule sets silently. *)
+    [cfg.jobs]) drives the per-sink-group fan-out.  [engine] is a premade
+    engine (a snapshot warm start); its dexfile takes the place of [dex] —
+    unless the reflection transform rewrites call sites, which invalidates
+    any prebuilt index, so the engine is discarded (with a warning) and
+    the rewritten program is indexed cold.  A premade engine last used
+    under a {e different} rule set has its query cache flushed (with a
+    warning) before this run's searches — cached search state never
+    crosses rule sets silently. *)
 let analyze ?cfg ?pool ?engine ?results ~(dex : Dex.Dexfile.t)
     ~(manifest : Manifest.App_manifest.t) () =
   let s = open_session ?cfg ?pool ?engine ?results ~dex ~manifest () in

@@ -115,10 +115,10 @@ val initial_sink_search :
 
 type session
 
-(** Resolve the engine (premade, or built from [dex] over the pool), the
-    replay plan for [results], and the pool itself ([pool] is borrowed;
-    otherwise a fresh pool of [cfg.jobs] is created and owned by the
-    session).  See {!analyze} for the argument semantics. *)
+(** Resolve the engine (premade, or built from [dex]), the replay plan
+    for [results], and the pool itself ([pool] is borrowed; otherwise a
+    fresh pool of [cfg.jobs] is created and owned by the session).  See
+    {!analyze} for the argument semantics. *)
 val open_session :
   ?cfg:config ->
   ?pool:Parallel.Pool.t ->
@@ -142,10 +142,10 @@ val session_engine : session -> Bytesearch.Engine.t
 val session_config : session -> config
 val session_pool : session -> Parallel.Pool.t
 
-(** Analyze one app.  [pool] reuses an existing domain pool for the sharded
-    index build and the per-sink-group fan-out; without it a fresh pool of
-    [cfg.jobs] is created for the call (so [cfg.jobs = 1] is exactly the
-    sequential path).  [engine] supplies a premade search engine (a
+(** Analyze one app.  [pool] reuses an existing domain pool for the
+    per-sink-group fan-out; without it a fresh pool of [cfg.jobs] is
+    created for the call (so [cfg.jobs = 1] is exactly the sequential
+    path).  [engine] supplies a premade search engine (a
     snapshot warm start, or a [~indexed:false] scan engine for the grep
     ablation): its dexfile replaces [dex] and no index is built —
     unless [cfg.resolve_reflection] actually rewrites call sites, which

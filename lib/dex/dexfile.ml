@@ -12,30 +12,12 @@ type class_range = {
   slot_hi : int;
 }
 
-(* A once-cell: filled on first read, under its lock; a filled cell is
-   read without one. *)
-type 'a once = { lock : Mutex.t; value : 'a option Atomic.t }
-
-let once v = { lock = Mutex.create (); value = Atomic.make v }
-
-let force c fill =
-  match Atomic.get c.value with
-  | Some v -> v
-  | None ->
-    Mutex.protect c.lock (fun () ->
-        match Atomic.get c.value with
-        | Some v -> v
-        | None ->
-          let v = fill () in
-          Atomic.set c.value (Some v);
-          v)
-
 (* The text waits for its first read.  The class map of an index pass
    waits too; a dexfile made from parts holds it from the start. *)
 type cells = {
   ranges : class_range array;  (* in line order; empty unless indexed here *)
-  text : Textstore.t once;
-  classmap : Classmap.t once;
+  text : Textstore.t Parallel.Once.t;
+  classmap : Classmap.t Parallel.Once.t;
 }
 
 type t = {
@@ -67,7 +49,9 @@ let index program classes =
       in
       let arena, rendered = Writer.finish_index w in
       { lines; arena; rendered; program;
-        cells = { ranges; text = once None; classmap = once None } })
+        cells =
+          { ranges; text = Parallel.Once.make ();
+            classmap = Parallel.Once.make () } })
 
 let of_program p = index p (Disasm.app_classes p)
 
@@ -84,7 +68,8 @@ let of_parts ?(rendered = Writer.nothing_rendered) ~lines ~classmap arena
     program =
   { lines; arena; rendered; program;
     cells =
-      { ranges = [||]; text = once None; classmap = once (Some classmap) } }
+      { ranges = [||]; text = Parallel.Once.make ();
+        classmap = Parallel.Once.filled classmap } }
 
 let empty p =
   let arena, rendered =
@@ -93,7 +78,7 @@ let empty p =
   of_parts ~rendered ~lines:0 ~classmap:Classmap.empty arena p
 
 let classmap t =
-  force t.cells.classmap (fun () ->
+  Parallel.Once.get t.cells.classmap (fun () ->
       Obs.Span.with_span ~cat:"dex" ~name:"classmap" (fun () ->
           let col f = Array.map f t.cells.ranges in
           Classmap.v ~names:(col (fun r -> r.cls.Ir.Jclass.name))
@@ -129,7 +114,7 @@ let m_renders = Obs.Metrics.counter "dex.text.renders"
 (* A text pass over the classes in line order: those an index pass
    walked, or else the class map's, checked against the program. *)
 let text t =
-  force t.cells.text (fun () ->
+  Parallel.Once.get t.cells.text (fun () ->
       Obs.Span.with_span ~cat:"dex" ~name:"text" (fun () ->
           Obs.Metrics.incr m_renders;
           let w = Writer.text t.arena ~lines:t.lines in

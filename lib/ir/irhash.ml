@@ -146,25 +146,13 @@ let jclass_uncached (c : Jclass.t) =
    ephemeron key keeps the memo from pinning dead programs; the name-based
    bucket hash makes two versions of one class collide into the same bucket,
    where physical equality tells them apart. *)
-module Memo = Ephemeron.K1.Make (struct
+module Memo = Parallel.Once.Make (Ephemeron.K1.Make (struct
   type t = Jclass.t
 
   let equal = ( == )
   let hash (c : Jclass.t) = Hashtbl.hash c.Jclass.name
-end)
+end))
 
 let memo : int64 Memo.t = Memo.create 1024
-let memo_lock = Mutex.create ()
 
-let jclass (c : Jclass.t) =
-  Mutex.lock memo_lock;
-  let cached = Memo.find_opt memo c in
-  Mutex.unlock memo_lock;
-  match cached with
-  | Some h -> h
-  | None ->
-    let h = jclass_uncached c in
-    Mutex.lock memo_lock;
-    Memo.replace memo c h;
-    Mutex.unlock memo_lock;
-    h
+let jclass (c : Jclass.t) = Memo.find_or_add memo c jclass_uncached

@@ -18,7 +18,8 @@
     rendering the unchanged ones, and a dexfile's text pass over a stored
     layout checks each class against its stored hash before rendering it.
 
-    [jclass] memoizes by physical identity (weakly, thread-safe): the IR is
+    [jclass] memoizes by physical identity, weakly, and hashes a class
+    once however many domains ask for it ({!Parallel.Once}): the IR is
     immutable and a version update shares the unchanged class objects with
     its predecessor, so re-hashing a mostly-unchanged program costs only
     the changed classes. *)

@@ -21,8 +21,6 @@ type t = {
 
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
-let jobs t = t.jobs
-
 let workers t = List.length t.workers
 
 let rec worker_loop t =
@@ -53,15 +51,6 @@ let create ~jobs =
   t.workers <-
     List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
-
-(** A pool stays active until {!shutdown}.  Long-lived consumers that hold a
-    pool for optional sharding (e.g. lazy index builds) check this and fall
-    back to sequential work once the pool is gone. *)
-let is_active t =
-  Mutex.lock t.mutex;
-  let active = not t.closed in
-  Mutex.unlock t.mutex;
-  active
 
 let shutdown t =
   Mutex.lock t.mutex;
@@ -158,25 +147,3 @@ let parallel_map t f arr =
 
 let parallel_map_list t f xs =
   Array.to_list (parallel_map t f (Array.of_list xs))
-
-let parallel_ranges t ?chunks ~n f =
-  if n <= 0 then []
-  else begin
-    let chunks = max 1 (min n (Option.value ~default:t.jobs chunks)) in
-    let size = (n + chunks - 1) / chunks in
-    let nchunks = (n + size - 1) / size in
-    let ranges =
-      Array.init nchunks (fun i -> (i * size, min n ((i + 1) * size)))
-    in
-    Array.to_list (parallel_map t (fun (lo, hi) -> f ~lo ~hi) ranges)
-  end
-
-let parallel_chunks t ?chunk_size f arr =
-  let n = Array.length arr in
-  let size =
-    match chunk_size with
-    | Some c -> max 1 c
-    | None -> max 1 ((n + t.jobs - 1) / t.jobs)
-  in
-  parallel_ranges t ~chunks:((n + size - 1) / size) ~n (fun ~lo ~hi ->
-      f (Array.sub arr lo (hi - lo)))

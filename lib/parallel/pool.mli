@@ -7,7 +7,10 @@
     first (lowest-index) exception a task raised, with its backtrace, after
     every task of the batch has settled.  The submitting thread participates
     in draining the queue while it waits, so nested [parallel_map] calls on
-    the same pool cannot deadlock. *)
+    the same pool cannot deadlock.  The tasks it drains may belong to any
+    batch, so code that holds a lock, or a {!Once} value it is computing,
+    must not submit a batch: a drained task could wait on it from the same
+    thread. *)
 
 type t
 
@@ -22,15 +25,8 @@ val default_jobs : unit -> int
     {!shutdown} when done; {!with_pool} does it for you. *)
 val create : jobs:int -> t
 
-val jobs : t -> int
-
 (** Worker domains running now: [jobs - 1] until {!shutdown}, 0 after. *)
 val workers : t -> int
-
-(** [true] until {!shutdown}.  Long-lived consumers that hold a pool for
-    optional sharding (e.g. lazy index builds) check this and fall back to
-    sequential work once the pool is gone. *)
-val is_active : t -> bool
 
 (** Signal the workers to exit and join them.  Idempotent.  Outstanding
     batches must have completed. *)
@@ -52,14 +48,3 @@ val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 (** Order-preserving parallel map over a list. *)
 val parallel_map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [parallel_ranges t ?chunks ~n f] splits [0 .. n-1] into [chunks]
-    (default: [jobs t]) contiguous ranges and evaluates [f ~lo ~hi] (half
-    open, [lo <= hi]) for each, returning the per-range results in range
-    order.  Ranges cover [0, n) exactly; with [n = 0] the result is [[]]. *)
-val parallel_ranges : t -> ?chunks:int -> n:int -> (lo:int -> hi:int -> 'b) -> 'b list
-
-(** [parallel_chunks t ?chunk_size f arr] applies [f] to contiguous
-    sub-arrays of [arr] (default chunk size: [length / jobs], at least 1) and
-    returns the per-chunk results in order. *)
-val parallel_chunks : t -> ?chunk_size:int -> ('a array -> 'b) -> 'a array -> 'b list

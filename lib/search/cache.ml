@@ -1,56 +1,45 @@
 (** Search-command caching (implementation enhancement 1, Sec. IV-F).
 
-    Keys are the typed queries themselves — symbol payloads make query
-    hashing and equality integer operations, so a cache probe renders no
-    command string.  The cache also keeps the per-category and aggregate
-    counters the paper reports (average cache rate 23.39%, min 2.97%, max
-    88.95%).
-
-    A single mutex serializes the table and the counters, and is held across
-    the compute of a miss so that concurrent domains racing on the same key
-    still produce exactly one miss plus hits — the counters are then
-    scheduling-independent, which the jobs=1-vs-jobs=N determinism guarantee
-    relies on. *)
+    The results are a keyed {!Parallel.Once} table: a miss computes with no
+    lock held, and a domain racing on the same key waits for that compute
+    and counts a hit, so each distinct key is one miss and the counters
+    are scheduling-independent, which the jobs=1-vs-jobs=N determinism
+    guarantee relies on.  The counters are atomics. *)
 
 let m_hits = Obs.Metrics.counter "search.cache.hits"
 let m_misses = Obs.Metrics.counter "search.cache.misses"
 let m_compute_us = Obs.Metrics.histogram "search.compute_us"
 
+(* Per {!Query.category_index}. *)
 type category_stat = {
-  mutable c_total : int;
-  mutable c_cached : int;
-  mutable c_compute_us : float;
-      (** accumulated wall-clock cost of the misses (the computes) *)
+  c_total : int Atomic.t;
+  c_cached : int Atomic.t;
+  c_compute_ns : int Atomic.t;  (** wall-clock cost of the misses *)
 }
 
-type 'hit stats = {
-  mutable total : int;
-  mutable cached : int;
-  per_category : (Query.category, category_stat) Hashtbl.t;
-}
-
-module Query_tbl = Hashtbl.Make (struct
+module Results = Parallel.Once.Make (Hashtbl.Make (struct
     type t = Query.t
     let equal = Query.equal
     let hash = Query.hash
-  end)
+  end))
 
 type 'hit t = {
-  table : 'hit list Query_tbl.t;
-  stats : 'hit stats;
-  lock : Mutex.t;
+  results : 'hit list Results.t;
+  per_category : category_stat array;
 }
 
 let create () =
-  { table = Query_tbl.create 256;
-    stats = { total = 0; cached = 0; per_category = Hashtbl.create 8 };
-    lock = Mutex.create () }
+  { results = Results.create 256;
+    per_category =
+      Array.init Query.n_categories (fun _ ->
+          { c_total = Atomic.make 0; c_cached = Atomic.make 0;
+            c_compute_ns = Atomic.make 0 }) }
 
 (* -- Domain-local issue counters -------------------------------------- *)
 
 (* Provenance needs per-slice query counts that are independent of how the
-   pool scheduled OTHER slices: the shared [stats] above cannot provide
-   that (under the mutex, which slice pays the one miss per distinct key is
+   pool scheduled OTHER slices: the shared counters above cannot provide
+   that (which slice pays the one miss per distinct key is
    scheduling-dependent), but a slice runs entirely on one domain, so
    domain-local counters deltaed around it are.  Module-global on purpose:
    a slice drives exactly one engine at a time, and "queries this domain
@@ -88,78 +77,63 @@ let local_counts () =
   { lc_total = l.l_total; lc_cached = l.l_cached;
     lc_by_cat = Array.copy l.l_by_cat }
 
-let cat_stat t cat =
-  match Hashtbl.find_opt t.stats.per_category cat with
-  | Some c -> c
-  | None ->
-    let c = { c_total = 0; c_cached = 0; c_compute_us = 0.0 } in
-    Hashtbl.replace t.stats.per_category cat c;
-    c
-
-let bump t cat ~was_cached =
-  let s = t.stats in
-  s.total <- s.total + 1;
-  if was_cached then s.cached <- s.cached + 1;
-  let c = cat_stat t cat in
-  c.c_total <- c.c_total + 1;
-  if was_cached then c.c_cached <- c.c_cached + 1
-
 (** Look up or compute the result of [query], recording statistics (misses
     additionally record the compute's wall-clock cost against their
     category). *)
 let find_or_add t query compute =
   let cat = Query.category query in
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) (fun () ->
-      match Query_tbl.find_opt t.table query with
-      | Some hits ->
-        bump t cat ~was_cached:true;
-        bump_local cat ~was_cached:true;
-        Obs.Metrics.incr m_hits;
-        hits
-      | None ->
-        bump t cat ~was_cached:false;
-        bump_local cat ~was_cached:false;
-        Obs.Metrics.incr m_misses;
+  let c = t.per_category.(Query.category_index cat) in
+  let missed = ref false in
+  let hits =
+    Results.find_or_add t.results query (fun _ ->
+        missed := true;
         let t0 = Unix.gettimeofday () in
         let hits = compute () in
         let elapsed_us = (Unix.gettimeofday () -. t0) *. 1e6 in
-        let c = cat_stat t cat in
-        c.c_compute_us <- c.c_compute_us +. elapsed_us;
+        ignore
+          (Atomic.fetch_and_add c.c_compute_ns
+             (int_of_float (elapsed_us *. 1e3)));
         Obs.Metrics.observe m_compute_us elapsed_us;
-        Query_tbl.replace t.table query hits;
         hits)
+  in
+  let was_cached = not !missed in
+  Atomic.incr c.c_total;
+  if was_cached then Atomic.incr c.c_cached;
+  bump_local cat ~was_cached;
+  Obs.Metrics.incr (if was_cached then m_hits else m_misses);
+  hits
 
 (** Drop every cached result (the statistics counters are kept — they
     describe work actually performed).  Used when the rule set driving the
     searches changes under a reused engine. *)
-let flush t =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) (fun () ->
-      Query_tbl.reset t.table)
+let flush t = Results.reset t.results
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let sum f t =
+  Array.fold_left (fun n c -> n + Atomic.get (f c)) 0 t.per_category
+
+let total_searches t = sum (fun c -> c.c_total) t
+let cached_searches t = sum (fun c -> c.c_cached) t
 
 (** Fraction of search commands served from cache, in [0, 1]. *)
 let cache_rate t =
-  with_lock t (fun () ->
-      if t.stats.total = 0 then 0.0
-      else float_of_int t.stats.cached /. float_of_int t.stats.total)
+  (* a hit counts its total first, so reading the cached count first keeps
+     it at most the total *)
+  let cached = cached_searches t in
+  let total = total_searches t in
+  if total = 0 then 0.0 else float_of_int cached /. float_of_int total
 
-let total_searches t = with_lock t (fun () -> t.stats.total)
-let cached_searches t = with_lock t (fun () -> t.stats.cached)
+(* The categories searched so far, in index order. *)
+let searched t f =
+  List.filter_map
+    (fun cat ->
+       let c = t.per_category.(Query.category_index cat) in
+       if Atomic.get c.c_total = 0 then None else Some (f cat c))
+    (Array.to_list Query.all_categories)
 
 let category_stats t =
-  with_lock t (fun () ->
-      Hashtbl.fold
-        (fun cat c acc -> (cat, c.c_total, c.c_cached) :: acc)
-        t.stats.per_category [])
+  searched t (fun cat c -> (cat, Atomic.get c.c_total, Atomic.get c.c_cached))
 
 (** Per-category accumulated compute cost (µs spent on cache misses). *)
 let category_timings t =
-  with_lock t (fun () ->
-      Hashtbl.fold
-        (fun cat c acc -> (cat, c.c_compute_us) :: acc)
-        t.stats.per_category [])
+  searched t (fun cat c ->
+      (cat, float_of_int (Atomic.get c.c_compute_ns) /. 1e3))

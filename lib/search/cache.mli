@@ -6,20 +6,21 @@
     counters the paper reports (average cache rate 23.39%, min 2.97%, max
     88.95%).
 
-    The cache is safe under concurrent use from multiple domains: lookups,
-    inserts and counter updates are serialized by an internal mutex, and
-    {!find_or_add} holds the lock across the compute of a miss, so each
-    distinct key is computed exactly once and the hit/miss totals are
-    independent of scheduling.  The compute function must therefore not
-    re-enter the cache. *)
+    The cache is safe under concurrent use from multiple domains: its
+    results are a keyed {!Parallel.Once} table, so a miss computes with no
+    lock held, while a domain that asks for the same key meanwhile waits
+    for that compute and counts a hit.  Each distinct key is computed
+    exactly once and the hit/miss totals are independent of scheduling.
+    The compute must not ask the cache for its own key. *)
 
 type 'hit t
 
 val create : unit -> 'a t
 
-(** Look up or compute the result of [query], recording statistics.
-    Atomic: a key's first lookup computes, every other lookup (from any
-    domain) is a cache hit. *)
+(** Look up or compute the result of [query], recording statistics.  A
+    key's first lookup computes, every other lookup (from any domain) is a
+    cache hit; a lookup of another key never waits for that compute.  A
+    compute that raises caches nothing and counts no search. *)
 val find_or_add : 'a t -> Query.t -> (unit -> 'a list) -> 'a list
 
 (** Drop every cached result; the statistics counters are kept (they

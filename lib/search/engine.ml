@@ -16,24 +16,16 @@
     every dexfile, cold, loaded or delta-built, renders on first read.  The
     packed layout is deterministic (keys sorted by symbol id, slots in
     arena order, each run's bytes a pure function of its slots), so a
-    sequential build, a sharded build, a delta patch and a snapshot load
-    produce byte-identical tables, and those tables are the snapshot
-    file's postings sections as they are.
+    build, a delta patch and a snapshot load produce byte-identical
+    tables, and those tables are the snapshot file's postings sections as
+    they are.
 
-    Each category's postings build lazily on the first query of that
-    category (double-checked under a build mutex), so an analysis that
-    never issues, say, a [Const_class] query never pays for that table.
-    {!export_packed} — the snapshot save and delta paths — builds whatever
-    is still missing, sharded over the engine's {!Parallel.Pool.t} when it
-    has one.
-
-    Lazy builds are deliberately sequential even when the engine holds a
-    pool: a lazy build can trigger inside a pool task (the per-sink fan-out)
-    while the cache and build mutexes are held, and sharding the build over
-    the same pool would let the builder's help-drain pop a foreign task that
-    re-enters those mutexes on the builder's own thread.  The arena makes
-    the sequential build a single pass over unboxed int vectors, so
-    laziness, not sharding, is where the time goes. *)
+    Each category's postings are a {!Parallel.Once} cell, built on the
+    first query of that category, so an analysis that never issues, say,
+    a [Const_class] query never pays for that table.  {!export_packed} —
+    the snapshot save and delta paths — builds whatever is still missing.
+    The arena makes a build a single sequential pass over unboxed int
+    vectors, so laziness is where the time goes. *)
 
 type hit = {
   line_no : int;
@@ -114,14 +106,13 @@ type postings = Packed.t
 type t = {
   dex : Dex.Dexfile.t;
   cache : hit Cache.t;
-  pool : Parallel.Pool.t option;  (** shards {!export_packed} builds only *)
   indexed : bool;
   load_mode : string option;
       (** postings installed wholesale (a snapshot load or delta patch):
           the label {!index_mode} reports; [None] = built in-process *)
-  tables : postings option Atomic.t array;  (** one slot per category *)
-  build_us : float array;  (** per-category build cost, set under the lock *)
-  build_lock : Mutex.t;
+  tables : postings Parallel.Once.t array;  (** one cell per category *)
+  build_us : float array;
+      (** per-category build cost, written before its cell fills *)
   ruleset : int option Atomic.t;
       (** content hash of the rule set this engine last searched under *)
 }
@@ -129,21 +120,18 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Postings construction                                               *)
 
-(* A deterministic two-pass counting sort over arena slots, then one
-   encoding pass.  Round 1 counts postings per operand sym id (per shard
-   when pooled); the sequential merge lays out the keys, each key's slot
-   range and per-shard write cursors; round 2 writes each shard's slots
-   into its disjoint region.  Slots ascend within a shard and shard regions
-   follow slice order, so every key's run is strictly ascending, and the
-   coded bytes — keys ascending by sym id, each run encoded from its slots
-   alone — are identical for sequential, sharded and snapshot-loaded
-   builds.  No per-posting allocation: the old bucket lists (a cons per
-   posting plus a hashtable probe per slot) made invocations, the densest
-   category, several times slower than the sparse ones. *)
+(* A deterministic counting sort over arena slots, then one encoding
+   pass.  The first pass counts postings per operand sym id; the keys are
+   laid out ascending, each with its range of slots; the second pass
+   writes each posting at its key's cursor.  Slots are visited in
+   ascending order, so every key's run is strictly ascending, and the
+   coded bytes — keys ascending by sym id, each run encoded from its
+   slots alone — are identical for built, delta-patched and
+   snapshot-loaded tables.  No per-posting allocation. *)
 
 (* Growable dense counter indexed by sym id; [maxk] bounds the occupied
-   prefix the merge walks.  Growth matters only for class tokens, which can
-   meet token symbols beyond the arena's operand ids. *)
+   prefix the layout walks.  Growth matters only for class tokens, which
+   can meet token symbols beyond the arena's operand ids. *)
 type counts = { mutable c : int array; mutable maxk : int }
 
 let counts_create () =
@@ -166,7 +154,7 @@ let cat_member c =
 
 (* Apply [f key slot] to each posting of category [c] in slots
    [lo .. hi-1], in slot order — the one definition of what a category
-   indexes, shared by the counting, filling and delta passes. *)
+   indexes, shared by the build and delta passes. *)
 let iter_postings (dex : Dex.Dexfile.t) c ~lo ~hi f =
   let a : Dex.Arena.t = dex.arena in
   if c = cat_class_tokens then Dex.Dexfile.iter_tokens dex ~lo ~hi f
@@ -178,140 +166,71 @@ let iter_postings (dex : Dex.Dexfile.t) c ~lo ~hi f =
     done
   end
 
-let shard_count dex c ~lo ~hi =
-  let cnt = counts_create () in
-  iter_postings dex c ~lo ~hi (fun k _ -> counts_bump cnt k);
-  cnt
-
-(* [cursor.(k)] is this shard's next write position for key [k] (absolute
-   into [slots]); fills advance it monotonically. *)
-let shard_fill dex c ~lo ~hi ~cursor ~slots =
-  iter_postings dex c ~lo ~hi (fun k slot ->
-      let p = Array.unsafe_get cursor k in
-      Ivec.set slots p slot;
-      Array.unsafe_set cursor k (p + 1))
-
-(* Shards below this size are not worth the merge traffic. *)
-let min_shard_slots = 2048
-
-let build_postings ?pool dex c =
+let build_postings dex c =
   let n = Dex.Arena.length dex.Dex.Dexfile.arena in
-  let chunks =
-    match pool with
-    | Some pool
-      when Parallel.Pool.is_active pool
-           && Parallel.Pool.jobs pool > 1
-           && n >= 2 * min_shard_slots ->
-      min (Parallel.Pool.jobs pool) (max 1 (n / min_shard_slots))
-    | Some _ | None -> 1
-  in
-  let ranges =
-    Array.init chunks (fun i ->
-        (i * n / chunks, (i + 1) * n / chunks))
-  in
-  let map f args =
-    match pool with
-    | Some pool when chunks > 1 -> Parallel.Pool.parallel_map pool f args
-    | Some _ | None -> Array.map f args
-  in
-  (* round 1: per-shard counts *)
-  let counted =
-    map (fun (lo, hi) -> shard_count dex c ~lo ~hi) ranges
-  in
-  let maxk = Array.fold_left (fun m cnt -> max m cnt.maxk) (-1) counted in
-  let total = Array.make (maxk + 1) 0 in
-  Array.iter
-    (fun cnt ->
-       for k = 0 to cnt.maxk do
-         total.(k) <- total.(k) + Array.unsafe_get cnt.c k
-       done)
-    counted;
-  (* layout: keys ascending by sym id, slot ranges from the running total *)
+  let cnt = counts_create () in
+  iter_postings dex c ~lo:0 ~hi:n (fun k _ -> counts_bump cnt k);
   let nk = ref 0 in
-  for k = 0 to maxk do
-    if total.(k) > 0 then incr nk
+  for k = 0 to cnt.maxk do
+    if cnt.c.(k) > 0 then incr nk
   done;
   let keys = Ivec.create !nk in
   let flat = Array.make (!nk + 1) 0 in
-  (* [running.(k)]: absolute write position of key [k]'s next unwritten
-     slot; starts at the key's range start, advanced per shard below *)
-  let running = Array.make (maxk + 1) 0 in
+  (* each key's count becomes its write cursor, from its range's start *)
+  let cursor = cnt.c in
   let ki = ref 0 and pos = ref 0 in
-  for k = 0 to maxk do
-    if total.(k) > 0 then begin
+  for k = 0 to cnt.maxk do
+    let count = cursor.(k) in
+    if count > 0 then begin
       Ivec.set keys !ki k;
-      running.(k) <- !pos;
-      pos := !pos + total.(k);
+      cursor.(k) <- !pos;
+      pos := !pos + count;
       flat.(!ki + 1) <- !pos;
       incr ki
     end
   done;
   let slots = Ivec.create !pos in
-  (* round 2: each shard writes its disjoint region per key *)
-  let fills =
-    Array.mapi
-      (fun i (lo, hi) ->
-         let cnt = counted.(i) in
-         let cursor = Array.copy running in
-         for k = 0 to cnt.maxk do
-           running.(k) <- running.(k) + Array.unsafe_get cnt.c k
-         done;
-         (lo, hi, cursor))
-      ranges
-  in
-  ignore
-    (map
-       (fun (lo, hi, cursor) -> shard_fill dex c ~lo ~hi ~cursor ~slots)
-       fills);
+  iter_postings dex c ~lo:0 ~hi:n (fun k slot ->
+      let p = Array.unsafe_get cursor k in
+      Ivec.set slots p slot;
+      Array.unsafe_set cursor k (p + 1));
   Packed.encode ~keys ~flat ~slots
 
 let m_builds = Obs.Metrics.counter "search.postings.builds"
 let m_slots = Obs.Metrics.counter "search.postings.slots"
 let m_bytes = Obs.Metrics.counter "search.postings.bytes"
 
-(* Double-checked lazy build.  [pool] is passed only from {!export_packed};
-   query-time builds run sequentially (see the module comment). *)
-let ensure_category ?pool t c =
-  match Atomic.get t.tables.(c) with
-  | Some p -> p
-  | None ->
-    Mutex.lock t.build_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.build_lock) (fun () ->
-        match Atomic.get t.tables.(c) with
-        | Some p -> p
-        | None ->
-          let span0 = Obs.Span.start () in
-          let t0 = Unix.gettimeofday () in
-          let p = build_postings ?pool t.dex c in
-          t.build_us.(c) <- (Unix.gettimeofday () -. t0) *. 1e6;
-          let n_slots = Packed.n_slots p in
-          Obs.Metrics.incr m_builds;
-          Obs.Metrics.add m_slots n_slots;
-          Obs.Metrics.add m_bytes (Packed.bytes p);
-          Obs.Span.emit ~cat:"search" ~name:("build:" ^ category_name c)
-            ~attrs:[ ("keys", Obs.Span.Int (Packed.n_keys p));
-                     ("slots", Obs.Span.Int n_slots) ]
-            span0;
-          Atomic.set t.tables.(c) (Some p);
-          p)
+let ensure_category t c =
+  Parallel.Once.get t.tables.(c) (fun () ->
+      let span0 = Obs.Span.start () in
+      let t0 = Unix.gettimeofday () in
+      let p = build_postings t.dex c in
+      t.build_us.(c) <- (Unix.gettimeofday () -. t0) *. 1e6;
+      let n_slots = Packed.n_slots p in
+      Obs.Metrics.incr m_builds;
+      Obs.Metrics.add m_slots n_slots;
+      Obs.Metrics.add m_bytes (Packed.bytes p);
+      Obs.Span.emit ~cat:"search" ~name:("build:" ^ category_name c)
+        ~attrs:[ ("keys", Obs.Span.Int (Packed.n_keys p));
+                 ("slots", Obs.Span.Int n_slots) ]
+        span0;
+      p)
 
-let make ?pool ~indexed ~load_mode dex tables =
-  { dex; cache = Cache.create (); pool; indexed; load_mode;
-    tables = Array.map Atomic.make tables;
+let make ~indexed ~load_mode dex tables =
+  { dex; cache = Cache.create (); indexed; load_mode; tables;
     build_us = Array.make n_categories 0.0;
-    build_lock = Mutex.create ();
     ruleset = Atomic.make None }
 
 (* A scan engine reads the text from its first query on: render it now,
    so that preprocessing, not the first query, pays for it. *)
-let create ?(indexed = true) ?pool dex =
+let create ?(indexed = true) dex =
   if not indexed then ignore (Dex.Dexfile.text dex : Dex.Textstore.t);
-  make ?pool ~indexed ~load_mode:None dex (Array.make n_categories None)
+  make ~indexed ~load_mode:None dex
+    (Array.init n_categories (fun _ -> Parallel.Once.make ()))
 
 (** All seven categories in packed form, building any not yet built — the
     snapshot subsystem's save-side view of the index. *)
-let export_packed t =
-  Array.init n_categories (fun c -> ensure_category ?pool:t.pool t c)
+let export_packed t = Array.init n_categories (ensure_category t)
 
 (* An engine whose postings were installed wholesale (a snapshot load or a
    delta patch) rather than built from the arena.  Queries behave exactly
@@ -319,7 +238,8 @@ let export_packed t =
 let install ~mode dex tables =
   if Array.length tables <> n_categories then
     invalid_arg "Engine.create_packed: expected one table per category";
-  make ~indexed:true ~load_mode:(Some mode) dex (Array.map Option.some tables)
+  make ~indexed:true ~load_mode:(Some mode) dex
+    (Array.map Parallel.Once.filled tables)
 
 let create_packed dex tables = install ~mode:"snapshot" dex tables
 
@@ -690,26 +610,24 @@ let index_mode t =
 
 let built_categories t =
   Array.fold_left
-    (fun n slot -> if Atomic.get slot <> None then n + 1 else n)
+    (fun n cell -> if Parallel.Once.peek cell <> None then n + 1 else n)
     0 t.tables
 
 (* Bytes held by the postings built so far (mapped or heap-side). *)
 let postings_footprint t =
   Array.fold_left
-    (fun n slot ->
-       match Atomic.get slot with
+    (fun n cell ->
+       match Parallel.Once.peek cell with
        | None -> n
        | Some p -> n + Packed.bytes p)
     0 t.tables
 
 let index_build_timings t =
-  Mutex.lock t.build_lock;
   let timings = ref [] in
   for c = n_categories - 1 downto 0 do
-    if Atomic.get t.tables.(c) <> None then
+    if Parallel.Once.peek t.tables.(c) <> None then
       timings := (category_name c, t.build_us.(c)) :: !timings
   done;
-  Mutex.unlock t.build_lock;
   !timings
 
 let cache_rate t = Cache.cache_rate t.cache

@@ -5,10 +5,10 @@
     Two execution modes:
     - {b indexed} (default): per-category postings — operand symbol id to
       the {!Postcodec}-coded run of its slots in the dexfile's hit
-      {!Dex.Arena} — each built on the first query of that category,
-      double-checked under a build mutex.  Categories never queried are
-      never built.  A snapshot load or a delta patch installs all seven at
-      once, in the same layout.
+      {!Dex.Arena} — each a {!Parallel.Once} cell, built on the first
+      query of that category.  Categories never queried are never built.
+      A snapshot load or a delta patch installs all seven at once, in the
+      same layout.
     - {b scan} ([indexed:false]): every query scans the dexfile's text
       store, like the paper's prototype shelling out to grep — the test
       oracle and the search-cost ablation baseline.
@@ -39,34 +39,29 @@ type t
     operand symbol ids; key [k]'s slots, strictly ascending in arena order,
     are the self-contained {!Postcodec} run at bytes
     [offsets.(k) .. offsets.(k+1)-1] of [runs] (varint deltas or bitmap
-    words), decoded on demand.  This is the only layout: lazy, sharded and
+    words), decoded on demand.  This is the only layout: lazy and
     delta-patched builds produce it, and it is the snapshot file's postings
-    sections as they are, so sequential, pool-sharded, delta and
-    snapshot-loaded tables of the same arena are byte-identical.  All
-    vectors are off-heap. *)
+    sections as they are, so built, delta and snapshot-loaded tables of
+    the same arena are byte-identical.  All vectors are off-heap. *)
 module Packed : sig
   type t = { keys : Ivec.t; offsets : Ivec.t; runs : Bvec.t }
 end
 
 (** Build an indexed engine over a disassembled app ([indexed:false]: a
     scan engine, which renders the dexfile's text now, so that creating
-    it, not its first query, pays for that).  Postings build lazily, sequentially, on each category's
-    first query — such a build can trigger inside pool tasks, where sharding
-    over the same pool could re-enter the engine's locks (see engine.ml).
-    [pool] shards {!export_packed}'s builds across the pool's domains
-    (per-domain slices of the hit arena counted into domain-local tables,
-    then merged in slice order); the resulting postings are identical to
-    the sequential build.  The class-tokens postings read the tokens the
-    dexfile kept at render time ([Dex.Dexfile.iter_tokens]), so their build
-    over a dexfile not rendered in this process raises [Invalid_argument];
-    snapshot and delta engines install them instead.  Queries against the
-    engine are safe from multiple domains: the query cache is mutex-guarded
-    and hit/miss counters are scheduling-independent. *)
-val create : ?indexed:bool -> ?pool:Parallel.Pool.t -> Dex.Dexfile.t -> t
+    it, not its first query, pays for that).  Postings build lazily, in
+    one sequential pass over the arena, on each category's first query.
+    The class-tokens postings read the tokens the dexfile kept at render
+    time ([Dex.Dexfile.iter_tokens]), so their build over a dexfile not
+    rendered in this process raises [Invalid_argument]; snapshot and delta
+    engines install them instead.  Queries against the engine are safe
+    from multiple domains: a query waits only for a build or a search of
+    its own category or key, never for another key's, and hit/miss
+    counters are scheduling-independent. *)
+val create : ?indexed:bool -> Dex.Dexfile.t -> t
 
 (** All seven categories in packed form, in category order, building any not
-    yet built (sharded over the engine's pool when it has one) — the
-    snapshot save path. *)
+    yet built — the snapshot save path. *)
 val export_packed : t -> Packed.t array
 
 (** An indexed engine whose postings are installed wholesale — the snapshot

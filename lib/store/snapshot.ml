@@ -250,7 +250,18 @@ let save ?ruleset_hash ?(results = [||]) ~path engine =
   let dex = Engine.dexfile engine in
   let packed = Engine.export_packed engine in
   let arena = dex.Dex.Dexfile.arena in
-  let syms = Sym.dump () in
+  (* The symbols the index references: each keyed slot's operand is a key
+     of its category and keys ascend, so the last keys bound them all.
+     Symbols interned after the index pass (by a parallel analysis, in
+     scheduling order) stay out of the file. *)
+  let syms =
+    Sym.dump
+      (Array.fold_left
+         (fun n (p : Packed.t) ->
+            let nk = Ivec.length p.Packed.keys in
+            if nk = 0 then n else max n (Ivec.get p.Packed.keys (nk - 1) + 1))
+         0 packed)
+  in
   let sections =
     List.concat
       [ [ Codec.ints ~id:sec_meta

@@ -35,9 +35,14 @@
     version check. *)
 val default_path : dir:string -> app_id:string -> string
 
-(** Serialize [engine]'s symbol table, arena, classmap and all seven
-    postings categories (building any not yet built, the classmap
-    included) to [path], atomically, in format {!Codec.format_version}.
+(** Serialize [engine]'s symbols, arena, classmap and all seven postings
+    categories (building any not yet built, the classmap included) to
+    [path], atomically, in format {!Codec.format_version}.  The symbols
+    are the process's table up to the highest id a postings key holds,
+    which bounds every id the arena holds too: symbols interned after the
+    index pass, as a parallel analysis interns them in scheduling order,
+    stay out, so saving one engine gives the same bytes at any
+    [--jobs].
     Returns the file size in bytes.  Every section streams from where the
     engine holds it — arena columns and postings runs as they are, and the
     owner table's stored entries (a loaded engine's, and those a delta

@@ -119,39 +119,20 @@ let interned () =
   Mutex.unlock lock;
   n
 
-let dump () =
-  Mutex.lock lock;
-  let n = !next in
-  Mutex.unlock lock;
+let dump n =
+  if n < 0 || n > interned () then invalid_arg "Sym.dump";
   (* ids < n are fully published, so the copies need no lock *)
   Array.init n to_string
 
 let memo (type a) ?(size = 256) ~(hash : a -> int) ~(equal : a -> a -> bool)
     (render : a -> string) =
-  let module H = Hashtbl.Make (struct
-    type t = a
-    let hash = hash
-    let equal = equal
-  end) in
-  let tbl = H.create size in
-  let mlock = Mutex.create () in
-  fun x ->
-    Mutex.lock mlock;
-    match H.find_opt tbl x with
-    | Some s ->
-      Mutex.unlock mlock;
-      s
-    | None ->
-      let r =
-        match render x with
-        | s -> Ok (intern s)
-        | exception e -> Error e
-      in
-      (match r with
-       | Ok s ->
-         H.replace tbl x s;
-         Mutex.unlock mlock;
-         s
-       | Error e ->
-         Mutex.unlock mlock;
-         raise e)
+  let module T =
+    Parallel.Once.Make (Hashtbl.Make (struct
+      type t = a
+      let hash = hash
+      let equal = equal
+    end))
+  in
+  let tbl = T.create size in
+  let compute x = intern (render x) in
+  fun x -> T.find_or_add tbl x compute

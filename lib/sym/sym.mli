@@ -57,17 +57,21 @@ val unsafe_of_id : int -> t
 (** Number of symbols interned so far, process-wide. *)
 val interned : unit -> int
 
-(** The interned strings of every symbol so far, indexed by id.  Snapshot
-    save writes this whole table; loading re-interns the strings in id
-    order, which re-creates identical ids in a process whose table evolved
-    the same way (and yields a remap table otherwise). *)
-val dump : unit -> string array
+(** [dump n] is the interned strings of ids [\[0, n)], indexed by id.
+    A snapshot save writes the ids up to the highest its index references;
+    loading re-interns the strings in id order, which re-creates identical
+    ids in a process whose table evolved the same way up to there (and
+    yields a remap table otherwise).  Raises [Invalid_argument] unless
+    [0 <= n <= interned ()]. *)
+val dump : int -> string array
 
 (** [memo ~hash ~equal render] is a domain-safe memoized [fun x ->
     intern (render x)]: each distinct key renders (and allocates) its
-    string exactly once, after which lookups cost one table probe.  Used to
-    symbolize signature rendering ([Jsig.meth] → dexdump signature) in the
-    query hot path. *)
+    string exactly once, after which lookups cost one table probe under
+    the table's lock.  The render and the intern run outside that lock
+    (a keyed {!Parallel.Once} table), so a lookup of another key never
+    waits for them.  Used to symbolize signature rendering ([Jsig.meth]
+    → dexdump signature) in the query hot path. *)
 val memo :
   ?size:int ->
   hash:('a -> int) ->

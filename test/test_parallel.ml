@@ -1,7 +1,7 @@
 (* Tests for the parallel subsystem: the domain pool combinators, and the
    jobs=1 vs jobs=N determinism guarantee across every layer that fans out —
-   the sharded index build, the per-sink-group driver, and the per-app
-   experiment grid. *)
+   concurrent queries on one engine, the per-sink-group driver, and the
+   per-app experiment grid. *)
 
 module Pool = Parallel.Pool
 module G = Appgen.Generator
@@ -28,47 +28,6 @@ let test_map_order () =
   Pool.with_pool ~jobs:1 (fun pool ->
       Alcotest.(check (array int)) "sequential pool agrees" expect
         (Pool.parallel_map pool (fun i -> i * i) input))
-
-let test_ranges_cover () =
-  Pool.with_pool ~jobs:test_jobs (fun pool ->
-      List.iter
-        (fun (n, chunks) ->
-           let ranges =
-             Pool.parallel_ranges pool ?chunks ~n (fun ~lo ~hi -> (lo, hi))
-           in
-           (* contiguous, ordered, covering [0, n) exactly *)
-           let final =
-             List.fold_left
-               (fun expected_lo (lo, hi) ->
-                  Alcotest.(check int)
-                    (Printf.sprintf "contiguous at %d (n=%d)" lo n)
-                    expected_lo lo;
-                  Alcotest.(check bool) "non-empty range" true (hi > lo);
-                  hi)
-               0 ranges
-           in
-           Alcotest.(check int) (Printf.sprintf "covers n=%d" n) n final)
-        [ (1, None); (7, None); (7, Some 100); (1000, Some 3); (5, Some 1);
-          (4, Some 4); (3, Some 2) ];
-      Alcotest.(check (list (pair int int))) "n=0 is empty" []
-        (Pool.parallel_ranges pool ~n:0 (fun ~lo ~hi -> (lo, hi))))
-
-let test_chunks_edge_cases () =
-  let input = Array.init 97 (fun i -> i) in
-  Pool.with_pool ~jobs:test_jobs (fun pool ->
-      List.iter
-        (fun chunk_size ->
-           let chunks =
-             Pool.parallel_chunks pool ?chunk_size Array.to_list input
-           in
-           Alcotest.(check (list int))
-             (Printf.sprintf "chunks concat (size=%s)"
-                (match chunk_size with
-                 | Some c -> string_of_int c
-                 | None -> "default"))
-             (Array.to_list input)
-             (List.concat chunks))
-        [ None; Some 1; Some 7; Some 97; Some 1000 ])
 
 let test_exception_propagation () =
   Pool.with_pool ~jobs:test_jobs (fun pool ->
@@ -101,6 +60,92 @@ let test_nested_map () =
         Array.init 4 (fun b -> (50 * 100 * b) + (50 * 49 / 2))
       in
       Alcotest.(check (array int)) "nested batches settle" expect out)
+
+(* ------------------------------------------------------------------ *)
+(* Once                                                                *)
+
+module Once = Parallel.Once
+module Int_once = Once.Make (Hashtbl.Make (Int))
+
+(* Whether [flag] is set within [seconds]: a bounded wait, so that a
+   test of code that would block forever fails instead. *)
+let await ?(seconds = 5.0) flag =
+  let deadline = Unix.gettimeofday () +. seconds in
+  while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  Atomic.get flag
+
+(* [test_jobs] domains released at once, each running [f]. *)
+let race f =
+  let go = Atomic.make false in
+  let domains =
+    List.init test_jobs (fun _ ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get go) do Domain.cpu_relax () done;
+            f ()))
+  in
+  Atomic.set go true;
+  List.map Domain.join domains
+
+(* Racing domains share one compute: the slow compute keeps the others
+   arriving while it is pending, and they take its value. *)
+let test_once_computes_once () =
+  let computes = Atomic.make 0 in
+  let slow v () =
+    Atomic.incr computes;
+    Unix.sleepf 0.02;
+    ref v
+  in
+  let table = Int_once.create 8 in
+  let cell = Once.make () in
+  let check what got =
+    Alcotest.(check int) (what ^ ": one compute") 1 (Atomic.get computes);
+    Alcotest.(check bool) (what ^ ": one value for all") true
+      (List.for_all (fun v -> v == List.hd got) got);
+    Atomic.set computes 0
+  in
+  check "keyed"
+    (race (fun () -> Int_once.find_or_add table 7 (fun k -> slow k ())));
+  check "single" (race (fun () -> Once.get cell (slow 42)));
+  Alcotest.(check (option int)) "the cell is filled" (Some 42)
+    (Option.map ( ! ) (Once.peek cell))
+
+(* A compute that raises leaves the key absent and re-raises to its own
+   caller; a caller that waited on it computes again. *)
+let test_once_failure_retries () =
+  let table = Int_once.create 8 in
+  let started = Atomic.make false in
+  let computes = Atomic.make 0 in
+  let waiter =
+    Domain.spawn (fun () ->
+        ignore (await started);
+        Int_once.find_or_add table 1 (fun _ ->
+            Atomic.incr computes;
+            "second"))
+  in
+  (match
+     Int_once.find_or_add table 1 (fun _ ->
+         Atomic.incr computes;
+         Atomic.set started true;
+         Unix.sleepf 0.05;
+         failwith "first")
+   with
+   | _ -> Alcotest.fail "the compute's exception was lost"
+   | exception Failure m ->
+     Alcotest.(check string) "the caller gets its exception" "first" m);
+  Alcotest.(check string) "the waiter recomputed" "second"
+    (Domain.join waiter);
+  Alcotest.(check int) "two computes" 2 (Atomic.get computes);
+  Alcotest.(check string) "the key holds the recomputed value" "second"
+    (Int_once.find_or_add table 1 (fun _ -> "third"));
+  let cell = Once.make () in
+  (match Once.get cell (fun () -> failwith "empty") with
+   | _ -> Alcotest.fail "the cell's exception was lost"
+   | exception Failure _ -> ());
+  Alcotest.(check (option int)) "a failed cell stays empty" None
+    (Once.peek cell);
+  Alcotest.(check int) "and computes again" 5 (Once.get cell (fun () -> 5))
 
 let fixture_app ?(filler = 30) ?(seed = 11) () =
   let rng = Appgen.Rng.create (seed * 31) in
@@ -155,7 +200,7 @@ let test_async_on_workers () =
   Alcotest.(check bool) "shut-down pool refuses" true (refused pool)
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: sharded index build                                    *)
+(* Engines                                                             *)
 
 let hit_fingerprint (h : Bytesearch.Engine.hit) =
   Printf.sprintf "%d:%s:%s:%s" h.line_no
@@ -173,29 +218,10 @@ let check_packed_equal what (a : Bytesearch.Engine.Packed.t)
   Alcotest.(check string) (what ^ ": runs") (Bvec.to_string a.P.runs)
     (Bvec.to_string b.P.runs)
 
-let test_sharded_index () =
-  (* ~9k dex lines: an arena above twice the engine's 2048-slot minimum
-     shard, so a pooled export splits into [test_jobs] shards *)
-  let app = fixture_app ~filler:65 () in
-  Alcotest.(check bool) "arena large enough to shard" true
-    (Dex.Arena.length app.G.dex.Dex.Dexfile.arena > 2 * 2048);
-  let seq =
-    Bytesearch.Engine.export_packed (Bytesearch.Engine.create app.G.dex)
-  in
-  Pool.with_pool ~jobs:test_jobs (fun pool ->
-      let par =
-        Bytesearch.Engine.export_packed
-          (Bytesearch.Engine.create ~pool app.G.dex)
-      in
-      Array.iteri
-        (fun c p ->
-           check_packed_equal (Printf.sprintf "category %d" c) p par.(c))
-        seq)
-
 (* ------------------------------------------------------------------ *)
 (* Property: every query kind returns identical hits under unindexed scan,
-   lazy postings, a mapped snapshot and a delta-patched index, with and
-   without a worker pool.  The query set is exhaustive over the program:
+   lazy postings, a mapped snapshot and a delta-patched index, from one
+   domain and from four at once.  The query set is exhaustive over the program:
    one invocation query per app method, one class-shaped query per app
    class per kind, one field query per field per kind, plus const-string
    and raw probes (including strings containing ", " — the operand-split
@@ -246,12 +272,11 @@ let test_mode_equivalence () =
     ~finally:(fun () -> try Sys.remove snap_path with Sys_error _ -> ())
   @@ fun () ->
   ignore (Store.Snapshot.save ~path:snap_path (E.create app.G.dex));
-  let load_snapshot () =
+  let snap_seq =
     match Store.Snapshot.load ~path:snap_path app.G.program with
     | Ok e -> e
     | Error e -> Alcotest.failf "snapshot load: %s" (Store.Codec.error_to_string e)
   in
-  let snap_seq = load_snapshot () in
   (* an index delta-patched from an older app version.
      Snapshot a mutated variant (the "v1" build), then patch it toward
      [app] so changed classes genuinely re-render while the rest splice. *)
@@ -287,39 +312,75 @@ let test_mode_equivalence () =
   Alcotest.(check string) "second-generation delta text == cold render"
     (Dex.Dexfile.to_string (Dex.Dexfile.of_program old_app.G.program))
     (text (delta_of "second generation" delta_file old_app.G.program));
-  Pool.with_pool ~jobs:test_jobs (fun pool ->
-      let lazy_pool = E.create ~pool app.G.dex in
-      let snap_pool = load_snapshot () in
-      let engines =
-        [ ("lazy/jobs=1", lazy_seq); ("snapshot/jobs=1", snap_seq);
-          ("delta-file/jobs=1", delta_file);
-          ("delta-resident/jobs=1", delta_resident);
-          ("lazy/jobs=4", lazy_pool); ("snapshot/jobs=4", snap_pool) ]
-      in
-      Alcotest.(check bool) "non-trivial query set" true
-        (List.length queries > 50);
-      List.iter
-        (fun q ->
-           let expect =
-             List.map hit_fingerprint (E.run_uncached scan q)
-           in
-           List.iter
-             (fun (name, e) ->
-                Alcotest.(check (list string))
-                  (Printf.sprintf "%s agrees with scan on %s" name
-                     (Q.to_command q))
-                  expect
-                  (List.map hit_fingerprint (E.run_uncached e q)))
-             engines)
-        queries;
-      Alcotest.(check int) "lazy built every queried category" 7
-        (E.built_categories lazy_pool);
-      Alcotest.(check int) "snapshot loaded every category" 7
-        (E.built_categories snap_pool);
-      Alcotest.(check int) "delta carried every category" 7
-        (E.built_categories delta_file);
-      Alcotest.(check string) "delta engine reports its mode" "delta"
-        (E.index_mode delta_resident))
+  let expect =
+    Array.of_list
+      (List.map
+         (fun q -> List.map hit_fingerprint (E.run_uncached scan q))
+         queries)
+  in
+  Alcotest.(check bool) "non-trivial query set" true (Array.length expect > 50);
+  List.iter
+    (fun (name, e) ->
+       List.iteri
+         (fun i q ->
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s agrees with scan on %s" name
+                 (Q.to_command q))
+              expect.(i)
+              (List.map hit_fingerprint (E.run_uncached e q)))
+         queries)
+    [ ("lazy", lazy_seq); ("snapshot", snap_seq); ("delta-file", delta_file);
+      ("delta-resident", delta_resident) ];
+  Alcotest.(check int) "snapshot loaded every category" 7
+    (E.built_categories snap_seq);
+  Alcotest.(check int) "delta carried every category" 7
+    (E.built_categories delta_file);
+  Alcotest.(check string) "delta engine reports its mode" "delta"
+    (E.index_mode delta_resident);
+  (* One fresh lazy engine, asked every query by four domains at once:
+     two start at the first query and two halfway, so they race on the
+     same keys and on the same category builds. *)
+  let shared = E.create app.G.dex in
+  let builds () =
+    Option.value ~default:0
+      (List.assoc_opt "search.postings.builds"
+         (Obs.Metrics.snapshot ()).Obs.Metrics.counters)
+  in
+  let builds0 = builds () in
+  let qs = Array.of_list queries in
+  let n = Array.length qs in
+  let go = Atomic.make false in
+  let ask d () =
+    while not (Atomic.get go) do Domain.cpu_relax () done;
+    let got = Array.make n [] in
+    let offset = d mod 2 * (n / 2) in
+    for i = 0 to n - 1 do
+      let j = (i + offset) mod n in
+      got.(j) <- List.map hit_fingerprint (E.run shared qs.(j))
+    done;
+    got
+  in
+  let domains = List.init test_jobs (fun d -> Domain.spawn (ask d)) in
+  Atomic.set go true;
+  List.iteri
+    (fun d got ->
+       Array.iteri
+         (fun j hits ->
+            Alcotest.(check (list string))
+              (Printf.sprintf "domain %d agrees with scan on %s" d
+                 (Q.to_command qs.(j)))
+              expect.(j) hits)
+         got)
+    (List.map Domain.join domains);
+  Alcotest.(check int) "each category built once" 7 (builds () - builds0);
+  Alcotest.(check int) "every query counted" (test_jobs * n)
+    (E.total_searches shared);
+  let module Distinct = Hashtbl.Make (Q) in
+  let distinct = Distinct.create n in
+  Array.iter (fun q -> Distinct.replace distinct q ()) qs;
+  Alcotest.(check int) "one miss per distinct query"
+    ((test_jobs * n) - Distinct.length distinct)
+    (E.cached_searches shared)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: Driver.analyze                                         *)
@@ -407,14 +468,14 @@ let test_corpus_determinism () =
 let cases =
   [ Alcotest.test_case "map: empty input" `Quick test_map_empty;
     Alcotest.test_case "map: order preserved" `Quick test_map_order;
-    Alcotest.test_case "ranges: exact cover" `Quick test_ranges_cover;
-    Alcotest.test_case "chunks: edge sizes" `Quick test_chunks_edge_cases;
     Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
     Alcotest.test_case "nested batches" `Quick test_nested_map;
     Alcotest.test_case "async runs only on workers" `Quick
       test_async_on_workers;
-    Alcotest.test_case "sharded index == sequential index" `Quick
-      test_sharded_index;
+    Alcotest.test_case "once: racing domains compute once" `Quick
+      test_once_computes_once;
+    Alcotest.test_case "once: a failed compute is retried" `Quick
+      test_once_failure_retries;
     Alcotest.test_case
       "scan == lazy == snapshot == delta at jobs=1 and jobs=4"
       `Quick test_mode_equivalence;

@@ -98,6 +98,33 @@ let test_cache_categories () =
   Alcotest.(check bool) "field category present" true (List.mem Q.Cat_field cats);
   Alcotest.(check bool) "class category present" true (List.mem Q.Cat_class cats)
 
+(* A miss computes with no lock held: while key A's compute waits for a
+   latch, another domain's lookup of key B returns and then releases the
+   latch.  The wait is bounded, so a cache that holds a lock across a
+   compute fails here instead of hanging. *)
+let test_cache_miss_holds_no_lock () =
+  let module C = Bytesearch.Cache in
+  let cache : int C.t = C.create () in
+  let started = Atomic.make false and released = Atomic.make false in
+  let other =
+    Domain.spawn (fun () ->
+        ignore (Test_parallel.await started);
+        ignore
+          (C.find_or_add cache (Q.invocation "Llatch/B;.m:()V") (fun () ->
+               []));
+        Atomic.set released true)
+  in
+  let seen =
+    C.find_or_add cache (Q.invocation "Llatch/A;.m:()V") (fun () ->
+        Atomic.set started true;
+        [ Bool.to_int (Test_parallel.await released) ])
+  in
+  Domain.join other;
+  Alcotest.(check (list int)) "B's lookup returned during A's compute" [ 1 ]
+    seen;
+  Alcotest.(check (pair int int)) "two searches, both misses" (2, 0)
+    (C.total_searches cache, C.cached_searches cache)
+
 let test_command_rendering () =
   Alcotest.(check bool) "commands are distinct cache keys" true
     (not
@@ -209,6 +236,8 @@ let unit_cases =
     Alcotest.test_case "no hits" `Quick test_no_hits;
     Alcotest.test_case "cache hits" `Quick test_cache_hits;
     Alcotest.test_case "cache categories" `Quick test_cache_categories;
+    Alcotest.test_case "cache: a miss blocks no other key" `Quick
+      test_cache_miss_holds_no_lock;
     Alcotest.test_case "command rendering" `Quick test_command_rendering;
     Alcotest.test_case "conjunctive planner semantics" `Quick
       test_conj_planner;

@@ -234,6 +234,24 @@ let test_roundtrip_identical () =
   Alcotest.(check bool) "save -> load -> save is byte-identical" true
     (read_all path = read_all path2)
 
+(* A save writes the symbols its index references and no others: a
+   symbol interned between two saves of one engine, as a parallel
+   analysis interns them in scheduling order, leaves the bytes as they
+   were. *)
+let test_save_ignores_later_symbols () =
+  let app = fixture_app ~seed:53 () in
+  let engine = E.create app.G.dex in
+  let path = Filename.temp_file "backdroid_syms" ".bdix" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  ignore (Store.Snapshot.save ~path engine);
+  let first = read_all path in
+  ignore (Sym.intern (Printf.sprintf "Lunrelated/Later%d;" (Sym.interned ())));
+  ignore (Store.Snapshot.save ~path engine);
+  Alcotest.(check bool) "same bytes after an unrelated intern" true
+    (first = read_all path)
+
 let report_fingerprint (r : Driver.sink_report) =
   Printf.sprintf "%s@%s:%d reachable=%b fact=%s verdict=%s"
     r.sink.Framework.Sinks.name
@@ -1369,6 +1387,8 @@ let cases =
       test_rejects_corruption;
     Alcotest.test_case "save -> load -> save is byte-identical" `Quick
       test_roundtrip_identical;
+    Alcotest.test_case "a save writes only the symbols it references"
+      `Quick test_save_ignores_later_symbols;
     Alcotest.test_case "warm analyze == cold analyze" `Quick
       test_warm_analyze_equals_cold;
     Alcotest.test_case "v1 files are refused as Bad_version 1" `Quick

@@ -111,6 +111,34 @@ let test_concurrent_intern () =
          (Sym.id (Option.get (Sym.find s))))
     ids
 
+(* A memo renders with no lock held: while key A's render waits for a
+   latch, another domain's lookup of key B returns and then releases the
+   latch.  The wait is bounded, so a memo that holds its table lock
+   across a render fails here instead of hanging. *)
+let test_memo_render_holds_no_lock () =
+  let started = Atomic.make false and released = Atomic.make false in
+  let seen = Atomic.make false in
+  let render k =
+    if k = "A" then begin
+      Atomic.set started true;
+      Atomic.set seen (Test_parallel.await released)
+    end;
+    Printf.sprintf "Ltest/latch/%s;" k
+  in
+  let memo = Sym.memo ~hash:Hashtbl.hash ~equal:String.equal render in
+  let other =
+    Domain.spawn (fun () ->
+        ignore (Test_parallel.await started);
+        ignore (memo "B");
+        Atomic.set released true)
+  in
+  let a = memo "A" in
+  Domain.join other;
+  Alcotest.(check bool) "B's lookup returned during A's render" true
+    (Atomic.get seen);
+  Alcotest.(check string) "A interned its render" "Ltest/latch/A;"
+    (Sym.to_string a)
+
 (* The batch intern a snapshot load uses gives every string the id
    one-by-one interning would: an already-interned string keeps its id,
    and the new ones take consecutive ids in first-occurrence order (the
@@ -218,6 +246,8 @@ let cases =
     Alcotest.test_case "descriptor symbolizers" `Quick test_descriptor_syms;
     Alcotest.test_case "concurrent interning across domains" `Quick
       test_concurrent_intern;
+    Alcotest.test_case "memo: a render blocks no other key" `Quick
+      test_memo_render_holds_no_lock;
     QCheck_alcotest.to_alcotest batch_intern_like_one_by_one ]
 
 let suites = [ "sym", cases ]
