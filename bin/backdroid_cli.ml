@@ -305,7 +305,14 @@ let analyze_cmd =
           ~doc:
             "Warm start: map the preprocessing snapshot at $(docv) (or the \
              auto path, without a value) instead of disassembling and \
-             indexing; the analysis output is identical to a cold run.")
+             indexing, and diff it against the generated app by per-class \
+             content hash.  When no class changed, prints $(i,index: \
+             loaded) and analyses the app in full on the loaded index.  \
+             Otherwise re-disassembles and re-indexes only the changed \
+             classes, prints $(i,index: delta-patched) and the \
+             $(i,delta:) report, and replays the snapshot's persisted \
+             per-sink results where their slice footprint is untouched.  \
+             Either way the analysis output is identical to a cold run.")
   in
   let prefault_t =
     Arg.(
@@ -318,18 +325,6 @@ let analyze_cmd =
              query stalls on page faults.  Results are identical either \
              way.")
   in
-  let delta_index_t =
-    Arg.(
-      value & opt ~vopt:(Some "auto") (some string) None
-      & info [ "delta-index" ] ~docv:"PATH"
-          ~doc:
-            "Incremental re-analysis: diff the generated app against the \
-             old snapshot at $(docv) (or the auto path, without a value) by \
-             per-class content hash, re-disassemble and re-index only \
-             changed classes, and replay the snapshot's persisted per-sink \
-             results where their slice footprint is untouched.  The output \
-             is identical to a cold run.")
-  in
   let mutate_pct_t =
     Arg.(
       value & opt float 0.0
@@ -338,7 +333,7 @@ let analyze_cmd =
             "Mutate this fraction of the app's filler classes after \
              generation (deterministic; at least one class when positive) — \
              simulates analysing version N+1 of the same app, e.g. with \
-             $(b,--delta-index).")
+             $(b,--load-index) of version N's snapshot.")
   in
   let rules_t =
     Arg.(
@@ -349,8 +344,8 @@ let analyze_cmd =
              syntax; see the README) instead of the built-in paper rules.")
   in
   let run seed size_mb plants insecure dump_ssg subclass_aware jobs verbose
-      trace_file time_limit_ms save_index load_index prefault delta_index
-      mutate_pct rules_file profile metrics metrics_format flight explain =
+      trace_file time_limit_ms save_index load_index prefault mutate_pct
+      rules_file profile metrics metrics_format flight explain =
     setup_logs verbose;
     (* flight recorder: always recording; anomalies (and crashes, via the
        handler) auto-dump to the armed path.  Anomaly-free runs without
@@ -358,10 +353,6 @@ let analyze_cmd =
     Obs.Flight.install_crash_handler ();
     Obs.Flight.arm_auto_dump
       (Option.value flight ~default:"backdroid.flight.json");
-    if load_index <> None && delta_index <> None then begin
-      Printf.eprintf "error: --load-index and --delta-index are exclusive\n";
-      exit 1
-    end;
     let rules =
       match rules_file with
       | None -> Backdroid.Driver.default_config.Backdroid.Driver.rules
@@ -375,7 +366,7 @@ let analyze_cmd =
            exit 1)
     in
     let recorder = setup_obs ~profile ~trace:trace_file in
-    let warm = load_index <> None || delta_index <> None in
+    let warm = load_index <> None in
     let app = make_app ~build_dex:(not warm) ~seed ~size_mb ~plants ~insecure () in
     let app =
       if mutate_pct > 0.0 then
@@ -386,50 +377,30 @@ let analyze_cmd =
       | "auto" -> Store.Snapshot.default_path ~dir:"." ~app_id:app.G.name
       | p -> p
     in
-    let engine =
-      match load_index with
-      | None -> None
-      | Some p ->
-        let path = index_path p in
-        (match Store.Snapshot.load ~prefault ~path app.G.program with
-         | Ok e ->
-           Printf.printf "index: loaded %s\n" path;
-           Some e
-         | Error err ->
-           Printf.eprintf "error: cannot load index %s: %s\n" path
-             (Store.Codec.error_to_string err);
-           exit 1)
-    in
-    (* incremental: patch the old snapshot against the (possibly mutated)
-       program, and pick up its persisted per-sink results for replay *)
+    (* warm start: open the snapshot for the (possibly mutated) program;
+       a patched one replays its persisted per-sink results *)
     let engine, results =
-      match delta_index with
-      | None -> (engine, None)
+      match load_index with
+      | None -> (None, None)
       | Some p ->
         let path = index_path p in
-        (match Store.Snapshot.delta ~path app.G.program with
+        (match Store.Snapshot.delta ~prefault ~path app.G.program with
+         | Ok (e, rep) when Store.Snapshot.unchanged rep ->
+           Printf.printf "index: loaded %s\n" path;
+           (Some e, None)
          | Ok (e, rep) ->
            Printf.printf "index: delta-patched %s\n" path;
            Printf.printf "delta: %s\n"
              (Store.Snapshot.delta_report_to_string rep);
-           let results =
-             match Store.Snapshot.load_results ~path with
-             | Ok [||] -> None
-             | Ok strs ->
-               (match Backdroid.Resultcache.of_strings strs with
-                | Ok rc ->
-                  Printf.printf "delta: %d persisted sink result(s)\n"
-                    (Backdroid.Resultcache.length rc);
-                  Some rc
-                | Error m ->
-                  Printf.eprintf
-                    "warning: ignoring malformed result cache: %s\n" m;
-                  None)
-             | Error _ -> None
-           in
+           let results = Serve.Server.load_results path in
+           Option.iter
+             (fun rc ->
+                Printf.printf "delta: %d persisted sink result(s)\n"
+                  (Backdroid.Resultcache.length rc))
+             results;
            (Some e, results)
          | Error err ->
-           Printf.eprintf "error: cannot delta-load index %s: %s\n" path
+           Printf.eprintf "error: cannot load index %s: %s\n" path
              (Store.Codec.error_to_string err);
            exit 1)
     in
@@ -508,8 +479,8 @@ let analyze_cmd =
       const run $ seed_t $ size_t $ shapes_t $ insecure_t $ dump_ssg
       $ subclass_aware $ jobs_t $ verbose_t $ trace_t
       $ time_limit_t $ save_index_t $ load_index_t $ prefault_t
-      $ delta_index_t $ mutate_pct_t $ rules_t $ profile_t $ metrics_t
-      $ metrics_format_t $ flight_t $ explain_t)
+      $ mutate_pct_t $ rules_t $ profile_t $ metrics_t $ metrics_format_t
+      $ flight_t $ explain_t)
 
 (* --- compare --- *)
 

@@ -42,7 +42,6 @@ type config = {
       (** per-sink slicing budget (work/depth caps + optional wall-clock
           deadline); exhaustion surfaces as a [Partial] outcome in the
           report *)
-  forward : Forward.config;
 }
 
 let default_config =
@@ -50,8 +49,7 @@ let default_config =
     subclass_aware_initial_search = false;
     resolve_reflection = false;
     jobs = 1;
-    budget = Context.default_budget;
-    forward = Forward.default_config }
+    budget = Context.default_budget }
 
 type sink_report = {
   rule : Rules.Rule.t;      (** the rule this verdict belongs to *)
@@ -343,7 +341,7 @@ let analyze_group ~cfg ~engine ~manifest ?replay group =
            ssg_nodes := !ssg_nodes + Ssg.node_count ssg;
            ssg_edges := !ssg_edges + Ssg.edge_count ssg;
            let fact =
-             if ssg.Ssg.reachable then Forward.run ~cfg:cfg.forward program ssg
+             if ssg.Ssg.reachable then Forward.run program ssg
              else Facts.Unknown
            in
            Log.info (fun m ->

@@ -34,7 +34,6 @@ type config = {
   budget : Context.budget;
       (** per-sink slicing budget (work/depth caps + optional wall-clock
           deadline); exhaustion surfaces as a [Partial] outcome *)
-  forward : Forward.config;
 }
 val default_config : config
 type sink_report = {

@@ -10,15 +10,15 @@
 open Ir
 module Sinks = Framework.Sinks
 
-type config = { max_depth : int; max_steps : int }
-
-let default_config = { max_depth = 24; max_steps = 100_000 }
+(* interpretation (inlining) depth, and the total statement budget per
+   SSG *)
+let max_depth = 24
+let max_steps = 100_000
 
 type ctx = {
   program : Program.t;
   ssg : Ssg.t;
   statics : (string, Facts.t) Hashtbl.t;  (** global static-field fact map *)
-  cfg : config;
   mutable steps : int;
   mutable sink_fact : Facts.t option;
 }
@@ -55,7 +55,7 @@ let rec eval_method ctx ~visited ~(meth : Jsig.meth) ~this_fact ~arg_facts =
     let i = ref 0 in
     while !i < n do
       ctx.steps <- ctx.steps + 1;
-      if ctx.steps > ctx.cfg.max_steps then i := n
+      if ctx.steps > max_steps then i := n
       else begin
         let stmt = body.(!i) in
         (* capture the sink parameter when executing the sink statement *)
@@ -158,7 +158,7 @@ and eval_invoke ctx ~visited ~env (iv : Expr.invoke) =
     if is_system_class ctx iv.callee.Jsig.cls then
       (* unmodelled framework API *)
       Facts.Unknown
-    else if List.length visited >= ctx.cfg.max_depth then Facts.Unknown
+    else if List.length visited >= max_depth then Facts.Unknown
     else if List.exists (Jsig.meth_equal iv.callee) visited then Facts.Unknown
     else begin
       (* resolve the invoked body: direct hit or CHA walk up for calls
@@ -251,10 +251,10 @@ let eval_and_continue ctx ~visited ~meth ~this_fact ~arg_facts =
     it). *)
 let m_steps = Obs.Metrics.counter "forward.steps"
 
-let run ?(cfg = default_config) program (ssg : Ssg.t) =
+let run program (ssg : Ssg.t) =
   Obs.Span.with_span ~cat:"forward" ~name:"propagate" @@ fun () ->
   let ctx =
-    { program; ssg; statics = Hashtbl.create 16; cfg; steps = 0;
+    { program; ssg; statics = Hashtbl.create 16; steps = 0;
       sink_fact = None }
   in
   (* 1. the special static-field track *)

@@ -7,14 +7,8 @@
     until the sink statement is executed and the fact of its tracked
     parameter is captured. *)
 
-type config = {
-  max_depth : int;   (** interpretation (inlining) depth *)
-  max_steps : int;   (** total statement budget per SSG *)
-}
-
-val default_config : config
-
-(** Run the forward analysis over one SSG.  Returns the dataflow fact of the
+(** Run the forward analysis over one SSG, interpreting at most 24 calls
+    deep and 100,000 statements in all.  Returns the dataflow fact of the
     sink's tracked parameter (Unknown when the traversal cannot resolve
     it). *)
-val run : ?cfg:config -> Ir.Program.t -> Ssg.t -> Facts.t
+val run : Ir.Program.t -> Ssg.t -> Facts.t

@@ -148,33 +148,3 @@ let key t =
     (String.concat ","
        (List.map (fun (c, n) -> Printf.sprintf "%s:%d" c n) t.p_categories))
     t.p_work t.p_max_work t.p_depth_limit t.p_ssg_nodes t.p_ssg_edges
-
-(* -- Serialization ---------------------------------------------------- *)
-
-(** Compact single-line JSON object (embedded in eval artifacts). *)
-let to_json t =
-  let strategies =
-    String.concat ","
-      (List.map
-         (fun (n, r, c) ->
-            Printf.sprintf "{\"strategy\":\"%s\",\"resolutions\":%d,\"callers\":%d}"
-              (Obs.Jsonf.escape n) r c)
-         t.p_strategies)
-  in
-  let categories =
-    String.concat ","
-      (List.map
-         (fun (c, n) -> Printf.sprintf "\"%s\":%d" (Obs.Jsonf.escape c) n)
-         t.p_categories)
-  in
-  Printf.sprintf
-    "{%s,\"strategies\":[%s],\"categories\":{%s},%s,%s,%s,%s,%s,%s,%s}"
-    (Obs.Jsonf.str_field "source" (source_to_string t.p_source))
-    strategies categories
-    (Obs.Jsonf.int_field "searches" t.p_searches)
-    (Obs.Jsonf.int_field "search_cached" t.p_search_cached)
-    (Obs.Jsonf.int_field "work" t.p_work)
-    (Obs.Jsonf.int_field "max_work" t.p_max_work)
-    (Obs.Jsonf.int_field "ssg_nodes" t.p_ssg_nodes)
-    (Obs.Jsonf.int_field "ssg_edges" t.p_ssg_edges)
-    (Obs.Jsonf.num_field "wall_us" t.p_wall_us)

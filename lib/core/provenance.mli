@@ -1,8 +1,7 @@
 (** Per-sink provenance ledger: the compact derivation record every sink
     report carries — queries issued per category, resolver strategies taken
     with caller counts, budget spent vs cap, cache/replay status, SSG size
-    and wall-clock cost.  Rendered by [analyze --explain] and serialized
-    into the eval pipeline. *)
+    and wall-clock cost.  Rendered by [analyze --explain]. *)
 
 type source =
   | Fresh                 (** computed by a backward slice in this run *)
@@ -45,6 +44,3 @@ val render : ?timing:bool -> t -> string
 (** Deterministic fingerprint: everything except the search-cache split and
     wall time.  Equal across jobs=1 and jobs=N for the same app/rules. *)
 val key : t -> string
-
-(** Compact single-line JSON object. *)
-val to_json : t -> string

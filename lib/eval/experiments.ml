@@ -70,7 +70,9 @@ let run_corpus ?(progress = fun _ -> ()) opts =
      snapshot is saved on first encounter and mapped back on the next —
      generation then skips disassembly ([build_dex:false]) and analysis runs
      on the snapshot engine.  Snapshots are per-app files, so pool domains
-     never contend for one; a damaged file rebuilds cold with a warning.
+     never contend for one; a damaged file rebuilds cold with a warning,
+     and a snapshot that cannot be written costs only the next run's warm
+     start, with a warning.
 
      A snapshot whose per-class content hashes no longer match the current
      build (the app changed between runs — a "version update") is not thrown
@@ -81,35 +83,35 @@ let run_corpus ?(progress = fun _ -> ()) opts =
     | None -> (G.generate cfg, None)
     | Some dir ->
       let path = Store.Snapshot.default_path ~dir ~app_id:cfg.G.name in
+      let save engine =
+        let warn m =
+          Printf.eprintf "warning: snapshot %s not saved: %s\n%!" path m
+        in
+        try ignore (Store.Snapshot.save ~path engine) with
+        | Sys_error m -> warn m
+        | Unix.Unix_error (e, _, _) -> warn (Unix.error_message e)
+      in
       let cold () =
         let app = G.generate cfg in
         let engine = Bytesearch.Engine.create app.G.dex in
-        ignore (Store.Snapshot.save ~path engine);
+        save engine;
         (app, Some engine)
-      in
-      let cold_after path e =
-        Printf.eprintf "warning: snapshot %s: %s; rebuilding cold\n%!" path
-          (Store.Codec.error_to_string e);
-        cold ()
       in
       if Sys.file_exists path then begin
         let app = G.generate ~build_dex:false cfg in
-        match Store.Snapshot.load ~path app.G.program with
-        | Ok engine when Store.Snapshot.fresh engine app.G.program ->
+        match Store.Snapshot.delta ~path app.G.program with
+        | Ok (engine, rep) ->
+          if not (Store.Snapshot.unchanged rep) then begin
+            save engine;
+            Printf.eprintf "note: snapshot %s was stale; delta-patched: %s\n%!"
+              path
+              (Store.Snapshot.delta_report_to_string rep)
+          end;
           (app, Some engine)
-        | Ok stale -> begin
-            (* the stale engine is already resident — patch it in memory
-               rather than re-reading the file *)
-            match Store.Snapshot.delta_of_engine stale app.G.program with
-            | Ok (engine, rep) ->
-              ignore (Store.Snapshot.save ~path engine);
-              Printf.eprintf "note: snapshot %s was stale; delta-patched: %s\n%!"
-                path
-                (Store.Snapshot.delta_report_to_string rep);
-              (app, Some engine)
-            | Error e -> cold_after path e
-          end
-        | Error e -> cold_after path e
+        | Error e ->
+          Printf.eprintf "warning: snapshot %s: %s; rebuilding cold\n%!" path
+            (Store.Codec.error_to_string e);
+          cold ()
       end
       else cold ()
   in

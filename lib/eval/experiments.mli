@@ -21,7 +21,9 @@ type opts = {
       (** warm-cache mode: per-app preprocessing snapshots ([.bdix]) are
           saved here on first encounter and reused on the next run — apps
           with a snapshot skip disassembly and index construction entirely
-          (a damaged snapshot logs a warning and rebuilds cold) *)
+          (a damaged snapshot logs a warning and rebuilds cold, a changed
+          app's is delta-patched and re-saved, and one that cannot be
+          saved logs a warning) *)
 }
 val default_opts : opts
 val minutes_per_second : opts -> float

@@ -40,8 +40,8 @@ type measurement = {
 val time : (unit -> 'a) -> 'a * float
 val mb_of : G.app -> float
 
-(** [engine] is a snapshot-loaded search engine (see
-    {!Store.Snapshot.load}): analysis skips disassembly-dependent index
+(** [engine] is a search engine opened from a snapshot (see
+    {!Store.Snapshot.delta}): analysis skips disassembly-dependent index
     construction and runs warm. *)
 val run_backdroid :
   ?cfg:Backdroid.Driver.config ->

@@ -69,8 +69,7 @@ module Packed = struct
   let n_keys t = Ivec.length t.keys
 
   (** Slot count of key index [k] — O(1): the coded run leads with its
-      count, which is what lets the query planner order lookups
-      rarest-first without decoding anything. *)
+      count. *)
   let count t k = Postcodec.count t.runs ~pos:(Ivec.get t.offsets k)
 
   (** Apply [f] to each slot of key index [k], ascending. *)
@@ -502,105 +501,6 @@ let run_uncached t q =
 
 (** Execute a query, consulting the query cache first. *)
 let run t q = Cache.find_or_add t.cache q (fun () -> run_uncached t q)
-
-(* ------------------------------------------------------------------ *)
-(* Rarest-first query planner                                          *)
-
-module Meth_tbl = Ir.Jsig.Meth_tbl
-
-let m_conj = Obs.Metrics.counter "search.plan.conjunctions"
-let m_conj_shortcircuit = Obs.Metrics.counter "search.plan.shortcircuits"
-
-let query_sym : Query.t -> Sym.t option = function
-  | Invocation s | New_instance s | Const_class s | Const_string s
-  | Field_access s | Static_field_access s | Class_use s -> Some s
-  | Raw _ -> None
-
-(* Planning estimate: the postings slot count of the query's key — O(1)
-   off the packed count headers, no decode, no hit materialization.  [Raw]
-   queries (and every query on a scan-mode engine) cost a full text scan,
-   which dwarfs any postings walk, so they sort last. *)
-let postings_count t (q : Query.t) =
-  match query_category q, query_sym q with
-  | Some c, Some s when t.indexed ->
-    let p = ensure_category t c in
-    (match Ivec.find_sorted p.Packed.keys (Sym.id s) with
-     | -1 -> 0
-     | k -> Packed.count p k)
-  | _ -> max_int
-
-(* The owner methods with at least one hit for [q].  On indexed engines
-   this walks the query's packed run and dedupes owner ids — no hit
-   records, no line text, and the class filter decodes no owner; on scan
-   engines it falls back to the hits. *)
-let owners_of_query t (q : Query.t) =
-  let tbl : unit Meth_tbl.t = Meth_tbl.create 64 in
-  let owners = t.dex.Dex.Dexfile.arena.Dex.Arena.owners in
-  let owner_id = t.dex.Dex.Dexfile.arena.Dex.Arena.owner_id in
-  let add_slot keep_oid slot =
-    let oid = Ivec.get owner_id slot in
-    if keep_oid oid then
-      Meth_tbl.replace tbl (Dex.Arena.Owners.meth owners oid) ()
-  in
-  (match query_category q, query_sym q with
-   | Some c, Some s when t.indexed ->
-     let p = ensure_category t c in
-     (match Ivec.find_sorted p.Packed.keys (Sym.id s) with
-      | -1 -> ()
-      | k ->
-        let keep_oid =
-          match q with
-          | Class_use s ->
-            let subject = Dex.Descriptor.class_of_desc (Sym.to_string s) in
-            fun oid -> not (Dex.Arena.Owners.cls_equal owners oid subject)
-          | _ -> fun _ -> true
-        in
-        Packed.iter_key p k (add_slot keep_oid))
-   | _ ->
-     List.iter (fun h -> Meth_tbl.replace tbl h.owner ()) (run t q));
-  tbl
-
-(** [run_conj t (primary :: conjuncts)] is [run t primary] restricted to
-    hits whose enclosing method also matches {e every} conjunct — "methods
-    that invoke [X] and reference [Y]".  The result is independent of
-    evaluation order, so the planner is free to evaluate conjuncts in
-    ascending postings-count order (rarest first) and to stop at the first
-    empty intersection without touching the remaining — usually densest —
-    postings lists, or the primary itself. *)
-let run_conj t = function
-  | [] -> []
-  | [ q ] -> run t q
-  | primary :: conjuncts ->
-    Obs.Metrics.incr m_conj;
-    let ordered =
-      List.stable_sort
-        (fun a b -> compare (postings_count t a) (postings_count t b))
-        conjuncts
-    in
-    let rec intersect surviving = function
-      | [] -> surviving
-      | q :: rest ->
-        let own = owners_of_query t q in
-        let surviving =
-          match surviving with
-          | None -> own
-          | Some prev ->
-            let keep = Meth_tbl.create (Meth_tbl.length own) in
-            Meth_tbl.iter
-              (fun m () -> if Meth_tbl.mem prev m then Meth_tbl.replace keep m ())
-              own;
-            keep
-        in
-        if Meth_tbl.length surviving = 0 then begin
-          Obs.Metrics.incr m_conj_shortcircuit;
-          None
-        end
-        else intersect (Some surviving) rest
-    in
-    (match intersect None ordered with
-     | None -> []
-     | Some surviving ->
-       List.filter (fun h -> Meth_tbl.mem surviving h.owner) (run t primary))
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)

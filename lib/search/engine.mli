@@ -110,16 +110,6 @@ val run : t -> Query.t -> hit list
     first use. *)
 val run_uncached : t -> Query.t -> hit list
 
-(** [run_conj t (primary :: conjuncts)] is [run t primary] restricted to
-    hits whose enclosing method also matches every conjunct — "methods that
-    invoke [X] and reference [Y]".  The result is order-independent; the
-    planner evaluates conjuncts rarest-first (ascending O(1) postings
-    count, [Raw] and scan-mode queries last) and short-circuits to [[]] on
-    the first empty owner intersection, skipping the denser lists and the
-    primary itself.  [run_conj t []] is [[]]; [run_conj t [q]] is
-    [run t q]. *)
-val run_conj : t -> Query.t list -> hit list
-
 (** ["scan"], ["lazy"], ["snapshot"] or ["delta"]. *)
 val index_mode : t -> string
 

@@ -14,8 +14,8 @@
    {!Enginecache} LRU: hits serve straight off the prefaulted engine
    (replaying persisted sink results where the classmap says nothing
    changed), a same-key spec change delta-patches the resident engine in
-   place, and misses load via [Snapshot.load ~prefault:true] (or build
-   cold), evicting LRU entries under the resident ceilings. *)
+   place, and misses open the snapshot via [Snapshot.delta ~prefault:true]
+   (or build cold), evicting LRU entries under the resident ceilings. *)
 
 module G = Appgen.Generator
 module D = Backdroid.Driver
@@ -172,9 +172,10 @@ let load_results path =
        None)
   | Result.Error _ -> None
 
-(* A cache miss: load the snapshot (prefaulted) when one exists, build
-   cold otherwise — saving a fresh snapshot to the requested path so the
-   next daemon start warm-loads it. *)
+(* A cache miss: open the snapshot (prefaulted, and patched in memory if
+   it describes an older program version) when one exists, build cold
+   otherwise — saving a fresh snapshot to the requested path so the next
+   daemon start warm-loads it. *)
 let load_session t ~snapshot spec =
   let cfg = driver_cfg t in
   let open_with ?engine ?results (app : G.app) =
@@ -184,26 +185,15 @@ let load_session t ~snapshot spec =
   match snapshot with
   | Some path when Sys.file_exists path ->
     let app = generate ~build_dex:false spec in
-    (match Store.Snapshot.load ~prefault:true ~path app.G.program with
-     | Ok engine when Store.Snapshot.fresh engine app.G.program ->
-       Obs.Flight.record ~kind:"serve" ~name:"snapshot-load"
+    (match Store.Snapshot.delta ~prefault:true ~path app.G.program with
+     | Ok (engine, rep) ->
+       let name, state =
+         if Store.Snapshot.unchanged rep then ("snapshot-load", Protocol.Miss)
+         else ("snapshot-delta", Protocol.Delta)
+       in
+       Obs.Flight.record ~kind:"serve" ~name
          ~attrs:[ ("path", Obs.Span.Str path) ] ();
-       (open_with ~engine ?results:(load_results path) app, Protocol.Miss)
-     | Ok stale ->
-       (* the on-disk snapshot describes an older program version: patch
-          the just-loaded engine in memory rather than rebuilding *)
-       (match Store.Snapshot.delta_of_engine stale app.G.program with
-        | Ok (engine, _rep) ->
-          Obs.Flight.record ~kind:"serve" ~name:"snapshot-delta"
-            ~attrs:[ ("path", Obs.Span.Str path) ] ();
-          (open_with ~engine ?results:(load_results path) app, Protocol.Delta)
-        | Result.Error e ->
-          Obs.Flight.anomaly ~kind:"serve" ~name:"snapshot-delta-failed"
-            ~attrs:[ ("path", Obs.Span.Str path);
-                     ("error", Obs.Span.Str (Store.Codec.error_to_string e)) ]
-            ();
-          let app = generate ~build_dex:true spec in
-          (open_with app, Protocol.Miss))
+       (open_with ~engine ?results:(load_results path) app, state)
      | Result.Error e ->
        Obs.Flight.anomaly ~kind:"serve" ~name:"snapshot-load-failed"
          ~attrs:[ ("path", Obs.Span.Str path);
@@ -238,27 +228,24 @@ let resolve_session t ~snapshot spec =
   | Some entry ->
     let app = generate ~build_dex:false spec in
     let old = D.session_engine entry.Enginecache.session in
-    if Store.Snapshot.fresh old app.G.program then begin
-      entry.Enginecache.spec <- spec;
-      (entry.Enginecache.session, Protocol.Hit)
-    end
-    else begin
-      match Store.Snapshot.delta_of_engine old app.G.program with
-      | Ok (engine, _rep) ->
-        let results = Option.bind snapshot (fun p -> load_results p) in
-        let session =
-          D.open_session ~cfg:(driver_cfg t) ~pool:t.pool ~engine ?results
-            ~dex:app.G.dex ~manifest:app.G.manifest ()
-        in
-        Enginecache.repatch t.cache entry ~spec session;
-        Obs.Flight.record ~kind:"serve" ~name:"resident-delta"
-          ~attrs:[ ("key", Obs.Span.Str key) ] ();
-        (session, Protocol.Delta)
-      | Result.Error _ ->
-        let session, state = load_session t ~snapshot spec in
-        ignore (Enginecache.insert t.cache ~key ~spec session);
-        (session, state)
-    end
+    (match Store.Snapshot.delta_of_engine old app.G.program with
+     | Ok (_, rep) when Store.Snapshot.unchanged rep ->
+       entry.Enginecache.spec <- spec;
+       (entry.Enginecache.session, Protocol.Hit)
+     | Ok (engine, _rep) ->
+       let results = Option.bind snapshot (fun p -> load_results p) in
+       let session =
+         D.open_session ~cfg:(driver_cfg t) ~pool:t.pool ~engine ?results
+           ~dex:app.G.dex ~manifest:app.G.manifest ()
+       in
+       Enginecache.repatch t.cache entry ~spec session;
+       Obs.Flight.record ~kind:"serve" ~name:"resident-delta"
+         ~attrs:[ ("key", Obs.Span.Str key) ] ();
+       (session, Protocol.Delta)
+     | Result.Error _ ->
+       let session, state = load_session t ~snapshot spec in
+       ignore (Enginecache.insert t.cache ~key ~spec session);
+       (session, state))
   | None ->
     let session, state = load_session t ~snapshot spec in
     ignore (Enginecache.insert t.cache ~key ~spec session);

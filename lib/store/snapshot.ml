@@ -619,6 +619,8 @@ let delta_report_to_string d =
     d.d_lines_reused d.d_lines_rendered d.d_carried_postings
     d.d_rebuilt_postings
 
+let unchanged d = d.d_unchanged = d.d_total && d.d_removed = 0
+
 (* How delta assembles the new build, in new line order.  A [Copy]
    appends old lines [llo, lhi) and old slots [slo, shi), the slots landing
    at [sbase]: one reused class, or a run of reused classes that were
@@ -629,35 +631,19 @@ type move =
   | Copy of { llo : int; lhi : int; slo : int; shi : int; sbase : int }
   | Render of Ir.Jclass.t
 
-let fresh engine program =
-  let cm = Dex.Dexfile.classmap (Engine.dexfile engine) in
-  Classmap.length cm > 0
-  &&
-  let n = ref 0 in
-  Ir.Program.fold_classes program
-    (fun (c : Ir.Jclass.t) ok ->
-       if c.Ir.Jclass.is_system then ok
-       else begin
-         incr n;
-         ok
-         && Classmap.ir_hash_of cm c.Ir.Jclass.name
-            = Some (Ir.Irhash.jclass c)
-       end)
-    true
-  && !n = Classmap.length cm
-
 (* Patch a resident engine into an engine for [program].  This is the
    maintained-index scenario — an app-store service holding the previous
-   version's index in memory, or the corpus cache that just loaded and
-   freshness-checked a snapshot — and the core of the delta path: it works
-   purely on live structures, so there is no file parse and no symbol
-   re-interning (a live engine's ids are by definition the live ones).
-   The new layout is written by a {!Dex.Writer} index pass, through the
-   statement walk a cold render uses: unchanged classes' columns are
-   copied from the old layout as blocks, changed and added classes
-   indexed.  No text is read or written: the new dexfile renders its own
-   from [program] if something reads it.  The old engine is left
-   untouched. *)
+   version's index in memory, or a warm start that just loaded a
+   snapshot — and the core of the delta path: it works purely on live
+   structures, so there is no file parse and no symbol re-interning (a
+   live engine's ids are by definition the live ones).  When the diff
+   finds every class unchanged, in whatever order, the old engine already
+   answers for [program] and is returned as it is.  Otherwise the new
+   layout is written by a {!Dex.Writer} index pass, through the statement
+   walk a cold render uses: unchanged classes' columns are copied from
+   the old layout as blocks, changed and added classes indexed.  No text
+   is read or written: the new dexfile renders its own from [program] if
+   something reads it.  The old engine is left untouched. *)
 let delta_of_engine old_engine program =
   let span0 = Obs.Span.start () in
   let dex_old = Engine.dexfile old_engine in
@@ -719,6 +705,15 @@ let delta_of_engine old_engine program =
          cm_ir.(ci) <- ih)
       classes;
     let n_removed = Classmap.length cm_old - !n_unchanged - !n_changed in
+    let report ~carried ~rebuilt =
+      { d_total = n_classes; d_unchanged = !n_unchanged;
+        d_changed = !n_changed; d_added = !n_added; d_removed = n_removed;
+        d_lines_reused = !reused_lines; d_lines_rendered = !rendered_lines;
+        d_carried_postings = carried; d_rebuilt_postings = rebuilt }
+    in
+    if !n_unchanged = n_classes && n_removed = 0 then
+      Ok (old_engine, report ~carried:0 ~rebuilt:0)
+    else
     (* The old owner table is carried wholesale: copied slots keep their
        owner ids verbatim (no re-interning), and re-rendered classes reuse
        their old ids where the signature persists.  Owners of removed
@@ -765,12 +760,6 @@ let delta_of_engine old_engine program =
        old rule-set stamp, so an analysis under a different rule set sees
        `Changed` and warns instead of silently trusting warm state *)
     let engine, carried, rebuilt = Engine.patch old_engine dex ~slot_map in
-    let report =
-      { d_total = n_classes; d_unchanged = !n_unchanged;
-        d_changed = !n_changed; d_added = !n_added; d_removed = n_removed;
-        d_lines_reused = !reused_lines; d_lines_rendered = !rendered_lines;
-        d_carried_postings = carried; d_rebuilt_postings = rebuilt }
-    in
     Obs.Metrics.incr m_delta_loads;
     Obs.Metrics.add m_delta_reused !n_unchanged;
     Obs.Metrics.add m_delta_rendered (!n_changed + !n_added);
@@ -780,13 +769,14 @@ let delta_of_engine old_engine program =
           ("reused", Obs.Span.Int !n_unchanged);
           ("rendered", Obs.Span.Int (!n_changed + !n_added)) ]
       span0;
-    Ok (engine, report)
+    Ok (engine, report ~carried ~rebuilt)
   end
 
-(* The file-based entry: load the old snapshot (full structural validation,
-   symbol re-interning and key remapping happen there) and patch the
-   resident engine it yields.  One splice implementation serves both the
-   CLI `--delta-index` flow and the maintained-index flow. *)
-let delta ~path program =
-  let* old_engine = load ~path program in
+(* The file-based entry, and every warm start's: load the old snapshot
+   (full structural validation, symbol re-interning and key remapping
+   happen there) and patch the resident engine it yields, which an
+   unchanged program gets back as loaded.  One splice implementation
+   serves both the warm start and the maintained-index flow. *)
+let delta ?prefault ~path program =
+  let* old_engine = load ?prefault ~path program in
   delta_of_engine old_engine program

@@ -83,9 +83,10 @@ val save :
     parse ({!Ir.Jsig.meth_parses}) — so a damaged file yields a typed
     {!Codec.error}, never a crash, a later failure or a silently wrong
     engine; a file of another format version (a retired v1 or v2 file,
-    say) fails with [Bad_version].  The load
-    does not compare [program] with the file: {!fresh} does, and the
-    dexfile's text pass refuses a class that does not match its entry.
+    say) fails with [Bad_version].  The load does not compare [program]
+    with the file, beyond the dexfile's text pass refusing a class that
+    does not match its entry: {!delta} is the checked path, which a warm
+    start takes.
 
     The hot sections — the five arena columns and every category's postings
     directory (keys and offsets) — are always prefaulted: they are a few
@@ -127,12 +128,10 @@ type delta_report = {
 
 val delta_report_to_string : delta_report -> string
 
-(** [fresh engine program] holds when [engine]'s class map lists exactly
-    [program]'s app classes, each with its current structural
-    {!Ir.Irhash}: an engine just loaded from a snapshot answers for
-    [program] as it is, and needs no {!delta_of_engine}.  False for an
-    engine with no class map. *)
-val fresh : Bytesearch.Engine.t -> Ir.Program.t -> bool
+(** [unchanged r] holds when the diff behind [r] found no class changed,
+    added or removed: the engine {!delta_of_engine} returned is the one it
+    was given. *)
+val unchanged : delta_report -> bool
 
 (** [delta_of_engine old program] patches a {e resident} engine — the
     previous app version's index, still in memory — into an engine for
@@ -148,6 +147,12 @@ val fresh : Bytesearch.Engine.t -> Ir.Program.t -> bool
     stale snapshot it has already loaded.  The old
     engine is left untouched and remains usable.
 
+    Every class is diffed first.  When none changed, was added or was
+    removed, in whatever order the two builds list them, [old] already
+    answers for [program]: it is returned as it is ([==]), with a report
+    of every class and line reused and no postings carried or rebuilt, and
+    no [store.delta.*] metric or span is recorded.
+
     The resulting engine answers every query identically to a cold build
     of [program] (the property tests assert this), and
     {!Bytesearch.Engine.index_mode} reports ["delta"].
@@ -159,12 +164,15 @@ val delta_of_engine :
   Ir.Program.t ->
   (Bytesearch.Engine.t * delta_report, Codec.error) result
 
-(** [delta ~path program] is {!load} followed by {!delta_of_engine}: build
-    an engine for [program] incrementally against the old snapshot at
-    [path].  The load performs the full structural validation and symbol
+(** [delta ?prefault ~path program] is {!load} followed by
+    {!delta_of_engine}: the warm start of every caller that opens a
+    snapshot for a program.  An unchanged program gets the loaded engine
+    back; otherwise the engine is built incrementally against the old
+    snapshot.  The load performs the full structural validation and symbol
     re-interning, so a damaged snapshot fails with a typed {!Codec.error}
     — callers fall back to a cold build. *)
 val delta :
+  ?prefault:bool ->
   path:string ->
   Ir.Program.t ->
   (Bytesearch.Engine.t * delta_report, Codec.error) result

@@ -121,6 +121,27 @@ let test_csv_write () =
   Sys.remove path;
   Alcotest.(check int) "header + 2 rows" 3 (List.length !lines)
 
+(* A snapshot directory that cannot be written costs only the warm start:
+   the corpus run warns on stderr and still measures its app. *)
+let test_corpus_unwritable_snapshot_dir () =
+  let missing = Filename.temp_file "backdroid_nodir" "" in
+  Sys.remove missing;
+  let module X = Evalharness.Experiments in
+  let r =
+    X.run_corpus
+      { X.default_opts with
+        X.scale = 0.15; count = 1; timeout_s = 0.3; flowdroid_timeout_s = 0.3;
+        snapshot_dir = Some (Filename.concat missing "snapshots") }
+  in
+  (match r.X.backdroid with
+   | [ m ] ->
+     Alcotest.(check bool) "BackDroid measured the app" true
+       ((not m.Runner.errored) && m.Runner.sink_calls > 0)
+   | ms -> Alcotest.failf "%d BackDroid measurements" (List.length ms));
+  Alcotest.(check (pair int int)) "and both baselines" (1, 1)
+    (List.length r.X.amandroid, List.length r.X.flowdroid);
+  Alcotest.(check bool) "no directory was made" false (Sys.file_exists missing)
+
 let cases =
   [ Alcotest.test_case "median" `Quick test_median;
     Alcotest.test_case "mean" `Quick test_mean;
@@ -133,6 +154,8 @@ let cases =
     Alcotest.test_case "run flowdroid-cg" `Quick test_run_flowdroid;
     Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
     Alcotest.test_case "csv old-row compat" `Quick test_csv_old_rows;
-    Alcotest.test_case "csv write" `Quick test_csv_write ]
+    Alcotest.test_case "csv write" `Quick test_csv_write;
+    Alcotest.test_case "corpus run with an unwritable snapshot dir" `Quick
+      test_corpus_unwritable_snapshot_dir ]
 
 let suites = [ "eval.unit", cases ]

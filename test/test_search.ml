@@ -132,71 +132,6 @@ let test_command_rendering () =
           (Q.to_command (Q.invocation "La;.m:()V"))
           (Q.to_command (Q.new_instance "La;.m:()V"))))
 
-(* -- rarest-first conjunctive planner -------------------------------- *)
-
-let hit_fingerprint e (h : E.hit) =
-  Printf.sprintf "%d:%s" h.line_no
-    (Dex.Dexfile.line_text (E.dexfile e) h.line_no)
-
-(* The planner's contract, computed the slow way: primary hits whose owner
-   matches every conjunct. *)
-let manual_conj e primary conjuncts =
-  let owner_sets =
-    List.map
-      (fun q -> List.map (fun (h : E.hit) -> h.owner) (E.run e q))
-      conjuncts
-  in
-  List.filter
-    (fun (h : E.hit) ->
-       List.for_all (List.mem h.owner) owner_sets)
-    (E.run e primary)
-
-let test_conj_planner () =
-  let e, callee, fld = fixture () in
-  let inv = Q.invocation (Dex.Descriptor.meth_desc callee) in
-  let aes = Q.const_string "AES" in
-  let sf = Q.static_field_access (Dex.Descriptor.field_desc fld) in
-  let hit_fingerprint = hit_fingerprint e in
-  Alcotest.(check (list string)) "empty conjunction" []
-    (List.map hit_fingerprint (E.run_conj e []));
-  Alcotest.(check (list string)) "singleton == run"
-    (List.map hit_fingerprint (E.run e inv))
-    (List.map hit_fingerprint (E.run_conj e [ inv ]));
-  (* s.A.go and s.B.go both invoke enc and carry "AES" *)
-  Alcotest.(check (list string)) "agreeing conjunct keeps all hits"
-    (List.map hit_fingerprint (E.run e inv))
-    (List.map hit_fingerprint (E.run_conj e [ inv; aes ]));
-  (* no method both invokes enc and touches s.Cfg.SPEC: short-circuit *)
-  Alcotest.(check int) "disjoint conjunct empties the result" 0
-    (List.length (E.run_conj e [ inv; sf ]))
-
-let test_conj_matches_manual_across_modes () =
-  let e, callee, fld = fixture () in
-  let scan = E.create ~indexed:false (E.dexfile e) in
-  let inv = Q.invocation (Dex.Descriptor.meth_desc callee) in
-  let aes = Q.const_string "AES" in
-  let sf = Q.static_field_access (Dex.Descriptor.field_desc fld) in
-  let cu = Q.class_use "Ls/Cfg;" in
-  let plans =
-    [ [ inv; aes ]; [ aes; inv ]; [ sf; cu ]; [ cu; sf ];
-      [ inv; aes; sf ]; [ aes; Q.raw "invoke-static" ];
-      [ inv; Q.invocation "Lno/Such;.m:()V" ] ]
-  in
-  let hit_fingerprint = hit_fingerprint e in
-  List.iter
-    (fun plan ->
-       let expect =
-         List.map hit_fingerprint
-           (manual_conj e (List.hd plan) (List.tl plan))
-       in
-       Alcotest.(check (list string)) "indexed planner == manual filter"
-         expect
-         (List.map hit_fingerprint (E.run_conj e plan));
-       Alcotest.(check (list string)) "scan planner == indexed planner"
-         expect
-         (List.map hit_fingerprint (E.run_conj scan plan)))
-    plans
-
 (* property: searching for a generated static callee always finds the call
    the builder emitted *)
 let search_finds_planted =
@@ -238,11 +173,7 @@ let unit_cases =
     Alcotest.test_case "cache categories" `Quick test_cache_categories;
     Alcotest.test_case "cache: a miss blocks no other key" `Quick
       test_cache_miss_holds_no_lock;
-    Alcotest.test_case "command rendering" `Quick test_command_rendering;
-    Alcotest.test_case "conjunctive planner semantics" `Quick
-      test_conj_planner;
-    Alcotest.test_case "planner == manual filter, every mode" `Quick
-      test_conj_matches_manual_across_modes ]
+    Alcotest.test_case "command rendering" `Quick test_command_rendering ]
 
 let prop_cases = [ QCheck_alcotest.to_alcotest search_finds_planted ]
 

@@ -35,6 +35,15 @@ let read_all path =
   Fun.protect ~finally:(fun () -> In_channel.close ic) (fun () ->
       In_channel.input_all ic)
 
+let ok_or what = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s: %s" what (Store.Codec.error_to_string e)
+
+(* A process-wide counter's merged value, 0 before its first bump. *)
+let counter name =
+  Option.value ~default:0
+    (List.assoc_opt name (Obs.Metrics.snapshot ()).Obs.Metrics.counters)
+
 let write_all path s =
   let oc = Out_channel.open_bin path in
   Fun.protect ~finally:(fun () -> Out_channel.close oc) (fun () ->
@@ -347,27 +356,32 @@ let test_prefault_load () =
    run. *)
 let cli = Filename.concat Filename.parent_dir_name "bin/backdroid_cli.exe"
 
-let remapped_loads () =
-  Option.value ~default:0
-    (List.assoc_opt "store.load.remapped"
-       (Obs.Metrics.snapshot ()).Obs.Metrics.counters)
+(* Run the CLI to completion and return its output lines. *)
+let run_cli args =
+  let out = Filename.temp_file "backdroid_cli" ".out" in
+  Fun.protect ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+  @@ fun () ->
+  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let pid =
+    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+        Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin fd fd)
+  in
+  (match Unix.waitpid [] pid with
+   | _, Unix.WEXITED 0 -> ()
+   | _ -> Alcotest.failf "%s %s failed" cli (String.concat " " args));
+  String.split_on_char '\n' (read_all out)
+
+let remapped_loads () = counter "store.load.remapped"
 
 let test_foreign_snapshot_remaps () =
   let path = Filename.temp_file "backdroid_foreign" ".bdix" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let pid =
-    Fun.protect ~finally:(fun () -> Unix.close devnull) (fun () ->
-        Unix.create_process cli
-          [| cli; "analyze"; "--seed"; "7"; "--size-mb"; "2"; "--plant";
-             "callback:cipher"; "--plant"; "direct:ssl"; "--insecure";
-             "--jobs"; "1"; "--save-index"; path |]
-          Unix.stdin devnull devnull)
-  in
-  (match Unix.waitpid [] pid with
-   | _, Unix.WEXITED 0 -> ()
-   | _ -> Alcotest.failf "%s analyze --save-index failed" cli);
+  ignore
+    (run_cli
+       [ "analyze"; "--seed"; "7"; "--size-mb"; "2"; "--plant";
+         "callback:cipher"; "--plant"; "direct:ssl"; "--insecure"; "--jobs";
+         "1"; "--save-index"; path ]);
   ignore (fixture_app ~seed:5 ());
   let spec =
     { Serve.Appspec.default with
@@ -416,6 +430,32 @@ let test_foreign_snapshot_remaps () =
   in
   Alcotest.(check (list string)) "remapped report lines == cold"
     (lines cold) (lines warm)
+
+(* Every warm start is checked against the analysed app: [--load-index]
+   of another app's snapshot, or of an older version's, patches it and
+   prints what a cold run of that app prints, sink for sink. *)
+let test_cli_load_index_checks_the_app () =
+  let path = Filename.temp_file "backdroid_cli_warm" ".bdix" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let analyze seed =
+    [ "analyze"; "--seed"; seed; "--size-mb"; "2"; "--plant";
+      "callback:cipher"; "--plant"; "direct:ssl"; "--insecure"; "--jobs"; "1" ]
+  in
+  ignore (run_cli (analyze "7" @ [ "--save-index"; path ]));
+  let sink_lines = List.filter (String.starts_with ~prefix:"  [") in
+  List.iter
+    (fun (what, args) ->
+       let cold = sink_lines (run_cli args) in
+       let warm = run_cli (args @ [ "--load-index"; path ]) in
+       Alcotest.(check bool) (what ^ ": the cold run reports sinks") true
+         (cold <> []);
+       Alcotest.(check bool) (what ^ ": index: delta-patched") true
+         (List.exists (String.starts_with ~prefix:"index: delta-patched") warm);
+       Alcotest.(check (list string)) (what ^ ": per-sink lines == cold") cold
+         (sink_lines warm))
+    [ ("another app", analyze "9");
+      ("a changed version", analyze "7" @ [ "--mutate-pct"; "0.3" ]) ]
 
 let test_default_path () =
   let p = Store.Snapshot.default_path ~dir:"/tmp" ~app_id:"com.a/b c" in
@@ -576,6 +616,42 @@ let test_delta_requires_classmap () =
   | Error e ->
     Alcotest.failf "expected Corrupt, got %s" (Store.Codec.error_to_string e)
 
+let app_class_names (app : G.app) =
+  Ir.Program.fold_classes app.G.program
+    (fun (c : Ir.Jclass.t) acc ->
+       if c.Ir.Jclass.is_system then acc else c.Ir.Jclass.name :: acc)
+    []
+  |> List.sort String.compare
+
+(* [app]'s dexfile with its classes in an order no disassembly uses. *)
+let partition_order app =
+  let front, back =
+    List.partition (fun n -> String.length n mod 2 = 0) (app_class_names app)
+  in
+  Dex.Dexfile.of_partitions app.G.program [ List.rev back; front ]
+
+(* With no class changed, added or removed, in whatever order the old
+   build lists them, a delta hands back the engine it was given: every
+   class and line reused, none rendered, no postings carried or rebuilt,
+   and no [store.delta.*] metric recorded. *)
+let check_unchanged_delta what old_engine program =
+  let loads = counter "store.delta.loads" in
+  let e, rep = ok_or what (Store.Snapshot.delta_of_engine old_engine program) in
+  Alcotest.(check bool) (what ^ ": the engine it was given") true
+    (e == old_engine);
+  Alcotest.(check int) (what ^ ": store.delta.loads") loads
+    (counter "store.delta.loads");
+  let open Store.Snapshot in
+  Alcotest.(check bool) (what ^ ": an unchanged report") true
+    (rep.d_total > 0 && unchanged rep);
+  Alcotest.(check int) (what ^ ": d_unchanged = d_total") rep.d_total
+    rep.d_unchanged;
+  Alcotest.(check (list int))
+    (what ^ ": lines reused and rendered, postings carried and rebuilt")
+    [ Dex.Dexfile.line_count (E.dexfile old_engine); 0; 0; 0 ]
+    [ rep.d_lines_reused; rep.d_lines_rendered; rep.d_carried_postings;
+      rep.d_rebuilt_postings ]
+
 (* The delta re-derives the layout exactly: a delta engine's line texts,
    class map, arena and all seven postings tables equal a cold build's,
    whether the old engine was built cold or loaded from its snapshot, and
@@ -584,21 +660,12 @@ let test_delta_requires_classmap () =
    was saved from.  From an old build in partition order the old->new
    slot map is not monotone, so the carried runs go through the re-sort
    path, and the loaded text walks the classes in partition order; with
-   nothing changed, every class moves and none is re-rendered; with all
-   but one class removed, old runs are longer than the new arena. *)
+   nothing changed, nothing is re-laid out; with all but one class
+   removed, old runs are longer than the new arena. *)
 let test_delta_postings_equal_cold () =
   let app = fixture_app ~filler:20 () in
-  let names =
-    Ir.Program.fold_classes app.G.program
-      (fun (c : Ir.Jclass.t) acc ->
-         if c.Ir.Jclass.is_system then acc else c.Ir.Jclass.name :: acc)
-      []
-    |> List.sort String.compare
-  in
-  let front, back = List.partition (fun n -> String.length n mod 2 = 0) names in
-  let partitioned =
-    Dex.Dexfile.of_partitions app.G.program [ List.rev back; front ]
-  in
+  let names = app_class_names app in
+  let partitioned = partition_order app in
   (* an update that keeps one app class: old runs outgrow the new arena *)
   let shrunk =
     Ir.Program.of_classes
@@ -677,8 +744,34 @@ let test_delta_postings_equal_cold () =
          [ ("cold", E.create old_dex); ("snapshot", snapshot) ])
     [ ("canonical order, 25% changed", app.G.dex, changed);
       ("partition order, 25% changed", partitioned, changed);
-      ("partition order, unchanged", partitioned, app.G.program);
-      ("canonical order, all but one class removed", app.G.dex, shrunk) ]
+      ("canonical order, all but one class removed", app.G.dex, shrunk) ];
+  let snapshot = loaded partitioned in
+  List.iter
+    (fun (from, old_engine) ->
+       check_unchanged_delta ("partition order, unchanged, from " ^ from)
+         old_engine app.G.program)
+    [ ("cold", E.create partitioned); ("snapshot", snapshot) ]
+
+(* An unchanged program, in the canonical order or another, gets the
+   engine it was given back from [delta_of_engine], and the loaded one
+   from the file-based [delta]. *)
+let test_unchanged_delta_reuses_engine () =
+  let app = fixture_app ~filler:20 () in
+  let path = Filename.temp_file "backdroid_unchanged" ".bdix" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  List.iter
+    (fun (order, dex) ->
+       let cold = E.create dex in
+       ignore (Store.Snapshot.save ~path cold);
+       let loaded = ok_or "load" (Store.Snapshot.load ~path app.G.program) in
+       check_unchanged_delta (order ^ ", from cold") cold app.G.program;
+       check_unchanged_delta (order ^ ", from snapshot") loaded app.G.program;
+       let e, rep = ok_or "delta" (Store.Snapshot.delta ~path app.G.program) in
+       Alcotest.(check bool) (order ^ ": the file delta is the loaded engine")
+         true
+         (Store.Snapshot.unchanged rep && E.index_mode e = "snapshot"))
+    [ ("canonical order", app.G.dex); ("partition order", partition_order app) ]
 
 (* Property: over random (seed, pct) — including pct=0 (pure reuse) and
    pct=1 (everything re-rendered) — incremental always equals from-scratch. *)
@@ -1064,14 +1157,7 @@ let test_concurrent_saves_one_path () =
 
 (* -- The text of a stored layout ---------------------------------------- *)
 
-let text_renders () =
-  Option.value ~default:0
-    (List.assoc_opt "dex.text.renders"
-       (Obs.Metrics.snapshot ()).Obs.Metrics.counters)
-
-let ok_or what = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %s" what (Store.Codec.error_to_string e)
+let text_renders () = counter "dex.text.renders"
 
 (* A program whose [t.User.use] passes a class constant to an invoke and
    stores a string holding [str] and another class constant with an sput
@@ -1199,10 +1285,7 @@ let test_class_use_in_keyed_lines () =
 
 (* -- The owner table of a loaded engine ----------------------------------- *)
 
-let owners_decoded () =
-  Option.value ~default:0
-    (List.assoc_opt "dex.owners.decoded"
-       (Obs.Metrics.snapshot ()).Obs.Metrics.counters)
+let owners_decoded () = counter "dex.owners.decoded"
 
 let owner_table e = (E.dexfile e).Dex.Dexfile.arena.Dex.Arena.owners
 
@@ -1299,24 +1382,23 @@ let test_save_load_save_every_engine () =
   in
   let cold = E.create app.G.dex in
   let p_cold, loaded = stable "cold" app.G.program cold in
-  let delta what e =
-    match Store.Snapshot.delta_of_engine e v2.G.program with
-    | Ok (d, _) -> d
-    | Error err ->
-      Alcotest.failf "%s: %s" what (Store.Codec.error_to_string err)
+  let delta what e program =
+    fst (ok_or what (Store.Snapshot.delta_of_engine e program))
   in
   let p_from_cold, _ =
-    stable "delta from cold" v2.G.program (delta "delta from cold" cold)
+    stable "delta from cold" v2.G.program
+      (delta "delta from cold" cold v2.G.program)
   in
   let p_from_loaded, loaded_delta =
-    stable "delta from loaded" v2.G.program (delta "delta from loaded" loaded)
+    stable "delta from loaded" v2.G.program
+      (delta "delta from loaded" loaded v2.G.program)
   in
   Alcotest.(check bool) "a delta saves the same bytes from either base" true
     (read_all p_from_cold = read_all p_from_loaded);
   (* a second generation, back to the first program *)
   let p_back, _ =
     stable "second generation" app.G.program
-      (delta "second generation" loaded_delta)
+      (delta "second generation" loaded_delta app.G.program)
   in
   Alcotest.(check bool) "non-trivial files" true
     (String.length (read_all p_cold) > 1024
@@ -1399,6 +1481,8 @@ let cases =
       test_prefault_load;
     Alcotest.test_case "foreign-process snapshot remaps to live ids" `Quick
       test_foreign_snapshot_remaps;
+    Alcotest.test_case "CLI --load-index patches another app's snapshot"
+      `Quick test_cli_load_index_checks_the_app;
     Alcotest.test_case "default snapshot path" `Quick test_default_path;
     Alcotest.test_case "delta patch == from-scratch (file + resident)" `Quick
       test_delta_equals_cold;
@@ -1410,6 +1494,8 @@ let cases =
       test_delta_requires_classmap;
     Alcotest.test_case "delta postings == cold postings, any old order"
       `Quick test_delta_postings_equal_cold;
+    Alcotest.test_case "an unchanged program gets its engine back" `Quick
+      test_unchanged_delta_reuses_engine;
     Alcotest.test_case "class map is built on first use" `Quick
       test_classmap_on_first_use;
     Alcotest.test_case "class map is built once across domains" `Quick
