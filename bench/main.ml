@@ -191,9 +191,9 @@ let run_speedup ~jobs =
 (* ------------------------------------------------------------------ *)
 (* trace profile: drive the slicer through the Resolver broker under a
    span recorder and fold the "resolve" spans into per-strategy latency
-   columns (Obs.Summary count, mean and max, plus the summed hits,
-   searches and cached attributes), then the search-command cache's
-   per-category compute timings. *)
+   columns (Obs.Summary count, mean and max, plus the summed hits and
+   searches attributes), then the search-command cache's per-category
+   compute timings. *)
 
 let run_trace_profile ~app =
   print_endline "\n== trace: per-strategy caller-resolution profile ==";
@@ -205,8 +205,7 @@ let run_trace_profile ~app =
     Backdroid.Driver.initial_sink_search
       ~cfg:Backdroid.Driver.default_config engine
   in
-  let recorder = Obs.Span.Recorder.create () in
-  Obs.Span.Recorder.install recorder;
+  let recorder = Obs.Span.install_recorder () in
   Fun.protect ~finally:(fun () -> Obs.Span.set_sink None) (fun () ->
       List.iter
         (fun (sink, meth, site) ->
@@ -215,7 +214,7 @@ let run_trace_profile ~app =
                 ~sink_site:site ()))
         occurrences);
   let spans =
-    Backdroid.Resolver.resolve_spans (Obs.Span.Recorder.spans recorder)
+    Backdroid.Resolver.resolve_spans (Obs.Ring.snapshot recorder)
   in
   let sum name attr =
     List.fold_left
@@ -227,14 +226,13 @@ let run_trace_profile ~app =
   in
   Printf.printf "  %d sinks, %d resolutions\n" (List.length occurrences)
     (List.length spans);
-  Printf.printf "  %-10s %6s %6s %9s %7s %11s %11s\n" "strategy" "count"
-    "hits" "searches" "cached" "mean" "max";
+  Printf.printf "  %-10s %6s %6s %9s %11s %11s\n" "strategy" "count"
+    "hits" "searches" "mean" "max";
   List.iter
     (fun (r : Obs.Summary.row) ->
        let name = r.Obs.Summary.r_name in
-       Printf.printf "  %-10s %6d %6d %9d %7d %9.1fus %9.1fus\n" name
+       Printf.printf "  %-10s %6d %6d %9d %9.1fus %9.1fus\n" name
          r.Obs.Summary.r_count (sum name "hits") (sum name "searches")
-         (sum name "cached")
          (r.Obs.Summary.r_total_us /. float_of_int r.Obs.Summary.r_count)
          r.Obs.Summary.r_max_us)
     (List.sort
@@ -438,7 +436,8 @@ let run_obs_overhead ~app =
     analyze ();
     (Unix.gettimeofday () -. t0) *. 1e6
   in
-  let recorder = Obs.Span.Recorder.create () in
+  let recorder = Obs.Span.install_recorder () in
+  Obs.Span.set_sink None;  (* reinstalled for the +spans state only *)
   let samples = Array.make 4 [] in
   let push i v = samples.(i) <- v :: samples.(i) in
   let states =
@@ -458,7 +457,7 @@ let run_obs_overhead ~app =
           Obs.disable ();
           Obs.enable_metrics ();
           Obs.enable_flight ();
-          Obs.Span.Recorder.install recorder;
+          Obs.Span.set_sink (Some (Obs.Ring.push recorder));
           push 3 (time1 ());
           Obs.Span.set_sink None) |]
   in
@@ -485,7 +484,7 @@ let run_obs_overhead ~app =
     Float.max 0.0
       (100.0 *. median (diffs samples.(st) samples.(0)) /. t_off)
   in
-  let spans = Obs.Span.Recorder.spans recorder in
+  let spans = Obs.Ring.snapshot recorder in
   let r =
     { oo_disabled_us = t_off;
       oo_metrics_us = t_metrics;
@@ -494,7 +493,7 @@ let run_obs_overhead ~app =
       oo_overhead_pct = pct 1;
       oo_flight_overhead_pct = pct 2;
       oo_profile_overhead_pct = pct 3;
-      oo_spans = List.length spans / rounds;
+      oo_spans = Obs.Ring.total recorder / rounds;
       oo_flight_events = flight_events;
     }
   in

@@ -191,24 +191,14 @@ let explain_t =
 let setup_obs ~profile ~trace =
   match profile, trace with
   | None, None -> None
-  | _ ->
-    let rec_ = Obs.Span.Recorder.create () in
-    Obs.Span.Recorder.install rec_;
-    Some rec_
+  | _ -> Some (Obs.Span.install_recorder ())
 
-(* The driver's end-of-run counter samples live in the flight ring; surface
-   them on the profile timeline as Chrome 'C' events. *)
+(* The driver's end-of-run counters live in the flight ring; surface them
+   on the profile timeline as Chrome 'C' events. *)
 let flight_counters () =
   List.concat_map
     (fun (e : Obs.Flight.event) ->
        match e.ev_kind with
-       | "counter" ->
-         (* single-sample counter events ({!Obs.Flight.counter_sample}) *)
-         (match List.assoc_opt "value" e.ev_attrs with
-          | Some (Obs.Span.Float v) ->
-            [ { Obs.Chrome.c_ts_us = e.ev_ts_us; c_pid = e.ev_pid;
-                c_name = e.ev_name; c_value = v } ]
-          | _ -> [])
        | "counters" ->
          (* batched per-run stats (Driver emits one event with every
             driver.* series as an integer attribute) *)
@@ -224,22 +214,23 @@ let flight_counters () =
        | _ -> [])
     (Obs.Flight.events ())
 
-(* Drops are counted across every span category, resolve spans included. *)
-let dropped_note rec_ =
-  let d = Obs.Span.Recorder.dropped rec_ in
-  if d > 0 then Printf.sprintf " (%d dropped)" d else ""
+(* The recorder keeps each domain's newest spans; the older ones are
+   counted across every span category, resolve spans included. *)
+let overwritten_note rec_ =
+  let d = Obs.Ring.overwritten rec_ in
+  if d > 0 then Printf.sprintf " (%d overwritten)" d else ""
 
 let finish_obs ~profile ~metrics ~metrics_format ~app_name recorder =
   (match profile, recorder with
    | Some path, Some rec_ ->
      Obs.Span.set_sink None;
-     let spans = Obs.Span.Recorder.spans rec_ in
+     let spans = Obs.Ring.snapshot rec_ in
      let n =
        Obs.Chrome.write ~pid_names:[ (0, app_name) ]
          ~counters:(flight_counters ()) path spans
      in
      Printf.printf "profile: %d spans (%d events) -> %s%s\n"
-       (List.length spans) n path (dropped_note rec_);
+       (List.length spans) n path (overwritten_note rec_);
      print_string (Obs.Summary.render (Obs.Summary.compute spans))
    | _ -> ());
   match metrics with
@@ -270,9 +261,9 @@ let analyze_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
             "Record the caller resolutions (one $(b,resolve) span each: \
-             strategy, query, hits, searches, cache hits, latency) and dump \
-             them as JSON to $(docv), in completion order.  Uses the same \
-             span recorder as $(b,--profile).")
+             strategy, query, hits, searches, latency) and dump them as \
+             JSON to $(docv), in completion order.  Uses the same span \
+             recorder as $(b,--profile).")
   in
   let time_limit_t =
     Arg.(
@@ -461,11 +452,11 @@ let analyze_cmd =
     print_endline (Serve.Render.stats_line r);
     (match trace_file, recorder with
      | Some path, Some rec_ ->
-       let spans = Obs.Span.Recorder.spans rec_ in
+       let spans = Obs.Ring.snapshot rec_ in
        Obs.Io.write_string path (Backdroid.Resolver.trace_json spans);
        Printf.printf "trace: %d resolutions recorded -> %s%s\n"
          (List.length (Backdroid.Resolver.resolve_spans spans))
-         path (dropped_note rec_)
+         path (overwritten_note rec_)
      | _ -> ());
     (match flight with
      | None -> ()

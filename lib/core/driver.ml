@@ -67,6 +67,8 @@ type sink_report = {
       (** how this verdict was derived: fresh slice (with strategy chain,
           query counts, budget spent), result-cache replay, or sink-cache
           shortcut *)
+  replayed : Resultcache.entry option;
+      (** the persisted entry a replayed verdict came from *)
 }
 
 type stats = {
@@ -209,21 +211,39 @@ let initial_sink_search ~cfg engine =
    containing method, so all its lookups for a group stay inside the group —
    the method-reachability memo, the loop counters and the SSG size counters
    are likewise group-local, and the merged statistics are identical no
-   matter how the groups are scheduled. *)
-type group_out = {
-  g_reports : ((int * int) * sink_report) list;
-      (* (occurrence index, rule index): reports sort occurrence-major *)
-  g_loops : Loopdetect.stats;
-  g_sink_lookups : int;
-  g_sink_hits : int;
-  g_ssg_nodes : int;
-  g_ssg_edges : int;
-  g_partial : int;
-  g_replayed : int;
-  g_resolutions : int;
-  g_callers : int;
-  g_work : int;
+   matter how the groups are scheduled.  A group bumps one [tally];
+   [run_session] sums them. *)
+type tally = {
+  mutable n_lookups : int;     (* sink-API-call cache lookups *)
+  mutable n_hits : int;        (* ... served by the cache *)
+  mutable n_nodes : int;       (* SSG nodes *)
+  mutable n_edges : int;       (* SSG edges *)
+  mutable n_partial : int;     (* slices that exhausted their budget *)
+  mutable n_replayed : int;    (* sites replayed from persisted results *)
+  mutable n_resolutions : int; (* caller resolutions of fresh slices *)
+  mutable n_callers : int;     (* callers they produced *)
+  mutable n_work : int;        (* work items fresh slices spent *)
 }
+
+let tally () =
+  { n_lookups = 0; n_hits = 0; n_nodes = 0; n_edges = 0; n_partial = 0;
+    n_replayed = 0; n_resolutions = 0; n_callers = 0; n_work = 0 }
+
+let sum_tallies tallies =
+  let s = tally () in
+  Array.iter
+    (fun t ->
+       s.n_lookups <- s.n_lookups + t.n_lookups;
+       s.n_hits <- s.n_hits + t.n_hits;
+       s.n_nodes <- s.n_nodes + t.n_nodes;
+       s.n_edges <- s.n_edges + t.n_edges;
+       s.n_partial <- s.n_partial + t.n_partial;
+       s.n_replayed <- s.n_replayed + t.n_replayed;
+       s.n_resolutions <- s.n_resolutions + t.n_resolutions;
+       s.n_callers <- s.n_callers + t.n_callers;
+       s.n_work <- s.n_work + t.n_work)
+    tallies;
+  s
 
 (* Group occurrences by containing method, preserving first-occurrence order
    across groups and occurrence order within each group. *)
@@ -256,18 +276,14 @@ let analyze_group ~cfg ~engine ~manifest ?replay group =
   let program = shared.Context.program in
   (* the group's slot in the sink-API-call cache (one key per group) *)
   let known_reachable = ref None in
-  let sink_cache_lookups = ref 0 and sink_cache_hits = ref 0 in
-  let ssg_nodes = ref 0 and ssg_edges = ref 0 in
-  let partial = ref 0 in
-  let replayed = ref 0 in
-  let resolutions = ref 0 and callers = ref 0 and work = ref 0 in
+  let n = tally () in
   let reports =
     List.concat_map
       (fun (i, ((sg : sink_group), meth, site)) ->
          let sink = sg.sg_sink in
          (* one verdict per rule sharing this sink spec; every verdict of
             the fan-out shares the site's one derivation ledger *)
-         let fan_out ~reachable ~fact ~ssg ~outcome ~prov =
+         let fan_out ~reachable ~fact ~ssg ~outcome ~prov ~replayed =
            List.mapi
              (fun j rule ->
                 let verdict =
@@ -276,7 +292,7 @@ let analyze_group ~cfg ~engine ~manifest ?replay group =
                 in
                 ( (i, j),
                   { rule; sink; meth; site; reachable; fact; verdict; ssg;
-                    outcome; prov } ))
+                    outcome; prov; replayed } ))
              sg.sg_rules
          in
          (* persisted-result replay: serve the cached fact when the site's
@@ -294,7 +310,7 @@ let analyze_group ~cfg ~engine ~manifest ?replay group =
          in
          match replayed_entry with
          | Some e ->
-           incr replayed;
+           n.n_replayed <- n.n_replayed + 1;
            (* reachability of this containing method is now known, so
               later sink sites in the group shortcut exactly as they
               would after a real slice *)
@@ -305,17 +321,19 @@ let analyze_group ~cfg ~engine ~manifest ?replay group =
            fan_out ~reachable:e.Resultcache.e_reachable
              ~fact:e.Resultcache.e_fact ~ssg:None ~outcome:Context.Complete
              ~prov:(Provenance.replayed ~budget:cfg.budget)
+             ~replayed:(Some e)
          | None ->
-         incr sink_cache_lookups;
+         n.n_lookups <- n.n_lookups + 1;
          match !known_reachable with
          | Some false ->
            (* Sec. IV-F: this method is known unreachable; skip re-analysis *)
-           incr sink_cache_hits;
+           n.n_hits <- n.n_hits + 1;
            fan_out ~reachable:false ~fact:Facts.Unknown ~ssg:None
              ~outcome:Context.Complete
              ~prov:(Provenance.sink_cache_served ~budget:cfg.budget)
+             ~replayed:None
          | Some true | None ->
-           if !known_reachable <> None then incr sink_cache_hits;
+           if !known_reachable <> None then n.n_hits <- n.n_hits + 1;
            Log.info (fun m ->
                m "backtracking %s sink at %s:%d" sink.Sinks.name
                  (Jsig.meth_to_string meth) site);
@@ -325,21 +343,21 @@ let analyze_group ~cfg ~engine ~manifest ?replay group =
            in
            List.iter
              (fun (_, r, c) ->
-                resolutions := !resolutions + r;
-                callers := !callers + c)
+                n.n_resolutions <- n.n_resolutions + r;
+                n.n_callers <- n.n_callers + c)
              prov.Provenance.p_strategies;
-           work := !work + prov.Provenance.p_work;
+           n.n_work <- n.n_work + prov.Provenance.p_work;
            (match outcome with
             | Context.Partial _ ->
-              incr partial;
+              n.n_partial <- n.n_partial + 1;
               Log.warn (fun m ->
                   m "sink at %s:%d: budget exhausted (%s)"
                     (Jsig.meth_to_string meth) site
                     (Context.outcome_to_string outcome))
             | Context.Complete -> ());
            known_reachable := Some ssg.Ssg.reachable;
-           ssg_nodes := !ssg_nodes + Ssg.node_count ssg;
-           ssg_edges := !ssg_edges + Ssg.edge_count ssg;
+           n.n_nodes <- n.n_nodes + Ssg.node_count ssg;
+           n.n_edges <- n.n_edges + Ssg.edge_count ssg;
            let fact =
              if ssg.Ssg.reachable then Forward.run program ssg
              else Facts.Unknown
@@ -349,14 +367,10 @@ let analyze_group ~cfg ~engine ~manifest ?replay group =
                  (Jsig.meth_to_string meth) site ssg.Ssg.reachable
                  (Facts.to_string fact) (List.length sg.sg_rules));
            fan_out ~reachable:ssg.Ssg.reachable ~fact ~ssg:(Some ssg)
-             ~outcome ~prov)
+             ~outcome ~prov ~replayed:None)
       group
   in
-  { g_reports = reports; g_loops = shared.Context.loops;
-    g_sink_lookups = !sink_cache_lookups; g_sink_hits = !sink_cache_hits;
-    g_ssg_nodes = !ssg_nodes; g_ssg_edges = !ssg_edges;
-    g_partial = !partial; g_replayed = !replayed;
-    g_resolutions = !resolutions; g_callers = !callers; g_work = !work }
+  (reports, shared.Context.loops, n)
 
 (* ------------------------------------------------------------------ *)
 (* Request-scoped analysis: a [session] captures everything that can be
@@ -471,71 +485,54 @@ let run_session ?budget s =
     Parallel.Pool.parallel_map s.s_pool
       (analyze_group ~cfg ~engine ~manifest ?replay) groups
   in
-    let loops = Loopdetect.create () in
-    let sink_cache_lookups = ref 0 and sink_cache_hits = ref 0 in
-    let ssg_nodes = ref 0 and ssg_edges = ref 0 in
-    let partial_sinks = ref 0 in
-    let replayed_sinks = ref 0 in
-    let resolutions = ref 0 and resolved_callers = ref 0 in
-    let work_spent = ref 0 in
-    Array.iter
-      (fun g ->
-         Loopdetect.add_into ~dst:loops g.g_loops;
-         sink_cache_lookups := !sink_cache_lookups + g.g_sink_lookups;
-         sink_cache_hits := !sink_cache_hits + g.g_sink_hits;
-         ssg_nodes := !ssg_nodes + g.g_ssg_nodes;
-         ssg_edges := !ssg_edges + g.g_ssg_edges;
-         partial_sinks := !partial_sinks + g.g_partial;
-         replayed_sinks := !replayed_sinks + g.g_replayed;
-         resolutions := !resolutions + g.g_resolutions;
-         resolved_callers := !resolved_callers + g.g_callers;
-         work_spent := !work_spent + g.g_work)
-      outs;
-    let reports =
-      Array.to_list outs
-      |> List.concat_map (fun g -> g.g_reports)
-      |> List.sort (fun (a, _) (b, _) ->
-             compare (a : int * int) b)
-      |> List.map snd
-    in
-    let stats =
-      { sink_calls = List.length occurrences;
-        searches_total = Bytesearch.Engine.total_searches engine;
-        searches_cached = Bytesearch.Engine.cached_searches engine;
-        search_cache_rate = Bytesearch.Engine.cache_rate engine;
-        sink_cache_lookups = !sink_cache_lookups;
-        sink_cache_hits = !sink_cache_hits;
-        loops;
-        ssg_nodes = !ssg_nodes;
-        ssg_edges = !ssg_edges;
-        partial_sinks = !partial_sinks;
-        replayed_sinks = !replayed_sinks;
-        index_categories_built = Bytesearch.Engine.built_categories engine;
-        resolutions = !resolutions;
-        resolved_callers = !resolved_callers;
-        work_spent = !work_spent }
-    in
-    Obs.Metrics.add m_sink_calls stats.sink_calls;
-    Obs.Metrics.add m_ssg_nodes stats.ssg_nodes;
-    Obs.Metrics.add m_ssg_edges stats.ssg_edges;
-    Obs.Metrics.add m_sink_cache_lookups stats.sink_cache_lookups;
-    Obs.Metrics.add m_sink_cache_hits stats.sink_cache_hits;
-    (* one batched flight event carrying every driver.* end-of-run counter
-       (a single ring push; the trace exporter explodes the attributes into
-       per-name Chrome 'C' counter tracks) *)
-    Obs.Flight.record ~kind:"counters" ~name:"driver"
-      ~attrs:[ ("driver.sink_calls", Obs.Span.Int stats.sink_calls);
-               ("driver.ssg_nodes", Obs.Span.Int stats.ssg_nodes);
-               ("driver.ssg_edges", Obs.Span.Int stats.ssg_edges);
-               ("driver.sink_cache.lookups",
-                Obs.Span.Int stats.sink_cache_lookups);
-               ("driver.sink_cache.hits", Obs.Span.Int stats.sink_cache_hits);
-               ("driver.partial_sinks", Obs.Span.Int stats.partial_sinks);
-               ("driver.replayed_sinks", Obs.Span.Int stats.replayed_sinks);
-               ("driver.resolutions", Obs.Span.Int stats.resolutions);
-               ("driver.work_spent", Obs.Span.Int stats.work_spent) ]
-      ();
-    { reports; stats }
+  let loops = Loopdetect.create () in
+  Array.iter (fun (_, l, _) -> Loopdetect.add_into ~dst:loops l) outs;
+  let n = sum_tallies (Array.map (fun (_, _, n) -> n) outs) in
+  (* reports are keyed (occurrence index, rule index): occurrence-major *)
+  let reports =
+    Array.to_list outs
+    |> List.concat_map (fun (reports, _, _) -> reports)
+    |> List.sort (fun (a, _) (b, _) -> compare (a : int * int) b)
+    |> List.map snd
+  in
+  let stats =
+    { sink_calls = List.length occurrences;
+      searches_total = Bytesearch.Engine.total_searches engine;
+      searches_cached = Bytesearch.Engine.cached_searches engine;
+      search_cache_rate = Bytesearch.Engine.cache_rate engine;
+      sink_cache_lookups = n.n_lookups;
+      sink_cache_hits = n.n_hits;
+      loops;
+      ssg_nodes = n.n_nodes;
+      ssg_edges = n.n_edges;
+      partial_sinks = n.n_partial;
+      replayed_sinks = n.n_replayed;
+      index_categories_built = Bytesearch.Engine.built_categories engine;
+      resolutions = n.n_resolutions;
+      resolved_callers = n.n_callers;
+      work_spent = n.n_work }
+  in
+  Obs.Metrics.add m_sink_calls stats.sink_calls;
+  Obs.Metrics.add m_ssg_nodes stats.ssg_nodes;
+  Obs.Metrics.add m_ssg_edges stats.ssg_edges;
+  Obs.Metrics.add m_sink_cache_lookups stats.sink_cache_lookups;
+  Obs.Metrics.add m_sink_cache_hits stats.sink_cache_hits;
+  (* one batched flight event carrying every driver.* end-of-run counter
+     (a single ring push; the trace exporter explodes the attributes into
+     per-name Chrome 'C' counter tracks) *)
+  Obs.Flight.record ~kind:"counters" ~name:"driver"
+    ~attrs:[ ("driver.sink_calls", Obs.Span.Int stats.sink_calls);
+             ("driver.ssg_nodes", Obs.Span.Int stats.ssg_nodes);
+             ("driver.ssg_edges", Obs.Span.Int stats.ssg_edges);
+             ("driver.sink_cache.lookups",
+              Obs.Span.Int stats.sink_cache_lookups);
+             ("driver.sink_cache.hits", Obs.Span.Int stats.sink_cache_hits);
+             ("driver.partial_sinks", Obs.Span.Int stats.partial_sinks);
+             ("driver.replayed_sinks", Obs.Span.Int stats.replayed_sinks);
+             ("driver.resolutions", Obs.Span.Int stats.resolutions);
+             ("driver.work_spent", Obs.Span.Int stats.work_spent) ]
+    ();
+  { reports; stats }
 
 (** Analyze one app: a transient session.  [pool] (otherwise created from
     [cfg.jobs]) drives the per-sink-group fan-out.  [engine] is a premade
@@ -593,11 +590,13 @@ let ssg_footprint ~(classmap : Dex.Classmap.t) (ssg : Ssg.t) sink_meth =
   Hashtbl.fold (fun c () acc -> c :: acc) seen [] |> List.sort String.compare
 
 (** Persistable per-sink results of [result]: one cache entry per distinct
-    sink call site whose slice ran to completion in this run (replayed or
-    cache-served sites carry no SSG and are skipped — their provenance
-    lives in the cache they came from).  Keyed for {!Resultcache.lookup}
-    and stamped with [dex]'s class-hash table; an empty classmap yields an
-    empty cache (nothing could ever be validated against it). *)
+    sink call site whose slice ran to completion in this run, plus the
+    entry of each replayed site with the footprint it was replayed under
+    (every footprint class is unchanged, so the entry holds for this
+    version too).  Sink-cache-served sites carry neither and are skipped.
+    Keyed for {!Resultcache.lookup} and stamped with [dex]'s class-hash
+    table; an empty classmap yields an empty cache (nothing could ever be
+    validated against it). *)
 let export_results ~(dex : Dex.Dexfile.t) result =
   let classmap = Dex.Dexfile.classmap dex in
   if Classmap.length classmap = 0 then Resultcache.empty
@@ -611,25 +610,26 @@ let export_results ~(dex : Dex.Dexfile.t) result =
     let entries =
       List.filter_map
         (fun r ->
-           match (r.ssg, r.outcome) with
-           | Some ssg, Context.Complete ->
-             let e_sink_msig = Jsig.meth_to_string r.sink.Sinks.msig in
-             let e_meth = Jsig.meth_to_string r.meth in
-             let key =
-               Printf.sprintf "%s|%d|%s|%d" e_sink_msig
-                 r.sink.Sinks.param_index e_meth r.site
-             in
-             if Hashtbl.mem seen key then None
-             else begin
-               Hashtbl.replace seen key ();
+           let e_sink_msig = Jsig.meth_to_string r.sink.Sinks.msig in
+           let e_meth = Jsig.meth_to_string r.meth in
+           let key =
+             Printf.sprintf "%s|%d|%s|%d" e_sink_msig
+               r.sink.Sinks.param_index e_meth r.site
+           in
+           if Hashtbl.mem seen key then None
+           else begin
+             Hashtbl.replace seen key ();
+             match (r.replayed, r.ssg, r.outcome) with
+             | Some e, _, _ -> Some e
+             | None, Some ssg, Context.Complete ->
                Some
                  { Resultcache.e_sink_msig;
                    e_param_index = r.sink.Sinks.param_index;
                    e_meth; e_site = r.site; e_reachable = r.reachable;
                    e_fact = r.fact;
                    e_footprint = ssg_footprint ~classmap ssg r.meth }
-             end
-           | Some _, Context.Partial _ | None, _ -> None)
+             | None, Some _, Context.Partial _ | None, None, _ -> None
+           end)
         result.reports
     in
     Resultcache.build ~classes entries

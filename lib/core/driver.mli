@@ -16,8 +16,8 @@
     engine; sink-API-call reachability cache) and the loop-detection
     statistics of Sec. IV-F.  It carries no event sink: each caller
     resolution is recorded as a ["resolve"] span (see {!Resolver}), which
-    an installed [Obs.Span] recorder collects for [--trace] and
-    [--profile]. *)
+    the span recorder ([Obs.Span.install_recorder]) collects for [--trace]
+    and [--profile]. *)
 
 module Sinks = Framework.Sinks
 type config = {
@@ -54,6 +54,9 @@ type sink_report = {
       (** how this verdict was derived: fresh slice (strategy chain, query
           counts, budget spent, SSG size, wall-µs), result-cache replay, or
           sink-cache shortcut; rules sharing a sink spec share the ledger *)
+  replayed : Resultcache.entry option;
+      (** the persisted entry a replayed verdict came from ([None] unless
+          [prov] is [Replayed]); {!export_results} persists it again *)
 }
 type stats = {
   sink_calls : int;
@@ -169,7 +172,10 @@ val analyze :
   dex:Dex.Dexfile.t -> manifest:Manifest.App_manifest.t -> unit -> result
 
 (** Persistable per-sink results of a run: one {!Resultcache.entry} per
-    distinct completely-sliced sink call site, stamped with [dex]'s
+    distinct completely-sliced sink call site, and each replayed site's
+    entry with the footprint it was replayed under, stamped with [dex]'s
     class-hash table.  Save alongside the snapshot via
-    {!Store.Snapshot.save}'s [results] argument. *)
+    {!Store.Snapshot.save}'s [results] argument: a snapshot saved after a
+    replaying warm start carries every result the next version can
+    replay. *)
 val export_results : dex:Dex.Dexfile.t -> result -> Resultcache.t

@@ -8,11 +8,10 @@
     and sink-cache shortcuts record their source instead, so a warm report
     is always distinguishable from a freshly computed one.
 
-    {!key} folds only the scheduling-independent fields — the search-cache
-    hit split and wall time legitimately vary across [--jobs] levels (which
-    slice pays the one miss per distinct query depends on scheduling), so
-    they are reported but excluded from the determinism fingerprint the
-    jobs=1-vs-jobs=N tests compare. *)
+    Every field but wall time is scheduling-independent, so a ledger with
+    [p_wall_us] zeroed is equal at any [--jobs].  The ledger carries no
+    search-cache hit/miss split: which slice pays the one miss per distinct
+    query depends on scheduling. *)
 
 type source =
   | Fresh                 (** computed by a backward slice in this run *)
@@ -30,8 +29,6 @@ type t = {
       (** (strategy, resolutions, callers found), non-zero entries only,
           in [Context.strategies] order *)
   p_searches : int;        (** bytecode-search queries issued by the slice *)
-  p_search_cached : int;   (** of which served from the search cache
-                               (scheduling-dependent; informational) *)
   p_categories : (string * int) list;
       (** queries per Sec. IV-F category, non-zero only *)
   p_work : int;            (** work items spent *)
@@ -45,7 +42,7 @@ type t = {
 
 let empty ~source ~(budget : Context.budget) =
   { p_source = source; p_strategies = []; p_searches = 0;
-    p_search_cached = 0; p_categories = []; p_work = 0;
+    p_categories = []; p_work = 0;
     p_max_work = budget.Context.max_work;
     p_depth_limit = budget.Context.max_depth;
     p_deadline_ms = budget.Context.time_limit_ms; p_ssg_nodes = 0;
@@ -86,8 +83,6 @@ let fresh_of (ctx : Context.t) ~wall_us =
   done;
   { p_source = Fresh; p_strategies = !strategies;
     p_searches = l1.Bytesearch.Cache.lc_total - l0.Bytesearch.Cache.lc_total;
-    p_search_cached =
-      l1.Bytesearch.Cache.lc_cached - l0.Bytesearch.Cache.lc_cached;
     p_categories = !categories; p_work = ctx.Context.work_count;
     p_max_work = ctx.Context.budget.Context.max_work;
     p_depth_limit = ctx.Context.budget.Context.max_depth;
@@ -112,12 +107,7 @@ let render ?(timing = true) t =
             (List.map
                (fun (n, r, c) -> Printf.sprintf "%s x%d (%d callers)" n r c)
                t.p_strategies));
-     (* the cached count is, like wall time, a fact about this execution
-        (warm vs cold process cache), not about the derivation — gate it
-        with [timing] so deterministic renders compare across runs *)
-     bpf "    searches: %d issued%s%s\n" t.p_searches
-       (if timing then Printf.sprintf " (%d cached)" t.p_search_cached
-        else "")
+     bpf "    searches: %d issued%s\n" t.p_searches
        (if t.p_categories = [] then ""
         else
           Printf.sprintf " — %s"
@@ -133,18 +123,3 @@ let render ?(timing = true) t =
      bpf "    ssg: %d nodes, %d edges\n" t.p_ssg_nodes t.p_ssg_edges;
      if timing then bpf "    wall: %.0fus\n" t.p_wall_us);
   Buffer.contents b
-
-(** Deterministic fingerprint: every field except the scheduling-dependent
-    search-cache split and wall time.  Equal across jobs=1 and jobs=N for
-    the same app and rules. *)
-let key t =
-  Printf.sprintf "%s|%s|s%d|%s|w%d/%d|d%d|ssg%d/%d"
-    (source_to_string t.p_source)
-    (String.concat ","
-       (List.map
-          (fun (n, r, c) -> Printf.sprintf "%s:%d:%d" n r c)
-          t.p_strategies))
-    t.p_searches
-    (String.concat ","
-       (List.map (fun (c, n) -> Printf.sprintf "%s:%d" c n) t.p_categories))
-    t.p_work t.p_max_work t.p_depth_limit t.p_ssg_nodes t.p_ssg_edges

@@ -1,7 +1,14 @@
 (** Per-sink provenance ledger: the compact derivation record every sink
     report carries — queries issued per category, resolver strategies taken
-    with caller counts, budget spent vs cap, cache/replay status, SSG size
-    and wall-clock cost.  Rendered by [analyze --explain]. *)
+    with caller counts, budget spent vs cap, replay status, SSG size and
+    wall-clock cost.  Rendered by [analyze --explain].
+
+    Every field but [p_wall_us] is a fact about the derivation, so a whole
+    ledger with its wall time zeroed is equal at any [--jobs] for the same
+    app and rules.  It carries
+    no search-cache hit/miss split: which of two racing slices pays the
+    one miss per distinct query is scheduling, so that split is reported
+    engine-wide only (the [stats:] line, [search.cache.{hits,misses}]). *)
 
 type source =
   | Fresh                 (** computed by a backward slice in this run *)
@@ -15,8 +22,6 @@ type t = {
   p_strategies : (string * int * int) list;
       (** (strategy, resolutions, callers found), non-zero only *)
   p_searches : int;
-  p_search_cached : int;
-      (** scheduling-dependent — informational, not in {!key} *)
   p_categories : (string * int) list;  (** queries per category, non-zero *)
   p_work : int;
   p_max_work : int;
@@ -24,7 +29,8 @@ type t = {
   p_deadline_ms : float option;
   p_ssg_nodes : int;
   p_ssg_edges : int;
-  p_wall_us : float;  (** 0. for non-fresh sources; not in {!key} *)
+  p_wall_us : float;
+      (** 0. for non-fresh sources; the one field that varies run to run *)
 }
 
 (** Ledger of a verdict replayed from the persisted result cache. *)
@@ -40,7 +46,3 @@ val fresh_of : Context.t -> wall_us:float -> t
 (** Multi-line rendering for [analyze --explain]; [timing:false] omits the
     wall-clock line (stable across runs). *)
 val render : ?timing:bool -> t -> string
-
-(** Deterministic fingerprint: everything except the search-cache split and
-    wall time.  Equal across jobs=1 and jobs=N for the same app/rules. *)
-val key : t -> string

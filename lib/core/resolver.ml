@@ -192,10 +192,10 @@ let m_callers = Obs.Metrics.counter "resolve.callers"
 
 (* The one place a resolution is recorded: metrics, provenance tallies, a
    flight entry, the [-v] debug line and one "resolve" span whose name is
-   the strategy and whose attributes carry the query, hits, searches and
-   cached counts.  The search counts are deltas of the calling domain's
-   counters, so a concurrent slice's searches never leak into another
-   resolution's record. *)
+   the strategy and whose attributes carry the query, hits and searches.
+   The search count is a delta of the calling domain's counters, so a
+   concurrent slice's searches never leak into another resolution's
+   record, and every field but the latency is equal at any [--jobs]. *)
 let traced ctx strategy query f =
   let l0 = Bytesearch.Engine.local_counts () in
   let t0 = Obs.Span.now_us () in
@@ -203,7 +203,6 @@ let traced ctx strategy query f =
   let l1 = Bytesearch.Engine.local_counts () in
   let hits = List.length r.callers in
   let searches = l1.Bytesearch.Cache.lc_total - l0.Bytesearch.Cache.lc_total in
-  let cached = l1.Bytesearch.Cache.lc_cached - l0.Bytesearch.Cache.lc_cached in
   let idx = Context.strategy_index strategy in
   let name = strategy_to_string strategy in
   Obs.Metrics.incr m_resolutions.(idx);
@@ -221,12 +220,11 @@ let traced ctx strategy query f =
     Obs.Span.emit ~cat:"resolve" ~name
       ~attrs:[ ("query", Obs.Span.Str query);
                ("hits", Obs.Span.Int hits);
-               ("searches", Obs.Span.Int searches);
-               ("cached", Obs.Span.Int cached) ]
+               ("searches", Obs.Span.Int searches) ]
       t0;
   Log.debug (fun l ->
-      l "resolve[%s] %s: %d callers, %d searches (%d cached), %.1fus" name
-        query hits searches cached (Obs.Span.now_us () -. t0));
+      l "resolve[%s] %s: %d callers, %d searches, %.1fus" name query hits
+        searches (Obs.Span.now_us () -. t0));
   r
 
 let resolve_spans spans =
@@ -247,11 +245,11 @@ let trace_json spans =
        if i > 0 then Buffer.add_char b ',';
        Printf.bprintf b
          "{\"strategy\":\"%s\",\"query\":\"%s\",\"hits\":%d,\
-          \"searches\":%d,\"cached\":%d,\"elapsed_us\":%s}"
+          \"searches\":%d,\"elapsed_us\":%s}"
          (Obs.Jsonf.escape s.Obs.Span.name)
          (Obs.Jsonf.escape
             (match attr "query" s with Some (Obs.Span.Str q) -> q | _ -> ""))
-         (int "hits" s) (int "searches" s) (int "cached" s)
+         (int "hits" s) (int "searches" s)
          (Obs.Jsonf.number (Obs.Span.duration_us s)))
     spans;
   Buffer.add_string b "]}";

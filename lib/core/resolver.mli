@@ -8,12 +8,14 @@
     slicer's traversals are generic, with no per-strategy match arms.
 
     Every resolution is recorded once: one ["resolve"] span named after its
-    strategy, with [query], [hits], [searches] and [cached] attributes, plus
-    the [resolve.*] metrics, a flight entry, the {!Provenance} tallies and a
-    debug log line.  [--trace] and [--profile] both read the spans.  The
-    search counts come from the calling domain's own counters, so a
-    concurrent slice never leaks into them; under [--jobs N] only the
-    [cached] split depends on which racing slice paid a shared miss. *)
+    strategy, with [query], [hits] and [searches] attributes, plus the
+    [resolve.*] metrics, a flight entry, the {!Provenance} tallies and a
+    debug log line.  [--trace] and [--profile] both read the spans, from
+    the one span recorder ([Obs.Span.install_recorder]).  The search count
+    comes from the calling domain's own counters, so a concurrent slice
+    never leaks into it, and a span carries no search-cache hit/miss split
+    (which racing slice pays a shared miss is scheduling): every attribute
+    is equal at any [--jobs]. *)
 
 (** Which Sec. IV mechanism answered the query (re-exported from
     {!Context}).  [Icc] is selected by the residual {!demand}, the others by
@@ -75,6 +77,6 @@ val callers : ?demand:demand -> Context.t -> Ir.Jsig.meth -> resolution
 val resolve_spans : Obs.Span.span list -> Obs.Span.span list
 
 (** The [--trace] artifact over the resolve spans among [spans]:
-    [{"recorded":N,"events":[{strategy,query,hits,searches,cached,
-    elapsed_us}, ...]}] in completion order, non-finite latencies clamped. *)
+    [{"recorded":N,"events":[{strategy,query,hits,searches,elapsed_us},
+    ...]}] in completion order, non-finite latencies clamped. *)
 val trace_json : Obs.Span.span list -> string

@@ -740,12 +740,14 @@ let slice_full ~(shared : Context.shared) ?budget ~(sink : Sinks.t) ~sink_meth
   let prov = Provenance.fresh_of ctx ~wall_us in
   Obs.Metrics.incr m_slices;
   Obs.Metrics.observe m_work (float_of_int ctx.Context.work_count);
-  let sink_name = Sym.to_string (Jsig.meth_sym sink_meth) in
-  Obs.Flight.record ~kind:"span" ~name:"slice"
-    ~attrs:[ ("sink", Obs.Span.Str sink_name);
-             ("work", Obs.Span.Int ctx.Context.work_count);
-             ("outcome", Obs.Span.Str (Context.outcome_to_string outcome)) ]
-    ();
+  (* one attribute list for the flight entry, the partial-slice anomaly
+     and the span *)
+  let attrs =
+    [ ("sink", Obs.Span.Str (Sym.to_string (Jsig.meth_sym sink_meth)));
+      ("work", Obs.Span.Int ctx.Context.work_count);
+      ("outcome", Obs.Span.Str (Context.outcome_to_string outcome)) ]
+  in
+  Obs.Flight.record ~kind:"span" ~name:"slice" ~attrs ();
   (match outcome with
    | Context.Complete -> ()
    | Context.Partial exs ->
@@ -760,17 +762,8 @@ let slice_full ~(shared : Context.shared) ?budget ~(sink : Sinks.t) ~sink_meth
         post-mortem shows what the slice was doing when the budget ran out *)
      Obs.Flight.anomaly
        ~kind:(if List.mem Context.Deadline exs then "deadline" else "budget")
-       ~name:"slice-partial"
-       ~attrs:[ ("sink", Obs.Span.Str sink_name);
-                ("work", Obs.Span.Int ctx.Context.work_count);
-                ("outcome", Obs.Span.Str (Context.outcome_to_string outcome)) ]
-       ());
-  if Obs.Span.pending span0 then
-    Obs.Span.emit ~cat:"slice" ~name:"sink"
-      ~attrs:[ ("sink", Obs.Span.Str sink_name);
-               ("work", Obs.Span.Int ctx.Context.work_count);
-               ("outcome", Obs.Span.Str (Context.outcome_to_string outcome)) ]
-      span0;
+       ~name:"slice-partial" ~attrs ());
+  Obs.Span.emit ~cat:"slice" ~name:"sink" ~attrs span0;
   (ssg, outcome, prov)
 
 (** {!slice_full} without the ledger (compatibility surface for callers

@@ -25,7 +25,7 @@ type event = {
 (** One sample of a named numeric series, rendered as a Chrome counter
     ('C'-phase) track under its pid — cache hit-rates and sink counts show
     up as area charts alongside the span timeline. *)
-type counter_sample = {
+type counter = {
   c_ts_us : float;    (** µs since the process origin *)
   c_pid : int;
   c_name : string;

@@ -17,7 +17,7 @@ type event = {
 
 (** One sample of a named numeric series, rendered as a Chrome counter
     ('C'-phase) track under its pid. *)
-type counter_sample = {
+type counter = {
   c_ts_us : float;    (** µs since the process origin *)
   c_pid : int;
   c_name : string;
@@ -27,7 +27,7 @@ type counter_sample = {
 (** Rebuild per-thread nesting from closed spans (any order) and merge into
     one well-nested, strictly-monotonic event stream; [counters] join the
     merge as stackless 'C' events. *)
-val events_of_spans : ?counters:counter_sample list -> Span.span list -> event list
+val events_of_spans : ?counters:counter list -> Span.span list -> event list
 
 (** Render the JSON array, prefixed with process/thread-name metadata
     events ([pid_names] maps pid -> display name; pid 0 is "app"). *)
@@ -39,7 +39,7 @@ val args_json : Span.attr list -> string
 (** [write path spans] exports spans (and counter samples) to [path];
     returns the event count. *)
 val write :
-  ?pid_names:(int * string) list -> ?counters:counter_sample list -> string ->
+  ?pid_names:(int * string) list -> ?counters:counter list -> string ->
   Span.span list -> int
 
 (** Check B/E pairing per (pid, tid) and global strict ts monotonicity

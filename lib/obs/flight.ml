@@ -15,7 +15,7 @@ type event = {
   ev_ts_us : float;         (** µs since the process origin ({!Span.now_us}) *)
   ev_dom : int;             (** recording domain id *)
   ev_pid : int;             (** logical process (app) id *)
-  ev_kind : string;         (** "span" | "counter" | "resolve" | "anomaly" | ... *)
+  ev_kind : string;         (** "span", "resolve", "counters", "anomaly.*"... *)
   ev_name : string;
   ev_attrs : Span.attr list;
 }
@@ -39,11 +39,6 @@ let record ?ts_us ?(attrs = []) ~kind ~name () =
       { ev_ts_us = ts; ev_dom = Span.self_tid (); ev_pid = Span.current_pid ();
         ev_kind = kind; ev_name = name; ev_attrs = attrs }
   end
-
-(** One sample of a named numeric series (rendered as a Chrome 'C' counter
-    event by the trace exporter). *)
-let counter_sample ?ts_us ~name v =
-  record ?ts_us ~attrs: [ ("value", Span.Float v) ] ~kind:"counter" ~name ()
 
 (* -- Introspection --------------------------------------------------- *)
 

@@ -15,7 +15,7 @@ type event = {
   ev_ts_us : float;         (** µs since the process origin ({!Span.now_us}) *)
   ev_dom : int;             (** recording domain id *)
   ev_pid : int;             (** logical process (app) id *)
-  ev_kind : string;         (** "span" | "counter" | "resolve" | "anomaly" | ... *)
+  ev_kind : string;         (** "span", "resolve", "counters", "anomaly.*"... *)
   ev_name : string;
   ev_attrs : Span.attr list;
 }
@@ -38,10 +38,6 @@ val set_enabled : bool -> unit
 val record :
   ?ts_us:float -> ?attrs:Span.attr list -> kind:string -> name:string ->
   unit -> unit
-
-(** One sample of a named numeric series (rendered as a Chrome 'C'
-    counter event by the trace exporter). *)
-val counter_sample : ?ts_us:float -> name:string -> float -> unit
 
 (** Record an [anomaly.<kind>] event, bump the anomaly counter, and — if
     a dump path is armed — rewrite the dump immediately (anomalies are

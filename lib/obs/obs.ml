@@ -1,9 +1,13 @@
-(** The telemetry layer: hierarchical {!Span}s with a lock-free-per-domain
-    default recorder, a sharded deterministic {!Metrics} registry,
-    {!Chrome} trace-event export, the always-on {!Flight} recorder over
-    per-domain {!Ring} buffers, the OpenMetrics {!Export} exposition, a
-    per-phase self-time {!Summary}, and the shared {!Jsonf}/{!Io} helpers
-    every artifact writer goes through.
+(** The telemetry layer: hierarchical {!Span}s, a sharded deterministic
+    {!Metrics} registry, {!Chrome} trace-event export, the always-on
+    {!Flight} recorder, the OpenMetrics {!Export} exposition, a per-phase
+    self-time {!Summary}, and the shared {!Jsonf}/{!Io} helpers every
+    artifact writer goes through.
+
+    {!Ring} is the one per-domain event buffer: the flight recorder keeps
+    its newest 512 events per domain in one, and the span recorder
+    ([Span.install_recorder], behind [--profile] and [--trace]) its newest
+    65,536 spans per domain, counting older ones as overwritten.
 
     Everything is off-by-default-cheap: with no span sink installed and
     metrics disabled ({!disable}), the instrumentation costs one
@@ -31,7 +35,7 @@ let disable () =
   Flight.set_enabled false
 
 (** (Re-)enable metrics recording.  Span recording turns on by installing a
-    sink ([Span.Recorder.install]). *)
+    sink ([Span.install_recorder]). *)
 let enable_metrics () = Metrics.set_enabled true
 
 (** (Re-)enable the always-on flight recorder (it starts enabled; this

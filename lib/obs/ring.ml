@@ -1,13 +1,13 @@
-(** Lock-free per-domain ring buffers: the storage layer of the flight
-    recorder ({!Flight}).
+(** Lock-free per-domain ring buffers: the one event buffer of the
+    telemetry layer, under the flight recorder ({!Flight}) and the span
+    recorder ({!Span.install_recorder}).
 
-    Unlike {!Span.Recorder}, which *drops* once a shard is full (a profile
-    wants the beginning of the run), a ring *wraps* — it always retains the
-    most recent [capacity] items per domain, which is what a post-mortem
-    wants.  The hot path is one [Domain.DLS] lookup plus an array store:
-    each domain owns its shard exclusively, so no mutex and no atomic RMW
-    is ever taken while recording.  Shards register themselves under a lock
-    once per domain; {!snapshot} merges them after the workload quiesces
+    A ring *wraps*: it always retains the most recent [capacity] items per
+    domain and counts the older ones as overwritten.  The hot path is one
+    [Domain.DLS] lookup plus an array store: each domain owns its shard
+    exclusively, so no mutex and no atomic RMW is ever taken while
+    recording.  Shards register themselves under a lock once per domain;
+    {!snapshot} merges them after the workload quiesces
     (pool batches settle through the pool's own mutex, which publishes the
     shard writes). *)
 

@@ -1,15 +1,17 @@
-(** Lock-free per-domain ring buffers: the storage layer of the flight
-    recorder ({!Flight}).
+(** Lock-free per-domain ring buffers: the one event buffer of the
+    telemetry layer, under both the flight recorder ({!Flight}) and the
+    span recorder ({!Span.install_recorder}).
 
-    Unlike {!Span.Recorder}, which {e drops} once a shard is full (a
-    profile wants the beginning of the run), a ring {e wraps} — it always
-    retains the most recent [capacity] items per domain, which is what a
-    post-mortem wants.  The hot path is one [Domain.DLS] lookup plus an
-    array store: each domain owns its shard exclusively, so no mutex and
-    no atomic RMW is ever taken while recording.  A domain returns its
-    shard to a free list on exit and the next domain reuses it, so the
-    short-lived per-call pools of [Driver.analyze] cannot grow the shard
-    registry (or the retained-event heap) without bound. *)
+    A ring {e wraps}: it always retains the most recent [capacity] items
+    per domain and counts the older ones as {!overwritten}.  A post-mortem
+    wants the recent past, and a profile or [--trace] that outgrows the
+    span recorder's 65,536 spans per domain says how many it lost.  The
+    hot path is one [Domain.DLS] lookup plus an array store: each domain
+    owns its shard exclusively, so no mutex and no atomic RMW is ever
+    taken while recording.  A domain returns its shard to a free list on
+    exit and the next domain reuses it, so the short-lived per-call pools
+    of [Driver.analyze] cannot grow the shard registry (or the retained
+    heap) without bound. *)
 
 type 'a t
 

@@ -5,10 +5,11 @@
 
     The span sink is pluggable.  The default state is *no sink
     installed*, in which case {!with_span} runs its thunk with exactly one
-    [Atomic.get] of overhead — no clock reads, no allocation.  The
-    standard recorder is {!Recorder}: one bounded buffer shard per domain
-    (via [Domain.DLS]), so the hot path never takes a mutex; shards register
-    themselves under a lock once per domain and are merged at snapshot. *)
+    [Atomic.get] of overhead — no clock reads, no allocation.  The one
+    recorder is a {!Ring} of spans ({!install_recorder}): the flight
+    recorder's per-domain buffer, so the hot path never takes a mutex, each
+    domain keeps its newest 65,536 spans, and an exited domain's shard is
+    reused. *)
 
 type value = Str of string | Int of int | Float of float | Bool of bool
 
@@ -94,88 +95,9 @@ let with_span ?attrs ~cat ~name f =
       emit ?attrs ~cat ~name t0;
       Printexc.raise_with_backtrace e bt
 
-(* -- The default recorder -------------------------------------------- *)
+(* -- The recorder ------------------------------------------------------ *)
 
-module Recorder = struct
-  type shard = {
-    mutable arr : span array;
-    mutable len : int;
-    mutable dropped : int;
-  }
-
-  type t = {
-    capacity : int;               (* per shard *)
-    lock : Mutex.t;               (* guards [shards] registration/merge *)
-    shards : shard list ref;
-    key : shard Domain.DLS.key;
-  }
-
-  let create ?(capacity = 1 lsl 16) () =
-    let lock = Mutex.create () in
-    let shards = ref [] in
-    let key =
-      (* runs on first use per domain — the only locked step of the hot
-         path, paid once per domain *)
-      Domain.DLS.new_key (fun () ->
-          let s = { arr = [||]; len = 0; dropped = 0 } in
-          Mutex.lock lock;
-          shards := s :: !shards;
-          Mutex.unlock lock;
-          s)
-    in
-    { capacity = max 16 capacity; lock; shards; key }
-
-  let dummy =
-    { cat = ""; name = ""; pid = 0; tid = 0; t0_us = 0.0; t1_us = 0.0;
-      attrs = [] }
-
-  (* Unsynchronized per-domain append: the shard is owned by the recording
-     domain; merges happen after the workload quiesces (pool batches settle
-     through the pool's own mutex, which publishes these writes). *)
-  let sink t span =
-    let s = Domain.DLS.get t.key in
-    if s.len >= t.capacity then s.dropped <- s.dropped + 1
-    else begin
-      let cap = Array.length s.arr in
-      if s.len >= cap then begin
-        let cap' = min t.capacity (max 256 (2 * cap)) in
-        let arr' = Array.make cap' dummy in
-        Array.blit s.arr 0 arr' 0 s.len;
-        s.arr <- arr'
-      end;
-      s.arr.(s.len) <- span;
-      s.len <- s.len + 1
-    end
-
-  let with_lock t f =
-    Mutex.lock t.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-  (** All recorded spans, merged across shards (unordered — exporters sort).
-      Call after the instrumented workload has quiesced. *)
-  let spans t =
-    with_lock t (fun () ->
-        List.concat_map
-          (fun s -> Array.to_list (Array.sub s.arr 0 s.len))
-          !(t.shards))
-
-  let length t =
-    with_lock t (fun () ->
-        List.fold_left (fun n s -> n + s.len) 0 !(t.shards))
-
-  (** Spans dropped because a shard hit its capacity. *)
-  let dropped t =
-    with_lock t (fun () ->
-        List.fold_left (fun n s -> n + s.dropped) 0 !(t.shards))
-
-  let clear t =
-    with_lock t (fun () ->
-        List.iter
-          (fun s ->
-             s.len <- 0;
-             s.dropped <- 0)
-          !(t.shards))
-
-  (** Install this recorder as the global span sink. *)
-  let install t = set_sink (Some (sink t))
-end
+let install_recorder () =
+  let ring = Ring.create ~capacity:(1 lsl 16) () in
+  set_sink (Some (Ring.push ring));
+  ring

@@ -1,5 +1,5 @@
-(** Hierarchical spans with pluggable sinks and a lock-free-per-domain
-    default recorder.
+(** Hierarchical spans with pluggable sinks; the recorder is a per-domain
+    {!Ring}.
 
     A span is one closed begin/end scope: category, name, logical process id
     (pid — one per app in corpus runs), recording domain (tid), begin/end
@@ -58,26 +58,11 @@ val current_pid : unit -> int
 (** The current domain id (the [tid] spans record). *)
 val self_tid : unit -> int
 
-(** The default recorder: one bounded span buffer per recording domain
-    (registered once per domain under a mutex, appended to without any
-    synchronization), merged at snapshot.  Snapshot after the instrumented
-    workload has quiesced (e.g. after the pool batch settled). *)
-module Recorder : sig
-  type t
-
-  (** [capacity] bounds each per-domain shard (default 65536 spans);
-      overflowing spans are counted in {!dropped}, not recorded. *)
-  val create : ?capacity:int -> unit -> t
-
-  val sink : t -> sink
-
-  (** Install this recorder as the global span sink. *)
-  val install : t -> unit
-
-  (** All recorded spans, merged across shards, in no particular order. *)
-  val spans : t -> span list
-
-  val length : t -> int
-  val dropped : t -> int
-  val clear : t -> unit
-end
+(** Install the span recorder and return it: a fresh {!Ring} of 65,536
+    spans per domain, the same buffer the flight recorder keeps.  Each
+    domain retains its newest spans; older ones are counted in
+    [Ring.overwritten].  A domain's shard passes to the next domain once
+    it exits, keeping its spans until they are overwritten.  Read it
+    ([Ring.snapshot]) after the instrumented workload has quiesced, e.g.
+    after the pool batch settled. *)
+val install_recorder : unit -> span Ring.t

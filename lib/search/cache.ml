@@ -41,32 +41,29 @@ let create () =
    pool scheduled OTHER slices: the shared counters above cannot provide
    that (which slice pays the one miss per distinct key is
    scheduling-dependent), but a slice runs entirely on one domain, so
-   domain-local counters deltaed around it are.  Module-global on purpose:
-   a slice drives exactly one engine at a time, and "queries this domain
-   issued" is the quantity the ledger reports. *)
+   domain-local counters deltaed around it are.  They count queries
+   issued, never the hit/miss split, which stays scheduling-dependent
+   however it is deltaed.  Module-global on purpose: a slice drives exactly one
+   engine at a time, and "queries this domain issued" is the quantity the
+   ledger reports. *)
 
 type local_counts = {
   lc_total : int;
-  lc_cached : int;         (** scheduling-dependent — excluded from
-                               determinism comparisons *)
   lc_by_cat : int array;   (** per {!Query.category_index} *)
 }
 
 type local = {
   mutable l_total : int;
-  mutable l_cached : int;
   l_by_cat : int array;
 }
 
 let local_key =
   Domain.DLS.new_key (fun () ->
-      { l_total = 0; l_cached = 0;
-        l_by_cat = Array.make Query.n_categories 0 })
+      { l_total = 0; l_by_cat = Array.make Query.n_categories 0 })
 
-let bump_local cat ~was_cached =
+let bump_local cat =
   let l = Domain.DLS.get local_key in
   l.l_total <- l.l_total + 1;
-  if was_cached then l.l_cached <- l.l_cached + 1;
   let i = Query.category_index cat in
   l.l_by_cat.(i) <- l.l_by_cat.(i) + 1
 
@@ -74,8 +71,7 @@ let bump_local cat ~was_cached =
     slice and subtract). *)
 let local_counts () =
   let l = Domain.DLS.get local_key in
-  { lc_total = l.l_total; lc_cached = l.l_cached;
-    lc_by_cat = Array.copy l.l_by_cat }
+  { lc_total = l.l_total; lc_by_cat = Array.copy l.l_by_cat }
 
 (** Look up or compute the result of [query], recording statistics (misses
     additionally record the compute's wall-clock cost against their
@@ -99,7 +95,7 @@ let find_or_add t query compute =
   let was_cached = not !missed in
   Atomic.incr c.c_total;
   if was_cached then Atomic.incr c.c_cached;
-  bump_local cat ~was_cached;
+  bump_local cat;
   Obs.Metrics.incr (if was_cached then m_hits else m_misses);
   hits
 

@@ -41,12 +41,12 @@ val category_timings : 'a t -> (Query.category * float) list
 
 (** Cumulative queries issued by the {e calling domain}, across every cache
     instance it touched.  A slice runs entirely on one domain, so deltas of
-    these counters around it are scheduling-independent — except
-    [lc_cached]: which slice pays the one miss per distinct key depends on
-    scheduling, so cached counts are informational only. *)
+    these counters around it are scheduling-independent.  They count no
+    hit/miss split: which slice pays the one miss per distinct key depends
+    on scheduling, so that split is kept engine-wide only
+    ({!cached_searches}). *)
 type local_counts = {
   lc_total : int;
-  lc_cached : int;
   lc_by_cat : int array;   (** per {!Query.category_index} *)
 }
 

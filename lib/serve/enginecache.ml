@@ -1,6 +1,6 @@
 (* The daemon's hot-engine LRU: resident {!Backdroid.Driver.session}s
-   keyed by snapshot path + content stamp + ruleset hash (or app-spec
-   fingerprint for snapshotless requests).  Two ceilings — entry count and
+   keyed by snapshot path + ruleset hash (or app-spec fingerprint for
+   snapshotless requests).  Two ceilings — entry count and
    resident postings bytes — evict least-recently-touched entries on
    insert.
 

@@ -1,6 +1,6 @@
 (** The daemon's hot-engine LRU: resident analysis sessions keyed by
-    snapshot path + content stamp + ruleset hash (or app-spec fingerprint
-    for snapshotless requests), evicted least-recently-used under an
+    snapshot path + ruleset hash (or app-spec fingerprint for snapshotless
+    requests), evicted least-recently-used under an
     entry-count and a resident-bytes ceiling.  Eviction drops the table's
     reference only — in-flight requests on an evicted session finish
     safely, and a later request for the same key reloads. *)

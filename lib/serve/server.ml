@@ -140,15 +140,13 @@ let on_pool pool ~submitted f =
 
 exception Reject of string
 
+(* A [--snapshot] request is keyed by its path alone: the resident engine
+   answers for the spec it was built for, whatever the file holds now, a
+   hit still requires the same spec, and another spec on the same path
+   patches the resident engine ([resolve_session]). *)
 let cache_key t ~snapshot spec =
   match snapshot with
-  | Some path ->
-    let stamp =
-      match Unix.stat path with
-      | st -> Printf.sprintf "%d:%.6f" st.Unix.st_size st.Unix.st_mtime
-      | exception Unix.Unix_error _ -> "absent"
-    in
-    Printf.sprintf "snap:%s|%s|%d" path stamp t.ruleset_hash
+  | Some path -> Printf.sprintf "snap:%s|%d" path t.ruleset_hash
   | None ->
     Printf.sprintf "app:%s|%d" (Appspec.fingerprint spec) t.ruleset_hash
 

@@ -1,5 +1,6 @@
 (* Tests for the telemetry layer (lib/obs): JSON fragment clamping, fd-safe
-   artifact writes, span recording and per-domain shard merging, metrics
+   artifact writes, span recording into the per-domain ring (retention of
+   the newest spans, shard merging), metrics
    determinism across pool widths, Chrome trace-event export invariants
    (B/E pairing, strict ts monotonicity, render/parse round-trip) and the
    self-time summary. *)
@@ -62,7 +63,7 @@ let test_trace_event_nonfinite () =
       t0_us = 0.0; t1_us = Float.infinity;
       attrs =
         [ ("query", Obs.Span.Str "q\"uote"); ("hits", Obs.Span.Int 1);
-          ("searches", Obs.Span.Int 2); ("cached", Obs.Span.Int 0) ] }
+          ("searches", Obs.Span.Int 2) ] }
   in
   let json = Backdroid.Resolver.trace_json [ span ] in
   Alcotest.(check bool) "object shape" true
@@ -109,20 +110,20 @@ let test_io_no_fd_leak () =
 let test_span_disabled_records_nothing () =
   with_clean_obs (fun () ->
       Alcotest.(check bool) "no sink installed" false (Obs.Span.enabled ());
+      let r = Obs.Span.install_recorder () in
+      Obs.Span.set_sink None;
       Obs.Span.with_span ~cat:"t" ~name:"noop" (fun () -> ());
-      let r = Obs.Span.Recorder.create () in
-      Alcotest.(check int) "recorder untouched" 0 (Obs.Span.Recorder.length r))
+      Alcotest.(check int) "recorder untouched" 0 (Obs.Ring.total r))
 
 let test_span_nesting_and_attrs () =
   with_clean_obs (fun () ->
-      let r = Obs.Span.Recorder.create () in
-      Obs.Span.Recorder.install r;
+      let r = Obs.Span.install_recorder () in
       Obs.Span.with_span ~cat:"t" ~name:"outer" (fun () ->
           Obs.Span.with_span ~cat:"t" ~name:"inner"
             ~attrs:[ ("k", Obs.Span.Int 7) ]
             (fun () -> ()));
       Obs.Span.set_sink None;
-      let spans = Obs.Span.Recorder.spans r in
+      let spans = Obs.Ring.snapshot r in
       Alcotest.(check int) "two spans" 2 (List.length spans);
       let outer = List.find (fun s -> s.Obs.Span.name = "outer") spans in
       let inner = List.find (fun s -> s.Obs.Span.name = "inner") spans in
@@ -134,49 +135,51 @@ let test_span_nesting_and_attrs () =
 
 let test_span_emitted_on_exception () =
   with_clean_obs (fun () ->
-      let r = Obs.Span.Recorder.create () in
-      Obs.Span.Recorder.install r;
+      let r = Obs.Span.install_recorder () in
       (try
          Obs.Span.with_span ~cat:"t" ~name:"raises" (fun () -> raise Boom)
        with Boom -> ());
       Obs.Span.set_sink None;
-      Alcotest.(check int) "span still recorded" 1
-        (Obs.Span.Recorder.length r))
+      Alcotest.(check int) "span still recorded" 1 (Obs.Ring.length r))
 
 let test_span_pid_scoping () =
   with_clean_obs (fun () ->
-      let r = Obs.Span.Recorder.create () in
-      Obs.Span.Recorder.install r;
+      let r = Obs.Span.install_recorder () in
       Obs.Span.with_pid 42 (fun () ->
           Obs.Span.with_span ~cat:"t" ~name:"in" (fun () -> ()));
       Obs.Span.with_span ~cat:"t" ~name:"out" (fun () -> ());
       Obs.Span.set_sink None;
-      let spans = Obs.Span.Recorder.spans r in
+      let spans = Obs.Ring.snapshot r in
       let pid name =
         (List.find (fun s -> s.Obs.Span.name = name) spans).Obs.Span.pid
       in
       Alcotest.(check int) "scoped pid" 42 (pid "in");
       Alcotest.(check int) "default pid restored" 0 (pid "out"))
 
-let test_recorder_capacity_drops () =
+(* The recorder's retention: a ring past its capacity keeps each domain's
+   newest spans, in order, and counts the older ones as overwritten. *)
+let test_recorder_keeps_newest () =
   with_clean_obs (fun () ->
-      let r = Obs.Span.Recorder.create ~capacity:16 () in
-      Obs.Span.Recorder.install r;
-      for _ = 1 to 40 do
-        Obs.Span.with_span ~cat:"t" ~name:"s" (fun () -> ())
+      let r = Obs.Ring.create ~capacity:16 () in
+      Obs.Span.set_sink (Some (Obs.Ring.push r));
+      for i = 1 to 40 do
+        Obs.Span.with_span ~cat:"t" ~name:(string_of_int i) (fun () -> ())
       done;
       Obs.Span.set_sink None;
-      Alcotest.(check int) "bounded" 16 (Obs.Span.Recorder.length r);
-      Alcotest.(check int) "overflow counted" 24 (Obs.Span.Recorder.dropped r);
-      Obs.Span.Recorder.clear r;
-      Alcotest.(check int) "cleared" 0 (Obs.Span.Recorder.length r))
+      Alcotest.(check int) "bounded" 16 (Obs.Ring.length r);
+      Alcotest.(check int) "overflow counted as overwritten" 24
+        (Obs.Ring.overwritten r);
+      Alcotest.(check (list string)) "the newest 16, oldest first"
+        (List.init 16 (fun i -> string_of_int (25 + i)))
+        (List.map (fun s -> s.Obs.Span.name) (Obs.Ring.snapshot r));
+      Obs.Ring.clear r;
+      Alcotest.(check int) "cleared" 0 (Obs.Ring.length r))
 
 (* One shard per pool domain, merged at snapshot: every span survives and
    the merged stream still satisfies the Chrome invariants. *)
 let test_recorder_shards_across_pool () =
   with_clean_obs (fun () ->
-      let r = Obs.Span.Recorder.create () in
-      Obs.Span.Recorder.install r;
+      let r = Obs.Span.install_recorder () in
       let n = 500 in
       let out =
         Pool.with_pool ~jobs:4 (fun pool ->
@@ -188,7 +191,7 @@ let test_recorder_shards_across_pool () =
       Obs.Span.set_sink None;
       Alcotest.(check int) "results intact" (n * (n - 1))
         (Array.fold_left ( + ) 0 out);
-      let spans = Obs.Span.Recorder.spans r in
+      let spans = Obs.Ring.snapshot r in
       Alcotest.(check int) "every span recorded" n (List.length spans);
       match Obs.Chrome.validate (Obs.Chrome.events_of_spans spans) with
       | Ok () -> ()
@@ -454,8 +457,8 @@ let cases =
     Alcotest.test_case "span emitted when thunk raises" `Quick
       test_span_emitted_on_exception;
     Alcotest.test_case "pid is dynamically scoped" `Quick test_span_pid_scoping;
-    Alcotest.test_case "recorder bounds shards and counts drops" `Quick
-      test_recorder_capacity_drops;
+    Alcotest.test_case "recorder bounds shards and keeps the newest" `Quick
+      test_recorder_keeps_newest;
     Alcotest.test_case "recorder merges per-domain shards" `Quick
       test_recorder_shards_across_pool;
     Alcotest.test_case "metrics merge across pool shards" `Quick

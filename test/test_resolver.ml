@@ -181,11 +181,10 @@ let slice_with ~budget =
 (* Record spans for the duration of [f]; the global sink is cleared
    afterwards, also when [f] fails. *)
 let with_recorder f =
-  let recorder = Obs.Span.Recorder.create () in
-  Obs.Span.Recorder.install recorder;
+  let recorder = Obs.Span.install_recorder () in
   Fun.protect ~finally:(fun () -> Obs.Span.set_sink None) (fun () ->
       let v = f () in
-      (v, Resolver.resolve_spans (Obs.Span.Recorder.spans recorder)))
+      (v, Resolver.resolve_spans (Obs.Ring.snapshot recorder)))
 
 let test_budget_work_exhaustion () =
   let outcome, spans =
@@ -255,8 +254,8 @@ let resolve_run jobs =
         ~dex:app.Appgen.Generator.dex
         ~manifest:app.Appgen.Generator.manifest ())
 
-(* "strategy|query|hits|searches" per resolve span, sorted: the
-   scheduling-independent part of each resolution's record. *)
+(* "strategy|query|hits|searches" per resolve span, sorted: each
+   resolution's whole record but its latency. *)
 let records spans =
   let attr k (s : Obs.Span.span) =
     match List.assoc_opt k s.Obs.Span.attrs with

@@ -293,6 +293,32 @@ let test_eviction_reload () =
      | Some n -> Alcotest.(check bool) "evictions happened" true (n >= 2)
      | None -> Alcotest.fail "no cache_evictions in stats")
 
+(* The miss that saves a missing snapshot files its engine under the key
+   the next identical request looks up: that request is a hit, and one
+   engine stays resident. *)
+let test_saved_snapshot_hit () =
+  let snap = tmp_name ".bdix" in
+  Fun.protect ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ())
+  @@ fun () ->
+  with_server @@ fun ~socket _ ->
+  match
+    C.with_conn ~socket (fun conn ->
+        let _, c1 = analyze_text ~snapshot:snap conn spec in
+        let _, c2 = analyze_text ~snapshot:snap conn spec in
+        match call_ok conn P.Stats with
+        | P.Stats_json j -> Result.Ok (c1, c2, j)
+        | _ -> Alcotest.fail "expected Stats_json")
+  with
+  | Result.Error e -> Alcotest.fail e
+  | Result.Ok (c1, c2, stats) ->
+    Alcotest.(check bool) "snapshot saved" true (Sys.file_exists snap);
+    Alcotest.(check bool) "first is a miss" true (c1 = P.Miss);
+    Alcotest.(check bool) "second is a hit" true (c2 = P.Hit);
+    Alcotest.(check (option int)) "one miss" (Some 1)
+      (Obs.Jsonf.field_int stats "cache_misses");
+    Alcotest.(check (option int)) "one entry resident" (Some 1)
+      (Obs.Jsonf.field_int stats "cache_entries")
+
 let test_shutdown_unlinks_socket () =
   let socket = tmp_name ".sock" in
   let cfg = { S.default_config with S.socket } in
@@ -366,6 +392,8 @@ let suites =
           (concurrent_sharing ~jobs:2 ~prewarm:false);
         Alcotest.test_case "eviction reloads from snapshot" `Quick
           test_eviction_reload;
+        Alcotest.test_case "a saved snapshot's next request hits" `Quick
+          test_saved_snapshot_hit;
         Alcotest.test_case "shutdown unlinks the socket" `Quick
           test_shutdown_unlinks_socket;
         Alcotest.test_case "live socket refused" `Quick

@@ -457,6 +457,58 @@ let test_cli_load_index_checks_the_app () =
     [ ("another app", analyze "9");
       ("a changed version", analyze "7" @ [ "--mutate-pct"; "0.3" ]) ]
 
+(* A warm start that replays persisted results saves them again: v2,
+   delta-patched from v1's snapshot, replays every sink and its save
+   carries their entries, so v3 from v2's snapshot replays too, and prints
+   what a cold v3 run prints, sink for sink. *)
+let test_cli_replayed_results_persist () =
+  let v1 = Filename.temp_file "backdroid_cli_v1" ".bdix"
+  and d1 = Filename.temp_file "backdroid_cli_d1" ".bdix" in
+  Fun.protect
+    ~finally:(fun () ->
+        List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ v1; d1 ])
+  @@ fun () ->
+  let analyze extra =
+    [ "analyze"; "--seed"; "42"; "--size-mb"; "12"; "--plant";
+      "callback:cipher"; "--plant"; "direct:ssl"; "--plant";
+      "async-executor:cipher"; "--plant"; "direct:cipher"; "--insecure";
+      "--jobs"; "1" ]
+    @ extra
+  in
+  ignore (run_cli (analyze [ "--save-index"; v1 ]));
+  ignore
+    (run_cli
+       (analyze
+          [ "--mutate-pct"; "0.2"; "--load-index"; v1; "--save-index"; d1 ]));
+  let persisted =
+    match Store.Snapshot.load_results ~path:d1 with
+    | Error e -> Alcotest.fail (Store.Codec.error_to_string e)
+    | Ok strs ->
+      (match Backdroid.Resultcache.of_strings strs with
+       | Ok rc -> Backdroid.Resultcache.length rc
+       | Error e -> Alcotest.fail e)
+  in
+  Alcotest.(check int) "v2's snapshot carries every sink's result" 4 persisted;
+  let v3 = analyze [ "--mutate-pct"; "0.35" ] in
+  let warm = run_cli (v3 @ [ "--load-index"; d1 ]) in
+  let replayed =
+    List.find_map
+      (fun l ->
+         if String.starts_with ~prefix:"stats:" l then
+           List.find_map
+             (fun part ->
+                Scanf.sscanf_opt (String.trim part) "%d replayed sinks%!"
+                  Fun.id)
+             (String.split_on_char ',' l)
+         else None)
+      warm
+  in
+  Alcotest.(check bool) "v3 replays a persisted sink" true
+    (match replayed with Some n -> n >= 1 | None -> false);
+  let sink_lines = List.filter (String.starts_with ~prefix:"  [") in
+  Alcotest.(check (list string)) "per-sink lines == cold v3"
+    (sink_lines (run_cli v3)) (sink_lines warm)
+
 let test_default_path () =
   let p = Store.Snapshot.default_path ~dir:"/tmp" ~app_id:"com.a/b c" in
   Alcotest.(check string) "sanitized and versioned"
@@ -907,18 +959,17 @@ let codec_roundtrip =
 let test_classmap_on_first_use () =
   let app = fixture_app ~seed:47 ~build_dex:false () in
   let path = Filename.temp_file "backdroid_store" ".bdix" in
-  let r = Obs.Span.Recorder.create () in
+  let r = Obs.Span.install_recorder () in
   Fun.protect
     ~finally:(fun () ->
         Obs.Span.set_sink None;
         try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  Obs.Span.Recorder.install r;
   let count name =
     List.length
       (List.filter
          (fun (s : Obs.Span.span) -> s.cat = "dex" && s.name = name)
-         (Obs.Span.Recorder.spans r))
+         (Obs.Ring.snapshot r))
   in
   let dex = Dex.Dexfile.of_program app.G.program in
   let engine = E.create dex in
@@ -1483,6 +1534,8 @@ let cases =
       test_foreign_snapshot_remaps;
     Alcotest.test_case "CLI --load-index patches another app's snapshot"
       `Quick test_cli_load_index_checks_the_app;
+    Alcotest.test_case "CLI saves replayed results for the next version"
+      `Quick test_cli_replayed_results_persist;
     Alcotest.test_case "default snapshot path" `Quick test_default_path;
     Alcotest.test_case "delta patch == from-scratch (file + resident)" `Quick
       test_delta_equals_cold;
