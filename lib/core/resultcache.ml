@@ -314,10 +314,11 @@ type plan = {
    invocation, field class of a field op, the descriptor itself for
    new-instance / const-class.  Malformed operands (impossible for
    disassembler output) resolve to no class. *)
-let slot_operand_class ~cat ~sym_id =
-  if sym_id < 0 then None
+let slot_operand_class (arena : Dex.Arena.t) slot =
+  let cat = Ivec.get arena.cat slot and sym = Ivec.get arena.sym slot in
+  if sym < 0 then None
   else
-    let s = Sym.to_string (Sym.unsafe_of_id sym_id) in
+    let s = Sym.to_string arena.syms.(sym) in
     try
       if cat = Dex.Arena.cat_invoke then
         Some (Sigformat.of_dex_meth s).Ir.Jsig.cls
@@ -348,11 +349,7 @@ let plan t ~(dex : Dex.Dexfile.t) =
       in
       if changed then
         for slot = cm.Classmap.slot_lo.(i) to cm.Classmap.slot_hi.(i) - 1 do
-          match
-            slot_operand_class
-              ~cat:(Ivec.get arena.Dex.Arena.cat slot)
-              ~sym_id:(Ivec.get arena.Dex.Arena.sym slot)
-          with
+          match slot_operand_class arena slot with
           | Some cls -> Hashtbl.replace touched cls ()
           | None -> ()
         done

@@ -2,11 +2,12 @@
 
     One slot per instruction line (a line with an enclosing method).  Each
     slot records the line's position, IR statement index, owner and — when
-    the disassembler classified the line — the interned searchable operand
-    and its category.  The index pass ({!Writer}) fills these columns as
-    it walks each instruction line, before any text exists.  The search engine's per-category
-    postings are sorted int vectors of slots, and a hit record is
-    materialised from a slot only when a query actually returns it.
+    the disassembler classified the line — the searchable operand, as an
+    id local to the arena, and its category.  The index pass ({!Writer})
+    fills these columns as it walks each instruction line, before any text
+    exists.  The search engine's per-category postings are sorted int
+    vectors of slots, and a hit record is materialised from a slot only
+    when a query actually returns it.
 
     The unboxed off-heap columns replace the per-hit records the old eager
     index allocated for every instruction line up front: seven hashtables of
@@ -145,7 +146,8 @@ type t = {
   stmt_idx : Ivec.t;  (** slot -> IR statement index; [-1] = none *)
   owner_id : Ivec.t;  (** slot -> index into [owners] *)
   cat : Ivec.t;       (** slot -> category code; [cat_none] = unkeyed *)
-  sym : Ivec.t;       (** slot -> [Sym.id] of the operand; [-1] = unkeyed *)
+  sym : Ivec.t;       (** slot -> local id of the operand; [-1] = unkeyed *)
+  syms : Sym.t array; (** local id -> symbol, one-to-one *)
   owners : Owners.t;  (** unique enclosing methods and their classes *)
 }
 

@@ -7,6 +7,13 @@
     query returns it.  The index pass ({!Writer}) fills the columns as it
     walks each instruction line, before any text exists.
 
+    Symbols are numbered per arena: local id [i] is [syms.(i)], and ids
+    are dense, in the order the index pass first met each keyed operand
+    and class token.  The [sym] column and every postings key hold local
+    ids, so an arena, and a snapshot of it, depend only on its app, not on
+    what else the process interned.  A delta's index pass extends its old
+    arena's table, so carried columns and postings keep their ids.
+
     The int columns are {!Ivec.t}s: the payload lives off the OCaml heap,
     invisible to the GC, and a snapshot load can alias them to mmapped file
     sections instead of rebuilding them. *)
@@ -82,7 +89,8 @@ type t = {
   stmt_idx : Ivec.t;  (** slot -> IR statement index; [-1] = none *)
   owner_id : Ivec.t;  (** slot -> index into [owners] *)
   cat : Ivec.t;       (** slot -> category code; {!cat_none} = unkeyed *)
-  sym : Ivec.t;       (** slot -> [Sym.id] of the operand; [-1] = unkeyed *)
+  sym : Ivec.t;       (** slot -> local id of the operand; [-1] = unkeyed *)
+  syms : Sym.t array; (** local id -> symbol, one-to-one *)
   owners : Owners.t;  (** unique enclosing methods and their classes *)
 }
 

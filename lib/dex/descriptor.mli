@@ -9,9 +9,6 @@ val class_desc : string -> string
 val class_of_desc : string -> string
 val type_desc : Ir.Types.t -> string
 
-(** Parse one type descriptor starting at [pos]; returns the type and the
-    position just past it. *)
-val parse_type : string -> int -> Ir.Types.t * int
 val type_of_desc : string -> Ir.Types.t
 val proto_desc : params:Ir.Types.t list -> ret:Ir.Types.t -> string
 

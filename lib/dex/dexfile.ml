@@ -137,16 +137,16 @@ let iter_tokens t ~lo ~hi f =
   then invalid_arg "Dexfile.iter_tokens: slots not rendered in this process";
   let emit toks s =
     for j = 0 to Array.length toks - 1 do
-      f (Sym.id (Array.unsafe_get toks j)) s
+      f (Array.unsafe_get toks j) s
     done
   in
   let k = ref 0 and n = Array.length r.tok_slots in
   while !k < n && r.tok_slots.(!k) < lo do incr k done;
   for s = lo to hi - 1 do
     let sym = Bigarray.Array1.unsafe_get t.arena.sym s in
-    if sym >= 0 then emit (Tokens.of_operand (Sym.unsafe_of_id sym)) s;
+    if sym >= 0 then emit r.op_toks.(sym) s;
     if !k < n && r.tok_slots.(!k) = s then begin
-      emit r.tok_syms.(!k) s;
+      emit r.tok_ids.(!k) s;
       incr k
     end
   done

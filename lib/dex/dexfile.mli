@@ -6,8 +6,8 @@
     ({!of_program}), a snapshot load and a delta all produce the arena and
     the class map; a snapshot stores those, and no text.
 
-    A render is an index pass: it writes the arena and interns every
-    symbol, and writes no text.  Whatever produced the layout, the text is
+    A render is an index pass: it writes the arena, interns every symbol
+    and numbers those it indexes, and writes no text.  Whatever produced the layout, the text is
     rendered from the program's IR on first read ({!text}): an analysis
     over an indexed engine never reads it, so neither a one-shot analysis
     nor a save, a load or a delta renders it. *)
@@ -74,7 +74,8 @@ val line_count : t -> int
 val line_text : t -> int -> string
 
 (** [iter_tokens t ~lo ~hi f] calls [f tok slot] for each class-descriptor
-    token [tok] (a symbol id) of each slot in [\[lo, hi)], in slot order,
+    token [tok] (a local id of the arena's table) of each slot in
+    [\[lo, hi)], in slot order,
     each token once per slot: a keyed slot's operand tokens, then the
     tokens its line's other operands carried when it was indexed, or the
     tokens an unkeyed slot's line carried.  The class-tokens postings are

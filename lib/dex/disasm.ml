@@ -202,17 +202,15 @@ let add_list o = List.iteri (fun i r -> if i > 0 then add o ", "; operand o r)
 
 (* -- Statements ---------------------------------------------------------- *)
 
-(* Register numbers and symbol ids are assigned in a fixed operand order,
-   which is part of the snapshot format (files store symbol ids): within an
-   instruction, operands are numbered and interned right to left — the
-   destination after its sources, an invoke's arguments (left to right)
-   before its receiver and then its callee, a phi's operands before its
-   target — except that a cast or an invoke with a result numbers the
-   destination first.  Each case below binds its operands in that order,
-   then writes the line left to right.  Every interning of a statement
-   happens before its first line's tokens.  An index pass names no
-   register and a text pass interns nothing, so either order holds in a
-   pass that does only one of the two. *)
+(* Register numbers are assigned in a fixed operand order, which the
+   text depends on: within an instruction, operands are numbered right to
+   left — the destination after its sources, an invoke's arguments (left
+   to right) before its receiver, a phi's operands before its target —
+   except that a cast or an invoke with a result numbers the destination
+   first.  Each case below binds its operands in that order, then writes
+   the line left to right.  An index pass names no register; it numbers
+   symbols as the writer meets them, line by line ([Writer.keyed]), in
+   whatever order the walk interns them. *)
 
 let invoke o (iv : Ir.Expr.invoke) =
   let args = values o iv.args in
@@ -361,21 +359,16 @@ let method_lines o (m : Ir.Jmethod.t) =
       stmt o body.(i)
     done
 
-(* Header descriptors intern in a fixed order too: fields, then interfaces,
-   superclass and class, all before the first method. *)
 let render w (c : Ir.Jclass.t) =
-  let fields = List.map field_op c.fields in
-  let interfaces = List.map class_op c.interfaces in
-  let super = match c.super with Some s -> class_op s | None -> "-" in
-  let name = class_op c.name in
   let head parts =
     List.iter (Writer.add_string w) parts;
     Writer.header w
   in
-  head [ "Class descriptor : '"; name; "'" ];
+  let super = match c.super with Some s -> class_op s | None -> "-" in
+  head [ "Class descriptor : '"; class_op c.name; "'" ];
   head [ "  Superclass : '"; super; "'" ];
-  List.iter (fun i -> head [ "  Interface : '"; i; "'" ]) interfaces;
-  List.iter (fun f -> head [ "  field "; f ]) fields;
+  List.iter (fun i -> head [ "  Interface : '"; class_op i; "'" ]) c.interfaces;
+  List.iter (fun f -> head [ "  field "; field_op f ]) c.fields;
   match c.methods with
   | [] -> ()
   | m :: _ ->

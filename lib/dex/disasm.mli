@@ -13,9 +13,10 @@
     operand and the query that must match it are the same [Sym.t].
 
     The walk is deterministic, including the order in which registers are
-    numbered (in a pass that writes text) and symbols interned (in one
-    that records slots); snapshots store symbol ids, so that order is part
-    of their format. *)
+    numbered (in a pass that writes text) and the order in which an index
+    pass meets keyed operands and class tokens, which numbers the arena's
+    symbols; snapshots store those numbers, so that order is part of their
+    format.  The order in which a pass interns symbols is not. *)
 
 (** The lines and slots {!render} writes for a class, counted from the IR
     without rendering. *)

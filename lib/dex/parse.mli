@@ -30,11 +30,7 @@ type line =
   | Blank
 exception Parse_error of string
 val fail : ('a, unit, string, 'b) format4 -> 'a
-val strip_quotes : string -> string
 val starts_with : prefix:string -> string -> bool
-
-(** Split "op regs..., operand" after the address tag. *)
-val parse_instr_text : int -> string -> instr
 
 (** Parse one plaintext line. *)
 val parse_line : string -> line

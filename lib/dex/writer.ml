@@ -14,11 +14,13 @@
 
 type rendered = {
   ranges : (int * int) list;
+  op_toks : int array array;
   tok_slots : int array;
-  tok_syms : Sym.t array array;
+  tok_ids : int array array;
 }
 
-let nothing_rendered = { ranges = []; tok_slots = [||]; tok_syms = [||] }
+let nothing_rendered =
+  { ranges = []; op_toks = [||]; tok_slots = [||]; tok_ids = [||] }
 
 module Meth_tbl = Ir.Jsig.Meth_tbl
 
@@ -35,6 +37,10 @@ type t = {
   cat : Ivec.t;
   sym : Ivec.t;  (* a text pass reads its keyed slots' operands here *)
   mutable slot : int;
+  mutable syms : Sym.t array;  (* local id -> symbol, [\[0, n_syms)] *)
+  mutable n_syms : int;
+  mutable local : int array;  (* index pass: Sym.id -> local id, or -1 *)
+  mutable op_toks : int array array;  (* local id -> its tokens, or [unmet] *)
   owner_tbl : int Meth_tbl.t;
   base_owners : Arena.Owners.t;
   mutable new_owners : Ir.Jsig.meth list;  (* newest first *)
@@ -44,7 +50,7 @@ type t = {
   mutable last_id : int;
   mutable run_lo : int;  (* first slot of the open rendered range, or -1 *)
   mutable ranges : (int * int) list;  (* newest first *)
-  mutable toks : (int * Sym.t array) list;  (* newest first *)
+  mutable toks : (int * int array) list;  (* newest first *)
   mutable ops : Bytes.t;  (* the line's token-bearing operands, see below *)
   mutable ops_len : int;
 }
@@ -52,11 +58,26 @@ type t = {
 (* generated apps' lines average about 37 bytes: the buffer rarely grows *)
 let bytes_per_line = 48
 
+(* an operand no keyed slot of this pass has met: its tokens are not
+   known yet *)
+let unmet = [| -1 |]
+
 let make ~index ?base ?arena ~lines ~slots () =
-  let base_owners =
+  let base_owners, base_syms =
     match base with
-    | Some (a : Arena.t) -> a.owners
-    | None -> Arena.Owners.empty
+    | Some (a : Arena.t) -> (a.owners, a.syms)
+    | None -> (Arena.Owners.empty, [||])
+  in
+  (* a text pass reads its arena's table; an index pass numbers symbols
+     through [local], sized to the ids interned so far, starting from
+     [base]'s numbering *)
+  let syms, local =
+    match arena with
+    | Some a -> (a.Arena.syms, [||])
+    | None ->
+      let local = Array.make (Sym.interned ()) (-1) in
+      Array.iteri (fun l s -> local.(Sym.id s) <- l) base_syms;
+      (base_syms, local)
   in
   let offs = Ivec.create (if index then 0 else lines + 1) in
   if not index then Bigarray.Array1.set offs 0 0;
@@ -69,6 +90,8 @@ let make ~index ?base ?arena ~lines ~slots () =
     line_idx = col (fun a -> a.line_idx); stmt_idx = col (fun a -> a.stmt_idx);
     owner_id = col (fun a -> a.owner_id); cat = col (fun a -> a.cat);
     sym = col (fun a -> a.sym); slot = 0;
+    syms; n_syms = Array.length syms; local;
+    op_toks = Array.make (Array.length base_syms) unmet;
     owner_tbl = Meth_tbl.create (if index then 256 else 1); base_owners;
     new_owners = []; new_cls = [];
     n_owners = Arena.Owners.length base_owners; last_owner = None;
@@ -85,7 +108,45 @@ let writes_text w = not w.index
 let reuse_owner w meth id = Meth_tbl.replace w.owner_tbl meth id
 let lines w = w.line
 let slots w = w.slot
-let slot_sym w = Sym.unsafe_of_id (Bigarray.Array1.get w.sym w.slot)
+let slot_sym w = w.syms.(Bigarray.Array1.get w.sym w.slot)
+
+(* [a] copied into a new array of [n] cells, the rest [fill] *)
+let grow a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* [sym]'s local id, numbering it next if the table lacks it.  The table
+   is full until it grows, so [base]'s is never written. *)
+let local_id w sym =
+  let g = Sym.id sym in
+  if g >= Array.length w.local then
+    w.local <- grow w.local (max (g + 1) (2 * Array.length w.local)) (-1);
+  let l = Array.unsafe_get w.local g in
+  if l >= 0 then l
+  else begin
+    let l = w.n_syms in
+    if l = Array.length w.syms then begin
+      let n = max 64 (2 * l) in
+      w.syms <- grow w.syms n sym;
+      w.op_toks <- grow w.op_toks n unmet
+    end;
+    w.syms.(l) <- sym;
+    w.n_syms <- l + 1;
+    w.local.(g) <- l;
+    l
+  end
+
+(* The local ids of the tokens of operand [l], numbered when a keyed slot
+   first meets it; each distinct operand is tokenized once a pass. *)
+let operand_tokens w l =
+  let t = w.op_toks.(l) in
+  if t != unmet then t
+  else begin
+    let t = Array.map (local_id w) (Tokens.of_operand w.syms.(l)) in
+    w.op_toks.(l) <- t;
+    t
+  end
 
 let ensure w n =
   let need = w.tlen + n in
@@ -138,14 +199,14 @@ let add_operand w s =
     w.ops_len <- need
   end
 
-(* The tokens of the operands kept since the line began, which are then
-   dropped. *)
+(* The local ids of the tokens of the operands kept since the line
+   began, which are then dropped. *)
 let take_tokens w =
   if w.ops_len = 0 then [||]
   else begin
     let toks = Tokens.of_bytes w.ops ~pos:0 ~len:w.ops_len in
     w.ops_len <- 0;
-    toks
+    Array.map (local_id w) toks
   end
 
 let end_line w =
@@ -189,25 +250,26 @@ let slot_row w ~owner ~cls ~stmt ~cat ~sym ~toks =
   w.slot <- s + 1;
   end_line w
 
-(* The operand is tokenized now although its tokens are not kept: this
-   interns the tokens in render order, and snapshots store symbol ids.
-   The line's other operands may carry tokens too; a slot keeps those its
-   operand lacks, so that no token is indexed twice for one slot. *)
+(* The operand is numbered first, then its tokens, then those of the
+   line's other operands; a slot keeps those its operand lacks, so that
+   no token is indexed twice for one slot. *)
 let keyed w ~owner ~cls ~stmt ~cat sym =
-  let toks =
-    if not w.index then [||]
-    else
-      let others = take_tokens w in
-      let own = Tokens.of_operand sym in
-      (* almost every keyed line has no other token: allocate nothing *)
+  if not w.index then slot_row w ~owner ~cls ~stmt ~cat ~sym:(-1) ~toks:[||]
+  else begin
+    let l = local_id w sym in
+    let own = operand_tokens w l in
+    let others = take_tokens w in
+    (* almost every keyed line has no other token: allocate nothing *)
+    let toks =
       if Array.length others = 0 then others
       else
         Array.of_list
           (List.filter
-             (fun t -> not (Array.exists (Sym.equal t) own))
+             (fun t -> not (Array.exists (Int.equal t) own))
              (Array.to_list others))
-  in
-  slot_row w ~owner ~cls ~stmt ~cat ~sym:(Sym.id sym) ~toks
+    in
+    slot_row w ~owner ~cls ~stmt ~cat ~sym:l ~toks
+  end
 
 let unkeyed w ~owner ~cls ~stmt =
   slot_row w ~owner ~cls ~stmt ~cat:Arena.cat_none ~sym:(-1)
@@ -250,6 +312,7 @@ let finish_index w =
   let arena =
     { Arena.line_idx = w.line_idx; stmt_idx = w.stmt_idx;
       owner_id = w.owner_id; cat = w.cat; sym = w.sym;
+      syms = Array.sub w.syms 0 w.n_syms;
       owners =
         Arena.Owners.append w.base_owners
           (Array.of_list (List.rev w.new_owners))
@@ -257,8 +320,8 @@ let finish_index w =
   in
   let toks = Array.of_list (List.rev w.toks) in
   ( arena,
-    { ranges = List.rev w.ranges; tok_slots = Array.map fst toks;
-      tok_syms = Array.map snd toks } )
+    { ranges = List.rev w.ranges; op_toks = Array.sub w.op_toks 0 w.n_syms;
+      tok_slots = Array.map fst toks; tok_ids = Array.map snd toks } )
 
 let finish_text w =
   check w ~index:false "finish_text";

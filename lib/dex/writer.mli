@@ -19,17 +19,21 @@
     into the store once. *)
 
 (** What the writer's index pass wrote, as opposed to what {!copy}
-    carried: the slots whose class tokens this process knows.  A keyed
-    slot's tokens are those of its operand ({!Tokens.of_operand}) and any
-    its line's other operands add; an unkeyed slot's are its operands'.
-    The tokens not in a keyed slot's operand are kept here. *)
+    carried: the slots whose class tokens this process knows, as local
+    ids of the arena's table ({!Arena}).  A keyed slot's tokens are those
+    of its operand ({!Tokens.of_operand}) and any its line's other
+    operands add; an unkeyed slot's are its operands'.  The tokens not in
+    a keyed slot's operand are kept per slot. *)
 type rendered = {
   ranges : (int * int) list;
       (** [\[lo, hi)] slot ranges written by index passes, ascending,
           disjoint and non-empty *)
+  op_toks : int array array;
+      (** local id -> the tokens of that operand, for every operand of a
+          rendered keyed slot *)
   tok_slots : int array;
       (** rendered slots with tokens beyond their operand's, ascending *)
-  tok_syms : Sym.t array array;  (** those tokens, parallel to [tok_slots] *)
+  tok_ids : int array array;  (** those tokens, parallel to [tok_slots] *)
 }
 
 (** Nothing rendered in this process: a snapshot-loaded layout. *)
@@ -37,10 +41,13 @@ val nothing_rendered : rendered
 
 type t
 
-(** An index pass over exactly [lines] lines and [slots] slots.  With
-    [base], the new layout extends [base]'s owner table: owner ids of
-    {!copy}'d slots keep their meaning, and rendered owners not in the
-    table are appended after [base]'s. *)
+(** An index pass over exactly [lines] lines and [slots] slots.  It
+    numbers each symbol it meets, the keyed operand of a line first and
+    then the line's class tokens, the next local id of the arena's table
+    (reading a symbol's id, once numbered, is an array read).  With
+    [base], the new layout extends [base]'s owner and symbol tables: owner
+    and symbol ids of {!copy}'d slots keep their meaning, and rendered
+    owners and symbols not in a table are appended after [base]'s. *)
 val index : ?base:Arena.t -> lines:int -> slots:int -> unit -> t
 
 (** A text pass over exactly [lines] lines, whose slots [arena] holds. *)
@@ -60,7 +67,7 @@ val lines : t -> int
 val slots : t -> int
 
 (** In a text pass, the operand of the slot about to be written, as the
-    index pass recorded it. *)
+    index pass recorded it (read from the arena's table). *)
 val slot_sym : t -> Sym.t
 
 (** Append to the text of the line being written (nothing in an index

@@ -3,10 +3,12 @@
     query-level caching.
 
     Indexed mode answers queries from per-category postings: for each of the
-    seven searchable categories, a packed triple — ascending operand symbol
-    ids, byte offsets, and {!Postcodec}-coded slot runs into the dexfile's
-    hit {!Dex.Arena}, all off-heap.  Postings are built from the arena's
-    interned operand column and, for class tokens, from the tokens the
+    seven searchable categories, a packed triple — ascending operand ids,
+    local to the arena's symbol table, byte offsets, and
+    {!Postcodec}-coded slot runs into the dexfile's hit {!Dex.Arena}, all
+    off-heap.  A query maps its symbol to the arena's local id through the
+    engine's key table, once per cache miss.  Postings are built from the
+    arena's operand column and, for class tokens, from the tokens the
     dexfile kept for the slots it rendered ({!Dex.Dexfile.iter_tokens}) —
     no text re-parsing, and never over slots a snapshot supplied — and hit
     records are materialised only for slots a query actually returns; a
@@ -14,11 +16,11 @@
     against the dexfile's one text store ({!Dex.Textstore.iter_matches});
     they are the only readers of the text ({!Dex.Dexfile.text}), which
     every dexfile, cold, loaded or delta-built, renders on first read.  The
-    packed layout is deterministic (keys sorted by symbol id, slots in
+    packed layout is deterministic (keys sorted by local id, slots in
     arena order, each run's bytes a pure function of its slots), so a
-    build, a delta patch and a snapshot load produce byte-identical
-    tables, and those tables are the snapshot file's postings sections as
-    they are.
+    build and a snapshot load of one arena produce byte-identical tables,
+    and those tables are the snapshot file's postings sections as they
+    are.
 
     Each category's postings are a {!Parallel.Once} cell, built on the
     first query of that category, so an analysis that never issues, say,
@@ -58,12 +60,13 @@ let category_name = function
 
 module Packed = struct
   (** One category's postings: [keys] is the strictly ascending operand
-      symbol ids, and key [k]'s slots — strictly ascending arena slots —
-      are the {!Postcodec} run at bytes [offsets.(k) .. offsets.(k+1)-1]
-      of [runs] (varint deltas for sparse keys, bitmap words for dense
-      ones), decoded on demand by {!iter_key}.  Each run is self-contained,
-      so a key's postings move as one byte range.  All vectors live off the
-      OCaml heap; a snapshot load aliases them to mmapped file sections. *)
+      ids, local to the arena's symbol table, and key [k]'s slots —
+      strictly ascending arena slots — are the {!Postcodec} run at bytes
+      [offsets.(k) .. offsets.(k+1)-1] of [runs] (varint deltas for sparse
+      keys, bitmap words for dense ones), decoded on demand by
+      {!iter_key}.  Each run is self-contained, so a key's postings move
+      as one byte range.  All vectors live off the OCaml heap; a snapshot
+      load aliases them to mmapped file sections. *)
   type t = { keys : Ivec.t; offsets : Ivec.t; runs : Bvec.t }
 
   let n_keys t = Ivec.length t.keys
@@ -102,8 +105,15 @@ end
 
 type postings = Packed.t
 
+module Keys = Hashtbl.Make (struct
+    type t = Sym.t
+    let equal = Sym.equal
+    let hash = Sym.hash
+  end)
+
 type t = {
   dex : Dex.Dexfile.t;
+  keys : int Keys.t;  (** symbol -> its local id in the arena's table *)
   cache : hit Cache.t;
   indexed : bool;
   load_mode : string option;
@@ -120,30 +130,13 @@ type t = {
 (* Postings construction                                               *)
 
 (* A deterministic counting sort over arena slots, then one encoding
-   pass.  The first pass counts postings per operand sym id; the keys are
-   laid out ascending, each with its range of slots; the second pass
-   writes each posting at its key's cursor.  Slots are visited in
-   ascending order, so every key's run is strictly ascending, and the
-   coded bytes — keys ascending by sym id, each run encoded from its
-   slots alone — are identical for built, delta-patched and
+   pass.  The first pass counts postings per local id, in a counter per
+   entry of the arena's table; the keys are laid out ascending, each with
+   its range of slots; the second pass writes each posting at its key's
+   cursor.  Slots are visited in ascending order, so every key's run is
+   strictly ascending, and the coded bytes — keys ascending by local id,
+   each run encoded from its slots alone — are identical for built and
    snapshot-loaded tables.  No per-posting allocation. *)
-
-(* Growable dense counter indexed by sym id; [maxk] bounds the occupied
-   prefix the layout walks.  Growth matters only for class tokens, which
-   can meet token symbols beyond the arena's operand ids. *)
-type counts = { mutable c : int array; mutable maxk : int }
-
-let counts_create () =
-  { c = Array.make (max 64 (Sym.interned ())) 0; maxk = -1 }
-
-let counts_bump cnt k =
-  if k >= Array.length cnt.c then begin
-    let nb = Array.make (max (k + 1) (2 * Array.length cnt.c)) 0 in
-    Array.blit cnt.c 0 nb 0 (Array.length cnt.c);
-    cnt.c <- nb
-  end;
-  if k > cnt.maxk then cnt.maxk <- k;
-  Array.unsafe_set cnt.c k (Array.unsafe_get cnt.c k + 1)
 
 let cat_member c =
   if c = cat_field_ops then fun k ->
@@ -165,20 +158,21 @@ let iter_postings (dex : Dex.Dexfile.t) c ~lo ~hi f =
     done
   end
 
-let build_postings dex c =
-  let n = Dex.Arena.length dex.Dex.Dexfile.arena in
-  let cnt = counts_create () in
-  iter_postings dex c ~lo:0 ~hi:n (fun k _ -> counts_bump cnt k);
+let build_postings (dex : Dex.Dexfile.t) c =
+  let n = Dex.Arena.length dex.arena in
+  let n_syms = Array.length dex.arena.Dex.Arena.syms in
+  (* each key's count becomes its write cursor, from its range's start *)
+  let cursor = Array.make n_syms 0 in
+  iter_postings dex c ~lo:0 ~hi:n (fun k _ ->
+      cursor.(k) <- cursor.(k) + 1);
   let nk = ref 0 in
-  for k = 0 to cnt.maxk do
-    if cnt.c.(k) > 0 then incr nk
+  for k = 0 to n_syms - 1 do
+    if cursor.(k) > 0 then incr nk
   done;
   let keys = Ivec.create !nk in
   let flat = Array.make (!nk + 1) 0 in
-  (* each key's count becomes its write cursor, from its range's start *)
-  let cursor = cnt.c in
   let ki = ref 0 and pos = ref 0 in
-  for k = 0 to cnt.maxk do
+  for k = 0 to n_syms - 1 do
     let count = cursor.(k) in
     if count > 0 then begin
       Ivec.set keys !ki k;
@@ -215,8 +209,16 @@ let ensure_category t c =
         span0;
       p)
 
-let make ~indexed ~load_mode dex tables =
-  { dex; cache = Cache.create (); indexed; load_mode; tables;
+(* The arena table's inverse, or [None] when the table holds a symbol
+   twice (one probe per entry: a repeat leaves the count short). *)
+let key_table (dex : Dex.Dexfile.t) =
+  let syms = dex.arena.Dex.Arena.syms in
+  let keys = Keys.create (Array.length syms) in
+  Array.iteri (fun l sym -> Keys.replace keys sym l) syms;
+  if Keys.length keys = Array.length syms then Some keys else None
+
+let make ~indexed ~load_mode ~keys dex tables =
+  { dex; keys; cache = Cache.create (); indexed; load_mode; tables;
     build_us = Array.make n_categories 0.0;
     ruleset = Atomic.make None }
 
@@ -224,7 +226,7 @@ let make ~indexed ~load_mode dex tables =
    so that preprocessing, not the first query, pays for it. *)
 let create ?(indexed = true) dex =
   if not indexed then ignore (Dex.Dexfile.text dex : Dex.Textstore.t);
-  make ~indexed ~load_mode:None dex
+  make ~indexed ~load_mode:None ~keys:(Option.get (key_table dex)) dex
     (Array.init n_categories (fun _ -> Parallel.Once.make ()))
 
 (** All seven categories in packed form, building any not yet built — the
@@ -234,13 +236,16 @@ let export_packed t = Array.init n_categories (ensure_category t)
 (* An engine whose postings were installed wholesale (a snapshot load or a
    delta patch) rather than built from the arena.  Queries behave exactly
    as in indexed mode; {!index_mode} reports [mode]. *)
-let install ~mode dex tables =
+let install ~mode ~keys dex tables =
   if Array.length tables <> n_categories then
     invalid_arg "Engine.create_packed: expected one table per category";
-  make ~indexed:true ~load_mode:(Some mode) dex
+  make ~indexed:true ~load_mode:(Some mode) ~keys dex
     (Array.map Parallel.Once.filled tables)
 
-let create_packed dex tables = install ~mode:"snapshot" dex tables
+let create_packed dex tables =
+  match key_table dex with
+  | Some keys -> Ok (install ~mode:"snapshot" ~keys dex tables)
+  | None -> Error "symbol table holds a string twice"
 
 let program t = t.dex.Dex.Dexfile.program
 let dexfile t = t.dex
@@ -373,7 +378,7 @@ let patch old dex ~slot_map =
          p)
       (export_packed old)
   in
-  let t = install ~mode:"delta" dex tables in
+  let t = install ~mode:"delta" ~keys:(Option.get (key_table dex)) dex tables in
   (match ruleset_stamp old with
    | Some h -> ignore (note_ruleset t h)
    | None -> ());
@@ -473,12 +478,15 @@ let query_category : Query.t -> int option = function
   | Raw _ -> None  (* free-form searches always scan *)
 
 let hits_of_sym t (p : postings) sym =
-  match Ivec.find_sorted p.Packed.keys (Sym.id sym) with
-  | -1 -> []
-  | k ->
-    let acc = ref [] in
-    Packed.iter_key p k (fun slot -> acc := hit_of_slot t slot :: !acc);
-    List.rev !acc
+  match Keys.find_opt t.keys sym with
+  | None -> []
+  | Some l ->
+    (match Ivec.find_sorted p.Packed.keys l with
+     | -1 -> []
+     | k ->
+       let acc = ref [] in
+       Packed.iter_key p k (fun slot -> acc := hit_of_slot t slot :: !acc);
+       List.rev !acc)
 
 let indexed_lookup t c (q : Query.t) =
   let p = ensure_category t c in

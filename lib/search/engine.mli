@@ -3,12 +3,14 @@
     query-level caching (Sec. IV-F).
 
     Two execution modes:
-    - {b indexed} (default): per-category postings — operand symbol id to
-      the {!Postcodec}-coded run of its slots in the dexfile's hit
-      {!Dex.Arena} — each a {!Parallel.Once} cell, built on the first
-      query of that category.  Categories never queried are never built.
-      A snapshot load or a delta patch installs all seven at once, in the
-      same layout.
+    - {b indexed} (default): per-category postings — operand id, local to
+      the arena's symbol table, to the {!Postcodec}-coded run of its slots
+      in the dexfile's hit {!Dex.Arena} — each a {!Parallel.Once} cell,
+      built on the first query of that category.  Categories never
+      queried are never built.  A snapshot load or a delta patch installs
+      all seven at once, in the same layout.  A query maps its symbol to
+      the local id through the engine's key table, which holds one entry
+      per symbol of the arena's table.
     - {b scan} ([indexed:false]): every query scans the dexfile's text
       store, like the paper's prototype shelling out to grep — the test
       oracle and the search-cost ablation baseline.
@@ -36,13 +38,14 @@ type t
 
 (** One category's postings — the serialization boundary between the
     engine and the snapshot store.  [keys] holds the strictly ascending
-    operand symbol ids; key [k]'s slots, strictly ascending in arena order,
+    operand ids, local to the arena's symbol table ({!Dex.Arena}); key
+    [k]'s slots, strictly ascending in arena order,
     are the self-contained {!Postcodec} run at bytes
     [offsets.(k) .. offsets.(k+1)-1] of [runs] (varint deltas or bitmap
     words), decoded on demand.  This is the only layout: lazy and
     delta-patched builds produce it, and it is the snapshot file's postings
-    sections as they are, so built, delta and snapshot-loaded tables of
-    the same arena are byte-identical.  All vectors are off-heap. *)
+    sections as they are, so built and snapshot-loaded tables of the same
+    arena are byte-identical.  All vectors are off-heap. *)
 module Packed : sig
   type t = { keys : Ivec.t; offsets : Ivec.t; runs : Bvec.t }
 end
@@ -66,8 +69,11 @@ val export_packed : t -> Packed.t array
 
 (** An indexed engine whose postings are installed wholesale — the snapshot
     load path.  The array must hold one table per category, in category
-    order; {!index_mode} reports ["snapshot"]. *)
-val create_packed : Dex.Dexfile.t -> Packed.t array -> t
+    order; {!index_mode} reports ["snapshot"].  [Error] when the arena's
+    symbol table holds one symbol twice: a local id must name one symbol
+    and a symbol one local id, or a query would miss the slots filed under
+    the other id. *)
+val create_packed : Dex.Dexfile.t -> Packed.t array -> (t, string) result
 
 (** [patch old dex ~slot_map] is the delta engine over [dex], a new build
     whose arena reuses slots of [old]'s: every category carries [old]'s
@@ -75,10 +81,11 @@ val create_packed : Dex.Dexfile.t -> Packed.t array -> t
     whose class was dropped or re-rendered) and merges in the postings of
     the slots [dex] rendered in this process ([Dex.Dexfile.rendered] — the
     re-rendered classes), indexed exactly as a build of [dex] would index
-    them.  The
-    result answers every query like a cold engine over [dex], inherits
-    [old]'s rule-set stamp, and reports {!index_mode} ["delta"].  Also
-    returns the number of postings carried and rebuilt. *)
+    them.  [dex]'s symbol table extends [old]'s, so carried keys keep
+    their ids.  The result answers every query like a cold engine over
+    [dex], inherits [old]'s rule-set stamp, and reports {!index_mode}
+    ["delta"].  Also returns the number of postings carried and
+    rebuilt. *)
 val patch :
   t ->
   Dex.Dexfile.t ->

@@ -36,9 +36,7 @@ let raw s = Raw s
 
 (* Smart constructors from already-interned symbols (descriptor memos). *)
 let invocation_sym s = Invocation s
-let new_instance_sym s = New_instance s
 let const_class_sym s = Const_class s
-let field_access_sym s = Field_access s
 let static_field_access_sym s = Static_field_access s
 let class_use_sym s = Class_use s
 

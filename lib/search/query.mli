@@ -33,9 +33,7 @@ val raw : string -> t
 (** Smart constructors from already-interned symbols (the descriptor memos
     of [Dex.Descriptor]) — allocation-free query construction. *)
 val invocation_sym : Sym.t -> t
-val new_instance_sym : Sym.t -> t
 val const_class_sym : Sym.t -> t
-val field_access_sym : Sym.t -> t
 val static_field_access_sym : Sym.t -> t
 val class_use_sym : Sym.t -> t
 

@@ -31,8 +31,8 @@
     ([Corrupt]).  A load maps the file twice, once per element kind — as
     bytes and as native ints — and hands out each section as a sub-view of
     one of the two, so reading a section makes no system call.  The
-    mappings are private (copy-on-write): consumers may rewrite mapped
-    vectors — the symbol-id remap does — without touching the file. *)
+    mappings are private (copy-on-write), so no write to a mapped vector
+    could reach the file; the snapshot load writes none. *)
 
 type error =
   | Bad_magic

@@ -47,7 +47,6 @@ let m_save_files = Obs.Metrics.counter "store.save.files"
 let m_save_bytes = Obs.Metrics.counter "store.save.bytes"
 let m_load_files = Obs.Metrics.counter "store.load.files"
 let m_load_bytes = Obs.Metrics.counter "store.load.bytes_mapped"
-let m_load_remapped = Obs.Metrics.counter "store.load.remapped"
 let m_load_prefaulted = Obs.Metrics.counter "store.load.prefaulted"
 let m_delta_loads = Obs.Metrics.counter "store.delta.loads"
 let m_delta_reused = Obs.Metrics.counter "store.delta.classes_reused"
@@ -250,18 +249,8 @@ let save ?ruleset_hash ?(results = [||]) ~path engine =
   let dex = Engine.dexfile engine in
   let packed = Engine.export_packed engine in
   let arena = dex.Dex.Dexfile.arena in
-  (* The symbols the index references: each keyed slot's operand is a key
-     of its category and keys ascend, so the last keys bound them all.
-     Symbols interned after the index pass (by a parallel analysis, in
-     scheduling order) stay out of the file. *)
-  let syms =
-    Sym.dump
-      (Array.fold_left
-         (fun n (p : Packed.t) ->
-            let nk = Ivec.length p.Packed.keys in
-            if nk = 0 then n else max n (Ivec.get p.Packed.keys (nk - 1) + 1))
-         0 packed)
-  in
+  (* the arena's own table, indexed by the local ids the file holds *)
+  let syms = Array.map Sym.to_string arena.Dex.Arena.syms in
   let sections =
     List.concat
       [ [ Codec.ints ~id:sec_meta
@@ -303,10 +292,10 @@ let save ?ruleset_hash ?(results = [||]) ~path engine =
 
 (* -- Parse ------------------------------------------------------------ *)
 
-(* Validate one category against the snapshot's own symbol and slot counts
-   (symbol ids here are still snapshot ids): keys strictly ascending and in
-   range, byte offsets partitioning the coded runs exactly, and every run
-   well-formed with slots in range.  Every byte the engine's unchecked
+(* Validate one category against the snapshot's own symbol and slot
+   counts: keys (local ids of the file's symbol table) strictly ascending
+   and in range, byte offsets partitioning the coded runs exactly, and
+   every run well-formed with slots in range.  Every byte the engine's unchecked
    cursors will later read is checked here — and the walk doubles as a
    sequential touch of the run bytes, so it prefaults the postings as a
    side effect. *)
@@ -350,12 +339,11 @@ let rec result_each f = function
     Ok r
 
 (* Everything a snapshot file holds, mapped and structurally validated but
-   not yet re-interned or assembled into an engine — shared by the warm
-   load path and the delta path.  Symbol ids in [arena_sym] and
-   [packed_snap] keys are still snapshot ids. *)
+   not yet interned or assembled into an engine.  The sym column and the
+   postings keys hold local ids of the file's symbol table, which the
+   engine keeps as they are. *)
 type parsed = {
   p_n_lines : int;
-  p_n_slots : int;
   p_sym_offsets : Ivec.t;
   p_sym_blob : Bvec.t;
   p_owners : Dex.Arena.Owners.t;
@@ -442,44 +430,14 @@ let parse r =
       in
       let* classmap = load_classmap r ~n_lines ~line_idx in
       Ok
-        { p_n_lines = n_lines; p_n_slots = n_slots;
-          p_sym_offsets = sym_offsets; p_sym_blob = sym_blob;
-          p_owners = owners; p_line_idx = line_idx;
+        { p_n_lines = n_lines; p_sym_offsets = sym_offsets;
+          p_sym_blob = sym_blob; p_owners = owners; p_line_idx = line_idx;
           p_stmt_idx = stmt_idx; p_owner_id = owner_id; p_cat = cat;
           p_sym = sym; p_packed = packed_snap; p_ruleset = ruleset;
           p_classmap = classmap }
   end
 
 (* -- Load ------------------------------------------------------------- *)
-
-(* Re-key one category's postings to live symbol ids and re-sort the keys.
-   Each key's coded run is self-contained, so it moves as one byte range,
-   undecoded, into fresh vectors (the mapped originals are dropped; remaps
-   are the rare skewed-symbol-table path). *)
-let remap_packed live_of_snap (p : Packed.t) =
-  let nk = Ivec.length p.Packed.keys in
-  let newkey =
-    Array.init nk (fun k -> Sym.id live_of_snap.(Ivec.get p.Packed.keys k))
-  in
-  let order = Array.init nk Fun.id in
-  Array.sort (fun a b -> compare newkey.(a) newkey.(b)) order;
-  let keys = Ivec.create nk in
-  let offsets = Ivec.create (nk + 1) in
-  let runs = Bvec.create (Bvec.length p.Packed.runs) in
-  let pos = ref 0 in
-  Array.iteri
-    (fun i k ->
-       let lo = Ivec.get p.Packed.offsets k in
-       let len = Ivec.get p.Packed.offsets (k + 1) - lo in
-       Ivec.set keys i newkey.(k);
-       Ivec.set offsets i !pos;
-       Bigarray.Array1.blit
-         (Bigarray.Array1.sub p.Packed.runs lo len)
-         (Bigarray.Array1.sub runs !pos len);
-       pos := !pos + len)
-    order;
-  Ivec.set offsets nk !pos;
-  { Packed.keys; offsets; runs }
 
 (* Touch the small always-hot mapped sections — every arena column plus the
    postings directory (keys and offsets) of each category — so the first
@@ -534,32 +492,13 @@ let load ?(prefault = false) ~path program =
   in
   finish
     (let* p = parse r in
-     let n_slots = p.p_n_slots in
-     (* Re-intern the snapshot's symbol table, in one batch straight from
-        the mapped section; ids are stable when the live table evolved
-        identically (the common warm start). *)
-     let live_of_snap = Sym.intern_slices p.p_sym_blob p.p_sym_offsets in
-     let identity =
-       let ok = ref true in
-       Array.iteri (fun i l -> if i <> Sym.id l then ok := false) live_of_snap;
-       !ok
-     in
-     let packed =
-       if identity then p.p_packed
-       else Array.map (remap_packed live_of_snap) p.p_packed
-     in
-     if not identity then begin
-       (* private (copy-on-write) mapping: rewriting in place never
-          touches the file *)
-       Obs.Metrics.incr m_load_remapped;
-       for i = 0 to n_slots - 1 do
-         let s = Ivec.get p.p_sym i in
-         if s >= 0 then Ivec.set p.p_sym i (Sym.id live_of_snap.(s))
-       done
-     end;
+     (* the file's symbol table, interned in one batch straight from the
+        mapped section, is the arena's: the sym column and the postings
+        keys index it as they are *)
      let arena =
        { Dex.Arena.line_idx = p.p_line_idx; stmt_idx = p.p_stmt_idx;
          owner_id = p.p_owner_id; cat = p.p_cat; sym = p.p_sym;
+         syms = Sym.intern_slices p.p_sym_blob p.p_sym_offsets;
          owners = p.p_owners }
      in
      (* the hot sections (arena columns + postings directories) are
@@ -567,14 +506,18 @@ let load ?(prefault = false) ~path program =
         touches them; [prefault] extends the walk to the postings bodies *)
      if prefault then begin
        Obs.Metrics.incr m_load_prefaulted;
-       ignore (prefault_engine ~arena ~packed)
+       ignore (prefault_engine ~arena ~packed:p.p_packed)
      end
-     else ignore (prefault_hot ~arena ~packed);
+     else ignore (prefault_hot ~arena ~packed:p.p_packed);
      let dex =
        Dex.Dexfile.of_parts ~lines:p.p_n_lines ~classmap:p.p_classmap arena
          program
      in
-     let engine = Engine.create_packed dex packed in
+     let* engine =
+       Result.map_error
+         (fun m -> Codec.Corrupt m)
+         (Engine.create_packed dex p.p_packed)
+     in
      (* carry the saved rule-set stamp onto the engine, so an analysis
         under a different rule set sees `Changed` and warns instead of
         silently trusting warm state *)
@@ -635,13 +578,14 @@ type move =
    maintained-index scenario — an app-store service holding the previous
    version's index in memory, or a warm start that just loaded a
    snapshot — and the core of the delta path: it works purely on live
-   structures, so there is no file parse and no symbol re-interning (a
-   live engine's ids are by definition the live ones).  When the diff
+   structures, so there is no file parse and no symbol interning but the
+   re-indexed classes'.  When the diff
    finds every class unchanged, in whatever order, the old engine already
    answers for [program] and is returned as it is.  Otherwise the new
    layout is written by a {!Dex.Writer} index pass, through the statement
    walk a cold render uses: unchanged classes' columns are copied from
-   the old layout as blocks, changed and added classes indexed.  No text
+   the old layout as blocks, changed and added classes indexed, and the
+   old layout's symbol table extended with the symbols they add.  No text
    is read or written: the new dexfile renders its own from [program] if
    something reads it.  The old engine is left untouched. *)
 let delta_of_engine old_engine program =
@@ -773,8 +717,8 @@ let delta_of_engine old_engine program =
   end
 
 (* The file-based entry, and every warm start's: load the old snapshot
-   (full structural validation, symbol re-interning and key remapping
-   happen there) and patch the resident engine it yields, which an
+   (full structural validation and the symbol table's interning happen
+   there) and patch the resident engine it yields, which an
    unchanged program gets back as loaded.  One splice implementation
    serves both the warm start and the maintained-index flow. *)
 let delta ?prefault ~path program =

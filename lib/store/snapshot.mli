@@ -1,7 +1,7 @@
 (** Persistent preprocessing snapshots (warm-start store).
 
     A snapshot captures the index the preprocessing phase computes from a
-    program — the interned symbol table, the dexfile's hit {!Dex.Arena},
+    program — the arena's symbol table, the dexfile's hit {!Dex.Arena},
     all seven per-category search postings, the per-class
     {!Dex.Classmap} (names, line/slot ranges and one IR hash per class)
     and, optionally, persisted per-sink analysis results — in one
@@ -16,14 +16,13 @@
     live off the OCaml heap, so the warm path also carries less GC
     pressure than a cold build.
 
-    Symbol ids are snapshot-stable.  Save writes the whole live symbol
-    table; load re-interns its strings in id order.  In the common case
-    (fresh process, same pipeline) this reproduces identical ids and the
-    mapped vectors are used as-is; otherwise load rewrites the arena's sym
-    column in place (the mappings are private, copy-on-write) and re-sorts
-    the postings keys to live ids, moving each key's coded run as one byte
-    range, so a warm engine always returns hits byte-identical to a cold
-    one.
+    A snapshot depends only on its app.  The arena's sym column and every
+    postings key hold ids local to the arena's symbol table, which its
+    index pass numbered ({!Dex.Arena}); save writes that table as it is,
+    and load interns its strings in one batch and keeps the result as the
+    loaded arena's table.  No mapped vector is rewritten, and a warm
+    engine returns hits byte-identical to a cold one, whatever the
+    loading process interned before.
 
     A snapshot keeps no class tokens, only the postings built from them, so
     a loaded dexfile's class-tokens postings cannot be rebuilt
@@ -38,11 +37,10 @@ val default_path : dir:string -> app_id:string -> string
 (** Serialize [engine]'s symbols, arena, classmap and all seven postings
     categories (building any not yet built, the classmap included) to
     [path], atomically, in format {!Codec.format_version}.  The symbols
-    are the process's table up to the highest id a postings key holds,
-    which bounds every id the arena holds too: symbols interned after the
-    index pass, as a parallel analysis interns them in scheduling order,
-    stay out, so saving one engine gives the same bytes at any
-    [--jobs].
+    are the arena's own table, so the bytes do not depend on what else the
+    process interned, before the index pass or after it (as a parallel
+    analysis interns in scheduling order): one app saves the same bytes
+    from a fresh process or a daemon, at any [--jobs].
     Returns the file size in bytes.  Every section streams from where the
     engine holds it — arena columns and postings runs as they are, and the
     owner table's stored entries (a loaded engine's, and those a delta
@@ -77,10 +75,11 @@ val save :
     engine decodes runs on demand), and the owner table stays in its
     mapped sections: each owner's signature and class are decoded when a
     hit first names them, so a warm analysis decodes only the owners it
-    reads.  The symbol table is re-interned in one batch, straight from
-    its section.  Validates structure fully before use — every coded run
-    is walked and range-checked, and every owner signature is checked to
-    parse ({!Ir.Jsig.meth_parses}) — so a damaged file yields a typed
+    reads.  The symbol table is interned in one batch, straight from its
+    section, and becomes the arena's table.  Validates structure fully
+    before use — every coded run is walked and range-checked, every owner
+    signature is checked to parse ({!Ir.Jsig.meth_parses}), and the symbol
+    table must hold each string once — so a damaged file yields a typed
     {!Codec.error}, never a crash, a later failure or a silently wrong
     engine; a file of another format version (a retired v1 or v2 file,
     say) fails with [Bad_version].  The load does not compare [program]
@@ -141,7 +140,8 @@ val unchanged : delta_report -> bool
     the statement walk of a cold render), and
     {!Bytesearch.Engine.patch} merges their postings into the carried
     ones.  No text is read or written, and there is no file I/O, no
-    parsing and no symbol re-interning — this is the maintained-index fast
+    parsing and no interning but the re-indexed classes' symbols, which
+    extend the old arena's table — this is the maintained-index fast
     path an app store uses when version N+1 of an app arrives while
     version N's index is warm, and what the corpus cache uses to upgrade a
     stale snapshot it has already loaded.  The old
@@ -168,8 +168,8 @@ val delta_of_engine :
     {!delta_of_engine}: the warm start of every caller that opens a
     snapshot for a program.  An unchanged program gets the loaded engine
     back; otherwise the engine is built incrementally against the old
-    snapshot.  The load performs the full structural validation and symbol
-    re-interning, so a damaged snapshot fails with a typed {!Codec.error}
+    snapshot.  The load performs the full structural validation, so a
+    damaged snapshot fails with a typed {!Codec.error}
     — callers fall back to a cold build. *)
 val delta :
   ?prefault:bool ->

@@ -108,21 +108,14 @@ let find s =
   r
 
 let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
 let hash (a : t) = a
 let id (a : t) = a
-let unsafe_of_id (i : int) : t = i
 
 let interned () =
   Mutex.lock lock;
   let n = !next in
   Mutex.unlock lock;
   n
-
-let dump n =
-  if n < 0 || n > interned () then invalid_arg "Sym.dump";
-  (* ids < n are fully published, so the copies need no lock *)
-  Array.init n to_string
 
 let memo (type a) ?(size = 256) ~(hash : a -> int) ~(equal : a -> a -> bool)
     (render : a -> string) =

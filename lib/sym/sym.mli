@@ -3,10 +3,12 @@
     A {!t} is an integer handle for a string interned exactly once per
     process: two symbols are equal iff their strings are equal, so equality
     and hashing are O(1) integer operations with no per-comparison
-    allocation.  The search engine keys its postings and its command cache
-    on symbols; the disassembler interns every class descriptor, method
-    signature and field signature it renders, so the analysis hot loops
-    never rebuild or re-hash signature strings.
+    allocation.  The search engine keys its command cache on symbols; the
+    disassembler interns every class descriptor, method signature and
+    field signature it renders, so the analysis hot loops never rebuild or
+    re-hash signature strings.  Ids are process-specific: an arena numbers
+    its own symbols ([Dex.Arena]), and a snapshot stores those numbers and
+    the strings, never these ids.
 
     The table is domain-safe: {!intern} serializes writers behind a mutex,
     while {!to_string} is a lock-free read (the id → string store is a
@@ -24,7 +26,8 @@ val intern : string -> t
     their symbols: the ids {!intern} would give them one by one, in one
     critical section (no other domain's intern lands among them) with one
     table probe per string, each cut straight from [blob].  A snapshot
-    load re-interns its symbol table this way, from the mapped section.
+    load interns its symbol table this way, from the mapped section, and
+    the result is the loaded arena's table.
     Raises [Invalid_argument] unless the offsets ascend from [0] or more
     to at most [Bvec.length blob]. *)
 val intern_slices : Bvec.t -> Ivec.t -> t array
@@ -39,31 +42,17 @@ val to_string : t -> string
 (** O(1) integer equality. *)
 val equal : t -> t -> bool
 
-(** Total order on symbol ids — interning order, NOT lexicographic.  Never
-    use it for user-visible ordering (ids depend on scheduling when several
-    domains intern concurrently). *)
-val compare : t -> t -> int
-
 (** O(1) integer hash. *)
 val hash : t -> int
 
-(** The raw id, a small dense non-negative int (usable as a table key). *)
+(** The raw id, a small dense non-negative int (usable as a table key).
+    It depends on what the process interned before, and on scheduling
+    when several domains intern at once, so no file may hold it and no
+    output may be ordered by it. *)
 val id : t -> int
-
-(** The symbol with raw id [i].  [i] must be an id previously returned by
-    {!id} (or below {!interned}); anything else makes {!to_string} raise. *)
-val unsafe_of_id : int -> t
 
 (** Number of symbols interned so far, process-wide. *)
 val interned : unit -> int
-
-(** [dump n] is the interned strings of ids [\[0, n)], indexed by id.
-    A snapshot save writes the ids up to the highest its index references;
-    loading re-interns the strings in id order, which re-creates identical
-    ids in a process whose table evolved the same way up to there (and
-    yields a remap table otherwise).  Raises [Invalid_argument] unless
-    [0 <= n <= interned ()]. *)
-val dump : int -> string array
 
 (** [memo ~hash ~equal render] is a domain-safe memoized [fun x ->
     intern (render x)]: each distinct key renders (and allocates) its

@@ -154,40 +154,8 @@ let cg_cases =
         Alcotest.(check bool) "app code kept" false
           (Baseline.Liblist.skipped "com.example.app.Main")) ]
 
-
-(* --- the CryptoGuard-style intra-procedural comparator --- *)
-
-let cg_insecure app =
-  List.length
-    (Baseline.Cryptoguard.insecure_findings
-       (Baseline.Cryptoguard.analyze (app : G.app).program))
-
-let cryptoguard_cases =
-  [ Alcotest.test_case "misses inter-procedural flows" `Quick (fun () ->
-        (* the ECB constant lives in the caller: intra-procedural FN *)
-        let app = make_app Shape.Direct Sinks.cipher true in
-        Alcotest.(check int) "inter-procedural flow missed" 0 (cg_insecure app);
-        Alcotest.(check int) "BackDroid finds it" 1
-          (List.length
-             (Backdroid.Driver.insecure_reports
-                (Backdroid.Driver.analyze ~dex:app.dex ~manifest:app.manifest ()))));
-    Alcotest.test_case "flags dead code (no reachability)" `Quick (fun () ->
-        (* dead-code sinks have the constant in the same method: CryptoGuard
-           reports them although they can never execute *)
-        let app = make_app Shape.Dead_code Sinks.cipher true in
-        Alcotest.(check bool) "dead code flagged (FP)" true (cg_insecure app > 0));
-    Alcotest.test_case "resolves same-method stringbuilder specs" `Quick
-      (fun () ->
-        (* reflective-sink apps keep the constant inside the sink method *)
-        let app = make_app Shape.Reflective_sink Sinks.cipher true in
-        Alcotest.(check int) "same-method constant resolved" 1 (cg_insecure app));
-    Alcotest.test_case "secure same-method spec stays clean" `Quick (fun () ->
-        let app = make_app Shape.Reflective_sink Sinks.cipher false in
-        Alcotest.(check int) "no insecure" 0 (cg_insecure app)) ]
-
 let suites =
   [ "baseline.parity", parity_cases;
     "baseline.gaps", gap_cases;
     "baseline.failures", failure_cases;
-    "baseline.cg", cg_cases;
-    "baseline.cryptoguard", cryptoguard_cases ]
+    "baseline.cg", cg_cases ]

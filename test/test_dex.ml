@@ -562,7 +562,7 @@ let golden_abstract =
   [ ("  method Lgolden/render/Widget;.shape:()Lgolden/render/Kind;", "none",
      None) ]
 
-let key_string cat sym =
+let key_string (a : Dex.Arena.t) cat sym =
   match
     List.assoc_opt cat
       Dex.Arena.
@@ -570,7 +570,7 @@ let key_string cat sym =
           (cat_const_class, "const-class"); (cat_const_string, "const-string");
           (cat_field, "field"); (cat_static_field, "static-field") ]
   with
-  | Some k -> k ^ " " ^ Sym.to_string (Sym.unsafe_of_id sym)
+  | Some k -> k ^ " " ^ Sym.to_string a.syms.(sym)
   | None -> "none"
 
 let golden_dex () =
@@ -592,9 +592,10 @@ let golden_lines () =
       | Some s ->
         let toks = ref [] in
         Dex.Dexfile.iter_tokens dex ~lo:s ~hi:(s + 1) (fun tok _ ->
-            toks := Sym.to_string (Sym.unsafe_of_id tok) :: !toks);
+            toks := Sym.to_string a.Dex.Arena.syms.(tok) :: !toks);
         ( text,
-          key_string (Ivec.get a.Dex.Arena.cat s) (Ivec.get a.Dex.Arena.sym s),
+          key_string a (Ivec.get a.Dex.Arena.cat s)
+            (Ivec.get a.Dex.Arena.sym s),
           Some (List.sort String.compare !toks) ))
 
 let test_golden_rendering () =
@@ -604,29 +605,38 @@ let test_golden_rendering () =
     (golden_render @ golden_wide @ golden_abstract)
     got
 
-(* Fields, then interfaces, superclass and class, then each method as it
-   is reached.  The golden names are interned nowhere else, so their ids
-   come from the first render of the class. *)
+(* An index pass numbers the symbols it indexes in the order it meets
+   them: line by line, a keyed line's operand, then that operand's class
+   tokens, then the class tokens of the line's other operands, each in
+   text order.  Snapshots store these numbers, so the order is pinned, and
+   it does not depend on what the process interned before: a second
+   render, after another app's, numbers the same way. *)
 let test_golden_intern_order () =
-  ignore (golden_dex ());
-  let id s =
-    match Sym.find s with
-    | Some sym -> Sym.id sym
-    | None -> Alcotest.failf "%s was not interned" s
+  let table () =
+    Array.to_list
+      (Array.map Sym.to_string (golden_dex ()).Dex.Dexfile.arena.Dex.Arena.syms)
   in
-  let ids =
-    List.map id
-      [ "Lgolden/render/Widget;.gName:Ljava/lang/String;";
-        "Lgolden/render/Widget;.gCount:I";
-        "Lgolden/render/Widget;.gShared:Lgolden/render/Kind;";
-        "Lgolden/render/Iface1;"; "Lgolden/render/Iface2;";
-        "Lgolden/render/Base;"; "Lgolden/render/Widget;";
-        "Lgolden/render/Widget;.render:(Ljava/lang/String;I)Ljava/lang/String;";
-        "Lgolden/render/Widget;.wide:()V";
-        "Lgolden/render/Widget;.shape:()Lgolden/render/Kind;" ]
-  in
-  Alcotest.(check (list int)) "descriptor ids ascend" (List.sort compare ids)
-    ids
+  let first = table () in
+  Alcotest.(check (list string)) "local ids in the order the pass met them"
+    [ "\"say \\\"hi\\\", Lgolden/render/InString;\\n\\t\\001\"";
+      "Lgolden/render/InString;"; "Lgolden/render/Kind;";
+      "Lgolden/render/Widget;.fmt:(Ljava/lang/Class;Ljava/lang/String;IIJFLgolden/render/Kind;I)Ljava/lang/String;";
+      "Lgolden/render/Widget;"; "Ljava/lang/Class;"; "Ljava/lang/String;";
+      "Lgolden/render/Arg;";
+      "Lgolden/render/Widget;.gName:Ljava/lang/String;";
+      "Lgolden/render/Widget;.gShared:Lgolden/render/Kind;";
+      "Lgolden/render/Widget;.gCount:I"; "Lgolden/render/Kind;.touch:()V";
+      "Lgolden/render/Iface1;.accept:(Ljava/lang/String;)V";
+      "Lgolden/render/Iface1;"; "Lgolden/render/Kind;.<init>:()V" ]
+    first;
+  ignore
+    (Dex.Dexfile.of_program
+       (Appgen.Generator.generate ~build_dex:false
+          { Appgen.Generator.default_config with
+            Appgen.Generator.seed = 3; name = "com.dex.before" })
+         .Appgen.Generator.program);
+  Alcotest.(check (list string)) "the same after another app's pass" first
+    (table ())
 
 (* Snapshot files store these hashes and a delta compares them against a
    fresh build's, so their values must never change. *)
@@ -711,10 +721,14 @@ let check_passes dex =
          let b = Bytes.of_string raw in
          let toks =
            Array.to_list
-             (Array.map Sym.id
+             (Array.map Sym.to_string
                 (Dex.Tokens.of_bytes b ~pos:0 ~len:(Bytes.length b)))
          in
-         if toks <> List.sort compare (slot_tokens dex s) then
+         let indexed =
+           List.map (fun l -> Sym.to_string a.Dex.Arena.syms.(l))
+             (slot_tokens dex s)
+         in
+         if List.sort compare toks <> List.sort compare indexed then
            fail "line %d: tokens of %S" i raw;
          if cat = Dex.Arena.cat_none then begin
            if sym <> -1 then fail "line %d: unkeyed slot with a symbol" i
@@ -722,7 +736,7 @@ let check_passes dex =
          else if
            not
              (String.ends_with
-                ~suffix:(", " ^ Sym.to_string (Sym.unsafe_of_id sym))
+                ~suffix:(", " ^ Sym.to_string a.Dex.Arena.syms.(sym))
                 raw)
          then fail "line %d: operand of %S" i raw
        | _ -> if slot_here then fail "header line %d has a slot" i)

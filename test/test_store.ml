@@ -220,6 +220,27 @@ let test_rejects_corruption () =
       ignore (reseal b));
   check_load_error ~app ~path "an owner signature without ')'"
     (Store.Codec.Corrupt "");
+  (* one symbol-table string copied over another of its length: every
+     offset still checks, but two local ids name one symbol, and a query
+     would find only one id's slots *)
+  mutate (fun b ->
+      let offs, len = section_extent b 2 and blob = section_offset b 3 in
+      let at i = Int64.to_int (Bytes.get_int64_le b (offs + (8 * i))) in
+      let str i = Bytes.sub_string b (blob + at i) (at (i + 1) - at i) in
+      let n = (len / 8) - 1 in
+      let rec pair i j =
+        if i >= n then Alcotest.fail "no two symbols of one length"
+        else if j >= n then pair (i + 1) (i + 2)
+        else if
+          String.length (str i) = String.length (str j) && str i <> str j
+        then (i, j)
+        else pair i (j + 1)
+      in
+      let i, j = pair 0 1 in
+      Bytes.blit_string (str i) 0 b (blob + at j) (String.length (str i));
+      ignore (reseal b));
+  check_load_error ~app ~path "a symbol table holding one string twice"
+    (Store.Codec.Corrupt "");
   (* restore and prove the fixture itself still loads *)
   write_all path original;
   match Store.Snapshot.load ~path app.G.program with
@@ -284,7 +305,7 @@ let test_warm_analyze_equals_cold () =
     (List.map report_fingerprint cold.Driver.reports)
     (List.map report_fingerprint warm.Driver.reports)
 
-(* -- Format version, coded postings, prefault, symbol remap ----------- *)
+(* -- Format version, coded postings, prefault, foreign processes ------ *)
 
 (* A v1 file (the retired flat-postings layout) and a v2 file (which also
    stored the line texts) are refused with a typed error.  The version
@@ -347,13 +368,13 @@ let test_prefault_load () =
   Alcotest.(check (list string)) "prefault changes nothing but timing"
     (fp cold) (fp hot)
 
-(* A snapshot written by another process carries that process's symbol
-   ids.  Loaded here, after this process has interned another app's
-   symbols, it takes the remap path — keys re-sorted to live ids, coded
-   runs moved as byte ranges, the arena's sym column rewritten — and must
-   still answer exactly like a cold engine.  The writer is the built CLI,
-   spawned rather than forked: [Unix.fork] is refused once a domain has
-   run. *)
+(* A snapshot depends only on its app.  The built CLI saves one app in a
+   fresh process; this process, which has indexed other apps first, saves
+   it with the same rule-set hash and results, and the two files are
+   equal byte for byte.  The CLI's file loads here as it is: the load
+   leaves the file unchanged, and its sym column, postings, hits and
+   reports equal a cold engine's.  The CLI is spawned rather than forked:
+   [Unix.fork] is refused once a domain has run. *)
 let cli = Filename.concat Filename.parent_dir_name "bin/backdroid_cli.exe"
 
 (* Run the CLI to completion and return its output lines. *)
@@ -371,18 +392,23 @@ let run_cli args =
    | _ -> Alcotest.failf "%s %s failed" cli (String.concat " " args));
   String.split_on_char '\n' (read_all out)
 
-let remapped_loads () = counter "store.load.remapped"
-
-let test_foreign_snapshot_remaps () =
-  let path = Filename.temp_file "backdroid_foreign" ".bdix" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+let test_snapshot_depends_on_its_app () =
+  let path = Filename.temp_file "backdroid_foreign" ".bdix"
+  and here = Filename.temp_file "backdroid_here" ".bdix" in
+  Fun.protect
+    ~finally:(fun () ->
+        List.iter (fun p -> try Sys.remove p with Sys_error _ -> ())
+          [ path; here ])
   @@ fun () ->
   ignore
     (run_cli
        [ "analyze"; "--seed"; "7"; "--size-mb"; "2"; "--plant";
          "callback:cipher"; "--plant"; "direct:ssl"; "--insecure"; "--jobs";
          "1"; "--save-index"; path ]);
-  ignore (fixture_app ~seed:5 ());
+  List.iter
+    (fun seed ->
+       ignore (E.export_packed (E.create (fixture_app ~seed ()).G.dex)))
+    [ 5; 9 ];
   let spec =
     { Serve.Appspec.default with
       Serve.Appspec.seed = 7; size_mb = 2.0; insecure = true;
@@ -393,34 +419,38 @@ let test_foreign_snapshot_remaps () =
     | Ok app -> app
     | Error m -> Alcotest.fail m
   in
-  let before = remapped_loads () in
-  let file = read_all path in
-  let warm =
-    match Store.Snapshot.load ~path app.G.program with
-    | Ok e -> e
-    | Error e -> Alcotest.failf "load: %s" (Store.Codec.error_to_string e)
+  let cold = E.create app.G.dex in
+  let rules = Driver.default_config.Driver.rules in
+  let results =
+    Backdroid.Resultcache.to_strings
+      (Driver.export_results ~dex:app.G.dex
+         (Driver.analyze ~engine:cold ~dex:app.G.dex ~manifest:app.G.manifest
+            ()))
   in
-  Alcotest.(check bool) "load took the remap path" true
-    (remapped_loads () > before);
-  (* the remap rewrote the sym column in a private mapping of the file *)
+  ignore
+    (Store.Snapshot.save ~ruleset_hash:(Rules.Rule.hash_list rules) ~results
+       ~path:here cold);
+  let file = read_all path in
+  Alcotest.(check bool) "the CLI's file == this process's" true
+    (file = read_all here);
+  let warm = ok_or "load" (Store.Snapshot.load ~path app.G.program) in
   Alcotest.(check bool) "the file's bytes are unchanged" true
     (read_all path = file);
-  let cold = E.create app.G.dex in
   let sym_column e =
     Ivec.to_array (E.dexfile e).Dex.Dexfile.arena.Dex.Arena.sym
   in
-  Alcotest.(check (array int)) "arena sym column rewritten to live ids"
+  Alcotest.(check (array int)) "arena sym column == cold"
     (sym_column cold) (sym_column warm);
   Array.iteri
     (fun c p ->
        Test_parallel.check_packed_equal
-         (Printf.sprintf "remapped category %d" c)
+         (Printf.sprintf "loaded category %d" c)
          p (E.export_packed warm).(c))
     (E.export_packed cold);
   List.iter
     (fun q ->
        Alcotest.(check (list string))
-         ("remapped hits for " ^ Bytesearch.Query.to_command q)
+         ("loaded hits for " ^ Bytesearch.Query.to_command q)
          (List.map Test_parallel.hit_fingerprint (E.run_uncached cold q))
          (List.map Test_parallel.hit_fingerprint (E.run_uncached warm q)))
     (Test_parallel.exhaustive_queries app.G.program);
@@ -428,7 +458,7 @@ let test_foreign_snapshot_remaps () =
     Serve.Render.report_lines
       (Driver.analyze ~engine ~dex:app.G.dex ~manifest:app.G.manifest ())
   in
-  Alcotest.(check (list string)) "remapped report lines == cold"
+  Alcotest.(check (list string)) "loaded report lines == cold"
     (lines cold) (lines warm)
 
 (* Every warm start is checked against the analysed app: [--load-index]
@@ -706,6 +736,9 @@ let check_unchanged_delta what old_engine program =
 
 (* The delta re-derives the layout exactly: a delta engine's line texts,
    class map, arena and all seven postings tables equal a cold build's,
+   symbol for symbol (the delta's table extends the old engine's, so its
+   local ids are not a cold build's numbering: the sym column is compared
+   as the symbols it names, and each postings run under its key's symbol),
    whether the old engine was built cold or loaded from its snapshot, and
    so does a second-generation delta, patched from the first back to the
    old program.  A loaded engine's text equals the text of the build it
@@ -770,14 +803,28 @@ let test_delta_postings_equal_cold () =
            (column f cold) (column f delta))
       [ ("line_idx", fun a -> a.Dex.Arena.line_idx);
         ("stmt_idx", fun a -> a.Dex.Arena.stmt_idx);
-        ("cat", fun a -> a.Dex.Arena.cat);
-        ("sym", fun a -> a.Dex.Arena.sym) ];
-    Array.iteri
-      (fun c p ->
-         Test_parallel.check_packed_equal
-           (Printf.sprintf "%s: category %d" what c)
-           p (E.export_packed delta).(c))
-      (E.export_packed cold)
+        ("cat", fun a -> a.Dex.Arena.cat) ];
+    let name e l =
+      if l < 0 then "-"
+      else Sym.to_string (E.dexfile e).Dex.Dexfile.arena.Dex.Arena.syms.(l)
+    in
+    Alcotest.(check (array string)) (what ^ ": arena sym")
+      (Array.map (name cold) (column (fun a -> a.Dex.Arena.sym) cold))
+      (Array.map (name delta) (column (fun a -> a.Dex.Arena.sym) delta));
+    (* each key's coded run, under the key's symbol *)
+    let runs e c =
+      let p = (E.export_packed e).(c) in
+      let off k = Ivec.get p.E.Packed.offsets k in
+      List.sort compare
+        (List.init (Ivec.length p.E.Packed.keys) (fun k ->
+             ( name e (Ivec.get p.E.Packed.keys k),
+               Bvec.sub_string p.E.Packed.runs (off k) (off (k + 1) - off k) )))
+    in
+    for c = 0 to 6 do
+      Alcotest.(check (list (pair string string)))
+        (Printf.sprintf "%s: category %d" what c)
+        (runs cold c) (runs delta c)
+    done
   in
   List.iter
     (fun (what, old_dex, v2_program) ->
@@ -1530,8 +1577,6 @@ let cases =
       test_corrupt_coded_run;
     Alcotest.test_case "prefault load is equivalent" `Quick
       test_prefault_load;
-    Alcotest.test_case "foreign-process snapshot remaps to live ids" `Quick
-      test_foreign_snapshot_remaps;
     Alcotest.test_case "CLI --load-index patches another app's snapshot"
       `Quick test_cli_load_index_checks_the_app;
     Alcotest.test_case "CLI saves replayed results for the next version"
@@ -1572,4 +1617,12 @@ let cases =
     QCheck_alcotest.to_alcotest writer_matches_layout;
     QCheck_alcotest.to_alcotest owner_check_like_parser ]
 
-let suites = [ "store.snapshot", cases ]
+(* Its own group: the name's 20 characters keep the runner's name column
+   as wide as the longest group name has kept it, so every other test
+   prints its name as before. *)
+let bytes_cases =
+  [ Alcotest.test_case "one app saves the same bytes in any process" `Quick
+      test_snapshot_depends_on_its_app ]
+
+let suites =
+  [ ("store.snapshot", cases); ("store.snapshot-bytes", bytes_cases) ]
