@@ -97,10 +97,11 @@ let spec_of ?(mutate_pct = 0.0) ~seed ~size_mb ~plants ~insecure () =
         (fun (shape, sink) -> (Shape.to_string shape, sink_key sink))
         plants }
 
-let make_app ?(build_dex = true) ~seed ~size_mb ~plants ~insecure () =
+let make_app ?(build_dex = true) ?mutate_pct ~seed ~size_mb ~plants
+    ~insecure () =
   match
     Serve.Appspec.generate ~build_dex
-      (spec_of ~seed ~size_mb ~plants ~insecure ())
+      (spec_of ?mutate_pct ~seed ~size_mb ~plants ~insecure ())
   with
   | Ok app -> app
   | Error e ->
@@ -284,10 +285,12 @@ let analyze_cmd =
       value & opt ~vopt:(Some "auto") (some string) None
       & info [ "save-index" ] ~docv:"PATH"
           ~doc:
-            "Serialize the preprocessing snapshot (symbol table, dexdump \
-             lines, hit arena, all postings) to $(docv) after building it; \
-             without a value, an auto path derived from the app id and \
-             snapshot format version in the current directory.")
+            "After the analysis, save the preprocessing snapshot (symbol \
+             table, hit arena, all postings, class map) with this run's \
+             per-sink results and rule-set stamp to $(docv); without a \
+             value, an auto path derived from the app id and snapshot \
+             format version in the current directory.  A failed save exits \
+             1.")
   in
   let load_index_t =
     Arg.(
@@ -303,18 +306,9 @@ let analyze_cmd =
              classes, prints $(i,index: delta-patched) and the \
              $(i,delta:) report, and replays the snapshot's persisted \
              per-sink results where their slice footprint is untouched.  \
-             Either way the analysis output is identical to a cold run.")
-  in
-  let prefault_t =
-    Arg.(
-      value & flag
-      & info [ "prefault" ]
-          ~doc:
-            "With $(b,--load-index): extend the always-on hot-section \
-             prefault (hit arena, postings directories) to every mapped \
-             page — the postings bodies — right after validation, so no \
-             query stalls on page faults.  Results are identical either \
-             way.")
+             A missing or refused file prints a warning on stderr and the \
+             app is analysed cold.  Either way the analysis output is \
+             identical to a cold run.")
   in
   let mutate_pct_t =
     Arg.(
@@ -335,7 +329,7 @@ let analyze_cmd =
              syntax; see the README) instead of the built-in paper rules.")
   in
   let run seed size_mb plants insecure dump_ssg subclass_aware jobs verbose
-      trace_file time_limit_ms save_index load_index prefault mutate_pct
+      trace_file time_limit_ms save_index load_index mutate_pct
       rules_file profile metrics metrics_format flight explain =
     setup_logs verbose;
     (* flight recorder: always recording; anomalies (and crashes, via the
@@ -357,54 +351,48 @@ let analyze_cmd =
            exit 1)
     in
     let recorder = setup_obs ~profile ~trace:trace_file in
-    let warm = load_index <> None in
-    let app = make_app ~build_dex:(not warm) ~seed ~size_mb ~plants ~insecure () in
     let app =
-      if mutate_pct > 0.0 then
-        G.mutate ~build_dex:(not warm) ~pct:mutate_pct app
-      else app
+      make_app ~build_dex:false ~mutate_pct ~seed ~size_mb ~plants ~insecure ()
     in
     let index_path = function
       | "auto" -> Store.Snapshot.default_path ~dir:"." ~app_id:app.G.name
       | p -> p
     in
     (* warm start: open the snapshot for the (possibly mutated) program;
-       a patched one replays its persisted per-sink results *)
+       only a patched one replays its persisted per-sink results *)
     let engine, results =
       match load_index with
       | None -> (None, None)
       | Some p ->
         let path = index_path p in
-        (match Store.Snapshot.delta ~prefault ~path app.G.program with
-         | Ok (e, rep) when Store.Snapshot.unchanged rep ->
-           Printf.printf "index: loaded %s\n" path;
-           (Some e, None)
-         | Ok (e, rep) ->
-           Printf.printf "index: delta-patched %s\n" path;
-           Printf.printf "delta: %s\n"
-             (Store.Snapshot.delta_report_to_string rep);
-           let results = Serve.Server.load_results path in
-           Option.iter
-             (fun rc ->
-                Printf.printf "delta: %d persisted sink result(s)\n"
-                  (Backdroid.Resultcache.length rc))
-             results;
-           (Some e, results)
-         | Error err ->
-           Printf.eprintf "error: cannot load index %s: %s\n" path
-             (Store.Codec.error_to_string err);
-           exit 1)
+        let engine, opened =
+          Store.Warm.open_ ~path
+            ~disassemble:(fun () -> G.disassemble app)
+            app.G.program
+        in
+        ( Some engine,
+          match opened with
+          | Store.Warm.Loaded ->
+            Printf.printf "index: loaded %s\n" path;
+            None
+          | Store.Warm.Patched (rep, results) ->
+            Printf.printf "index: delta-patched %s\ndelta: %s\n" path
+              (Store.Snapshot.delta_report_to_string rep);
+            Option.iter
+              (fun rc ->
+                 Printf.printf "delta: %d persisted sink result(s)\n"
+                   (Backdroid.Resultcache.length rc))
+              results;
+            results
+          | Store.Warm.Cold err ->
+            Printf.eprintf "warning: cannot load index %s: %s; analysing cold\n%!"
+              path
+              (match err with
+               | None -> "no such file"
+               | Some e -> Store.Codec.error_to_string e);
+            None )
     in
-    let engine =
-      match save_index with
-      | None -> engine
-      | Some _ ->
-        (* resolve the engine now; the save itself runs after the analysis
-           so the snapshot can carry this run's per-sink results *)
-        (match engine with
-         | Some e -> Some e
-         | None -> Some (Bytesearch.Engine.create app.G.dex))
-    in
+    let dex = if Option.is_none engine then G.disassemble app else app.G.dex in
     let cfg =
       { Backdroid.Driver.default_config with
         Backdroid.Driver.rules;
@@ -415,28 +403,30 @@ let analyze_cmd =
             Backdroid.Context.time_limit_ms } }
     in
     let t0 = Unix.gettimeofday () in
-    let r =
-      Backdroid.Driver.analyze ~cfg ?engine ?results ~dex:app.G.dex
+    let session =
+      Backdroid.Driver.open_session ~cfg ?engine ?results ~dex
         ~manifest:app.G.manifest ()
+    in
+    let r =
+      Fun.protect
+        ~finally:(fun () -> Backdroid.Driver.close_session session)
+        (fun () -> Backdroid.Driver.run_session session)
     in
     let dt = Unix.gettimeofday () -. t0 in
     (match save_index with
      | None -> ()
      | Some p ->
        let path = index_path p in
-       let e = Option.get engine in
-       let results =
-         Backdroid.Resultcache.to_strings
-           (Backdroid.Driver.export_results
-              ~dex:(Bytesearch.Engine.dexfile e) r)
-       in
-       let bytes =
-         Store.Snapshot.save ~ruleset_hash:(Rules.Rule.hash_list rules)
-           ~results ~path e
-       in
-       Printf.printf "index: saved %s (%d bytes, %d cached result(s))\n" path
-         bytes
-         (max 0 (Array.length results - 1)));
+       (match
+          Store.Warm.save ~path ~ruleset_hash:(Rules.Rule.hash_list rules)
+            (Backdroid.Driver.session_engine session) r
+        with
+        | Ok (bytes, n) ->
+          Printf.printf "index: saved %s (%d bytes, %d cached result(s))\n"
+            path bytes n
+        | Error m ->
+          Printf.eprintf "error: cannot save index %s: %s\n" path m;
+          exit 1));
     (* served responses render through the same [Serve.Render] formats, so
        daemon output is byte-identical to this one-shot path *)
     print_endline (Serve.Render.analyzed_line ~app_name:app.G.name ~seconds:dt r);
@@ -469,8 +459,7 @@ let analyze_cmd =
     Term.(
       const run $ seed_t $ size_t $ shapes_t $ insecure_t $ dump_ssg
       $ subclass_aware $ jobs_t $ verbose_t $ trace_t
-      $ time_limit_t $ save_index_t $ load_index_t $ prefault_t
-      $ mutate_pct_t $ rules_t $ profile_t $ metrics_t $ metrics_format_t
+      $ time_limit_t $ save_index_t $ load_index_t $ mutate_pct_t $ rules_t $ profile_t $ metrics_t $ metrics_format_t
       $ flight_t $ explain_t)
 
 (* --- compare --- *)
@@ -568,8 +557,9 @@ let experiments_cmd =
       & info [ "snapshot-dir" ] ~docv:"DIR"
           ~doc:
             "Warm-cache mode: save each app's preprocessing snapshot into \
-             $(docv) on first encounter and map it back on the next run, \
-             skipping disassembly and index construction.")
+             $(docv) (made if its parent exists) after its first analysis \
+             and map it back on the next run, skipping disassembly and \
+             index construction.")
   in
   let run quick count jobs snapshot_dir =
     let opts =
@@ -703,9 +693,9 @@ let snapshot_t =
     value & opt (some string) None
     & info [ "snapshot" ] ~docv:"PATH"
         ~doc:
-          "Have the daemon serve this app from the snapshot at $(docv) \
-           (loading it prefaulted on first touch, saving it there when \
-           absent).")
+          "Have the daemon serve this app from the snapshot at $(docv), \
+           opened on a miss and written after the session's first \
+           analysis, with its results, when missing, refused or stale.")
 
 let mutate_pct_client_t =
   Arg.(

@@ -46,9 +46,16 @@ type app = {
   program : Ir.Program.t;
   manifest : Manifest.App_manifest.t;
   dex : Dex.Dexfile.t;
+  partitions : string list list option;  (** multidex split of the classes *)
   planted : Templates.planted list;
   size_stmts : int;
 }
+
+let dexfile program = function
+  | Some parts -> Dex.Dexfile.of_partitions program parts
+  | None -> Dex.Dexfile.of_program program
+
+let disassemble app = dexfile app.program app.partitions
 
 (** Sanitise an app name into a Java package fragment. *)
 let package_of_name name =
@@ -115,33 +122,30 @@ let generate ?(build_dex = true) (cfg : config) =
     @ List.concat_map (fun (r : Templates.result) -> r.components) plant_results
   in
   let manifest = Manifest.App_manifest.make ~package:pkg ~components in
+  (* a multidex app splits its classes into classes.dex / classes2.dex
+     style partitions *)
+  let rec chunk = function
+    | [] -> []
+    | xs ->
+      List.filteri (fun i _ -> i < 50) xs
+      :: chunk (List.filteri (fun i _ -> i >= 50) xs)
+  in
+  let app_names =
+    List.filter_map
+      (fun (c : Ir.Jclass.t) -> if c.is_system then None else Some c.name)
+      classes
+  in
+  let partitions = if cfg.multidex then Some (chunk app_names) else None in
   let dex =
-    if not build_dex then Dex.Dexfile.empty program
-    else if cfg.multidex then begin
-      (* split app classes into classes.dex / classes2.dex style partitions *)
-      let app_names =
-        List.filter_map
-          (fun (c : Ir.Jclass.t) -> if c.is_system then None else Some c.name)
-          classes
-      in
-      let rec chunk xs =
-        match xs with
-        | [] -> []
-        | _ ->
-          let n = min 50 (List.length xs) in
-          let part = List.filteri (fun i _ -> i < n) xs in
-          let rest = List.filteri (fun i _ -> i >= n) xs in
-          part :: chunk rest
-      in
-      Dex.Dexfile.of_partitions program (chunk app_names)
-    end
-    else Dex.Dexfile.of_program program
+    if build_dex then dexfile program partitions
+    else Dex.Dexfile.empty program
   in
   { name = cfg.name;
     config = cfg;
     program;
     manifest;
     dex;
+    partitions;
     planted =
       shared_planted
       @ List.map (fun (r : Templates.result) -> r.planted) plant_results;
@@ -219,7 +223,8 @@ let mutate ?(seed = 0) ?(build_dex = true) ~pct app =
   in
   let program = Ir.Program.of_classes classes' in
   let dex =
-    if not build_dex then Dex.Dexfile.empty program
-    else Dex.Dexfile.of_program program
+    if build_dex then Dex.Dexfile.of_program program
+    else Dex.Dexfile.empty program
   in
-  { app with program; dex; size_stmts = Ir.Program.code_size program }
+  { app with program; dex; partitions = None;
+             size_stmts = Ir.Program.code_size program }

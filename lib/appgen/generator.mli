@@ -27,16 +27,21 @@ type app = {
   program : Ir.Program.t;
   manifest : Manifest.App_manifest.t;
   dex : Dex.Dexfile.t;
+  partitions : string list list option;  (** multidex split of the classes *)
   planted : Templates.planted list;
   size_stmts : int;
 }
+
+(** The app's dexfile as [generate ~build_dex:true] lays it out. *)
+val disassemble : app -> Dex.Dexfile.t
 
 (** Sanitise an app name into a Java package fragment. *)
 val package_of_name : string -> string
 
 (** Generate the app.  [build_dex:false] skips disassembly and leaves
     {!app.dex} as {!Dex.Dexfile.empty} — the warm-start path, where a
-    snapshot load is about to supply the lines, arena and postings. *)
+    snapshot supplies the index, or {!disassemble} builds it on a cold
+    open. *)
 val generate : ?build_dex:bool -> config -> app
 
 (** Approximate on-disk size in "MB" for reporting, from our calibration of

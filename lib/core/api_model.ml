@@ -10,12 +10,6 @@ let sb_parts_key = "<sb-parts>"
 let intent_action_key = "<intent-action>"
 let intent_target_key = "<intent-target>"
 
-let get_parts (o : Facts.obj) =
-  match Hashtbl.find_opt o.members sb_parts_key with
-  | Some (Facts.Sym s) -> [ Facts.Sym s ]
-  | Some f -> [ f ]
-  | None -> []
-
 (** Evaluate a framework API call.  Returns [Some fact] when modelled, [None]
     when the generic default (Unknown result) should apply. *)
 let eval (callee : Jsig.meth) (recv : Facts.t option) (args : Facts.t list) =

@@ -7,7 +7,6 @@ module Api = Framework.Api
 val sb_parts_key : string
 val intent_action_key : string
 val intent_target_key : string
-val get_parts : Facts.obj -> Facts.t list
 
 (** Evaluate a framework API call.  Returns [Some fact] when modelled, [None]
     when the generic default (Unknown result) should apply. *)

@@ -21,34 +21,6 @@ let verdict_to_string = function
   | Secure -> "secure"
   | Unresolved -> "unresolved"
 
-(** Does the class's [verify] method constantly accept (return 1)?  Used for
-    app-defined [javax.net.ssl.HostnameVerifier] implementations. *)
-let verifier_accepts_all program cls =
-  match Program.find_class program cls with
-  | None -> None
-  | Some c ->
-    let verify =
-      List.find_opt
-        (fun (m : Jmethod.t) -> String.equal m.msig.Jsig.name "verify")
-        c.methods
-    in
-    (match verify with
-     | Some { Jmethod.body = Some body; _ } ->
-       let returns_const =
-         Array.fold_left
-           (fun acc st ->
-              match st with
-              | Stmt.Return (Some (Value.Const (Value.Int_c i))) -> Some i
-              | Stmt.Return (Some (Value.Local _)) -> acc
-              | _ -> acc)
-           None body
-       in
-       (match returns_const with
-        | Some 1 -> Some true
-        | Some _ -> Some false
-        | None -> None)
-     | Some _ | None -> None)
-
 (* The integer constant a named method of [cls] provably returns, if any —
    the generalized form the Verifier_* predicates evaluate. *)
 let method_returns_const program cls ~name =
@@ -134,9 +106,6 @@ let classify_rule program (rule : Rules.Rule.t) (fact : Facts.t) =
 (* Compatibility shims over the built-in rule set — the baselines (and any
    caller that thinks in sinks, not rules) map a sink occurrence to the
    built-in rule covering its signature. *)
-
-let classify_ssl program (fact : Facts.t) =
-  classify_rule program Rules.Builtin.ssl_hostname fact
 
 let classify program (sink : Sinks.t) (fact : Facts.t) =
   match Rules.Builtin.rule_for_sink sink with

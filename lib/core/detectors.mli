@@ -7,10 +7,6 @@ module Sinks = Framework.Sinks
 type verdict = Insecure | Secure | Unresolved
 val verdict_to_string : verdict -> string
 
-(** Does the class's [verify] method constantly accept (return 1)?  Used for
-    app-defined [javax.net.ssl.HostnameVerifier] implementations. *)
-val verifier_accepts_all : Ir.Program.t -> string -> bool option
-
 (** Evaluate a rule predicate against one resolved fact. *)
 val eval_pred : Ir.Program.t -> Facts.t -> Rules.Rule.pred -> bool
 
@@ -21,5 +17,3 @@ val classify_rule : Ir.Program.t -> Rules.Rule.t -> Facts.t -> verdict
 (** Verdict of the built-in rule covering [sink] (compatibility shim for
     sink-centric callers, e.g. the baselines). *)
 val classify : Ir.Program.t -> Sinks.t -> Facts.t -> verdict
-
-val classify_ssl : Ir.Program.t -> Facts.t -> verdict

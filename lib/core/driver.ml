@@ -457,7 +457,6 @@ let open_session ?(cfg = default_config) ?pool ?engine ?results
 let close_session s = if s.s_owns_pool then Parallel.Pool.shutdown s.s_pool
 
 let session_engine s = s.s_engine
-let session_config s = s.s_cfg
 let session_pool s = s.s_pool
 
 let run_session ?budget s =

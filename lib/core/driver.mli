@@ -141,7 +141,6 @@ val run_session : ?budget:Context.budget -> session -> result
 val close_session : session -> unit
 
 val session_engine : session -> Bytesearch.Engine.t
-val session_config : session -> config
 val session_pool : session -> Parallel.Pool.t
 
 (** Analyze one app.  [pool] reuses an existing domain pool for the

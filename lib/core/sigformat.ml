@@ -9,10 +9,8 @@ let to_dex_meth = Dex.Descriptor.meth_desc
     for method-body lookup in the program space. *)
 let of_dex_meth = Dex.Descriptor.meth_of_desc
 
-let to_dex_field = Dex.Descriptor.field_desc
 let of_dex_field = Dex.Descriptor.field_of_desc
 
-let to_dex_class = Dex.Descriptor.class_desc
 let of_dex_class = Dex.Descriptor.class_of_desc
 
 (** Search signature for the same method relocated onto another class (used

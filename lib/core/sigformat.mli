@@ -8,9 +8,7 @@ val to_dex_meth : Ir.Jsig.meth -> string
 (** Step 3: dexdump signature (as found by the search) → IR signature, ready
     for method-body lookup in the program space. *)
 val of_dex_meth : string -> Ir.Jsig.meth
-val to_dex_field : Ir.Jsig.field -> string
 val of_dex_field : string -> Ir.Jsig.field
-val to_dex_class : string -> string
 val of_dex_class : string -> string
 
 (** Search signature for the same method relocated onto another class (used

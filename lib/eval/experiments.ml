@@ -20,7 +20,8 @@ type opts = {
   jobs : int;           (** per-app fan-out width (1 = sequential) *)
   snapshot_dir : string option;
       (** warm-cache mode: per-app preprocessing snapshots ([.bdix]) are
-          saved here on first encounter and reused on the next run *)
+          saved here after an app's first analysis and reused on the next
+          run *)
 }
 
 let default_opts =
@@ -63,58 +64,59 @@ let run_corpus ?(progress = fun _ -> ()) opts =
          elapsed eta);
     Mutex.unlock progress_lock
   in
+  (* Warm-cache mode: with [opts.snapshot_dir], each app opens its
+     snapshot through {!Store.Warm}, and every one but a loaded one is
+     saved after the timed analysis, with its results.  A patched one
+     replays nothing: the tables time full analyses.  Snapshots are
+     per-app files, so pool domains never contend for one.  The directory
+     is made if its parent exists. *)
+  Option.iter
+    (fun dir ->
+       if not (Sys.file_exists dir) then
+         try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ())
+    opts.snapshot_dir;
+  let ruleset_hash =
+    Rules.Rule.hash_list Backdroid.Driver.default_config.Backdroid.Driver.rules
+  in
+  let analyze_backdroid (cfg : G.config) =
+    match opts.snapshot_dir with
+    | None ->
+      let app = G.generate cfg in
+      (app, fst (Runner.run_backdroid app))
+    | Some dir ->
+      let path = Store.Snapshot.default_path ~dir ~app_id:cfg.G.name in
+      let app = G.generate ~build_dex:false cfg in
+      let engine, opened =
+        Store.Warm.open_ ~path
+          ~disassemble:(fun () -> G.disassemble app)
+          app.G.program
+      in
+      let stale =
+        match opened with
+        | Store.Warm.Loaded -> false
+        | Store.Warm.Patched (rep, _) ->
+          Printf.eprintf "note: snapshot %s was stale; delta-patched: %s\n%!"
+            path (Store.Snapshot.delta_report_to_string rep);
+          true
+        | Store.Warm.Cold err ->
+          Option.iter
+            (fun e ->
+               Printf.eprintf "warning: snapshot %s: %s; rebuilding cold\n%!"
+                 path (Store.Codec.error_to_string e))
+            err;
+          true
+      in
+      let m, r = Runner.run_backdroid ~engine app in
+      (if stale then
+         match Store.Warm.save ~path ~ruleset_hash engine r with
+         | Ok _ -> ()
+         | Error msg ->
+           Printf.eprintf "warning: snapshot %s not saved: %s\n%!" path msg);
+      (app, m)
+  in
   (* [i + 1] is the app's stable logical pid in the exported trace (pid 0 is
      the driver process); spans recorded while an app is analysed carry it
      regardless of which pool domain ran the task. *)
-  (* Warm-cache mode: with [opts.snapshot_dir], each app's preprocessing
-     snapshot is saved on first encounter and mapped back on the next —
-     generation then skips disassembly ([build_dex:false]) and analysis runs
-     on the snapshot engine.  Snapshots are per-app files, so pool domains
-     never contend for one; a damaged file rebuilds cold with a warning,
-     and a snapshot that cannot be written costs only the next run's warm
-     start, with a warning.
-
-     A snapshot whose per-class content hashes no longer match the current
-     build (the app changed between runs — a "version update") is not thrown
-     away: it is delta-patched against the new program — only changed
-     classes are re-disassembled and re-indexed — and re-saved. *)
-  let prepare (cfg : G.config) =
-    match opts.snapshot_dir with
-    | None -> (G.generate cfg, None)
-    | Some dir ->
-      let path = Store.Snapshot.default_path ~dir ~app_id:cfg.G.name in
-      let save engine =
-        let warn m =
-          Printf.eprintf "warning: snapshot %s not saved: %s\n%!" path m
-        in
-        try ignore (Store.Snapshot.save ~path engine) with
-        | Sys_error m -> warn m
-        | Unix.Unix_error (e, _, _) -> warn (Unix.error_message e)
-      in
-      let cold () =
-        let app = G.generate cfg in
-        let engine = Bytesearch.Engine.create app.G.dex in
-        save engine;
-        (app, Some engine)
-      in
-      if Sys.file_exists path then begin
-        let app = G.generate ~build_dex:false cfg in
-        match Store.Snapshot.delta ~path app.G.program with
-        | Ok (engine, rep) ->
-          if not (Store.Snapshot.unchanged rep) then begin
-            save engine;
-            Printf.eprintf "note: snapshot %s was stale; delta-patched: %s\n%!"
-              path
-              (Store.Snapshot.delta_report_to_string rep)
-          end;
-          (app, Some engine)
-        | Error e ->
-          Printf.eprintf "warning: snapshot %s: %s; rebuilding cold\n%!" path
-            (Store.Codec.error_to_string e);
-          cold ()
-      end
-      else cold ()
-  in
   let run_one (i, (cfg : G.config)) =
     Obs.Span.with_pid (i + 1) @@ fun () ->
     Obs.Span.with_span ~cat:"corpus" ~name:cfg.G.name @@ fun () ->
@@ -122,8 +124,7 @@ let run_corpus ?(progress = fun _ -> ()) opts =
     Mutex.lock progress_lock;
     progress (Printf.sprintf "[%d/%d] %s" k n cfg.G.name);
     Mutex.unlock progress_lock;
-    let app, engine = prepare cfg in
-    let m_bd, _ = Runner.run_backdroid ?engine app in
+    let app, m_bd = analyze_backdroid cfg in
     let m_am, _ = Runner.run_amandroid ~timeout_s:opts.timeout_s app in
     let m_fd =
       Runner.run_flowdroid_cg ~timeout_s:opts.flowdroid_timeout_s app

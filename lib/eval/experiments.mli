@@ -19,11 +19,12 @@ type opts = {
   jobs : int;   (** per-app fan-out width (1 = sequential) *)
   snapshot_dir : string option;
       (** warm-cache mode: per-app preprocessing snapshots ([.bdix]) are
-          saved here on first encounter and reused on the next run — apps
-          with a snapshot skip disassembly and index construction entirely
-          (a damaged snapshot logs a warning and rebuilds cold, a changed
-          app's is delta-patched and re-saved, and one that cannot be
-          saved logs a warning) *)
+          saved here after an app's first analysis, with its results, and
+          reused on the next run — apps with a snapshot skip disassembly
+          and index construction entirely (a damaged snapshot logs a
+          warning and rebuilds cold, a changed app's is delta-patched and
+          re-saved, and one that cannot be saved logs a warning).  The
+          directory is made if its parent exists. *)
 }
 val default_opts : opts
 val minutes_per_second : opts -> float

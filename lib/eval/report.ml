@@ -55,8 +55,9 @@ let write_csv path (ms : Runner.measurement list) =
 (** Parse one row back (used by the round-trip test).  Rows from before the
     per-rule columns existed still parse, with an empty per-rule tally, and
     rows from before any of the trailing columns ([incremental], the
-    provenance aggregates) parse with those columns at their zero value. *)
-let parse_row line =
+    provenance aggregates) parse with those columns at their zero value.
+    A row too short, or with a field that does not convert, is [None]. *)
+let parse_fields line =
   match String.split_on_char ',' line with
   | app :: tool :: seconds :: timed_out :: errored :: sink_calls :: size_stmts
     :: size_mb :: insecure :: search_cache_rate :: sink_cache_rate :: loops
@@ -110,3 +111,6 @@ let parse_row line =
         resolved_callers = trailing_int 2;
         work_spent = trailing_int 3 }
   | _ -> None
+
+let parse_row line =
+  try parse_fields line with Failure _ | Invalid_argument _ -> None

@@ -27,7 +27,7 @@ type measurement = {
   parallelism : int;    (** worker-pool size the measurement ran under *)
   incremental : bool;
       (** BackDroid only: the engine was delta-patched from an older
-          snapshot ({!Store.Snapshot.delta}) instead of built from
+          snapshot ({!Store.Warm.open_}) instead of built from
           scratch *)
   resolutions : int;
       (** BackDroid only: caller resolutions taken by fresh slices,
@@ -41,8 +41,8 @@ val time : (unit -> 'a) -> 'a * float
 val mb_of : G.app -> float
 
 (** [engine] is a search engine opened from a snapshot (see
-    {!Store.Snapshot.delta}): analysis skips disassembly-dependent index
-    construction and runs warm. *)
+    {!Store.Warm.open_}), whose dexfile replaces the app's: analysis skips
+    disassembly-dependent index construction and runs warm. *)
 val run_backdroid :
   ?cfg:Backdroid.Driver.config ->
   ?engine:Bytesearch.Engine.t ->

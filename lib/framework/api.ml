@@ -18,25 +18,17 @@ let hostname_verifier_t = Types.Object "javax.net.ssl.HostnameVerifier"
 let ssl_socket_factory_t = Types.Object "org.apache.http.conn.ssl.SSLSocketFactory"
 let async_task_t = Types.Object "android.os.AsyncTask"
 let executor_t = Types.Object "java.util.concurrent.Executor"
-let thread_t = Types.Object "java.lang.Thread"
 let on_click_listener_t = Types.Object "android.view.View$OnClickListener"
 let sms_manager_t = Types.Object "android.telephony.SmsManager"
 let pending_intent_t = Types.Object "android.app.PendingIntent"
-let ibinder_t = Types.Object "android.os.IBinder"
 let string_builder_t = Types.Object "java.lang.StringBuilder"
-let webview_t = Types.Object "android.webkit.WebView"
-let sqlite_db_t = Types.Object "android.database.sqlite.SQLiteDatabase"
 let cursor_t = Types.Object "android.database.Cursor"
 
 let m = Jsig.meth
 
 (* --- object / threading --- *)
 let object_init = m ~cls:"java.lang.Object" ~name:"<init>" ~params:[] ~ret:Types.Void
-let runnable_run = m ~cls:"java.lang.Runnable" ~name:"run" ~params:[] ~ret:Types.Void
-let thread_init_runnable =
-  m ~cls:"java.lang.Thread" ~name:"<init>" ~params:[ runnable_t ] ~ret:Types.Void
 let thread_start = m ~cls:"java.lang.Thread" ~name:"start" ~params:[] ~ret:Types.Void
-let thread_run = m ~cls:"java.lang.Thread" ~name:"run" ~params:[] ~ret:Types.Void
 let executor_execute =
   m ~cls:"java.util.concurrent.Executor" ~name:"execute" ~params:[ runnable_t ]
     ~ret:Types.Void
@@ -46,13 +38,8 @@ let executors_new_single =
 let async_task_execute =
   m ~cls:"android.os.AsyncTask" ~name:"execute"
     ~params:[ Types.Array obj ] ~ret:async_task_t
-let async_task_do_in_background =
-  m ~cls:"android.os.AsyncTask" ~name:"doInBackground"
-    ~params:[ Types.Array obj ] ~ret:obj
 
 (* --- components / ICC --- *)
-let activity_on_create =
-  m ~cls:"android.app.Activity" ~name:"onCreate" ~params:[ bundle_t ] ~ret:Types.Void
 let activity_get_intent =
   m ~cls:"android.app.Activity" ~name:"getIntent" ~params:[] ~ret:intent_t
 let context_start_service =
@@ -64,8 +51,6 @@ let context_start_activity =
 let context_send_broadcast =
   m ~cls:"android.content.Context" ~name:"sendBroadcast" ~params:[ intent_t ]
     ~ret:Types.Void
-let intent_init_empty =
-  m ~cls:"android.content.Intent" ~name:"<init>" ~params:[] ~ret:Types.Void
 let intent_init_explicit =
   m ~cls:"android.content.Intent" ~name:"<init>"
     ~params:[ context_t; Types.Object "java.lang.Class" ] ~ret:Types.Void
@@ -81,9 +66,6 @@ let intent_get_string_extra =
 let view_set_on_click_listener =
   m ~cls:"android.view.View" ~name:"setOnClickListener"
     ~params:[ on_click_listener_t ] ~ret:Types.Void
-let on_click =
-  m ~cls:"android.view.View$OnClickListener" ~name:"onClick" ~params:[ view_t ]
-    ~ret:Types.Void
 
 (* --- sinks --- *)
 let cipher_get_instance =
@@ -106,17 +88,12 @@ let server_socket_init =
 let local_server_socket_init =
   m ~cls:"android.net.LocalServerSocket" ~name:"<init>" ~params:[ str ]
     ~ret:Types.Void
-let webview_init =
-  m ~cls:"android.webkit.WebView" ~name:"<init>" ~params:[] ~ret:Types.Void
 let webview_set_javascript_enabled =
   m ~cls:"android.webkit.WebView" ~name:"setJavaScriptEnabled"
     ~params:[ Types.Boolean ] ~ret:Types.Void
 let webview_add_javascript_interface =
   m ~cls:"android.webkit.WebView" ~name:"addJavascriptInterface"
     ~params:[ obj; str ] ~ret:Types.Void
-let sqlite_db_init =
-  m ~cls:"android.database.sqlite.SQLiteDatabase" ~name:"<init>" ~params:[]
-    ~ret:Types.Void
 let sqlite_raw_query =
   m ~cls:"android.database.sqlite.SQLiteDatabase" ~name:"rawQuery"
     ~params:[ str; Types.Array str ] ~ret:cursor_t

@@ -16,39 +16,28 @@ val hostname_verifier_t : Ir.Types.t
 val ssl_socket_factory_t : Ir.Types.t
 val async_task_t : Ir.Types.t
 val executor_t : Ir.Types.t
-val thread_t : Ir.Types.t
 val on_click_listener_t : Ir.Types.t
 val sms_manager_t : Ir.Types.t
 val pending_intent_t : Ir.Types.t
-val ibinder_t : Ir.Types.t
 val string_builder_t : Ir.Types.t
-val webview_t : Ir.Types.t
-val sqlite_db_t : Ir.Types.t
 val cursor_t : Ir.Types.t
 val m :
   cls:string ->
   name:string -> params:Ir.Types.t list -> ret:Ir.Types.t -> Ir.Jsig.meth
 val object_init : Ir.Jsig.meth
-val runnable_run : Ir.Jsig.meth
-val thread_init_runnable : Ir.Jsig.meth
 val thread_start : Ir.Jsig.meth
-val thread_run : Ir.Jsig.meth
 val executor_execute : Ir.Jsig.meth
 val executors_new_single : Ir.Jsig.meth
 val async_task_execute : Ir.Jsig.meth
-val async_task_do_in_background : Ir.Jsig.meth
-val activity_on_create : Ir.Jsig.meth
 val activity_get_intent : Ir.Jsig.meth
 val context_start_service : Ir.Jsig.meth
 val context_start_activity : Ir.Jsig.meth
 val context_send_broadcast : Ir.Jsig.meth
-val intent_init_empty : Ir.Jsig.meth
 val intent_init_explicit : Ir.Jsig.meth
 val intent_set_action : Ir.Jsig.meth
 val intent_put_extra : Ir.Jsig.meth
 val intent_get_string_extra : Ir.Jsig.meth
 val view_set_on_click_listener : Ir.Jsig.meth
-val on_click : Ir.Jsig.meth
 val cipher_get_instance : Ir.Jsig.meth
 val ssl_set_hostname_verifier : Ir.Jsig.meth
 val https_set_hostname_verifier : Ir.Jsig.meth
@@ -56,10 +45,8 @@ val sms_send_text_message : Ir.Jsig.meth
 val sms_get_default : Ir.Jsig.meth
 val server_socket_init : Ir.Jsig.meth
 val local_server_socket_init : Ir.Jsig.meth
-val webview_init : Ir.Jsig.meth
 val webview_set_javascript_enabled : Ir.Jsig.meth
 val webview_add_javascript_interface : Ir.Jsig.meth
-val sqlite_db_init : Ir.Jsig.meth
 val sqlite_raw_query : Ir.Jsig.meth
 val string_builder_init : Ir.Jsig.meth
 val string_builder_append : Ir.Jsig.meth

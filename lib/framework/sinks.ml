@@ -74,13 +74,3 @@ let index sinks : index =
 (** O(1) probe: is [msig] one of the indexed sinks? *)
 let find (idx : index) msig =
   Hashtbl.find_opt idx (Sym.id (Ir.Jsig.meth_sym msig))
-
-(** An ECB (or mode-less) transformation string is the insecure crypto
-    configuration the detectors flag. *)
-let cipher_spec_is_insecure spec =
-  let has_sub ~sub s =
-    let ls = String.length s and lb = String.length sub in
-    let rec at i = i + lb <= ls && (String.sub s i lb = sub || at (i + 1)) in
-    lb = 0 || at 0
-  in
-  has_sub ~sub:"ECB" spec || not (String.contains spec '/')

@@ -37,7 +37,3 @@ type index
 
 val index : t list -> index
 val find : index -> Ir.Jsig.meth -> t option
-
-(** An ECB (or mode-less) transformation string is the insecure crypto
-    configuration the detectors flag. *)
-val cipher_spec_is_insecure : string -> bool

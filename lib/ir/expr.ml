@@ -64,8 +64,6 @@ let uses = function
   | Param _ | This | Caught_exception -> []
   | Length v -> [ v ]
 
-let invoke_of = function Invoke iv -> Some iv | _ -> None
-
 let to_string e =
   match e with
   | Imm v -> Value.to_string v

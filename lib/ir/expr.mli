@@ -51,6 +51,5 @@ val invoke_kind_to_string : invoke_kind -> string
 
 (** All values read by an expression (receiver included for invokes). *)
 val uses : t -> Value.t list
-val invoke_of : t -> invoke option
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

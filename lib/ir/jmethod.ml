@@ -46,7 +46,6 @@ let is_signature_method m =
   && (m.access.is_static || m.access.is_private || is_constructor m)
 
 let sub_signature m = Jsig.sub_signature m.msig
-let full_signature m = Jsig.meth_to_string m.msig
 
 (** Local bound to [@parameterN], when the body uses the identity-statement
     convention. *)

@@ -32,7 +32,6 @@ val is_clinit : t -> bool
     excluded here. *)
 val is_signature_method : t -> bool
 val sub_signature : t -> string
-val full_signature : t -> string
 
 (** Local bound to [@parameterN], when the body uses the identity-statement
     convention. *)

@@ -201,9 +201,6 @@ let meth_parses (b : Bvec.t) ~pos ~len =
         | -1 -> false
         | lp -> occurs_after b lp (rhi - 1) ')'))
 
-let pp_meth ppf m = Fmt.string ppf (meth_to_string m)
-let pp_field ppf f = Fmt.string ppf (field_to_string f)
-
 (* Allocation-free hashes: the strings are hashed in place ([Hashtbl.hash]
    of a string returns an immediate) and the parameter types are folded
    structurally, where a hash of a tuple would allocate the tuple and a

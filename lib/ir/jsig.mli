@@ -52,8 +52,6 @@ val meth_sym : meth -> Sym.t
 (** Interned sub-signature (memoized {!sub_signature}): overriding-relation
     checks become integer equality. *)
 val subsig_sym : meth -> Sym.t
-val pp_meth : Format.formatter -> meth -> unit
-val pp_field : Format.formatter -> field -> unit
 module Meth_key :
   sig
     type t = meth

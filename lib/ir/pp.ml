@@ -28,11 +28,3 @@ let pp_class ppf (c : Jclass.t) =
   List.iter (fun f -> Fmt.pf ppf "  field %s@." (Jsig.field_to_string f))
     c.fields;
   List.iter (pp_method ppf) c.methods
-
-let pp_program ppf p =
-  let cs =
-    Program.fold_classes p (fun c acc -> c :: acc) []
-    |> List.filter (fun (c : Jclass.t) -> not c.is_system)
-    |> List.sort (fun (a : Jclass.t) b -> String.compare a.name b.name)
-  in
-  List.iter (fun c -> Fmt.pf ppf "%a@." pp_class c) cs

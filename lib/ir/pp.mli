@@ -4,4 +4,3 @@
 val pp_access : Format.formatter -> Jmethod.access -> unit
 val pp_method : Format.formatter -> Jmethod.t -> unit
 val pp_class : Format.formatter -> Jclass.t -> unit
-val pp_program : Format.formatter -> Program.t -> unit

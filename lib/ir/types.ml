@@ -33,9 +33,6 @@ and to_key t =
   | Object c -> "L" ^ c ^ ";"
   | Array e -> "[" ^ to_key e
 
-let is_reference = function Object _ | Array _ -> true | _ -> false
-let is_primitive t = not (is_reference t) && t <> Void
-
 (** Element class of a reference type, unwrapping arrays; [None] for
     primitives. *)
 let rec base_class = function

@@ -17,8 +17,6 @@ type t =
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val to_key : t -> string
-val is_reference : t -> bool
-val is_primitive : t -> bool
 
 (** Element class of a reference type, unwrapping arrays; [None] for
     primitives. *)

@@ -38,8 +38,6 @@ let equal a b =
   | Const x, Const y -> const_equal x y
   | (Local _ | Const _), _ -> false
 
-let local_of = function Local l -> Some l | Const _ -> None
-
 let const_to_string = function
   | Null -> "null"
   | Int_c i -> string_of_int i

@@ -13,7 +13,6 @@ type t = Local of local | Const of const
 val local_equal : local -> local -> bool
 val const_equal : const -> const -> bool
 val equal : t -> t -> bool
-val local_of : t -> local option
 val const_to_string : const -> string
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

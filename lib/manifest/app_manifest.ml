@@ -29,8 +29,6 @@ let is_entry_class t cls = Option.is_some (find_component t cls)
 let components_matching_action t action =
   List.filter (fun (c : Component.t) -> List.mem action c.actions) t.components
 
-let entry_classes t = List.map (fun (c : Component.t) -> c.cls) t.components
-
 (** All entry-point methods of the app: every lifecycle handler defined by a
     registered component class (looked up in [program], including inherited
     definitions are ignored — only handlers the app overrides count). *)

@@ -16,7 +16,6 @@ val find_component : t -> String.t -> Component.t option
 (** Is [cls] a registered entry component? *)
 val is_entry_class : t -> String.t -> bool
 val components_matching_action : t -> string -> Component.t list
-val entry_classes : t -> string list
 
 (** All entry-point methods of the app: every lifecycle handler defined by a
     registered component class (looked up in [program], including inherited

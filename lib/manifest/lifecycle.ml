@@ -25,12 +25,6 @@ let receiver_handlers =
 
 let provider_handlers = [ "boolean onCreate()" ]
 
-let handlers_of_kind = function
-  | Component.Activity -> activity_handlers
-  | Service -> service_handlers
-  | Receiver -> receiver_handlers
-  | Provider -> provider_handlers
-
 let all_handler_subsigs =
   activity_handlers @ service_handlers @ receiver_handlers @ provider_handlers
 
@@ -57,17 +51,6 @@ let predecessors subsig =
   | "android.os.IBinder onBind(android.content.Intent)" -> [ "void onCreate()" ]
   | _ -> []
 
-(** Handlers that are direct entry points: the system calls them first, so a
-    dataflow arriving here needs no further backward search. *)
-let is_entry_handler subsig =
-  match subsig with
-  | "void onCreate(android.os.Bundle)"
-  | "void onCreate()"
-  | "boolean onCreate()"
-  | "int onStartCommand(android.content.Intent,int,int)"
-  | "android.os.IBinder onBind(android.content.Intent)"
-  | "void onReceive(android.content.Context,android.content.Intent)" -> true
-  | _ -> is_lifecycle_subsig subsig
 (* Conservatively, every registered lifecycle handler is system-invoked and
    hence an entry; [predecessors] exists to keep tracking *dataflow* that a
    handler consumes from an earlier handler via fields. *)

@@ -9,7 +9,6 @@ val activity_handlers : string list
 val service_handlers : string list
 val receiver_handlers : string list
 val provider_handlers : string list
-val handlers_of_kind : Component.kind -> string list
 val all_handler_subsigs : string list
 val is_lifecycle_subsig : string -> bool
 
@@ -21,7 +20,3 @@ val is_handler_name : string -> bool
     the "other lifecycle handlers that invoke the callee handler".  E.g.
     [onResume] is preceded by [onStart], which is preceded by [onCreate]. *)
 val predecessors : string -> string list
-
-(** Handlers that are direct entry points: the system calls them first, so a
-    dataflow arriving here needs no further backward search. *)
-val is_entry_handler : string -> bool

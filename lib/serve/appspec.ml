@@ -88,8 +88,6 @@ let resolve t =
 let generate ?(build_dex = true) t =
   match resolve t with
   | Error e -> Error e
-  | Ok cfg ->
-    let app = G.generate ~build_dex cfg in
-    if t.mutate_pct > 0.0 then
-      Ok (G.mutate ~build_dex ~pct:t.mutate_pct app)
-    else Ok app
+  | Ok cfg when t.mutate_pct > 0.0 ->
+    Ok (G.mutate ~build_dex ~pct:t.mutate_pct (G.generate ~build_dex:false cfg))
+  | Ok cfg -> Ok (G.generate ~build_dex cfg)

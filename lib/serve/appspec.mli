@@ -34,6 +34,6 @@ val to_string : t -> string
 val resolve : t -> (Appgen.Generator.config, string) result
 
 (** Generate the app (resolving first); applies the mutation pass when
-    [mutate_pct > 0].  [build_dex:false] skips disassembly — the
-    snapshot warm-start path. *)
+    [mutate_pct > 0], disassembling only the mutated program.
+    [build_dex:false] skips disassembly, as every front end does. *)
 val generate : ?build_dex:bool -> t -> (Appgen.Generator.app, string) result

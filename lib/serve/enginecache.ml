@@ -13,8 +13,9 @@
 
 type entry = {
   key : string;
-  mutable spec : Appspec.t;
-  mutable session : Backdroid.Driver.session;
+  spec : Appspec.t;
+  session : Backdroid.Driver.session;
+  save_to : string option Atomic.t;
   mutable bytes : int;
   mutable tick : int;
 }
@@ -28,18 +29,16 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  mutable delta_patches : int;
 }
 
 let m_hits = Obs.Metrics.counter "serve.cache.hits"
 let m_misses = Obs.Metrics.counter "serve.cache.misses"
 let m_evictions = Obs.Metrics.counter "serve.cache.evictions"
-let m_delta = Obs.Metrics.counter "serve.cache.delta_patches"
 
 let create ?(max_entries = 4) ?(max_bytes = 512 * 1024 * 1024) () =
   { max_entries = max 1 max_entries; max_bytes = max 0 max_bytes;
     mutex = Mutex.create (); table = Hashtbl.create 16; clock = 0;
-    hits = 0; misses = 0; evictions = 0; delta_patches = 0 }
+    hits = 0; misses = 0; evictions = 0 }
 
 let locked t f =
   Mutex.lock t.mutex;
@@ -54,10 +53,10 @@ let session_bytes session =
     (Backdroid.Driver.session_engine session)
   + entry_floor_bytes
 
-let find t key =
+let find t key ~spec =
   locked t @@ fun () ->
   match Hashtbl.find_opt t.table key with
-  | Some e ->
+  | Some e when e.spec = spec ->
     t.clock <- t.clock + 1;
     e.tick <- t.clock;
     t.hits <- t.hits + 1;
@@ -65,7 +64,7 @@ let find t key =
     (* lazily-built postings grow after insert; keep the estimate honest *)
     e.bytes <- session_bytes e.session;
     Some e
-  | None ->
+  | Some _ | None ->
     t.misses <- t.misses + 1;
     Obs.Metrics.incr m_misses;
     None
@@ -101,27 +100,16 @@ let evict_over_ceiling t =
         ()
   done
 
-let insert t ~key ~spec session =
+let insert t ~key ~spec ?save_to session =
   locked t @@ fun () ->
   t.clock <- t.clock + 1;
   let e =
-    { key; spec; session; bytes = session_bytes session; tick = t.clock }
+    { key; spec; session; save_to = Atomic.make save_to;
+      bytes = session_bytes session; tick = t.clock }
   in
   Hashtbl.replace t.table key e;
   evict_over_ceiling t;
   e
-
-(* The in-place delta-patch path: same key, new program version. *)
-let repatch t e ~spec session =
-  locked t @@ fun () ->
-  e.spec <- spec;
-  e.session <- session;
-  e.bytes <- session_bytes session;
-  t.clock <- t.clock + 1;
-  e.tick <- t.clock;
-  t.delta_patches <- t.delta_patches + 1;
-  Obs.Metrics.incr m_delta;
-  evict_over_ceiling t
 
 type stats = {
   entries : int;
@@ -129,14 +117,10 @@ type stats = {
   hits : int;
   misses : int;
   evictions : int;
-  delta_patches : int;
 }
 
 let stats t =
   locked t @@ fun () ->
   { entries = Hashtbl.length t.table;
     resident_bytes = resident_bytes_unlocked t;
-    hits = t.hits; misses = t.misses; evictions = t.evictions;
-    delta_patches = t.delta_patches }
-
-let mem t key = locked t @@ fun () -> Hashtbl.mem t.table key
+    hits = t.hits; misses = t.misses; evictions = t.evictions }

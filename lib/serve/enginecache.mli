@@ -7,10 +7,12 @@
 
 type entry = {
   key : string;
-  mutable spec : Appspec.t;
-      (** the spec the resident program was generated from; a request with
-          the same key but a different spec triggers the delta-patch path *)
-  mutable session : Backdroid.Driver.session;
+  spec : Appspec.t;  (** the spec the resident program was generated from *)
+  session : Backdroid.Driver.session;
+  save_to : string option Atomic.t;
+      (** the snapshot path that the session's first analysis writes, with
+          its results; taken once, so a session that only answers queries
+          writes no file *)
   mutable bytes : int;   (** resident-size estimate (postings + floor) *)
   mutable tick : int;    (** LRU clock *)
 }
@@ -19,21 +21,16 @@ type t
 
 val create : ?max_entries:int -> ?max_bytes:int -> unit -> t
 
-(** Resident-size estimate used for the byte ceiling. *)
-val session_bytes : Backdroid.Driver.session -> int
-
-(** Lookup; bumps the LRU clock and the hit/miss counters. *)
-val find : t -> string -> entry option
+(** The entry under [key] if it was built for [spec]: a hit, which bumps
+    the LRU clock.  Otherwise a miss, also when [key] holds an entry built
+    for another spec, which the caller's {!insert} then replaces. *)
+val find : t -> string -> spec:Appspec.t -> entry option
 
 (** Insert (replacing any entry under the key) and evict over-ceiling LRU
     entries; the newest entry always stays resident. *)
 val insert :
-  t -> key:string -> spec:Appspec.t -> Backdroid.Driver.session -> entry
-
-(** Replace an entry's session after an in-place delta patch (same key,
-    new program version); counts as a delta patch, not a miss. *)
-val repatch :
-  t -> entry -> spec:Appspec.t -> Backdroid.Driver.session -> unit
+  t -> key:string -> spec:Appspec.t -> ?save_to:string ->
+  Backdroid.Driver.session -> entry
 
 type stats = {
   entries : int;
@@ -41,8 +38,6 @@ type stats = {
   hits : int;
   misses : int;
   evictions : int;
-  delta_patches : int;
 }
 
 val stats : t -> stats
-val mem : t -> string -> bool

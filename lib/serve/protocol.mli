@@ -17,8 +17,8 @@ type reject_reason =
 val reject_to_string : reject_reason -> string
 
 (** How an analyze request was served: [Hit] straight off a resident
-    engine, [Delta] after patching a resident engine in place, [Miss]
-    after a snapshot load or cold build. *)
+    engine, [Delta] after patching a snapshot of another version or app,
+    [Miss] after loading an unchanged snapshot or a cold build. *)
 type cache_state = Hit | Delta | Miss
 
 val cache_to_string : cache_state -> string

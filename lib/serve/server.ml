@@ -11,11 +11,10 @@
    pool has one worker domain per [jobs].
 
    Analyze/query requests resolve a resident session through the
-   {!Enginecache} LRU: hits serve straight off the prefaulted engine
-   (replaying persisted sink results where the classmap says nothing
-   changed), a same-key spec change delta-patches the resident engine in
-   place, and misses open the snapshot via [Snapshot.delta ~prefault:true]
-   (or build cold), evicting LRU entries under the resident ceilings. *)
+   {!Enginecache} LRU: a hit serves straight off the resident engine, and
+   a miss — a new key, or a known key with another spec — opens the
+   snapshot through {!Store.Warm} (or builds cold), evicting LRU entries
+   under the resident ceilings. *)
 
 module G = Appgen.Generator
 module D = Backdroid.Driver
@@ -141,125 +140,83 @@ let on_pool pool ~submitted f =
 exception Reject of string
 
 (* A [--snapshot] request is keyed by its path alone: the resident engine
-   answers for the spec it was built for, whatever the file holds now, a
-   hit still requires the same spec, and another spec on the same path
-   patches the resident engine ([resolve_session]). *)
+   answers for the spec it was built for, whatever the file holds now, and
+   another spec on the same path is a miss that opens the file again. *)
 let cache_key t ~snapshot spec =
   match snapshot with
   | Some path -> Printf.sprintf "snap:%s|%d" path t.ruleset_hash
   | None ->
     Printf.sprintf "app:%s|%d" (Appspec.fingerprint spec) t.ruleset_hash
 
-let generate ?build_dex spec =
-  match Appspec.generate ?build_dex spec with
-  | Ok app -> app
-  | Result.Error m -> raise (Reject m)
-
 let driver_cfg t = { D.default_config with D.rules = t.cfg.rules;
                      jobs = t.cfg.jobs; budget = t.cfg.budget }
 
-let load_results path =
-  match Store.Snapshot.load_results ~path with
-  | Ok [||] -> None
-  | Ok strs ->
-    (match Backdroid.Resultcache.of_strings strs with
-     | Ok rc -> Some rc
-     | Result.Error msg ->
-       Backdroid.Log.warn (fun m ->
-           m "ignoring malformed result cache in %s: %s" path msg);
-       None)
-  | Result.Error _ -> None
-
-(* A cache miss: open the snapshot (prefaulted, and patched in memory if
-   it describes an older program version) when one exists, build cold
-   otherwise — saving a fresh snapshot to the requested path so the next
-   daemon start warm-loads it. *)
+(* A cache miss: open the snapshot when the request names one (only a
+   patched one replays its persisted results), build cold otherwise.
+   Returns the snapshot path the session's first analysis rewrites: every
+   one but a file loaded as it is. *)
 let load_session t ~snapshot spec =
-  let cfg = driver_cfg t in
-  let open_with ?engine ?results (app : G.app) =
-    D.open_session ~cfg ~pool:t.pool ?engine ?results ~dex:app.G.dex
+  let app =
+    match Appspec.generate ~build_dex:false spec with
+    | Ok app -> app
+    | Result.Error m -> raise (Reject m)
+  in
+  let open_with ?engine ?results dex =
+    D.open_session ~cfg:(driver_cfg t) ~pool:t.pool ?engine ?results ~dex
       ~manifest:app.G.manifest ()
   in
   match snapshot with
-  | Some path when Sys.file_exists path ->
-    let app = generate ~build_dex:false spec in
-    (match Store.Snapshot.delta ~prefault:true ~path app.G.program with
-     | Ok (engine, rep) ->
-       let name, state =
-         if Store.Snapshot.unchanged rep then ("snapshot-load", Protocol.Miss)
-         else ("snapshot-delta", Protocol.Delta)
-       in
-       Obs.Flight.record ~kind:"serve" ~name
-         ~attrs:[ ("path", Obs.Span.Str path) ] ();
-       (open_with ~engine ?results:(load_results path) app, state)
-     | Result.Error e ->
-       Obs.Flight.anomaly ~kind:"serve" ~name:"snapshot-load-failed"
-         ~attrs:[ ("path", Obs.Span.Str path);
-                  ("error", Obs.Span.Str (Store.Codec.error_to_string e)) ]
-         ();
-       let app = generate ~build_dex:true spec in
-       (open_with app, Protocol.Miss))
+  | None -> (open_with (G.disassemble app), Protocol.Miss, None)
   | Some path ->
-    let app = generate ~build_dex:true spec in
-    let session = open_with app in
-    (try
-       ignore
-         (Store.Snapshot.save ~ruleset_hash:t.ruleset_hash ~path
-            (D.session_engine session))
-     with Sys_error _ | Unix.Unix_error _ ->
-       Obs.Flight.anomaly ~kind:"serve" ~name:"snapshot-save-failed"
-         ~attrs:[ ("path", Obs.Span.Str path) ] ());
-    (session, Protocol.Miss)
-  | None ->
-    let app = generate ~build_dex:true spec in
-    (open_with app, Protocol.Miss)
+    let engine, opened =
+      Store.Warm.open_ ~path
+        ~disassemble:(fun () -> G.disassemble app)
+        app.G.program
+    in
+    let results, state, save_to =
+      match opened with
+      | Store.Warm.Loaded -> (None, Protocol.Miss, None)
+      | Store.Warm.Patched (_, results) -> (results, Protocol.Delta, Some path)
+      | Store.Warm.Cold _ -> (None, Protocol.Miss, Some path)
+    in
+    (open_with ~engine ?results app.G.dex, state, save_to)
 
-(* Resolve the resident session for a request.  Hit = same key and same
-   spec; same key with a different spec (a new version behind one
-   snapshot path) regenerates the program and delta-patches the resident
-   engine in place; miss loads/builds and inserts under the LRU. *)
+(* Resolve the resident session for a request: a hit is the same key and
+   the same spec; anything else is a miss, whose session replaces the
+   key's entry. *)
 let resolve_session t ~snapshot spec =
   let key = cache_key t ~snapshot spec in
-  match Enginecache.find t.cache key with
-  | Some entry when entry.Enginecache.spec = spec ->
-    (entry.Enginecache.session, Protocol.Hit)
-  | Some entry ->
-    let app = generate ~build_dex:false spec in
-    let old = D.session_engine entry.Enginecache.session in
-    (match Store.Snapshot.delta_of_engine old app.G.program with
-     | Ok (_, rep) when Store.Snapshot.unchanged rep ->
-       entry.Enginecache.spec <- spec;
-       (entry.Enginecache.session, Protocol.Hit)
-     | Ok (engine, _rep) ->
-       let results = Option.bind snapshot (fun p -> load_results p) in
-       let session =
-         D.open_session ~cfg:(driver_cfg t) ~pool:t.pool ~engine ?results
-           ~dex:app.G.dex ~manifest:app.G.manifest ()
-       in
-       Enginecache.repatch t.cache entry ~spec session;
-       Obs.Flight.record ~kind:"serve" ~name:"resident-delta"
-         ~attrs:[ ("key", Obs.Span.Str key) ] ();
-       (session, Protocol.Delta)
-     | Result.Error _ ->
-       let session, state = load_session t ~snapshot spec in
-       ignore (Enginecache.insert t.cache ~key ~spec session);
-       (session, state))
+  match Enginecache.find t.cache key ~spec with
+  | Some entry -> (entry, Protocol.Hit)
   | None ->
-    let session, state = load_session t ~snapshot spec in
-    ignore (Enginecache.insert t.cache ~key ~spec session);
-    (session, state)
+    let session, state, save_to = load_session t ~snapshot spec in
+    (Enginecache.insert t.cache ~key ~spec ?save_to session, state)
+
+(* The session's first analysis writes its snapshot, with its results. *)
+let save_once t (entry : Enginecache.entry) r =
+  match Atomic.exchange entry.Enginecache.save_to None with
+  | None -> ()
+  | Some path ->
+    let engine = D.session_engine entry.Enginecache.session in
+    (match Store.Warm.save ~path ~ruleset_hash:t.ruleset_hash engine r with
+     | Ok _ -> ()
+     | Result.Error m ->
+       Obs.Flight.anomaly ~kind:"serve" ~name:"snapshot-save-failed"
+         ~attrs:[ ("path", Obs.Span.Str path); ("error", Obs.Span.Str m) ]
+         ())
 
 (* -- request handlers ------------------------------------------------ *)
 
 (* [t0] is the clock reading taken when a worker picked the request up. *)
 let handle_analyze t ~t0 ~spec ~snapshot ~time_limit_ms =
-  let session, state = resolve_session t ~snapshot spec in
+  let entry, state = resolve_session t ~snapshot spec in
   let budget =
     match time_limit_ms with
     | None -> None
     | Some _ -> Some { t.cfg.budget with Backdroid.Context.time_limit_ms }
   in
-  let r = D.run_session ?budget session in
+  let r = D.run_session ?budget entry.Enginecache.session in
+  save_once t entry r;
   let wall_us = now_us () -. t0 in
   Obs.Metrics.observe h_analyze_us wall_us;
   let text =
@@ -292,8 +249,8 @@ let handle_query t ~t0 ~spec ~snapshot ~kind ~operand =
   match query_of ~kind ~operand with
   | Result.Error m -> Protocol.Error m
   | Ok q ->
-    let session, _state = resolve_session t ~snapshot spec in
-    let engine = D.session_engine session in
+    let entry, _state = resolve_session t ~snapshot spec in
+    let engine = D.session_engine entry.Enginecache.session in
     let hits = Bytesearch.Engine.run engine q in
     let wall_us = now_us () -. t0 in
     Obs.Metrics.observe h_query_us wall_us;
@@ -342,8 +299,7 @@ let stats_json t =
       j "cache_resident_bytes" cs.Enginecache.resident_bytes;
       j "cache_hits" cs.Enginecache.hits;
       j "cache_misses" cs.Enginecache.misses;
-      j "cache_evictions" cs.Enginecache.evictions;
-      j "cache_delta_patches" cs.Enginecache.delta_patches ]
+      j "cache_evictions" cs.Enginecache.evictions ]
      @ p50_p90 "pool_wait_us" h_pool_wait_us
      @ p50_p90 "admission_wait_us" h_admission_wait_us);
   Buffer.add_string b "}";

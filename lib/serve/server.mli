@@ -28,11 +28,6 @@ type config = {
 
 val default_config : config
 
-(** The persisted per-sink results of the snapshot at the path, for
-    replay: [None] when it holds none or cannot be read, and, with a
-    warning logged, when they do not parse. *)
-val load_results : string -> Backdroid.Resultcache.t option
-
 type t
 
 (** Claim the socket (refusing on a stale-but-live one: connect-probe

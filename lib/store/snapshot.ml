@@ -721,6 +721,6 @@ let delta_of_engine old_engine program =
    there) and patch the resident engine it yields, which an
    unchanged program gets back as loaded.  One splice implementation
    serves both the warm start and the maintained-index flow. *)
-let delta ?prefault ~path program =
-  let* old_engine = load ?prefault ~path program in
+let delta ~path program =
+  let* old_engine = load ~path program in
   delta_of_engine old_engine program

@@ -91,7 +91,8 @@ val save :
     directory (keys and offsets) — are always prefaulted: they are a few
     pages each and every query touches them, so paying their page faults at
     load time makes the first warm queries as fast as steady state.
-    [prefault] (default false) extends the walk to the postings bodies.
+    [prefault] (default false) extends the walk to the postings bodies,
+    which the checksum pass and the validation have already read.
     Slots must follow line order, the class map's entries must tile the
     lines and the slots exactly, in order, and each entry's slots must lie
     in its line range, or the load fails with [Corrupt]; so does a file
@@ -143,9 +144,8 @@ val unchanged : delta_report -> bool
     parsing and no interning but the re-indexed classes' symbols, which
     extend the old arena's table — this is the maintained-index fast
     path an app store uses when version N+1 of an app arrives while
-    version N's index is warm, and what the corpus cache uses to upgrade a
-    stale snapshot it has already loaded.  The old
-    engine is left untouched and remains usable.
+    version N's index is warm, and what {!delta} runs on the engine it
+    loaded.  The old engine is left untouched and remains usable.
 
     Every class is diffed first.  When none changed, was added or was
     removed, in whatever order the two builds list them, [old] already
@@ -164,15 +164,13 @@ val delta_of_engine :
   Ir.Program.t ->
   (Bytesearch.Engine.t * delta_report, Codec.error) result
 
-(** [delta ?prefault ~path program] is {!load} followed by
-    {!delta_of_engine}: the warm start of every caller that opens a
-    snapshot for a program.  An unchanged program gets the loaded engine
-    back; otherwise the engine is built incrementally against the old
-    snapshot.  The load performs the full structural validation, so a
-    damaged snapshot fails with a typed {!Codec.error}
-    — callers fall back to a cold build. *)
+(** [delta ~path program] is {!load} followed by {!delta_of_engine}: the
+    warm start that {!Warm.open_} takes for every front end.  An
+    unchanged program gets the loaded engine back; otherwise the engine
+    is built incrementally against the old snapshot.  The load performs
+    the full structural validation, so a damaged snapshot fails with a
+    typed {!Codec.error}, and the open falls back to a cold build. *)
 val delta :
-  ?prefault:bool ->
   path:string ->
   Ir.Program.t ->
   (Bytesearch.Engine.t * delta_report, Codec.error) result

@@ -84,7 +84,8 @@ let test_csv_roundtrip () =
 
 (* Rows from before the trailing [incremental] column — and before the
    per-rule columns — must still parse, with the missing columns at their
-   zero values. *)
+   zero values; a row too short, or of the right width with a field that
+   does not convert, is [None]. *)
 let test_csv_old_rows () =
   let base =
     "com.old.app,BackDroid,0.123456,false,false,2,100,0.10,1,0.5000,0.0000,0,0,0,1"
@@ -105,7 +106,22 @@ let test_csv_old_rows () =
   in
   check_row "pre-family row" base false;
   check_row "pre-incremental row" pr7 false;
-  check_row "current row" (pr7 ^ ",true") true
+  check_row "current row" (pr7 ^ ",true") true;
+  List.iter
+    (fun (label, row) ->
+       Alcotest.(check bool) (label ^ " is None") true
+         (Evalharness.Report.parse_row row = None))
+    [ ("too short", "com.old.app,BackDroid,0.123456,false");
+      ("non-numeric sinks",
+       "com.old.app,BackDroid,0.123456,false,false,two,100,0.10,1,0.5000,\
+        0.0000,0,0,0,1");
+      ("non-numeric seconds",
+       "com.old.app,BackDroid,fast,false,false,2,100,0.10,1,0.5000,0.0000,\
+        0,0,0,1");
+      ("non-boolean timed_out",
+       "com.old.app,BackDroid,0.123456,maybe,false,2,100,0.10,1,0.5000,\
+        0.0000,0,0,0,1");
+      ("non-boolean incremental", pr7 ^ ",perhaps") ]
 
 let test_csv_write () =
   let m, _ = Runner.run_backdroid (tiny_app ()) in
@@ -142,6 +158,62 @@ let test_corpus_unwritable_snapshot_dir () =
     (List.length r.X.amandroid, List.length r.X.flowdroid);
   Alcotest.(check bool) "no directory was made" false (Sys.file_exists missing)
 
+(* Read what [f] writes to the process's stderr. *)
+let capture_stderr f =
+  let path = Filename.temp_file "backdroid_stderr" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+    f;
+  In_channel.with_open_bin path In_channel.input_all
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* A snapshot directory whose parent exists is made: the first run saves
+   one snapshot per app, after its analysis, and the second loads them
+   and saves nothing. *)
+let test_corpus_makes_snapshot_dir () =
+  let parent = Filename.temp_file "backdroid_snapdir" "" in
+  Sys.remove parent;
+  Unix.mkdir parent 0o755;
+  let dir = Filename.concat parent "snapshots" in
+  Fun.protect
+    ~finally:(fun () ->
+        if Sys.file_exists dir then begin
+          Array.iter (fun f -> Sys.remove (Filename.concat dir f))
+            (Sys.readdir dir);
+          Sys.rmdir dir
+        end;
+        Sys.rmdir parent)
+  @@ fun () ->
+  let module X = Evalharness.Experiments in
+  let run () =
+    capture_stderr (fun () ->
+        ignore
+          (X.run_corpus
+             { X.default_opts with
+               X.scale = 0.15; count = 2; timeout_s = 0.3;
+               flowdroid_timeout_s = 0.3; snapshot_dir = Some dir }))
+  in
+  let first = run () in
+  Alcotest.(check bool) "first run: no save failed" false
+    (contains first "not saved");
+  Alcotest.(check int) "one snapshot per app" 2
+    (if Sys.file_exists dir then Array.length (Sys.readdir dir) else 0);
+  Alcotest.(check bool) "second run: no save failed" false
+    (contains (run ()) "not saved")
+
 let cases =
   [ Alcotest.test_case "median" `Quick test_median;
     Alcotest.test_case "mean" `Quick test_mean;
@@ -156,6 +228,8 @@ let cases =
     Alcotest.test_case "csv old-row compat" `Quick test_csv_old_rows;
     Alcotest.test_case "csv write" `Quick test_csv_write;
     Alcotest.test_case "corpus run with an unwritable snapshot dir" `Quick
-      test_corpus_unwritable_snapshot_dir ]
+      test_corpus_unwritable_snapshot_dir;
+    Alcotest.test_case "corpus run makes its snapshot dir" `Quick
+      test_corpus_makes_snapshot_dir ]
 
 let suites = [ "eval.unit", cases ]

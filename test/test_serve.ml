@@ -319,6 +319,50 @@ let test_saved_snapshot_hit () =
     Alcotest.(check (option int)) "one entry resident" (Some 1)
       (Obs.Jsonf.field_int stats "cache_entries")
 
+(* A changed spec behind a known snapshot key is a miss that opens the
+   file the first session saved after its analysis: it is patched, served
+   [delta], replays that analysis's results and reports what a one-shot
+   run of the changed spec reports. *)
+let test_changed_spec_replays () =
+  let snap = tmp_name ".bdix" in
+  let v2 = { spec with A.mutate_pct = 0.2 } in
+  Fun.protect ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ())
+  @@ fun () ->
+  with_server @@ fun ~socket _ ->
+  match
+    C.with_conn ~socket (fun conn ->
+        let _, c1 = analyze_text ~snapshot:snap conn spec in
+        let text, c2 = analyze_text ~snapshot:snap conn v2 in
+        match call_ok conn P.Stats with
+        | P.Stats_json j -> Result.Ok (c1, (text, c2), j)
+        | _ -> Alcotest.fail "expected Stats_json")
+  with
+  | Result.Error e -> Alcotest.fail e
+  | Result.Ok (c1, (text, c2), stats) ->
+    Alcotest.(check bool) "first is a miss" true (c1 = P.Miss);
+    Alcotest.(check bool) "the changed spec is served delta" true
+      (c2 = P.Delta);
+    Alcotest.check lines_t "delta served = one-shot of the changed spec"
+      (report_lines (oneshot v2)) (report_lines text);
+    let replayed =
+      List.find_map
+        (fun l ->
+           if String.starts_with ~prefix:"stats:" l then
+             List.find_map
+               (fun part ->
+                  Scanf.sscanf_opt (String.trim part) "%d replayed sinks%!"
+                    Fun.id)
+               (String.split_on_char ',' l)
+           else None)
+        (String.split_on_char '\n' text)
+    in
+    Alcotest.(check bool) "it replays a persisted sink" true
+      (match replayed with Some n -> n >= 1 | None -> false);
+    Alcotest.(check (option int)) "two misses" (Some 2)
+      (Obs.Jsonf.field_int stats "cache_misses");
+    Alcotest.(check (option int)) "no hit" (Some 0)
+      (Obs.Jsonf.field_int stats "cache_hits")
+
 let test_shutdown_unlinks_socket () =
   let socket = tmp_name ".sock" in
   let cfg = { S.default_config with S.socket } in
@@ -394,6 +438,8 @@ let suites =
           test_eviction_reload;
         Alcotest.test_case "a saved snapshot's next request hits" `Quick
           test_saved_snapshot_hit;
+        Alcotest.test_case "a changed spec replays the saved results" `Quick
+          test_changed_spec_replays;
         Alcotest.test_case "shutdown unlinks the socket" `Quick
           test_shutdown_unlinks_socket;
         Alcotest.test_case "live socket refused" `Quick

@@ -377,20 +377,35 @@ let test_prefault_load () =
    [Unix.fork] is refused once a domain has run. *)
 let cli = Filename.concat Filename.parent_dir_name "bin/backdroid_cli.exe"
 
-(* Run the CLI to completion and return its output lines. *)
-let run_cli args =
-  let out = Filename.temp_file "backdroid_cli" ".out" in
-  Fun.protect ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+(* Run the CLI to completion: its exit code, stdout lines and stderr
+   lines. *)
+let run_cli_status args =
+  let out = Filename.temp_file "backdroid_cli" ".out"
+  and err = Filename.temp_file "backdroid_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () ->
+        List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ out; err ])
   @@ fun () ->
-  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let fd_out = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let fd_err = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
   let pid =
-    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
-        Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin fd fd)
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd_out; Unix.close fd_err)
+      (fun () ->
+         Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin
+           fd_out fd_err)
   in
-  (match Unix.waitpid [] pid with
-   | _, Unix.WEXITED 0 -> ()
-   | _ -> Alcotest.failf "%s %s failed" cli (String.concat " " args));
-  String.split_on_char '\n' (read_all out)
+  let code =
+    match Unix.waitpid [] pid with _, Unix.WEXITED c -> c | _ -> -1
+  in
+  let lines p = String.split_on_char '\n' (read_all p) in
+  (code, lines out, lines err)
+
+(* Run the CLI to completion and return its stdout lines. *)
+let run_cli args =
+  match run_cli_status args with
+  | 0, out, _ -> out
+  | _ -> Alcotest.failf "%s %s failed" cli (String.concat " " args)
 
 let test_snapshot_depends_on_its_app () =
   let path = Filename.temp_file "backdroid_foreign" ".bdix"
@@ -538,6 +553,113 @@ let test_cli_replayed_results_persist () =
   let sink_lines = List.filter (String.starts_with ~prefix:"  [") in
   Alcotest.(check (list string)) "per-sink lines == cold v3"
     (sink_lines (run_cli v3)) (sink_lines warm)
+
+(* The CLI falls back cold on a missing [--load-index] file, with a
+   warning, and a [--save-index] it cannot write exits 1. *)
+let test_cli_snapshot_failures () =
+  let dir = Filename.temp_file "backdroid_cli_nodir" "" in
+  Sys.remove dir;
+  let args =
+    [ "analyze"; "--seed"; "7"; "--size-mb"; "2"; "--plant";
+      "callback:cipher"; "--insecure"; "--jobs"; "1" ]
+  in
+  let sink_lines = List.filter (String.starts_with ~prefix:"  [") in
+  let cold = sink_lines (run_cli args) in
+  let code, out, err =
+    run_cli_status (args @ [ "--load-index"; Filename.concat dir "a.bdix" ])
+  in
+  Alcotest.(check int) "a missing file: exit 0" 0 code;
+  Alcotest.(check bool) "it warns" true
+    (List.exists (String.starts_with ~prefix:"warning: cannot load index") err);
+  Alcotest.(check bool) "the cold run reports sinks" true (cold <> []);
+  Alcotest.(check (list string)) "per-sink lines == cold" cold
+    (sink_lines out);
+  let code, _, err =
+    run_cli_status (args @ [ "--save-index"; Filename.concat dir "a.bdix" ])
+  in
+  Alcotest.(check int) "a failed save: exit 1" 1 code;
+  Alcotest.(check bool) "error: cannot save index" true
+    (List.exists (String.starts_with ~prefix:"error: cannot save index") err);
+  Alcotest.(check bool) "no directory was made" false (Sys.file_exists dir)
+
+(* A [--jobs 2] daemon writes a [--snapshot] file after the session's
+   first analysis, with that analysis's results: the file equals the
+   CLI's [--save-index] of the same app. *)
+let test_daemon_file_equals_cli () =
+  let served = Filename.temp_file "backdroid_served" ".bdix"
+  and saved = Filename.temp_file "backdroid_saved" ".bdix"
+  and socket = Filename.temp_file "backdroid_store" ".sock" in
+  List.iter Sys.remove [ served; socket ];
+  Fun.protect
+    ~finally:(fun () ->
+        List.iter (fun p -> try Sys.remove p with Sys_error _ -> ())
+          [ served; saved ])
+  @@ fun () ->
+  let spec =
+    { Serve.Appspec.default with
+      Serve.Appspec.seed = 7; size_mb = 2.0; insecure = true;
+      plants = [ ("callback", "cipher"); ("direct", "ssl") ] }
+  in
+  (match
+     Serve.Server.start
+       { Serve.Server.default_config with Serve.Server.socket; jobs = 2 }
+   with
+   | Error e -> Alcotest.fail ("server start: " ^ e)
+   | Ok t ->
+     Fun.protect ~finally:(fun () -> Serve.Server.stop t; Serve.Server.wait t)
+     @@ fun () ->
+     match
+       Serve.Client.with_conn ~socket (fun c ->
+           Serve.Client.call c
+             (Serve.Protocol.Analyze
+                { spec; snapshot = Some served; time_limit_ms = None }))
+     with
+     | Ok (Serve.Protocol.Analyzed _) -> ()
+     | Ok _ -> Alcotest.fail "expected Analyzed"
+     | Error e -> Alcotest.fail e);
+  ignore
+    (run_cli
+       [ "analyze"; "--seed"; "7"; "--size-mb"; "2"; "--plant";
+         "callback:cipher"; "--plant"; "direct:ssl"; "--insecure";
+         "--save-index"; saved ]);
+  Alcotest.(check bool) "the daemon's file == the CLI's" true
+    (Sys.file_exists served && read_all served = read_all saved)
+
+(* The one snapshot policy: no file and a refused file open cold, the
+   refused one as one flight anomaly; an unchanged program's file is
+   loaded; another version's is patched and hands over the results its
+   save carried. *)
+let test_warm_policy () =
+  let app = fixture_app ~build_dex:false () in
+  let path = Filename.temp_file "backdroid_warm" ".bdix" in
+  Sys.remove path;
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let open_ program =
+    Store.Warm.open_ ~path ~disassemble:(fun () -> G.disassemble app) program
+  in
+  let engine, opened = open_ app.G.program in
+  Alcotest.(check bool) "no file: cold" true (opened = Store.Warm.Cold None);
+  let r = Driver.analyze ~engine ~dex:app.G.dex ~manifest:app.G.manifest () in
+  (match Store.Warm.save ~path ~ruleset_hash:0 engine r with
+   | Ok (_, n) -> Alcotest.(check bool) "results saved" true (n > 0)
+   | Error m -> Alcotest.fail m);
+  Alcotest.(check bool) "unchanged: loaded" true
+    (snd (open_ app.G.program) = Store.Warm.Loaded);
+  (match snd (open_ (G.mutate ~build_dex:false ~pct:0.3 app).G.program) with
+   | Store.Warm.Patched (_, Some rc) ->
+     Alcotest.(check bool) "patched, with results" true
+       (Backdroid.Resultcache.length rc > 0)
+   | _ -> Alcotest.fail "another version: expected a patched open");
+  Out_channel.with_open_bin path (fun oc -> output_string oc "not a snapshot");
+  let anomalies = Obs.Flight.anomalies () in
+  (match open_ app.G.program with
+   | engine, Store.Warm.Cold (Some _) ->
+     Alcotest.(check int) "one anomaly" (anomalies + 1) (Obs.Flight.anomalies ());
+     Alcotest.(check int) "the cold engine indexes the program"
+       (Dex.Dexfile.line_count (G.disassemble app))
+       (Dex.Dexfile.line_count (E.dexfile engine))
+   | _ -> Alcotest.fail "a damaged file: expected a refused, cold open")
 
 let test_default_path () =
   let p = Store.Snapshot.default_path ~dir:"/tmp" ~app_id:"com.a/b c" in
@@ -1581,6 +1703,12 @@ let cases =
       `Quick test_cli_load_index_checks_the_app;
     Alcotest.test_case "CLI saves replayed results for the next version"
       `Quick test_cli_replayed_results_persist;
+    Alcotest.test_case "CLI falls back cold, and a failed save exits 1"
+      `Quick test_cli_snapshot_failures;
+    Alcotest.test_case "a daemon's snapshot == the CLI's --save-index"
+      `Quick test_daemon_file_equals_cli;
+    Alcotest.test_case "one policy opens loaded, patched or cold" `Quick
+      test_warm_policy;
     Alcotest.test_case "default snapshot path" `Quick test_default_path;
     Alcotest.test_case "delta patch == from-scratch (file + resident)" `Quick
       test_delta_equals_cold;
