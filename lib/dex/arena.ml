@@ -1,9 +1,11 @@
 (** Compact struct-of-arrays hit arena over a disassembled dex plaintext.
 
-    One slot per instruction line (a line with an enclosing method).  Each
-    slot records the line's position, IR statement index, owner and — when
-    the disassembler classified the line — the searchable operand, as an
-    id local to the arena, and its category.  The index pass ({!Writer})
+    One slot per instruction line a search can return: a keyed line, or
+    one an operand of which holds a [';'] (so it may carry a class token);
+    a text scan locates the other instruction lines from their class's
+    layout.  Each slot records the line's position, IR statement index,
+    owner and — when the disassembler classified the line — the searchable
+    operand, as an id local to the arena, and its category.  The index pass ({!Writer})
     fills these columns as it walks each instruction line, before any text
     exists.  The search engine's per-category postings are sorted int
     vectors of slots, and a hit record is materialised from a slot only
@@ -15,7 +17,7 @@
     categories, which both shrinks the live heap and stops the GC from
     tracing (or even seeing) a word per indexed line. *)
 
-(* Category codes for [cat]; [-1] marks an unclassified slot. *)
+(* Category codes for [cat]; [-1] marks a slot of class tokens only. *)
 let cat_invoke = 0
 let cat_new_instance = 1
 let cat_const_class = 2

@@ -1,11 +1,14 @@
 (** Compact struct-of-arrays hit arena over a disassembled dex plaintext.
 
-    One slot per instruction line (a line with an enclosing method); slots
-    are in line order, so [line_idx] is strictly ascending.  Header lines
-    have no slot.  Per-category search postings index into this arena with
-    plain ints, and hit records are materialised from a slot only when a
-    query returns it.  The index pass ({!Writer}) fills the columns as it
-    walks each instruction line, before any text exists.
+    One slot per instruction line a search can return: a keyed line, or
+    one an operand of which holds a [';'] and so may carry a class token
+    ({!Disasm.size} states the rule).  Slots are in line order, so
+    [line_idx] is strictly ascending.  Header lines and the other
+    instruction lines, most of them, have no slot.  Per-category search
+    postings index into this arena with plain ints, and hit records are
+    materialised from a slot only when a query returns it.  The index pass
+    ({!Writer}) fills the columns as it walks each instruction line,
+    before any text exists.
 
     Symbols are numbered per arena: local id [i] is [syms.(i)], and ids
     are dense, in the order the index pass first met each keyed operand
@@ -26,7 +29,8 @@ val cat_const_string : int
 val cat_field : int
 val cat_static_field : int
 
-(** Marks a slot whose line has no searchable operand. *)
+(** Marks a slot whose line has no searchable operand, only class
+    tokens. *)
 val cat_none : int
 
 (** The owner table: one entry per enclosing method, its signature and

@@ -109,6 +109,39 @@ let mapped_class t (cm : Classmap.t) i =
           entry"
          name)
 
+(* The last of the [n] ascending keys [key 0 .. key (n-1)] at most [x],
+   [key 0] being at most [x]. *)
+let last_at_most key n x =
+  let lo = ref 0 and hi = ref n in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if key mid <= x then lo := mid else hi := mid
+  done;
+  !lo
+
+(* The first line and the class of the class whose lines hold [line]. *)
+let class_at t line =
+  let rs = t.cells.ranges in
+  if Array.length rs > 0 then
+    let i = last_at_most (fun i -> rs.(i).line_lo) (Array.length rs) line in
+    (rs.(i).line_lo, rs.(i).cls)
+  else
+    let cm = classmap t in
+    let lo = cm.Classmap.line_lo in
+    let i = last_at_most (Array.get lo) (Array.length lo) line in
+    (lo.(i), mapped_class t cm i)
+
+let locator t =
+  let lo = ref 0 and cls = ref "" and owners = ref [||] in
+  fun line ->
+    if line < !lo || line >= !lo + Array.length !owners then begin
+      let l, c = class_at t line in
+      lo := l;
+      cls := c.Ir.Jclass.name;
+      owners := Disasm.line_owners c
+    end;
+    Option.map (fun (m, stmt) -> (m, !cls, stmt)) !owners.(line - !lo)
+
 let m_renders = Obs.Metrics.counter "dex.text.renders"
 
 (* A text pass over the classes in line order: those an index pass

@@ -1,7 +1,7 @@
 (** A disassembled (and, if multidex, merged) dex file in its one layout:
-    the hit {!Arena} that tags each instruction line with its enclosing
-    method and operand, and that the engine's per-category postings index
-    into; the per-class {!Classmap}; and the plaintext lines, held as one
+    the hit {!Arena} that tags each instruction line a search can return
+    with its enclosing method and operand, and that the engine's
+    per-category postings index into; the per-class {!Classmap}; and the plaintext lines, held as one
     {!Textstore}, that free-form and scan-mode searches read.  A render
     ({!of_program}), a snapshot load and a delta all produce the arena and
     the class map; a snapshot stores those, and no text.
@@ -66,6 +66,16 @@ val text : t -> Textstore.t
     pays for the hashes; one made by {!of_parts} returns the map it was
     given.  Safe from several domains: they all get the same value. *)
 val classmap : t -> Classmap.t
+
+(** [locator t line] is [line]'s owner, its owner's class and its IR
+    statement, or [None] for a header line.  It reads the layout of the
+    line's class, not the arena, so it also locates the instruction lines
+    that have no slot: the classes this dexfile indexed, or else the class
+    map's, checked against the program as {!text} checks them.  One
+    locator walks each class it is asked about once in a row of lines of
+    that class: ask in line order.  Raises [Invalid_argument] for a line
+    out of range. *)
+val locator : t -> int -> (Ir.Jsig.meth * string * int) option
 
 (** Number of lines; renders no text. *)
 val line_count : t -> int

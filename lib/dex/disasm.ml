@@ -78,6 +78,7 @@ type out = {
   cls : string;
   mutable owner : Ir.Jsig.meth;
   mutable idx : int;
+  mutable slots : int;  (* the statement's unwritten lines' slot bits *)
 }
 
 let reg o l =
@@ -151,13 +152,18 @@ let start o mnemonic =
     add o mnemonic
   end
 
-(* End it, with or without a searchable operand.  A keyed line's text
-   ends in its operand. *)
+(* End it, with or without a searchable operand, taking the line's bit
+   of the statement's slot rule ([slot_lines]).  A keyed line's text ends
+   in its operand. *)
 let keyed o cat sym =
   if o.text then add o (Sym.to_string sym);
+  o.slots <- o.slots lsr 1;
   Writer.keyed o.w ~owner:o.owner ~cls:o.cls ~stmt:o.idx ~cat sym
 
-let unkeyed o = Writer.unkeyed o.w ~owner:o.owner ~cls:o.cls ~stmt:o.idx
+let unkeyed o =
+  let slot = o.slots land 1 = 1 in
+  o.slots <- o.slots lsr 1;
+  Writer.unkeyed o.w ~owner:o.owner ~cls:o.cls ~stmt:o.idx ~slot
 
 let op0 o mnemonic =
   start o mnemonic;
@@ -330,20 +336,79 @@ let stmt_lines : Ir.Stmt.t -> int = function
   | Assign (_, (Cast _ | Invoke _)) -> 2
   | _ -> 1
 
+(* Whether a value's operand holds a [';']: a class constant's descriptor
+   always does, a string literal when its text does; a register and the
+   other literals never do. *)
+let value_has_semicolon = function
+  | Ir.Value.Const (Class_c _) -> true
+  | Const (Str_c s) -> String.contains s ';'
+  | _ -> false
+
+(* Whether a type's descriptor holds a [';']: one naming a class does. *)
+let rec type_has_semicolon = function
+  | Ir.Types.Object _ -> true
+  | Array t -> type_has_semicolon t
+  | Void | Boolean | Byte | Char | Short | Int | Long | Float | Double -> false
+
+let bit b = if b then 1 else 0
+
+(* The slot rule: which of a statement's lines take an arena slot, one
+   bit per line, the first line lowest.  A line takes one when a search
+   can return it: a keyed line, or a line one of whose operands holds a
+   [';'] and so may carry a class token (the writer's trigger,
+   [Writer.add_operand]).  Every other instruction line, the
+   [move-result-object] after an invoke say, has no slot.  The walk reads
+   each line's bit ([keyed], [unkeyed]), and [size] counts them, so the
+   columns are sized by the rule that fills them. *)
+let slot_lines : Ir.Stmt.t -> int = function
+  | Assign (_, Imm (Const (Str_c _ | Class_c _)))
+  | Assign (_, (Invoke _ | New _ | Instance_get _ | Static_get _))
+  | Instance_put _ | Static_put _ | Invoke _ -> 1
+  | Assign (_, Cast (t, v)) ->
+    bit (value_has_semicolon v) lor (bit (type_has_semicolon t) lsl 1)
+  | Assign (_, Binop (_, a, b)) | If (_, a, b, _) ->
+    bit (value_has_semicolon a || value_has_semicolon b)
+  | Assign (_, New_array (t, n)) ->
+    bit (value_has_semicolon n || type_has_semicolon t)
+  | Assign (_, (Array_get (_, v) | Length v)) | Return (Some v) | Throw v ->
+    bit (value_has_semicolon v)
+  | Array_put (_, i, v) -> bit (value_has_semicolon i || value_has_semicolon v)
+  | Assign (_, (Imm _ | Phi _ | Param _ | This | Caught_exception))
+  | Return None | Goto _ | Nop -> 0
+
 (* -- Classes ------------------------------------------------------------- *)
 
 let size (c : Ir.Jclass.t) =
-  List.fold_left
-    (fun (lines, slots) (m : Ir.Jmethod.t) ->
-       let n =
-         match m.body with
-         | None -> 0
-         | Some body ->
-           Array.fold_left (fun n st -> n + stmt_lines st) 0 body
-       in
-       (lines + 1 + n, slots + n))
-    (2 + List.length c.interfaces + List.length c.fields, 0)
-    c.methods
+  let lines = ref (2 + List.length c.interfaces + List.length c.fields)
+  and slots = ref 0 in
+  List.iter
+    (fun (m : Ir.Jmethod.t) ->
+       incr lines;
+       Option.iter
+         (Array.iter (fun st ->
+              let b = slot_lines st in
+              lines := !lines + stmt_lines st;
+              slots := !slots + (b land 1) + (b lsr 1)))
+         m.body)
+    c.methods;
+  (!lines, !slots)
+
+let line_owners (c : Ir.Jclass.t) =
+  let owners = Array.make (fst (size c)) None in
+  let pos = ref (2 + List.length c.interfaces + List.length c.fields) in
+  List.iter
+    (fun (m : Ir.Jmethod.t) ->
+       incr pos;
+       Option.iter
+         (Array.iteri (fun i st ->
+              let here = Some (m.msig, i) in
+              for _ = 1 to stmt_lines st do
+                owners.(!pos) <- here;
+                incr pos
+              done))
+         m.body)
+    c.methods;
+  owners
 
 let method_lines o (m : Ir.Jmethod.t) =
   add o "  method ";
@@ -356,6 +421,7 @@ let method_lines o (m : Ir.Jmethod.t) =
     o.regs.n <- 0;
     for i = 0 to Array.length body - 1 do
       o.idx <- i;
+      o.slots <- slot_lines body.(i);
       stmt o body.(i)
     done
 
@@ -375,7 +441,7 @@ let render w (c : Ir.Jclass.t) =
     let o =
       { w; text = Writer.writes_text w;
         regs = { locals = [||]; n = 0 }; cls = c.name; owner = m.msig;
-        idx = 0 }
+        idx = 0; slots = 0 }
     in
     List.iter (method_lines o) c.methods
 

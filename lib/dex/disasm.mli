@@ -19,8 +19,16 @@
     format.  The order in which a pass interns symbols is not. *)
 
 (** The lines and slots {!render} writes for a class, counted from the IR
-    without rendering. *)
+    without rendering.  A line takes a slot when a search can return it:
+    a keyed line, or one an operand of which holds a [';'] (and so may
+    carry a class token).  The walk decides each line's slot by the same
+    per-statement rule, so an index pass writes exactly these counts. *)
 val size : Ir.Jclass.t -> int * int
+
+(** The owner and IR statement of each of a class's lines, in the order
+    {!render} writes them: [None] for a header line.  A text scan locates
+    its matches by it, most instruction lines having no slot. *)
+val line_owners : Ir.Jclass.t -> (Ir.Jsig.meth * int) option array
 
 (** Walk one class into [w]: its header lines, then each method's header
     and instructions. *)

@@ -3,7 +3,9 @@
    text; it can also copy blocks of columns from an old layout (the
    delta).  A text pass writes the line texts over a layout an index pass
    wrote, reading each keyed slot's operand from its arena and writing no
-   column.
+   column.  Only the lines a search can return have a slot (the walk's
+   slot rule, [Disasm]): a text pass moves past a slot where its
+   [line_idx] names the line being written.
 
    Columns are written in place at their final size; texts go into a
    growable heap buffer copied into the store once at the end, so the blob
@@ -236,6 +238,8 @@ let owner_id w owner cls =
     w.last_id <- id;
     id
 
+(* An index pass writes the line's slot; a text pass moves past it, if
+   the line has one. *)
 let slot_row w ~owner ~cls ~stmt ~cat ~sym ~toks =
   let s = w.slot in
   if w.index then begin
@@ -245,9 +249,11 @@ let slot_row w ~owner ~cls ~stmt ~cat ~sym ~toks =
     Bigarray.Array1.set w.cat s cat;
     Bigarray.Array1.set w.sym s sym;
     if Array.length toks > 0 then w.toks <- (s, toks) :: w.toks;
-    if w.run_lo < 0 then w.run_lo <- s
-  end;
-  w.slot <- s + 1;
+    if w.run_lo < 0 then w.run_lo <- s;
+    w.slot <- s + 1
+  end
+  else if s < Ivec.length w.line_idx && Ivec.get w.line_idx s = w.line then
+    w.slot <- s + 1;
   end_line w
 
 (* The operand is numbered first, then its tokens, then those of the
@@ -271,9 +277,15 @@ let keyed w ~owner ~cls ~stmt ~cat sym =
     slot_row w ~owner ~cls ~stmt ~cat ~sym:l ~toks
   end
 
-let unkeyed w ~owner ~cls ~stmt =
-  slot_row w ~owner ~cls ~stmt ~cat:Arena.cat_none ~sym:(-1)
-    ~toks:(take_tokens w)
+(* A line whose class tokens would have no slot to be indexed under
+   means the slot rule missed an operand: fail rather than lose them. *)
+let unkeyed w ~owner ~cls ~stmt ~slot =
+  if slot || not w.index then
+    slot_row w ~owner ~cls ~stmt ~cat:Arena.cat_none ~sym:(-1)
+      ~toks:(take_tokens w)
+  else if w.ops_len > 0 then
+    invalid_arg "Writer.unkeyed: a line with a class token has no slot"
+  else end_line w
 
 let close_run w =
   if w.run_lo >= 0 then begin

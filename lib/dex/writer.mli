@@ -13,6 +13,11 @@
       text is a text pass, run on first read, whatever produced the
       layout.
 
+    Only an instruction line a search can return has a slot: a keyed
+    line, or one an operand of which holds a [';'] ({!add_operand}); the
+    walk decides which ({!Disasm.size}).  A text pass moves past a slot
+    only where its [line_idx] names the line being written.
+
     The line and slot counts are fixed up front (the renderer counts them
     in a walk over the IR), so the columns are allocated once at their
     final size.  Texts go into one heap buffer that {!finish_text} copies
@@ -22,8 +27,9 @@
     carried: the slots whose class tokens this process knows, as local
     ids of the arena's table ({!Arena}).  A keyed slot's tokens are those
     of its operand ({!Tokens.of_operand}) and any its line's other
-    operands add; an unkeyed slot's are its operands'.  The tokens not in
-    a keyed slot's operand are kept per slot. *)
+    operands add; an unkeyed slot's are its operands', and it has a slot
+    because it has some.  The tokens not in a keyed slot's operand are
+    kept per slot. *)
 type rendered = {
   ranges : (int * int) list;
       (** [\[lo, hi)] slot ranges written by index passes, ascending,
@@ -66,8 +72,9 @@ val reuse_owner : t -> Ir.Jsig.meth -> int -> unit
 val lines : t -> int
 val slots : t -> int
 
-(** In a text pass, the operand of the slot about to be written, as the
-    index pass recorded it (read from the arena's table). *)
+(** In a text pass, the operand of the keyed line being written, as the
+    index pass recorded it in the line's slot (read from the arena's
+    table). *)
 val slot_sym : t -> Sym.t
 
 (** Append to the text of the line being written (nothing in an index
@@ -91,9 +98,12 @@ val keyed :
   unit
 
 (** End the line being written as an instruction line with no searchable
-    operand; its class tokens, if any, are those of its {!add_operand}
-    operands. *)
-val unkeyed : t -> owner:Ir.Jsig.meth -> cls:string -> stmt:int -> unit
+    operand.  In an index pass it takes a slot when [slot] holds, and its
+    class tokens are those of its {!add_operand} operands; a line without
+    a slot must have none ([Invalid_argument] otherwise: the slot rule
+    would lose them).  A text pass ignores [slot]. *)
+val unkeyed :
+  t -> owner:Ir.Jsig.meth -> cls:string -> stmt:int -> slot:bool -> unit
 
 (** [copy t arena ~lines:(llo, lhi) ~slots:(slo, shi)] appends the columns
     of slots [\[slo, shi)] of [arena], whose lines are [\[llo, lhi)] — a

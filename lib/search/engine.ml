@@ -387,18 +387,6 @@ let patch old dex ~slot_map =
 (* ------------------------------------------------------------------ *)
 (* Scan mode                                                           *)
 
-(* Hits are materialised per returned slot — the postings themselves hold
-   only ints. *)
-let hit_of_slot t slot =
-  let a : Dex.Arena.t = t.dex.Dex.Dexfile.arena in
-  let line_no = Ivec.get a.line_idx slot in
-  let oid = Ivec.get a.owner_id slot in
-  { line_no;
-    owner = Dex.Arena.Owners.meth a.owners oid;
-    owner_cls = Dex.Arena.Owners.cls a.owners oid;
-    stmt_idx =
-      (let s = Ivec.get a.stmt_idx slot in if s < 0 then None else Some s) }
-
 (* Instruction lines look like "    0004: invoke-virtual {...}, ..."; the
    opcode follows the first ": ".  Reads the blob, materialises nothing. *)
 let has_opcode store i ~prefixes =
@@ -411,21 +399,23 @@ let has_opcode store i ~prefixes =
       prefixes
 
 (* One skip-search pass over the text blob finds the candidate lines
-   (allocating nothing); the rare matches that are instruction lines — the
-   arena's [line_idx] is strictly ascending, so a binary search finds the
-   slot — pay the opcode-prefix check and hit materialization. *)
+   (allocating nothing); the rare matches pay the opcode-prefix check and
+   hit materialization.  A matched line is located from its class's line
+   layout, each class walked once a scan, not from the arena, which has
+   no slot for most instruction lines; a header line is no hit.  So the
+   scan engine, the indexed engine's test oracle, checks the arena's
+   owner and statement columns rather than reading them. *)
 let scan t ~prefixes ~pat ~filter =
   let store = Dex.Dexfile.text t.dex in
-  let line_idx = t.dex.Dex.Dexfile.arena.Dex.Arena.line_idx in
+  let locate = Dex.Dexfile.locator t.dex in
   let acc = ref [] in
   Dex.Textstore.iter_matches store ~pat (fun i ->
-      match Ivec.find_sorted line_idx i with
-      | -1 -> ()
-      | slot ->
-        if prefixes = [] || has_opcode store i ~prefixes then begin
-          let h = hit_of_slot t slot in
+      if prefixes = [] || has_opcode store i ~prefixes then
+        match locate i with
+        | Some (owner, owner_cls, s) ->
+          let h = { line_no = i; owner; owner_cls; stmt_idx = Some s } in
           if filter h then acc := h :: !acc
-        end);
+        | None -> ());
   List.rev !acc
 
 (* Operand patterns are the symbol's text behind a ", " separator.  The
@@ -476,6 +466,18 @@ let query_category : Query.t -> int option = function
   | Static_field_access _ -> Some cat_static_field_ops
   | Class_use _ -> Some cat_class_tokens
   | Raw _ -> None  (* free-form searches always scan *)
+
+(* Hits are materialised per returned slot — the postings themselves hold
+   only ints. *)
+let hit_of_slot t slot =
+  let a : Dex.Arena.t = t.dex.Dex.Dexfile.arena in
+  let line_no = Ivec.get a.line_idx slot in
+  let oid = Ivec.get a.owner_id slot in
+  { line_no;
+    owner = Dex.Arena.Owners.meth a.owners oid;
+    owner_cls = Dex.Arena.Owners.cls a.owners oid;
+    stmt_idx =
+      (let s = Ivec.get a.stmt_idx slot in if s < 0 then None else Some s) }
 
 let hits_of_sym t (p : postings) sym =
   match Keys.find_opt t.keys sym with

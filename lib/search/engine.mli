@@ -24,8 +24,11 @@
     this across lazy, snapshot and delta engines), so mode choice is purely
     a performance decision. *)
 
-(** One matching plaintext line, materialised from an arena slot only when a
-    query returns it.  Its text is [Dex.Dexfile.line_text] of [line_no]. *)
+(** One matching plaintext line, materialised only when a query returns
+    it: by an indexed query from its arena slot, by a scan or a [Raw]
+    query from its class's line layout ({!Dex.Dexfile.locator}), since
+    most instruction lines have no slot.  Its text is
+    [Dex.Dexfile.line_text] of [line_no]. *)
 type hit = {
   line_no : int;              (** position in the merged dex plaintext *)
   owner : Ir.Jsig.meth;       (** enclosing method of the matching line *)

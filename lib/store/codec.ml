@@ -14,9 +14,10 @@ let error_to_string = function
 
 let magic = "BDIXSNAP"
 
-(* v3: Postcodec-coded postings runs and no line text — the only version
-   written or read. *)
-let format_version = 3
+(* v4: Postcodec-coded postings runs, no line text, and arena slots only
+   for the lines a search can return — the only version written or
+   read. *)
+let format_version = 4
 let header_len = 32
 let checksum_offset = 24
 
@@ -327,8 +328,10 @@ let read_file ~path =
                 let id = Int64.to_int (le64 chars e) in
                 let off = Int64.to_int (le64 chars (e + 8)) in
                 let len = Int64.to_int (le64 chars (e + 16)) in
+                (* [len > size - off], not [off + len > size]: a huge
+                   length would wrap the sum negative *)
                 if off < header_len + (n * 24) || len < 0
-                   || off + len > size || off land 7 <> 0
+                   || len > size - off || off land 7 <> 0
                 then
                   bad :=
                     Some

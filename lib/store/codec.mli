@@ -47,10 +47,12 @@ val magic : string
 (** 8 bytes. *)
 
 val format_version : int
-(** The one version written and read: 3, whose files store
-    {!Bytesearch.Postcodec}-coded postings runs and no line text.  A file
-    declaring any other version — v1, the retired flat-postings layout,
-    or v2, which also stored the line texts — fails with [Bad_version]. *)
+(** The one version written and read: 4, whose files store
+    {!Bytesearch.Postcodec}-coded postings runs, no line text, and arena
+    slots only for the lines a search can return.  A file declaring any
+    other version — v1, the retired flat-postings layout, v2, which also
+    stored the line texts, or v3, which gave every instruction line a
+    slot — fails with [Bad_version]. *)
 
 val header_len : int
 (** 32. *)

@@ -1,4 +1,5 @@
-(** Parser for the dexdump-format plaintext emitted by {!module:Disasm}.
+(** Parser for the dexdump-format plaintext emitted by {!Dex.Disasm}, a
+    test oracle that no binary runs.
 
     This is the inverse direction of the preprocessing step: given raw
     disassembled text (ours, or in principle a real `dexdump -d` capture in
@@ -96,12 +97,12 @@ let parse_instr_text addr text =
       (fun op ->
          if starts_with ~prefix:"L" op && String.contains op ';'
             && String.contains op ':' && String.contains op '.' then begin
-           if String.contains op '(' then Meth_ref (Descriptor.meth_of_desc op)
-           else Field_ref (Descriptor.field_of_desc op)
+           if String.contains op '(' then Meth_ref (Dex.Descriptor.meth_of_desc op)
+           else Field_ref (Dex.Descriptor.field_of_desc op)
          end
          else if starts_with ~prefix:"L" op && String.length op > 2
                  && op.[String.length op - 1] = ';' then
-           Class_ref (Descriptor.class_of_desc op)
+           Class_ref (Dex.Descriptor.class_of_desc op)
          else if starts_with ~prefix:"\"" op then
            String_lit (Scanf.sscanf op "%S" (fun s -> s))
          else Other_operand op)
@@ -115,24 +116,24 @@ let parse_line raw =
   if s = "" then Blank
   else if starts_with ~prefix:"Class descriptor : " s then
     Class_header
-      (Descriptor.class_of_desc
+      (Dex.Descriptor.class_of_desc
          (strip_quotes
             (String.trim
                (String.sub s 19 (String.length s - 19)))))
   else if starts_with ~prefix:"Superclass : " s then begin
     let d = strip_quotes (String.trim (String.sub s 13 (String.length s - 13))) in
-    Super_header (if d = "-" then "" else Descriptor.class_of_desc d)
+    Super_header (if d = "-" then "" else Dex.Descriptor.class_of_desc d)
   end
   else if starts_with ~prefix:"Interface : " s then
     Interface_header
-      (Descriptor.class_of_desc
+      (Dex.Descriptor.class_of_desc
          (strip_quotes (String.trim (String.sub s 12 (String.length s - 12)))))
   else if starts_with ~prefix:"method " s then
     Method_header
-      (Descriptor.meth_of_desc (String.sub s 7 (String.length s - 7)))
+      (Dex.Descriptor.meth_of_desc (String.sub s 7 (String.length s - 7)))
   else if starts_with ~prefix:"field " s then
     Field_header
-      (Descriptor.field_of_desc (String.sub s 6 (String.length s - 6)))
+      (Dex.Descriptor.field_of_desc (String.sub s 6 (String.length s - 6)))
   else
     (* "0004: op ..." instruction lines *)
     match String.index_opt s ':' with

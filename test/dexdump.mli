@@ -1,4 +1,5 @@
-(** Parser for the dexdump-format plaintext emitted by {!module:Disasm}.
+(** Parser for the dexdump-format plaintext emitted by {!Dex.Disasm}, a
+    test oracle that no binary runs.
 
     This is the inverse direction of the preprocessing step: given raw
     disassembled text (ours, or in principle a real `dexdump -d` capture in
@@ -29,8 +30,6 @@ type line =
   | Instruction of instr
   | Blank
 exception Parse_error of string
-val fail : ('a, unit, string, 'b) format4 -> 'a
-val starts_with : prefix:string -> string -> bool
 
 (** Parse one plaintext line. *)
 val parse_line : string -> line

@@ -484,25 +484,25 @@ let golden_render =
     ( "  method Lgolden/render/Widget;.render:(Ljava/lang/String;I)Ljava/lang/String;",
       "none",
       None );
-    ("    0000: .this v0", "none", Some []);
-    ("    0001: .param v1, p0", "none", Some []);
-    ("    0002: .param v2, p1", "none", Some []);
-    ("    0003: add-int v5, v4, v3", "none", Some []);
-    ("    0004: .phi v7 = (v5, v6)", "none", Some []);
-    ("    0005: cmp-long v6, v7, #int 1", "none", Some []);
+    ("    0000: .this v0", "none", None);
+    ("    0001: .param v1, p0", "none", None);
+    ("    0002: .param v2, p1", "none", None);
+    ("    0003: add-int v5, v4, v3", "none", None);
+    ("    0004: .phi v7 = (v5, v6)", "none", None);
+    ("    0005: cmp-long v6, v7, #int 1", "none", None);
     ( "    0006: const-string v8, \"say \\\"hi\\\", Lgolden/render/InString;\\n\\t\\001\"",
       "const-string \"say \\\"hi\\\", Lgolden/render/InString;\\n\\t\\001\"",
       Some ["Lgolden/render/InString;"] );
     ( "    0007: const-class v9, Lgolden/render/Kind;",
       "const-class Lgolden/render/Kind;",
       Some ["Lgolden/render/Kind;"] );
-    ("    0008: const/16 v10, #int -42", "none", Some []);
-    ("    0009: const/4 v11, #int 0", "none", Some []);
-    ("    000a: const-wide v12, #long 1234567890123", "none", Some []);
-    ("    000b: const v13, #float 1.500000", "none", Some []);
-    ("    000c: const-wide v14, #double -0.250000", "none", Some []);
-    ("    000d: move-object v15, v8", "none", Some []);
-    ("    000e: move-object v16, v17", "none", Some []);
+    ("    0008: const/16 v10, #int -42", "none", None);
+    ("    0009: const/4 v11, #int 0", "none", None);
+    ("    000a: const-wide v12, #long 1234567890123", "none", None);
+    ("    000b: const v13, #float 1.500000", "none", None);
+    ("    000c: const-wide v14, #double -0.250000", "none", None);
+    ("    000d: move-object v15, v8", "none", None);
+    ("    000e: move-object v16, v17", "none", None);
     ( "    000e: check-cast v16, Lgolden/render/Kind;",
       "none",
       Some ["Lgolden/render/Kind;"] );
@@ -511,29 +511,29 @@ let golden_render =
       Some
         [ "Lgolden/render/Arg;"; "Lgolden/render/Widget;"; "Ljava/lang/Class;";
           "Ljava/lang/String;" ] );
-    ("    000f: move-result-object v18", "none", Some []);
+    ("    000f: move-result-object v18", "none", None);
     ( "    0010: new-instance v20, Lgolden/render/Kind;",
       "new-instance Lgolden/render/Kind;",
       Some ["Lgolden/render/Kind;"] );
     ( "    0011: new-array v21, v10, [Lgolden/render/Kind;",
       "none",
       Some ["Lgolden/render/Kind;"] );
-    ("    0012: aget-object v22, v21, #int 0", "none", Some []);
+    ("    0012: aget-object v22, v21, #int 0", "none", None);
     ( "    0013: iget-object v23, v0, Lgolden/render/Widget;.gName:Ljava/lang/String;",
       "field Lgolden/render/Widget;.gName:Ljava/lang/String;",
       Some ["Lgolden/render/Widget;"; "Ljava/lang/String;"] );
     ( "    0014: sget-object v24, Lgolden/render/Widget;.gShared:Lgolden/render/Kind;",
       "static-field Lgolden/render/Widget;.gShared:Lgolden/render/Kind;",
       Some ["Lgolden/render/Kind;"; "Lgolden/render/Widget;"] );
-    ("    0015: move-exception v25", "none", Some []);
-    ("    0016: array-length v26, v21", "none", Some []);
+    ("    0015: move-exception v25", "none", None);
+    ("    0016: array-length v26, v21", "none", None);
     ( "    0017: iput-object v10, v0, Lgolden/render/Widget;.gCount:I",
       "field Lgolden/render/Widget;.gCount:I",
       Some ["Lgolden/render/Widget;"] );
     ( "    0018: sput-object v20, Lgolden/render/Widget;.gShared:Lgolden/render/Kind;",
       "static-field Lgolden/render/Widget;.gShared:Lgolden/render/Kind;",
       Some ["Lgolden/render/Kind;"; "Lgolden/render/Widget;"] );
-    ("    0019: aput-object v22, v21, #int 1", "none", Some []);
+    ("    0019: aput-object v22, v21, #int 1", "none", None);
     ( "    001a: invoke-static {}, Lgolden/render/Kind;.touch:()V",
       "invoke Lgolden/render/Kind;.touch:()V",
       Some ["Lgolden/render/Kind;"] );
@@ -543,20 +543,20 @@ let golden_render =
     ( "    001c: invoke-direct {v20}, Lgolden/render/Kind;.<init>:()V",
       "invoke Lgolden/render/Kind;.<init>:()V",
       Some ["Lgolden/render/Kind;"] );
-    ("    001d: if-lt v10, #int 3, :cond_001c", "none", Some []);
-    ("    001e: if-ge v28, v27, :cond_abcd", "none", Some []);
-    ("    001f: goto :goto_12345", "none", Some []);
-    ("    0020: goto :goto_0003", "none", Some []);
-    ("    0021: nop", "none", Some []);
-    ("    0022: throw v25", "none", Some []);
-    ("    0023: return-object v18", "none", Some []);
-    ("    0024: return-void", "none", Some []) ]
+    ("    001d: if-lt v10, #int 3, :cond_001c", "none", None);
+    ("    001e: if-ge v28, v27, :cond_abcd", "none", None);
+    ("    001f: goto :goto_12345", "none", None);
+    ("    0020: goto :goto_0003", "none", None);
+    ("    0021: nop", "none", None);
+    ("    0022: throw v25", "none", None);
+    ("    0023: return-object v18", "none", None);
+    ("    0024: return-void", "none", None) ]
 
 (* the [wide] method crosses the 256 precomputed register names *)
 let golden_wide =
   ("  method Lgolden/render/Widget;.wide:()V", "none", None)
   :: List.init 260 (fun j ->
-      (Printf.sprintf "    %04x: const/16 v%d, #int %d" j j j, "none", Some []))
+      (Printf.sprintf "    %04x: const/16 v%d, #int %d" j j j, "none", None))
 
 let golden_abstract =
   [ ("  method Lgolden/render/Widget;.shape:()Lgolden/render/Kind;", "none",
@@ -576,7 +576,7 @@ let key_string (a : Dex.Arena.t) cat sym =
 let golden_dex () =
   Dex.Dexfile.of_program (Program.of_classes [ golden_class () ])
 
-(* Each line's text, its arena key and, for an instruction line, its class
+(* Each line's text, its arena key and, for a line with a slot, its class
    tokens. *)
 let golden_lines () =
   let dex = golden_dex () in
@@ -679,68 +679,90 @@ let slot_tokens dex s =
       toks := tok :: !toks);
   List.rev !toks
 
-(* The text pass renders what the index pass recorded: parsed back, each
-   instruction line maps to its slot's owner, statement, category and
-   operand, and each instruction line's tokens are its slot's.  Rendering
-   the text interns no symbol. *)
+(* The text pass renders what the index pass recorded.  Parsed back,
+   each instruction line that is keyed, or whose text holds a [';'] (and
+   so may hold a class token), has exactly one slot, with its owner,
+   statement, category, operand and class tokens; every other instruction
+   line has no slot and no class token, and a header line no slot.  The
+   owner and statement located from each line's class layout
+   ([Dexfile.locator]) are the parsed ones for every instruction line.
+   Rendering the text interns no symbol. *)
 let check_passes dex =
   let fail fmt = QCheck.Test.fail_reportf fmt in
   let interned = Sym.interned () in
   let text = Dex.Dexfile.to_string dex in
   if Sym.interned () <> interned then
     fail "the text pass interned %d symbols" (Sym.interned () - interned);
-  let parsed = Dex.Parse.parse_text text in
-  if Array.length parsed.Dex.Parse.lines <> Dex.Dexfile.line_count dex then
-    fail "%d lines parsed, %d indexed" (Array.length parsed.Dex.Parse.lines)
+  let parsed = Dexdump.parse_text text in
+  if Array.length parsed.Dexdump.lines <> Dex.Dexfile.line_count dex then
+    fail "%d lines parsed, %d indexed" (Array.length parsed.Dexdump.lines)
       (Dex.Dexfile.line_count dex);
   let a = dex.Dex.Dexfile.arena in
+  let locate = Dex.Dexfile.locator dex in
   let slot = ref 0 in
   Array.iteri
-    (fun i (line, owner, _) ->
+    (fun i (line, owner, cls) ->
        let slot_here =
          !slot < Dex.Arena.length a && Ivec.get a.Dex.Arena.line_idx !slot = i
        in
-       match (line : Dex.Parse.line) with
+       match (line : Dexdump.line) with
        | Instruction ins ->
-         if not slot_here then fail "instruction line %d has no slot" i;
-         let s = !slot in
-         incr slot;
          let raw = Dex.Dexfile.line_text dex i in
-         let o =
-           Dex.Arena.Owners.meth a.Dex.Arena.owners
-             (Ivec.get a.Dex.Arena.owner_id s)
-         in
-         if not (Option.fold ~none:false ~some:(Jsig.meth_equal o) owner) then
-           fail "line %d: owner %s" i (Jsig.meth_to_string o);
-         if Ivec.get a.Dex.Arena.stmt_idx s <> ins.addr then
-           fail "line %d: statement %d" i (Ivec.get a.Dex.Arena.stmt_idx s);
-         let cat = Ivec.get a.Dex.Arena.cat s
-         and sym = Ivec.get a.Dex.Arena.sym s in
-         if cat <> cat_of_opcode ins.opcode then
-           fail "line %d: category %d for %S" i cat raw;
+         (match (locate i, owner, cls) with
+          | Some (o, c, st), Some o', Some c'
+            when Jsig.meth_equal o o' && String.equal c c' && st = ins.addr ->
+            ()
+          | Some (o, c, st), _, _ ->
+            fail "line %d: located in %s of %s at %d" i
+              (Jsig.meth_to_string o) c st
+          | None, _, _ -> fail "instruction line %d not located" i);
          let b = Bytes.of_string raw in
          let toks =
            Array.to_list
              (Array.map Sym.to_string
                 (Dex.Tokens.of_bytes b ~pos:0 ~len:(Bytes.length b)))
          in
-         let indexed =
-           List.map (fun l -> Sym.to_string a.Dex.Arena.syms.(l))
-             (slot_tokens dex s)
-         in
-         if List.sort compare toks <> List.sort compare indexed then
-           fail "line %d: tokens of %S" i raw;
-         if cat = Dex.Arena.cat_none then begin
-           if sym <> -1 then fail "line %d: unkeyed slot with a symbol" i
+         let cat = cat_of_opcode ins.opcode in
+         if cat = Dex.Arena.cat_none && not (String.contains raw ';') then begin
+           if slot_here then fail "line %d has a slot: %S" i raw;
+           if toks <> [] then fail "line %d: tokens of %S" i raw
          end
-         else if
-           not
-             (String.ends_with
-                ~suffix:(", " ^ Sym.to_string a.Dex.Arena.syms.(sym))
-                raw)
-         then fail "line %d: operand of %S" i raw
-       | _ -> if slot_here then fail "header line %d has a slot" i)
-    parsed.Dex.Parse.lines;
+         else begin
+           if not slot_here then fail "line %d has no slot: %S" i raw;
+           let s = !slot in
+           incr slot;
+           let o =
+             Dex.Arena.Owners.meth a.Dex.Arena.owners
+               (Ivec.get a.Dex.Arena.owner_id s)
+           in
+           if not (Option.fold ~none:false ~some:(Jsig.meth_equal o) owner)
+           then fail "line %d: owner %s" i (Jsig.meth_to_string o);
+           if Ivec.get a.Dex.Arena.stmt_idx s <> ins.addr then
+             fail "line %d: statement %d" i (Ivec.get a.Dex.Arena.stmt_idx s);
+           let sym = Ivec.get a.Dex.Arena.sym s in
+           if Ivec.get a.Dex.Arena.cat s <> cat then
+             fail "line %d: category %d for %S" i (Ivec.get a.Dex.Arena.cat s)
+               raw;
+           let indexed =
+             List.map (fun l -> Sym.to_string a.Dex.Arena.syms.(l))
+               (slot_tokens dex s)
+           in
+           if List.sort compare toks <> List.sort compare indexed then
+             fail "line %d: tokens of %S" i raw;
+           if cat = Dex.Arena.cat_none then begin
+             if sym <> -1 then fail "line %d: unkeyed slot with a symbol" i
+           end
+           else if
+             not
+               (String.ends_with
+                  ~suffix:(", " ^ Sym.to_string a.Dex.Arena.syms.(sym))
+                  raw)
+           then fail "line %d: operand of %S" i raw
+         end
+       | _ ->
+         if slot_here then fail "header line %d has a slot" i;
+         if locate i <> None then fail "header line %d located" i)
+    parsed.Dexdump.lines;
   if !slot <> Dex.Arena.length a then fail "%d slots past the last line"
       (Dex.Arena.length a - !slot);
   true
@@ -883,13 +905,13 @@ let test_parse_roundtrip_structure () =
               sink = Framework.Sinks.cipher; insecure = true } ] }
   in
   let text = Dex.Dexfile.to_string app.Appgen.Generator.dex in
-  let parsed = Dex.Parse.parse_text text in
+  let parsed = Dexdump.parse_text text in
   Alcotest.(check int) "same class count"
     (Ir.Program.class_count app.Appgen.Generator.program)
-    (List.length parsed.Dex.Parse.classes);
+    (List.length parsed.Dexdump.classes);
   Alcotest.(check int) "same method count"
     (Ir.Program.method_count app.Appgen.Generator.program)
-    (List.length parsed.Dex.Parse.methods)
+    (List.length parsed.Dexdump.methods)
 
 let test_parse_invocations_match_ir () =
   let app =
@@ -900,8 +922,8 @@ let test_parse_invocations_match_ir () =
         filler_classes = 3 }
   in
   let text = Dex.Dexfile.to_string app.Appgen.Generator.dex in
-  let parsed = Dex.Parse.parse_text text in
-  let parsed_calls = Dex.Parse.invocations parsed in
+  let parsed = Dexdump.parse_text text in
+  let parsed_calls = Dexdump.invocations parsed in
   (* every IR call site appears as a parsed invocation with the same callee *)
   let ir_calls =
     Ir.Program.fold_classes app.Appgen.Generator.program
@@ -923,29 +945,29 @@ let test_parse_invocations_match_ir () =
        parsed_calls)
 
 let test_parse_line_kinds () =
-  (match Dex.Parse.parse_line "Class descriptor : 'Lcom/a/B;'" with
-   | Dex.Parse.Class_header c -> Alcotest.(check string) "class" "com.a.B" c
+  (match Dexdump.parse_line "Class descriptor : 'Lcom/a/B;'" with
+   | Dexdump.Class_header c -> Alcotest.(check string) "class" "com.a.B" c
    | _ -> Alcotest.fail "expected class header");
-  (match Dex.Parse.parse_line "    0004: invoke-static {v0, v1}, Lcom/a/B;.f:(I)V" with
-   | Dex.Parse.Instruction i ->
-     Alcotest.(check int) "addr" 4 i.Dex.Parse.addr;
-     Alcotest.(check string) "opcode" "invoke-static" i.Dex.Parse.opcode;
-     Alcotest.(check (list string)) "regs" [ "v0"; "v1" ] i.Dex.Parse.registers;
-     (match i.Dex.Parse.operand with
-      | Some (Dex.Parse.Meth_ref m) ->
+  (match Dexdump.parse_line "    0004: invoke-static {v0, v1}, Lcom/a/B;.f:(I)V" with
+   | Dexdump.Instruction i ->
+     Alcotest.(check int) "addr" 4 i.Dexdump.addr;
+     Alcotest.(check string) "opcode" "invoke-static" i.Dexdump.opcode;
+     Alcotest.(check (list string)) "regs" [ "v0"; "v1" ] i.Dexdump.registers;
+     (match i.Dexdump.operand with
+      | Some (Dexdump.Meth_ref m) ->
         Alcotest.(check string) "callee" "f" m.Ir.Jsig.name
       | _ -> Alcotest.fail "expected method operand")
    | _ -> Alcotest.fail "expected instruction");
-  (match Dex.Parse.parse_line "    0002: const-string v1, \"AES/ECB\"" with
-   | Dex.Parse.Instruction { operand = Some (Dex.Parse.String_lit s); _ } ->
+  (match Dexdump.parse_line "    0002: const-string v1, \"AES/ECB\"" with
+   | Dexdump.Instruction { operand = Some (Dexdump.String_lit s); _ } ->
      Alcotest.(check string) "string" "AES/ECB" s
    | _ -> Alcotest.fail "expected const-string");
-  (match Dex.Parse.parse_line "    0003: sget-object v0, Lcom/a/B;.F:I" with
-   | Dex.Parse.Instruction { operand = Some (Dex.Parse.Field_ref f); _ } ->
+  (match Dexdump.parse_line "    0003: sget-object v0, Lcom/a/B;.F:I" with
+   | Dexdump.Instruction { operand = Some (Dexdump.Field_ref f); _ } ->
      Alcotest.(check string) "field" "F" f.Ir.Jsig.fname
    | _ -> Alcotest.fail "expected field operand");
-  match Dex.Parse.parse_line "garbage that is not dexdump" with
-  | exception Dex.Parse.Parse_error _ -> ()
+  match Dexdump.parse_line "garbage that is not dexdump" with
+  | exception Dexdump.Parse_error _ -> ()
   | _ -> Alcotest.fail "expected parse error"
 
 (* property: every generated app's plaintext parses without error *)
@@ -964,9 +986,9 @@ let parse_total =
                    sink = Framework.Sinks.ssl_factory; insecure = true } ] }
        in
        let parsed =
-         Dex.Parse.parse_text (Dex.Dexfile.to_string app.Appgen.Generator.dex)
+         Dexdump.parse_text (Dex.Dexfile.to_string app.Appgen.Generator.dex)
        in
-       Array.length parsed.Dex.Parse.lines > 0)
+       Array.length parsed.Dexdump.lines > 0)
 
 let parser_cases =
   [ Alcotest.test_case "roundtrip structure" `Quick test_parse_roundtrip_structure;

@@ -241,6 +241,15 @@ let test_rejects_corruption () =
       ignore (reseal b));
   check_load_error ~app ~path "a symbol table holding one string twice"
     (Store.Codec.Corrupt "");
+  (* directory entry 0's length so large that offset + length wraps
+     negative: the bound check must not overflow, or the load reaches a
+     [Bigarray.sub] past the file *)
+  mutate (fun b ->
+      Bytes.set_int64_le b (Store.Codec.header_len + 16)
+        0x3FFF_FFFF_FFFF_FFF8L;
+      ignore (reseal b));
+  check_load_error ~app ~path "a section length past max_int - offset"
+    (Store.Codec.Corrupt "");
   (* restore and prove the fixture itself still loads *)
   write_all path original;
   match Store.Snapshot.load ~path app.G.program with
@@ -307,10 +316,11 @@ let test_warm_analyze_equals_cold () =
 
 (* -- Format version, coded postings, prefault, foreign processes ------ *)
 
-(* A v1 file (the retired flat-postings layout) and a v2 file (which also
-   stored the line texts) are refused with a typed error.  The version
-   field, bytes 8-11, lies outside the checksummed range, so patching it
-   alone needs no reseal. *)
+(* A v1 file (the retired flat-postings layout), a v2 file (which also
+   stored the line texts) and a v3 file (whose slots counted every
+   instruction line) are refused with a typed error.  The version field,
+   bytes 8-11, lies outside the checksummed range, so patching it alone
+   needs no reseal. *)
 let test_v1_refused () =
   with_snapshot @@ fun ~app ~path ->
   let original = read_all path in
@@ -321,7 +331,7 @@ let test_v1_refused () =
        write_all path (Bytes.to_string b);
        check_load_error ~app ~path (Printf.sprintf "v%d file" v)
          (Store.Codec.Bad_version v))
-    [ 1; 2 ]
+    [ 1; 2; 3 ]
 
 (* Garbage inside a coded-postings section must come back as [Corrupt]
    (the per-run validation), never a crash or a wrong engine. *)
@@ -554,8 +564,9 @@ let test_cli_replayed_results_persist () =
   Alcotest.(check (list string)) "per-sink lines == cold v3"
     (sink_lines (run_cli v3)) (sink_lines warm)
 
-(* The CLI falls back cold on a missing [--load-index] file, with a
-   warning, and a [--save-index] it cannot write exits 1. *)
+(* The CLI falls back cold on a missing [--load-index] file or one of
+   format v3, with a warning, and a [--save-index] it cannot write
+   exits 1. *)
 let test_cli_snapshot_failures () =
   let dir = Filename.temp_file "backdroid_cli_nodir" "" in
   Sys.remove dir;
@@ -574,6 +585,24 @@ let test_cli_snapshot_failures () =
   Alcotest.(check bool) "the cold run reports sinks" true (cold <> []);
   Alcotest.(check (list string)) "per-sink lines == cold" cold
     (sink_lines out);
+  let v3 = Filename.temp_file "backdroid_cli_v3" ".bdix" in
+  Fun.protect ~finally:(fun () -> try Sys.remove v3 with Sys_error _ -> ())
+    (fun () ->
+       ignore (run_cli (args @ [ "--save-index"; v3 ]));
+       let b = Bytes.of_string (read_all v3) in
+       Bytes.set_int32_le b 8 3l;
+       write_all v3 (Bytes.to_string b);
+       let code, out, err = run_cli_status (args @ [ "--load-index"; v3 ]) in
+       Alcotest.(check int) "a v3 file: exit 0" 0 code;
+       Alcotest.(check bool) "it warns of version 3" true
+         (List.exists
+            (fun l ->
+               String.starts_with ~prefix:"warning: cannot load index" l
+               && String.ends_with
+                    ~suffix:": unsupported format version 3; analysing cold" l)
+            err);
+       Alcotest.(check (list string)) "v3: per-sink lines == cold" cold
+         (sink_lines out));
   let code, _, err =
     run_cli_status (args @ [ "--save-index"; Filename.concat dir "a.bdix" ])
   in
@@ -625,10 +654,10 @@ let test_daemon_file_equals_cli () =
   Alcotest.(check bool) "the daemon's file == the CLI's" true
     (Sys.file_exists served && read_all served = read_all saved)
 
-(* The one snapshot policy: no file and a refused file open cold, the
-   refused one as one flight anomaly; an unchanged program's file is
-   loaded; another version's is patched and hands over the results its
-   save carried. *)
+(* The one snapshot policy: no file and a refused file (a damaged one, or
+   one of format v3) open cold, the damaged one as one flight anomaly; an
+   unchanged program's file is loaded; another version's is patched and
+   hands over the results its save carried. *)
 let test_warm_policy () =
   let app = fixture_app ~build_dex:false () in
   let path = Filename.temp_file "backdroid_warm" ".bdix" in
@@ -646,6 +675,16 @@ let test_warm_policy () =
    | Error m -> Alcotest.fail m);
   Alcotest.(check bool) "unchanged: loaded" true
     (snd (open_ app.G.program) = Store.Warm.Loaded);
+  (* the same file stamped v3, whose slots counted every instruction
+     line: refused, and the open is cold *)
+  let saved = read_all path in
+  let v3 = Bytes.of_string saved in
+  Bytes.set_int32_le v3 8 3l;
+  write_all path (Bytes.to_string v3);
+  Alcotest.(check bool) "a v3 file: refused as Bad_version 3, cold" true
+    (snd (open_ app.G.program)
+     = Store.Warm.Cold (Some (Store.Codec.Bad_version 3)));
+  write_all path saved;
   (match snd (open_ (G.mutate ~build_dex:false ~pct:0.3 app).G.program) with
    | Store.Warm.Patched (_, Some rc) ->
      Alcotest.(check bool) "patched, with results" true
@@ -1032,6 +1071,82 @@ let delta_equiv =
           QCheck.Test.fail_reportf "delta_of_engine: %s"
             (Store.Codec.error_to_string e));
        true)
+
+(* Property: an instruction line no search key or class token reaches has
+   no slot, yet a free-form [Raw] query returns it, located from its
+   class's layout: the same hits (line, owner, statement) from a cold
+   indexed engine, a scan engine, a snapshot-loaded engine and a delta
+   engine, over random seed x plants. *)
+let raw_on_slotless =
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 1 10_000)
+        (list_size (int_bound 3)
+           (let* shape = oneofl Appgen.Shape.all in
+            let* sink =
+              oneofl
+                Framework.Sinks.[ cipher; ssl_factory; https_conn; webview_js ]
+            in
+            let* insecure = bool in
+            return { G.shape; sink; insecure })))
+  in
+  let print (seed, plants) =
+    Printf.sprintf "seed=%d plants=[%s]" seed
+      (String.concat "; "
+         (List.map
+            (fun (p : G.plant_spec) ->
+               Appgen.Shape.to_string p.shape ^ ":" ^ p.sink.Framework.Sinks.name)
+            plants))
+  in
+  QCheck.Test.make ~name:"raw hits on slotless lines == on every engine"
+    ~count:10 (QCheck.make ~print gen)
+    (fun (seed, plants) ->
+       let app =
+         G.generate ~build_dex:false
+           { G.default_config with
+             G.seed; name = Printf.sprintf "com.test.raw%d" seed;
+             filler_classes = 4; plants }
+       in
+       let p = app.G.program in
+       let path = Filename.temp_file "backdroid_raw" ".bdix"
+       and old_path = Filename.temp_file "backdroid_raw_old" ".bdix" in
+       Fun.protect
+         ~finally:(fun () ->
+             List.iter (fun f -> try Sys.remove f with Sys_error _ -> ())
+               [ path; old_path ])
+       @@ fun () ->
+       let cold = E.create (Dex.Dexfile.of_program p) in
+       ignore (Store.Snapshot.save ~path cold);
+       let old = G.mutate ~seed ~build_dex:false ~pct:0.3 app in
+       ignore
+         (Store.Snapshot.save ~path:old_path
+            (E.create (Dex.Dexfile.of_program old.G.program)));
+       let engines =
+         [ ("scan", E.create ~indexed:false (Dex.Dexfile.of_program p));
+           ("loaded", ok_or "load" (Store.Snapshot.load ~path p));
+           ("delta", fst (ok_or "delta" (Store.Snapshot.delta ~path:old_path p)))
+         ]
+       in
+       if E.index_mode (List.assoc "delta" engines) <> "delta" then
+         QCheck.Test.fail_reportf "the old version patched as %s"
+           (E.index_mode (List.assoc "delta" engines));
+       let hits e pat =
+         List.map Test_parallel.hit_fingerprint
+           (E.run_uncached e (Bytesearch.Query.raw pat))
+       in
+       let total = ref 0 in
+       List.iter
+         (fun pat ->
+            let expect = hits cold pat in
+            total := !total + List.length expect;
+            List.iter
+              (fun (what, e) ->
+                 if hits e pat <> expect then
+                   QCheck.Test.fail_reportf "%s: %S hits differ from cold" what
+                     pat)
+              engines)
+         [ "move-result-object"; "goto"; "return-void"; ".param" ];
+       !total > 0)
 
 (* -- Postcodec wire-format properties --------------------------------- *)
 
@@ -1741,6 +1856,7 @@ let cases =
     Alcotest.test_case "save -> load -> save for every kind of engine"
       `Quick test_save_load_save_every_engine;
     QCheck_alcotest.to_alcotest delta_equiv;
+    QCheck_alcotest.to_alcotest raw_on_slotless;
     QCheck_alcotest.to_alcotest codec_roundtrip;
     QCheck_alcotest.to_alcotest writer_matches_layout;
     QCheck_alcotest.to_alcotest owner_check_like_parser ]
