@@ -46,12 +46,12 @@ let jobs_t =
     & opt int (Parallel.Pool.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker-pool width: parallel sink groups within one app (analyze) \
-           or parallel apps across the grid (experiments), counting the \
-           calling domain, which helps.  For the daemon: $(docv) analysis \
-           domains, beside domain 0, which only serves the sockets.  1 = \
-           sequential; results are identical either way.  Defaults to all \
-           cores but one.")
+          "Worker-pool width.  For experiments: $(docv) apps of the grid \
+           analysed at once, counting the calling domain, which helps.  For \
+           the daemon: $(docv) analysis domains, each running one request, \
+           beside domain 0, which only serves the sockets.  1 = sequential; \
+           results are identical either way.  Defaults to all cores but \
+           one.")
 
 let verbose_t =
   Arg.(
@@ -328,7 +328,7 @@ let analyze_cmd =
             "Load the detection-rule set from $(docv) (s-expression rule \
              syntax; see the README) instead of the built-in paper rules.")
   in
-  let run seed size_mb plants insecure dump_ssg subclass_aware jobs verbose
+  let run seed size_mb plants insecure dump_ssg subclass_aware verbose
       trace_file time_limit_ms save_index load_index mutate_pct
       rules_file profile metrics metrics_format flight explain =
     setup_logs verbose;
@@ -397,7 +397,6 @@ let analyze_cmd =
       { Backdroid.Driver.default_config with
         Backdroid.Driver.rules;
         subclass_aware_initial_search = subclass_aware;
-        jobs;
         budget =
           { Backdroid.Context.default_budget with
             Backdroid.Context.time_limit_ms } }
@@ -407,11 +406,7 @@ let analyze_cmd =
       Backdroid.Driver.open_session ~cfg ?engine ?results ~dex
         ~manifest:app.G.manifest ()
     in
-    let r =
-      Fun.protect
-        ~finally:(fun () -> Backdroid.Driver.close_session session)
-        (fun () -> Backdroid.Driver.run_session session)
-    in
+    let r = Backdroid.Driver.run_session session in
     let dt = Unix.gettimeofday () -. t0 in
     (match save_index with
      | None -> ()
@@ -458,7 +453,7 @@ let analyze_cmd =
   Cmd.v (Cmd.info "analyze" ~doc:"Run BackDroid on a generated app")
     Term.(
       const run $ seed_t $ size_t $ shapes_t $ insecure_t $ dump_ssg
-      $ subclass_aware $ jobs_t $ verbose_t $ trace_t
+      $ subclass_aware $ verbose_t $ trace_t
       $ time_limit_t $ save_index_t $ load_index_t $ mutate_pct_t $ rules_t $ profile_t $ metrics_t $ metrics_format_t
       $ flight_t $ explain_t)
 

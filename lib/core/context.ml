@@ -60,22 +60,20 @@ let strategy_index = function
 (* ------------------------------------------------------------------ *)
 
 (** App-wide state shared by every sink slice of one group: the engine and
-    program/manifest spaces, the sink-API-call reachability cache with its
-    counters (Sec. IV-F) and the dead-loop statistics. *)
+    program/manifest spaces, the group's sink-API-call reachability cache
+    (Sec. IV-F) and the dead-loop statistics, which every group of a run
+    records into ([loops], fresh unless given). *)
 type shared = {
   engine : Bytesearch.Engine.t;
   program : Ir.Program.t;
   manifest : Manifest.App_manifest.t;
   loops : Loopdetect.stats;
   reach_cache : (int, bool) Hashtbl.t;  (* keyed by [Sym.id (Jsig.meth_sym m)] *)
-  reach_total : int ref;
-  reach_cached : int ref;
 }
 
 let shared ?(loops = Loopdetect.create ()) ~engine ~manifest () =
   { engine; program = Bytesearch.Engine.program engine; manifest; loops;
-    reach_cache = Hashtbl.create 64; reach_total = ref 0;
-    reach_cached = ref 0 }
+    reach_cache = Hashtbl.create 64 }
 
 (** One sink slice's context: the shared state plus the SSG under
     construction and the budget accounting. *)
@@ -85,8 +83,6 @@ type t = {
   manifest : Manifest.App_manifest.t;
   loops : Loopdetect.stats;
   reach_cache : (int, bool) Hashtbl.t;  (* keyed by [Sym.id (Jsig.meth_sym m)] *)
-  reach_total : int ref;
-  reach_cached : int ref;
   budget : budget;
   ssg : Ssg.t;
   started_at : float;
@@ -102,10 +98,8 @@ type t = {
 
 let create ?(budget = default_budget) (sh : shared) ~ssg =
   { engine = sh.engine; program = sh.program; manifest = sh.manifest;
-    loops = sh.loops; reach_cache = sh.reach_cache;
-    reach_total = sh.reach_total; reach_cached = sh.reach_cached;
-    budget; ssg; started_at = Unix.gettimeofday (); work_count = 0;
-    exhausted = [];
+    loops = sh.loops; reach_cache = sh.reach_cache; budget; ssg;
+    started_at = Unix.gettimeofday (); work_count = 0; exhausted = [];
     prov_resolutions = Array.make (Array.length strategies) 0;
     prov_callers = Array.make (Array.length strategies) 0;
     prov_searches0 = Bytesearch.Cache.local_counts () }

@@ -40,16 +40,15 @@ val strategy_to_string : strategy -> string
 val strategy_index : strategy -> int
 
 (** App-wide state shared by every sink slice of one group: engine,
-    program/manifest spaces, the sink-API-call reachability cache with its
-    counters (Sec. IV-F) and the dead-loop statistics. *)
+    program/manifest spaces, the group's sink-API-call reachability cache
+    (Sec. IV-F) and the dead-loop statistics, which every group of a run
+    records into ([loops], fresh unless given). *)
 type shared = {
   engine : Bytesearch.Engine.t;
   program : Ir.Program.t;
   manifest : Manifest.App_manifest.t;
   loops : Loopdetect.stats;
   reach_cache : (int, bool) Hashtbl.t;  (* keyed by [Sym.id (Jsig.meth_sym m)] *)
-  reach_total : int ref;
-  reach_cached : int ref;
 }
 
 val shared :
@@ -65,8 +64,6 @@ type t = {
   manifest : Manifest.App_manifest.t;
   loops : Loopdetect.stats;
   reach_cache : (int, bool) Hashtbl.t;  (* keyed by [Sym.id (Jsig.meth_sym m)] *)
-  reach_total : int ref;
-  reach_cached : int ref;
   budget : budget;
   ssg : Ssg.t;
   started_at : float;

@@ -33,11 +33,6 @@ type config = {
   resolve_reflection : bool;
       (** de-reflect constant Class.forName/getMethod/invoke triples before
           the analysis (the Sec. VII extension; off by default) *)
-  jobs : int;
-      (** per-sink parallelism: sink call sites are grouped by containing
-          method and the groups analysed on a domain pool of this size
-          (1 = sequential).  Findings and statistics are identical for any
-          [jobs] value *)
   budget : Context.budget;
       (** per-sink slicing budget (work/depth caps + optional wall-clock
           deadline); exhaustion surfaces as a [Partial] outcome in the
@@ -48,7 +43,6 @@ let default_config =
   { rules = Rules.Builtin.primary;
     subclass_aware_initial_search = false;
     resolve_reflection = false;
-    jobs = 1;
     budget = Context.default_budget }
 
 type sink_report = {
@@ -206,13 +200,13 @@ let initial_sink_search ~cfg engine =
   List.map (fun (sg, meth, idx) -> (sg.sg_sink, meth, idx))
     (initial_group_search ~cfg engine)
 
-(* The unit of per-sink parallelism: all sink call sites sharing one
-   containing method.  The sink-API-call cache of Sec. IV-F is keyed by the
-   containing method, so all its lookups for a group stay inside the group —
-   the method-reachability memo, the loop counters and the SSG size counters
-   are likewise group-local, and the merged statistics are identical no
-   matter how the groups are scheduled.  A group bumps one [tally];
-   [run_session] sums them. *)
+(* The unit of analysis: all sink call sites sharing one containing
+   method.  The sink-API-call cache of Sec. IV-F is keyed by the containing
+   method, so all its lookups for a group stay inside the group, and each
+   group slices with its own method-reachability memo.  Every group of a
+   run bumps the run's one [tally] and records into its one loop-statistics
+   record, so a run's statistics do not depend on what other runs of the
+   session do at the same time. *)
 type tally = {
   mutable n_lookups : int;     (* sink-API-call cache lookups *)
   mutable n_hits : int;        (* ... served by the cache *)
@@ -228,22 +222,6 @@ type tally = {
 let tally () =
   { n_lookups = 0; n_hits = 0; n_nodes = 0; n_edges = 0; n_partial = 0;
     n_replayed = 0; n_resolutions = 0; n_callers = 0; n_work = 0 }
-
-let sum_tallies tallies =
-  let s = tally () in
-  Array.iter
-    (fun t ->
-       s.n_lookups <- s.n_lookups + t.n_lookups;
-       s.n_hits <- s.n_hits + t.n_hits;
-       s.n_nodes <- s.n_nodes + t.n_nodes;
-       s.n_edges <- s.n_edges + t.n_edges;
-       s.n_partial <- s.n_partial + t.n_partial;
-       s.n_replayed <- s.n_replayed + t.n_replayed;
-       s.n_resolutions <- s.n_resolutions + t.n_resolutions;
-       s.n_callers <- s.n_callers + t.n_callers;
-       s.n_work <- s.n_work + t.n_work)
-    tallies;
-  s
 
 (* Group occurrences by containing method, preserving first-occurrence order
    across groups and occurrence order within each group. *)
@@ -268,125 +246,119 @@ let m_ssg_edges = Obs.Metrics.counter "driver.ssg_edges"
 let m_sink_cache_lookups = Obs.Metrics.counter "driver.sink_cache.lookups"
 let m_sink_cache_hits = Obs.Metrics.counter "driver.sink_cache.hits"
 
-let analyze_group ~cfg ~engine ~manifest ?replay group =
+let analyze_group ~cfg ~engine ~manifest ~loops ~(n : tally) ?replay group =
   Obs.Span.with_span ~cat:"analyze" ~name:"sink-group"
     ~attrs:[ ("sites", Obs.Span.Int (List.length group)) ]
   @@ fun () ->
-  let shared = Context.shared ~engine ~manifest () in
+  let shared = Context.shared ~loops ~engine ~manifest () in
   let program = shared.Context.program in
   (* the group's slot in the sink-API-call cache (one key per group) *)
   let known_reachable = ref None in
-  let n = tally () in
-  let reports =
-    List.concat_map
-      (fun (i, ((sg : sink_group), meth, site)) ->
-         let sink = sg.sg_sink in
-         (* one verdict per rule sharing this sink spec; every verdict of
-            the fan-out shares the site's one derivation ledger *)
-         let fan_out ~reachable ~fact ~ssg ~outcome ~prov ~replayed =
-           List.mapi
-             (fun j rule ->
-                let verdict =
-                  if reachable then Detectors.classify_rule program rule fact
-                  else Detectors.Unresolved
-                in
-                ( (i, j),
-                  { rule; sink; meth; site; reachable; fact; verdict; ssg;
-                    outcome; prov; replayed } ))
-             sg.sg_rules
+  List.concat_map
+    (fun (i, ((sg : sink_group), meth, site)) ->
+       let sink = sg.sg_sink in
+       (* one verdict per rule sharing this sink spec; every verdict of
+          the fan-out shares the site's one derivation ledger *)
+       let fan_out ~reachable ~fact ~ssg ~outcome ~prov ~replayed =
+         List.mapi
+           (fun j rule ->
+              let verdict =
+                if reachable then Detectors.classify_rule program rule fact
+                else Detectors.Unresolved
+              in
+              ( (i, j),
+                { rule; sink; meth; site; reachable; fact; verdict; ssg;
+                  outcome; prov; replayed } ))
+           sg.sg_rules
+       in
+       (* persisted-result replay: serve the cached fact when the site's
+          whole slice footprint is provably unaffected by the changes
+          since the cache was produced; the verdicts are still computed
+          fresh per rule, so a rule-set change replays correctly *)
+       let replayed_entry =
+         match replay with
+         | None -> None
+         | Some pl ->
+           Resultcache.lookup pl
+             ~sink_msig:(Jsig.meth_to_string sink.Sinks.msig)
+             ~param_index:sink.Sinks.param_index
+             ~meth:(Jsig.meth_to_string meth) ~site
+       in
+       match replayed_entry with
+       | Some e ->
+         n.n_replayed <- n.n_replayed + 1;
+         (* reachability of this containing method is now known, so
+            later sink sites in the group shortcut exactly as they
+            would after a real slice *)
+         known_reachable := Some e.Resultcache.e_reachable;
+         Log.info (fun m ->
+             m "replaying cached result for %s sink at %s:%d"
+               sink.Sinks.name (Jsig.meth_to_string meth) site);
+         fan_out ~reachable:e.Resultcache.e_reachable
+           ~fact:e.Resultcache.e_fact ~ssg:None ~outcome:Context.Complete
+           ~prov:(Provenance.replayed ~budget:cfg.budget)
+           ~replayed:(Some e)
+       | None ->
+       n.n_lookups <- n.n_lookups + 1;
+       match !known_reachable with
+       | Some false ->
+         (* Sec. IV-F: this method is known unreachable; skip re-analysis *)
+         n.n_hits <- n.n_hits + 1;
+         fan_out ~reachable:false ~fact:Facts.Unknown ~ssg:None
+           ~outcome:Context.Complete
+           ~prov:(Provenance.sink_cache_served ~budget:cfg.budget)
+           ~replayed:None
+       | Some true | None ->
+         if !known_reachable <> None then n.n_hits <- n.n_hits + 1;
+         Log.info (fun m ->
+             m "backtracking %s sink at %s:%d" sink.Sinks.name
+               (Jsig.meth_to_string meth) site);
+         let ssg, outcome, prov =
+           Slicer.slice_full ~shared ~budget:cfg.budget ~sink
+             ~sink_meth:meth ~sink_site:site ()
          in
-         (* persisted-result replay: serve the cached fact when the site's
-            whole slice footprint is provably unaffected by the changes
-            since the cache was produced; the verdicts are still computed
-            fresh per rule, so a rule-set change replays correctly *)
-         let replayed_entry =
-           match replay with
-           | None -> None
-           | Some pl ->
-             Resultcache.lookup pl
-               ~sink_msig:(Jsig.meth_to_string sink.Sinks.msig)
-               ~param_index:sink.Sinks.param_index
-               ~meth:(Jsig.meth_to_string meth) ~site
+         List.iter
+           (fun (_, r, c) ->
+              n.n_resolutions <- n.n_resolutions + r;
+              n.n_callers <- n.n_callers + c)
+           prov.Provenance.p_strategies;
+         n.n_work <- n.n_work + prov.Provenance.p_work;
+         (match outcome with
+          | Context.Partial _ ->
+            n.n_partial <- n.n_partial + 1;
+            Log.warn (fun m ->
+                m "sink at %s:%d: budget exhausted (%s)"
+                  (Jsig.meth_to_string meth) site
+                  (Context.outcome_to_string outcome))
+          | Context.Complete -> ());
+         known_reachable := Some ssg.Ssg.reachable;
+         n.n_nodes <- n.n_nodes + Ssg.node_count ssg;
+         n.n_edges <- n.n_edges + Ssg.edge_count ssg;
+         let fact =
+           if ssg.Ssg.reachable then Forward.run program ssg
+           else Facts.Unknown
          in
-         match replayed_entry with
-         | Some e ->
-           n.n_replayed <- n.n_replayed + 1;
-           (* reachability of this containing method is now known, so
-              later sink sites in the group shortcut exactly as they
-              would after a real slice *)
-           known_reachable := Some e.Resultcache.e_reachable;
-           Log.info (fun m ->
-               m "replaying cached result for %s sink at %s:%d"
-                 sink.Sinks.name (Jsig.meth_to_string meth) site);
-           fan_out ~reachable:e.Resultcache.e_reachable
-             ~fact:e.Resultcache.e_fact ~ssg:None ~outcome:Context.Complete
-             ~prov:(Provenance.replayed ~budget:cfg.budget)
-             ~replayed:(Some e)
-         | None ->
-         n.n_lookups <- n.n_lookups + 1;
-         match !known_reachable with
-         | Some false ->
-           (* Sec. IV-F: this method is known unreachable; skip re-analysis *)
-           n.n_hits <- n.n_hits + 1;
-           fan_out ~reachable:false ~fact:Facts.Unknown ~ssg:None
-             ~outcome:Context.Complete
-             ~prov:(Provenance.sink_cache_served ~budget:cfg.budget)
-             ~replayed:None
-         | Some true | None ->
-           if !known_reachable <> None then n.n_hits <- n.n_hits + 1;
-           Log.info (fun m ->
-               m "backtracking %s sink at %s:%d" sink.Sinks.name
-                 (Jsig.meth_to_string meth) site);
-           let ssg, outcome, prov =
-             Slicer.slice_full ~shared ~budget:cfg.budget ~sink
-               ~sink_meth:meth ~sink_site:site ()
-           in
-           List.iter
-             (fun (_, r, c) ->
-                n.n_resolutions <- n.n_resolutions + r;
-                n.n_callers <- n.n_callers + c)
-             prov.Provenance.p_strategies;
-           n.n_work <- n.n_work + prov.Provenance.p_work;
-           (match outcome with
-            | Context.Partial _ ->
-              n.n_partial <- n.n_partial + 1;
-              Log.warn (fun m ->
-                  m "sink at %s:%d: budget exhausted (%s)"
-                    (Jsig.meth_to_string meth) site
-                    (Context.outcome_to_string outcome))
-            | Context.Complete -> ());
-           known_reachable := Some ssg.Ssg.reachable;
-           n.n_nodes <- n.n_nodes + Ssg.node_count ssg;
-           n.n_edges <- n.n_edges + Ssg.edge_count ssg;
-           let fact =
-             if ssg.Ssg.reachable then Forward.run program ssg
-             else Facts.Unknown
-           in
-           Log.info (fun m ->
-               m "sink at %s:%d: reachable=%b fact=%s (%d rule(s))"
-                 (Jsig.meth_to_string meth) site ssg.Ssg.reachable
-                 (Facts.to_string fact) (List.length sg.sg_rules));
-           fan_out ~reachable:ssg.Ssg.reachable ~fact ~ssg:(Some ssg)
-             ~outcome ~prov ~replayed:None)
-      group
-  in
-  (reports, shared.Context.loops, n)
+         Log.info (fun m ->
+             m "sink at %s:%d: reachable=%b fact=%s (%d rule(s))"
+               (Jsig.meth_to_string meth) site ssg.Ssg.reachable
+               (Facts.to_string fact) (List.length sg.sg_rules));
+         fan_out ~reachable:ssg.Ssg.reachable ~fact ~ssg:(Some ssg)
+           ~outcome ~prov ~replayed:None)
+  group
 
 (* ------------------------------------------------------------------ *)
 (* Request-scoped analysis: a [session] captures everything that can be
    resolved once and shared across repeated runs against the same app —
-   the engine (snapshot warm start or cold build), the worker pool, and
-   the persisted-result replay plan (one classmap diff, not one per
-   request).  [run_session] then only pays the per-request work: initial
-   search, per-sink-group fan-out, statistics merge.  A session is safe
-   to run from several threads at once: the engine's caches are
-   thread-safe, the replay plan is read-only, and all other run state is
-   per-call. *)
+   the engine (snapshot warm start or cold build) and the persisted-result
+   replay plan (one classmap diff, not one per request).  [run_session]
+   then only pays the per-request work: initial search and the sink
+   groups, in order, on the calling domain.  A session is safe to run
+   from several domains at once (the daemon's workers do): the engine's
+   caches are thread-safe, the replay plan is read-only, and all other
+   run state is per-call. *)
 
 type session = {
   s_cfg : config;
-  s_pool : Parallel.Pool.t;
-  s_owns_pool : bool;
   s_engine : Bytesearch.Engine.t;
   s_manifest : Manifest.App_manifest.t;
   s_replay : Resultcache.plan option;
@@ -394,70 +366,56 @@ type session = {
       (* of [s_cfg.rules]: a request's budget cannot change the rules *)
 }
 
-let open_session ?(cfg = default_config) ?pool ?engine ?results
+let open_session ?(cfg = default_config) ?engine ?results
     ~(dex : Dex.Dexfile.t) ~(manifest : Manifest.App_manifest.t) () =
-  let pool, owns_pool =
-    match pool with
-    | Some p -> (p, false)
-    | None -> (Parallel.Pool.create ~jobs:cfg.jobs, true)
+  let premade = ref engine in
+  let dex =
+    match engine with
+    | Some e -> Bytesearch.Engine.dexfile e
+    | None -> dex
   in
-  try
-    let premade = ref engine in
-    let dex =
-      match engine with
-      | Some e -> Bytesearch.Engine.dexfile e
-      | None -> dex
-    in
-    let dex =
-      if cfg.resolve_reflection then
-        Obs.Span.with_span ~cat:"app" ~name:"reflection" (fun () ->
-            let program', rewrites =
-              Reflection.transform dex.Dex.Dexfile.program
-            in
-            if rewrites = 0 then dex
-            else begin
-              (match !premade with
-               | Some _ ->
-                 Log.warn (fun m ->
-                     m "reflection rewrote %d sites; discarding preloaded \
-                        index, rebuilding cold" rewrites);
-                 Obs.Flight.anomaly ~kind:"snapshot"
-                   ~name:"reflection-discarded-index"
-                   ~attrs:[ ("rewrites", Obs.Span.Int rewrites) ] ();
-                 premade := None
-               | None -> ());
-              Dex.Dexfile.of_program program'
-            end)
-      else dex
-    in
-    let engine =
-      match !premade with
-      | Some e -> e
-      | None ->
-        Obs.Span.with_span ~cat:"app" ~name:"engine-create" (fun () ->
-            Bytesearch.Engine.create dex)
-    in
-    (* diff the persisted result cache (if any) against this build's
-       classmap once; every run of the session consults the precomputed
-       plan *)
-    let replay =
-      match results with
-      | None -> None
-      | Some rc ->
-        Some (Resultcache.plan rc ~dex:(Bytesearch.Engine.dexfile engine))
-    in
-    { s_cfg = cfg; s_pool = pool; s_owns_pool = owns_pool; s_engine = engine;
-      s_manifest = manifest; s_replay = replay;
-      s_ruleset_hash = Rules.Rule.hash_list cfg.rules }
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    if owns_pool then Parallel.Pool.shutdown pool;
-    Printexc.raise_with_backtrace e bt
-
-let close_session s = if s.s_owns_pool then Parallel.Pool.shutdown s.s_pool
+  let dex =
+    if cfg.resolve_reflection then
+      Obs.Span.with_span ~cat:"app" ~name:"reflection" (fun () ->
+          let program', rewrites =
+            Reflection.transform dex.Dex.Dexfile.program
+          in
+          if rewrites = 0 then dex
+          else begin
+            (match !premade with
+             | Some _ ->
+               Log.warn (fun m ->
+                   m "reflection rewrote %d sites; discarding preloaded \
+                      index, rebuilding cold" rewrites);
+               Obs.Flight.anomaly ~kind:"snapshot"
+                 ~name:"reflection-discarded-index"
+                 ~attrs:[ ("rewrites", Obs.Span.Int rewrites) ] ();
+               premade := None
+             | None -> ());
+            Dex.Dexfile.of_program program'
+          end)
+    else dex
+  in
+  let engine =
+    match !premade with
+    | Some e -> e
+    | None ->
+      Obs.Span.with_span ~cat:"app" ~name:"engine-create" (fun () ->
+          Bytesearch.Engine.create dex)
+  in
+  (* diff the persisted result cache (if any) against this build's
+     classmap once; every run of the session consults the precomputed
+     plan *)
+  let replay =
+    match results with
+    | None -> None
+    | Some rc ->
+      Some (Resultcache.plan rc ~dex:(Bytesearch.Engine.dexfile engine))
+  in
+  { s_cfg = cfg; s_engine = engine; s_manifest = manifest; s_replay = replay;
+    s_ruleset_hash = Rules.Rule.hash_list cfg.rules }
 
 let session_engine s = s.s_engine
-let session_pool s = s.s_pool
 
 let run_session ?budget s =
   Obs.Span.with_span ~cat:"app" ~name:"analyze" @@ fun () ->
@@ -479,18 +437,12 @@ let run_session ?budget s =
     Obs.Span.with_span ~cat:"app" ~name:"initial-search" (fun () ->
         initial_group_search ~cfg engine)
   in
-  let groups = Array.of_list (group_by_method occurrences) in
-  let outs =
-    Parallel.Pool.parallel_map s.s_pool
-      (analyze_group ~cfg ~engine ~manifest ?replay) groups
-  in
-  let loops = Loopdetect.create () in
-  Array.iter (fun (_, l, _) -> Loopdetect.add_into ~dst:loops l) outs;
-  let n = sum_tallies (Array.map (fun (_, _, n) -> n) outs) in
+  let loops = Loopdetect.create () and n = tally () in
   (* reports are keyed (occurrence index, rule index): occurrence-major *)
   let reports =
-    Array.to_list outs
-    |> List.concat_map (fun (reports, _, _) -> reports)
+    group_by_method occurrences
+    |> List.concat_map
+      (analyze_group ~cfg ~engine ~manifest ~loops ~n ?replay)
     |> List.sort (fun (a, _) (b, _) -> compare (a : int * int) b)
     |> List.map snd
   in
@@ -533,21 +485,17 @@ let run_session ?budget s =
     ();
   { reports; stats }
 
-(** Analyze one app: a transient session.  [pool] (otherwise created from
-    [cfg.jobs]) drives the per-sink-group fan-out.  [engine] is a premade
-    engine (a snapshot warm start); its dexfile takes the place of [dex] —
-    unless the reflection transform rewrites call sites, which invalidates
-    any prebuilt index, so the engine is discarded (with a warning) and
-    the rewritten program is indexed cold.  A premade engine last used
-    under a {e different} rule set has its query cache flushed (with a
-    warning) before this run's searches — cached search state never
-    crosses rule sets silently. *)
-let analyze ?cfg ?pool ?engine ?results ~(dex : Dex.Dexfile.t)
+(** Analyze one app: a transient session.  [engine] is a premade engine
+    (a snapshot warm start); its dexfile takes the place of [dex] — unless
+    the reflection transform rewrites call sites, which invalidates any
+    prebuilt index, so the engine is discarded (with a warning) and the
+    rewritten program is indexed cold.  A premade engine last used under a
+    {e different} rule set has its query cache flushed (with a warning)
+    before this run's searches — cached search state never crosses rule
+    sets silently. *)
+let analyze ?cfg ?engine ?results ~(dex : Dex.Dexfile.t)
     ~(manifest : Manifest.App_manifest.t) () =
-  let s = open_session ?cfg ?pool ?engine ?results ~dex ~manifest () in
-  Fun.protect
-    ~finally:(fun () -> close_session s)
-    (fun () -> run_session s)
+  run_session (open_session ?cfg ?engine ?results ~dex ~manifest ())
 
 (* ------------------------------------------------------------------ *)
 

@@ -26,11 +26,6 @@ type config = {
           (the paper's ECB + SSL misuse classes) *)
   subclass_aware_initial_search : bool;
   resolve_reflection : bool;
-  jobs : int;
-      (** per-sink parallelism: sink call sites are grouped by containing
-          method and the groups analysed on a domain pool of this size
-          (1 = sequential, the default).  Findings and statistics are
-          identical for any [jobs] value. *)
   budget : Context.budget;
       (** per-sink slicing budget (work/depth caps + optional wall-clock
           deadline); exhaustion surfaces as a [Partial] outcome *)
@@ -107,23 +102,20 @@ val initial_sink_search :
 (** {2 Request-scoped analysis}
 
     A [session] captures everything resolvable once per app — the search
-    engine (snapshot warm start or cold build), the worker pool, the
-    persisted-result replay plan (one classmap diff) and the rule set's
-    content hash — so a resident
-    server can pay setup once and then serve each request with only the
-    per-request work: initial search, per-sink-group fan-out, statistics
-    merge.  {!analyze} is exactly
-    [open_session] → [run_session] → [close_session]. *)
+    engine (snapshot warm start or cold build), the persisted-result replay
+    plan (one classmap diff) and the rule set's content hash — so a
+    resident server can pay setup once and then serve each request with
+    only the per-request work: the initial search, then the sink call
+    sites grouped by containing method, the groups analysed in order on
+    the calling domain.  {!analyze} is exactly [open_session] then
+    [run_session]. *)
 
 type session
 
-(** Resolve the engine (premade, or built from [dex]), the replay plan
-    for [results], and the pool itself ([pool] is borrowed; otherwise a
-    fresh pool of [cfg.jobs] is created and owned by the session).  See
-    {!analyze} for the argument semantics. *)
+(** Resolve the engine (premade, or built from [dex]) and the replay plan
+    for [results].  See {!analyze} for the argument semantics. *)
 val open_session :
   ?cfg:config ->
-  ?pool:Parallel.Pool.t ->
   ?engine:Bytesearch.Engine.t ->
   ?results:Resultcache.t ->
   dex:Dex.Dexfile.t -> manifest:Manifest.App_manifest.t -> unit -> session
@@ -131,22 +123,17 @@ val open_session :
 (** Run one analysis request against the session.  [budget] overrides the
     session config's slicing budget for this request only (per-request
     deadlines from a server's wire protocol).  Safe to call concurrently
-    from several threads on one session: the engine's caches are
-    thread-safe, the replay plan is read-only, and all other run state is
-    per-call — results are identical to a fresh {!analyze}. *)
+    from several domains on one session, as the daemon's workers do: the
+    engine's caches are thread-safe, the replay plan is read-only, and all
+    other run state (the statistics tally, the loop counters, each sink
+    group's reachability memo) belongs to the call — each run's reports,
+    provenance and per-run statistics equal a run alone.  Only the
+    engine-wide search totals in [stats] count every run of the engine. *)
 val run_session : ?budget:Context.budget -> session -> result
 
-(** Shut down the session's pool if the session created it ({!analyze}'s
-    no-[pool] path); borrowed pools are left running. *)
-val close_session : session -> unit
-
 val session_engine : session -> Bytesearch.Engine.t
-val session_pool : session -> Parallel.Pool.t
 
-(** Analyze one app.  [pool] reuses an existing domain pool for the
-    per-sink-group fan-out; without it a fresh pool of [cfg.jobs] is
-    created for the call (so [cfg.jobs = 1] is exactly the sequential
-    path).  [engine] supplies a premade search engine (a
+(** Analyze one app.  [engine] supplies a premade search engine (a
     snapshot warm start, or a [~indexed:false] scan engine for the grep
     ablation): its dexfile replaces [dex] and no index is built —
     unless [cfg.resolve_reflection] actually rewrites call sites, which
@@ -165,7 +152,6 @@ val session_pool : session -> Parallel.Pool.t
     verdicts are still computed fresh per rule. *)
 val analyze :
   ?cfg:config ->
-  ?pool:Parallel.Pool.t ->
   ?engine:Bytesearch.Engine.t ->
   ?results:Resultcache.t ->
   dex:Dex.Dexfile.t -> manifest:Manifest.App_manifest.t -> unit -> result

@@ -32,13 +32,6 @@ let record t = function
 
 let total t = t.cross_backward + t.inner_backward + t.cross_forward + t.inner_forward
 
-(** Add [src]'s counters into [dst] (merging domain-local statistics). *)
-let add_into ~dst src =
-  dst.cross_backward <- dst.cross_backward + src.cross_backward;
-  dst.inner_backward <- dst.inner_backward + src.inner_backward;
-  dst.cross_forward <- dst.cross_forward + src.cross_forward;
-  dst.inner_forward <- dst.inner_forward + src.inner_forward
-
 let get t = function
   | Cross_backward -> t.cross_backward
   | Inner_backward -> t.inner_backward

@@ -19,9 +19,6 @@ val record : stats -> kind -> unit
 val total : stats -> int
 val get : stats -> kind -> int
 
-(** Add [src]'s counters into [dst] (merging domain-local statistics). *)
-val add_into : dst:stats -> stats -> unit
-
 (** Is [m] already on [path]?  If so the caller should record the loop kind
     and prune. *)
 val on_path : Ir.Jsig.meth list -> Ir.Jsig.meth -> bool

@@ -24,13 +24,11 @@ type advanced_caller = {
       (** the ending invocation, for argument mapping at app-level endings *)
 }
 
-type config = {
-  max_endings : int;
-  max_steps : int;
-  max_return_hops : int;
-}
-
-let default_config = { max_endings = 16; max_steps = 4000; max_return_hops = 2 }
+(* advanced callers kept per callee, statements walked per search, and
+   the bound on ReturnStmt escape propagation *)
+let max_endings = 16
+let max_steps = 4000
+let max_return_hops = 2
 
 let m_steps = Obs.Metrics.counter "taint.steps"
 
@@ -50,7 +48,6 @@ type state = {
   callee_subsig : Sym.t;  (** interned sub-signature of the searched callee *)
   indicators : string list;
   loops : Loopdetect.stats;
-  cfg : config;
   mutable steps : int;
   mutable found : advanced_caller list;
 }
@@ -88,7 +85,7 @@ let record_ending st ~head ~obj_local ~obj_site ~chain ~ending_in ~site iv
         (Jsig.meth_to_string ending_in)
         (List.length chain)
         (if app_level then "app-level" else "framework"));
-  if List.length st.found < st.cfg.max_endings then
+  if List.length st.found < max_endings then
     st.found <-
       { caller = head; obj_local; obj_site; chain = List.rev chain;
         ending = iv.Expr.callee; ending_in; ending_site = site;
@@ -110,7 +107,7 @@ let rec walk st ~head ~obj_local ~obj_site ~chain ~meth ~body ~from_idx tainted 
   let idx = ref from_idx in
   while !idx < n do
     st.steps <- st.steps + 1;
-    if st.steps > st.cfg.max_steps then idx := n
+    if st.steps > max_steps then idx := n
     else begin
       (match body.(!idx) with
        | Stmt.Assign (l, Expr.Imm (Value.Local x)) when is_tainted x.Value.id ->
@@ -213,7 +210,7 @@ and handle_invoke st ~head ~obj_local ~obj_site ~chain ~meth ~site ~is_tainted
     [escapee]'s callers by basic search and continue the forward taint from
     each call site's result local. *)
 let rec follow_return st ~escapee ~hops =
-  if hops >= st.cfg.max_return_hops then ()
+  if hops >= max_return_hops then ()
   else
     (* NOTE: uses program-space call-site recovery; the bytecode search for
        the escapee's own callers happens in the slicer when needed. *)
@@ -246,7 +243,7 @@ let rec follow_return st ~escapee ~hops =
 (** Find advanced callers of [callee] (a method needing the advanced search):
     search each of the callee class's constructors, then run forward object
     taint from every allocation site. *)
-let advanced_callers ?(cfg = default_config) engine loops (callee : Jsig.meth) =
+let advanced_callers engine loops (callee : Jsig.meth) =
   let attrs =
     if Obs.Span.enabled () then
       [ ("callee", Obs.Span.Str (Sym.to_string (Jsig.meth_sym callee))) ]
@@ -258,7 +255,7 @@ let advanced_callers ?(cfg = default_config) engine loops (callee : Jsig.meth) =
   let st =
     { program; callee; callee_subsig = Jsig.subsig_sym callee;
       indicators = indicator_types program callee.cls subsig;
-      loops; cfg; steps = 0; found = [] }
+      loops; steps = 0; found = [] }
   in
   let ctors =
     match Program.find_class program callee.cls with

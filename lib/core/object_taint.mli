@@ -24,14 +24,6 @@ type advanced_caller = {
       (** the ending invocation, for argument mapping at app-level endings *)
 }
 
-type config = {
-  max_endings : int;
-  max_steps : int;
-  max_return_hops : int;  (** bound on ReturnStmt escape propagation *)
-}
-
-val default_config : config
-
 (** Supertypes of [cls] (classes and interfaces, app or system) that declare
     [subsig] — the "interface class type" indicators of Sec. IV-B. *)
 val indicator_types : Ir.Program.t -> string -> string -> string list
@@ -41,7 +33,6 @@ val indicator_types : Ir.Program.t -> string -> string -> string list
     object taint from every allocation site.  Loop statistics accumulate the
     CrossForward / InnerForward detections. *)
 val advanced_callers :
-  ?cfg:config ->
   Bytesearch.Engine.t ->
   Loopdetect.stats ->
   Ir.Jsig.meth ->

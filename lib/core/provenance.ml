@@ -9,7 +9,8 @@
     is always distinguishable from a freshly computed one.
 
     Every field but wall time is scheduling-independent, so a ledger with
-    [p_wall_us] zeroed is equal at any [--jobs].  The ledger carries no
+    [p_wall_us] zeroed is equal whether its run ran alone or beside others
+    on the same session (a daemon's concurrent requests).  It carries no
     search-cache hit/miss split: which slice pays the one miss per distinct
     query depends on scheduling. *)
 

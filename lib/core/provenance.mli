@@ -4,11 +4,12 @@
     wall-clock cost.  Rendered by [analyze --explain].
 
     Every field but [p_wall_us] is a fact about the derivation, so a whole
-    ledger with its wall time zeroed is equal at any [--jobs] for the same
-    app and rules.  It carries
-    no search-cache hit/miss split: which of two racing slices pays the
-    one miss per distinct query is scheduling, so that split is reported
-    engine-wide only (the [stats:] line, [search.cache.{hits,misses}]). *)
+    ledger with its wall time zeroed is equal for the same app and rules,
+    whether its run ran alone or beside others on the same session (a
+    daemon's concurrent requests).  It carries no search-cache hit/miss
+    split: which of two racing slices pays the one miss per distinct query
+    is scheduling, so that split is reported engine-wide only (the
+    [stats:] line, [search.cache.{hits,misses}]). *)
 
 type source =
   | Fresh                 (** computed by a backward slice in this run *)

@@ -195,7 +195,8 @@ let m_callers = Obs.Metrics.counter "resolve.callers"
    the strategy and whose attributes carry the query, hits and searches.
    The search count is a delta of the calling domain's counters, so a
    concurrent slice's searches never leak into another resolution's
-   record, and every field but the latency is equal at any [--jobs]. *)
+   record, and every field but the latency is equal however many runs
+   share the engine at once. *)
 let traced ctx strategy query f =
   let l0 = Bytesearch.Engine.local_counts () in
   let t0 = Obs.Span.now_us () in

@@ -15,7 +15,7 @@
     comes from the calling domain's own counters, so a concurrent slice
     never leaks into it, and a span carries no search-cache hit/miss split
     (which racing slice pays a shared miss is scheduling): every attribute
-    is equal at any [--jobs]. *)
+    is equal however many runs share the engine at once. *)
 
 (** Which Sec. IV mechanism answered the query (re-exported from
     {!Context}).  [Icc] is selected by the residual {!demand}, the others by

@@ -487,10 +487,8 @@ type work = {
     as an int. *)
 let rec method_reachable (ctx : Context.t) ~depth path (m : Jsig.meth) =
   let key = Sym.id (Jsig.meth_sym m) in
-  incr ctx.reach_total;
   match Hashtbl.find_opt ctx.reach_cache key with
   | Some r ->
-    incr ctx.reach_cached;
     if r then note_entry_if_needed ctx m;
     r
   | None ->

@@ -99,7 +99,7 @@ let run_backdroid ?(cfg = Backdroid.Driver.default_config) ?engine
         Backdroid.Loopdetect.get s.Backdroid.Driver.loops
           Backdroid.Loopdetect.Cross_backward;
       partial_sinks = s.Backdroid.Driver.partial_sinks;
-      parallelism = cfg.Backdroid.Driver.jobs;
+      parallelism = 1;
       incremental =
         (match engine with
          | Some e -> Bytesearch.Engine.index_mode e = "delta"

@@ -8,7 +8,8 @@
 
     The merge sums integer counters and integer bucket counts across shards,
     so the merged values are independent of how work was scheduled over
-    domains — the jobs=1 vs jobs=N determinism tests rely on this (float
+    domains — the tests that run one analysis session from several domains
+    at once rely on this (float
     histogram sums are also merged, but addition order follows shard
     registration order and timing-derived samples vary anyway, so only the
     integer parts are deterministic).  Snapshot and reset are meant to run

@@ -33,9 +33,10 @@ let create ?(capacity = 1 lsl 12) () =
   let key =
     (* runs on first use per domain — the only locked step of the hot path,
        paid once per domain.  A domain returns its shard to the free list
-       on exit and the next domain reuses it: short-lived per-call pools
-       (Driver.analyze spawns one per run) would otherwise grow the
-       registry — and the retained-event heap — without bound.  A retired
+       on exit and the next domain reuses it: domains that come and go
+       (a pool per experiment grid, the domains a test spawns) would
+       otherwise grow the registry — and the retained-event heap — without
+       bound.  A retired
        shard keeps its contents, so events of dead domains stay visible to
        {!snapshot} until a successor wraps over them. *)
     Domain.DLS.new_key (fun () ->

@@ -9,9 +9,9 @@
     hot path is one [Domain.DLS] lookup plus an array store: each domain
     owns its shard exclusively, so no mutex and no atomic RMW is ever
     taken while recording.  A domain returns its shard to a free list on
-    exit and the next domain reuses it, so the short-lived per-call pools
-    of [Driver.analyze] cannot grow the shard registry (or the retained
-    heap) without bound. *)
+    exit and the next domain reuses it, so domains that come and go (a
+    pool per experiment grid, the domains a test spawns) cannot grow the
+    shard registry (or the retained heap) without bound. *)
 
 type 'a t
 

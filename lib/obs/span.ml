@@ -42,8 +42,8 @@ let enabled () = Atomic.get sink_slot <> None
 
 (* The logical pid is dynamically scoped per domain: a corpus task wraps one
    whole app analysis in [with_pid], and every span recorded on that domain
-   (or on domains the analysis itself fans out to via its own pool — those
-   inherit pid 0 unless also wrapped) carries it. *)
+   carries it; an analysis runs on its calling domain, and spans of any
+   other domain keep pid 0 unless it is wrapped too. *)
 let pid_key = Domain.DLS.new_key (fun () -> ref 0)
 
 let current_pid () = !(Domain.DLS.get pid_key)

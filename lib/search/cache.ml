@@ -3,8 +3,8 @@
     The results are a keyed {!Parallel.Once} table: a miss computes with no
     lock held, and a domain racing on the same key waits for that compute
     and counts a hit, so each distinct key is one miss and the counters
-    are scheduling-independent, which the jobs=1-vs-jobs=N determinism
-    guarantee relies on.  The counters are atomics. *)
+    are scheduling-independent, which the determinism guarantee for
+    concurrent runs of one session relies on.  The counters are atomics. *)
 
 let m_hits = Obs.Metrics.counter "search.cache.hits"
 let m_misses = Obs.Metrics.counter "search.cache.misses"
@@ -37,8 +37,9 @@ let create () =
 
 (* -- Domain-local issue counters -------------------------------------- *)
 
-(* Provenance needs per-slice query counts that are independent of how the
-   pool scheduled OTHER slices: the shared counters above cannot provide
+(* Provenance needs per-slice query counts that are independent of how
+   OTHER slices on the engine were scheduled (a daemon's concurrent
+   requests): the shared counters above cannot provide
    that (which slice pays the one miss per distinct key is
    scheduling-dependent), but a slice runs entirely on one domain, so
    domain-local counters deltaed around it are.  They count queries

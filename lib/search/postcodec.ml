@@ -28,8 +28,10 @@ let get_varint (b : Bvec.t) pos =
   done;
   (!x, !p)
 
-(* Careful decode for validation: bounds-checked, rejects overlong and
-   overflowing encodings instead of wrapping. *)
+(* Careful decode for validation: bounds-checked, and refuses a value that
+   does not fit a non-negative int: a tenth byte, or a ninth byte that sets
+   bit 62, OCaml's sign bit.  An overlong encoding (a zero high group) is
+   accepted; it decodes to the same value as the short one. *)
 let checked_varint (b : Bvec.t) pos ~limit =
   let rec go x shift p =
     if p >= limit then Error "varint truncated"
@@ -37,7 +39,9 @@ let checked_varint (b : Bvec.t) pos ~limit =
     else
       let byte = Bvec.get_u8 b p in
       let x = x lor ((byte land 0x7f) lsl shift) in
-      if byte < 0x80 then Ok (x, p + 1) else go x (shift + 7) (p + 1)
+      if x < 0 then Error "varint overflow"
+      else if byte < 0x80 then Ok (x, p + 1)
+      else go x (shift + 7) (p + 1)
   in
   go 0 0 pos
 
@@ -144,8 +148,7 @@ let ( let* ) = Result.bind
 
 let validate b ~pos ~limit ~max_slot =
   let* n, p = checked_varint b pos ~limit in
-  if n < 0 then Error "negative count"
-  else if n = 0 then
+  if n = 0 then
     if p = limit then Ok (0, p) else Error "trailing bytes after empty run"
   else if p >= limit then Error "missing tag"
   else
@@ -155,7 +158,8 @@ let validate b ~pos ~limit ~max_slot =
       if tag = tag_bitmap then
         let* first, p = checked_varint b p ~limit in
         let* nwords, p = checked_varint b p ~limit in
-        if nwords <= 0 || nwords > (max_slot / 64) + 1 then
+        if first > max_slot then Error "first slot out of range"
+        else if nwords <= 0 || nwords > (max_slot / 64) + 1 then
           Error "bitmap word count out of range"
         else if p + (8 * nwords) > limit then Error "bitmap truncated"
         else begin
@@ -169,7 +173,7 @@ let validate b ~pos ~limit ~max_slot =
               iter_word
                 (fun s ->
                    incr popcount;
-                   if s < first || s > max_slot then ok := false)
+                   if s > max_slot then ok := false)
                 (first + (64 * w))
                 word
           done;
@@ -183,15 +187,15 @@ let validate b ~pos ~limit ~max_slot =
         end
       else if tag = tag_varint then begin
         let* first, p = checked_varint b p ~limit in
-        if first < 0 || first > max_slot then Error "first slot out of range"
+        if first > max_slot then Error "first slot out of range"
         else
+          (* [d > max_slot - prev - 1] cannot overflow: [prev <= max_slot] *)
           let rec deltas prev p k =
             if k = 0 then Ok p
             else
               let* d, p = checked_varint b p ~limit in
-              let s = prev + d + 1 in
-              if s > max_slot then Error "slot out of range"
-              else deltas s p (k - 1)
+              if d > max_slot - prev - 1 then Error "slot out of range"
+              else deltas (prev + d + 1) p (k - 1)
           in
           deltas first p (n - 1)
       end

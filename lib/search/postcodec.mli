@@ -37,8 +37,9 @@ val count : Bvec.t -> pos:int -> int
 val iter : Bvec.t -> pos:int -> (int -> unit) -> unit
 
 (** Fully check the run occupying exactly [pos .. limit) — bounds, tag,
-    varint well-formedness, slot range ([<= max_slot]), bitmap population —
-    returning its slot count.  Every byte a later {!iter} touches is
-    checked here, so the fast path can read unchecked. *)
+    varints that fit a non-negative int, slot range ([0 .. max_slot]),
+    bitmap population — returning its slot count.  Every byte a later
+    {!iter} touches is checked here, so the fast path can read
+    unchecked. *)
 val validate :
   Bvec.t -> pos:int -> limit:int -> max_slot:int -> (int * int, string) result

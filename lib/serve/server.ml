@@ -148,8 +148,8 @@ let cache_key t ~snapshot spec =
   | None ->
     Printf.sprintf "app:%s|%d" (Appspec.fingerprint spec) t.ruleset_hash
 
-let driver_cfg t = { D.default_config with D.rules = t.cfg.rules;
-                     jobs = t.cfg.jobs; budget = t.cfg.budget }
+let driver_cfg t =
+  { D.default_config with D.rules = t.cfg.rules; budget = t.cfg.budget }
 
 (* A cache miss: open the snapshot when the request names one (only a
    patched one replays its persisted results), build cold otherwise.
@@ -162,7 +162,7 @@ let load_session t ~snapshot spec =
     | Result.Error m -> raise (Reject m)
   in
   let open_with ?engine ?results dex =
-    D.open_session ~cfg:(driver_cfg t) ~pool:t.pool ?engine ?results ~dex
+    D.open_session ~cfg:(driver_cfg t) ?engine ?results ~dex
       ~manifest:app.G.manifest ()
   in
   match snapshot with

@@ -38,9 +38,9 @@ val default_path : dir:string -> app_id:string -> string
     categories (building any not yet built, the classmap included) to
     [path], atomically, in format {!Codec.format_version}.  The symbols
     are the arena's own table, so the bytes do not depend on what else the
-    process interned, before the index pass or after it (as a parallel
-    analysis interns in scheduling order): one app saves the same bytes
-    from a fresh process or a daemon, at any [--jobs].
+    process interned, before the index pass or after it (as a daemon's
+    concurrent requests intern in scheduling order): one app saves the
+    same bytes from a fresh process or a daemon, at any [--jobs].
     Returns the file size in bytes.  Every section streams from where the
     engine holds it — arena columns and postings runs as they are, and the
     owner table's stored entries (a loaded engine's, and those a delta

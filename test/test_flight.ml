@@ -219,19 +219,13 @@ let report_order_key (rep : Driver.sink_report) =
     (Ir.Jsig.meth_to_string rep.meth) rep.site
 
 (* With its wall time zeroed, every report's whole ledger is equal at
-   jobs 1 and 4: no field depends on which domain ran the slice or which
-   slice paid a shared search miss. *)
+   jobs 1 and 4: a run alone and each of four runs of one session from
+   four domains at once, as a daemon's workers run it.  No field depends
+   on which domain ran the slice or which run paid a shared search miss. *)
 let test_provenance_jobs_deterministic () =
   with_clean_obs (fun () ->
       let app = fixture_app () in
-      let ledgers jobs =
-        Obs.Metrics.reset ();
-        Obs.Flight.reset ();
-        let r =
-          Driver.analyze
-            ~cfg:{ Driver.default_config with Driver.jobs }
-            ~dex:app.G.dex ~manifest:app.G.manifest ()
-        in
+      let ledgers (r : Driver.result) =
         List.map
           (fun (rep : Driver.sink_report) ->
              ( report_order_key rep,
@@ -240,16 +234,24 @@ let test_provenance_jobs_deterministic () =
           r.Driver.reports
         |> List.sort compare
       in
-      let l1 = ledgers 1 and l4 = ledgers 4 in
-      Alcotest.(check int) "same report count" (List.length l1)
-        (List.length l4);
-      List.iter2
-        (fun (id1, render1, p1) (id4, render4, p4) ->
-           Alcotest.(check string) "same report set" id1 id4;
-           Alcotest.(check string) ("stable render of " ^ id1) render1
-             render4;
-           Alcotest.(check bool) ("whole ledger of " ^ id1) true (p1 = p4))
-        l1 l4)
+      let l1 =
+        ledgers (Driver.analyze ~dex:app.G.dex ~manifest:app.G.manifest ())
+      in
+      List.iteri
+        (fun i r ->
+           let l4 = ledgers r in
+           Alcotest.(check int)
+             (Printf.sprintf "run %d: same report count" i)
+             (List.length l1) (List.length l4);
+           List.iter2
+             (fun (id1, render1, p1) (id4, render4, p4) ->
+                Alcotest.(check string) "same report set" id1 id4;
+                Alcotest.(check string) ("stable render of " ^ id1) render1
+                  render4;
+                Alcotest.(check bool) ("whole ledger of " ^ id1) true
+                  (p1 = p4))
+             l1 l4)
+        (Sessions.concurrent ~jobs:4 app).Sessions.results)
 
 (* ------------------------------------------------------------------ *)
 (* OpenMetrics: real snapshot passes; the validator rejects malformed   *)

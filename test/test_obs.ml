@@ -269,21 +269,20 @@ let fixture_app ?(seed = 11) () =
       plants }
 
 (* The headline determinism guarantee: the merged integer counters (and
-   histogram totals) of one full analysis are identical at --jobs 1 and
-   --jobs 4.  Timing-derived bucket placement may differ; counts may not. *)
+   histogram totals) of four runs of one session are identical at jobs 1
+   and 4, one after another or from four domains at once, as a daemon's
+   workers run them.  Timing-derived bucket placement may differ; counts
+   may not. *)
 let test_metrics_determinism_across_jobs () =
   with_clean_obs (fun () ->
       let app = fixture_app () in
-      let snapshot_for jobs =
+      let snapshot_after runs =
         Obs.Metrics.reset ();
-        ignore
-          (Backdroid.Driver.analyze
-             ~cfg:{ Backdroid.Driver.default_config with Backdroid.Driver.jobs }
-             ~dex:app.G.dex ~manifest:app.G.manifest ());
+        ignore (runs app : Sessions.runs);
         Obs.Metrics.snapshot ()
       in
-      let s1 = snapshot_for 1 in
-      let s4 = snapshot_for 4 in
+      let s1 = snapshot_after (Sessions.sequential ~runs:4) in
+      let s4 = snapshot_after (Sessions.concurrent ~jobs:4) in
       List.iter2
         (fun (name1, v1) (name4, v4) ->
            Alcotest.(check string) "same counter set" name1 name4;

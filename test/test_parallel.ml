@@ -1,7 +1,8 @@
 (* Tests for the parallel subsystem: the domain pool combinators, and the
-   jobs=1 vs jobs=N determinism guarantee across every layer that fans out —
-   concurrent queries on one engine, the per-sink-group driver, and the
-   per-app experiment grid. *)
+   jobs=1 vs jobs=N determinism guarantee across every layer that runs on
+   several domains: concurrent queries on one engine, concurrent runs of
+   one analysis session (a daemon's workers), and the per-app experiment
+   grid. *)
 
 module Pool = Parallel.Pool
 module G = Appgen.Generator
@@ -77,16 +78,7 @@ let await ?(seconds = 5.0) flag =
   Atomic.get flag
 
 (* [test_jobs] domains released at once, each running [f]. *)
-let race f =
-  let go = Atomic.make false in
-  let domains =
-    List.init test_jobs (fun _ ->
-        Domain.spawn (fun () ->
-            while not (Atomic.get go) do Domain.cpu_relax () done;
-            f ()))
-  in
-  Atomic.set go true;
-  List.map Domain.join domains
+let race f = Sessions.race ~domains:test_jobs f
 
 (* Racing domains share one compute: the slow compute keeps the others
    arriving while it is pending, and they take its value. *)
@@ -186,16 +178,9 @@ let test_async_on_workers () =
   Pool.with_pool ~jobs:1 (fun pool ->
       Alcotest.(check int) "jobs=1: no worker" 0 (Pool.workers pool);
       Alcotest.(check bool) "jobs=1 refuses" true (refused pool));
-  (* a one-shot session's calling domain helps: jobs=4 spawns three *)
-  let app = fixture_app () in
-  let s =
-    Driver.open_session
-      ~cfg:{ Driver.default_config with Driver.jobs = 4 }
-      ~dex:app.G.dex ~manifest:app.G.manifest ()
-  in
-  let pool = Driver.session_pool s in
-  Alcotest.(check int) "one-shot jobs=4: three workers" 3 (Pool.workers pool);
-  Driver.close_session s;
+  let pool = Pool.create ~jobs:test_jobs in
+  Alcotest.(check int) "jobs=4: three workers" 3 (Pool.workers pool);
+  Pool.shutdown pool;
   Alcotest.(check int) "no worker after shutdown" 0 (Pool.workers pool);
   Alcotest.(check bool) "shut-down pool refuses" true (refused pool)
 
@@ -383,7 +368,7 @@ let test_mode_equivalence () =
     (E.cached_searches shared)
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: Driver.analyze                                         *)
+(* Determinism: concurrent runs of one analysis session                *)
 
 let report_fingerprint (r : Driver.sink_report) =
   Printf.sprintf "%s@%s:%d reachable=%b fact=%s verdict=%s ssg=%b"
@@ -394,34 +379,61 @@ let report_fingerprint (r : Driver.sink_report) =
     (Backdroid.Detectors.verdict_to_string r.verdict)
     (Option.is_some r.ssg)
 
+(* Every per-run field: all but the engine-wide search totals and
+   [index_categories_built], which count every run of the engine. *)
 let stats_fingerprint (s : Driver.stats) =
+  let loop k = Backdroid.Loopdetect.get s.loops k in
   Printf.sprintf
-    "sinks=%d searches=%d/%d slookups=%d shits=%d loops=%d/%d/%d/%d \
-     nodes=%d edges=%d"
-    s.sink_calls s.searches_cached s.searches_total s.sink_cache_lookups
-    s.sink_cache_hits
-    (Backdroid.Loopdetect.get s.loops Backdroid.Loopdetect.Cross_backward)
-    (Backdroid.Loopdetect.get s.loops Backdroid.Loopdetect.Inner_backward)
-    (Backdroid.Loopdetect.get s.loops Backdroid.Loopdetect.Cross_forward)
-    (Backdroid.Loopdetect.get s.loops Backdroid.Loopdetect.Inner_forward)
-    s.ssg_nodes s.ssg_edges
+    "sinks=%d slookups=%d shits=%d loops=%d/%d/%d/%d nodes=%d edges=%d \
+     partial=%d replayed=%d resolutions=%d callers=%d work=%d"
+    s.sink_calls s.sink_cache_lookups s.sink_cache_hits
+    (loop Backdroid.Loopdetect.Cross_backward)
+    (loop Backdroid.Loopdetect.Inner_backward)
+    (loop Backdroid.Loopdetect.Cross_forward)
+    (loop Backdroid.Loopdetect.Inner_forward)
+    s.ssg_nodes s.ssg_edges s.partial_sinks s.replayed_sinks s.resolutions
+    s.resolved_callers s.work_spent
 
+(* Four domains run one session at once, as a daemon's workers do: each
+   run's reports and per-run statistics equal a run alone, and the
+   engine's search totals equal four runs one after another (each
+   distinct query is one miss either way). *)
 let test_driver_determinism () =
   let app = fixture_app ~seed:23 () in
-  let analyze jobs =
-    Driver.analyze
-      ~cfg:{ Driver.default_config with Driver.jobs }
-      ~dex:app.G.dex ~manifest:app.G.manifest ()
-  in
-  let seq = analyze 1 and par = analyze test_jobs in
-  Alcotest.(check bool) "found sink calls" true
-    (seq.Driver.stats.Driver.sink_calls > 0);
-  Alcotest.(check (list string)) "identical reports in identical order"
-    (List.map report_fingerprint seq.Driver.reports)
-    (List.map report_fingerprint par.Driver.reports);
-  Alcotest.(check string) "identical statistics"
-    (stats_fingerprint seq.Driver.stats)
-    (stats_fingerprint par.Driver.stats)
+  let seq = Sessions.sequential ~runs:test_jobs app
+  and par = Sessions.concurrent ~jobs:test_jobs app in
+  let first = List.hd seq.Sessions.results in
+  let alone = first.Driver.stats in
+  Alcotest.(check bool) "found sink calls" true (alone.Driver.sink_calls > 0);
+  Alcotest.(check bool) "several sink groups" true
+    (List.length
+       (List.sort_uniq compare
+          (List.map
+             (fun (r : Driver.sink_report) -> Ir.Jsig.meth_to_string r.meth)
+             first.Driver.reports))
+     > 1);
+  List.iteri
+    (fun i (r : Driver.result) ->
+       Alcotest.(check (list string))
+         (Printf.sprintf "run %d: identical reports in identical order" i)
+         (List.map report_fingerprint first.Driver.reports)
+         (List.map report_fingerprint r.Driver.reports);
+       Alcotest.(check string)
+         (Printf.sprintf "run %d: identical per-run statistics" i)
+         (stats_fingerprint alone)
+         (stats_fingerprint r.Driver.stats))
+    (seq.Sessions.results @ par.Sessions.results);
+  let module E = Bytesearch.Engine in
+  List.iter
+    (fun (what, r) ->
+       Alcotest.(check int) (what ^ ": every query counted")
+         (test_jobs * alone.Driver.searches_total)
+         (E.total_searches (Sessions.engine r));
+       Alcotest.(check int) (what ^ ": one miss per distinct query")
+         (alone.Driver.searches_total - alone.Driver.searches_cached)
+         (E.total_searches (Sessions.engine r)
+          - E.cached_searches (Sessions.engine r)))
+    [ ("sequential", seq); ("concurrent", par) ]
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: the per-app experiment fan-out                         *)

@@ -223,10 +223,11 @@ let test_unbudgeted_complete () =
   Alcotest.(check string) "default budget completes the slice" "complete"
     (Context.outcome_to_string outcome)
 
-(* --- resolve spans: exact per resolution at any pool width --- *)
+(* --- resolve spans: exact per resolution, however many domains run --- *)
 
 (* Fifteen shapes, each planted three times on both primary sinks: enough
-   sink groups that jobs 4 slices them concurrently on several domains. *)
+   sink groups that four runs of one session from four domains at once
+   interleave their slices. *)
 let many_plant_app =
   lazy
     (let shapes = List.filteri (fun i _ -> i < 15) Appgen.Shape.all in
@@ -247,12 +248,13 @@ let many_plant_app =
      | Ok app -> app
      | Error e -> Alcotest.fail e)
 
-let resolve_run jobs =
+(* Four runs of one fresh session, as a daemon at jobs 1 or 4 runs them:
+   one after another, or from four domains at once. *)
+let resolve_runs jobs =
   let app = Lazy.force many_plant_app in
   with_recorder (fun () ->
-      Driver.analyze ~cfg:{ Driver.default_config with Driver.jobs }
-        ~dex:app.Appgen.Generator.dex
-        ~manifest:app.Appgen.Generator.manifest ())
+      (if jobs = 1 then Sessions.sequential ~runs:4 app
+       else Sessions.concurrent ~jobs app).Sessions.results)
 
 (* "strategy|query|hits|searches" per resolve span, sorted: each
    resolution's whole record but its latency. *)
@@ -288,32 +290,38 @@ let prov_count (r : Driver.result) name =
          acc strategies)
     0
 
-(* Three jobs-4 runs: each interleaves the domains differently, and any
-   one leaking a search into another resolution's count fails the test. *)
+(* Three jobs-4 sides: each interleaves the domains differently, and any
+   run leaking a search into another resolution's count fails the test. *)
 let test_resolve_spans_jobs () =
-  let r1, spans1 = resolve_run 1 in
+  let rs1, spans1 = resolve_runs 1 in
+  let resolutions rs =
+    List.fold_left
+      (fun acc (r : Driver.result) -> acc + r.Driver.stats.Driver.resolutions)
+      0 rs
+  in
   Alcotest.(check bool) "the app takes many resolutions" true
     (List.length spans1 > 100);
-  Alcotest.(check int) "one span per resolution"
-    r1.Driver.stats.Driver.resolutions (List.length spans1);
   List.iteri
-    (fun i (jobs, (r, spans)) ->
+    (fun i (jobs, (rs, spans)) ->
+       Alcotest.(check int)
+         (Printf.sprintf "one span per resolution (side %d)" i)
+         (resolutions rs) (List.length spans);
        Alcotest.(check (list string))
-         (Printf.sprintf "resolve records equal at jobs 1 and %d (run %d)"
+         (Printf.sprintf "resolve records equal at jobs 1 and %d (side %d)"
             jobs i)
          (records spans1) (records spans);
        Array.iter
          (fun s ->
             let name = Resolver.strategy_to_string s in
             Alcotest.(check int)
-              (Printf.sprintf "%s spans = provenance (run %d)" name i)
-              (prov_count r name)
+              (Printf.sprintf "%s spans = provenance (side %d)" name i)
+              (List.fold_left (fun acc r -> acc + prov_count r name) 0 rs)
               (List.length
                  (List.filter
                     (fun (sp : Obs.Span.span) -> sp.Obs.Span.name = name)
                     spans)))
          Context.strategies)
-    ((1, (r1, spans1)) :: List.init 3 (fun _ -> (4, resolve_run 4)))
+    ((1, (rs1, spans1)) :: List.init 3 (fun _ -> (4, resolve_runs 4)))
 
 let cases =
   [ Alcotest.test_case "clinit reachable via class use" `Quick test_clinit_reachable;

@@ -1,6 +1,7 @@
 (* The declarative rule engine: file-syntax round-trips, typed parse
    diagnostics, per-sink-group backtracking sharing, multi-rule ==
-   N single-rule equivalence (sequential and parallel), the three newer rule
+   N single-rule equivalence (one run alone, and four runs of one session
+   at once, as a daemon at jobs 4 runs them), the three newer rule
    families end to end, and rule-set stamping of engines and snapshots. *)
 
 module G = Appgen.Generator
@@ -15,8 +16,7 @@ module Detectors = Backdroid.Detectors
 let analyze ?(cfg = Driver.default_config) (app : G.app) =
   Driver.analyze ~cfg ~dex:app.dex ~manifest:app.manifest ()
 
-let with_rules ?(jobs = 1) rules =
-  { Driver.default_config with Driver.rules; jobs }
+let with_rules rules = { Driver.default_config with Driver.rules }
 
 let make_app ?(seed = 42) ?(filler = 3) plants =
   G.generate
@@ -38,6 +38,14 @@ let key (rep : Driver.sink_report) =
     Detectors.verdict_to_string rep.verdict )
 
 let keys (r : Driver.result) = List.map key r.reports
+
+(* Keys of [jobs] runs of one session: a run alone at jobs 1, else one run
+   from each of [jobs] domains at once (a daemon's workers). *)
+let keys_at ~jobs rules (app : G.app) =
+  let cfg = with_rules rules in
+  if jobs = 1 then [ keys (analyze ~cfg app) ]
+  else
+    List.map keys (Sessions.concurrent ~cfg ~jobs app).Sessions.results
 
 (* ------------------------------------------------------------------ *)
 (* Syntax round-trip and hashing *)
@@ -205,27 +213,29 @@ let test_multi_equals_singles jobs () =
       secure_when = Rule.Fact_is Rule.Const_str }
   in
   let rules = Builtin.extended @ [ extra ] in
-  let multi = keys (analyze ~cfg:(with_rules ~jobs rules) app) in
   let singles =
-    List.concat_map
-      (fun r -> keys (analyze ~cfg:(with_rules ~jobs [ r ]) app))
-      rules
+    List.concat_map (fun r -> keys (analyze ~cfg:(with_rules [ r ]) app)) rules
   in
   let sort = List.sort compare in
-  Alcotest.(check int)
-    (Printf.sprintf "same report count at --jobs %d" jobs)
-    (List.length singles) (List.length multi);
-  Alcotest.(check bool)
-    (Printf.sprintf "multi-rule == N single-rule runs at --jobs %d" jobs)
-    true
-    (sort multi = sort singles)
+  List.iter
+    (fun multi ->
+       Alcotest.(check int)
+         (Printf.sprintf "same report count at --jobs %d" jobs)
+         (List.length singles) (List.length multi);
+       Alcotest.(check bool)
+         (Printf.sprintf "multi-rule == N single-rule runs at --jobs %d" jobs)
+         true
+         (sort multi = sort singles))
+    (keys_at ~jobs rules app)
 
 let test_jobs_equivalence () =
   let app = property_app () in
-  let r1 = keys (analyze ~cfg:(with_rules ~jobs:1 Builtin.extended) app) in
-  let r4 = keys (analyze ~cfg:(with_rules ~jobs:4 Builtin.extended) app) in
-  Alcotest.(check bool) "identical reports at --jobs 1 and --jobs 4" true
-    (r1 = r4)
+  let alone = keys_at ~jobs:1 Builtin.extended app in
+  List.iter
+    (fun r4 ->
+       Alcotest.(check bool) "identical reports at --jobs 1 and --jobs 4" true
+         (alone = [ r4 ]))
+    (keys_at ~jobs:4 Builtin.extended app)
 
 (* ------------------------------------------------------------------ *)
 (* The three newer families, end to end: fire on the trigger scenario,

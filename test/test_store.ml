@@ -83,6 +83,26 @@ let section_extent b id =
 
 let section_offset b id = fst (section_extent b id)
 
+(* LEB128 of [v] with [extra] more groups of zero bits (overlong) *)
+let overlong_varint v ~extra =
+  let buf = Buffer.create 10 in
+  let rec go v extra =
+    if v >= 0x80 || extra > 0 then begin
+      Buffer.add_char buf (Char.chr (0x80 lor (v land 0x7f)));
+      go (v lsr 7) (if v >= 0x80 then extra else extra - 1)
+    end
+    else Buffer.add_char buf (Char.chr v)
+  in
+  go v extra;
+  Buffer.contents buf
+
+(* nine bytes whose last sets bit 62, OCaml's sign bit; [low] fills the
+   lower groups *)
+let sign_bit_varint low =
+  String.init 9 (fun i ->
+      if i = 8 then Char.chr (0x40 lor ((low lsr 56) land 0x3f))
+      else Char.chr (0x80 lor ((low lsr (7 * i)) land 0x7f)))
+
 let check_load_error ~app ~path name expect =
   match Store.Snapshot.load ~path app.G.program with
   | Ok _ -> Alcotest.failf "%s: load unexpectedly succeeded" name
@@ -250,6 +270,35 @@ let test_rejects_corruption () =
       ignore (reseal b));
   check_load_error ~app ~path "a section length past max_int - offset"
     (Store.Codec.Corrupt "");
+  (* an invocation-postings run replaced by one of the same length whose
+     second slot decodes negative: count 2, the varint tag, first slot 0
+     (overlong, to keep the run's length), then a nine-byte delta that
+     sets the sign bit.  An engine would index its slot column with it. *)
+  mutate (fun b ->
+      let runs = section_offset b 22 and offs, len = section_extent b 21 in
+      let off k = Int64.to_int (Bytes.get_int64_le b (offs + (8 * k))) in
+      let rec pick k =
+        if k >= (len / 8) - 1 then
+          Alcotest.fail "no invocation run of 12 to 20 bytes"
+        else if off (k + 1) - off k >= 12 && off (k + 1) - off k <= 20 then k
+        else pick (k + 1)
+      in
+      let k = pick 0 in
+      let l = off (k + 1) - off k in
+      let run =
+        "\x02\x00" ^ overlong_varint 0 ~extra:(l - 12) ^ sign_bit_varint 0
+      in
+      Bytes.blit_string run 0 b (runs + off k) l;
+      ignore (reseal b));
+  check_load_error ~app ~path "a run with a negative slot"
+    (Store.Codec.Corrupt "");
+  (match
+     Store.Snapshot.delta ~path (G.mutate ~build_dex:false ~pct:0.3 app).G.program
+   with
+   | Ok _ -> Alcotest.fail "delta over a negative slot succeeded"
+   | Error e ->
+     Alcotest.check error_t "delta over a negative slot"
+       (Store.Codec.Corrupt "") e);
   (* restore and prove the fixture itself still loads *)
   write_all path original;
   match Store.Snapshot.load ~path app.G.program with
@@ -428,8 +477,8 @@ let test_snapshot_depends_on_its_app () =
   ignore
     (run_cli
        [ "analyze"; "--seed"; "7"; "--size-mb"; "2"; "--plant";
-         "callback:cipher"; "--plant"; "direct:ssl"; "--insecure"; "--jobs";
-         "1"; "--save-index"; path ]);
+         "callback:cipher"; "--plant"; "direct:ssl"; "--insecure";
+         "--save-index"; path ]);
   List.iter
     (fun seed ->
        ignore (E.export_packed (E.create (fixture_app ~seed ()).G.dex)))
@@ -495,7 +544,7 @@ let test_cli_load_index_checks_the_app () =
   @@ fun () ->
   let analyze seed =
     [ "analyze"; "--seed"; seed; "--size-mb"; "2"; "--plant";
-      "callback:cipher"; "--plant"; "direct:ssl"; "--insecure"; "--jobs"; "1" ]
+      "callback:cipher"; "--plant"; "direct:ssl"; "--insecure" ]
   in
   ignore (run_cli (analyze "7" @ [ "--save-index"; path ]));
   let sink_lines = List.filter (String.starts_with ~prefix:"  [") in
@@ -526,8 +575,7 @@ let test_cli_replayed_results_persist () =
   let analyze extra =
     [ "analyze"; "--seed"; "42"; "--size-mb"; "12"; "--plant";
       "callback:cipher"; "--plant"; "direct:ssl"; "--plant";
-      "async-executor:cipher"; "--plant"; "direct:cipher"; "--insecure";
-      "--jobs"; "1" ]
+      "async-executor:cipher"; "--plant"; "direct:cipher"; "--insecure" ]
     @ extra
   in
   ignore (run_cli (analyze [ "--save-index"; v1 ]));
@@ -572,7 +620,7 @@ let test_cli_snapshot_failures () =
   Sys.remove dir;
   let args =
     [ "analyze"; "--seed"; "7"; "--size-mb"; "2"; "--plant";
-      "callback:cipher"; "--insecure"; "--jobs"; "1" ]
+      "callback:cipher"; "--insecure" ]
   in
   let sink_lines = List.filter (String.starts_with ~prefix:"  [") in
   let cold = sink_lines (run_cli args) in
@@ -1237,6 +1285,129 @@ let codec_roundtrip =
            | Error _ -> ()));
        true)
 
+(* Mutated runs: the bytes a corrupt or hostile file may hold where the
+   encoder wrote a run.  Each one validates as [Error], or as [Ok n] with
+   [iter] yielding exactly n strictly ascending slots in [0, max_slot]:
+   never a slot an engine cannot index. *)
+
+(* (start, length, value) of every varint field of an encoded run: the
+   count, then the first slot and the word count (bitmap) or the deltas *)
+let varint_fields s =
+  let field p =
+    let rec go q v shift =
+      let c = Char.code s.[q] in
+      let v = v lor ((c land 0x7f) lsl shift) in
+      if c < 0x80 then (p, q + 1 - p, v) else go (q + 1) v (shift + 7)
+    in
+    go p 0 0
+  in
+  let ((_, cl, n) as count) = field 0 in
+  if n = 0 then [ count ]
+  else
+    let ((fp, fl, _) as first) = field (cl + 1) in
+    if Char.code s.[cl] = 1 then [ count; first; field (fp + fl) ]
+    else
+      let rec deltas p k acc =
+        if k = 0 then List.rev acc
+        else
+          let ((_, l, _) as d) = field p in
+          deltas (p + l) (k - 1) (d :: acc)
+      in
+      count :: first :: deltas (fp + fl) (n - 1) []
+
+type mutation =
+  | Flip of int * int  (* position (mod the run's length), xor mask *)
+  | Splice of int * [ `Overlong of int | `Sign_bit of int | `Ten_bytes ]
+      (* field (mod the run's field count), replacement varint *)
+
+let mutate_run s = function
+  | Flip (i, mask) ->
+    let b = Bytes.of_string s in
+    let i = i mod Bytes.length b in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
+    Bytes.to_string b
+  | Splice (f, r) ->
+    let fields = varint_fields s in
+    let p, l, v = List.nth fields (f mod List.length fields) in
+    let by =
+      match r with
+      | `Overlong extra -> overlong_varint v ~extra
+      | `Sign_bit low -> sign_bit_varint low
+      | `Ten_bytes -> String.make 9 '\xff' ^ "\x01"
+    in
+    String.sub s 0 p ^ by ^ String.sub s (p + l) (String.length s - p - l)
+
+(* [Error], or [Ok n] with [iter] yielding n strictly ascending slots in
+   [0, max_slot] *)
+let refused_or_in_range ~max_slot s =
+  let b = Bvec.of_string s in
+  match PC.validate b ~pos:0 ~limit:(String.length s) ~max_slot with
+  | Error _ -> true
+  | Ok (n, endp) ->
+    let got = ref [] in
+    PC.iter b ~pos:0 (fun slot -> got := slot :: !got);
+    let got = List.rev !got in
+    let rec ascending = function
+      | a :: (b :: _ as tl) -> a < b && ascending tl
+      | [ _ ] | [] -> true
+    in
+    if endp <> String.length s || List.length got <> n
+       || not (ascending got)
+       || List.exists (fun slot -> slot < 0 || slot > max_slot) got
+    then
+      QCheck.Test.fail_reportf "accepted as %d slot(s), decoded to [%s]" n
+        (print_slots got)
+    else true
+
+let gen_mutation =
+  QCheck.Gen.(
+    oneof
+      [ map2 (fun i m -> Flip (i, m)) nat (int_range 1 255);
+        map2 (fun f r -> Splice (f, r)) nat
+          (oneof
+             [ map (fun e -> `Overlong e) (int_range 1 8);
+               map (fun l -> `Sign_bit l) nat;
+               return `Ten_bytes ]) ])
+
+let print_mutation = function
+  | Flip (i, m) -> Printf.sprintf "flip byte %d by 0x%02x" i m
+  | Splice (f, `Overlong e) -> Printf.sprintf "field %d overlong by %d" f e
+  | Splice (f, `Sign_bit l) -> Printf.sprintf "field %d sign-bit (%d)" f l
+  | Splice (f, `Ten_bytes) -> Printf.sprintf "field %d ten bytes" f
+
+let codec_mutation =
+  QCheck.Test.make ~name:"postcodec mutated runs are refused or in range"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (slots, m) -> print_slots slots ^ " / " ^ print_mutation m)
+       QCheck.Gen.(pair gen_slots gen_mutation))
+    (fun (slots, m) ->
+       let buf = Buffer.create 64 in
+       PC.encode_array buf (Array.of_list slots);
+       let max_slot = List.fold_left max 0 slots in
+       refused_or_in_range ~max_slot (mutate_run (Buffer.contents buf) m))
+
+(* The property, after two fixed runs that decode negative: a varint run
+   whose second slot's delta sets the sign bit, and a bitmap run whose
+   first slot does. *)
+let codec_mutants =
+  let name, speed, property = QCheck_alcotest.to_alcotest codec_mutation in
+  ( name, speed,
+    fun () ->
+      List.iter
+        (fun (what, s) ->
+           match
+             PC.validate (Bvec.of_string s) ~pos:0 ~limit:(String.length s)
+               ~max_slot:100
+           with
+           | Ok _ -> Alcotest.failf "%s: validated" what
+           | Error _ -> ())
+        [ ("a sign-bit delta",
+           "\x02\x00\x00" ^ sign_bit_varint 0);
+          ("a sign-bit bitmap start",
+           "\x01\x01" ^ sign_bit_varint 0 ^ "\x01\x01" ^ String.make 7 '\x00') ];
+      property () )
+
 (* A disassembled dexfile builds its class map on first use: a one-shot
    analysis never pays for it, and the save that first needs it builds it
    exactly once. *)
@@ -1858,6 +2029,7 @@ let cases =
     QCheck_alcotest.to_alcotest delta_equiv;
     QCheck_alcotest.to_alcotest raw_on_slotless;
     QCheck_alcotest.to_alcotest codec_roundtrip;
+    codec_mutants;
     QCheck_alcotest.to_alcotest writer_matches_layout;
     QCheck_alcotest.to_alcotest owner_check_like_parser ]
 
