@@ -67,7 +67,8 @@ let setup_logs verbose =
 let size_t =
   Arg.(
     value & opt float 10.0
-    & info [ "size-mb" ] ~docv:"MB" ~doc:"Approximate app size in MB-equivalents.")
+    & info [ "size-mb" ] ~docv:"MB"
+        ~doc:"Approximate app size in MB-equivalents, in (0, 1024].")
 
 let shapes_t =
   Arg.(
@@ -105,7 +106,8 @@ let make_app ?(build_dex = true) ?mutate_pct ~seed ~size_mb ~plants
   with
   | Ok app -> app
   | Error e ->
-    (* unreachable: the typed flags only produce known names *)
+    (* the typed flags only produce known names, so this is a size or a
+       mutation fraction out of range *)
     Printf.eprintf "error: %s\n" e;
     exit 1
 
@@ -315,8 +317,9 @@ let analyze_cmd =
       value & opt float 0.0
       & info [ "mutate-pct" ] ~docv:"FRACTION"
           ~doc:
-            "Mutate this fraction of the app's filler classes after \
-             generation (deterministic; at least one class when positive) — \
+            "Mutate this fraction, in [0, 1], of the app's filler classes \
+             after generation (deterministic; at least one class when \
+             positive) — \
              simulates analysing version N+1 of the same app, e.g. with \
              $(b,--load-index) of version N's snapshot.")
   in
@@ -696,7 +699,8 @@ let mutate_pct_client_t =
   Arg.(
     value & opt float 0.0
     & info [ "mutate-pct" ] ~docv:"FRACTION"
-        ~doc:"Mutate this fraction of filler classes (version N+1).")
+        ~doc:"Mutate this fraction, in [0, 1], of filler classes \
+              (version N+1).")
 
 let client_fail m =
   Printf.eprintf "error: %s\n" m;

@@ -499,14 +499,17 @@ let analyze ?cfg ?engine ?results ~(dex : Dex.Dexfile.t)
 
 (* ------------------------------------------------------------------ *)
 
-(* The app classes an SSG slice touched: every method the backtracking
-   visited (nodes, edge endpoints, entries, static track) plus the global
-   static-taint fields' classes.  Restricted to classes in the dexfile's
-   classmap — framework classes don't version with the app. *)
+(* The app classes an SSG slice touched, each with its IR hash: every
+   method the backtracking visited (nodes, edge endpoints, entries, static
+   track) plus the global static-taint fields' classes.  Restricted to
+   classes in the dexfile's classmap — framework classes don't version
+   with the app. *)
 let ssg_footprint ~(classmap : Dex.Classmap.t) (ssg : Ssg.t) sink_meth =
   let seen = Hashtbl.create 16 in
   let add cls =
-    if Classmap.find classmap cls <> None then Hashtbl.replace seen cls ()
+    match Classmap.ir_hash_of classmap cls with
+    | Some h -> Hashtbl.replace seen cls h
+    | None -> ()
   in
   let addm (m : Jsig.meth) = add m.Jsig.cls in
   addm sink_meth;
@@ -534,50 +537,41 @@ let ssg_footprint ~(classmap : Dex.Classmap.t) (ssg : Ssg.t) sink_meth =
   List.iter addm ssg.Ssg.static_track;
   List.iter (fun (f : Jsig.field) -> add f.Jsig.fcls)
     ssg.Ssg.global_static_taints;
-  Hashtbl.fold (fun c () acc -> c :: acc) seen [] |> List.sort String.compare
+  Hashtbl.fold (fun c h acc -> (c, h) :: acc) seen []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (** Persistable per-sink results of [result]: one cache entry per distinct
-    sink call site whose slice ran to completion in this run, plus the
-    entry of each replayed site with the footprint it was replayed under
-    (every footprint class is unchanged, so the entry holds for this
-    version too).  Sink-cache-served sites carry neither and are skipped.
-    Keyed for {!Resultcache.lookup} and stamped with [dex]'s class-hash
-    table; an empty classmap yields an empty cache (nothing could ever be
-    validated against it). *)
+    sink call site whose slice ran to completion in this run, its
+    footprint hashed by [dex]'s class map, plus the entry of each replayed
+    site as it was replayed (every footprint class is unchanged, so its
+    hashes are [dex]'s too).  Sink-cache-served sites carry neither and
+    are skipped.  Keyed for {!Resultcache.lookup}. *)
 let export_results ~(dex : Dex.Dexfile.t) result =
   let classmap = Dex.Dexfile.classmap dex in
-  if Classmap.length classmap = 0 then Resultcache.empty
-  else begin
-    let classes =
-      Array.init (Classmap.length classmap) (fun i ->
-          (classmap.Dex.Classmap.names.(i),
-           classmap.Dex.Classmap.ir_hash.(i)))
-    in
-    let seen = Hashtbl.create 16 in
-    let entries =
-      List.filter_map
-        (fun r ->
-           let e_sink_msig = Jsig.meth_to_string r.sink.Sinks.msig in
-           let e_meth = Jsig.meth_to_string r.meth in
-           let key =
-             Printf.sprintf "%s|%d|%s|%d" e_sink_msig
-               r.sink.Sinks.param_index e_meth r.site
-           in
-           if Hashtbl.mem seen key then None
-           else begin
-             Hashtbl.replace seen key ();
-             match (r.replayed, r.ssg, r.outcome) with
-             | Some e, _, _ -> Some e
-             | None, Some ssg, Context.Complete ->
-               Some
-                 { Resultcache.e_sink_msig;
-                   e_param_index = r.sink.Sinks.param_index;
-                   e_meth; e_site = r.site; e_reachable = r.reachable;
-                   e_fact = r.fact;
-                   e_footprint = ssg_footprint ~classmap ssg r.meth }
-             | None, Some _, Context.Partial _ | None, None, _ -> None
-           end)
-        result.reports
-    in
-    Resultcache.build ~classes entries
-  end
+  let seen = Hashtbl.create 16 in
+  let entries =
+    List.filter_map
+      (fun r ->
+         let e_sink_msig = Jsig.meth_to_string r.sink.Sinks.msig in
+         let e_meth = Jsig.meth_to_string r.meth in
+         let key =
+           Printf.sprintf "%s|%d|%s|%d" e_sink_msig r.sink.Sinks.param_index
+             e_meth r.site
+         in
+         if Hashtbl.mem seen key then None
+         else begin
+           Hashtbl.replace seen key ();
+           match (r.replayed, r.ssg, r.outcome) with
+           | Some e, _, _ -> Some e
+           | None, Some ssg, Context.Complete ->
+             Some
+               { Resultcache.e_sink_msig;
+                 e_param_index = r.sink.Sinks.param_index;
+                 e_meth; e_site = r.site; e_reachable = r.reachable;
+                 e_fact = r.fact;
+                 e_footprint = ssg_footprint ~classmap ssg r.meth }
+           | None, Some _, Context.Partial _ | None, None, _ -> None
+         end)
+      result.reports
+  in
+  Resultcache.build entries

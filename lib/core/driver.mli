@@ -157,9 +157,9 @@ val analyze :
   dex:Dex.Dexfile.t -> manifest:Manifest.App_manifest.t -> unit -> result
 
 (** Persistable per-sink results of a run: one {!Resultcache.entry} per
-    distinct completely-sliced sink call site, and each replayed site's
-    entry with the footprint it was replayed under, stamped with [dex]'s
-    class-hash table.  Save alongside the snapshot via
+    distinct completely-sliced sink call site, its footprint hashed by
+    [dex]'s class map, and each replayed site's entry as it was replayed.
+    Save alongside the snapshot of [dex]'s engine via
     {!Store.Snapshot.save}'s [results] argument: a snapshot saved after a
     replaying warm start carries every result the next version can
     replay. *)

@@ -1,26 +1,16 @@
 (** Persisted per-sink analysis results with content-hash invalidation.
 
-    One entry caches the outcome of one sink call site's backtracking +
-    forward propagation: reachability, the propagated sink-argument fact
-    and the slice outcome, keyed by (sink spec, containing method, site)
-    and stamped with the {e footprint} — the set of app classes the SSG
-    slice touched.  Verdicts are {e not} cached: they are a pure function
-    of (rule, fact) via {!Detectors.classify_rule}, so a cached fact
-    replays correctly under a changed rule set.
-
-    The cache also records the app-wide class-hash table (name ->
-    {!Ir.Irhash}) current when it was produced.  Against a new build, an
-    entry is replayable iff
-    - every footprint class still exists with an unchanged IR hash, and
-    - no changed or added class references a footprint class (by callee,
-      field or class-descriptor operand) — a class the slice never visited
-      can only alter the slice by introducing such a reference, since
-      every caller/writer the backward search found was visited and is
-      therefore in the footprint.
-
-    Entries with [Partial] outcomes are never cached: budget exhaustion
-    can be wall-clock dependent, so replaying one could disagree with a
-    cold re-run under a different deadline. *)
+    An entry is one sink call site's reachability and sink-argument fact,
+    keyed by (sink spec, containing method, site) and stamped with its
+    footprint: each app class the SSG slice touched, with its IR hash.
+    Verdicts are recomputed from the fact per rule, so a cached fact
+    replays under a changed rule set.  An entry replays iff each footprint
+    class has its recorded hash in the new build and no slot the build
+    indexed in this process names it: a class the slice never visited can
+    change the slice only by naming a footprint class, since every
+    caller/writer the backward search found was visited.  A delta indexes
+    exactly its changed and added classes.  [Partial] outcomes are never
+    cached: budget exhaustion can be wall-clock dependent. *)
 
 module Classmap = Dex.Classmap
 
@@ -31,20 +21,19 @@ type entry = {
   e_site : int;
   e_reachable : bool;
   e_fact : Facts.t;
-  e_footprint : string list;  (** app classes the SSG slice touched *)
+  e_footprint : (string * int64) list;
+      (** app classes the SSG slice touched, with their IR hashes *)
 }
 
 type t = {
-  classes : (string * int64) array;  (** app class-hash table at save time *)
   entries : entry list;
   by_key : (string, entry) Hashtbl.t;
-  class_hash : (string, int64) Hashtbl.t;
 }
 
 let key ~sink_msig ~param_index ~meth ~site =
   Printf.sprintf "%s\x00%d\x00%s\x00%d" sink_msig param_index meth site
 
-let build ~classes entries =
+let build entries =
   let by_key = Hashtbl.create (max 16 (List.length entries)) in
   List.iter
     (fun e ->
@@ -53,21 +42,22 @@ let build ~classes entries =
             ~meth:e.e_meth ~site:e.e_site)
          e)
     entries;
-  let class_hash = Hashtbl.create (max 16 (Array.length classes)) in
-  Array.iter (fun (n, h) -> Hashtbl.replace class_hash n h) classes;
-  { classes; entries; by_key; class_hash }
+  { entries; by_key }
 
-let empty = build ~classes:[||] []
+let empty = build []
 let entries t = t.entries
 let length t = List.length t.entries
 
 (* -- Wire format ------------------------------------------------------ *)
 
 (* Length-prefixed fields in plain strings: ints as [<decimal>;], strings
-   as [<len>:<bytes>].  Facts encode as a tagged recursive term with
-   deterministic member order, so encode is injective on acyclic facts and
-   a round-trip preserves structural equality (which is all
-   [Detectors.classify_rule] inspects). *)
+   as [<len>;:<bytes>], class hashes as 16 lower-case hex digits.  Facts
+   encode as a tagged recursive term with deterministic member order, so
+   encode is injective on acyclic facts and a round-trip preserves
+   structural equality (which is all [Detectors.classify_rule] inspects).
+   The bytes are untrusted: every length and count is checked against the
+   bytes left before anything is read or allocated for it, and an int
+   that does not fit is refused, so malformed input is a [Decode]. *)
 
 exception Not_cacheable
 exception Decode of string
@@ -83,14 +73,19 @@ let add_str buf s =
 
 type cursor = { s : string; mutable pos : int }
 
+let left cur = String.length cur.s - cur.pos
+
 let take_char cur =
   if cur.pos >= String.length cur.s then raise (Decode "truncated");
   let c = cur.s.[cur.pos] in
   cur.pos <- cur.pos + 1;
   c
 
+(* The digits accumulate negated, so that [min_int] parses and a digit
+   that would pass [min_int] is caught before it wraps. *)
 let take_int cur =
   let start = cur.pos in
+  let overflow () = raise (Decode ("int overflow at " ^ string_of_int start)) in
   let neg = cur.pos < String.length cur.s && cur.s.[cur.pos] = '-' in
   if neg then cur.pos <- cur.pos + 1;
   let v = ref 0 in
@@ -99,24 +94,37 @@ let take_int cur =
   while !continue do
     match take_char cur with
     | '0' .. '9' as c ->
-      v := (!v * 10) + (Char.code c - Char.code '0');
+      let d = Char.code c - Char.code '0' in
+      if !v < (min_int + d) / 10 then overflow ();
+      v := (!v * 10) - d;
       incr digits
     | ';' -> continue := false
     | _ -> raise (Decode ("bad int at " ^ string_of_int start))
   done;
   if !digits = 0 then raise (Decode "empty int");
-  if neg then - !v else !v
+  if neg then !v else if !v = min_int then overflow () else - !v
+
+(* A count of items that take at least one byte each. *)
+let take_count cur =
+  let n = take_int cur in
+  if n < 0 || n > left cur then raise (Decode "bad count");
+  n
 
 let take_str cur =
-  let n = take_int cur in
-  if n < 0 then raise (Decode "negative string length");
-  (match take_char cur with
-   | ':' -> ()
-   | _ -> raise (Decode "missing ':'"));
-  if cur.pos + n > String.length cur.s then raise (Decode "string overrun");
+  let n = take_count cur in
+  if take_char cur <> ':' then raise (Decode "missing ':'");
+  if n > left cur then raise (Decode "string overrun");
   let s = String.sub cur.s cur.pos n in
   cur.pos <- cur.pos + n;
   s
+
+let take_hash cur =
+  if left cur < 16 then raise (Decode "truncated class hash");
+  let hex = String.sub cur.s cur.pos 16 in
+  cur.pos <- cur.pos + 16;
+  match Int64.of_string_opt ("0x" ^ hex) with
+  | Some h -> h
+  | None -> raise (Decode "bad class hash")
 
 let rec encode_fact ~seen buf (f : Facts.t) =
   match f with
@@ -173,7 +181,7 @@ let rec decode_fact cur : Facts.t =
   | 'I' -> Facts.Const_int (take_int cur)
   | 'O' ->
     let cls = take_str cur in
-    let n = take_int cur in
+    let n = take_count cur in
     let members = Hashtbl.create (max 4 n) in
     for _ = 1 to n do
       let k = take_str cur in
@@ -185,7 +193,7 @@ let rec decode_fact cur : Facts.t =
       try Ir.Types.of_string (take_str cur)
       with _ -> raise (Decode "bad array element type")
     in
-    let n = take_int cur in
+    let n = take_count cur in
     let cells = Hashtbl.create (max 4 n) in
     for _ = 1 to n do
       let k = take_int cur in
@@ -237,7 +245,11 @@ let encode_entry e =
     add_int buf (if e.e_reachable then 1 else 0);
     Buffer.add_string buf fact;
     add_int buf (List.length e.e_footprint);
-    List.iter (add_str buf) e.e_footprint;
+    List.iter
+      (fun (cls, h) ->
+         add_str buf cls;
+         Buffer.add_string buf (Printf.sprintf "%016Lx" h))
+      e.e_footprint;
     Some (Buffer.contents buf)
 
 let decode_entry s =
@@ -251,63 +263,30 @@ let decode_entry s =
   let e_site = take_int cur in
   let e_reachable = take_int cur <> 0 in
   let e_fact = decode_fact cur in
-  let n = take_int cur in
-  let footprint = ref [] in
-  for _ = 1 to n do
-    footprint := take_str cur :: !footprint
-  done;
+  let n = take_count cur in
+  let e_footprint =
+    List.init n (fun _ ->
+        let cls = take_str cur in
+        (cls, take_hash cur))
+  in
   if cur.pos <> String.length s then raise (Decode "trailing bytes");
   { e_sink_msig; e_param_index; e_meth; e_site; e_reachable; e_fact;
-    e_footprint = List.rev !footprint }
+    e_footprint }
 
-let encode_header classes =
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf 'H';
-  add_int buf (Array.length classes);
-  Array.iter
-    (fun (n, h) ->
-       add_str buf n;
-       add_str buf (Printf.sprintf "%016Lx" h))
-    classes;
-  Buffer.contents buf
-
-let decode_header s =
-  let cur = { s; pos = 0 } in
-  (match take_char cur with
-   | 'H' -> ()
-   | c -> raise (Decode (Printf.sprintf "bad header tag %C" c)));
-  let n = take_int cur in
-  if n < 0 then raise (Decode "negative class count");
-  Array.init n (fun _ ->
-      let name = take_str cur in
-      let hex = take_str cur in
-      match Int64.of_string_opt ("0x" ^ hex) with
-      | Some h -> (name, h)
-      | None -> raise (Decode "bad class hash"))
-
-let to_strings t =
-  Array.of_list
-    (encode_header t.classes
-     :: List.filter_map encode_entry t.entries)
+let to_strings t = Array.of_list (List.filter_map encode_entry t.entries)
 
 let of_strings a =
-  if Array.length a = 0 then Ok empty
-  else
-    match
-      let classes = decode_header a.(0) in
-      let entries =
-        List.init (Array.length a - 1) (fun i -> decode_entry a.(i + 1))
-      in
-      build ~classes entries
-    with
-    | t -> Ok t
-    | exception Decode m -> Error m
+  match build (List.map decode_entry (Array.to_list a)) with
+  | t -> Ok t
+  | exception Decode m -> Error m
 
 (* -- Replay planning --------------------------------------------------- *)
 
 type plan = {
   p_cache : t;
-  p_valid : (string, bool) Hashtbl.t;  (* footprint class -> replayable *)
+  p_classmap : Classmap.t;
+  p_named : (string, unit) Hashtbl.t;
+      (* operand classes of the slots indexed in this process *)
 }
 
 (* Operand class of an arena slot, by category: callee class of an
@@ -331,43 +310,22 @@ let slot_operand_class (arena : Dex.Arena.t) slot =
     with _ -> None
 
 let plan t ~(dex : Dex.Dexfile.t) =
-  let cm = Dex.Dexfile.classmap dex in
-  let arena = dex.Dex.Dexfile.arena in
-  let p_valid = Hashtbl.create 64 in
-  if Classmap.length cm = 0 || Array.length t.classes = 0 then
-    { p_cache = t; p_valid }
-  else begin
-    (* classes of the new build that changed or were added, and the app
-       classes their operands reference *)
-    let touched = Hashtbl.create 64 in
-    for i = 0 to Classmap.length cm - 1 do
-      let name = cm.Classmap.names.(i) in
-      let changed =
-        match Hashtbl.find_opt t.class_hash name with
-        | Some h -> not (Int64.equal h cm.Classmap.ir_hash.(i))
-        | None -> true
-      in
-      if changed then
-        for slot = cm.Classmap.slot_lo.(i) to cm.Classmap.slot_hi.(i) - 1 do
-          match slot_operand_class arena slot with
-          | Some cls -> Hashtbl.replace touched cls ()
-          | None -> ()
-        done
-    done;
-    (* a footprint class is replay-safe iff it exists unchanged in the new
-       build and no changed/added class references it *)
-    Hashtbl.iter
-      (fun name h ->
-         let ok =
-           (match Classmap.ir_hash_of cm name with
-            | Some h' -> Int64.equal h h'
-            | None -> false)
-           && not (Hashtbl.mem touched name)
-         in
-         Hashtbl.replace p_valid name ok)
-      t.class_hash;
-    { p_cache = t; p_valid }
-  end
+  let named = Hashtbl.create 64 in
+  List.iter
+    (fun (lo, hi) ->
+       for slot = lo to hi - 1 do
+         match slot_operand_class dex.Dex.Dexfile.arena slot with
+         | Some cls -> Hashtbl.replace named cls ()
+         | None -> ()
+       done)
+    dex.Dex.Dexfile.rendered.Dex.Writer.ranges;
+  { p_cache = t; p_classmap = Dex.Dexfile.classmap dex; p_named = named }
+
+let replayable pl (cls, h) =
+  (match Classmap.ir_hash_of pl.p_classmap cls with
+   | Some h' -> Int64.equal h h'
+   | None -> false)
+  && not (Hashtbl.mem pl.p_named cls)
 
 let lookup pl ~sink_msig ~param_index ~meth ~site =
   match
@@ -375,12 +333,6 @@ let lookup pl ~sink_msig ~param_index ~meth ~site =
       (key ~sink_msig ~param_index ~meth ~site)
   with
   | Some e
-    when e.e_footprint <> []
-         && List.for_all
-              (fun c ->
-                 match Hashtbl.find_opt pl.p_valid c with
-                 | Some ok -> ok
-                 | None -> false)
-              e.e_footprint ->
+    when e.e_footprint <> [] && List.for_all (replayable pl) e.e_footprint ->
     Some e
   | Some _ | None -> None

@@ -2,23 +2,24 @@
 
     One {!entry} caches one sink call site's backtracking + forward
     propagation outcome — reachability and the propagated sink-argument
-    {!Facts.t} — stamped with its {e footprint}: the app classes the SSG
-    slice touched.  Verdicts are not cached; they are recomputed per rule
-    from the cached fact ({!Detectors.classify_rule} is pure), so replay
-    is safe across rule-set changes.
+    {!Facts.t} — stamped with its {e footprint}: each app class the SSG
+    slice touched, with its IR hash when the entry was made.  Verdicts are
+    not cached; they are recomputed per rule from the cached fact
+    ({!Detectors.classify_rule} is pure), so replay is safe across
+    rule-set changes.
 
-    The cache records the app-wide class-hash table current when it was
-    produced.  {!plan} diffs it against a new build's
-    {!Dex.Classmap}; {!lookup} then serves an entry only when every
-    footprint class is unchanged {e and} unreferenced by any changed or
-    added class — the condition under which the slice provably reproduces
-    (any caller/writer the backward search would find was visited and is
-    in the footprint).  [Partial]-outcome slices are never cached (budget
-    exhaustion may be wall-clock dependent).
+    {!lookup} serves an entry only when every footprint class is in the
+    new build's {!Dex.Classmap} with its recorded hash {e and} is named by
+    no slot the build indexed in this process ({!plan}) — for a delta, its
+    changed and added classes.  That is the condition under which the
+    slice provably reproduces (any caller/writer the backward search
+    would find was visited and is in the footprint).  [Partial]-outcome
+    slices are never cached (budget exhaustion may be wall-clock
+    dependent).
 
-    Serializes to an opaque [string array], stored in snapshot files via
-    {!Store.Snapshot.save}'s [results] argument (the store does not
-    interpret the strings; this module owns the format). *)
+    Serializes to an opaque [string array], one string per entry, stored
+    in snapshot files via {!Store.Snapshot.save}'s [results] argument (the
+    store does not interpret the strings; this module owns the format). *)
 
 type entry = {
   e_sink_msig : string;   (** [Jsig.meth_to_string] of the sink signature *)
@@ -27,42 +28,48 @@ type entry = {
   e_site : int;
   e_reachable : bool;
   e_fact : Facts.t;
-  e_footprint : string list;  (** app classes the SSG slice touched *)
+  e_footprint : (string * int64) list;
+      (** app classes the SSG slice touched, with their IR hashes
+          ({!Dex.Classmap}'s [ir_hash]) when the entry was made *)
 }
 
 type t
 
 val empty : t
 
-(** [build ~classes entries] — [classes] is the app's (class name, IR hash)
-    table at production time; entries failing the round-trip cacheability
-    check are dropped at serialization time, not here. *)
-val build : classes:(string * int64) array -> entry list -> t
+(** Entries failing the round-trip cacheability check are dropped at
+    serialization time, not here. *)
+val build : entry list -> t
 
 val entries : t -> entry list
 val length : t -> int
 
-(** Serialize; entry 0 is the class-hash header.  Entries whose fact does
-    not round-trip byte-identically (or contains a points-to cycle) are
+(** Serialize, one string per entry.  Entries whose fact does not
+    round-trip byte-identically (or contains a points-to cycle) are
     silently dropped — replay must be a pure function of the persisted
     bytes. *)
 val to_strings : t -> string array
 
 (** Parse; [Error] on any malformed record (callers treat it as an absent
-    cache).  [of_strings [||]] is {!empty}. *)
+    cache), never an exception: a length, a count or an int that does not
+    fit the bytes left or an OCaml [int] is refused before it is used.
+    [of_strings [||]] is {!empty}. *)
 val of_strings : string array -> (t, string) result
 
-(** A replay plan: the cache diffed against one new build. *)
+(** A replay plan: the cache against one new build. *)
 type plan
 
-(** Diff [t]'s class-hash table against [dex]'s classmap and precompute,
-    for every cached footprint class, whether it is replay-safe (unchanged
-    and unreferenced by any changed/added class's operands).  With an
-    empty classmap (no delta provenance) nothing is replayable. *)
+(** Collect the operand classes of the slots [dex] indexed in this
+    process ({!Dex.Dexfile.field-rendered}) and keep [dex]'s class map to
+    check footprint hashes against.  A delta-built dexfile indexed exactly
+    its changed and added classes; a snapshot-loaded one indexed nothing,
+    so only the hashes decide; a cold one indexed every class, so an entry
+    replays only if no slot names a footprint class. *)
 val plan : t -> dex:Dex.Dexfile.t -> plan
 
-(** The cached entry for this sink call site, iff its whole footprint is
-    replay-safe. *)
+(** The cached entry for this sink call site, iff its footprint is
+    non-empty and each footprint class is in the plan's class map with
+    its recorded hash and is named by no indexed slot. *)
 val lookup :
   plan ->
   sink_msig:string ->

@@ -21,7 +21,9 @@ type t = private {
   rendered : Writer.rendered;
       (** the slots rendered in this process, whose class tokens
           {!iter_tokens} knows: every slot of {!of_program}, none of a
-          snapshot load, the re-rendered classes of a delta *)
+          snapshot load, the re-rendered classes of a delta.  The replay
+          plan of persisted results reads the classes their operands
+          name: for a delta, what its changed and added classes name *)
   program : Ir.Program.t;
   cells : cells;
 }

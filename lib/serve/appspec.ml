@@ -57,6 +57,10 @@ let resolve_sink name =
       (Printf.sprintf "unknown sink %S (one of: %s)" name
          (String.concat ", " (List.map fst sink_names)))
 
+(* Ten times the corpora's largest app (104.9 MB): a served spec must not
+   make the daemon generate without bound. *)
+let max_size_mb = 1024.0
+
 let resolve t =
   let rec plants acc = function
     | [] -> Ok (List.rev acc)
@@ -73,6 +77,16 @@ let resolve t =
     if t.plants = [] then [ (Shape.to_string Shape.Direct, "cipher") ]
     else t.plants
   in
+  (* written so that NaN fails each test *)
+  if not (t.size_mb > 0.0 && t.size_mb <= max_size_mb) then
+    Error
+      (Printf.sprintf "size-mb %g is out of range: it must be in (0, %g]"
+         t.size_mb max_size_mb)
+  else if not (t.mutate_pct >= 0.0 && t.mutate_pct <= 1.0) then
+    Error
+      (Printf.sprintf "mutate-pct %g is out of range: it must be in [0, 1]"
+         t.mutate_pct)
+  else
   match plants [] specs with
   | Error e -> Error e
   | Ok plants ->

@@ -29,8 +29,10 @@ val fingerprint : t -> string
 (** Human-readable one-liner for logs. *)
 val to_string : t -> string
 
-(** Resolve names into a generator config ([Error] on unknown shape or
-    sink names). *)
+(** Resolve names into a generator config: [Error] on an unknown shape or
+    sink name, on a [size_mb] outside [(0, 1024]] and on a [mutate_pct]
+    outside [[0, 1]] (NaN and infinities included), so that no spec makes
+    the daemon generate an app without bound. *)
 val resolve : t -> (Appgen.Generator.config, string) result
 
 (** Generate the app (resolving first); applies the mutation pass when

@@ -14,10 +14,11 @@ let error_to_string = function
 
 let magic = "BDIXSNAP"
 
-(* v4: Postcodec-coded postings runs, no line text, and arena slots only
-   for the lines a search can return — the only version written or
-   read. *)
-let format_version = 4
+(* v5: Postcodec-coded postings runs, no line text, arena slots only for
+   the lines a search can return, and persisted results whose entries
+   carry their footprint classes' hashes, with no class-hash header — the
+   only version written or read. *)
+let format_version = 5
 let header_len = 32
 let checksum_offset = 24
 

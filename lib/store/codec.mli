@@ -47,12 +47,14 @@ val magic : string
 (** 8 bytes. *)
 
 val format_version : int
-(** The one version written and read: 4, whose files store
-    {!Bytesearch.Postcodec}-coded postings runs, no line text, and arena
-    slots only for the lines a search can return.  A file declaring any
-    other version — v1, the retired flat-postings layout, v2, which also
-    stored the line texts, or v3, which gave every instruction line a
-    slot — fails with [Bad_version]. *)
+(** The one version written and read: 5, whose files store
+    {!Bytesearch.Postcodec}-coded postings runs, no line text, arena slots
+    only for the lines a search can return, and persisted results of one
+    entry per string, each carrying the IR hashes of its footprint
+    classes.  A file declaring any other version — v1, the retired
+    flat-postings layout, v2, which also stored the line texts, v3, which
+    gave every instruction line a slot, or v4, whose results began with a
+    copy of the whole class-hash table — fails with [Bad_version]. *)
 
 val header_len : int
 (** 32. *)

@@ -5,7 +5,7 @@ type opened =
 
 let persisted_results path =
   match Snapshot.load_results ~path with
-  | Ok [||] | Error _ -> None
+  | Error _ -> None
   | Ok strs ->
     (match Backdroid.Resultcache.of_strings strs with
      | Ok rc -> Some rc
@@ -33,8 +33,9 @@ let save ~path ~ruleset_hash engine result =
   let results =
     Backdroid.Resultcache.to_strings (Backdroid.Driver.export_results ~dex result)
   in
-  (* entry 0 is the class-hash header *)
+  (* the results are exported from the engine saved with them, so their
+     footprint hashes are this file's class map *)
   match Snapshot.save ~ruleset_hash ~results ~path engine with
-  | bytes -> Ok (bytes, max 0 (Array.length results - 1))
+  | bytes -> Ok (bytes, Array.length results)
   | exception Sys_error m -> Error m
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)

@@ -11,8 +11,9 @@
 type opened =
   | Loaded
   | Patched of Snapshot.delta_report * Backdroid.Resultcache.t option
-      (** the diff and the file's persisted results: [None] when it holds
-          none, or, with a warning logged, when they do not parse *)
+      (** the diff and the file's persisted results, empty when it holds
+          none: [None] when its results section is damaged, with a
+          warning logged when the strings do not parse *)
   | Cold of Codec.error option
       (** [None]: no file.  [Some e]: the load refused the file, which is
           recorded as one [snapshot-refused] flight anomaly. *)

@@ -182,7 +182,8 @@ let contains s sub =
 
 (* A snapshot directory whose parent exists is made: the first run saves
    one snapshot per app, after its analysis, and the second loads them
-   and saves nothing. *)
+   and saves nothing.  A third, over the files stamped format v4, refuses
+   each, rebuilds it cold and saves it in the current format. *)
 let test_corpus_makes_snapshot_dir () =
   let parent = Filename.temp_file "backdroid_snapdir" "" in
   Sys.remove parent;
@@ -212,7 +213,25 @@ let test_corpus_makes_snapshot_dir () =
   Alcotest.(check int) "one snapshot per app" 2
     (if Sys.file_exists dir then Array.length (Sys.readdir dir) else 0);
   Alcotest.(check bool) "second run: no save failed" false
-    (contains (run ()) "not saved")
+    (contains (run ()) "not saved");
+  let files = Array.map (Filename.concat dir) (Sys.readdir dir) in
+  let version f =
+    Int32.to_int (String.get_int32_le (Test_store.read_all f) 8)
+  in
+  Array.iter
+    (fun f ->
+       let b = Bytes.of_string (Test_store.read_all f) in
+       Bytes.set_int32_le b 8 4l;
+       Test_store.write_all f (Bytes.to_string b))
+    files;
+  let third = run () in
+  Alcotest.(check bool) "third run: v4 refused and rebuilt cold" true
+    (contains third "unsupported format version 4; rebuilding cold");
+  Array.iter
+    (fun f ->
+       Alcotest.(check int) "saved in the current format"
+         Store.Codec.format_version (version f))
+    files
 
 let cases =
   [ Alcotest.test_case "median" `Quick test_median;

@@ -7,4 +7,5 @@ let () =
      @ Test_robustness.suites @ Test_searches_deep.suites
      @ Test_resolver.suites @ Test_misc.suites @ Test_parallel.suites
      @ Test_obs.suites @ Test_flight.suites @ Test_store.suites
+     @ Test_resultcache.suites
      @ Test_rules.suites @ Test_serve.suites @ Test_golden.suites)

@@ -319,6 +319,40 @@ let test_saved_snapshot_hit () =
     Alcotest.(check (option int)) "one entry resident" (Some 1)
       (Obs.Jsonf.field_int stats "cache_entries")
 
+(* A [--snapshot] file of format v4 is refused: the miss opens cold, as
+   one [snapshot-refused] anomaly, and its analysis writes the file anew
+   in the current format. *)
+let test_v4_snapshot_rebuilt () =
+  let snap = tmp_name ".bdix" in
+  Fun.protect ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ())
+  @@ fun () ->
+  let serve () =
+    with_server @@ fun ~socket _ ->
+    match
+      C.with_conn ~socket (fun conn ->
+          Result.Ok (analyze_text ~snapshot:snap conn spec))
+    with
+    | Result.Error e -> Alcotest.fail e
+    | Result.Ok r -> r
+  in
+  let version () =
+    Int32.to_int (String.get_int32_le (Test_store.read_all snap) 8)
+  in
+  ignore (serve ());
+  (* the version field lies outside the checksummed range *)
+  let b = Bytes.of_string (Test_store.read_all snap) in
+  Bytes.set_int32_le b 8 4l;
+  Test_store.write_all snap (Bytes.to_string b);
+  let anomalies = Obs.Flight.anomalies () in
+  let text, cache = serve () in
+  Alcotest.(check bool) "a miss" true (cache = P.Miss);
+  Alcotest.(check int) "one refused snapshot" (anomalies + 1)
+    (Obs.Flight.anomalies ());
+  Alcotest.check lines_t "served = one-shot" (report_lines (oneshot spec))
+    (report_lines text);
+  Alcotest.(check int) "the file is rewritten in the current format"
+    Store.Codec.format_version (version ())
+
 (* A changed spec behind a known snapshot key is a miss that opens the
    file the first session saved after its analysis: it is patched, served
    [delta], replays that analysis's results and reports what a one-shot
@@ -362,6 +396,65 @@ let test_changed_spec_replays () =
       (Obs.Jsonf.field_int stats "cache_misses");
     Alcotest.(check (option int)) "no hit" (Some 0)
       (Obs.Jsonf.field_int stats "cache_hits")
+
+(* -- spec bounds -------------------------------------------------------- *)
+
+let says_out_of_range m = Test_eval.contains m "out of range"
+
+(* A spec's size and mutation fraction are bounded: [resolve] refuses an
+   app the daemon would generate without end, and any NaN or infinity. *)
+let test_spec_bounds () =
+  let refused what s =
+    match A.resolve s with
+    | Result.Ok _ -> Alcotest.failf "%s resolved" what
+    | Result.Error m ->
+      Alcotest.(check bool) (what ^ ": out of range") true (says_out_of_range m)
+  in
+  List.iter
+    (fun mb ->
+       refused (Printf.sprintf "size-mb %g" mb) { spec with A.size_mb = mb })
+    [ 1e9; 1e6; 1024.5; 0.0; -1.0; Float.nan; Float.infinity;
+      Float.neg_infinity ];
+  List.iter
+    (fun p ->
+       refused (Printf.sprintf "mutate-pct %g" p) { spec with A.mutate_pct = p })
+    [ -0.1; 1.5; Float.nan; Float.infinity ];
+  List.iter
+    (fun s ->
+       match A.resolve s with
+       | Result.Ok _ -> ()
+       | Result.Error m -> Alcotest.failf "%s: %s" (A.to_string s) m)
+    [ { spec with A.size_mb = 1024.0 }; { spec with A.size_mb = 0.01 };
+      { spec with A.mutate_pct = 0.0 }; { spec with A.mutate_pct = 1.0 } ]
+
+(* The daemon answers an out-of-range spec with [Error], counts it, and
+   serves the next request. *)
+let test_out_of_range_spec () =
+  with_server ~jobs:2 @@ fun ~socket _ ->
+  match
+    C.with_conn ~socket (fun conn ->
+        let huge =
+          call_ok conn
+            (P.Analyze
+               { spec = { spec with A.size_mb = 1e9 }; snapshot = None;
+                 time_limit_ms = None })
+        in
+        let text, _ = analyze_text conn spec in
+        match call_ok conn P.Stats with
+        | P.Stats_json j -> Result.Ok (huge, text, j)
+        | _ -> Alcotest.fail "expected Stats_json")
+  with
+  | Result.Error e -> Alcotest.fail e
+  | Result.Ok (huge, text, stats) ->
+    (match huge with
+     | P.Error m ->
+       Alcotest.(check bool) "the reply says out of range" true
+         (says_out_of_range m)
+     | _ -> Alcotest.fail "expected Error");
+    Alcotest.check lines_t "the next request is served"
+      (report_lines (oneshot spec)) (report_lines text);
+    Alcotest.(check (option int)) "one error" (Some 1)
+      (Obs.Jsonf.field_int stats "errors")
 
 let test_shutdown_unlinks_socket () =
   let socket = tmp_name ".sock" in
@@ -414,6 +507,9 @@ let suites =
   [ ( "serve.protocol",
       [ Alcotest.test_case "codec round-trips" `Quick test_codec_roundtrip;
         Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage ] );
+    ( "serve.appspec",
+      [ Alcotest.test_case "sizes and mutation fractions are bounded" `Quick
+          test_spec_bounds ] );
     ( "serve.admission",
       [ Alcotest.test_case "bounds in-flight" `Quick test_admission_bounds;
         Alcotest.test_case "release unblocks waiter" `Quick
@@ -440,6 +536,10 @@ let suites =
           test_saved_snapshot_hit;
         Alcotest.test_case "a changed spec replays the saved results" `Quick
           test_changed_spec_replays;
+        Alcotest.test_case "a v4 snapshot is rebuilt cold" `Quick
+          test_v4_snapshot_rebuilt;
+        Alcotest.test_case "an out-of-range spec is an error" `Quick
+          test_out_of_range_spec;
         Alcotest.test_case "shutdown unlinks the socket" `Quick
           test_shutdown_unlinks_socket;
         Alcotest.test_case "live socket refused" `Quick

@@ -366,10 +366,11 @@ let test_warm_analyze_equals_cold () =
 (* -- Format version, coded postings, prefault, foreign processes ------ *)
 
 (* A v1 file (the retired flat-postings layout), a v2 file (which also
-   stored the line texts) and a v3 file (whose slots counted every
-   instruction line) are refused with a typed error.  The version field,
-   bytes 8-11, lies outside the checksummed range, so patching it alone
-   needs no reseal. *)
+   stored the line texts), a v3 file (whose slots counted every
+   instruction line) and a v4 file (whose results began with a class-hash
+   header) are refused with a typed error.  The version field, bytes 8-11,
+   lies outside the checksummed range, so patching it alone needs no
+   reseal. *)
 let test_v1_refused () =
   with_snapshot @@ fun ~app ~path ->
   let original = read_all path in
@@ -380,7 +381,7 @@ let test_v1_refused () =
        write_all path (Bytes.to_string b);
        check_load_error ~app ~path (Printf.sprintf "v%d file" v)
          (Store.Codec.Bad_version v))
-    [ 1; 2; 3 ]
+    [ 1; 2; 3; 4 ]
 
 (* Garbage inside a coded-postings section must come back as [Corrupt]
    (the per-run validation), never a crash or a wrong engine. *)
@@ -583,15 +584,16 @@ let test_cli_replayed_results_persist () =
     (run_cli
        (analyze
           [ "--mutate-pct"; "0.2"; "--load-index"; v1; "--save-index"; d1 ]));
-  let persisted =
+  let strings, persisted =
     match Store.Snapshot.load_results ~path:d1 with
     | Error e -> Alcotest.fail (Store.Codec.error_to_string e)
     | Ok strs ->
       (match Backdroid.Resultcache.of_strings strs with
-       | Ok rc -> Backdroid.Resultcache.length rc
+       | Ok rc -> (Array.length strs, Backdroid.Resultcache.length rc)
        | Error e -> Alcotest.fail e)
   in
   Alcotest.(check int) "v2's snapshot carries every sink's result" 4 persisted;
+  Alcotest.(check int) "every persisted string is an entry" persisted strings;
   let v3 = analyze [ "--mutate-pct"; "0.35" ] in
   let warm = run_cli (v3 @ [ "--load-index"; d1 ]) in
   let replayed =
@@ -613,7 +615,7 @@ let test_cli_replayed_results_persist () =
     (sink_lines (run_cli v3)) (sink_lines warm)
 
 (* The CLI falls back cold on a missing [--load-index] file or one of
-   format v3, with a warning, and a [--save-index] it cannot write
+   format v4, with a warning, and a [--save-index] it cannot write
    exits 1. *)
 let test_cli_snapshot_failures () =
   let dir = Filename.temp_file "backdroid_cli_nodir" "" in
@@ -633,23 +635,23 @@ let test_cli_snapshot_failures () =
   Alcotest.(check bool) "the cold run reports sinks" true (cold <> []);
   Alcotest.(check (list string)) "per-sink lines == cold" cold
     (sink_lines out);
-  let v3 = Filename.temp_file "backdroid_cli_v3" ".bdix" in
-  Fun.protect ~finally:(fun () -> try Sys.remove v3 with Sys_error _ -> ())
+  let v4 = Filename.temp_file "backdroid_cli_v4" ".bdix" in
+  Fun.protect ~finally:(fun () -> try Sys.remove v4 with Sys_error _ -> ())
     (fun () ->
-       ignore (run_cli (args @ [ "--save-index"; v3 ]));
-       let b = Bytes.of_string (read_all v3) in
-       Bytes.set_int32_le b 8 3l;
-       write_all v3 (Bytes.to_string b);
-       let code, out, err = run_cli_status (args @ [ "--load-index"; v3 ]) in
-       Alcotest.(check int) "a v3 file: exit 0" 0 code;
-       Alcotest.(check bool) "it warns of version 3" true
+       ignore (run_cli (args @ [ "--save-index"; v4 ]));
+       let b = Bytes.of_string (read_all v4) in
+       Bytes.set_int32_le b 8 4l;
+       write_all v4 (Bytes.to_string b);
+       let code, out, err = run_cli_status (args @ [ "--load-index"; v4 ]) in
+       Alcotest.(check int) "a v4 file: exit 0" 0 code;
+       Alcotest.(check bool) "it warns of version 4" true
          (List.exists
             (fun l ->
                String.starts_with ~prefix:"warning: cannot load index" l
                && String.ends_with
-                    ~suffix:": unsupported format version 3; analysing cold" l)
+                    ~suffix:": unsupported format version 4; analysing cold" l)
             err);
-       Alcotest.(check (list string)) "v3: per-sink lines == cold" cold
+       Alcotest.(check (list string)) "v4: per-sink lines == cold" cold
          (sink_lines out));
   let code, _, err =
     run_cli_status (args @ [ "--save-index"; Filename.concat dir "a.bdix" ])
@@ -703,9 +705,9 @@ let test_daemon_file_equals_cli () =
     (Sys.file_exists served && read_all served = read_all saved)
 
 (* The one snapshot policy: no file and a refused file (a damaged one, or
-   one of format v3) open cold, the damaged one as one flight anomaly; an
+   one of format v4) open cold, the damaged one as one flight anomaly; an
    unchanged program's file is loaded; another version's is patched and
-   hands over the results its save carried. *)
+   hands over the results its save carried, none as an empty cache. *)
 let test_warm_policy () =
   let app = fixture_app ~build_dex:false () in
   let path = Filename.temp_file "backdroid_warm" ".bdix" in
@@ -723,21 +725,29 @@ let test_warm_policy () =
    | Error m -> Alcotest.fail m);
   Alcotest.(check bool) "unchanged: loaded" true
     (snd (open_ app.G.program) = Store.Warm.Loaded);
-  (* the same file stamped v3, whose slots counted every instruction
-     line: refused, and the open is cold *)
+  (* the same file stamped v4, whose results began with a class-hash
+     header: refused, and the open is cold *)
   let saved = read_all path in
-  let v3 = Bytes.of_string saved in
-  Bytes.set_int32_le v3 8 3l;
-  write_all path (Bytes.to_string v3);
-  Alcotest.(check bool) "a v3 file: refused as Bad_version 3, cold" true
+  let v4 = Bytes.of_string saved in
+  Bytes.set_int32_le v4 8 4l;
+  write_all path (Bytes.to_string v4);
+  Alcotest.(check bool) "a v4 file: refused as Bad_version 4, cold" true
     (snd (open_ app.G.program)
-     = Store.Warm.Cold (Some (Store.Codec.Bad_version 3)));
+     = Store.Warm.Cold (Some (Store.Codec.Bad_version 4)));
   write_all path saved;
   (match snd (open_ (G.mutate ~build_dex:false ~pct:0.3 app).G.program) with
    | Store.Warm.Patched (_, Some rc) ->
      Alcotest.(check bool) "patched, with results" true
        (Backdroid.Resultcache.length rc > 0)
    | _ -> Alcotest.fail "another version: expected a patched open");
+  (* a file saved with no result hands over an empty cache, so the CLI
+     still prints its [delta: 0 persisted sink result(s)] line *)
+  ignore (Store.Snapshot.save ~path engine : int);
+  (match snd (open_ (G.mutate ~build_dex:false ~pct:0.3 app).G.program) with
+   | Store.Warm.Patched (_, Some rc) ->
+     Alcotest.(check int) "patched, with no result" 0
+       (Backdroid.Resultcache.length rc)
+   | _ -> Alcotest.fail "no results: expected a patched open with a cache");
   Out_channel.with_open_bin path (fun oc -> output_string oc "not a snapshot");
   let anomalies = Obs.Flight.anomalies () in
   (match open_ app.G.program with
