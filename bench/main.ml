@@ -206,6 +206,7 @@ let run_trace_profile ~app =
       ~cfg:Backdroid.Driver.default_config engine
   in
   let recorder = Obs.Span.install_recorder () in
+  let l0 = Bytesearch.Engine.local_counts () in
   Fun.protect ~finally:(fun () -> Obs.Span.set_sink None) (fun () ->
       List.iter
         (fun (sink, meth, site) ->
@@ -213,8 +214,11 @@ let run_trace_profile ~app =
              (Backdroid.Slicer.slice ~shared ~sink ~sink_meth:meth
                 ~sink_site:site ()))
         occurrences);
+  let l1 = Bytesearch.Engine.local_counts () in
   let spans =
-    Backdroid.Resolver.resolve_spans (Obs.Ring.snapshot recorder)
+    List.filter
+      (fun (s : Obs.Span.span) -> s.Obs.Span.cat = "resolve")
+      (Obs.Ring.snapshot recorder)
   in
   let sum name attr =
     List.fold_left
@@ -239,17 +243,20 @@ let run_trace_profile ~app =
        (fun (a : Obs.Summary.row) b ->
           String.compare a.Obs.Summary.r_name b.Obs.Summary.r_name)
        (Obs.Summary.compute spans));
-  print_endline "  -- search-command cache, per category --";
-  let timings = Bytesearch.Engine.category_timings engine in
+  Printf.printf "  -- search-command cache, per category (%d of %d cached) --\n"
+    (l1.Bytesearch.Cache.lc_cached - l0.Bytesearch.Cache.lc_cached)
+    (l1.Bytesearch.Cache.lc_total - l0.Bytesearch.Cache.lc_total);
   List.iter
-    (fun (cat, total, cached) ->
-       let us =
-         Option.value ~default:0.0 (List.assoc_opt cat timings)
+    (fun (cat, us) ->
+       let i = Bytesearch.Query.category_index cat in
+       let total =
+         l1.Bytesearch.Cache.lc_by_cat.(i) - l0.Bytesearch.Cache.lc_by_cat.(i)
        in
-       Printf.printf "  %-10s %6d searches %6d cached %11.1fus compute\n"
-         (Bytesearch.Query.category_to_string cat)
-         total cached us)
-    (List.sort compare (Bytesearch.Engine.category_stats engine))
+       if total > 0 then
+         Printf.printf "  %-10s %6d searches %11.1fus compute\n"
+           (Bytesearch.Query.category_to_string cat)
+           total us)
+    (Bytesearch.Engine.category_timings engine)
 
 (* ------------------------------------------------------------------ *)
 (* search-core: GC-aware comparison of the engine modes (grep-style scan,

@@ -172,9 +172,10 @@ let flight_t =
     value & opt (some string) None
     & info [ "flight" ] ~docv:"FILE"
         ~doc:
-          "Dump the always-on flight recorder (the last few thousand \
-           span/metric/trace events, per-domain ring buffers) as \
-           structured JSON to $(docv) after the run.  Without this flag \
+          "Dump the always-on flight recorder (each domain's newest 512 \
+           events) to $(docv) after the run, as a Chrome trace-event JSON \
+           object with the anomaly counts and a metrics snapshot (open in \
+           chrome://tracing or Perfetto).  Without this flag \
            the recorder still runs, and anomalies — partial slices, \
            deadline hits, snapshot warnings, crashes — auto-dump it to \
            $(b,backdroid.flight.json); anomaly-free runs write nothing.")
@@ -188,40 +189,29 @@ let explain_t =
            resolver strategies taken with caller counts, searches issued \
            per category, budget spent vs cap, SSG size and wall time.")
 
-(* Install the span recorder when [--profile] or [--trace] asks for one;
-   metrics record by default (they are integer bumps on per-domain
-   shards). *)
-let setup_obs ~profile ~trace =
-  match profile, trace with
-  | None, None -> None
-  | _ -> Some (Obs.Span.install_recorder ())
+(* Install the span recorder when [--profile] asks for one; metrics
+   record by default (they are integer bumps on per-domain shards). *)
+let setup_obs ~profile =
+  Option.map (fun _ -> Obs.Span.install_recorder ()) profile
 
-(* The driver's end-of-run counters live in the flight ring; surface them
-   on the profile timeline as Chrome 'C' events. *)
+(* The driver's end-of-run counters live in the flight ring, as one
+   "counters" event with every driver.* series as an integer attribute;
+   surface them on the profile timeline as Chrome 'C' events. *)
 let flight_counters () =
   List.concat_map
-    (fun (e : Obs.Flight.event) ->
-       match e.ev_kind with
-       | "counters" ->
-         (* batched per-run stats (Driver emits one event with every
-            driver.* series as an integer attribute) *)
+    (fun (e : Obs.Span.span) ->
+       if e.cat <> "counters" then []
+       else
          List.filter_map
            (fun (name, v) ->
               match v with
               | Obs.Span.Int n ->
                 Some
-                  { Obs.Chrome.c_ts_us = e.ev_ts_us; c_pid = e.ev_pid;
+                  { Obs.Chrome.c_ts_us = e.t0_us; c_pid = e.pid;
                     c_name = name; c_value = float_of_int n }
               | _ -> None)
-           e.ev_attrs
-       | _ -> [])
+           e.attrs)
     (Obs.Flight.events ())
-
-(* The recorder keeps each domain's newest spans; the older ones are
-   counted across every span category, resolve spans included. *)
-let overwritten_note rec_ =
-  let d = Obs.Ring.overwritten rec_ in
-  if d > 0 then Printf.sprintf " (%d overwritten)" d else ""
 
 let finish_obs ~profile ~metrics ~metrics_format ~app_name recorder =
   (match profile, recorder with
@@ -232,8 +222,11 @@ let finish_obs ~profile ~metrics ~metrics_format ~app_name recorder =
        Obs.Chrome.write ~pid_names:[ (0, app_name) ]
          ~counters:(flight_counters ()) path spans
      in
+     (* the recorder keeps each domain's newest spans *)
+     let d = Obs.Ring.overwritten rec_ in
      Printf.printf "profile: %d spans (%d events) -> %s%s\n"
-       (List.length spans) n path (overwritten_note rec_);
+       (List.length spans) n path
+       (if d > 0 then Printf.sprintf " (%d overwritten)" d else "");
      print_string (Obs.Summary.render (Obs.Summary.compute spans))
    | _ -> ());
   match metrics with
@@ -257,16 +250,6 @@ let finish_obs ~profile ~metrics ~metrics_format ~app_name recorder =
 let analyze_cmd =
   let dump_ssg =
     Arg.(value & flag & info [ "dump-ssg" ] ~doc:"Print each sink's SSG.")
-  in
-  let trace_t =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Record the caller resolutions (one $(b,resolve) span each: \
-             strategy, query, hits, searches, latency) and dump them as \
-             JSON to $(docv), in completion order.  Uses the same span \
-             recorder as $(b,--profile).")
   in
   let time_limit_t =
     Arg.(
@@ -332,7 +315,7 @@ let analyze_cmd =
              syntax; see the README) instead of the built-in paper rules.")
   in
   let run seed size_mb plants insecure dump_ssg subclass_aware verbose
-      trace_file time_limit_ms save_index load_index mutate_pct
+      time_limit_ms save_index load_index mutate_pct
       rules_file profile metrics metrics_format flight explain =
     setup_logs verbose;
     (* flight recorder: always recording; anomalies (and crashes, via the
@@ -353,7 +336,7 @@ let analyze_cmd =
            Printf.eprintf "error: %s\n" (Rules.Parse.error_to_string e);
            exit 1)
     in
-    let recorder = setup_obs ~profile ~trace:trace_file in
+    let recorder = setup_obs ~profile in
     let app =
       make_app ~build_dex:false ~mutate_pct ~seed ~size_mb ~plants ~insecure ()
     in
@@ -438,14 +421,6 @@ let analyze_cmd =
            | None -> ())
       r.Backdroid.Driver.reports;
     print_endline (Serve.Render.stats_line r);
-    (match trace_file, recorder with
-     | Some path, Some rec_ ->
-       let spans = Obs.Ring.snapshot rec_ in
-       Obs.Io.write_string path (Backdroid.Resolver.trace_json spans);
-       Printf.printf "trace: %d resolutions recorded -> %s%s\n"
-         (List.length (Backdroid.Resolver.resolve_spans spans))
-         path (overwritten_note rec_)
-     | _ -> ());
     (match flight with
      | None -> ()
      | Some path ->
@@ -456,7 +431,7 @@ let analyze_cmd =
   Cmd.v (Cmd.info "analyze" ~doc:"Run BackDroid on a generated app")
     Term.(
       const run $ seed_t $ size_t $ shapes_t $ insecure_t $ dump_ssg
-      $ subclass_aware $ verbose_t $ trace_t
+      $ subclass_aware $ verbose_t
       $ time_limit_t $ save_index_t $ load_index_t $ mutate_pct_t $ rules_t $ profile_t $ metrics_t $ metrics_format_t
       $ flight_t $ explain_t)
 

@@ -96,6 +96,7 @@ type stats = {
 type result = {
   reports : sink_report list;
   stats : stats;
+  manifest : Manifest.App_manifest.t;
 }
 
 (** A detected issue: an insecure, entry-reachable sink call. *)
@@ -410,7 +411,8 @@ let open_session ?(cfg = default_config) ?engine ?results
     match results with
     | None -> None
     | Some rc ->
-      Some (Resultcache.plan rc ~dex:(Bytesearch.Engine.dexfile engine))
+      Some
+        (Resultcache.plan rc ~dex:(Bytesearch.Engine.dexfile engine) ~manifest)
   in
   { s_cfg = cfg; s_engine = engine; s_manifest = manifest; s_replay = replay;
     s_ruleset_hash = Rules.Rule.hash_list cfg.rules }
@@ -426,6 +428,8 @@ let run_session ?budget s =
   in
   let engine = s.s_engine and manifest = s.s_manifest in
   let replay = s.s_replay in
+  (* the run's own searches: it issues them all on this domain *)
+  let l0 = Bytesearch.Engine.local_counts () in
   (match Bytesearch.Engine.note_ruleset engine s.s_ruleset_hash with
    | `Changed ->
      Log.warn (fun m ->
@@ -446,11 +450,19 @@ let run_session ?budget s =
     |> List.sort (fun (a, _) (b, _) -> compare (a : int * int) b)
     |> List.map snd
   in
+  let l1 = Bytesearch.Engine.local_counts () in
+  let searches_total =
+    l1.Bytesearch.Cache.lc_total - l0.Bytesearch.Cache.lc_total
+  and searches_cached =
+    l1.Bytesearch.Cache.lc_cached - l0.Bytesearch.Cache.lc_cached
+  in
   let stats =
     { sink_calls = List.length occurrences;
-      searches_total = Bytesearch.Engine.total_searches engine;
-      searches_cached = Bytesearch.Engine.cached_searches engine;
-      search_cache_rate = Bytesearch.Engine.cache_rate engine;
+      searches_total;
+      searches_cached;
+      search_cache_rate =
+        (if searches_total = 0 then 0.0
+         else float_of_int searches_cached /. float_of_int searches_total);
       sink_cache_lookups = n.n_lookups;
       sink_cache_hits = n.n_hits;
       loops;
@@ -483,7 +495,7 @@ let run_session ?budget s =
              ("driver.resolutions", Obs.Span.Int stats.resolutions);
              ("driver.work_spent", Obs.Span.Int stats.work_spent) ]
     ();
-  { reports; stats }
+  { reports; stats; manifest }
 
 (** Analyze one app: a transient session.  [engine] is a premade engine
     (a snapshot warm start); its dexfile takes the place of [dex] — unless
@@ -499,15 +511,15 @@ let analyze ?cfg ?engine ?results ~(dex : Dex.Dexfile.t)
 
 (* ------------------------------------------------------------------ *)
 
-(* The app classes an SSG slice touched, each with its IR hash: every
-   method the backtracking visited (nodes, edge endpoints, entries, static
-   track) plus the global static-taint fields' classes.  Restricted to
-   classes in the dexfile's classmap — framework classes don't version
-   with the app. *)
-let ssg_footprint ~(classmap : Dex.Classmap.t) (ssg : Ssg.t) sink_meth =
+(* The app classes an SSG slice touched, each with its IR hash folded with
+   the manifest's digest: every method the backtracking visited
+   (nodes, edge endpoints, entries, static track) plus the global
+   static-taint fields' classes.  Restricted to classes in the dexfile's
+   classmap — framework classes don't version with the app. *)
+let ssg_footprint ~class_hash (ssg : Ssg.t) sink_meth =
   let seen = Hashtbl.create 16 in
   let add cls =
-    match Classmap.ir_hash_of classmap cls with
+    match class_hash cls with
     | Some h -> Hashtbl.replace seen cls h
     | None -> ()
   in
@@ -542,12 +554,15 @@ let ssg_footprint ~(classmap : Dex.Classmap.t) (ssg : Ssg.t) sink_meth =
 
 (** Persistable per-sink results of [result]: one cache entry per distinct
     sink call site whose slice ran to completion in this run, its
-    footprint hashed by [dex]'s class map, plus the entry of each replayed
-    site as it was replayed (every footprint class is unchanged, so its
-    hashes are [dex]'s too).  Sink-cache-served sites carry neither and
+    footprint hashed by [dex]'s class map and the run's manifest, plus the
+    entry of each replayed site as it was replayed (every footprint class
+    is unchanged, so its hashes are [dex]'s too).  Sink-cache-served sites carry neither and
     are skipped.  Keyed for {!Resultcache.lookup}. *)
 let export_results ~(dex : Dex.Dexfile.t) result =
-  let classmap = Dex.Dexfile.classmap dex in
+  let class_hash =
+    Resultcache.class_hash ~classmap:(Dex.Dexfile.classmap dex)
+      ~manifest:result.manifest
+  in
   let seen = Hashtbl.create 16 in
   let entries =
     List.filter_map
@@ -569,7 +584,7 @@ let export_results ~(dex : Dex.Dexfile.t) result =
                  e_param_index = r.sink.Sinks.param_index;
                  e_meth; e_site = r.site; e_reachable = r.reachable;
                  e_fact = r.fact;
-                 e_footprint = ssg_footprint ~classmap ssg r.meth }
+                 e_footprint = ssg_footprint ~class_hash ssg r.meth }
            | None, Some _, Context.Partial _ | None, None, _ -> None
          end)
       result.reports

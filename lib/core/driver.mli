@@ -16,8 +16,8 @@
     engine; sink-API-call reachability cache) and the loop-detection
     statistics of Sec. IV-F.  It carries no event sink: each caller
     resolution is recorded as a ["resolve"] span (see {!Resolver}), which
-    the span recorder ([Obs.Span.install_recorder]) collects for [--trace]
-    and [--profile]. *)
+    the span recorder ([Obs.Span.install_recorder]) collects for
+    [--profile]. *)
 
 module Sinks = Framework.Sinks
 type config = {
@@ -58,7 +58,10 @@ type stats = {
       (** distinct sink call sites — one backtracking pass each, however
           many rules share the site's sink spec *)
   searches_total : int;
+      (** search commands this run issued (not counting another run's on
+          the same engine) *)
   searches_cached : int;
+      (** of those, served from the engine's search cache *)
   search_cache_rate : float;
   sink_cache_lookups : int;
   sink_cache_hits : int;
@@ -80,7 +83,13 @@ type stats = {
   work_spent : int;
       (** work items spent by fresh slices (sum over sinks) *)
 }
-type result = { reports : sink_report list; stats : stats; }
+type result = {
+  reports : sink_report list;
+  stats : stats;
+  manifest : Manifest.App_manifest.t;
+      (** the manifest the run analysed under, whose digest
+          {!export_results} folds into each footprint class's hash *)
+}
 
 (** A detected issue: an insecure, entry-reachable sink call. *)
 val insecure_reports : result -> sink_report list
@@ -158,7 +167,8 @@ val analyze :
 
 (** Persistable per-sink results of a run: one {!Resultcache.entry} per
     distinct completely-sliced sink call site, its footprint hashed by
-    [dex]'s class map, and each replayed site's entry as it was replayed.
+    [dex]'s class map and the run's manifest ({!Resultcache.class_hash}),
+    and each replayed site's entry as it was replayed.
     Save alongside the snapshot of [dex]'s engine via
     {!Store.Snapshot.save}'s [results] argument: a snapshot saved after a
     replaying warm start carries every result the next version can

@@ -12,8 +12,8 @@
     with no per-strategy match arms.
 
     Every resolution is recorded once, by {!traced}: one ["resolve"] span
-    (the [--trace] and [--profile] surfaces), the metrics, a flight entry
-    and the provenance tallies. *)
+    (the [--profile] surface), the metrics, a flight event and the
+    provenance tallies. *)
 
 open Ir
 
@@ -191,7 +191,7 @@ let m_resolutions =
 let m_callers = Obs.Metrics.counter "resolve.callers"
 
 (* The one place a resolution is recorded: metrics, provenance tallies, a
-   flight entry, the [-v] debug line and one "resolve" span whose name is
+   flight event, the [-v] debug line and one "resolve" span whose name is
    the strategy and whose attributes carry the query, hits and searches.
    The search count is a delta of the calling domain's counters, so a
    concurrent slice's searches never leak into another resolution's
@@ -227,34 +227,6 @@ let traced ctx strategy query f =
       l "resolve[%s] %s: %d callers, %d searches, %.1fus" name query hits
         searches (Obs.Span.now_us () -. t0));
   r
-
-let resolve_spans spans =
-  List.filter (fun (s : Obs.Span.span) -> s.Obs.Span.cat = "resolve") spans
-  |> List.stable_sort (fun (a : Obs.Span.span) b ->
-      Float.compare a.Obs.Span.t1_us b.Obs.Span.t1_us)
-
-let trace_json spans =
-  let attr k (s : Obs.Span.span) = List.assoc_opt k s.Obs.Span.attrs in
-  let int k s =
-    match attr k s with Some (Obs.Span.Int n) -> n | _ -> 0
-  in
-  let spans = resolve_spans spans in
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\"recorded\":%d,\"events\":[" (List.length spans);
-  List.iteri
-    (fun i (s : Obs.Span.span) ->
-       if i > 0 then Buffer.add_char b ',';
-       Printf.bprintf b
-         "{\"strategy\":\"%s\",\"query\":\"%s\",\"hits\":%d,\
-          \"searches\":%d,\"elapsed_us\":%s}"
-         (Obs.Jsonf.escape s.Obs.Span.name)
-         (Obs.Jsonf.escape
-            (match attr "query" s with Some (Obs.Span.Str q) -> q | _ -> ""))
-         (int "hits" s) (int "searches" s)
-         (Obs.Jsonf.number (Obs.Span.duration_us s)))
-    spans;
-  Buffer.add_string b "]}";
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* The broker API                                                      *)

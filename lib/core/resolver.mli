@@ -9,9 +9,9 @@
 
     Every resolution is recorded once: one ["resolve"] span named after its
     strategy, with [query], [hits] and [searches] attributes, plus the
-    [resolve.*] metrics, a flight entry, the {!Provenance} tallies and a
-    debug log line.  [--trace] and [--profile] both read the spans, from
-    the one span recorder ([Obs.Span.install_recorder]).  The search count
+    [resolve.*] metrics, a flight event, the {!Provenance} tallies and a
+    debug log line.  [--profile] exports the spans, from the one span
+    recorder ([Obs.Span.install_recorder]).  The search count
     comes from the calling domain's own counters, so a concurrent slice
     never leaks into it, and a span carries no search-cache hit/miss split
     (which racing slice pays a shared miss is scheduling): every attribute
@@ -72,11 +72,3 @@ type resolution = {
     receiver-field residuals at an entry handler the predecessor-handler
     search. *)
 val callers : ?demand:demand -> Context.t -> Ir.Jsig.meth -> resolution
-
-(** The ["resolve"] spans among [spans], in completion order. *)
-val resolve_spans : Obs.Span.span list -> Obs.Span.span list
-
-(** The [--trace] artifact over the resolve spans among [spans]:
-    [{"recorded":N,"events":[{strategy,query,hits,searches,elapsed_us},
-    ...]}] in completion order, non-finite latencies clamped. *)
-val trace_json : Obs.Span.span list -> string

@@ -2,15 +2,20 @@
 
     An entry is one sink call site's reachability and sink-argument fact,
     keyed by (sink spec, containing method, site) and stamped with its
-    footprint: each app class the SSG slice touched, with its IR hash.
+    footprint: each app class the SSG slice touched, with its IR hash
+    folded with a digest of the whole manifest ({!class_hash}).
     Verdicts are recomputed from the fact per rule, so a cached fact
     replays under a changed rule set.  An entry replays iff each footprint
-    class has its recorded hash in the new build and no slot the build
-    indexed in this process names it: a class the slice never visited can
-    change the slice only by naming a footprint class, since every
-    caller/writer the backward search found was visited.  A delta indexes
-    exactly its changed and added classes.  [Partial] outcomes are never
-    cached: budget exhaustion can be wall-clock dependent. *)
+    class has its recorded hash in the new build and manifest and no slot
+    the build indexed in this process names it: a class the slice never
+    visited can change the slice only by naming a footprint class, since
+    every caller/writer the backward search found was visited.  The
+    manifest is folded in whole because it decides which classes are
+    entries, for the class-use search of a [<clinit>] too, which visits
+    classes that no footprint holds: any change to it refuses every
+    entry.  A delta indexes exactly its changed and added classes.
+    [Partial] outcomes are never cached: budget exhaustion can be
+    wall-clock dependent. *)
 
 module Classmap = Dex.Classmap
 
@@ -22,8 +27,30 @@ type entry = {
   e_reachable : bool;
   e_fact : Facts.t;
   e_footprint : (string * int64) list;
-      (** app classes the SSG slice touched, with their IR hashes *)
+      (** app classes the SSG slice touched, with their {!class_hash}es *)
 }
+
+(* The manifest's digest: its package, then each component in order, its
+   class, kind, exported flag and intent-filter actions prefixed with
+   their count, so that the fold is unambiguous.  It is folded once per
+   application to [classmap] and [manifest]. *)
+let class_hash ~classmap ~(manifest : Manifest.App_manifest.t) =
+  let digest =
+    List.fold_left
+      (fun h (c : Manifest.Component.t) ->
+         List.fold_left Ir.Irhash.string h
+           (c.cls :: Manifest.Component.kind_to_string c.kind
+            :: string_of_bool c.exported
+            :: string_of_int (List.length c.actions)
+            :: c.actions))
+      (Ir.Irhash.string Ir.Irhash.offset_basis manifest.package)
+      manifest.components
+    |> Printf.sprintf "%016Lx"
+  in
+  fun cls ->
+    Option.map
+      (fun h -> Ir.Irhash.string h digest)
+      (Classmap.ir_hash_of classmap cls)
 
 type t = {
   entries : entry list;
@@ -284,7 +311,7 @@ let of_strings a =
 
 type plan = {
   p_cache : t;
-  p_classmap : Classmap.t;
+  p_class_hash : string -> int64 option;
   p_named : (string, unit) Hashtbl.t;
       (* operand classes of the slots indexed in this process *)
 }
@@ -309,7 +336,7 @@ let slot_operand_class (arena : Dex.Arena.t) slot =
       else None
     with _ -> None
 
-let plan t ~(dex : Dex.Dexfile.t) =
+let plan t ~(dex : Dex.Dexfile.t) ~manifest =
   let named = Hashtbl.create 64 in
   List.iter
     (fun (lo, hi) ->
@@ -319,10 +346,12 @@ let plan t ~(dex : Dex.Dexfile.t) =
          | None -> ()
        done)
     dex.Dex.Dexfile.rendered.Dex.Writer.ranges;
-  { p_cache = t; p_classmap = Dex.Dexfile.classmap dex; p_named = named }
+  { p_cache = t;
+    p_class_hash = class_hash ~classmap:(Dex.Dexfile.classmap dex) ~manifest;
+    p_named = named }
 
 let replayable pl (cls, h) =
-  (match Classmap.ir_hash_of pl.p_classmap cls with
+  (match pl.p_class_hash cls with
    | Some h' -> Int64.equal h h'
    | None -> false)
   && not (Hashtbl.mem pl.p_named cls)

@@ -59,6 +59,26 @@ type detection_row = {
 }
 val detection : ?timeout_s:float -> unit -> unit
 val enhancements : corpus_run -> unit
+
+(** One side of the search ablation over an app generated without a
+    dexfile: the side disassembles it, then times the creation of an
+    indexed ([indexed]) or a scan engine and the analysis, and then the
+    sink query's uncached cost on that engine. *)
+type ablation_side = {
+  ab_before : int * int;
+      (** [dex.text.renders] and [search.postings.builds] counted from the
+          disassembly to the clock start: [(0, 0)] when the clock starts
+          with no text and no postings built *)
+  ab_during : int * int;  (** the same two counted inside the clock *)
+  ab_seconds : float;     (** engine creation and analysis *)
+  ab_query_us : float;    (** one uncached sink query, mean over ≥ 2 ms *)
+}
+
+val ablation_side : indexed:bool -> G.app -> ablation_side
+
+(** The indexed and the scan side over [count] (default 24) corpus apps:
+    the medians of their per-app and per-query costs, and which side is
+    faster at each. *)
 val ablation_search : ?count:int -> opts -> unit
 
 (** Compact pass/deviation summary of the headline reproduction claims. *)

@@ -184,16 +184,23 @@ let metadata_json ~pid_names events =
        pid_meta @ tid_meta)
     events
 
-let render ?(pid_names = []) events =
+(* The array form, or with [fields] the object form: those members, then
+   the events as its "traceEvents" array.  Either way one event per line. *)
+let render ?(pid_names = []) ?fields events =
   let b = Buffer.create 4096 in
-  Buffer.add_string b "[\n";
+  (match fields with
+   | None -> Buffer.add_string b "[\n"
+   | Some fields ->
+     Buffer.add_string b "{\n";
+     List.iter (fun f -> Printf.bprintf b "  %s,\n" f) fields;
+     Buffer.add_string b "  \"traceEvents\": [\n");
   let lines = metadata_json ~pid_names events @ List.map event_json events in
   List.iteri
     (fun i line ->
        if i > 0 then Buffer.add_string b ",\n";
        Buffer.add_string b line)
     lines;
-  Buffer.add_string b "\n]\n";
+  Buffer.add_string b (if fields = None then "\n]\n" else "\n]\n}\n");
   Buffer.contents b
 
 let write ?pid_names ?counters path spans =
@@ -256,22 +263,25 @@ let validate events =
 (* -- Round-trip parser ----------------------------------------------- *)
 
 (* A deliberately minimal parser for exactly the renderer's own output
-   (one object per line, fixed field order, no nested objects except args):
-   enough for the bench's round-trip assertion without a JSON dependency.
-   [args] are not reconstructed.  Field readers live in {!Jsonf}. *)
+   (one event object per line, fixed field order, no nested objects except
+   args): enough for a round-trip assertion without a JSON dependency.
+   Only a line that opens an object with a key is an event, so the
+   members of the object form read past.  [args] are not reconstructed.  Field readers
+   live in {!Jsonf}. *)
 
 let field_str = Jsonf.field_str
 let field_int = Jsonf.field_int
 
-(** Parse the renderer's own output back into events ('M' metadata lines
-    are skipped; [args] are dropped).  Returns [Error] on malformed input. *)
+(** Parse the renderer's own output, either form, back into events ('M'
+    metadata lines are skipped; [args] are dropped).  Returns [Error] on a
+    malformed event line. *)
 let parse s =
   let lines = String.split_on_char '\n' s in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | line :: rest ->
       let line = String.trim line in
-      if line = "" || line = "[" || line = "]" then go acc rest
+      if not (String.starts_with ~prefix:"{\"" line) then go acc rest
       else begin
         match field_str line "ph" with
         | Some "M" -> go acc rest

@@ -1,5 +1,7 @@
 (** Chrome trace-event export ([chrome://tracing] / Perfetto): B/E duration
     events with [pid] = app and [tid] = domain, built from recorded spans.
+    The one trace-event writer: [--profile] writes the array form, the
+    flight dump ({!Flight}) the object form with its header members.
 
     Guarantees on the emitted stream (checked by {!validate} and the bench's
     round-trip smoke): every 'B' has a matching stack-ordered 'E' per
@@ -30,8 +32,13 @@ type counter = {
 val events_of_spans : ?counters:counter list -> Span.span list -> event list
 
 (** Render the JSON array, prefixed with process/thread-name metadata
-    events ([pid_names] maps pid -> display name; pid 0 is "app"). *)
-val render : ?pid_names:(int * string) list -> event list -> string
+    events ([pid_names] maps pid -> display name; pid 0 is "app").  With
+    [fields], each a rendered JSON member (["key":value]), render the
+    object form instead: those members, then the events as its
+    ["traceEvents"] array. *)
+val render :
+  ?pid_names:(int * string) list -> ?fields:string list -> event list ->
+  string
 
 (** Render typed attributes as the body of a JSON [args] object. *)
 val args_json : Span.attr list -> string
@@ -46,7 +53,8 @@ val write :
     ('C' events have no stack effect). *)
 val validate : event list -> (unit, string) result
 
-(** Parse the renderer's own output ('M' lines skipped, args dropped). *)
+(** Parse the renderer's own output, array or object form ('M' lines and
+    object members skipped, args dropped). *)
 val parse : string -> (event list, string) result
 
 (** Render → parse → compare (ignoring args). *)

@@ -86,21 +86,3 @@ let field_int line key =
     else find (i + 1)
   in
   find 0
-
-(** First ["key":1.5] numeric value on [line]. *)
-let field_float line key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let n = String.length line and np = String.length pat in
-  let rec find i =
-    if i + np > n then None
-    else if String.sub line i np = pat then begin
-      let num c = c = '-' || c = '.' || (c >= '0' && c <= '9') in
-      let rec stop j = if j < n && num line.[j] then stop (j + 1) else j in
-      let e = stop (i + np) in
-      if e > i + np then
-        float_of_string_opt (String.sub line (i + np) (e - i - np))
-      else None
-    end
-    else find (i + 1)
-  in
-  find 0

@@ -20,4 +20,3 @@ val num_field : ?dec:int -> string -> float -> string
 
 val field_str : string -> string -> string option
 val field_int : string -> string -> int option
-val field_float : string -> string -> float option

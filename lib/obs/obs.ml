@@ -4,9 +4,11 @@
     self-time {!Summary}, and the shared {!Jsonf}/{!Io} helpers every
     artifact writer goes through.
 
-    {!Ring} is the one per-domain event buffer: the flight recorder keeps
-    its newest 512 events per domain in one, and the span recorder
-    ([Span.install_recorder], behind [--profile] and [--trace]) its newest
+    One event type: a {!Span.span}.  A flight event is a zero-length span
+    whose category is its kind, so {!Ring} is the one per-domain buffer
+    and {!Chrome} the one writer: the flight recorder keeps its newest 512
+    events per domain in a ring and dumps them as a Chrome trace, and the
+    span recorder ([Span.install_recorder], behind [--profile]) its newest
     65,536 spans per domain, counting older ones as overwritten.
 
     Everything is off-by-default-cheap: with no span sink installed and

@@ -4,8 +4,9 @@
 
     A ring {e wraps}: it always retains the most recent [capacity] items
     per domain and counts the older ones as {!overwritten}.  A post-mortem
-    wants the recent past, and a profile or [--trace] that outgrows the
-    span recorder's 65,536 spans per domain says how many it lost.  The
+    wants the recent past, and a profile that outgrows the span
+    recorder's 65,536 spans per domain says how many it lost.  Both hold
+    {!Span.span}s, the telemetry layer's one event type.  The
     hot path is one [Domain.DLS] lookup plus an array store: each domain
     owns its shard exclusively, so no mutex and no atomic RMW is ever
     taken while recording.  A domain returns its shard to a free list on

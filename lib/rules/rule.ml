@@ -98,6 +98,11 @@ let quote s =
   Buffer.add_char b '"';
   Buffer.contents b
 
+(* An atom as the reader reads it back: bare when a bare atom spells it,
+   else quoted. *)
+let atom s =
+  if s <> "" && String.for_all Sexp.is_bare_char s then s else quote s
+
 let rec pred_to_source = function
   | True -> "true"
   | False -> "false"
@@ -105,11 +110,14 @@ let rec pred_to_source = function
   | Str_contains s -> Printf.sprintf "(str-contains %s)" (quote s)
   | Str_eq s -> Printf.sprintf "(str-eq %s)" (quote s)
   | Int_eq n -> Printf.sprintf "(int-eq %d)" n
-  | Field_is { cls; name } -> Printf.sprintf "(field-is %s %s)" cls name
-  | Class_in cs -> Printf.sprintf "(class-in %s)" (String.concat " " cs)
+  | Field_is { cls; name } ->
+    Printf.sprintf "(field-is %s %s)" (atom cls) (atom name)
+  | Class_in cs ->
+    Printf.sprintf "(class-in %s)" (String.concat " " (List.map atom cs))
   | Verifier_returns { name; value } ->
-    Printf.sprintf "(verifier-returns %s %d)" name value
-  | Verifier_resolves { name } -> Printf.sprintf "(verifier-resolves %s)" name
+    Printf.sprintf "(verifier-returns %s %d)" (atom name) value
+  | Verifier_resolves { name } ->
+    Printf.sprintf "(verifier-resolves %s)" (atom name)
   | All ps ->
     Printf.sprintf "(all %s)" (String.concat " " (List.map pred_to_source ps))
   | Any ps ->
@@ -120,16 +128,16 @@ let sink_to_source (s : Framework.Sinks.t) =
   let m = s.Framework.Sinks.msig in
   Printf.sprintf
     "  (sink (class %s) (method %s) (params%s) (return %s) (arg %d) (label %s))"
-    m.Ir.Jsig.cls m.Ir.Jsig.name
+    (atom m.Ir.Jsig.cls) (atom m.Ir.Jsig.name)
     (String.concat ""
-       (List.map (fun t -> " " ^ Ir.Types.to_string t) m.Ir.Jsig.params))
-    (Ir.Types.to_string m.Ir.Jsig.ret)
-    s.Framework.Sinks.param_index s.Framework.Sinks.name
+       (List.map (fun t -> " " ^ atom (Ir.Types.to_string t)) m.Ir.Jsig.params))
+    (atom (Ir.Types.to_string m.Ir.Jsig.ret))
+    s.Framework.Sinks.param_index (atom s.Framework.Sinks.name)
 
 let to_source t =
   String.concat "\n"
     ([ "(rule";
-       Printf.sprintf "  (name %s)" t.name;
+       Printf.sprintf "  (name %s)" (atom t.name);
        Printf.sprintf "  (description %s)" (quote t.description) ]
      @ List.map sink_to_source t.sinks
      @ [ Printf.sprintf "  (insecure-when %s)" (pred_to_source t.insecure_when);

@@ -540,9 +540,5 @@ let index_build_timings t =
   done;
   !timings
 
-let cache_rate t = Cache.cache_rate t.cache
 let local_counts = Cache.local_counts
-let total_searches t = Cache.total_searches t.cache
-let cached_searches t = Cache.cached_searches t.cache
-let category_stats t = Cache.category_stats t.cache
 let category_timings t = Cache.category_timings t.cache

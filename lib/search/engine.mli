@@ -135,20 +135,11 @@ val postings_footprint : t -> int
     category built so far, in category order. *)
 val index_build_timings : t -> (string * float) list
 
-(** Fraction of search commands served from the cache, in [0, 1]. *)
-val cache_rate : t -> float
-
-val total_searches : t -> int
-val cached_searches : t -> int
-
-(** The calling domain's cumulative query-issue counters
+(** The calling domain's cumulative query counters
     ({!Cache.local_counts}) — deltas around a slice feed its provenance
-    ledger. *)
+    ledger, and deltas around a run its search statistics. *)
 val local_counts : unit -> Cache.local_counts
 
-(** Per-category totals: (category, total searches, cache hits). *)
-val category_stats : t -> (Query.category * int * int) list
-
-(** Per-category accumulated compute cost: µs spent computing this
-    category's cache misses (hits cost nothing). *)
+(** Per-category accumulated compute cost, in category order: µs spent
+    computing this category's cache misses (hits cost nothing). *)
 val category_timings : t -> (Query.category * float) list

@@ -14,11 +14,12 @@ let error_to_string = function
 
 let magic = "BDIXSNAP"
 
-(* v5: Postcodec-coded postings runs, no line text, arena slots only for
+(* v6: Postcodec-coded postings runs, no line text, arena slots only for
    the lines a search can return, and persisted results whose entries
-   carry their footprint classes' hashes, with no class-hash header — the
-   only version written or read. *)
-let format_version = 5
+   carry their footprint classes' hashes, each covering the whole
+   manifest, with no class-hash header — the only version written or
+   read. *)
+let format_version = 6
 let header_len = 32
 let checksum_offset = 24
 

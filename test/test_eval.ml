@@ -233,6 +233,32 @@ let test_corpus_makes_snapshot_dir () =
          Store.Codec.format_version (version f))
     files
 
+(* Each side of the search ablation starts its clock on its own fresh
+   dexfile, with no text rendered and no postings built; inside the clock
+   the scan engine renders the text once and builds no postings, and the
+   indexed one builds postings and renders no text. *)
+let test_ablation_clocks () =
+  let module X = Evalharness.Experiments in
+  Obs.Metrics.set_enabled true;
+  List.iter
+    (fun cfg ->
+       let app = G.generate ~build_dex:false cfg in
+       let idx = X.ablation_side ~indexed:true app
+       and scan = X.ablation_side ~indexed:false app in
+       let name = cfg.G.name in
+       Alcotest.(check (pair int int)) (name ^ ": indexed clock starts clean")
+         (0, 0) idx.X.ab_before;
+       Alcotest.(check (pair int int)) (name ^ ": scan clock starts clean")
+         (0, 0) scan.X.ab_before;
+       Alcotest.(check bool) (name ^ ": the indexed side builds postings")
+         true
+         (fst idx.X.ab_during = 0 && snd idx.X.ab_during > 0);
+       Alcotest.(check (pair int int)) (name ^ ": the scan side renders once")
+         (1, 0) scan.X.ab_during;
+       Alcotest.(check bool) (name ^ ": both query costs are measured") true
+         (idx.X.ab_query_us > 0.0 && scan.X.ab_query_us > 0.0))
+    (Appgen.Corpus.modern_144 ~scale:0.15 ~seed:42 ~count:2 ())
+
 let cases =
   [ Alcotest.test_case "median" `Quick test_median;
     Alcotest.test_case "mean" `Quick test_mean;
@@ -249,6 +275,8 @@ let cases =
     Alcotest.test_case "corpus run with an unwritable snapshot dir" `Quick
       test_corpus_unwritable_snapshot_dir;
     Alcotest.test_case "corpus run makes its snapshot dir" `Quick
-      test_corpus_makes_snapshot_dir ]
+      test_corpus_makes_snapshot_dir;
+    Alcotest.test_case "ablation clocks start on a fresh dexfile" `Quick
+      test_ablation_clocks ]
 
 let suites = [ "eval.unit", cases ]

@@ -1,6 +1,6 @@
 (* Tests for the always-on diagnostics layer: the per-domain Ring storage,
-   the Flight recorder (record, dump, parse/validate round-trip, anomaly
-   auto-dump on partial outcomes), the per-sink Provenance ledger
+   the Flight recorder (record, its Chrome-trace dump, anomaly auto-dump
+   on partial outcomes), the per-sink Provenance ledger
    (presence on every report, replay distinction, determinism across pool
    widths, render stability), the OpenMetrics exposition with its strict
    validator, histogram quantiles, and Chrome 'C' counter events. *)
@@ -95,6 +95,18 @@ let test_ring_across_pool () =
 (* ------------------------------------------------------------------ *)
 (* Flight: record, dump render/parse round-trip, enable toggle          *)
 
+(* The dump's event stream, parsed back: well nested and monotonic. *)
+let dump_events dump =
+  match Obs.Chrome.parse dump with
+  | Error e -> Alcotest.fail ("dump does not parse: " ^ e)
+  | Ok evs ->
+    (match Obs.Chrome.validate evs with
+     | Ok () -> ()
+     | Error e -> Alcotest.fail ("dump invalid: " ^ e));
+    evs
+
+(* An event is a zero-length span whose category is its kind, and the
+   dump renders it as a Chrome B/E pair. *)
 let test_flight_record_roundtrip () =
   with_clean_obs (fun () ->
       Obs.Flight.record ~kind:"span" ~name:"slice"
@@ -105,58 +117,79 @@ let test_flight_record_roundtrip () =
       Alcotest.(check int) "three events retained" 3 (Obs.Flight.length ());
       Alcotest.(check int) "anomaly counted" 1 (Obs.Flight.anomalies ());
       let evs = Obs.Flight.events () in
-      (match Obs.Flight.validate evs with
-       | Ok () -> ()
-       | Error e -> Alcotest.fail ("stream invalid: " ^ e));
-      Alcotest.(check bool) "anomaly kind prefixed" true
-        (List.exists (fun e -> e.Obs.Flight.ev_kind = "anomaly.test") evs);
+      Alcotest.(check (list string)) "kinds are categories, in order"
+        [ "span"; "counters"; "anomaly.test" ]
+        (List.map (fun (e : Obs.Span.span) -> e.Obs.Span.cat) evs);
+      Alcotest.(check bool) "every event has zero length" true
+        (List.for_all (fun e -> Obs.Span.duration_us e = 0.0) evs);
+      let chrome = Obs.Chrome.events_of_spans evs in
       Alcotest.(check bool) "render/parse round-trip" true
-        (Obs.Flight.round_trips evs);
+        (Obs.Chrome.round_trips chrome);
+      let strip = List.map (fun e -> { e with Obs.Chrome.e_args = [] }) in
+      Alcotest.(check bool) "the dump holds the same events" true
+        (strip chrome = dump_events (Obs.Flight.render ()));
       Obs.Flight.set_enabled false;
       Obs.Flight.record ~kind:"span" ~name:"ignored" ();
       Alcotest.(check int) "disabled recorder drops" 3 (Obs.Flight.length ()))
 
-(* A budget-exhausted slice must auto-write a valid dump to the armed
-   path — the end-to-end "black box survives the incident" property. *)
+(* A slice that exhausts its work budget, or its deadline, must auto-write
+   a dump to the armed path — the end-to-end "black box survives the
+   incident" property: a Chrome trace object with the header and metrics,
+   noted with the anomaly's kind, whose events hold the slice and the
+   anomaly after it. *)
 let test_flight_dump_on_partial () =
-  with_clean_obs (fun () ->
-      let app = fixture_app () in
-      let path = Filename.temp_file "backdroid_flight" ".json" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-           Obs.Flight.arm_auto_dump path;
-           let cfg =
-             { Driver.default_config with
-               Driver.budget =
-                 { Backdroid.Context.default_budget with
-                   Backdroid.Context.max_work = 1 } }
-           in
-           let r =
-             Driver.analyze ~cfg ~dex:app.G.dex ~manifest:app.G.manifest ()
-           in
-           Alcotest.(check bool) "fixture exhausts the tiny budget" true
-             (r.Driver.stats.Driver.partial_sinks > 0);
-           Alcotest.(check bool) "anomalies recorded" true
-             (Obs.Flight.anomalies () > 0);
-           let dump =
-             In_channel.with_open_text path (fun ic ->
-                 In_channel.input_all ic)
-           in
-           Alcotest.(check bool) "dump written" true
-             (String.length dump > 0);
-           match Obs.Flight.parse dump with
-           | Error e -> Alcotest.fail ("dump does not parse: " ^ e)
-           | Ok evs ->
-             (match Obs.Flight.validate evs with
-              | Ok () -> ()
-              | Error e -> Alcotest.fail ("dump invalid: " ^ e));
-             Alcotest.(check bool) "dump holds the anomaly event" true
-               (List.exists
-                  (fun e ->
-                     String.length e.Obs.Flight.ev_kind > 8
-                     && String.sub e.Obs.Flight.ev_kind 0 8 = "anomaly.")
-                  evs)))
+  let dump_of budget =
+    with_clean_obs (fun () ->
+        let app = fixture_app () in
+        let path = Filename.temp_file "backdroid_flight" ".json" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+             Obs.Flight.arm_auto_dump path;
+             let cfg = { Driver.default_config with Driver.budget } in
+             let r =
+               Driver.analyze ~cfg ~dex:app.G.dex ~manifest:app.G.manifest ()
+             in
+             Alcotest.(check bool) "fixture exhausts the budget" true
+               (r.Driver.stats.Driver.partial_sinks > 0);
+             Alcotest.(check bool) "anomalies recorded" true
+               (Obs.Flight.anomalies () > 0);
+             In_channel.with_open_text path In_channel.input_all))
+  in
+  let check_dump ~kind dump =
+    let anomaly = "anomaly." ^ kind in
+    List.iter
+      (fun member ->
+         Alcotest.(check bool) ("dump carries " ^ member) true
+           (Test_eval.contains dump member))
+      [ "\"note\":\"" ^ anomaly ^ "\""; "\"anomalies\":";
+        "\"events_recorded\":"; "\"events_dropped\":"; "\"metrics\": {";
+        "\"traceEvents\": [" ];
+    let begins =
+      List.filter (fun e -> e.Obs.Chrome.e_ph = 'B') (dump_events dump)
+    in
+    let rec slice_then_anomaly seen_slice = function
+      | [] -> false
+      | (e : Obs.Chrome.event) :: rest ->
+        (seen_slice && e.e_cat = anomaly)
+        || slice_then_anomaly
+             (seen_slice || (e.e_cat = "span" && e.e_name = "slice"))
+             rest
+    in
+    Alcotest.(check bool) ("a slice event, then " ^ anomaly) true
+      (slice_then_anomaly false begins);
+    Alcotest.(check bool) "only flight kinds" true
+      (List.for_all
+         (fun (e : Obs.Chrome.event) ->
+            List.mem e.e_cat [ "span"; "resolve"; "counters" ]
+            || String.starts_with ~prefix:"anomaly." e.e_cat)
+         begins)
+  in
+  let budget = Backdroid.Context.default_budget in
+  check_dump ~kind:"budget"
+    (dump_of { budget with Backdroid.Context.max_work = 1 });
+  check_dump ~kind:"deadline"
+    (dump_of { budget with Backdroid.Context.time_limit_ms = Some 0.0 })
 
 (* ------------------------------------------------------------------ *)
 (* Provenance: presence, replay distinction, determinism, stability     *)

@@ -56,7 +56,8 @@ let test_jsonf_escape () =
   Alcotest.(check string) "control chars" "x\\n\\t\\u0001"
     (Obs.Jsonf.escape "x\n\t\001")
 
-(* A non-finite resolution latency must not poison the --trace artifact. *)
+(* A non-finite resolution latency must not poison the Chrome trace that
+   carries the resolve spans. *)
 let test_trace_event_nonfinite () =
   let span =
     { Obs.Span.cat = "resolve"; name = "basic"; pid = 0; tid = 0;
@@ -65,18 +66,23 @@ let test_trace_event_nonfinite () =
         [ ("query", Obs.Span.Str "q\"uote"); ("hits", Obs.Span.Int 1);
           ("searches", Obs.Span.Int 2) ] }
   in
-  let json = Backdroid.Resolver.trace_json [ span ] in
-  Alcotest.(check bool) "object shape" true
-    (String.length json > 2 && json.[0] = '{'
-     && json.[String.length json - 1] = '}');
-  Alcotest.(check bool) "the span renders as one event" true
-    (let head = "{\"recorded\":1,\"events\":[{\"strategy\":\"basic\"" in
-     String.length json >= String.length head
-     && String.sub json 0 (String.length head) = head);
+  let events = Obs.Chrome.events_of_spans [ span ] in
+  Alcotest.(check int) "the span renders as one B/E pair" 2
+    (List.length events);
+  (match Obs.Chrome.validate events with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail ("stream invalid: " ^ e));
+  Alcotest.(check bool) "round-trips" true (Obs.Chrome.round_trips events);
+  let json = Obs.Chrome.render events in
+  Alcotest.(check bool) "array shape" true
+    (String.length json > 2 && json.[0] = '['
+     && String.trim json |> fun t -> t.[String.length t - 1] = ']');
+  Alcotest.(check bool) "the query is escaped" true
+    (Test_eval.contains json "\"query\":\"q\\\"uote\"");
   String.iteri
     (fun i c ->
        if c = 'i' || c = 'n' then
-         (* "inf"/"nan" never appear outside the escaped query text *)
+         (* "inf"/"nan" never appear outside the names and the query *)
          Alcotest.(check bool)
            (Printf.sprintf "no bare non-finite literal at %d" i)
            false

@@ -335,20 +335,26 @@ let test_mode_equivalence () =
   let qs = Array.of_list queries in
   let n = Array.length qs in
   let go = Atomic.make false in
+  (* each domain's hits and its lookups: its counters' deltas *)
   let ask d () =
     while not (Atomic.get go) do Domain.cpu_relax () done;
+    let l0 = E.local_counts () in
     let got = Array.make n [] in
     let offset = d mod 2 * (n / 2) in
     for i = 0 to n - 1 do
       let j = (i + offset) mod n in
       got.(j) <- List.map hit_fingerprint (E.run shared qs.(j))
     done;
-    got
+    let l1 = E.local_counts () in
+    ( got,
+      ( l1.Bytesearch.Cache.lc_total - l0.Bytesearch.Cache.lc_total,
+        l1.Bytesearch.Cache.lc_cached - l0.Bytesearch.Cache.lc_cached ) )
   in
   let domains = List.init test_jobs (fun d -> Domain.spawn (ask d)) in
   Atomic.set go true;
+  let answers = List.map Domain.join domains in
   List.iteri
-    (fun d got ->
+    (fun d (got, _) ->
        Array.iteri
          (fun j hits ->
             Alcotest.(check (list string))
@@ -356,16 +362,16 @@ let test_mode_equivalence () =
                  (Q.to_command qs.(j)))
               expect.(j) hits)
          got)
-    (List.map Domain.join domains);
+    answers;
   Alcotest.(check int) "each category built once" 7 (builds () - builds0);
-  Alcotest.(check int) "every query counted" (test_jobs * n)
-    (E.total_searches shared);
+  let sum f = List.fold_left (fun acc (_, c) -> acc + f c) 0 answers in
+  Alcotest.(check int) "every query counted" (test_jobs * n) (sum fst);
   let module Distinct = Hashtbl.Make (Q) in
   let distinct = Distinct.create n in
   Array.iter (fun q -> Distinct.replace distinct q ()) qs;
   Alcotest.(check int) "one miss per distinct query"
     ((test_jobs * n) - Distinct.length distinct)
-    (E.cached_searches shared)
+    (sum snd)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: concurrent runs of one analysis session                *)
@@ -379,14 +385,15 @@ let report_fingerprint (r : Driver.sink_report) =
     (Backdroid.Detectors.verdict_to_string r.verdict)
     (Option.is_some r.ssg)
 
-(* Every per-run field: all but the engine-wide search totals and
-   [index_categories_built], which count every run of the engine. *)
+(* Every scheduling-independent field: all but [index_categories_built],
+   which counts every run of the engine, and the cache hits, which depend
+   on the runs before or beside (a session's first run pays the misses). *)
 let stats_fingerprint (s : Driver.stats) =
   let loop k = Backdroid.Loopdetect.get s.loops k in
   Printf.sprintf
-    "sinks=%d slookups=%d shits=%d loops=%d/%d/%d/%d nodes=%d edges=%d \
-     partial=%d replayed=%d resolutions=%d callers=%d work=%d"
-    s.sink_calls s.sink_cache_lookups s.sink_cache_hits
+    "sinks=%d searches=%d slookups=%d shits=%d loops=%d/%d/%d/%d nodes=%d \
+     edges=%d partial=%d replayed=%d resolutions=%d callers=%d work=%d"
+    s.sink_calls s.searches_total s.sink_cache_lookups s.sink_cache_hits
     (loop Backdroid.Loopdetect.Cross_backward)
     (loop Backdroid.Loopdetect.Inner_backward)
     (loop Backdroid.Loopdetect.Cross_forward)
@@ -395,9 +402,9 @@ let stats_fingerprint (s : Driver.stats) =
     s.resolved_callers s.work_spent
 
 (* Four domains run one session at once, as a daemon's workers do: each
-   run's reports and per-run statistics equal a run alone, and the
-   engine's search totals equal four runs one after another (each
-   distinct query is one miss either way). *)
+   run's reports and per-run statistics equal a run alone, a run counts
+   its own searches only, and over the four runs these hold one miss per
+   distinct query, as four runs one after another do. *)
 let test_driver_determinism () =
   let app = fixture_app ~seed:23 () in
   let seq = Sessions.sequential ~runs:test_jobs app
@@ -423,16 +430,19 @@ let test_driver_determinism () =
          (stats_fingerprint alone)
          (stats_fingerprint r.Driver.stats))
     (seq.Sessions.results @ par.Sessions.results);
-  let module E = Bytesearch.Engine in
   List.iter
     (fun (what, r) ->
+       let sum f =
+         List.fold_left (fun acc (r : Driver.result) -> acc + f r.Driver.stats)
+           0 r.Sessions.results
+       in
+       let total = sum (fun s -> s.Driver.searches_total) in
        Alcotest.(check int) (what ^ ": every query counted")
          (test_jobs * alone.Driver.searches_total)
-         (E.total_searches (Sessions.engine r));
+         total;
        Alcotest.(check int) (what ^ ": one miss per distinct query")
          (alone.Driver.searches_total - alone.Driver.searches_cached)
-         (E.total_searches (Sessions.engine r)
-          - E.cached_searches (Sessions.engine r)))
+         (total - sum (fun s -> s.Driver.searches_cached)))
     [ ("sequential", seq); ("concurrent", par) ]
 
 (* ------------------------------------------------------------------ *)

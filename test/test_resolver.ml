@@ -178,13 +178,16 @@ let slice_with ~budget =
     snd (Backdroid.Slicer.slice ~shared ~budget ~sink ~sink_meth ~sink_site ())
   | [] -> Alcotest.fail "generated app has no sink occurrence"
 
-(* Record spans for the duration of [f]; the global sink is cleared
-   afterwards, also when [f] fails. *)
+(* Record spans for the duration of [f] and return its resolve spans; the
+   global sink is cleared afterwards, also when [f] fails. *)
 let with_recorder f =
   let recorder = Obs.Span.install_recorder () in
   Fun.protect ~finally:(fun () -> Obs.Span.set_sink None) (fun () ->
       let v = f () in
-      (v, Resolver.resolve_spans (Obs.Ring.snapshot recorder)))
+      ( v,
+        List.filter
+          (fun (s : Obs.Span.span) -> s.Obs.Span.cat = "resolve")
+          (Obs.Ring.snapshot recorder) ))
 
 let test_budget_work_exhaustion () =
   let outcome, spans =
@@ -201,9 +204,11 @@ let test_budget_work_exhaustion () =
     (Context.outcome_to_string outcome);
   Alcotest.(check bool) "resolutions were traced before exhaustion" true
     (spans <> []);
-  let json = Resolver.trace_json spans in
-  Alcotest.(check bool) "trace dump is non-empty JSON" true
-    (String.length json > 2 && String.sub json 0 1 = "{")
+  let events = Obs.Chrome.events_of_spans spans in
+  Alcotest.(check bool) "its Chrome trace is valid" true
+    (Obs.Chrome.validate events = Ok ());
+  Alcotest.(check int) "one B/E pair per resolution" (2 * List.length spans)
+    (List.length events)
 
 let test_budget_deadline () =
   let outcome =
@@ -292,7 +297,7 @@ let prov_count (r : Driver.result) name =
 
 (* Three jobs-4 sides: each interleaves the domains differently, and any
    run leaking a search into another resolution's count fails the test. *)
-let test_resolve_spans_jobs () =
+let test_resolve_records_jobs () =
   let rs1, spans1 = resolve_runs 1 in
   let resolutions rs =
     List.fold_left
@@ -333,6 +338,6 @@ let cases =
     Alcotest.test_case "deadline budget yields partial" `Quick test_budget_deadline;
     Alcotest.test_case "default budget completes" `Quick test_unbudgeted_complete;
     Alcotest.test_case "resolve spans equal at jobs 1 and 4" `Quick
-      test_resolve_spans_jobs ]
+      test_resolve_records_jobs ]
 
 let suites = [ "resolver", cases ]

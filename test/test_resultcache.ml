@@ -1,6 +1,7 @@
 (* Tests for persisted per-sink results (lib/core/resultcache.ml): replay
-   refuses every entry whose slice a new version can change, and decoding
-   untrusted results bytes gives a typed error, never an exception. *)
+   refuses every entry whose slice a new version's code or manifest can
+   change, and decoding untrusted results bytes gives a typed error,
+   never an exception. *)
 
 module G = Appgen.Generator
 module E = Bytesearch.Engine
@@ -166,6 +167,55 @@ let test_unrelated_edit () =
   Alcotest.(check int) "the sink replays" 1 replayed;
   Alcotest.(check (list string)) "report lines == cold" cold warm
 
+(* [t.Api]'s [<clinit>] passes ECB to [Api.setup], whose
+   [Cipher.getInstance] is the sink, and the activity [t.Boot] reads
+   [Api.cfg], so the class-use search from [t.Api] finds an entry.  The
+   clinit resolution records only [Api.<clinit>], so [t.Boot] is on no
+   footprint. *)
+let api_cfg = Ir.Jsig.field ~cls:"t.Api" ~name:"cfg" ~ty:Types.string_
+
+let api_setup =
+  Ir.Jsig.meth ~cls:"t.Api" ~name:"setup" ~params:[ Types.string_ ]
+    ~ret:Types.Void
+
+let api =
+  Ir.Jclass.make "t.Api" ~fields:[ api_cfg ]
+    ~methods:
+      [ B.clinit ~cls:"t.Api" (fun mb ->
+            B.sput mb api_cfg (Value.Local (B.const_str mb "configured"));
+            B.call_static mb ~callee:api_setup
+              ~args:[ Value.Local (B.const_str mb ecb) ]);
+        static_method ~cls:"t.Api" ~name:"setup" ~params:[ Types.string_ ]
+          ~ret:Types.Void (fun mb ->
+            ignore
+              (B.invoke_ret mb ~kind:Ir.Expr.Static
+                 ~callee:Framework.Api.cipher_get_instance
+                 ~args:[ Value.Local (B.param mb 0) ] ());
+            B.return_void mb) ]
+
+let boot = activity "t.Boot" (fun mb -> ignore (B.sget mb api_cfg))
+
+(* (d) A class on no slice is edited, so the open is patched, and the new
+   manifest registers no component: the activity that made the sink
+   reachable is no longer an entry, so the reachability changes with no
+   footprint class edited, and nothing replays.  Once with the activity
+   on the slice ([t.Main]), once with it on no footprint ([t.Boot]). *)
+let test_unregistered_entry () =
+  List.iter
+    (fun classes ->
+       let v1 = version (classes ~k:1) in
+       let p2, _ = version (classes ~k:2) in
+       let replayed, warm, cold =
+         replay_v2 v1
+           (p2, Manifest.App_manifest.make ~package:"t" ~components:[])
+       in
+       Alcotest.(check string) "cold v2 is unresolved" "[unresolved"
+         (verdict_of cold);
+       Alcotest.(check (list string)) "report lines == cold" cold warm;
+       Alcotest.(check int) "nothing replays" 0 replayed)
+    [ (fun ~k -> [ main; helper ~spec:ecb; util; filler ~k ]);
+      (fun ~k -> [ boot; api; filler ~k ]) ]
+
 (* -- Decoding untrusted results bytes ---------------------------------- *)
 
 let decodes strs =
@@ -221,59 +271,11 @@ let real_results =
              Rc.to_strings (Driver.export_results ~dex:app.G.dex r))
           [ 41; 42; 43 ]))
 
-(* Ints spliced over a number: huge, negative or overlong. *)
-let spliced =
-  [| "4611686018427387903"; "4611686018427387904"; "99999999999999999999";
-     "9223372036854775807"; "-1"; "-4611686018427387904";
-     "-99999999999999999999"; "0000000000000000000000000000001";
-     String.make 40 '9' |]
-
-(* Positions where a number starts: a digit or '-' after a non-digit. *)
-let field_starts s =
-  List.filter
-    (fun i ->
-       (match s.[i] with '0' .. '9' | '-' -> true | _ -> false)
-       && (i = 0 || match s.[i - 1] with '0' .. '9' -> false | _ -> true))
-    (List.init (String.length s) Fun.id)
-
-let splice s i payload =
-  let digit j = match s.[j] with '0' .. '9' -> true | _ -> false in
-  let j = ref (i + 1) in
-  while !j < String.length s && digit !j do incr j done;
-  String.sub s 0 i ^ payload ^ String.sub s !j (String.length s - !j)
-
-type mutation =
-  | Flips of (int * int) list  (* position, nonzero xor mask *)
-  | Splice of int * int  (* nth field start, payload index *)
-
-let mutate s = function
-  | Flips fl ->
-    let b = Bytes.of_string s in
-    List.iter
-      (fun (p, x) ->
-         let p = p mod Bytes.length b in
-         Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor x)))
-      fl;
-    Bytes.to_string b
-  | Splice (k, v) ->
-    (match field_starts s with
-     | [] -> s
-     | starts ->
-       splice s (List.nth starts (k mod List.length starts))
-         spliced.(v mod Array.length spliced))
-
 let results_mutants =
-  let open QCheck.Gen in
-  let mutation =
-    oneof
-      [ map (fun fl -> Flips fl)
-          (list_size (int_range 1 3) (pair nat (int_range 1 255)));
-        map2 (fun k v -> Splice (k, v)) nat nat ]
-  in
   let mutant (i, m) =
     let strs = Array.copy (Lazy.force real_results) in
     let i = i mod Array.length strs in
-    strs.(i) <- mutate strs.(i) m;
+    strs.(i) <- Mutants.apply strs.(i) m;
     strs
   in
   QCheck.Test.make ~name:"mutated results decode to Ok or Error" ~count:1500
@@ -281,7 +283,7 @@ let results_mutants =
        ~print:(fun x ->
            String.concat "\n"
              (Array.to_list (Array.map (Printf.sprintf "%S") (mutant x))))
-       (pair nat mutation))
+       (QCheck.Gen.pair QCheck.Gen.nat Mutants.gen))
     (fun x ->
        match decodes (mutant x) with
        | `Ok | `Error -> true
@@ -346,4 +348,6 @@ let suites =
           test_fixed_malformed;
         QCheck_alcotest.to_alcotest results_mutants;
         Alcotest.test_case "CLI ignores a resealed bad results section"
-          `Quick test_cli_resealed_results ] ) ]
+          `Quick test_cli_resealed_results;
+        Alcotest.test_case "a changed manifest does not replay" `Quick
+          test_unregistered_entry ] ) ]

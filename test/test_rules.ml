@@ -374,6 +374,97 @@ let test_warm_cache_ruleset_change () =
 
 (* ------------------------------------------------------------------ *)
 
+(* -- Mutated rule sources ----------------------------------------------- *)
+
+let parses src =
+  match Parse.rules_of_string src with
+  | Ok rules -> `Ok rules
+  | Error _ -> `Error
+  | exception e -> `Raised (Printexc.to_string e)
+
+(* Valid sources: the shipped rule file and the extended built-in set in
+   the file syntax. *)
+let rule_sources =
+  lazy
+    [| In_channel.with_open_bin "../rules/default.rules" In_channel.input_all;
+       Rule.list_to_source Builtin.extended |]
+
+type source_mutation =
+  | Shared of Mutants.t  (* flips, truncation, spliced numbers *)
+  | Requote of int * int  (* nth bare atom, quoted payload index *)
+
+let bare = Rules.Sexp.is_bare_char
+
+(* Positions where a bare atom starts: a bare character after a blank or
+   an opening parenthesis. *)
+let atom_starts s =
+  List.filter
+    (fun i -> bare s.[i] && (i = 0 || String.contains " \t\n(" s.[i - 1]))
+    (List.init (String.length s) Fun.id)
+
+(* Quoted atoms that no bare atom can spell. *)
+let quoted =
+  [| "\"a b\""; "\"(\""; "\"\""; "\"x;y\""; "\"\\\"q\\\"\""; "\"t\\tn\"" |]
+
+let mutate_source s = function
+  | Shared m -> Mutants.apply s m
+  | Requote (k, v) ->
+    (match atom_starts s with
+     | [] -> s
+     | starts ->
+       let i = List.nth starts (k mod List.length starts) in
+       let j = ref i in
+       while !j < String.length s && bare s.[!j] do incr j done;
+       String.sub s 0 i ^ quoted.(v mod Array.length quoted)
+       ^ String.sub s !j (String.length s - !j))
+
+(* A source that parses re-renders to one that parses to the same rules. *)
+let check_source src =
+  match parses src with
+  | `Error -> true
+  | `Raised e -> QCheck.Test.fail_reportf "raised %s" e
+  | `Ok rules ->
+    (match parses (Rule.list_to_source rules) with
+     | `Ok rules' when rules' = rules -> true
+     | `Ok _ -> QCheck.Test.fail_reportf "re-rendered rules differ"
+     | `Error -> QCheck.Test.fail_reportf "re-rendered rules do not parse"
+     | `Raised e -> QCheck.Test.fail_reportf "re-rendered rules raised %s" e)
+
+let source_mutants =
+  let open QCheck.Gen in
+  let mutation =
+    frequency
+      [ (3, map (fun m -> Shared m) Mutants.gen);
+        (1, map2 (fun k v -> Requote (k, v)) nat nat) ]
+  in
+  let mutant (i, m) =
+    let srcs = Lazy.force rule_sources in
+    mutate_source srcs.(i mod Array.length srcs) m
+  in
+  QCheck.Test.make ~name:"mutated rule sources parse or are typed errors"
+    ~count:1500
+    (QCheck.make ~print:(fun x -> Printf.sprintf "%S" (mutant x))
+       (pair nat mutation))
+    (fun x -> check_source (mutant x))
+
+(* Fixed cases the property found: atoms a bare atom cannot spell were
+   rendered bare, so the rendering parsed to other rules or not at all. *)
+let test_quoted_atoms_rerender () =
+  List.iter
+    (fun src ->
+       (match parses src with
+        | `Ok _ -> ()
+        | _ -> Alcotest.failf "%S does not parse" src);
+       Alcotest.(check bool) (Printf.sprintf "%S re-renders" src) true
+         (check_source src))
+    [ "(rule (name \"t\\tn\") (sink (class javax.crypto.Cipher) \
+       (method getInstance) (params java.lang.String) \
+       (return javax.crypto.Cipher) (arg 0) (label crypto-cipher)) \
+       (insecure-when (str-contains \"ECB\")))";
+      "(rule (name \"a b\") (sink (class \"x;y\") (method \"(\") \
+       (params \"p q\") (arg 0) (label \"\")) \
+       (insecure-when (class-in \"c d\" e)))" ]
+
 let cases =
   [ Alcotest.test_case "extended set round-trips through the file syntax"
       `Quick test_roundtrip;
@@ -418,4 +509,9 @@ let cases =
     Alcotest.test_case "warm cache under a changed rule set" `Quick
       test_warm_cache_ruleset_change ]
 
-let suites = [ ("rules.engine", cases) ]
+let suites =
+  [ ("rules.engine", cases);
+    ( "rules.parse",
+      [ Alcotest.test_case "quoted atoms survive a re-rendering" `Quick
+          test_quoted_atoms_rerender;
+        QCheck_alcotest.to_alcotest source_mutants ] ) ]

@@ -77,26 +77,42 @@ let test_no_hits () =
   Alcotest.(check int) "absent signature finds nothing" 0
     (List.length (E.run e (Q.invocation "Lno/Such;.m:()V")))
 
+(* The calling domain's lookups while [f] runs: (total, cached, per
+   category). *)
+let counted f =
+  let l0 = E.local_counts () in
+  f ();
+  let l1 = E.local_counts () in
+  ( l1.Bytesearch.Cache.lc_total - l0.Bytesearch.Cache.lc_total,
+    l1.Bytesearch.Cache.lc_cached - l0.Bytesearch.Cache.lc_cached,
+    Array.mapi (fun i n -> n - l0.Bytesearch.Cache.lc_by_cat.(i))
+      l1.Bytesearch.Cache.lc_by_cat )
+
 let test_cache_hits () =
   let e, callee, _ = fixture () in
   let q = Q.invocation (Dex.Descriptor.meth_desc callee) in
-  ignore (E.run e q);
-  ignore (E.run e q);
-  ignore (E.run e q);
-  Alcotest.(check int) "three searches" 3 (E.total_searches e);
-  Alcotest.(check int) "two cached" 2 (E.cached_searches e);
-  Alcotest.(check bool) "rate 2/3" true (abs_float (E.cache_rate e -. 0.6667) < 0.01)
+  let total, cached, _ =
+    counted (fun () ->
+        ignore (E.run e q);
+        ignore (E.run e q);
+        ignore (E.run e q))
+  in
+  Alcotest.(check int) "three searches" 3 total;
+  Alcotest.(check int) "two cached" 2 cached
 
 let test_cache_categories () =
   let e, callee, fld = fixture () in
-  ignore (E.run e (Q.invocation (Dex.Descriptor.meth_desc callee)));
-  ignore (E.run e (Q.static_field_access (Dex.Descriptor.field_desc fld)));
-  ignore (E.run e (Q.class_use "Ls/Cfg;"));
-  let cats = E.category_stats e |> List.map (fun (c, _, _) -> c) in
-  Alcotest.(check bool) "caller category present" true
-    (List.mem Q.Cat_caller cats);
-  Alcotest.(check bool) "field category present" true (List.mem Q.Cat_field cats);
-  Alcotest.(check bool) "class category present" true (List.mem Q.Cat_class cats)
+  let _, _, by_cat =
+    counted (fun () ->
+        ignore (E.run e (Q.invocation (Dex.Descriptor.meth_desc callee)));
+        ignore
+          (E.run e (Q.static_field_access (Dex.Descriptor.field_desc fld)));
+        ignore (E.run e (Q.class_use "Ls/Cfg;")))
+  in
+  let count cat = by_cat.(Q.category_index cat) in
+  Alcotest.(check int) "caller category counted" 1 (count Q.Cat_caller);
+  Alcotest.(check int) "field category counted" 1 (count Q.Cat_field);
+  Alcotest.(check int) "class category counted" 1 (count Q.Cat_class)
 
 (* A miss computes with no lock held: while key A's compute waits for a
    latch, another domain's lookup of key B returns and then releases the
@@ -109,21 +125,28 @@ let test_cache_miss_holds_no_lock () =
   let other =
     Domain.spawn (fun () ->
         ignore (Test_parallel.await started);
-        ignore
-          (C.find_or_add cache (Q.invocation "Llatch/B;.m:()V") (fun () ->
-               []));
-        Atomic.set released true)
+        let total, cached, _ =
+          counted (fun () ->
+              ignore
+                (C.find_or_add cache (Q.invocation "Llatch/B;.m:()V")
+                   (fun () -> [])))
+        in
+        Atomic.set released true;
+        (total, cached))
   in
-  let seen =
-    C.find_or_add cache (Q.invocation "Llatch/A;.m:()V") (fun () ->
-        Atomic.set started true;
-        [ Bool.to_int (Test_parallel.await released) ])
+  let seen = ref [] in
+  let total, cached, _ =
+    counted (fun () ->
+        seen :=
+          C.find_or_add cache (Q.invocation "Llatch/A;.m:()V") (fun () ->
+              Atomic.set started true;
+              [ Bool.to_int (Test_parallel.await released) ]))
   in
-  Domain.join other;
+  let other_total, other_cached = Domain.join other in
   Alcotest.(check (list int)) "B's lookup returned during A's compute" [ 1 ]
-    seen;
+    !seen;
   Alcotest.(check (pair int int)) "two searches, both misses" (2, 0)
-    (C.total_searches cache, C.cached_searches cache)
+    (total + other_total, cached + other_cached)
 
 let test_command_rendering () =
   Alcotest.(check bool) "commands are distinct cache keys" true

@@ -3,8 +3,9 @@
    bearing property — a served analysis is byte-identical to the one-shot
    pipeline whatever the serving path (fresh build, resident hit, snapshot
    reload after eviction, K concurrent clients sharing one engine, jobs=1,
-   2 or 4).  Only the timing header and the cumulative [stats:] line
-   may differ between serving paths, so comparisons filter those two. *)
+   2 or 4).  Only the timing header and the [stats:] line may differ
+   between serving paths (a hit's searches are cached, a replay does
+   fewer), so comparisons filter those two. *)
 
 module S = Serve.Server
 module C = Serve.Client
@@ -25,9 +26,9 @@ let oneshot spec =
     in
     Serve.Render.render ~app_name:(A.app_name spec) ~seconds:0.0 r
 
-(* Drop the wall-clock header and the cumulative engine-stats line: both
-   legitimately vary across serving paths (a replayed analysis does fewer
-   searches); every report line must match byte-for-byte. *)
+(* Drop the wall-clock header and the stats line: both legitimately vary
+   across serving paths (a resident hit's searches are cached, a replayed
+   analysis does fewer); every report line must match byte-for-byte. *)
 let report_lines text =
   String.split_on_char '\n' text
   |> List.filter (fun l ->
@@ -112,6 +113,148 @@ let test_codec_rejects_garbage () =
   let whole = P.encode_request (List.nth requests 1) in
   bad (String.sub whole 0 (String.length whole - 3))
 
+(* Mutated frames: valid requests and responses of every constructor,
+   with random specs, damaged by byte flips, truncation, or a huge,
+   negative or overlong length spliced where a length may start.  Every
+   decode is [Ok] or a typed error, and a decoded frame re-encodes to one
+   that decodes equal ([compare], so that a NaN float equals itself). *)
+
+let gen_string = QCheck.Gen.(string_size ~gen:char (int_range 0 12))
+
+let gen_spec =
+  let open QCheck.Gen in
+  let shape =
+    oneof [ oneofl [ "direct"; "callback"; "async-executor" ]; gen_string ]
+  and sink = oneof [ oneofl [ "cipher"; "ssl" ]; gen_string ] in
+  map
+    (fun (seed, size_mb, insecure, mutate_pct, plants) ->
+       { A.seed; size_mb; insecure; mutate_pct; plants })
+    (tup5 int float bool float (list_size (int_range 0 4) (pair shape sink)))
+
+let gen_request =
+  let open QCheck.Gen in
+  oneof
+    [ map3
+        (fun spec snapshot time_limit_ms ->
+           P.Analyze { spec; snapshot; time_limit_ms })
+        gen_spec (opt gen_string) (opt float);
+      map4
+        (fun spec snapshot kind operand ->
+           P.Query { spec; snapshot; kind; operand })
+        gen_spec (opt gen_string) gen_string gen_string;
+      return P.Stats; return P.Shutdown ]
+
+let gen_response =
+  let open QCheck.Gen in
+  oneof
+    [ map3
+        (fun text cache wall_us -> P.Analyzed { text; cache; wall_us })
+        gen_string (oneofl [ P.Hit; P.Delta; P.Miss ]) float;
+      map3
+        (fun total lines wall_us -> P.Queried { total; lines; wall_us })
+        (int_bound 0xffff) (list_size (int_range 0 4) gen_string) float;
+      map (fun s -> P.Stats_json s) gen_string;
+      oneofl [ P.Rejected P.Busy; P.Rejected P.Shutting_down; P.Shutdown_ok ];
+      map (fun m -> P.Error m) gen_string ]
+
+(* u32 LE lengths: huge, past [max_frame], negative as an i32, and one past
+   the bytes that follow. *)
+let lengths s i =
+  [| 0xffffffff; 0x7fffffff; 0x80000000; P.max_frame + 1;
+     String.length s - i - 3 |]
+
+type frame_mutation =
+  | Shared of Mutants.t  (* flips, truncation, spliced numbers *)
+  | Length of int * int  (* nth length start, length index *)
+
+(* Where a length may start: four bytes that read as a u32 no larger than
+   the frame, as every string length and list count does. *)
+let length_starts s =
+  List.filter
+    (fun i -> String.get_int32_le s i |> Int32.to_int |> fun n ->
+       n >= 0 && n <= String.length s)
+    (List.init (max 0 (String.length s - 3)) Fun.id)
+
+let mutate_frame s = function
+  | Shared m -> Mutants.apply s m
+  | Length (k, v) ->
+    (match length_starts s with
+     | [] -> s
+     | starts ->
+       let i = List.nth starts (k mod List.length starts) in
+       let ls = lengths s i in
+       let b = Bytes.of_string s in
+       Bytes.set_int32_le b i (Int32.of_int ls.(v mod Array.length ls));
+       Bytes.to_string b)
+
+let gen_mutation =
+  let open QCheck.Gen in
+  frequency
+    [ (3, map (fun m -> Shared m) Mutants.gen);
+      (1, map2 (fun k v -> Length (k, v)) nat nat) ]
+
+(* [decode] of a mutant is [Ok] or a typed error, and what decodes
+   re-encodes to a frame that decodes equal. *)
+let decodes_typed ~decode ~encode s =
+  match decode s with
+  | Result.Error _ -> true
+  | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+  | Result.Ok v ->
+    (match decode (encode v) with
+     | Result.Ok v' when compare v v' = 0 -> true
+     | Result.Ok _ -> QCheck.Test.fail_reportf "re-encoded frame differs"
+     | Result.Error e -> QCheck.Test.fail_reportf "re-encoded: %s" e
+     | exception e ->
+       QCheck.Test.fail_reportf "re-encoded raised %s" (Printexc.to_string e))
+
+let mutant_test ~name gen ~encode ~decode =
+  QCheck.Test.make ~name ~count:1500
+    (QCheck.make
+       ~print:(fun (v, m) -> Printf.sprintf "%S" (mutate_frame (encode v) m))
+       (QCheck.Gen.pair gen gen_mutation))
+    (fun (v, m) ->
+       (compare (decode (encode v)) (Result.Ok v) = 0
+        || QCheck.Test.fail_reportf "the valid frame does not round-trip")
+       && decodes_typed ~decode ~encode (mutate_frame (encode v) m))
+
+let request_mutants =
+  mutant_test ~name:"mutated requests decode typed" gen_request
+    ~encode:P.encode_request ~decode:P.decode_request
+
+let response_mutants =
+  mutant_test ~name:"mutated responses decode typed" gen_response
+    ~encode:P.encode_response ~decode:P.decode_response
+
+(* A request's frame as [send_request] writes it: a u32 LE payload
+   length, then the payload. *)
+let framed v =
+  let p = P.encode_request v in
+  let b = Bytes.create 4 in
+  Bytes.set_int32_le b 0 (Int32.of_int (String.length p));
+  Bytes.to_string b ^ p
+
+(* The whole frame, its length prefix included, read off a socket:
+   [recv_request] ends in a request, a typed error or, for an empty
+   frame, end of file. *)
+let recv_mutants =
+  QCheck.Test.make ~name:"mutated frames are received typed" ~count:300
+    (QCheck.make
+       ~print:(fun (v, m) -> Printf.sprintf "%S" (mutate_frame (framed v) m))
+       (QCheck.Gen.pair gen_request gen_mutation))
+    (fun (v, m) ->
+       let frame = mutate_frame (framed v) m in
+       let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+       Fun.protect ~finally:(fun () -> Unix.close r) @@ fun () ->
+       ignore (Unix.write_substring w frame 0 (String.length frame));
+       Unix.close w;
+       match P.recv_request r with
+       | `Eof -> frame = "" || QCheck.Test.fail_reportf "early eof"
+       | `Err _ -> true
+       | `Ok req ->
+         compare (P.decode_request (P.encode_request req)) (Result.Ok req) = 0
+       | exception e ->
+         QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 (* -- admission ------------------------------------------------------- *)
 
 let test_admission_bounds () =
@@ -160,6 +303,46 @@ let test_served_identity () =
     Alcotest.check lines_t "resident served = one-shot" expected
       (report_lines hit_text)
 
+(* The search count of a transcript's [stats:] line. *)
+let searches text =
+  match
+    List.find_opt (String.starts_with ~prefix:"stats: ")
+      (String.split_on_char '\n' text)
+  with
+  | Some l -> Scanf.sscanf l "stats: %d searches" Fun.id
+  | None -> Alcotest.fail "no stats: line"
+
+(* A reply's [stats:] line counts its own request's searches, not the
+   resident engine's so far: a miss and a hit of one spec each report the
+   one-shot's count. *)
+let test_served_search_counts () =
+  let expected = searches (oneshot spec) in
+  Alcotest.(check bool) "the one-shot searches" true (expected > 0);
+  with_server ~jobs:2 @@ fun ~socket _ ->
+  match
+    C.with_conn ~socket (fun conn ->
+        let miss, _ = analyze_text conn spec in
+        let hit, _ = analyze_text conn spec in
+        Result.Ok (miss, hit))
+  with
+  | Result.Error e -> Alcotest.fail e
+  | Result.Ok (miss, hit) ->
+    Alcotest.(check int) "the miss counts the one-shot's searches" expected
+      (searches miss);
+    Alcotest.(check int) "so does the hit" expected (searches hit)
+
+(* The JSON number right after the first [key] in [j]. *)
+let number_after j key =
+  let n = String.length key in
+  let rec find i =
+    if i + n > String.length j then None
+    else if String.sub j i n = key then
+      let rest = String.sub j (i + n) (String.length j - i - n) in
+      Scanf.sscanf_opt rest "%f" Fun.id
+    else find (i + 1)
+  in
+  find 0
+
 let histo_count name =
   (Obs.Metrics.read (Obs.Metrics.histogram name)).Obs.Metrics.h_count
 
@@ -199,7 +382,7 @@ let test_query_and_stats () =
        List.iter
          (fun f ->
             Alcotest.(check bool) (f ^ " reported") true
-              (Obs.Jsonf.field_float j f <> None))
+              (number_after j (Printf.sprintf "\"%s\":" f) <> None))
          [ "pool_wait_us_p50"; "pool_wait_us_p90"; "admission_wait_us_p50";
            "admission_wait_us_p90" ]
      | _ -> Alcotest.fail "expected Stats_json")
@@ -506,7 +689,10 @@ let test_stale_socket_reclaimed () =
 let suites =
   [ ( "serve.protocol",
       [ Alcotest.test_case "codec round-trips" `Quick test_codec_roundtrip;
-        Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage ] );
+        Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage;
+        QCheck_alcotest.to_alcotest request_mutants;
+        QCheck_alcotest.to_alcotest response_mutants;
+        QCheck_alcotest.to_alcotest recv_mutants ] );
     ( "serve.appspec",
       [ Alcotest.test_case "sizes and mutation fractions are bounded" `Quick
           test_spec_bounds ] );
@@ -545,4 +731,6 @@ let suites =
         Alcotest.test_case "live socket refused" `Quick
           test_live_socket_refused;
         Alcotest.test_case "stale socket reclaimed" `Quick
-          test_stale_socket_reclaimed ] ) ]
+          test_stale_socket_reclaimed;
+        Alcotest.test_case "a reply counts its own searches" `Quick
+          test_served_search_counts ] ) ]
